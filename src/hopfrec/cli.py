@@ -20,7 +20,7 @@ from .examples import EXAMPLES
 from .fusion import verify_category
 from .hopf import run_hopf_checks
 from .reconstruct import reconstruct_hopf, zeta_modules
-from .repcat import gamma_roundtrip, skeletalize, verify_irreps
+from .repcat import _roundtrip, skeletalize, verify_irreps
 from .reports import CheckReport
 
 
@@ -38,10 +38,6 @@ def _load(path: str, kind: str):
     if loaded.kind != kind:
         raise _InputError(f"{path}: expected a {kind} payload, found {loaded.kind}")
     return loaded
-
-
-def _write(path: str, obj, **extras):
-    serialize.save(path, obj, **extras)
 
 
 def _fiber_out_path(path: str) -> str:
@@ -89,7 +85,7 @@ def _cmd_reconstruct(args):
     recon = reconstruct_hopf(skel, fiber, verify=False)
     reports.extend(run_hopf_checks(recon.hopf))
     if all(r.passed for r in reports):
-        _write(args.out, recon.hopf, basis=recon.basis)
+        serialize.save(args.out, recon.hopf, basis=recon.basis)
     return reports, {"dim": recon.hopf.dim, "written": args.out}
 
 
@@ -106,8 +102,8 @@ def _cmd_repcat(args):
     reports = [rep] + verify_category(skel, fiber)
     if all(r.passed for r in reports):
         fiber_path = _fiber_out_path(args.out)
-        _write(args.out, skel)
-        _write(fiber_path, fiber)
+        serialize.save(args.out, skel)
+        serialize.save(fiber_path, fiber)
         return reports, {"written": args.out, "written_fiber": fiber_path}
     return reports, {}
 
@@ -116,14 +112,12 @@ def _cmd_roundtrip(args):
     h = _load(args.hopf, "hopf").obj
     mods = _load(args.modules, "modules").obj
     try:
-        rep, gamma = gamma_roundtrip(h, mods)
+        rep, gamma, recon = _roundtrip(h, mods)
     except HopfrecError as e:
         return [_failure_report(type(e).__name__, str(e))], {}
     payload = {"gamma": serialize.format_matrix(gamma)}
     # the five round-trip identities, plus the irreducible-family gate,
     # live in rep; completeness of the rebuilt side is cheap to add
-    skel, fiber = skeletalize(h, mods, verify=False)
-    recon = reconstruct_hopf(skel, fiber, verify=False)
     zrep = verify_irreps(recon.hopf.alg, zeta_modules(recon))
     zrep.name = "rebuilt-irreps"
     return [rep, zrep], payload
@@ -131,7 +125,7 @@ def _cmd_roundtrip(args):
 
 def _cmd_example(args):
     kind, builder = EXAMPLES[args.name]
-    _write(args.out, builder())
+    serialize.save(args.out, builder())
     return [], {"written": args.out, "payload_kind": kind}
 
 

@@ -21,11 +21,6 @@ class DivisionByZero(HopfrecError, ZeroDivisionError):
     """Division by the zero scalar."""
 
 
-class ConductorMismatch(HopfrecError):
-    """Reserved.  Conductor promotion always succeeds, so this is never
-    raised; it exists so callers can write defensive handlers."""
-
-
 class ParseError(HopfrecError):
     """Input text is not a well-formed document.
 
@@ -73,15 +68,6 @@ class ReconstructionAxiomFailure(HopfrecError):
     def __init__(self, message: str, reports):
         self.reports = reports
         super().__init__(message)
-
-
-class NotSplitOrNotSemisimple(HopfrecError):
-    """A claimed irreducible has a commutant bigger than the ground field."""
-
-
-class Incomplete(HopfrecError):
-    """A claimed complete irredundant list of irreducibles has dimension
-    squares that do not sum to dim H."""
 
 
 class DecompositionGap(HopfrecError):

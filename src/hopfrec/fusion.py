@@ -399,44 +399,33 @@ def _route_right(skel, fiber, a, b, c):
     return block_diag(blocks) * (swap * step1)
 
 
-def _regroup_left(skel, fiber, a, b, c):
-    N, d, r = skel.fusion, fiber.dims, skel.rank
+def _regroup(d, r, outer, inner, basis):
+    """Permutation from the order of two fusion steps (x, copy mu of x,
+    target dd, copy nu of dd, fiber index t) to the tree order of the F
+    basis: dd outer, then the trees basis(dd).  outer[x] and inner[x][dd]
+    are the numbers of copies in the two steps."""
     src = [
-        (e, mu, dd, nu, t)
-        for e in range(r)
-        for mu in range(N[a][b][e])
+        (x, mu, dd, nu, t)
+        for x in range(r)
+        for mu in range(outer[x])
         for dd in range(r)
-        for nu in range(N[e][c][dd])
+        for nu in range(inner[x][dd])
         for t in range(d[dd])
     ]
-    dst = [
-        (e, mu, dd, nu, t)
-        for dd in range(r)
-        for (e, mu, nu) in f_left_basis(N, a, b, c, dd)
-        for t in range(d[dd])
-    ]
+    dst = [(x, mu, dd, nu, t) for dd in range(r) for (x, mu, nu) in basis(dd) for t in range(d[dd])]
     pos = {lab: i for i, lab in enumerate(src)}
     return permutation_matrix([pos[lab] for lab in dst])
+
+
+def _regroup_left(skel, fiber, a, b, c):
+    N, r = skel.fusion, skel.rank
+    inner = [N[e][c] for e in range(r)]
+    return _regroup(fiber.dims, r, N[a][b], inner, lambda dd: f_left_basis(N, a, b, c, dd))
 
 
 def _regroup_right(skel, fiber, a, b, c):
-    N, d, r = skel.fusion, fiber.dims, skel.rank
-    src = [
-        (f, rho, dd, sigma, t)
-        for f in range(r)
-        for rho in range(N[b][c][f])
-        for dd in range(r)
-        for sigma in range(N[a][f][dd])
-        for t in range(d[dd])
-    ]
-    dst = [
-        (f, rho, dd, sigma, t)
-        for dd in range(r)
-        for (f, rho, sigma) in f_right_basis(N, a, b, c, dd)
-        for t in range(d[dd])
-    ]
-    pos = {lab: i for i, lab in enumerate(src)}
-    return permutation_matrix([pos[lab] for lab in dst])
+    N, r = skel.fusion, skel.rank
+    return _regroup(fiber.dims, r, N[b][c], N[a], lambda dd: f_right_basis(N, a, b, c, dd))
 
 
 def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:

@@ -220,8 +220,7 @@ def mat_kernel(m: Matrix) -> Matrix:
     leading entries 1, leading positions strictly increasing, and each
     leading position zeroed out in every other basis vector.
     """
-    _, pivots = m._echelon()
-    red, _ = m.rref()
+    red, pivots = m.rref()
     free = [c for c in range(m.cols) if c not in pivots]
     if not free:
         return Matrix.zeros(m.cols, 0)
@@ -267,10 +266,6 @@ def mat_inverse(m: Matrix) -> Matrix:
     inv = mat_solve(m, Matrix.identity(m.rows))
     assert inv is not None
     return inv
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
 
 
 def block_diag(blocks: list[Matrix]) -> Matrix:

@@ -91,7 +91,13 @@ def reconstruct_hopf(
         bad = [r for r in reports if not r.passed]
         if bad:
             raise ReconstructionAxiomFailure("category data fails coherence", bad)
+    return _assemble(skel, fiber, verify)
 
+
+def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> ReconstructionResult:
+    """reconstruct_hopf on category data whose coherence is already known;
+    with verify on, the presentation is still checked against every Hopf
+    axiom."""
     r = skel.rank
     d = fiber.dims
     N = skel.fusion

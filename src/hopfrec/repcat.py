@@ -339,18 +339,20 @@ def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     multiplication, unit, comultiplication, counit and antipode; the matrix
     of gamma is returned alongside.
     """
+    return _roundtrip(h, modules, verify)[:2]
+
+
+def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
+    """gamma_roundtrip, returning (report, gamma, reconstruction).  The
+    category data is checked once, by skeletalize."""
     if not modules:
         raise RoundTripFailure("no modules given")
     skel, fiber = skeletalize(h, modules, verify=verify)
-    from .reconstruct import reconstruct_hopf
+    from .reconstruct import _assemble, endf_offsets
 
-    recon = reconstruct_hopf(skel, fiber, verify=verify)
+    recon = _assemble(skel, fiber, verify)
     nq = recon.hopf.dim
-    offsets = []
-    off = 0
-    for v in modules:
-        offsets.append(off)
-        off += v.dim * v.dim
+    offsets = endf_offsets([v.dim for v in modules])
     cols = []
     for i in range(h.dim):
         col = [ZERO] * nq
@@ -365,4 +367,4 @@ def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     rep = check_hopf_morphism(h, recon.hopf, gamma)
     if not rep.flags.get("bijective", False):
         rep.add("bijective", (), f"rank {gamma.rank()} of {gamma.rows}x{gamma.cols}", "invertible")
-    return rep, gamma
+    return rep, gamma, recon

@@ -117,6 +117,11 @@ class Scalar:
 
     Do not mutate.  Construct through the classmethods or by arithmetic;
     int and Fraction operands are coerced on the fly.
+
+    Invariant: `coeffs` is a tuple of Fraction of length phi(conductor),
+    reduced modulo Phi_n.  The public constructor establishes it by coercing
+    and checking its input; arithmetic results already satisfy it, so they
+    are built by `_make`, which fills the slots without either step.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -137,33 +142,35 @@ class Scalar:
 
     @classmethod
     def rational(cls, p, q=1) -> "Scalar":
-        return cls(1, (Fraction(p, q),))
+        return _rat(Fraction(p, q))
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return _S_ZERO
+        return ZERO
 
     @classmethod
     def one(cls) -> "Scalar":
-        return _S_ONE
+        return ONE
 
     @classmethod
     def zeta(cls, n: int) -> "Scalar":
         """A primitive n-th root of unity, as the residue of x mod Phi_n."""
-        return cls(n, _reduce([_ZERO, _ONE], n))
+        return _make(n, _reduce([_ZERO, _ONE], n))
 
     @classmethod
     def coerce(cls, x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(1, (Fraction(x),))
+            return _rat(Fraction(x))
         raise TypeError(f"cannot interpret {x!r} as a Scalar")
 
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        if self.conductor == 1:
+            return not self.coeffs[0]
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -184,11 +191,13 @@ class Scalar:
         out = [_ZERO] * ((len(self.coeffs) - 1) * stride + 1)
         for k, c in enumerate(self.coeffs):
             out[k * stride] = c
-        return Scalar(n, _reduce(out, n))
+        return _make(n, _reduce(out, n))
 
     # -- arithmetic ------------------------------------------------------
 
     def _pair(self, other):
+        if type(other) is Scalar and other.conductor == self.conductor:
+            return self, other, self.conductor
         other = Scalar.coerce(other)
         n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
         return self.promote(n), other.promote(n), n
@@ -198,15 +207,17 @@ class Scalar:
         return isinstance(other, (Scalar, int, Fraction))
 
     def __add__(self, other):
+        if type(other) is Scalar and self.conductor == 1 == other.conductor:
+            return _rat(self.coeffs[0] + other.coeffs[0])
         if not Scalar._coercible(other):
             return NotImplemented
         a, b, n = self._pair(other)
-        return Scalar(n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _make(n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.conductor, tuple(-c for c in self.coeffs))
+        return _make(self.conductor, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         if not Scalar._coercible(other):
@@ -219,18 +230,20 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if type(other) is Scalar and self.conductor == 1 == other.conductor:
+            return _rat(self.coeffs[0] * other.coeffs[0])
         if not Scalar._coercible(other):
             return NotImplemented
         a, b, n = self._pair(other)
         if n == 1:
-            return Scalar(1, (a.coeffs[0] * b.coeffs[0],))
+            return _rat(a.coeffs[0] * b.coeffs[0])
         conv = [_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, ca in enumerate(a.coeffs):
             if ca:
                 for j, cb in enumerate(b.coeffs):
                     if cb:
                         conv[i + j] += ca * cb
-        return Scalar(n, _reduce(conv, n))
+        return _make(n, _reduce(conv, n))
 
     __rmul__ = __mul__
 
@@ -238,8 +251,8 @@ class Scalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.conductor == 1:
-            return Scalar(1, (1 / self.coeffs[0],))
-        return Scalar(self.conductor, _ext_inverse(self.coeffs, self.conductor))
+            return _rat(1 / self.coeffs[0])
+        return _make(self.conductor, _ext_inverse(self.coeffs, self.conductor))
 
     def __truediv__(self, other):
         if not Scalar._coercible(other):
@@ -254,7 +267,7 @@ class Scalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = _S_ONE
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -290,11 +303,29 @@ class Scalar:
         return f"Scalar({self})"
 
 
-_S_ZERO = Scalar(1, (_ZERO,))
-_S_ONE = Scalar(1, (_ONE,))
+_new = object.__new__
+_set_conductor = Scalar.conductor.__set__
+_set_coeffs = Scalar.coeffs.__set__
 
-ZERO = _S_ZERO
-ONE = _S_ONE
+
+def _make(n: int, coeffs: tuple) -> Scalar:
+    """A Scalar from coefficients that already meet the class invariant."""
+    s = _new(Scalar)
+    _set_conductor(s, n)
+    _set_coeffs(s, coeffs)
+    return s
+
+
+def _rat(f: Fraction) -> Scalar:
+    """The conductor 1 Scalar of a Fraction."""
+    s = _new(Scalar)
+    _set_conductor(s, 1)
+    _set_coeffs(s, (f,))
+    return s
+
+
+ZERO = _rat(_ZERO)
+ONE = _rat(_ONE)
 
 
 def sc(x) -> Scalar:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfrec.reconstruct
 from hopfrec.errors import ReconstructionAxiomFailure, ShapeError
 from hopfrec.examples import (
     EXAMPLES,
@@ -31,6 +32,7 @@ from hopfrec.reconstruct import (
     transport_matrix,
     zeta_modules,
 )
+from hopfrec.reports import CheckReport
 from hopfrec.repcat import (
     SliceMorphismData,
     gamma_roundtrip,
@@ -229,3 +231,23 @@ def test_transport_matrix_matches_elementwise_transport():
     out = transport_along(t, eta)[0]
     flat = [out.at(i, j) for i in range(2) for j in range(2)]
     assert [tm.at(r, 0) for r in range(4)] == flat
+
+
+def test_hopf_axiom_failure_raises_from_both_entry_points(monkeypatch):
+    # the assembled presentation is re-checked whether the category data was
+    # checked by reconstruct_hopf or, in the round trip, by skeletalize
+    def failing(h):
+        good, bad = CheckReport("algebra"), CheckReport("antipode")
+        bad.add("antipode", (0,), "1", "2")
+        return [good, bad]
+
+    monkeypatch.setattr(hopfrec.reconstruct, "run_hopf_checks", failing)
+    h, mods = gen_group_algebra(Z2), EXAMPLES["kz2-modules"][1]()
+    skel, fiber = skeletalize(h, mods)
+    for attempt in (lambda: reconstruct_hopf(skel, fiber), lambda: gamma_roundtrip(h, mods)):
+        with pytest.raises(ReconstructionAxiomFailure, match="Hopf axioms") as err:
+            attempt()
+        assert [rep.name for rep in err.value.reports] == ["antipode"]
+        assert [f.line() for f in err.value.reports[0].failures] == [
+            f.line() for f in failing(h)[1].failures
+        ]

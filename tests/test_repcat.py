@@ -2,6 +2,7 @@
 decompositions, skeletalization, and the reconstruction round trip."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -154,3 +155,19 @@ def test_gamma_roundtrip_ks4():
     rep, gamma = gamma_roundtrip(h, EXAMPLES["ks4-modules"][1]())
     assert rep.passed, [f.line() for f in rep.failures]
     assert gamma.rows == 24
+
+
+def test_gamma_roundtrip_checks_category_data_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify_category(*args, **kwargs)
+
+    # every hopfrec module that binds verify_category by name
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hopfrec") and getattr(mod, "verify_category", None) is verify_category:
+            monkeypatch.setattr(mod, "verify_category", counted)
+    rep, gamma = gamma_roundtrip(KS3, s3_modules())
+    assert rep.passed and gamma.rows == 6
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Field axioms and cyclotomic reduction for the exact scalar type."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -115,3 +116,122 @@ def test_reduction_mod_cyclotomic_keeps_length():
     z = Scalar.zeta(12)
     w = (z + ONE) * (z * z + z + ONE)
     assert w.conductor == 12 and len(w.coeffs) == 4
+
+
+# -- arithmetic results against a reference built by the validating constructor
+
+def in_field(n):
+    """Elements of Q(zeta_n), made through the public constructor."""
+    return st.lists(fracs, min_size=phi_degree(n), max_size=phi_degree(n)).map(
+        lambda cs: Scalar(n, cs)
+    )
+
+
+# same conductor (1 and 8) and mixed conductors (1 x 4, 4 x 8), both orders
+CONDUCTOR_PAIRS = [(1, 1), (8, 8), (1, 4), (4, 1), (4, 8), (8, 4)]
+scalar_pairs = st.sampled_from(CONDUCTOR_PAIRS).flatmap(
+    lambda mn: st.tuples(in_field(mn[0]), in_field(mn[1]))
+)
+plain_numbers = st.one_of(st.integers(-1000, 1000), fracs)
+
+
+def ref_poly(x, n):
+    """x as coefficients of powers of zeta_n; x is an int, a Fraction or a
+    Scalar whose conductor divides n."""
+    if not isinstance(x, Scalar):
+        return [Fraction(x)]
+    stride = n // x.conductor
+    out = [Fraction(0)] * ((len(x.coeffs) - 1) * stride + 1)
+    for k, c in enumerate(x.coeffs):
+        out[k * stride] = c
+    return out
+
+
+def ref_scalar(poly, n):
+    """The residue of poly modulo Phi_n, through the validating constructor."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    p = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    for k in range(len(p) - 1, deg - 1, -1):
+        for i, pc in enumerate(phi):
+            p[k - deg + i] -= p[k] * pc
+    return Scalar(n, p[:deg])
+
+
+def conductor_of(x):
+    return x.conductor if isinstance(x, Scalar) else 1
+
+
+def ref_add(x, y, sign=1):
+    n = conductor_of(x) * conductor_of(y) // gcd(conductor_of(x), conductor_of(y))
+    p, q = ref_poly(x, n), ref_poly(y, n)
+    size = max(len(p), len(q))
+    p += [Fraction(0)] * (size - len(p))
+    q += [Fraction(0)] * (size - len(q))
+    return ref_scalar([a + sign * b for a, b in zip(p, q)], n)
+
+
+def ref_mul(x, y):
+    n = conductor_of(x) * conductor_of(y) // gcd(conductor_of(x), conductor_of(y))
+    p, q = ref_poly(x, n), ref_poly(y, n)
+    conv = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            conv[i + j] += a * b
+    return ref_scalar(conv, n)
+
+
+def assert_same(result, expected):
+    """Same conductor, same coefficients, and the representation invariant."""
+    assert result.conductor == expected.conductor
+    assert result.coeffs == expected.coeffs
+    assert type(result.coeffs) is tuple
+    assert all(type(c) is Fraction for c in result.coeffs)
+    assert len(result.coeffs) == phi_degree(result.conductor)
+    with pytest.raises(AttributeError):
+        result.coeffs = expected.coeffs
+    with pytest.raises(AttributeError):
+        result.conductor = 1
+    with pytest.raises(TypeError):
+        hash(result)
+
+
+@given(scalar_pairs)
+@settings(max_examples=150, deadline=None)
+def test_scalar_operations_match_reference(pair):
+    a, b = pair
+    assert_same(a + b, ref_add(a, b))
+    assert_same(a - b, ref_add(a, b, -1))
+    assert_same(a * b, ref_mul(a, b))
+    assert_same(-a, ref_add(0, a, -1))
+    if a.is_zero():
+        with pytest.raises(DivisionByZero):
+            a.inverse()
+    else:
+        inv = a.inverse()
+        assert_same(inv, Scalar(a.conductor, inv.coeffs))
+        assert_same(ref_mul(a, inv), ref_scalar([Fraction(1)], a.conductor))
+
+
+@given(st.sampled_from([1, 8]).flatmap(in_field), plain_numbers)
+@settings(max_examples=150, deadline=None)
+def test_plain_number_operands_on_either_side(s, x):
+    assert_same(sc(x), ref_scalar([Fraction(x)], 1))
+    if x:
+        assert_same(sc(x).inverse(), ref_scalar([1 / Fraction(x)], 1))
+    assert_same(x + s, ref_add(x, s))
+    assert_same(s + x, ref_add(s, x))
+    assert_same(x - s, ref_add(x, s, -1))
+    assert_same(s - x, ref_add(s, x, -1))
+    assert_same(x * s, ref_mul(x, s))
+    assert_same(s * x, ref_mul(s, x))
+
+
+def test_public_constructor_validates():
+    with pytest.raises(ValueError):
+        Scalar(8, (1, 2, 3))
+    with pytest.raises(ValueError):
+        Scalar(1, ())
+    s = Scalar(4, (2, Fraction(1, 2)))
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert s.coeffs == (Fraction(2), Fraction(1, 2))
