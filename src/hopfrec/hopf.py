@@ -9,18 +9,30 @@ Conventions, fixed once for the whole package:
 
 Checkers return a CheckReport listing every failing index tuple with both
 sides of the identity; they never raise on honest axiom violations.
-Tensors are stored dense but the checkers iterate over nonzero entries, so
-sparse inputs (group algebras, doubles) stay cheap.
+
+Tensors are stored dense.  The first check of a presentation lowers it to
+sparse views of its nonzero entries, cached on the instance and shared by
+every checker after it.  When every entry is rational, D is the lcm of all
+their denominators and each entry x is held as the int D*x.  A side of an
+identity that sums products of k entries then holds D^k times its value,
+so sides of degrees k < l compare after the lower one is scaled by
+D^(l-k); constants such as 1 have degree 0.  A failing side of degree l is
+rendered as the rational v / D^l, the Scalar it stands for, so a report
+reads the same on either path.  When some entry has conductor > 1 the
+views keep the Scalars, D = 1, and nothing is scaled.
+check_hopf_morphism mixes three presentations and stays on Scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 from .errors import ShapeError
 from .matrices import Matrix
 from .reports import CheckReport
-from .scalars import ONE, ZERO, Scalar, sc
+from .scalars import ZERO, Scalar, sc
 
 
 def _tensor3(data, n: int):
@@ -47,6 +59,10 @@ class AlgebraPresentation:
         object.__setattr__(self, "mult", _tensor3(self.mult, self.dim))
         object.__setattr__(self, "unit", _vector(self.unit, self.dim))
 
+    @cached_property
+    def _views(self) -> "_Views":
+        return _Views(self.mult, self.unit)
+
 
 @dataclass(frozen=True)
 class HopfPresentation:
@@ -66,48 +82,79 @@ class HopfPresentation:
     def dim(self) -> int:
         return self.alg.dim
 
+    @cached_property
+    def _views(self) -> "_Views":
+        return _Views(self.alg.mult, self.alg.unit, self.comult, self.counit, self.antipode)
+
 
 # -- sparse views ---------------------------------------------------------
 
-def _nz3(tensor):
-    """tensor[i][j] -> list of (k, coeff) skipping zeros, for all (i, j)."""
+def _same(x):
+    return x
+
+
+def _nz3(tensor, low=_same):
+    """tensor[i][j] -> list of (k, low(coeff)) skipping zeros, for all (i, j)."""
+    return [[[(k, low(x)) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
+
+
+def _nz_pairs(tensor, low=_same):
+    """comult view: i -> list of (j, k, low(coeff)) skipping zeros."""
     return [
-        [[(k, x) for k, x in enumerate(row) if not x.is_zero()] for row in plane]
+        [(j, k, low(x)) for j, row in enumerate(plane) for k, x in enumerate(row) if x]
         for plane in tensor
     ]
 
 
-def _nz_pairs(tensor):
-    """comult view: i -> list of (j, k, coeff) skipping zeros."""
-    return [
-        [(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if not x.is_zero()]
-        for plane in tensor
-    ]
+class _Views:
+    """A presentation's entries lowered once, as the module docstring says:
+    m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
+    entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
+    column i, and u and eps are dense."""
+
+    def __init__(self, mult, unit, comult=(), counit=(), antipode=None):
+        cols = antipode.transpose().to_rows() if antipode is not None else []
+        entries = [x for t in (mult, comult) for plane in t for row in plane for x in row]
+        entries += [*unit, *counit, *(x for col in cols for x in col)]
+        if all(x.conductor == 1 for x in entries):
+            D = self.D = lcm(*(x.coeffs[0].denominator for x in entries))
+
+            def low(x):
+                f = x.coeffs[0]
+                return f.numerator * (D // f.denominator)
+        else:
+            self.D, low = 1, _same
+        self.m = _nz3(mult, low)
+        self.u = [low(x) for x in unit]
+        self.dl = _nz_pairs(comult, low)
+        self.eps = [low(x) for x in counit]
+        self.s = [[(l, low(x)) for l, x in enumerate(col) if x] for col in cols]
 
 
-def _acc(d: dict, key, val: Scalar):
+def _acc(d: dict, key, val):
     cur = d.get(key)
-    cur = val if cur is None else cur + val
-    if cur.is_zero():
-        d.pop(key, None)
+    if cur is not None:
+        val = cur + val
+    if val:
+        d[key] = val
     else:
-        d[key] = cur
+        d.pop(key, None)
 
 
-def _dict_eq(a: dict, b: dict) -> bool:
-    if len(a) != len(b):
-        return False
-    for k, v in a.items():
-        w = b.get(k)
-        if w is None or v != w:
-            return False
-    return True
+def _scaled(d: dict, f: int) -> dict:
+    """A side raised by f = D^(l-k) to the degree of the side it meets."""
+    return d if f == 1 else {k: v * f for k, v in d.items()}
 
 
-def _render(d: dict) -> str:
+def _value(v, scale: int = 1) -> Scalar:
+    """The Scalar a view value of degree l stands for; scale is D^l."""
+    return v if type(v) is Scalar else Scalar.rational(v, scale)
+
+
+def _render(d: dict, scale: int = 1) -> str:
     if not d:
         return "0"
-    return " + ".join(f"({v})e{k}" for k, v in sorted(d.items()))
+    return " + ".join(f"({_value(v, scale)})e{k}" for k, v in sorted(d.items()))
 
 
 # -- checkers -------------------------------------------------------------
@@ -116,7 +163,8 @@ def check_algebra(a: AlgebraPresentation) -> CheckReport:
     """Associativity and the two unit laws, every basis index tuple."""
     n = a.dim
     rep = CheckReport("algebra")
-    m = _nz3(a.mult)
+    v = a._views
+    m, u, D2 = v.m, v.u, v.D**2
 
     for i in range(n):
         for j in range(n):
@@ -130,24 +178,23 @@ def check_algebra(a: AlgebraPresentation) -> CheckReport:
                 for k, c in m[j][l]:
                     for p, d in m[i][k]:
                         _acc(rhs, p, c * d)
-                if not _dict_eq(lhs, rhs):
-                    rep.add("associativity", (i, j, l), _render(lhs), _render(rhs))
+                if lhs != rhs:
+                    rep.add("associativity", (i, j, l), _render(lhs, D2), _render(rhs, D2))
 
-    u = a.unit
     for i in range(n):
         left: dict = {}
         right: dict = {}
         for j in range(n):
-            if not u[j].is_zero():
+            if u[j]:
                 for k, c in m[j][i]:
                     _acc(left, k, u[j] * c)
                 for k, c in m[i][j]:
                     _acc(right, k, u[j] * c)
-        want = {i: ONE}
-        if not _dict_eq(left, want):
-            rep.add("left-unit", (i,), _render(left), _render(want))
-        if not _dict_eq(right, want):
-            rep.add("right-unit", (i,), _render(right), _render(want))
+        want = _scaled({i: 1}, D2)
+        if left != want:
+            rep.add("left-unit", (i,), _render(left, D2), _render(want, D2))
+        if right != want:
+            rep.add("right-unit", (i,), _render(right, D2), _render(want, D2))
     return rep
 
 
@@ -156,10 +203,9 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
     with multiplication and unit."""
     n = h.dim
     rep = CheckReport("bialgebra")
-    m = _nz3(h.alg.mult)
-    dl = _nz_pairs(h.comult)
-    eps = h.counit
-    u = h.alg.unit
+    v = h._views
+    m, dl, eps, u = v.m, v.dl, v.eps, v.u
+    D2, D4 = v.D**2, v.D**4
 
     for i in range(n):
         lhs: dict = {}
@@ -169,22 +215,22 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
                 _acc(lhs, (p, q, k), c * d)
             for p, q, d in dl[k]:
                 _acc(rhs, (j, p, q), c * d)
-        if not _dict_eq(lhs, rhs):
-            rep.add("coassociativity", (i,), _render(lhs), _render(rhs))
+        if lhs != rhs:
+            rep.add("coassociativity", (i,), _render(lhs, D2), _render(rhs, D2))
 
     for i in range(n):
         left: dict = {}
         right: dict = {}
         for j, k, c in dl[i]:
-            if not eps[j].is_zero():
+            if eps[j]:
                 _acc(left, k, eps[j] * c)
-            if not eps[k].is_zero():
+            if eps[k]:
                 _acc(right, j, eps[k] * c)
-        want = {i: ONE}
-        if not _dict_eq(left, want):
-            rep.add("left-counit", (i,), _render(left), _render(want))
-        if not _dict_eq(right, want):
-            rep.add("right-counit", (i,), _render(right), _render(want))
+        want = _scaled({i: 1}, D2)
+        if left != want:
+            rep.add("left-counit", (i,), _render(left, D2), _render(want, D2))
+        if right != want:
+            rep.add("right-counit", (i,), _render(right, D2), _render(want, D2))
 
     # group each Delta by its first tensor leg and precompute which first
     # legs can multiply, so the product loop skips dead branches wholesale
@@ -202,6 +248,7 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
             for k, c in m[i][j]:
                 for p, q, d in dl[k]:
                     _acc(lhs, (p, q), c * d)
+            lhs = _scaled(lhs, D2)
             rhs = {}
             grp_j = by_first[j]
             for a1, b1, c1 in dl[i]:
@@ -220,35 +267,31 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
                         for p, d1 in prods:
                             for q, d2 in t2:
                                 _acc(rhs, (p, q), c12 * d1 * d2)
-            if not _dict_eq(lhs, rhs):
-                rep.add("comult-multiplicative", (i, j), _render(lhs), _render(rhs))
+            if lhs != rhs:
+                rep.add("comult-multiplicative", (i, j), _render(lhs, D4), _render(rhs, D4))
 
-            e_lhs = ZERO
-            for k, c in m[i][j]:
-                e_lhs = e_lhs + c * eps[k]
+            e_lhs = sum(c * eps[k] for k, c in m[i][j])
             e_rhs = eps[i] * eps[j]
             if e_lhs != e_rhs:
-                rep.add("counit-multiplicative", (i, j), e_lhs, e_rhs)
+                rep.add("counit-multiplicative", (i, j), _value(e_lhs, D2), _value(e_rhs, D2))
 
     du: dict = {}
     for i in range(n):
-        if not u[i].is_zero():
+        if u[i]:
             for j, k, c in dl[i]:
                 _acc(du, (j, k), u[i] * c)
     uu: dict = {}
     for j in range(n):
         for k in range(n):
-            v = u[j] * u[k]
-            if not v.is_zero():
-                uu[(j, k)] = v
-    if not _dict_eq(du, uu):
-        rep.add("comult-of-unit", (), _render(du), _render(uu))
+            x = u[j] * u[k]
+            if x:
+                uu[(j, k)] = x
+    if du != uu:
+        rep.add("comult-of-unit", (), _render(du, D2), _render(uu, D2))
 
-    eu = ZERO
-    for i in range(n):
-        eu = eu + u[i] * eps[i]
-    if eu != ONE:
-        rep.add("counit-of-unit", (), eu, ONE)
+    eu = sum(u[i] * eps[i] for i in range(n))
+    if eu != D2:
+        rep.add("counit-of-unit", (), _value(eu, D2), _value(D2, D2))
     return rep
 
 
@@ -261,10 +304,8 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
     """
     n = h.dim
     rep = CheckReport("antipode")
-    m = _nz3(h.alg.mult)
-    dl = _nz_pairs(h.comult)
-    s = h.antipode
-    scol = [[(l, s.at(l, i)) for l in range(n) if not s.at(l, i).is_zero()] for i in range(n)]
+    v = h._views
+    m, dl, scol, D, D3 = v.m, v.dl, v.s, v.D, v.D**3
 
     for i in range(n):
         left: dict = {}
@@ -278,13 +319,14 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
                     _acc(right, p, c * sl * d)
         want: dict = {}
         for p in range(n):
-            v = h.alg.unit[p] * h.counit[i]
-            if not v.is_zero():
-                want[p] = v
-        if not _dict_eq(left, want):
-            rep.add("left-snake", (i,), _render(left), _render(want))
-        if not _dict_eq(right, want):
-            rep.add("right-snake", (i,), _render(right), _render(want))
+            x = v.u[p] * v.eps[i]
+            if x:
+                want[p] = x
+        want = _scaled(want, D)
+        if left != want:
+            rep.add("left-snake", (i,), _render(left, D3), _render(want, D3))
+        if right != want:
+            rep.add("right-snake", (i,), _render(right, D3), _render(want, D3))
 
     antihom = True
     for i in range(n):
@@ -298,7 +340,7 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
                 for p, sp in scol[i]:
                     for q, d in m[l][p]:
                         _acc(rhs, q, sl * sp * d)
-            if not _dict_eq(lhs, rhs):
+            if _scaled(lhs, D) != rhs:
                 antihom = False
                 break
         if not antihom:
@@ -315,13 +357,13 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
             for p, sp in scol[k]:
                 for q, sq in scol[j]:
                     _acc(rhs, (p, q), c * sp * sq)
-        if not _dict_eq(lhs, rhs):
+        if _scaled(lhs, D) != rhs:
             co_antihom = False
             break
 
     rep.flags["algebra-antihomomorphism"] = antihom
     rep.flags["coalgebra-antihomomorphism"] = co_antihom
-    rep.flags["involutive"] = s * s == Matrix.identity(n)
+    rep.flags["involutive"] = h.antipode * h.antipode == Matrix.identity(n)
     return rep
 
 
@@ -362,7 +404,7 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
                         continue
                     for t, d in md[p][q]:
                         _acc(rhs, t, ci * cj * d)
-            if not _dict_eq(lhs, rhs):
+            if lhs != rhs:
                 rep.add("morphism-multiplicative", (i, j), _render(lhs), _render(rhs))
 
     img_u: dict = {}
@@ -375,7 +417,7 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
     for p in range(nd):
         if not dst.alg.unit[p].is_zero():
             want_u[p] = dst.alg.unit[p]
-    if not _dict_eq(img_u, want_u):
+    if img_u != want_u:
         rep.add("morphism-unit", (), _render(img_u), _render(want_u))
 
     for i in range(ns):
@@ -400,7 +442,7 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
                 continue
             for a1, b1, d in dld[p]:
                 _acc(rhs, (a1, b1), ci * d)
-        if not _dict_eq(lhs, rhs):
+        if lhs != rhs:
             rep.add("morphism-comultiplicative", (i,), _render(lhs), _render(rhs))
 
         e_lhs = src.counit[i]

@@ -10,7 +10,7 @@ free variables to zero.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 from .errors import ShapeError
 from .scalars import ONE, ZERO, Scalar, sc
@@ -25,10 +25,20 @@ class Matrix:
         entries = [sc(x) for x in entries]
         if len(entries) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        n = 1
-        for e in entries:
-            n = n * e.conductor // gcd(n, e.conductor)
-        if n > 1:
+        self._fill(rows, cols, entries)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries) -> "Matrix":
+        """Internal results: `entries` are rows * cols Scalars, so they skip
+        coercion and the shape check but still meet at one conductor."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, entries)
+        return m
+
+    def _fill(self, rows: int, cols: int, entries) -> None:
+        conductors = {e.conductor for e in entries}
+        if len(conductors) > 1:
+            n = lcm(*conductors)
             entries = [e.promote(n) for e in entries]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -50,11 +60,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls._of(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._of(rows, cols, [ZERO] * (rows * cols))
 
     @classmethod
     def column(cls, xs) -> "Matrix":
@@ -82,14 +92,14 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, [-a for a in self.entries])
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -111,16 +121,16 @@ class Matrix:
                             if not b.is_zero():
                                 acc = acc + a * b
                     out.append(acc)
-            return Matrix(self.rows, other.cols, out)
+            return Matrix._of(self.rows, other.cols, out)
         s = sc(other)
-        return Matrix(self.rows, self.cols, [s * a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, [s * a for a in self.entries])
 
     def __rmul__(self, other):
         s = sc(other)
-        return Matrix(self.rows, self.cols, [s * a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, [s * a for a in self.entries])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])
+        return Matrix._of(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major: (A kron B)[(i,k),(j,l)] = A[i,j] B[k,l]."""
@@ -133,7 +143,7 @@ class Matrix:
                         out.extend([ZERO] * other.cols)
                     else:
                         out.extend(a * other.at(k, l) for l in range(other.cols))
-        return Matrix(self.rows * other.rows, self.cols * other.cols, out)
+        return Matrix._of(self.rows * other.rows, self.cols * other.cols, out)
 
     # -- elimination -----------------------------------------------------
 
@@ -165,7 +175,7 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         m, pivots = self._echelon()
-        return Matrix.from_rows(m) if m else Matrix.zeros(0, self.cols), pivots
+        return Matrix._of(len(m), self.cols, [x for r in m for x in r]), pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -232,7 +242,7 @@ def mat_kernel(m: Matrix) -> Matrix:
         for r, pc in enumerate(pivots):
             v[pc] = -red.at(r, fc)
         raw.append(v)
-    canon, _ = Matrix.from_rows(raw).rref()
+    canon, _ = Matrix._of(len(raw), m.cols, [x for v in raw for x in v]).rref()
     vecs = [list(canon.row(i)) for i in range(canon.rows) if not all(x.is_zero() for x in canon.row(i))]
     return Matrix.from_rows(vecs).transpose() if vecs else Matrix.zeros(m.cols, 0)
 
@@ -247,7 +257,7 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ShapeError(f"A has {a.rows} rows but B has {b.rows}")
-    aug = Matrix(a.rows, a.cols + b.cols, [x for i in range(a.rows) for x in (*a.row(i), *b.row(i))])
+    aug = Matrix._of(a.rows, a.cols + b.cols, [x for i in range(a.rows) for x in (*a.row(i), *b.row(i))])
     red, pivots = aug.rref()
     if any(p >= a.cols for p in pivots):
         return None

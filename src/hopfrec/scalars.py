@@ -172,6 +172,12 @@ class Scalar:
             return not self.coeffs[0]
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        """True exactly for nonzero elements, as for int and Fraction."""
+        if self.conductor == 1:
+            return bool(self.coeffs[0])
+        return any(self.coeffs)
+
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -220,6 +226,10 @@ class Scalar:
         return _make(self.conductor, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
+        if type(other) is Scalar and self.conductor == other.conductor:
+            if self.conductor == 1:
+                return _rat(self.coeffs[0] - other.coeffs[0])
+            return _make(self.conductor, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
         if not Scalar._coercible(other):
             return NotImplemented
         return self + (-Scalar.coerce(other))

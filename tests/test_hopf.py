@@ -171,3 +171,19 @@ def test_antipode_is_inverse_permutation_on_group_algebra():
         assert col.count(ONE) == 1
         j = col.index(ONE)
         assert S3.mul(i, j) == 0 and S3.mul(j, i) == 0
+
+
+def test_checks_lower_each_presentation_once(monkeypatch):
+    import hopfrec.hopf as hopf
+
+    built = []
+
+    class Counting(hopf._Views):
+        def __init__(self, *parts):
+            built.append(len(parts))
+            super().__init__(*parts)
+
+    monkeypatch.setattr(hopf, "_Views", Counting)
+    h = gen_group_algebra(S3)
+    assert all_pass(h) and all_pass(h)
+    assert built == [2, 5]  # the algebra's views, then the Hopf algebra's

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hopfrec.errors import ShapeError
 from hopfrec.matrices import (
     Matrix,
     block_diag,
@@ -157,3 +158,25 @@ def test_cyclotomic_entries():
     assert m.det().is_zero()
     n = Matrix.from_rows([[z, sc(0)], [sc(0), z]])
     assert mat_inverse(n) * n == Matrix.identity(2)
+
+
+def test_internal_results_meet_at_one_conductor():
+    # the zero row of a sums to the conductor-1 ZERO in the product, so the
+    # result must still promote it to the conductor of the other entries
+    z = Scalar.zeta(8)
+    a = Matrix.from_rows([[z, 1], [0, 0]])
+    b = Matrix.from_rows([[1, 2], [sc(1) / 3, 0]])
+    p = a * b
+    assert {e.conductor for e in p.entries} == {8}
+    assert p == Matrix.from_rows([[z + sc(1) / 3, 2 * z], [0, 0]])
+    for m in (a + b, b - a, -a, a.transpose(), a.kron(b), b.kron(a), 2 * a, a.rref()[0]):
+        assert len({e.conductor for e in m.entries}) == 1
+
+
+def test_public_constructor_coerces_and_validates():
+    m = Matrix(1, 2, [1, Scalar.zeta(4)])
+    assert all(isinstance(e, Scalar) and e.conductor == 4 for e in m.entries)
+    with pytest.raises(ShapeError):
+        Matrix(2, 2, [1, 2, 3])
+    with pytest.raises(TypeError):
+        Matrix(1, 1, ["x"])

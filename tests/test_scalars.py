@@ -202,6 +202,8 @@ def test_scalar_operations_match_reference(pair):
     a, b = pair
     assert_same(a + b, ref_add(a, b))
     assert_same(a - b, ref_add(a, b, -1))
+    assert_same(b - a, ref_add(b, a, -1))
+    assert_same(a.__rsub__(b), ref_add(b, a, -1))
     assert_same(a * b, ref_mul(a, b))
     assert_same(-a, ref_add(0, a, -1))
     if a.is_zero():
@@ -225,6 +227,14 @@ def test_plain_number_operands_on_either_side(s, x):
     assert_same(s - x, ref_add(s, x, -1))
     assert_same(x * s, ref_mul(x, s))
     assert_same(s * x, ref_mul(s, x))
+
+
+@given(st.sampled_from([1, 4, 8]).flatmap(in_field))
+@settings(max_examples=100, deadline=None)
+def test_truth_value_is_nonzero(s):
+    assert bool(s) is (not s.is_zero())
+    assert bool(s - s) is False
+    assert bool(s.promote(8)) is bool(s)
 
 
 def test_public_constructor_validates():
