@@ -27,7 +27,7 @@ from itertools import product
 from .errors import NonInvertibleJ, NonRigid, ShapeError
 from .matrices import Matrix, block_diag, mat_inverse, permutation_matrix
 from .reports import CheckReport
-from .scalars import sc
+from .scalars import ZERO, sc
 
 
 def f_left_basis(N, a: int, b: int, c: int, d: int) -> list:
@@ -222,7 +222,6 @@ def _pentagon_at(skel, rep, a, b, c, d, tot):
     N = skel.fusion
     r = skel.rank
     F = skel.F
-    ZERO = sc(0)
 
     t1 = [
         (x, m1, y, m2, m3)
@@ -272,91 +271,61 @@ def _pentagon_at(skel, rep, a, b, c, d, tot):
     p4 = {lab: i for i, lab in enumerate(t4)}
     p5 = {lab: i for i, lab in enumerate(t5)}
 
-    def grid():
-        return [[ZERO] * dim for _ in range(dim)]
+    def placed(outer, key, dst, src):
+        """F[key(o)] applied below each outer label (o, m), m < outer[o]:
+        its right tree (i, j, k) sits at dst(o, m, i, j, k), its left tree
+        at src(o, m, i, j, k)."""
+        out = [ZERO] * (dim * dim)
+        for o, n_o in enumerate(outer):
+            if not n_o:
+                continue
+            k = key(o)
+            fm = F.get(k)
+            if fm is None:
+                continue
+            lb, rb = f_left_basis(N, *k), f_right_basis(N, *k)
+            for m in range(n_o):
+                for bi, rt in enumerate(rb):
+                    row = dst(o, m, *rt) * dim
+                    for bj, lt in enumerate(lb):
+                        val = fm.at(bi, bj)
+                        if val:
+                            out[row + src(o, m, *lt)] = val
+        return Matrix._of(dim, dim, out)
 
     # T1 -> T2: reassociate (x c) d for each x, m1
-    m_a = grid()
-    for x in range(r):
-        for m1 in range(N[a][b][x]):
-            fm = F.get((x, c, d, tot))
-            if fm is None:
-                continue
-            lb = f_left_basis(N, x, c, d, tot)
-            rb = f_right_basis(N, x, c, d, tot)
-            for bi, (z, rho, tau) in enumerate(rb):
-                dst = p2[(x, m1, z, rho, tau)]
-                for bj, (y, m2, m3) in enumerate(lb):
-                    val = fm.at(bi, bj)
-                    if not val.is_zero():
-                        m_a[dst][p1[(x, m1, y, m2, m3)]] = val
-
+    m_a = placed(
+        N[a][b], lambda x: (x, c, d, tot),
+        lambda x, m1, z, rho, tau: p2[(x, m1, z, rho, tau)],
+        lambda x, m1, y, m2, m3: p1[(x, m1, y, m2, m3)],
+    )
     # T2 -> T5: reassociate (a b) z for each z, rho
-    m_b = grid()
-    for z in range(r):
-        for rho in range(N[c][d][z]):
-            fm = F.get((a, b, z, tot))
-            if fm is None:
-                continue
-            lb = f_left_basis(N, a, b, z, tot)
-            rb = f_right_basis(N, a, b, z, tot)
-            for bi, (w, nu, sig) in enumerate(rb):
-                dst = p5[(z, rho, w, nu, sig)]
-                for bj, (x, m1, tau) in enumerate(lb):
-                    val = fm.at(bi, bj)
-                    if not val.is_zero():
-                        m_b[dst][p2[(x, m1, z, rho, tau)]] = val
-
+    m_b = placed(
+        N[c][d], lambda z: (a, b, z, tot),
+        lambda z, rho, w, nu, sig: p5[(z, rho, w, nu, sig)],
+        lambda z, rho, x, m1, tau: p2[(x, m1, z, rho, tau)],
+    )
     # T1 -> T3: reassociate (a b) c below each y, m3
-    m_c = grid()
-    for y in range(r):
-        for m3 in range(N[y][d][tot]):
-            fm = F.get((a, b, c, y))
-            if fm is None:
-                continue
-            lb = f_left_basis(N, a, b, c, y)
-            rb = f_right_basis(N, a, b, c, y)
-            for bi, (v, s, t) in enumerate(rb):
-                dst = p3[(v, s, y, t, m3)]
-                for bj, (x, m1, m2) in enumerate(lb):
-                    val = fm.at(bi, bj)
-                    if not val.is_zero():
-                        m_c[dst][p1[(x, m1, y, m2, m3)]] = val
-
+    m_c = placed(
+        [N[y][d][tot] for y in range(r)], lambda y: (a, b, c, y),
+        lambda y, m3, v, s, t: p3[(v, s, y, t, m3)],
+        lambda y, m3, x, m1, m2: p1[(x, m1, y, m2, m3)],
+    )
     # T3 -> T4: reassociate (a v) d for each v, s
-    m_d = grid()
-    for v in range(r):
-        for s in range(N[b][c][v]):
-            fm = F.get((a, v, d, tot))
-            if fm is None:
-                continue
-            lb = f_left_basis(N, a, v, d, tot)
-            rb = f_right_basis(N, a, v, d, tot)
-            for bi, (w, tp, up) in enumerate(rb):
-                dst = p4[(v, s, w, tp, up)]
-                for bj, (y, t, u) in enumerate(lb):
-                    val = fm.at(bi, bj)
-                    if not val.is_zero():
-                        m_d[dst][p3[(v, s, y, t, u)]] = val
-
+    m_d = placed(
+        N[b][c], lambda v: (a, v, d, tot),
+        lambda v, s, w, tp, up: p4[(v, s, w, tp, up)],
+        lambda v, s, y, t, u: p3[(v, s, y, t, u)],
+    )
     # T4 -> T5: reassociate (b c) d below each w, sig
-    m_e = grid()
-    for w in range(r):
-        for sig in range(N[a][w][tot]):
-            fm = F.get((b, c, d, w))
-            if fm is None:
-                continue
-            lb = f_left_basis(N, b, c, d, w)
-            rb = f_right_basis(N, b, c, d, w)
-            for bi, (z, rho, nu) in enumerate(rb):
-                dst = p5[(z, rho, w, nu, sig)]
-                for bj, (v, s, tp) in enumerate(lb):
-                    val = fm.at(bi, bj)
-                    if not val.is_zero():
-                        m_e[dst][p4[(v, s, w, tp, sig)]] = val
+    m_e = placed(
+        [N[a][w][tot] for w in range(r)], lambda w: (b, c, d, w),
+        lambda w, sig, z, rho, nu: p5[(z, rho, w, nu, sig)],
+        lambda w, sig, v, s, tp: p4[(v, s, w, tp, sig)],
+    )
 
-    lhs = Matrix.from_rows(m_b) * Matrix.from_rows(m_a)
-    rhs = Matrix.from_rows(m_e) * (Matrix.from_rows(m_d) * Matrix.from_rows(m_c))
+    lhs = m_b * m_a
+    rhs = m_e * (m_d * m_c)
     if lhs != rhs:
         rep.add("pentagon", (a, b, c, d, tot), lhs, rhs)
 

@@ -6,20 +6,33 @@ the field, so answers are canonical: the kernel basis is the unique
 reduced echelon basis of the kernel space (pivot entries 1, pivot
 positions increasing left to right), and underdetermined solves set the
 free variables to zero.
+
+Rational kernel.  A matrix records the conductor its entries meet at.
+When both factors of a product have conductor 1 and the inner dimension
+is above 1, each factor is lowered once to D, the lcm of its
+denominators, and per row the (column, D*x) pairs of its nonzero entries
+x; the lowering is cached on the instance.  Output rows are summed in
+plain ints and each entry becomes a Scalar once, as x / (Da*Db).  Kron
+on conductor 1 multiplies the Fractions directly, and elimination (rref,
+rank, det, and so mat_kernel and mat_solve) runs on rows of bare
+Fractions, wrapped back into Scalars only in its results.  Any other
+conductor, and a product whose entries are single products, keeps the
+Scalar loops.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .errors import ShapeError
-from .scalars import ONE, ZERO, Scalar, sc
+from .scalars import ONE, ZERO, Scalar, _rat, sc
 
 
 class Matrix:
     """Immutable exact matrix.  `entries` is a flat row-major tuple."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_n", "_low")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [sc(x) for x in entries]
@@ -37,12 +50,28 @@ class Matrix:
 
     def _fill(self, rows: int, cols: int, entries) -> None:
         conductors = {e.conductor for e in entries}
+        n = lcm(*conductors)
         if len(conductors) > 1:
-            n = lcm(*conductors)
             entries = [e.promote(n) for e in entries]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "_n", n)
+
+    def _lowered(self):
+        """(D, rows of (column, D*x) for each nonzero x); conductor 1 only."""
+        if not hasattr(self, "_low"):
+            nz = [[(j, e.coeffs[0]) for j, e in enumerate(self.row(i)) if e] for i in range(self.rows)]
+            d = lcm(*{x.denominator for row in nz for _, x in row})
+            nz = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in nz]
+            object.__setattr__(self, "_low", (d, nz))
+        return self._low
+
+    def _work_rows(self) -> list:
+        """Mutable rows for elimination: bare Fractions on conductor 1."""
+        if self._n == 1:
+            return [[e.coeffs[0] for e in self.row(i)] for i in range(self.rows)]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -83,7 +112,7 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -110,6 +139,17 @@ class Matrix:
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
             out = []
+            if self._n == 1 == other._n and self.cols > 1:
+                da, left = self._lowered()
+                db, right = other._lowered()
+                d = da * db
+                for lrow in left:
+                    acc = [0] * other.cols
+                    for k, a in lrow:
+                        for j, b in right[k]:
+                            acc[j] += a * b
+                    out += [_rat(Fraction(x, d) if d != 1 else Fraction(x)) if x else ZERO for x in acc]
+                return Matrix._of(self.rows, other.cols, out)
             for i in range(self.rows):
                 ri = self.row(i)
                 for j in range(other.cols):
@@ -134,39 +174,42 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major: (A kron B)[(i,k),(j,l)] = A[i,j] B[k,l]."""
+        rat = self._n == 1 == other._n
+        bfr = other._work_rows() if rat else None
         out = []
         for i in range(self.rows):
+            arow = self.row(i)
             for k in range(other.rows):
-                for j in range(self.cols):
-                    a = self.at(i, j)
-                    if a.is_zero():
+                brow = other.row(k)
+                for a in arow:
+                    if not a:
                         out.extend([ZERO] * other.cols)
+                    elif not rat:
+                        out.extend(a * b for b in brow)
+                    elif (f := a.coeffs[0]) == 1:
+                        out.extend(brow)
                     else:
-                        out.extend(a * other.at(k, l) for l in range(other.cols))
+                        out.extend(_rat(f * b) if b else ZERO for b in bfr[k])
         return Matrix._of(self.rows * other.rows, self.cols * other.cols, out)
 
     # -- elimination -----------------------------------------------------
 
     def _echelon(self):
-        """Reduced row echelon form as mutable rows, plus pivot columns."""
-        m = [list(self.row(i)) for i in range(self.rows)]
+        """Reduced row echelon form as mutable `_work_rows`, plus pivot columns."""
+        m = self._work_rows()
         pivots = []
         r = 0
         for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
+            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
+            inv = _inv(m[r][c])
+            prow = m[r] = [inv * x if x else x for x in m[r]]
             for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                f = m[i][c]
+                if i != r and f:
+                    m[i] = [x - f * y if y else x for x, y in zip(m[i], prow)]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -175,7 +218,10 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         m, pivots = self._echelon()
-        return Matrix._of(len(m), self.cols, [x for r in m for x in r]), pivots
+        flat = [x for r in m for x in r]
+        if self._n == 1:
+            flat = [_rat(x) if x else ZERO for x in flat]
+        return Matrix._of(len(m), self.cols, flat), pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -184,26 +230,22 @@ class Matrix:
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
-        m = [list(self.row(i)) for i in range(n)]
-        det = ONE
+        m = self._work_rows()
+        det = 1
         for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
+            pr = next((i for i in range(c, n) if m[i][c]), None)
             if pr is None:
                 return ZERO
             if pr != c:
                 m[c], m[pr] = m[pr], m[c]
                 det = -det
             det = det * m[c][c]
-            inv = m[c][c].inverse()
+            inv = _inv(m[c][c])
             for i in range(c + 1, n):
-                if not m[i][c].is_zero():
+                if m[i][c]:
                     f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det
+                    m[i] = [x - f * y if y else x for x, y in zip(m[i], m[c])]
+        return sc(det)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -223,6 +265,10 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self})"
 
 
+def _inv(x):
+    return x.inverse() if type(x) is Scalar else 1 / x
+
+
 def mat_kernel(m: Matrix) -> Matrix:
     """Canonical basis of the right kernel, as columns.
 
@@ -232,8 +278,6 @@ def mat_kernel(m: Matrix) -> Matrix:
     """
     red, pivots = m.rref()
     free = [c for c in range(m.cols) if c not in pivots]
-    if not free:
-        return Matrix.zeros(m.cols, 0)
     # one vector per free column: 1 there, minus the reduced column above pivots
     raw = []
     for fc in free:
@@ -243,8 +287,8 @@ def mat_kernel(m: Matrix) -> Matrix:
             v[pc] = -red.at(r, fc)
         raw.append(v)
     canon, _ = Matrix._of(len(raw), m.cols, [x for v in raw for x in v]).rref()
-    vecs = [list(canon.row(i)) for i in range(canon.rows) if not all(x.is_zero() for x in canon.row(i))]
-    return Matrix.from_rows(vecs).transpose() if vecs else Matrix.zeros(m.cols, 0)
+    vecs = [canon.row(i) for i in range(canon.rows) if any(canon.row(i))]
+    return Matrix._of(len(vecs), m.cols, [x for v in vecs for x in v]).transpose()
 
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -265,7 +309,7 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
     for r, pc in enumerate(pivots):
         for j in range(b.cols):
             out[pc][j] = red.at(r, a.cols + j)
-    return Matrix.from_rows(out) if a.cols else Matrix.zeros(0, b.cols)
+    return Matrix._of(a.cols, b.cols, [x for r in out for x in r])
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -289,10 +333,10 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
                 out[r0 + i][c0 + j] = b.at(i, j)
         r0 += b.rows
         c0 += b.cols
-    return Matrix.from_rows(out) if rows else Matrix.zeros(0, cols)
+    return Matrix._of(rows, cols, [x for r in out for x in r])
 
 
 def permutation_matrix(source_of: list[int]) -> Matrix:
     """P with (P v)[i] = v[source_of[i]]."""
     n = len(source_of)
-    return Matrix(n, n, [ONE if j == source_of[i] else ZERO for i in range(n) for j in range(n)])
+    return Matrix._of(n, n, [ONE if j == source_of[i] else ZERO for i in range(n) for j in range(n)])

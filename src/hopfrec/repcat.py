@@ -119,25 +119,39 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
     basis of the joint kernel.
     """
     assert len(v.action) == len(w.action)
-    iw = Matrix.identity(w.dim)
-    iv = Matrix.identity(v.dim)
     ker = Matrix.identity(w.dim * v.dim)
     for av, aw in zip(v.action, w.action):
         if ker.cols == 0:
             break
-        block = aw.kron(iv) - iw.kron(av.transpose())
-        hit = block * ker
+        hit = _intertwiner_constraint(av, aw) * ker
         if hit.is_zero():
             continue
         ker = ker * mat_kernel(hit)
     if ker.cols:
         red, _ = ker.transpose().rref()
-        rows = [red.row(i) for i in range(red.rows) if any(not x.is_zero() for x in red.row(i))]
-        ker = Matrix.from_rows(rows).transpose() if rows else Matrix.zeros(ker.rows, 0)
-    out = []
-    for c in range(ker.cols):
-        out.append(Matrix(w.dim, v.dim, [ker.at(i, c) for i in range(ker.rows)]))
-    return out
+        rows = [red.row(i) for i in range(red.rows) if any(red.row(i))]
+        ker = Matrix._of(len(rows), ker.rows, [x for r in rows for x in r]).transpose()
+    return [Matrix._of(w.dim, v.dim, [ker.at(i, c) for i in range(ker.rows)]) for c in range(ker.cols)]
+
+
+def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
+    """aw (x) I - I (x) av^T, written entry by entry: row (i, k) holds
+    aw[i, j] at column (j, k) and -av[l, k] at column (i, l)."""
+    nv, nw = av.rows, aw.rows
+    n = nv * nw
+    out = [ZERO] * (n * n)
+    for i in range(nw):
+        for j, x in enumerate(aw.row(i)):
+            if x:
+                for k in range(nv):
+                    out[(i * nv + k) * n + j * nv + k] = x
+        for k in range(nv):
+            for l in range(nv):
+                y = av.at(l, k)
+                if y:
+                    p = (i * nv + k) * n + i * nv + l
+                    out[p] = out[p] - y
+    return Matrix._of(n, n, out)
 
 
 def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:

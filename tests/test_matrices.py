@@ -1,6 +1,7 @@
 """Exact linear algebra: kernels, solving, kron, determinism."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -180,3 +181,122 @@ def test_public_constructor_coerces_and_validates():
         Matrix(2, 2, [1, 2, 3])
     with pytest.raises(TypeError):
         Matrix(1, 1, ["x"])
+
+
+# -- rational kernel against the Scalar path -------------------------------
+#
+# Conductor-1 matrices take the rational kernel (int products, Fraction
+# elimination); the same matrices promoted to conductor 2, which is still
+# the field Q, take the Scalar loops.  Every result must agree in value,
+# and the rational results must be proper conductor-1 Scalars.
+
+SHAPES = [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 4), (5, 3), (4, 6)]
+
+
+def rnd_rational(rng, rows, cols):
+    """Mixed denominators, signs and zeros, plus a zero row and column."""
+    zero_row = rng.randrange(rows) if rows > 2 else None
+    zero_col = rng.randrange(cols) if cols > 2 else None
+    out = []
+    for i in range(rows):
+        for j in range(cols):
+            if i == zero_row or j == zero_col or rng.random() < 0.3:
+                out.append(0)
+            else:
+                out.append(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 10])))
+    return Matrix(rows, cols, out)
+
+
+def rnd_rank_deficient(rng, n, rank):
+    return rnd_rational(rng, n, rank) * rnd_rational(rng, rank, n)
+
+
+def promoted(m: Matrix) -> Matrix:
+    return Matrix(m.rows, m.cols, [e.promote(2) for e in m.entries])
+
+
+def assert_rational(m: Matrix):
+    for e in m.entries:
+        assert type(e) is Scalar and e.conductor == 1
+        assert len(e.coeffs) == 1 and type(e.coeffs[0]) is Fraction
+
+
+def both_paths(rng):
+    """Seeded random cases: (rational matrix, its conductor-2 copy)."""
+    for rows, cols in SHAPES:
+        for _ in range(3):
+            m = rnd_rational(rng, rows, cols)
+            yield m, promoted(m)
+    for n, rank in ((3, 1), (4, 2), (5, 3), (6, 4)):
+        m = rnd_rank_deficient(rng, n, rank)
+        yield m, promoted(m)
+
+
+def test_rational_product_matches_scalar_path():
+    rng = random.Random(101)
+    for inner in (0, 1, 2, 3, 5):
+        for rows, cols in SHAPES:
+            a = rnd_rational(rng, rows, inner)
+            b = rnd_rational(rng, inner, cols)
+            got = a * b
+            assert (got.rows, got.cols) == (rows, cols)
+            assert_rational(got)
+            assert got == promoted(a) * promoted(b)
+            # a cached lowering is reused, not stale
+            assert a * b == got and a * promoted(b) == got
+
+
+def test_rational_kron_matches_scalar_path():
+    rng = random.Random(102)
+    cases = list(both_paths(rng))
+    for (a, pa), (b, pb) in zip(cases, cases[7:] + cases[:7]):
+        got = a.kron(b)
+        assert_rational(got)
+        assert got == pa.kron(pb)
+    ones = Matrix.from_rows([[1, 0], [Fraction(-1, 2), 1]])
+    b = rnd_rational(rng, 2, 3)
+    assert_rational(ones.kron(b))
+    assert ones.kron(b) == promoted(ones).kron(promoted(b))
+
+
+def test_rational_elimination_matches_scalar_path():
+    rng = random.Random(103)
+    for m, pm in both_paths(rng):
+        red, pivots = m.rref()
+        pred, ppivots = pm.rref()
+        assert_rational(red)
+        assert red == pred and pivots == ppivots
+        assert m.rank() == pm.rank() == len(pivots)
+        if m.is_square():
+            det = m.det()
+            assert type(det) is Scalar and det.conductor == 1
+            assert det == pm.det()
+        ker = mat_kernel(m)
+        assert_rational(ker)
+        assert ker == mat_kernel(pm)
+        assert (ker.rows, ker.cols) == (m.cols, m.cols - len(pivots))
+        assert (m * ker).is_zero()
+
+
+def test_rational_solve_and_inverse_match_scalar_path():
+    rng = random.Random(104)
+    for m, pm in both_paths(rng):
+        for b in (rnd_rational(rng, m.rows, 2), m * rnd_rational(rng, m.cols, 2)):
+            x = mat_solve(m, b)
+            px = mat_solve(pm, promoted(b))
+            assert (x is None) == (px is None)
+            if x is not None:
+                assert_rational(x)
+                assert x == px and m * x == b
+        if m.is_square() and m.rank() == m.rows:
+            inv = mat_inverse(m)
+            assert_rational(inv)
+            assert inv == mat_inverse(pm)
+            assert m * inv == Matrix.identity(m.rows)
+    inverted = 0
+    for n in (1, 2, 3, 4, 5):
+        m = Matrix.identity(n) + rnd_rational(rng, n, n)
+        if m.rank() == n:
+            inverted += 1
+            assert mat_inverse(m) == mat_inverse(promoted(m))
+    assert inverted >= 3

@@ -13,6 +13,7 @@ from hopfrec.groups import cyclic_group, direct_product, symmetric_group
 from hopfrec.matrices import Matrix, mat_inverse
 from hopfrec.repcat import (
     ModuleRep,
+    _intertwiner_constraint,
     decompose,
     dual_module,
     gamma_roundtrip,
@@ -70,6 +71,38 @@ def test_hom_space_dim_is_basis_independent():
     t = tensor_module(KS3, std, std)
     assert len(hom_space(conj, t)) == len(hom_space(std, t))
     assert len(hom_space(conj, conj)) == 1
+
+
+def test_intertwiner_constraint_is_the_kron_form():
+    # hom_space builds act_w (x) I - I (x) act_v^T entry by entry
+    mods = s3_modules()
+    for v in mods:
+        for w in mods:
+            iv, iw = Matrix.identity(v.dim), Matrix.identity(w.dim)
+            for av, aw in zip(v.action, w.action):
+                got = _intertwiner_constraint(av, aw)
+                assert got == aw.kron(iv) - iw.kron(av.transpose())
+                assert {e.conductor for e in got.entries} == {1}
+
+
+def _promoted(v: ModuleRep) -> ModuleRep:
+    act = tuple(Matrix(a.rows, a.cols, [e.promote(2) for e in a.entries]) for a in v.action)
+    return ModuleRep(v.dim, act, v.name)
+
+
+def test_hom_space_same_on_rational_and_scalar_paths():
+    # conductor 2 is still Q but takes the Scalar loops, so the canonical
+    # bases must come out identical
+    h = gen_group_algebra(symmetric_group(4))
+    irreps = EXAMPLES["ks4-modules"][1]()
+    mods = irreps + [tensor_module(h, irreps[3], irreps[4])]
+    twins = [_promoted(v) for v in mods]
+    for v, pv in zip(irreps, twins):
+        for w, pw in zip(mods, twins):
+            basis = hom_space(v, w)
+            assert basis == hom_space(pv, pw)
+            assert all(e.conductor == 1 for t in basis for e in t.entries)
+    assert [len(hom_space(v, mods[-1])) for v in irreps] == [0, 1, 1, 1, 1]
 
 
 def test_tensor_with_trivial_module():
