@@ -1,0 +1,162 @@
+"""Single-entry bumps of Hopf morphisms against the arithmetic paths of
+check_hopf_morphism.
+
+The round-trip gamma of K[S3] and D(Z2) and a rational gauge conjugation
+between two rebuilt K[S3] presentations are bumped one nonzero entry at a
+time.  In the gauge case the source, target and map all have denominators
+above 1, so every identity compares sides of different scales.  Promoting
+every entry to conductor 2 keeps the field but forces the Scalar path, so
+both paths must reject each +1 bump at the same (check, index) tuples.
+Bumps by zeta_3 and zeta_5 make the map cyclotomic while the presentations
+stay rational, the mixed path.  The full report lines are pinned by
+`golden/hopf-morphism-bumps.txt`, written by the checker while it still ran
+on Scalars alone.
+
+Regenerate the golden file with `python tests/test_hopf_morphism_bumps.py`.
+"""
+
+import dataclasses
+import pathlib
+from fractions import Fraction
+
+from hopfrec.examples import EXAMPLES, gen_group_algebra
+from hopfrec.groups import cyclic_group
+from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_hopf_morphism
+from hopfrec.matrices import Matrix, block_diag, mat_inverse
+from hopfrec.reconstruct import reconstruct_hopf
+from hopfrec.repcat import ModuleRep, _roundtrip, skeletalize
+from hopfrec.scalars import ONE, Scalar
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "hopf-morphism-bumps.txt"
+
+# cases swept with +1 at every nonzero cell of the map; their conductor-2
+# twins take the Scalar path
+RATIONAL = ("ks3/gamma", "dz2/gamma", "ks3-gauge/conj")
+# (case, cell of the map, n) bumped by zeta_n instead of 1
+ZETA_BUMPS = [("ks3/gamma", (2, 1), 3), ("ks3-gauge/conj", (3, 2), 3), ("kz5/gamma", (0, 1), 5)]
+
+
+def gamma_case(name):
+    h = EXAMPLES[name][1]()
+    mods = EXAMPLES[f"{name}-modules"][1]()
+    _, gamma, recon = _roundtrip(h, mods, verify=False)
+    return h, recon.hopf, gamma
+
+
+def character_case(n):
+    """K[Z/n] on its characters: the map is cyclotomic, both sides rational."""
+    h = gen_group_algebra(cyclic_group(n))
+    z = Scalar.zeta(n)
+    mods = [ModuleRep(1, tuple(Matrix(1, 1, [z ** (s * t % n)]) for t in range(n))) for s in range(n)]
+    _, gamma, recon = _roundtrip(h, mods, verify=False)
+    return h, recon.hopf, gamma
+
+
+def gauge_case():
+    """Rebuilt K[S3] to its rebuild along a rational gauge eta of the fiber,
+    by block conjugation x -> eta x eta^-1."""
+    h = EXAMPLES["ks3"][1]()
+    skel, fiber = skeletalize(h, EXAMPLES["ks3-modules"][1](), verify=False)
+    std = Matrix.from_rows([[1, Fraction(1, 2)], [0, Fraction(2, 3)]])
+    eta = [std if d == 2 else Matrix.identity(1) for d in fiber.dims]
+    j = {}
+    for (a, b), m in fiber.J.items():
+        out = block_diag([eta[c] for c in range(skel.rank) for _ in range(skel.n(a, b, c))])
+        j[(a, b)] = out * m * mat_inverse(eta[a].kron(eta[b]))
+    src = reconstruct_hopf(skel, fiber, verify=False).hopf
+    dst = reconstruct_hopf(skel, dataclasses.replace(fiber, J=j), verify=False).hopf
+    conj = block_diag([e.kron(mat_inverse(e).transpose()) for e in eta])
+    return src, dst, conj
+
+
+def cases():
+    return {
+        "ks3/gamma": gamma_case("ks3"),
+        "dz2/gamma": gamma_case("dz2"),
+        "ks3-gauge/conj": gauge_case(),
+        "kz5/gamma": character_case(5),
+    }
+
+
+def bumped(m, cell, by=ONE):
+    rows = m.to_rows()
+    p, i = cell
+    rows[p][i] = rows[p][i] + by
+    return Matrix.from_rows(rows)
+
+
+def promoted_hopf(h, n):
+    """The same presentation with every entry viewed in Q(zeta_n)."""
+
+    def up3(t):
+        return [[[x.promote(n) for x in row] for row in plane] for plane in t]
+
+    alg = AlgebraPresentation(h.dim, up3(h.alg.mult), [x.promote(n) for x in h.alg.unit])
+    return HopfPresentation(alg, up3(h.comult), [x.promote(n) for x in h.counit], promoted(h.antipode, n))
+
+
+def promoted(m, n):
+    return Matrix(m.rows, m.cols, [x.promote(n) for x in m.entries])
+
+
+def nonzero_cells(m):
+    return [(p, i) for p in range(m.rows) for i in range(m.cols) if m.at(p, i)]
+
+
+def label_of(name, cell, by):
+    return f"{name}/{'.'.join(map(str, cell))} +{by}"
+
+
+def bumps(base):
+    """(label, source, target, bumped map): every +1 sweep, then the zeta bumps."""
+    for name in RATIONAL:
+        src, dst, m = base[name]
+        for cell in nonzero_cells(m):
+            yield label_of(name, cell, 1), src, dst, bumped(m, cell)
+    for name, cell, n in ZETA_BUMPS:
+        src, dst, m = base[name]
+        yield label_of(name, cell, f"zeta{n}"), src, dst, bumped(m, cell, Scalar.zeta(n))
+
+
+def report_lines(label, rep) -> list[str]:
+    return [label] + ["  " + line for line in rep.lines()]
+
+
+def failing_tuples(rep):
+    return [(f.check, f.index) for f in rep.failures]
+
+
+def golden_text() -> str:
+    lines = []
+    for label, src, dst, m in bumps(cases()):
+        lines += report_lines(label, check_hopf_morphism(src, dst, m))
+    return "\n".join(lines) + "\n"
+
+
+def test_every_morphism_bump_fails_alike_on_both_paths_and_matches_golden():
+    golden = GOLDEN.read_text().splitlines()
+    base = cases()
+    twins = {name: (promoted_hopf(base[name][0], 2), promoted_hopf(base[name][1], 2)) for name in RATIONAL}
+    lines = []
+    for label, src, dst, m in bumps(base):
+        rep = check_hopf_morphism(src, dst, m)
+        assert not rep.passed, f"{label} passed"
+        if label.endswith("+1"):
+            on_scalars = check_hopf_morphism(*twins[label.rsplit("/", 1)[0]], promoted(m, 2))
+            assert failing_tuples(on_scalars) == failing_tuples(rep), label
+            assert on_scalars.flags == rep.flags, label
+        lines += report_lines(label, rep)
+    assert lines == golden
+
+
+def test_unbumped_maps_are_isomorphisms_on_both_paths():
+    for name, (src, dst, m) in cases().items():
+        reps = [check_hopf_morphism(src, dst, m)]
+        if name in RATIONAL:
+            reps.append(check_hopf_morphism(promoted_hopf(src, 2), promoted_hopf(dst, 2), promoted(m, 2)))
+        for rep in reps:
+            assert rep.passed and rep.flags == {"bijective": True}, name
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(golden_text())
