@@ -138,7 +138,7 @@ class FiberData:
         if any(x < 1 for x in dims):
             raise ShapeError("fiber dimensions must be positive")
         iota = sc(1) if self.iota is None else sc(self.iota)
-        if iota.is_zero():
+        if not iota:
             raise ShapeError("iota must be nonzero")
         object.__setattr__(self, "iota", iota)
         for field in ("ev_coeff", "coev_coeff"):

@@ -20,17 +20,25 @@ D^(l-k); constants such as 1 have degree 0.  A failing side of degree l is
 rendered as the rational v / D^l, the Scalar it stands for, so a report
 reads the same on either path.  When some entry has conductor > 1 the
 views keep the Scalars, D = 1, and nothing is scaled.
-check_hopf_morphism mixes three presentations and stays on Scalars.
+
+check_hopf_morphism meets three lowerings: the source's views at Ds, the
+target's at Dd, and the columns of the map at Dm.  Each side of an identity
+carries its own scale, the product of the D of its factors: multiplicative
+Ds*Dm against Dm^2*Dd, unit Ds*Dm against Dd, comultiplicative Ds*Dm^2
+against Dm*Dd, counit Ds against Dm*Dd.  Two sides compare after each is
+multiplied by the other's scale, and a failing side is rendered at its own.
+When any of the three has conductor > 1, all three run on Scalars with
+every scale 1, a rational presentation through its views before lowering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from types import SimpleNamespace
 
 from .errors import ShapeError
-from .matrices import Matrix
+from .matrices import Matrix, lowering
 from .reports import CheckReport
 from .scalars import ZERO, Scalar, sc
 
@@ -89,46 +97,34 @@ class HopfPresentation:
 
 # -- sparse views ---------------------------------------------------------
 
-def _same(x):
-    return x
-
-
-def _nz3(tensor, low=_same):
-    """tensor[i][j] -> list of (k, low(coeff)) skipping zeros, for all (i, j)."""
-    return [[[(k, low(x)) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
-
-
-def _nz_pairs(tensor, low=_same):
-    """comult view: i -> list of (j, k, low(coeff)) skipping zeros."""
-    return [
-        [(j, k, low(x)) for j, row in enumerate(plane) for k, x in enumerate(row) if x]
-        for plane in tensor
-    ]
-
-
 class _Views:
     """A presentation's entries lowered once, as the module docstring says:
     m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
-    column i, and u and eps are dense."""
+    column i, and u and eps are dense.  `scalars` holds m, u, dl and eps on
+    Scalars at D = 1: the views before lowering, or the views themselves
+    when some entry has conductor > 1."""
 
     def __init__(self, mult, unit, comult=(), counit=(), antipode=None):
         cols = antipode.transpose().to_rows() if antipode is not None else []
-        entries = [x for t in (mult, comult) for plane in t for row in plane for x in row]
-        entries += [*unit, *counit, *(x for col in cols for x in col)]
-        if all(x.conductor == 1 for x in entries):
-            D = self.D = lcm(*(x.coeffs[0].denominator for x in entries))
-
-            def low(x):
-                f = x.coeffs[0]
-                return f.numerator * (D // f.denominator)
-        else:
-            self.D, low = 1, _same
-        self.m = _nz3(mult, low)
-        self.u = [low(x) for x in unit]
-        self.dl = _nz_pairs(comult, low)
-        self.eps = [low(x) for x in counit]
-        self.s = [[(l, low(x)) for l, x in enumerate(col) if x] for col in cols]
+        self.m = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in mult]
+        self.u = list(unit)
+        self.dl = [[(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x] for plane in comult]
+        self.eps = list(counit)
+        self.s = [[(l, x) for l, x in enumerate(col) if x] for col in cols]
+        self.D, self.scalars = 1, self
+        nz = [x for plane in self.m for row in plane for _, x in row]
+        nz += [x for plane in self.dl for *_, x in plane]
+        nz += [x for col in self.s for _, x in col] + self.u + self.eps
+        if any(x.conductor != 1 for x in nz):
+            return
+        self.scalars = SimpleNamespace(m=self.m, u=self.u, dl=self.dl, eps=self.eps, D=1)
+        self.D, low = lowering(nz)
+        self.m = [[[(k, low(x)) for k, x in row] for row in plane] for plane in self.m]
+        self.u = [low(x) for x in self.u]
+        self.dl = [[(j, k, low(x)) for j, k, x in plane] for plane in self.dl]
+        self.eps = [low(x) for x in self.eps]
+        self.s = [[(l, low(x)) for l, x in col] for col in self.s]
 
 
 def _acc(d: dict, key, val):
@@ -155,6 +151,13 @@ def _render(d: dict, scale: int = 1) -> str:
     if not d:
         return "0"
     return " + ".join(f"({_value(v, scale)})e{k}" for k, v in sorted(d.items()))
+
+
+def _compare(rep: CheckReport, check: str, index: tuple, lhs: dict, ls: int, rhs: dict, rs: int) -> None:
+    """Record a failure unless side lhs of scale ls and side rhs of scale rs
+    stand for the same value."""
+    if _scaled(lhs, rs) != _scaled(rhs, ls):
+        rep.add(check, index, _render(lhs, ls), _render(rhs, rs))
 
 
 # -- checkers -------------------------------------------------------------
@@ -380,78 +383,57 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
         raise ShapeError(f"morphism matrix must be {dst.dim}x{src.dim}")
     rep = CheckReport("hopf-morphism")
     ns, nd = src.dim, dst.dim
-    cols = [[m.at(p, i) for p in range(nd)] for i in range(ns)]
-    md = _nz3(dst.alg.mult)
-    dld = _nz_pairs(dst.comult)
+    vs, vd = src._views, dst._views
+    mt = m.transpose()
+    if m._n == 1 and vs.scalars is not vs and vd.scalars is not vd:
+        dm, cols = mt._lowered()
+    else:
+        vs, vd, dm = vs.scalars, vd.scalars, 1
+        cols = [[(p, x) for p, x in enumerate(mt.row(i)) if x] for i in range(ns)]
+    ds, dd = vs.D, vd.D
 
     for i in range(ns):
         for j in range(ns):
             lhs: dict = {}
-            for k in range(ns):
-                c = src.alg.mult[i][j][k]
-                if not c.is_zero():
-                    for p in range(nd):
-                        if not cols[k][p].is_zero():
-                            _acc(lhs, p, c * cols[k][p])
+            for k, c in vs.m[i][j]:
+                for p, x in cols[k]:
+                    _acc(lhs, p, c * x)
             rhs: dict = {}
-            for p in range(nd):
-                ci = cols[i][p]
-                if ci.is_zero():
-                    continue
-                for q in range(nd):
-                    cj = cols[j][q]
-                    if cj.is_zero():
-                        continue
-                    for t, d in md[p][q]:
-                        _acc(rhs, t, ci * cj * d)
-            if lhs != rhs:
-                rep.add("morphism-multiplicative", (i, j), _render(lhs), _render(rhs))
+            for p, ci in cols[i]:
+                row = vd.m[p]
+                for q, cj in cols[j]:
+                    prods = row[q]
+                    if prods:
+                        cij = ci * cj
+                        for t, d in prods:
+                            _acc(rhs, t, cij * d)
+            _compare(rep, "morphism-multiplicative", (i, j), lhs, ds * dm, rhs, dm * dm * dd)
 
     img_u: dict = {}
-    for i in range(ns):
-        if not src.alg.unit[i].is_zero():
-            for p in range(nd):
-                if not cols[i][p].is_zero():
-                    _acc(img_u, p, src.alg.unit[i] * cols[i][p])
-    want_u: dict = {}
-    for p in range(nd):
-        if not dst.alg.unit[p].is_zero():
-            want_u[p] = dst.alg.unit[p]
-    if img_u != want_u:
-        rep.add("morphism-unit", (), _render(img_u), _render(want_u))
+    for i, c in enumerate(vs.u):
+        if c:
+            for p, x in cols[i]:
+                _acc(img_u, p, c * x)
+    want_u = {p: x for p, x in enumerate(vd.u) if x}
+    _compare(rep, "morphism-unit", (), img_u, ds * dm, want_u, dd)
 
     for i in range(ns):
         lhs = {}
-        for j in range(ns):
-            for k in range(ns):
-                c = src.comult[i][j][k]
-                if c.is_zero():
-                    continue
-                for p in range(nd):
-                    cj = cols[j][p]
-                    if cj.is_zero():
-                        continue
-                    for q in range(nd):
-                        ck = cols[k][q]
-                        if not ck.is_zero():
-                            _acc(lhs, (p, q), c * cj * ck)
+        for j, k, c in vs.dl[i]:
+            for p, cj in cols[j]:
+                ccj = c * cj
+                for q, ck in cols[k]:
+                    _acc(lhs, (p, q), ccj * ck)
         rhs = {}
-        for p in range(nd):
-            ci = cols[i][p]
-            if ci.is_zero():
-                continue
-            for a1, b1, d in dld[p]:
+        for p, ci in cols[i]:
+            for a1, b1, d in vd.dl[p]:
                 _acc(rhs, (a1, b1), ci * d)
-        if lhs != rhs:
-            rep.add("morphism-comultiplicative", (i,), _render(lhs), _render(rhs))
+        _compare(rep, "morphism-comultiplicative", (i,), lhs, ds * dm * dm, rhs, dm * dd)
 
-        e_lhs = src.counit[i]
-        e_rhs = ZERO
-        for p in range(nd):
-            if not cols[i][p].is_zero():
-                e_rhs = e_rhs + cols[i][p] * dst.counit[p]
-        if e_lhs != e_rhs:
-            rep.add("morphism-counit", (i,), e_lhs, e_rhs)
+        e_lhs = vs.eps[i]
+        e_rhs = sum(x * vd.eps[p] for p, x in cols[i])
+        if e_lhs * dm * dd != e_rhs * ds:
+            rep.add("morphism-counit", (i,), _value(e_lhs, ds), _value(e_rhs, dm * dd))
 
     ms = m * src.antipode
     sm = dst.antipode * m
@@ -463,8 +445,8 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
                 rep.add(
                     "morphism-antipode",
                     (i,),
-                    _render({p: x for p, x in enumerate(li) if not x.is_zero()}),
-                    _render({p: x for p, x in enumerate(ri) if not x.is_zero()}),
+                    _render({p: x for p, x in enumerate(li) if x}),
+                    _render({p: x for p, x in enumerate(ri) if x}),
                 )
 
     rep.flags["bijective"] = m.rows == m.cols and m.rank() == m.rows
@@ -485,14 +467,14 @@ def tensor_hopf(h1: HopfPresentation, h2: HopfPresentation) -> HopfPresentation:
             row1 = h1.alg.mult[i1][j1]
             for k1 in range(n1):
                 c1 = row1[k1]
-                if c1.is_zero():
+                if not c1:
                     continue
                 for i2 in range(n2):
                     for j2 in range(n2):
                         row2 = h2.alg.mult[i2][j2]
                         for k2 in range(n2):
                             c2 = row2[k2]
-                            if not c2.is_zero():
+                            if c2:
                                 mult[idx(i1, i2)][idx(j1, j2)][idx(k1, k2)] = c1 * c2
 
     unit = [h1.alg.unit[i] * h2.alg.unit[j] for i in range(n1) for j in range(n2)]
@@ -502,13 +484,13 @@ def tensor_hopf(h1: HopfPresentation, h2: HopfPresentation) -> HopfPresentation:
         for a1 in range(n1):
             for b1 in range(n1):
                 c1 = h1.comult[i1][a1][b1]
-                if c1.is_zero():
+                if not c1:
                     continue
                 for i2 in range(n2):
                     for a2 in range(n2):
                         for b2 in range(n2):
                             c2 = h2.comult[i2][a2][b2]
-                            if not c2.is_zero():
+                            if c2:
                                 comult[idx(i1, i2)][idx(a1, a2)][idx(b1, b2)] = c1 * c2
 
     counit = [h1.counit[i] * h2.counit[j] for i in range(n1) for j in range(n2)]

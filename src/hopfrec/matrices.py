@@ -12,7 +12,9 @@ When both factors of a product have conductor 1 and the inner dimension
 is above 1, each factor is lowered once to D, the lcm of its
 denominators, and per row the (column, D*x) pairs of its nonzero entries
 x; the lowering is cached on the instance.  Output rows are summed in
-plain ints and each entry becomes a Scalar once, as x / (Da*Db).  Kron
+plain ints and each entry becomes a Scalar once, as x / (Da*Db).  The
+product hands its result that lowering too, reduced by the gcd g of Da*Db
+and every sum, so the result's D is again the lcm of its denominators.  Kron
 on conductor 1 multiplies the Fractions directly, and elimination (rref,
 rank, det, and so mat_kernel and mat_solve) runs on rows of bare
 Fractions, wrapped back into Scalars only in its results.  Any other
@@ -23,7 +25,7 @@ Scalar loops.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ShapeError
 from .scalars import ONE, ZERO, Scalar, _rat, sc
@@ -61,9 +63,8 @@ class Matrix:
     def _lowered(self):
         """(D, rows of (column, D*x) for each nonzero x); conductor 1 only."""
         if not hasattr(self, "_low"):
-            nz = [[(j, e.coeffs[0]) for j, e in enumerate(self.row(i)) if e] for i in range(self.rows)]
-            d = lcm(*{x.denominator for row in nz for _, x in row})
-            nz = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in nz]
+            d, low = lowering(self.entries)
+            nz = [[(j, low(e)) for j, e in enumerate(self.row(i)) if e] for i in range(self.rows)]
             object.__setattr__(self, "_low", (d, nz))
         return self._low
 
@@ -143,22 +144,29 @@ class Matrix:
                 da, left = self._lowered()
                 db, right = other._lowered()
                 d = da * db
+                low = []
                 for lrow in left:
                     acc = [0] * other.cols
                     for k, a in lrow:
                         for j, b in right[k]:
                             acc[j] += a * b
                     out += [_rat(Fraction(x, d) if d != 1 else Fraction(x)) if x else ZERO for x in acc]
-                return Matrix._of(self.rows, other.cols, out)
+                    low.append([(j, x) for j, x in enumerate(acc) if x])
+                g = gcd(d, *(x for row in low for _, x in row)) if d != 1 else 1
+                if g != 1:
+                    low = [[(j, x // g) for j, x in row] for row in low]
+                res = Matrix._of(self.rows, other.cols, out)
+                object.__setattr__(res, "_low", (d // g, low))
+                return res
             for i in range(self.rows):
                 ri = self.row(i)
                 for j in range(other.cols):
                     acc = ZERO
                     for k in range(self.cols):
                         a = ri[k]
-                        if not a.is_zero():
+                        if a:
                             b = other.entries[k * other.cols + j]
-                            if not b.is_zero():
+                            if b:
                                 acc = acc + a * b
                     out.append(acc)
             return Matrix._of(self.rows, other.cols, out)
@@ -263,6 +271,19 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} {self})"
+
+
+def lowering(entries) -> tuple:
+    """The one lowering of conductor-1 Scalars that the exact kernels share:
+    (D, low) with D the lcm of their denominators and low(x) the int D*x
+    for any x among them."""
+    d = lcm(*{x.coeffs[0].denominator for x in entries})
+
+    def low(x):
+        f = x.coeffs[0]
+        return f.numerator * (d // f.denominator)
+
+    return d, low
 
 
 def _inv(x):

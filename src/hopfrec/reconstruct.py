@@ -125,7 +125,7 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
                                 if c == c0:
                                     for s in range(d[c]):
                                         for t in range(d[c]):
-                                            if not eij.at(s, t).is_zero():
+                                            if eij.at(s, t):
                                                 mid[off + s][off + t] = eij.at(s, t)
                                 off += d[c]
                         m = jinv[(a, b)] * (Matrix.from_rows(mid) * fiber.J[(a, b)])
@@ -134,7 +134,7 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
                                 for k1 in range(d[b]):
                                     for l1 in range(d[b]):
                                         v = m.at(i1 * d[b] + k1, j1 * d[b] + l1)
-                                        if not v.is_zero():
+                                        if v:
                                             comult[p][idx(a, i1, j1)][idx(b, k1, l1)] = v
 
     counit = [ZERO] * n
@@ -153,7 +153,7 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
                 for k in range(d[ad]):
                     for l in range(d[ad]):
                         v = blk.at(k, l)
-                        if not v.is_zero():
+                        if v:
                             anti[idx(ad, k, l)][idx(a, i, j)] = v
     hopf = HopfPresentation(alg, comult, counit, Matrix.from_rows(anti))
 
@@ -228,7 +228,7 @@ def transport_matrix(t: SliceMorphismData, dims_in) -> Matrix:
             for i in range(da):
                 for j in range(da):
                     v = blk.at(i, j)
-                    if not v.is_zero():
+                    if v:
                         col[offs_out[a] + i * da + j] = v
         cols.append(col)
     n_in = sum(x * x for x in dims_in)

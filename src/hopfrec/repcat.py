@@ -80,16 +80,16 @@ def trivial_module(h: HopfPresentation) -> ModuleRep:
 
 def tensor_module(h: HopfPresentation, v: ModuleRep, w: ModuleRep) -> ModuleRep:
     """Action through the comultiplication on the row-major tensor basis."""
-    n = h.dim
     action = []
-    for i in range(n):
-        acc = Matrix.zeros(v.dim * w.dim, v.dim * w.dim)
-        for j in range(n):
-            for k in range(n):
-                c = h.comult[i][j][k]
-                if not c.is_zero():
-                    acc = acc + c * v.action[j].kron(w.action[k])
-        action.append(acc)
+    for i, terms in enumerate(h._views.dl):
+        acc = None
+        for j, k, _ in terms:
+            c = h.comult[i][j][k]
+            t = v.action[j].kron(w.action[k])
+            if c != 1:
+                t = c * t
+            acc = t if acc is None else acc + t
+        action.append(Matrix.zeros(v.dim * w.dim, v.dim * w.dim) if acc is None else acc)
     return ModuleRep(v.dim * w.dim, tuple(action), f"({v.name}(x){w.name})")
 
 
@@ -102,7 +102,7 @@ def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
         acc = Matrix.zeros(v.dim, v.dim)
         for j in range(n):
             c = s.at(j, i)
-            if not c.is_zero():
+            if c:
                 acc = acc + c * v.action[j]
         action.append(acc.transpose())
     return ModuleRep(v.dim, tuple(action), f"{v.name}*")
@@ -166,7 +166,7 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
             raise ShapeError(f"module {idx} has {len(v.action)} action matrices for dim {n}")
         uni = Matrix.zeros(v.dim, v.dim)
         for i in range(n):
-            if not alg.unit[i].is_zero():
+            if alg.unit[i]:
                 uni = uni + alg.unit[i] * v.action[i]
         if uni != Matrix.identity(v.dim):
             rep.add("module-unit", (idx,), uni, Matrix.identity(v.dim))
@@ -176,7 +176,7 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
                 rhs = Matrix.zeros(v.dim, v.dim)
                 for k in range(n):
                     c = alg.mult[i][j][k]
-                    if not c.is_zero():
+                    if c:
                         rhs = rhs + c * v.action[k]
                 if lhs != rhs:
                     rep.add("module-structure", (idx, i, j), lhs, rhs)
@@ -327,7 +327,7 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
         w = J[(a, dual[a])] * Matrix.column(q.entries)
         off = sum(Ntup[a][dual[a]][cc] * dims[cc] for cc in range(unit))
         for i in range(w.rows):
-            if i != off and not w.at(i, 0).is_zero():
+            if i != off and w.at(i, 0):
                 raise SkeletalizationFailure(
                     f"copairing for simple {a} is not supported on the unit"
                 )

@@ -167,16 +167,15 @@ class Scalar:
 
     # -- structure -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        if self.conductor == 1:
-            return not self.coeffs[0]
-        return not any(self.coeffs)
-
     def __bool__(self) -> bool:
         """True exactly for nonzero elements, as for int and Fraction."""
         if self.conductor == 1:
             return bool(self.coeffs[0])
         return any(self.coeffs)
+
+    def is_zero(self) -> bool:
+        """not self, kept as public API; the package tests truthiness."""
+        return not self
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -258,7 +257,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
+        if not self:
             raise DivisionByZero("inverse of zero")
         if self.conductor == 1:
             return _rat(1 / self.coeffs[0])

@@ -300,3 +300,43 @@ def test_rational_solve_and_inverse_match_scalar_path():
             inverted += 1
             assert mat_inverse(m) == mat_inverse(promoted(m))
     assert inverted >= 3
+
+
+# -- lowering handoff --------------------------------------------------------
+#
+# A conductor-1 product with inner dimension above 1 hands its result the
+# int rows it summed, reduced to the lcm of the result's denominators, so
+# the next product need not lower the result again.
+
+
+def fresh_lowering(m: Matrix):
+    """What _lowered computes from m's entries alone."""
+    return Matrix._of(m.rows, m.cols, list(m.entries))._lowered()
+
+
+def test_chain_products_match_scalar_path_and_hand_over_fresh_lowerings():
+    rng = random.Random(105)
+    for inner in (2, 3, 5):
+        for rows, cols in SHAPES:
+            a = rnd_rational(rng, rows, inner)
+            b = rnd_rational(rng, inner, inner)
+            c = rnd_rational(rng, inner, cols)
+            ab = a * b
+            abc = ab * c
+            assert abc == promoted(a) * promoted(b) * promoted(c)
+            assert a * (b * c) == abc
+            assert ab._low == fresh_lowering(ab)
+            assert abc._low == fresh_lowering(abc)
+
+
+def test_products_that_cancel_to_integers_hand_over_d_1():
+    a = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-3, 4), Fraction(5, 6)]])
+    b = Matrix.from_rows([[2, 4], [3, 0]])
+    ab = a * b
+    assert ab == Matrix.from_rows([[2, 2], [1, -3]])
+    assert ab._low == (1, [[(0, 2), (1, 2)], [(0, 1), (1, -3)]]) == fresh_lowering(ab)
+    m = Matrix.identity(3) + rnd_rational(random.Random(106), 3, 3)
+    assert m.rank() == 3
+    one = m * mat_inverse(m)
+    assert one == Matrix.identity(3)
+    assert one._low == (1, [[(0, 1)], [(1, 1)], [(2, 1)]]) == fresh_lowering(one)

@@ -11,6 +11,7 @@ from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group, direct_product, symmetric_group
 from hopfrec.matrices import Matrix, mat_inverse
+from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import (
     ModuleRep,
     _intertwiner_constraint,
@@ -103,6 +104,32 @@ def test_hom_space_same_on_rational_and_scalar_paths():
             assert basis == hom_space(pv, pw)
             assert all(e.conductor == 1 for t in basis for e in t.entries)
     assert [len(hom_space(v, mods[-1])) for v in irreps] == [0, 1, 1, 1, 1]
+
+
+def dense_tensor_action(h, v, w) -> tuple:
+    """The comultiplication summed over every cell, zeros included."""
+    out = []
+    for plane in h.comult:
+        acc = Matrix.zeros(v.dim * w.dim, v.dim * w.dim)
+        for j, row in enumerate(plane):
+            for k, c in enumerate(row):
+                acc = acc + c * v.action[j].kron(w.action[k])
+        out.append(acc)
+    return tuple(out)
+
+
+def test_sparse_tensor_module_matches_the_dense_sum():
+    cases = [(EXAMPLES[n][1](), EXAMPLES[f"{n}-modules"][1]()) for n in ("fun-s3", "dz2")]
+    # rebuilt K[S3] on its own simples has comult coefficients other than 1
+    recon = reconstruct_hopf(*skeletalize(KS3, s3_modules(), verify=False), verify=False)
+    cases.append((recon.hopf, zeta_modules(recon)))
+    assert any(c and c != 1 for plane in recon.hopf.comult for row in plane for c in row)
+    for h, mods in cases:
+        for v in mods:
+            for w in mods:
+                got = tensor_module(h, v, w).action
+                assert got == dense_tensor_action(h, v, w)
+                assert all(e.conductor == 1 for a in got for e in a.entries)
 
 
 def test_tensor_with_trivial_module():
