@@ -400,13 +400,9 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
                     _acc(lhs, p, c * x)
             rhs: dict = {}
             for p, ci in cols[i]:
-                row = vd.m[p]
                 for q, cj in cols[j]:
-                    prods = row[q]
-                    if prods:
-                        cij = ci * cj
-                        for t, d in prods:
-                            _acc(rhs, t, cij * d)
+                    for t, d in vd.m[p][q]:
+                        _acc(rhs, t, ci * cj * d)
             _compare(rep, "morphism-multiplicative", (i, j), lhs, ds * dm, rhs, dm * dm * dd)
 
     img_u: dict = {}
@@ -421,9 +417,8 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
         lhs = {}
         for j, k, c in vs.dl[i]:
             for p, cj in cols[j]:
-                ccj = c * cj
                 for q, ck in cols[k]:
-                    _acc(lhs, (p, q), ccj * ck)
+                    _acc(lhs, (p, q), c * cj * ck)
         rhs = {}
         for p, ci in cols[i]:
             for a1, b1, d in vd.dl[p]:
