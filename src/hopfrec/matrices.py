@@ -63,9 +63,9 @@ class Matrix:
     def _lowered(self):
         """(D, rows of (column, D*x) for each nonzero x); conductor 1 only."""
         if not hasattr(self, "_low"):
-            d, low = lowering(self.entries)
-            nz = [[(j, low(e)) for j, e in enumerate(self.row(i)) if e] for i in range(self.rows)]
-            object.__setattr__(self, "_low", (d, nz))
+            nz = [[(j, e) for j, e in enumerate(self.row(i)) if e] for i in range(self.rows)]
+            d, low = lowering([e for row in nz for _, e in row])
+            object.__setattr__(self, "_low", (d, [[(j, low(e)) for j, e in row] for row in nz]))
         return self._low
 
     def _work_rows(self) -> list:
@@ -143,20 +143,23 @@ class Matrix:
             if self._n == 1 == other._n and self.cols > 1:
                 da, left = self._lowered()
                 db, right = other._lowered()
-                d = da * db
                 low = []
                 for lrow in left:
                     acc = [0] * other.cols
                     for k, a in lrow:
                         for j, b in right[k]:
                             acc[j] += a * b
-                    out += [_rat(Fraction(x, d) if d != 1 else Fraction(x)) if x else ZERO for x in acc]
                     low.append([(j, x) for j, x in enumerate(acc) if x])
-                g = gcd(d, *(x for row in low for _, x in row)) if d != 1 else 1
-                if g != 1:
+                d = da * db
+                if d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
+                    d //= g
                     low = [[(j, x // g) for j, x in row] for row in low]
+                out = [ZERO] * (self.rows * other.cols)
+                for i, row in enumerate(low):
+                    for j, x in row:
+                        out[i * other.cols + j] = _rat(Fraction(x, d) if d != 1 else Fraction(x))
                 res = Matrix._of(self.rows, other.cols, out)
-                object.__setattr__(res, "_low", (d // g, low))
+                object.__setattr__(res, "_low", (d, low))
                 return res
             for i in range(self.rows):
                 ri = self.row(i)
