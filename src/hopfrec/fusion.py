@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
-from .matrices import Matrix, block_diag, mat_inverse, permutation_matrix
+from .matrices import Matrix, mat_inverse
 from .reports import CheckReport
 from .scalars import ZERO, sc
 
@@ -332,75 +332,64 @@ def _pentagon_at(skel, rep, a, b, c, d, tot):
 
 # -- fiber functor compatibility -------------------------------------------
 
-def _route_left(skel, fiber, a, b, c):
-    N, d, r = skel.fusion, fiber.dims, skel.rank
-    step1 = fiber.J[(a, b)].kron(Matrix.identity(d[c]))
-    blocks = []
-    for e in range(r):
-        for _mu in range(N[a][b][e]):
-            blocks.append(fiber.J[(e, c)])
-    return block_diag(blocks) * step1
+def _copy_offset(n_ab, dims, c: int, mu: int = 0) -> int:
+    """Row where copy mu of simple c starts in a J block whose targets
+    have multiplicities n_ab[c] (c ascending, copy outer, fiber inner)."""
+    return sum(n_ab[x] * dims[x] for x in range(c)) + mu * dims[c]
 
 
-def _route_right(skel, fiber, a, b, c):
-    N, d, r = skel.fusion, fiber.dims, skel.rank
-    step1 = Matrix.identity(d[a]).kron(fiber.J[(b, c)])
-    src = [
-        (s, f, rho, tp)
-        for s in range(d[a])
+def _copy_rows(j: Matrix, n_ab, dims, c: int, mu: int) -> Matrix:
+    """The rows of a J block realizing copy mu of simple c."""
+    off = _copy_offset(n_ab, dims, c, mu) * j.cols
+    return Matrix._of(dims[c], j.cols, j.entries[off : off + dims[c] * j.cols])
+
+
+def _stack(blocks: list) -> Matrix:
+    """Matrices with equal column counts, one above the next."""
+    return Matrix._of(sum(m.rows for m in blocks), blocks[0].cols, [x for m in blocks for x in m.entries])
+
+
+def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
+    """The trees (a b c) -> d realized through J, for every total d.
+
+    Entry d is (left, right): one dims[d] x (dims[a] dims[b] dims[c])
+    matrix per tree of f_left_basis(N, a, b, c, d), resp. f_right_basis,
+    in that order.  Left tree (e, mu, nu) is copy nu of d in J[(e, c)]
+    after copy mu of e in J[(a, b)] (x) I; right tree (f, rho, sigma) is
+    copy sigma of d in J[(a, f)] after I (x) copy rho of f in J[(b, c)].
+    """
+    r = len(N)
+    ida, idc = Matrix.identity(dims[a]), Matrix.identity(dims[c])
+    first_left = {
+        (e, mu): _copy_rows(J[(a, b)], N[a][b], dims, e, mu).kron(idc)
+        for e in range(r)
+        for mu in range(N[a][b][e])
+    }
+    first_right = {
+        (f, rho): ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, f, rho))
         for f in range(r)
         for rho in range(N[b][c][f])
-        for tp in range(d[f])
-    ]
-    dst = [
-        (s, f, rho, tp)
-        for f in range(r)
-        for rho in range(N[b][c][f])
-        for s in range(d[a])
-        for tp in range(d[f])
-    ]
-    pos = {lab: i for i, lab in enumerate(src)}
-    swap = permutation_matrix([pos[lab] for lab in dst])
-    blocks = []
-    for f in range(r):
-        for _rho in range(N[b][c][f]):
-            blocks.append(fiber.J[(a, f)])
-    return block_diag(blocks) * (swap * step1)
-
-
-def _regroup(d, r, outer, inner, basis):
-    """Permutation from the order of two fusion steps (x, copy mu of x,
-    target dd, copy nu of dd, fiber index t) to the tree order of the F
-    basis: dd outer, then the trees basis(dd).  outer[x] and inner[x][dd]
-    are the numbers of copies in the two steps."""
-    src = [
-        (x, mu, dd, nu, t)
-        for x in range(r)
-        for mu in range(outer[x])
-        for dd in range(r)
-        for nu in range(inner[x][dd])
-        for t in range(d[dd])
-    ]
-    dst = [(x, mu, dd, nu, t) for dd in range(r) for (x, mu, nu) in basis(dd) for t in range(d[dd])]
-    pos = {lab: i for i, lab in enumerate(src)}
-    return permutation_matrix([pos[lab] for lab in dst])
-
-
-def _regroup_left(skel, fiber, a, b, c):
-    N, r = skel.fusion, skel.rank
-    inner = [N[e][c] for e in range(r)]
-    return _regroup(fiber.dims, r, N[a][b], inner, lambda dd: f_left_basis(N, a, b, c, dd))
-
-
-def _regroup_right(skel, fiber, a, b, c):
-    N, r = skel.fusion, skel.rank
-    return _regroup(fiber.dims, r, N[b][c], N[a], lambda dd: f_right_basis(N, a, b, c, dd))
+    }
+    out = []
+    for d in range(r):
+        left = [
+            _copy_rows(J[(e, c)], N[e][c], dims, d, nu) * first_left[e, mu]
+            for e, mu, nu in f_left_basis(N, a, b, c, d)
+        ]
+        right = [
+            _copy_rows(J[(a, f)], N[a][f], dims, d, sigma) * first_right[f, rho]
+            for f, rho, sigma in f_right_basis(N, a, b, c, d)
+        ]
+        out.append((left, right))
+    return out
 
 
 def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
-    """The fiber functor's J against the category's F: for every triple,
+    """The fiber functor's J against the category's F: for every triple and
+    total d, the trees of tree_maps satisfy R_y = sum_x F[y, x] L_x, so
     decomposing (ab)c through J and recoordinatizing by F equals
-    decomposing a(bc) through J.  Also the strict unit constraints on J.
+    decomposing a(bc) through J.  A failing triple reports both sides
+    stacked over d.  Also the strict unit constraints on J.
 
     Raises NonInvertibleJ when some J block is singular; everything else
     is reported, not raised.
@@ -425,28 +414,18 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                blocks = []
-                for dd in range(r):
-                    fm = skel.F.get((a, b, c, dd))
-                    if fm is not None:
-                        blocks.append(fm.kron(Matrix.identity(d[dd])))
-                bd = block_diag(blocks)
-                lhs = bd * (_regroup_left(skel, fiber, a, b, c) * _route_left(skel, fiber, a, b, c))
-                rhs = _regroup_right(skel, fiber, a, b, c) * _route_right(skel, fiber, a, b, c)
+                lhs, rhs = [], []
+                for dd, (left, right) in enumerate(tree_maps(skel.fusion, fiber.J, d, a, b, c)):
+                    if left:
+                        lhs.append(skel.F[(a, b, c, dd)].kron(Matrix.identity(d[dd])) * _stack(left))
+                        rhs.append(_stack(right))
+                lhs, rhs = _stack(lhs), _stack(rhs)
                 if lhs != rhs:
                     rep.add("compatibility", (a, b, c), lhs, rhs)
     return rep
 
 
 # -- duality ----------------------------------------------------------------
-
-def _unit_row_offset(skel, fiber, a, b):
-    """Row index of the (unit, copy 0) block inside J[(a, b)]."""
-    off = 0
-    for c in range(skel.unit):
-        off += skel.n(a, b, c) * fiber.dims[c]
-    return off
-
 
 def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     """P with P[i][j] = p(f_i (x) e_j), the pairing F(a*) (x) F(a) -> K
@@ -457,7 +436,7 @@ def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     ad = skel.dual[a]
     d = fiber.dims
     j = fiber.J[(ad, a)]
-    off = _unit_row_offset(skel, fiber, ad, a)
+    off = _copy_offset(skel.fusion[ad][a], d, skel.unit)
     inv_iota = sc(1) / fiber.iota
     coeffs = fiber.ev_coeff[a]
     rows = [
@@ -484,7 +463,7 @@ def copairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
         jinv = mat_inverse(fiber.J[(a, ad)])
     except ValueError:
         raise NonInvertibleJ(f"J[({a},{ad})] is singular") from None
-    off = _unit_row_offset(skel, fiber, a, ad)
+    off = _copy_offset(skel.fusion[a][ad], d, skel.unit)
     coeffs = fiber.coev_coeff[a]
     rows = [
         [

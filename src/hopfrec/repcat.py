@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
-from .fusion import (
-    FiberData,
-    FusionSkeleton,
-    f_left_basis,
-    f_right_basis,
-    pairing_matrix,
-    verify_category,
-)
+from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, check_hopf_morphism
 from .matrices import Matrix, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
@@ -222,12 +215,6 @@ def decompose(v: ModuleRep, irreps: list) -> Decomposition:
 
 # -- skeletal data from a module family -------------------------------------
 
-def _row_block(j: Matrix, n_row, dims, c: int, mu: int) -> Matrix:
-    """Rows of a decomposition matrix realizing copy mu of simple c."""
-    off = sum(n_row[cc] * dims[cc] for cc in range(c)) + mu * dims[c]
-    return Matrix.from_rows([j.row(off + t) for t in range(dims[c])])
-
-
 def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     """Skeletal fusion data of the module category on the given family,
     with the forgetful functor's tensor structure.
@@ -266,29 +253,15 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                for d in range(r):
-                    lb = f_left_basis(Ntup, a, b, c, d)
-                    rb = f_right_basis(Ntup, a, b, c, d)
-                    if not lb and not rb:
+                for d, (left, right) in enumerate(tree_maps(Ntup, J, dims, a, b, c)):
+                    if not left and not right:
                         continue
-                    if len(lb) != len(rb):
+                    if len(left) != len(right):
                         raise SkeletalizationFailure(
-                            f"tree spaces at {(a, b, c, d)} have dims {len(lb)} and {len(rb)}"
+                            f"tree spaces at {(a, b, c, d)} have dims {len(left)} and {len(right)}"
                         )
-                    idc = Matrix.identity(dims[c])
-                    ida = Matrix.identity(dims[a])
-                    lcols = []
-                    for (e, mu, nu) in lb:
-                        mblk = _row_block(J[(a, b)], N[a][b], dims, e, mu)
-                        nblk = _row_block(J[(e, c)], N[e][c], dims, d, nu)
-                        lcols.append(list((nblk * mblk.kron(idc)).entries))
-                    rcols = []
-                    for (f, rho, sigma) in rb:
-                        rblk = _row_block(J[(b, c)], N[b][c], dims, f, rho)
-                        sblk = _row_block(J[(a, f)], N[a][f], dims, d, sigma)
-                        rcols.append(list((sblk * ida.kron(rblk)).entries))
-                    lmat = Matrix.from_rows(lcols).transpose()
-                    rmat = Matrix.from_rows(rcols).transpose()
+                    lmat = Matrix.from_rows([m.entries for m in left]).transpose()
+                    rmat = Matrix.from_rows([m.entries for m in right]).transpose()
                     x = mat_solve(lmat, rmat)
                     if x is None:
                         raise SkeletalizationFailure(
@@ -325,7 +298,7 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
             raise NonRigid(f"pairing for simple {a} is singular")
         q = mat_inverse(p)
         w = J[(a, dual[a])] * Matrix.column(q.entries)
-        off = sum(Ntup[a][dual[a]][cc] * dims[cc] for cc in range(unit))
+        off = _copy_offset(Ntup[a][dual[a]], dims, unit)
         for i in range(w.rows):
             if i != off and w.at(i, 0):
                 raise SkeletalizationFailure(
