@@ -27,15 +27,15 @@ carries its own scale, the product of the D of its factors: multiplicative
 Ds*Dm against Dm^2*Dd, unit Ds*Dm against Dd, comultiplicative Ds*Dm^2
 against Dm*Dd, counit Ds against Dm*Dd.  Two sides compare after each is
 multiplied by the other's scale, and a failing side is rendered at its own.
-When any of the three has conductor > 1, all three run on Scalars with
-every scale 1, a rational presentation through its views before lowering.
+The map is lowered whenever it is rational, and each presentation enters
+with its views as they are; a product with a Scalar factor is a Scalar,
+and a Scalar side renders as its value divided by its scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 from .errors import ShapeError
 from .matrices import Matrix, lowering
@@ -101,9 +101,7 @@ class _Views:
     """A presentation's entries lowered once, as the module docstring says:
     m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
-    column i, and u and eps are dense.  `scalars` holds m, u, dl and eps on
-    Scalars at D = 1: the views before lowering, or the views themselves
-    when some entry has conductor > 1."""
+    column i, and u and eps are dense."""
 
     def __init__(self, mult, unit, comult=(), counit=(), antipode=None):
         cols = antipode.transpose().to_rows() if antipode is not None else []
@@ -112,13 +110,12 @@ class _Views:
         self.dl = [[(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x] for plane in comult]
         self.eps = list(counit)
         self.s = [[(l, x) for l, x in enumerate(col) if x] for col in cols]
-        self.D, self.scalars = 1, self
+        self.D = 1
         nz = [x for plane in self.m for row in plane for _, x in row]
         nz += [x for plane in self.dl for *_, x in plane]
         nz += [x for col in self.s for _, x in col] + self.u + self.eps
         if any(x.conductor != 1 for x in nz):
             return
-        self.scalars = SimpleNamespace(m=self.m, u=self.u, dl=self.dl, eps=self.eps, D=1)
         self.D, low = lowering(nz)
         self.m = [[[(k, low(x)) for k, x in row] for row in plane] for plane in self.m]
         self.u = [low(x) for x in self.u]
@@ -144,7 +141,7 @@ def _scaled(d: dict, f: int) -> dict:
 
 def _value(v, scale: int = 1) -> Scalar:
     """The Scalar a view value of degree l stands for; scale is D^l."""
-    return v if type(v) is Scalar else Scalar.rational(v, scale)
+    return v / scale if type(v) is Scalar else Scalar.rational(v, scale)
 
 
 def _render(d: dict, scale: int = 1) -> str:
@@ -385,10 +382,10 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
     ns, nd = src.dim, dst.dim
     vs, vd = src._views, dst._views
     mt = m.transpose()
-    if m._n == 1 and vs.scalars is not vs and vd.scalars is not vd:
+    if m._n == 1:
         dm, cols = mt._lowered()
     else:
-        vs, vd, dm = vs.scalars, vd.scalars, 1
+        dm = 1
         cols = [[(p, x) for p, x in enumerate(mt.row(i)) if x] for i in range(ns)]
     ds, dd = vs.D, vd.D
 
