@@ -52,6 +52,18 @@ def _failure_report(name: str, message: str) -> CheckReport:
     return rep
 
 
+def _verified_category(skel, fiber) -> list:
+    """verify_category's reports; a raised HopfrecError becomes a failing
+    report, except a ShapeError: then the two files are individually valid
+    but do not fit each other, which is unusable input."""
+    try:
+        return verify_category(skel, fiber)
+    except ShapeError as e:
+        raise _InputError(str(e)) from None
+    except HopfrecError as e:
+        return [_failure_report(type(e).__name__, str(e))]
+
+
 # -- subcommand handlers: each returns (reports, payload) --------------------
 
 def _cmd_check_hopf(args):
@@ -62,24 +74,13 @@ def _cmd_check_hopf(args):
 def _cmd_check_category(args):
     skel = _load(args.fusion, "fusion").obj
     fiber = _load(args.fiber, "fiber").obj if args.fiber else None
-    try:
-        return verify_category(skel, fiber), {}
-    except ShapeError as e:
-        # the two files are individually valid but do not fit each other
-        raise _InputError(str(e)) from None
-    except HopfrecError as e:
-        return [_failure_report(type(e).__name__, str(e))], {}
+    return _verified_category(skel, fiber), {}
 
 
 def _cmd_reconstruct(args):
     skel = _load(args.fusion, "fusion").obj
     fiber = _load(args.fiber, "fiber").obj
-    try:
-        reports = verify_category(skel, fiber)
-    except ShapeError as e:
-        raise _InputError(str(e)) from None
-    except HopfrecError as e:
-        return [_failure_report(type(e).__name__, str(e))], {}
+    reports = _verified_category(skel, fiber)
     if any(not r.passed for r in reports):
         return reports, {}
     recon = reconstruct_hopf(skel, fiber, verify=False)
@@ -198,15 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _render_text(report: dict) -> str:
+def _render_text(report: dict, reports: list) -> str:
     lines = [f"command: {report['command']}"]
-    for chk in report["checks"]:
-        status = "pass" if chk["passed"] else f"FAIL ({len(chk['failures'])} failing tuples)"
-        lines.append(f"{chk['name']}: {status}")
-        for f in chk["failures"]:
-            lines.append(f"  {f['check']} at {tuple(f['index'])}: {f['lhs']} != {f['rhs']}")
-        for k, v in chk["flags"].items():
-            lines.append(f"  flag {k} = {v}")
+    for r in reports:
+        lines += r.lines()
     for k, v in report.items():
         if k in ("command", "checks", "passed", "elapsed", "gamma"):
             continue
@@ -235,7 +231,7 @@ def main(argv=None) -> int:
     if args.report == "json":
         print(json.dumps(out, sort_keys=True))
     else:
-        print(_render_text(out))
+        print(_render_text(out, reports))
     return 0 if passed else 1
 
 

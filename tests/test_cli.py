@@ -1,10 +1,13 @@
 """Command line driver: exit codes, report formats, file round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from hopfrec import serialize
 from hopfrec.cli import main
+from hopfrec.fusion import verify_category
 
 
 def run(capsys, *argv):
@@ -169,3 +172,25 @@ def test_json_report_carries_failure_records(tmp_path, capsys):
     assert failing
     recs = [f for c in failing for f in c["failures"]]
     assert any(f["check"] == "compatibility" and f["index"] == [1, 1, 1] for f in recs)
+
+
+def test_text_report_is_the_report_lines_of_each_check(tmp_path, capsys):
+    h = tmp_path / "ks3.json"
+    mods = tmp_path / "mods.json"
+    skel = tmp_path / "skel.json"
+    run(capsys, "example", "ks3", "-o", str(h))
+    run(capsys, "example", "ks3-modules", "-o", str(mods))
+    run(capsys, "repcat", str(h), str(mods), "-o", str(skel))
+    doc = json.loads((tmp_path / "skel.fiber.json").read_text())
+    entries = doc["J"][-1]["matrix"]["entries"]
+    entries[0][1] = str(Fraction(entries[0][1]) + 2)  # a J entry of (std, std)
+    bad = tmp_path / "bad.fiber.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "check-category", str(skel), str(bad))
+    assert code == 1
+    reports = verify_category(serialize.load(skel).obj, serialize.load(bad).obj)
+    assert [r.name for r in reports if not r.passed] == ["tensor-structure", "duality"]
+    lines = out.splitlines()
+    assert lines[0] == "command: check-category"
+    assert lines[1:-1] == [line for r in reports for line in r.lines()]
+    assert lines[-1].startswith("result: FAIL (")
