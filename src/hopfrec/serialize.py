@@ -191,6 +191,24 @@ def _fusion_payload(s: FusionSkeleton, extras: dict):
     }
 
 
+def _keyed_matrices(recs, name: str, arity: int, keys: str) -> dict:
+    """The {"key": [...], "matrix": ...} records of F or J, keyed by tuple."""
+    if not isinstance(recs, list):
+        raise SchemaError(f"{name} must be a list of key/matrix records")
+    out = {}
+    for rec in recs:
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{name} records must be objects")
+        _expect_fields(rec, {"key", "matrix"}, f"{name} record")
+        key = rec["key"]
+        if not isinstance(key, list) or len(key) != arity or any(not isinstance(x, int) for x in key):
+            raise SchemaError(f"{name} keys must be integer {keys}")
+        if tuple(key) in out:
+            raise SchemaError(f"duplicate {name} key {key}")
+        out[tuple(key)] = parse_matrix(rec["matrix"])
+    return out
+
+
 def _fusion_parse(d: dict) -> Loaded:
     _expect_fields(d, {"kind", "rank", "unit", "names", "fusion", "dual", "F"}, "fusion")
     r = d["rank"]
@@ -211,24 +229,11 @@ def _fusion_parse(d: dict) -> Loaded:
         raise SchemaError("names must be a list of strings")
     if not isinstance(d["unit"], int):
         raise SchemaError("unit must be an integer")
-    fmat = {}
-    if not isinstance(d["F"], list):
-        raise SchemaError("F must be a list of key/matrix records")
-    for rec in d["F"]:
-        if not isinstance(rec, dict):
-            raise SchemaError("F records must be objects")
-        _expect_fields(rec, {"key", "matrix"}, "F record")
-        key = rec["key"]
-        if not isinstance(key, list) or len(key) != 4 or any(not isinstance(x, int) for x in key):
-            raise SchemaError("F keys must be integer quadruples")
-        if tuple(key) in fmat:
-            raise SchemaError(f"duplicate F key {key}")
-        fmat[tuple(key)] = parse_matrix(rec["matrix"])
     skel = FusionSkeleton(
         rank=r,
         fusion=fus,
         dual=tuple(d["dual"]),
-        F=fmat,
+        F=_keyed_matrices(d["F"], "F", 4, "quadruples"),
         unit=d["unit"],
         names=tuple(d["names"]),
     )
@@ -261,22 +266,9 @@ def _fiber_parse(d: dict) -> Loaded:
     dims = d["dims"]
     if not isinstance(dims, list) or any(not isinstance(x, int) for x in dims):
         raise SchemaError("dims must be a list of integers")
-    jmap = {}
-    if not isinstance(d["J"], list):
-        raise SchemaError("J must be a list of key/matrix records")
-    for rec in d["J"]:
-        if not isinstance(rec, dict):
-            raise SchemaError("J records must be objects")
-        _expect_fields(rec, {"key", "matrix"}, "J record")
-        key = rec["key"]
-        if not isinstance(key, list) or len(key) != 2 or any(not isinstance(x, int) for x in key):
-            raise SchemaError("J keys must be integer pairs")
-        if tuple(key) in jmap:
-            raise SchemaError(f"duplicate J key {key}")
-        jmap[tuple(key)] = parse_matrix(rec["matrix"])
     fiber = FiberData(
         dims=tuple(dims),
-        J=jmap,
+        J=_keyed_matrices(d["J"], "J", 2, "pairs"),
         iota=parse_scalar(d["iota"]),
         ev_coeff=_parse_coeff_vectors(d["ev"], "ev"),
         coev_coeff=_parse_coeff_vectors(d["coev"], "coev"),

@@ -4,6 +4,7 @@ Every registry entry must round-trip bit-exactly, and the checked-in golden
 files pin the wire format so accidental format drift fails loudly.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -152,3 +153,23 @@ def test_group_payload_round_trip_preserves_element_names():
     assert loaded.obj.order == 6
     assert loaded.obj.mul(1, 3) == 5
     assert dumps(loaded.obj, **loaded.extras) == s
+
+
+# (example, record field, key word, first key) for the F and J record lists
+KEYED = [("vec-z2", "F", "quadruples", "[0, 0, 0, 0]"), ("vec-z2-fiber", "J", "pairs", "[0, 0]")]
+BAD_RECORDS = [
+    (lambda recs: {"records": recs}, "{name} must be a list of key/matrix records"),
+    (lambda recs: recs + [["key", "matrix"]], "{name} records must be objects"),
+    (lambda recs: [dict(recs[0], key=recs[0]["key"] + [0])] + recs[1:], "{name} keys must be integer {keys}"),
+    (lambda recs: recs + recs[:1], "duplicate {name} key {first}"),
+]
+
+
+@pytest.mark.parametrize("example,name,keys,first", KEYED, ids=["F", "J"])
+@pytest.mark.parametrize("mutate,message", BAD_RECORDS, ids=["not-a-list", "not-an-object", "bad-key", "duplicate"])
+def test_loads_names_each_bad_key_matrix_record(example, name, keys, first, mutate, message):
+    payload = json.loads(dumps(EXAMPLES[example][1]()))
+    payload[name] = mutate(payload[name])
+    with pytest.raises(SchemaError) as exc:
+        loads(json.dumps(payload))
+    assert str(exc.value) == message.format(name=name, keys=keys, first=first)
