@@ -166,7 +166,9 @@ BAD_RECORDS = [
 
 
 @pytest.mark.parametrize("example,name,keys,first", KEYED, ids=["F", "J"])
-@pytest.mark.parametrize("mutate,message", BAD_RECORDS, ids=["not-a-list", "not-an-object", "bad-key", "duplicate"])
+@pytest.mark.parametrize(
+    "mutate,message", BAD_RECORDS, ids=["not-a-list", "not-an-object", "bad-key", "duplicate"]
+)
 def test_loads_names_each_bad_key_matrix_record(example, name, keys, first, mutate, message):
     payload = json.loads(dumps(EXAMPLES[example][1]()))
     payload[name] = mutate(payload[name])
