@@ -17,17 +17,28 @@ iota being the fiber's chosen unit scalar K -> F(unit).
 J[(a, b)] maps F(a) (x) F(b) onto the sum over c of N[a][b][c] copies of
 F(c); its row blocks, ordered (c ascending, copy index outer), realize
 the skeletal basis morphisms a (x) b -> c under the fiber functor.
+
+The pentagon check lowers the F blocks once.  n is the lcm of their
+conductors and D the lcm of every coefficient denominator; an entry x is
+held as the int D*x when n = 1, and otherwise as the int coefficients of
+D*x at conductor n, multiplied mod Phi_n by scalars._mul_int.  A path
+through k blocks holds D^k times its value, so the two-step side, scaled
+by D, meets the three-step side.  Only a failing (a, b, c, d, total) is
+rebuilt as dense Scalar matrices, to render its report.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
+from math import lcm
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
-from .matrices import Matrix, mat_inverse
+from .matrices import Matrix, lowering, mat_inverse
 from .reports import CheckReport
-from .scalars import ZERO, sc
+from .scalars import ONE, ZERO, _mul_int, phi_degree, sc
 
 
 def f_left_basis(N, a: int, b: int, c: int, d: int) -> list:
@@ -195,27 +206,81 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
       T4 a((bc)d) : (v, s, w, tp, up)    w in vd, total in aw
       T5 a(b(cd)) : (z, rho, w, nu, sig) w in bz, total in aw
     The two-step path T1->T2->T5 must equal the three-step T1->T3->T4->T5.
+    Each T1 basis vector is pushed through both paths on the lowered
+    blocks; a failing tuple reports both paths as dense matrices.
     """
     rep = CheckReport("pentagon")
     N = skel.fusion
     r = skel.rank
 
     for key in sorted(skel.F):
-        m = skel.F[key]
-        if m.rows and m.rank() != m.rows:
-            rep.add("recoordinatization-invertible", key, f"rank {m.rank()}", f"rank {m.rows}")
+        if (k := skel.F[key].rank()) != skel.F[key].rows:
+            rep.add("recoordinatization-invertible", key, f"rank {k}", f"rank {skel.F[key].rows}")
 
+    holds = _pentagon_kernel(skel)
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                # dims of T1 per total, as a plain integer prefilter
-                v1 = [sum(N[a][b][x] * N[x][c][y] for x in range(r)) for y in range(r)]
+                # the y with a tree ((ab)c) -> y, as a plain integer prefilter
+                ys = [y for y in range(r) if any(N[a][b][x] and N[x][c][y] for x in range(r))]
                 for dd in range(r):
                     for tot in range(r):
-                        if sum(v1[y] * N[y][dd][tot] for y in range(r)) == 0:
-                            continue
-                        _pentagon_at(skel, rep, a, b, c, dd, tot)
+                        if any(N[y][dd][tot] for y in ys) and not holds(a, b, c, dd, tot):
+                            _pentagon_at(skel, rep, a, b, c, dd, tot)
     return rep
+
+
+def _pentagon_kernel(skel):
+    """holds(a, b, c, d, tot): the pentagon there, decided on the lowered
+    F blocks, each a column map left tree -> [(right tree, value)]."""
+    N, r, F = skel.fusion, skel.rank, skel.F
+    n = lcm(*(m._n for m in F.values()))
+    nz = [x.promote(n) for m in F.values() for x in m.entries if x]
+    if n == 1:
+        dl, low = lowering(nz)
+        mul, add, zero = operator.mul, operator.add, 0
+    else:
+        dl = lcm(*{q.denominator for x in nz for q in x.coeffs})
+        mul, zero = partial(_mul_int, n=n), (0,) * phi_degree(n)
+
+        def low(x):
+            return tuple(q.numerator * (dl // q.denominator) for q in x.promote(n).coeffs)
+
+        def add(x, y):
+            return tuple(map(operator.add, x, y))
+
+    scale = low(ONE)
+    cols = {}
+    for key, m in F.items():
+        rb = f_right_basis(N, *key)
+        cols[key] = {
+            lt: [(rt, low(m.at(i, j))) for i, rt in enumerate(rb) if m.at(i, j)]
+            for j, lt in enumerate(f_left_basis(N, *key))
+        }
+
+    def acc(out, key, v):
+        out[key] = add(out[key], v) if key in out else v
+
+    def holds(a, b, c, d, tot):
+        for y in range(r):
+            for m3 in range(N[y][d][tot]):
+                # T1 basis vector (x, m1, y, m2, m3), and its image in T3
+                for (x, m1, m2), to_t3 in cols.get((a, b, c, y), {}).items():
+                    lhs, rhs = {}, {}
+                    for (z, rho, tau), f in cols[x, c, d, tot][y, m2, m3]:
+                        for (w, nu, sig), g in cols[a, b, z, tot][x, m1, tau]:
+                            acc(lhs, (z, rho, w, nu, sig), mul(f, g))
+                    for (v, s, t), f in to_t3:
+                        for (w, tp, up), g in cols[a, v, d, tot][y, t, m3]:
+                            fg = mul(f, g)
+                            for (z, rho, nu), h in cols[b, c, d, w][v, s, tp]:
+                                acc(rhs, (z, rho, w, nu, up), mul(fg, h))
+                    lhs = {k: mul(scale, v) for k, v in lhs.items() if v != zero}
+                    if lhs != {k: v for k, v in rhs.items() if v != zero}:
+                        return False
+        return True
+
+    return holds
 
 
 def _pentagon_at(skel, rep, a, b, c, d, tot):
@@ -427,6 +492,14 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
 
 # -- duality ----------------------------------------------------------------
 
+def _unit_copies(coeffs, scale, rows: int, cols: int, entry) -> Matrix:
+    """The rows x cols matrix scale * sum_mu coeffs[mu] entry(mu, i * cols + j)."""
+    def at(i, j):
+        return scale * sum((c * entry(mu, i * cols + j) for mu, c in enumerate(coeffs)), sc(0))
+
+    return Matrix.from_rows([[at(i, j) for j in range(cols)] for i in range(rows)])
+
+
 def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     """P with P[i][j] = p(f_i (x) e_j), the pairing F(a*) (x) F(a) -> K
     realized by the selected evaluation morphism through J[(a*, a)].
@@ -434,23 +507,11 @@ def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     The unit block of J[(a*, a)] has one row per copy of the unit (the
     unit's fiber is a line); ev_coeff[a] combines those rows."""
     ad = skel.dual[a]
-    d = fiber.dims
     j = fiber.J[(ad, a)]
-    off = _copy_offset(skel.fusion[ad][a], d, skel.unit)
-    inv_iota = sc(1) / fiber.iota
-    coeffs = fiber.ev_coeff[a]
-    rows = [
-        [
-            inv_iota
-            * sum(
-                (coeffs[mu] * j.at(off + mu, i * d[a] + jj) for mu in range(len(coeffs))),
-                sc(0),
-            )
-            for jj in range(d[a])
-        ]
-        for i in range(d[ad])
-    ]
-    return Matrix.from_rows(rows)
+    off = _copy_offset(skel.fusion[ad][a], fiber.dims, skel.unit)
+    return _unit_copies(
+        fiber.ev_coeff[a], sc(1) / fiber.iota, fiber.dims[ad], fiber.dims[a], lambda mu, k: j.at(off + mu, k)
+    )
 
 
 def copairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
@@ -458,25 +519,14 @@ def copairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     K -> F(a) (x) F(a*): coev_coeff[a] picks a vector supported on the
     unit block, carried back to F(a) (x) F(a*) by the inverse of J."""
     ad = skel.dual[a]
-    d = fiber.dims
     try:
         jinv = mat_inverse(fiber.J[(a, ad)])
     except ValueError:
         raise NonInvertibleJ(f"J[({a},{ad})] is singular") from None
-    off = _copy_offset(skel.fusion[a][ad], d, skel.unit)
-    coeffs = fiber.coev_coeff[a]
-    rows = [
-        [
-            fiber.iota
-            * sum(
-                (coeffs[mu] * jinv.at(i * d[ad] + jj, off + mu) for mu in range(len(coeffs))),
-                sc(0),
-            )
-            for jj in range(d[ad])
-        ]
-        for i in range(d[a])
-    ]
-    return Matrix.from_rows(rows)
+    off = _copy_offset(skel.fusion[a][ad], fiber.dims, skel.unit)
+    return _unit_copies(
+        fiber.coev_coeff[a], fiber.iota, fiber.dims[a], fiber.dims[ad], lambda mu, k: jinv.at(k, off + mu)
+    )
 
 
 def verify_duality(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
@@ -487,12 +537,9 @@ def verify_duality(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     for a in range(skel.rank):
         p = pairing_matrix(skel, fiber, a)
         q = copairing_matrix(skel, fiber, a)
-        qp = q * p
-        pq = p * q
-        if qp != Matrix.identity(fiber.dims[a]):
-            rep.add("zigzag-qp", (a,), qp, Matrix.identity(fiber.dims[a]))
-        if pq != Matrix.identity(fiber.dims[skel.dual[a]]):
-            rep.add("zigzag-pq", (a,), pq, Matrix.identity(fiber.dims[skel.dual[a]]))
+        for check, m in (("zigzag-qp", q * p), ("zigzag-pq", p * q)):
+            if m != Matrix.identity(m.rows):
+                rep.add(check, (a,), m, Matrix.identity(m.rows))
     return rep
 
 

@@ -176,9 +176,7 @@ class Matrix:
         s = sc(other)
         return Matrix._of(self.rows, self.cols, [s * a for a in self.entries])
 
-    def __rmul__(self, other):
-        s = sc(other)
-        return Matrix._of(self.rows, self.cols, [s * a for a in self.entries])
+    __rmul__ = __mul__  # only ever called with a scalar on the left
 
     def transpose(self) -> "Matrix":
         return Matrix._of(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])

@@ -22,40 +22,39 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _poly_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Quotient of num by den in Q[x]; the division must be exact."""
-    num = list(num)
-    dd = len(den) - 1
-    assert den[dd] != 0
-    q = [_ZERO] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / den[dd]
-        q[k - dd] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[k - dd + i] -= c * dc
-    assert all(c == 0 for c in num[:dd]), "inexact polynomial division"
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree.  Monic with integer entries."""
+    """Coefficients of Phi_n, ascending degree: x^n - 1 divided by Phi_d for
+    every proper divisor d of n.  Monic with integer entries."""
     if n < 1:
         raise ValueError(f"conductor must be a positive integer, got {n}")
-    num = [_ZERO] * (n + 1)
-    num[0] = Fraction(-1)
-    num[n] = _ONE
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _poly_div_exact(num, [Fraction(c) for c in cyclotomic_poly(d)])
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
+            den = cyclotomic_poly(d)
+            k = len(den) - 1
+            # synthetic division by the monic den: quotient left in num[k:]
+            for i in range(len(num) - 1, k - 1, -1):
+                for j in range(k):
+                    num[i - k + j] -= num[i] * den[j]
+            assert not any(num[:k]), "inexact polynomial division"
+            num = num[k:]
+    return tuple(num)
 
 
 def phi_degree(n: int) -> int:
-    """Euler phi(n), the degree of Phi_n."""
-    return len(cyclotomic_poly(n)) - 1
+    """Euler phi(n), the degree of Phi_n, by Euler's product over the
+    primes dividing n; it never builds Phi_n."""
+    if n < 1:
+        raise ValueError(f"conductor must be a positive integer, got {n}")
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
@@ -73,6 +72,16 @@ def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
     while len(cs) < deg:
         cs.append(_ZERO)
     return tuple(cs)
+
+
+def _mul_int(a: tuple, b: tuple, n: int) -> tuple:
+    """Residue product mod Phi_n on int coefficient tuples; Phi_n is monic and integral."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return _reduce(conv, n)
 
 
 def _ext_inverse(coeffs: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:

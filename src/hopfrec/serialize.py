@@ -45,12 +45,13 @@ def _parse_fraction(text) -> Fraction:
         raise SchemaError(f"scalar must be a string or conductor object, got {type(text).__name__}")
     if not _RAT.match(text):
         raise ParseError(f"malformed rational {text!r}")
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+    try:
+        p, q = (int(x) for x in text.split("/")) if "/" in text else (int(text), 1)
+    except ValueError:  # beyond the interpreter's limit on integer digits
+        raise ParseError(f"rational of {len(text)} characters is too long") from None
+    if q == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(p, q)
 
 
 def parse_scalar(obj) -> Scalar:
@@ -62,7 +63,10 @@ def parse_scalar(obj) -> Scalar:
         if not isinstance(n, int) or n < 1:
             raise SchemaError("conductor must be a positive integer")
         coeffs = obj["coeffs"]
-        if not isinstance(coeffs, list) or len(coeffs) != phi_degree(n):
+        # phi(n) >= sqrt(n / 2), so a larger n cannot fit and is never factored
+        if not isinstance(coeffs, list) or n > 2 * len(coeffs) ** 2:
+            raise SchemaError(f"coeffs must be a list of length phi({n}) for conductor {n}")
+        if len(coeffs) != phi_degree(n):
             raise SchemaError(f"coeffs must be a list of length {phi_degree(n)} for conductor {n}")
         return Scalar(n, tuple(_parse_fraction(c) for c in coeffs))
     raise SchemaError(f"scalar must be a string or conductor object, got {type(obj).__name__}")
@@ -387,6 +391,8 @@ def loads(text: str) -> Loaded:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except ValueError:  # an integer literal beyond the interpreter's digit limit
+        raise ParseError("integer literal is too long") from None
     if not isinstance(d, dict):
         raise SchemaError("top level must be an object")
     kind = d.get("kind")

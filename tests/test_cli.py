@@ -1,6 +1,7 @@
 """Command line driver: exit codes, report formats, file round trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,40 @@ def test_unknown_field_is_exit_2(tmp_path, capsys):
     code, out = run(capsys, "check-hopf", str(f))
     assert code == 2
     assert "unknown fields" in out
+
+
+def _vec_z2_with_entry(tmp_path, capsys, entry):
+    """vec-z2 with its 1x1 F block at (1, 1, 1, 1) holding the given JSON value."""
+    f = tmp_path / "vec.json"
+    run(capsys, "example", "vec-z2", "-o", str(f))
+    doc = json.loads(f.read_text())
+    (record,) = [r for r in doc["F"] if r["key"] == [1, 1, 1, 1]]
+    record["matrix"]["entries"] = [[entry]]
+    f.write_text(json.dumps(doc))
+    return f
+
+
+def test_oversized_integers_are_exit_2(tmp_path, capsys):
+    f = _vec_z2_with_entry(tmp_path, capsys, "1" * 5000)
+    code, out = run(capsys, "check-category", str(f))
+    assert code == 2
+    assert "rational of 5000 characters is too long" in out
+    # a JSON number literal beyond the interpreter's digit limit
+    text = f.read_text()
+    assert '"dual": [0, 1]' in text
+    f.write_text(text.replace('"dual": [0, 1]', '"dual": [0, ' + "1" * 5000 + "]"))
+    code, out = run(capsys, "check-category", str(f))
+    assert code == 2
+    assert "integer literal is too long" in out
+
+
+def test_huge_conductor_is_rejected_before_it_is_factored(tmp_path, capsys):
+    f = _vec_z2_with_entry(tmp_path, capsys, {"conductor": 10**12, "coeffs": ["1"]})
+    t0 = time.perf_counter()
+    code, out = run(capsys, "check-category", str(f))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "conductor 1000000000000" in out
 
 
 def test_wrong_kind_is_exit_2(tmp_path, capsys):

@@ -8,16 +8,22 @@ an identity, so bumping it is a ShapeError).  A -1 bump of a 1x1 block
 holding 1 makes it singular; the SINGULAR bumps move one entry of a
 larger block by -det/cofactor, which makes the block singular with rank
 one less.  The report lines, "recoordinatization-invertible" lines among
-them, are pinned by `golden/pentagon-bumps.txt`.
+them, are pinned by `golden/pentagon-bumps.txt`.  verify_pentagon decides
+each quintuple on lowered blocks and renders only failing ones densely
+through `_pentagon_at`, so no unbumped family may reach it.
 
 Regenerate the golden file with `python tests/test_pentagon_bumps.py`.
 """
 
 import dataclasses
 import pathlib
+from functools import lru_cache
+
+import pytest
 
 from test_tensorator_bumps import skeletalized
 
+from hopfrec import fusion
 from hopfrec.examples import gen_group_algebra, gen_pointed_category
 from hopfrec.fusion import verify_pentagon
 from hopfrec.groups import cyclic_group
@@ -59,6 +65,7 @@ def vec_z8_omega():
     return gen_pointed_category(cyclic_group(8), lambda a, b, c: z ** (a * ((b + c) // 8)))
 
 
+@lru_cache(maxsize=None)
 def families() -> dict:
     out = {name: skeletalized(name)[0] for name in ("ks3", "dz2", "fun-s3", "ks4", "ka4")}
     out["kz5"] = characters_kz(5)
@@ -125,6 +132,15 @@ def golden_text() -> str:
     for label, skel in bumps():
         lines += report_lines(label, skel)
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["ks3", "dz2", "fun-s3", "ks4", "ka4", "kz5", "vec-z4", "vec-z8-omega"])
+def test_a_passing_skeleton_never_reaches_the_dense_rendering(name, monkeypatch):
+    def dense(*args):
+        raise AssertionError(f"_pentagon_at called at {args[2:]}")
+
+    monkeypatch.setattr(fusion, "_pentagon_at", dense)
+    assert verify_pentagon(families()[name]).passed
 
 
 def test_pentagon_bumps_match_golden():

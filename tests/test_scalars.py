@@ -1,14 +1,15 @@
 """Field axioms and cyclotomic reduction for the exact scalar type."""
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrec.errors import DivisionByZero
-from hopfrec.scalars import ONE, ZERO, Scalar, cyclotomic_poly, phi_degree, sc
+from hopfrec.scalars import ONE, ZERO, Scalar, _mul_int, cyclotomic_poly, phi_degree, sc
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 rationals = fracs.map(lambda f: sc(f))
@@ -43,6 +44,30 @@ def test_small_cyclotomic_polys():
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     assert [phi_degree(n) for n in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
+
+
+def test_phi_degree_by_euler_product_is_the_degree_of_phi_n():
+    assert all(phi_degree(n) == len(cyclotomic_poly(n)) - 1 for n in range(1, 61))
+    assert phi_degree(10**12) == 4 * 10**11
+    with pytest.raises(ValueError):
+        phi_degree(0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 12])
+def test_int_residue_product_matches_scalar_mul(n):
+    """Lower two residues to ints at D = lcm of their denominators, multiply
+    them mod Phi_n in ints, divide by D^2: the Scalar product."""
+    rng = random.Random(n)
+    for _ in range(25):
+        a, b = (
+            Scalar(n, [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(phi_degree(n))])
+            for _ in range(2)
+        )
+        d = lcm(*(q.denominator for q in a.coeffs + b.coeffs))
+        low_a, low_b = ([q.numerator * (d // q.denominator) for q in x.coeffs] for x in (a, b))
+        got = _mul_int(low_a, low_b, n)
+        assert all(type(c) is int for c in got)
+        assert Scalar(n, [Fraction(c, d * d) for c in got]) == a * b
 
 
 def test_conductor_promotion_and_cross_equality():
