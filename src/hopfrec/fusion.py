@@ -234,7 +234,7 @@ def _pentagon_kernel(skel):
     """holds(a, b, c, d, tot): the pentagon there, decided on the lowered
     F blocks, each a column map left tree -> [(right tree, value)]."""
     N, r, F = skel.fusion, skel.rank, skel.F
-    n = lcm(*(m._n for m in F.values()))
+    n = lcm(*{x.conductor for m in F.values() for x in m.entries})
     nz = [x.promote(n) for m in F.values() for x in m.entries if x]
     if n == 1:
         dl, low = lowering(nz)
