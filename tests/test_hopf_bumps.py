@@ -8,12 +8,18 @@ each bump at the same (check, index) tuples.  The full report lines are
 pinned by `golden/hopf-bumps.txt`, written by the checkers before the integer
 path existed; one bump by zeta_3 pins the cyclotomic path as well.  The
 samples of rebuilt and group-basis K[S3] comult bumps were added to the file
-by the checkers before the flat-offset accumulation stores existed.
+by the checkers before the flat-offset accumulation stores existed.  A
+Hypothesis property bumps random cells by random p/q, which changes the
+common denominator of the integer path.
 
 Regenerate the golden file with `python tests/test_hopf_bumps.py`.
 """
 
+import functools
 import pathlib
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfrec.examples import EXAMPLES
 from hopfrec.hopf import AlgebraPresentation, HopfPresentation, run_hopf_checks
@@ -40,6 +46,7 @@ SWEEP = [
 ZETA3_BUMP = ("dz2", "comult", (0, 0, 0))
 
 
+@functools.cache
 def rebuilt(name):
     h = EXAMPLES[name][1]()
     mods = EXAMPLES[f"{name}-modules"][1]()
@@ -143,6 +150,24 @@ def test_unbumped_bases_pass_on_both_paths():
         assert {type(x) for x in promoted(h, 2)._views.eps} == {Scalar}
         for reports in (run_hopf_checks(h), run_hopf_checks(promoted(h, 2))):
             assert all(r.passed for r in reports), name
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_rational_bumps_fail_alike_on_both_paths(data):
+    """A bump by p/q changes D, the common denominator of the integer path;
+    any cell of either tensor may be bumped, zero or not."""
+    name = data.draw(st.sampled_from(["dz2", "ks3"]))
+    tensor = data.draw(st.sampled_from(["mult", "comult", "antipode"]))
+    h = rebuilt(name)
+    cell = st.integers(0, h.dim - 1)
+    index = data.draw(st.tuples(cell, cell) if tensor == "antipode" else st.tuples(cell, cell, cell))
+    p = data.draw(st.integers(-9, 9).filter(bool))
+    q = data.draw(st.integers(1, 9))
+    b = bumped(h, tensor, index, Scalar.rational(p, q))
+    on_ints, on_scalars = run_hopf_checks(b), run_hopf_checks(promoted(b, 2))
+    assert failing_tuples(on_scalars) == failing_tuples(on_ints)
+    assert [r.flags for r in on_scalars] == [r.flags for r in on_ints]
 
 
 if __name__ == "__main__":
