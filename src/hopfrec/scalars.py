@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import DivisionByZero
 
@@ -24,22 +24,47 @@ _ONE = Fraction(1)
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree: x^n - 1 divided by Phi_d for
-    every proper divisor d of n.  Monic with integer entries."""
+    """Coefficients of Phi_n, ascending degree.  Monic with integer entries.
+
+    With m the product of the primes dividing n, Phi_n(x) = Phi_m(x^(n/m)).
+    A squarefree m = r*p with p its largest prime gives Phi_m(x) =
+    Phi_r(x^p) / Phi_r(x), divided exactly in ints; Phi_1 = x - 1."""
     if n < 1:
         raise ValueError(f"conductor must be a positive integer, got {n}")
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = cyclotomic_poly(d)
-            k = len(den) - 1
-            # synthetic division by the monic den: quotient left in num[k:]
-            for i in range(len(num) - 1, k - 1, -1):
-                for j in range(k):
-                    num[i - k + j] -= num[i] * den[j]
-            assert not any(num[:k]), "inexact polynomial division"
-            num = num[k:]
-    return tuple(num)
+    if n == 1:
+        return (-1, 1)
+    primes = _primes(n)
+    m = prod(primes)
+    if m != n:
+        return tuple(_at_power(cyclotomic_poly(m), n // m))
+    den = cyclotomic_poly(n // primes[-1])
+    num = _at_power(den, primes[-1])
+    k = len(den) - 1
+    # synthetic division by the monic den: quotient left in num[k:]
+    for i in range(len(num) - 1, k - 1, -1):
+        for j in range(k):
+            num[i - k + j] -= num[i] * den[j]
+    assert not any(num[:k]), "inexact polynomial division"
+    return tuple(num[k:])
+
+
+def _at_power(c, s: int) -> list:
+    """The coefficients of c(x^s)."""
+    out = [0] * ((len(c) - 1) * s + 1)
+    out[::s] = c
+    return out
+
+
+def _primes(n: int) -> list[int]:
+    """The primes dividing n, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 def phi_degree(n: int) -> int:
@@ -47,14 +72,10 @@ def phi_degree(n: int) -> int:
     primes dividing n; it never builds Phi_n."""
     if n < 1:
         raise ValueError(f"conductor must be a positive integer, got {n}")
-    out, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out - out // n if n > 1 else out
+    out = n
+    for p in _primes(n):
+        out -= out // p
+    return out
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:

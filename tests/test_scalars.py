@@ -1,6 +1,7 @@
 """Field axioms and cyclotomic reduction for the exact scalar type."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -44,6 +45,32 @@ def test_small_cyclotomic_polys():
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     assert [phi_degree(n) for n in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
+
+
+def _divisor_recursion(n, cache={}):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d of n:
+    the reference for cyclotomic_poly."""
+    if n not in cache:
+        num = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                den = _divisor_recursion(d)
+                k = len(den) - 1
+                for i in range(len(num) - 1, k - 1, -1):
+                    for j in range(k):
+                        num[i - k + j] -= num[i] * den[j]
+                assert not any(num[:k])
+                num = num[k:]
+        cache[n] = tuple(num)
+    return cache[n]
+
+
+def test_cyclotomic_poly_from_the_radical_matches_the_divisor_recursion():
+    assert all(cyclotomic_poly(n) == _divisor_recursion(n) for n in range(1, 400))
+    t0 = time.perf_counter()
+    phi = cyclotomic_poly.__wrapped__(30000)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(phi) == phi_degree(30000) + 1 and phi[::1000] == cyclotomic_poly(30)
 
 
 def test_phi_degree_by_euler_product_is_the_degree_of_phi_n():
