@@ -7,8 +7,10 @@ elements, Fun(G) on point masses, D(G) on pairs (h, g) at index h*|G|+g.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import NotACocycle, ShapeError
-from .fusion import FiberData, FusionSkeleton
+from .fusion import FiberData, FusionSkeleton, _residues
 from .groups import (
     GroupTable,
     cyclic_group,
@@ -109,27 +111,29 @@ def gen_pointed_category(g: GroupTable, omega=None) -> FusionSkeleton:
     otherwise NotACocycle is raised with the witness tuple.
     """
     n = g.order
-    w = _omega_lookup(g, omega)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if 0 in (a, b, c) and w(a, b, c) != ONE:
-                    raise NotACocycle("omega is not normalized", (a, b, c))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    lhs = w(g.mul(a, b), c, d) * w(a, b, g.mul(c, d))
-                    rhs = w(a, b, c) * w(a, g.mul(b, c), d) * w(b, c, d)
-                    if lhs != rhs:
-                        raise NotACocycle("omega fails the cocycle identity", (a, b, c, d))
+    lookup = _omega_lookup(g, omega)
+    w = {t: lookup(*t) for t in product(range(n), repeat=3)}
+    for t, x in w.items():
+        if 0 in t and x != ONE:
+            raise NotACocycle("omega is not normalized", t)
+    # decided on the lowered values, as verify_pentagon does: the left side
+    # has degree 2 and meets the right side of degree 3 once scaled by D
+    low, mul, _, _ = _residues(list(w.values()))
+    lw = {t: low(x) for t, x in w.items()}
+    scale = low(ONE)
+    m = g.mul
+    for a, b, c, d in product(range(n), repeat=4):
+        lhs = mul(mul(lw[m(a, b), c, d], lw[a, b, m(c, d)]), scale)
+        rhs = mul(mul(lw[a, b, c], lw[a, m(b, c), d]), lw[b, c, d])
+        if lhs != rhs:
+            raise NotACocycle("omega fails the cocycle identity", (a, b, c, d))
 
     fusion = [[[1 if g.mul(a, b) == c else 0 for c in range(n)] for b in range(n)] for a in range(n)]
     fmat = {}
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                fmat[(a, b, c, g.mul(g.mul(a, b), c))] = Matrix(1, 1, [w(a, b, c)])
+                fmat[(a, b, c, g.mul(g.mul(a, b), c))] = Matrix(1, 1, [w[a, b, c]])
     names = tuple(f"g{i}" for i in range(n))
     return FusionSkeleton(
         rank=n,

@@ -230,25 +230,31 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
     return rep
 
 
+def _residues(values) -> tuple:
+    """(low, mul, add, zero): the lowering the module docstring states, over
+    these Scalars.  low(x) is the int D*x when their conductors meet at
+    n = 1 and the int coefficients of D*x at conductor n otherwise; mul and
+    add act on lowered values, and zero is the lowered 0."""
+    n = lcm(*{x.conductor for x in values})
+    nz = [x.promote(n) for x in values if x]
+    if n == 1:
+        return lowering(nz)[1], operator.mul, operator.add, 0
+    dl = lcm(*{q.denominator for x in nz for q in x.coeffs})
+
+    def low(x):
+        return tuple(q.numerator * (dl // q.denominator) for q in x.promote(n).coeffs)
+
+    def add(x, y):
+        return tuple(map(operator.add, x, y))
+
+    return low, partial(_mul_int, n=n), add, (0,) * phi_degree(n)
+
+
 def _pentagon_kernel(skel):
     """holds(a, b, c, d, tot): the pentagon there, decided on the lowered
     F blocks, each a column map left tree -> [(right tree, value)]."""
     N, r, F = skel.fusion, skel.rank, skel.F
-    n = lcm(*{x.conductor for m in F.values() for x in m.entries})
-    nz = [x.promote(n) for m in F.values() for x in m.entries if x]
-    if n == 1:
-        dl, low = lowering(nz)
-        mul, add, zero = operator.mul, operator.add, 0
-    else:
-        dl = lcm(*{q.denominator for x in nz for q in x.coeffs})
-        mul, zero = partial(_mul_int, n=n), (0,) * phi_degree(n)
-
-        def low(x):
-            return tuple(q.numerator * (dl // q.denominator) for q in x.promote(n).coeffs)
-
-        def add(x, y):
-            return tuple(map(operator.add, x, y))
-
+    low, mul, add, zero = _residues([x for m in F.values() for x in m.entries])
     scale = low(ONE)
     cols = {}
     for key, m in F.items():

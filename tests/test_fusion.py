@@ -35,6 +35,18 @@ def test_pointed_z2_pentagon():
     assert verify_pentagon(gen_pointed_category(Z2, omega_sign)).passed
 
 
+def first_cocycle_failure(g, w):
+    """The first (a, b, c, d) of the brute-force Scalar scan, or None."""
+    n, m = g.order, g.mul
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    if w(m(a, b), c, d) * w(a, b, m(c, d)) != w(a, b, c) * w(a, m(b, c), d) * w(b, c, d):
+                        return (a, b, c, d)
+    return None
+
+
 def test_cocycle_validation():
     with pytest.raises(NotACocycle, match="not normalized"):
         gen_pointed_category(Z2, lambda a, b, c: sc(-1) if (a, b, c) == (1, 0, 1) else ONE)
@@ -42,6 +54,21 @@ def test_cocycle_validation():
     z = Scalar.zeta(4)
     with pytest.raises(NotACocycle, match="cocycle identity"):
         gen_pointed_category(Z4, lambda a, b, c: z ** (a * b * c * c))
+
+
+@pytest.mark.parametrize(
+    "g, w",
+    [
+        (Z4, lambda a, b, c: Scalar.zeta(4) ** (a * b * c * c)),
+        (Z4, lambda a, b, c: Scalar.rational(3, 2) if (a, b, c) == (2, 3, 1) else ONE),
+        (cyclic_group(6), lambda a, b, c: Scalar.zeta(3) ** (a * b * c) * (sc(2) if a == b == c == 5 else ONE)),
+    ],
+)
+def test_cocycle_witness_is_the_first_failure_of_the_scalar_scan(g, w):
+    with pytest.raises(NotACocycle) as exc:
+        gen_pointed_category(g, w)
+    assert exc.value.witness == first_cocycle_failure(g, w)
+    assert str(exc.value) == f"omega fails the cocycle identity at {exc.value.witness}"
 
 
 def pointed_skeleton_unchecked(g, w):
