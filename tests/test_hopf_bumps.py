@@ -152,6 +152,18 @@ def test_unbumped_bases_pass_on_both_paths():
             assert all(r.passed for r in reports), name
 
 
+def test_dense_and_keyed_stores_give_the_same_reports():
+    """The store is derived from nonzero counts; forcing either one on
+    every presentation must not change a report line."""
+    cases = list(bumps())[::4] + [(name, rebuilt(name)) for name in ("dz2", "ks3")]
+    for label, h in cases:
+        lines = []
+        for dense in (True, False):
+            h._views.dense = h.alg._views.dense = dense
+            lines.append(report_lines(label, run_hopf_checks(h)))
+        assert lines[0] == lines[1], label
+
+
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_rational_bumps_fail_alike_on_both_paths(data):

@@ -3,6 +3,7 @@ decompositions, skeletalization, and the reconstruction round trip."""
 
 import dataclasses
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -75,8 +76,13 @@ def test_hom_space_dim_is_basis_independent():
 
 
 def test_intertwiner_constraint_is_the_kron_form():
-    # hom_space builds act_w (x) I - I (x) act_v^T entry by entry
+    # hom_space builds act_w (x) I - I (x) act_v^T row by row, and hands the
+    # product the lowering that Matrix._lowered would compute from its entries
     mods = s3_modules()
+    p = Matrix.from_rows([[2, 1], [0, 3]])
+    pinv = mat_inverse(p)
+    std = mods[2]
+    mods.append(ModuleRep(2, tuple(p * a * pinv for a in std.action), "std/P"))
     for v in mods:
         for w in mods:
             iv, iw = Matrix.identity(v.dim), Matrix.identity(w.dim)
@@ -84,6 +90,13 @@ def test_intertwiner_constraint_is_the_kron_form():
                 got = _intertwiner_constraint(av, aw)
                 assert got == aw.kron(iv) - iw.kron(av.transpose())
                 assert {e.conductor for e in got.entries} == {1}
+                assert got._low == Matrix._of(got.rows, got.cols, got.entries)._lowered()
+    # denominators that cancel on the diagonal leave D = 1, as a fresh lowering finds
+    a = Matrix.from_rows([[Fraction(1, 2), 0], [1, Fraction(1, 2)]])
+    got = _intertwiner_constraint(a, a)
+    i2 = Matrix.identity(2)
+    assert got == a.kron(i2) - i2.kron(a.transpose())
+    assert got._low == Matrix._of(4, 4, got.entries)._lowered() and got._low[0] == 1
 
 
 def _promoted(v: ModuleRep) -> ModuleRep:
