@@ -118,9 +118,8 @@ class _Views:
     m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
     column i, and u and eps are dense.  Flat offsets over the nonzero
-    entries of plane i: mt[i] lists (j*n, k, mult), mp[i] lists
-    (j*n + k, mult), dp[i] lists (j*n + k, comult) and dt[i] lists
-    ((j*n + k)*n, comult)."""
+    entries of plane i: mt[i] lists (j*n, k, mult), dp[i] lists
+    (j*n + k, comult) and dt[i] lists ((j*n + k)*n, comult)."""
 
     def __init__(self, mult, unit, comult=(), counit=(), antipode=None):
         n = len(mult)
@@ -143,7 +142,6 @@ class _Views:
             self.eps = [low(x) for x in self.eps]
             self.s = [[(l, low(x)) for l, x in col] for col in self.s]
         self.mt = [[(j * n, k, x) for j, row in enumerate(plane) for k, x in row] for plane in self.m]
-        self.mp = [[(o + k, x) for o, k, x in plane] for plane in self.mt]
         self.dp = [[(j * n + k, x) for j, k, x in plane] for plane in self.dl]
         self.dt = [[(o * n, x) for o, x in plane] for plane in self.dp]
         self.dense = nnz * nnz >= n**5
@@ -164,7 +162,7 @@ def _same(a, b) -> bool:
 
 
 def _scaled(side, f: int):
-    """A side raised by f = D^(l-k) to the degree of the side it meets."""
+    """A side multiplied by f, such as D^(l-k) to meet a side of degree l."""
     if f == 1:
         return side
     if type(side) is list:
@@ -188,11 +186,7 @@ def _cell(o: int, n: int, arity: int):
     """The index tuple at flat offset o of an n^arity side; an int for arity 1."""
     if arity == 1:
         return o
-    idx = []
-    for _ in range(arity):
-        o, r = divmod(o, n)
-        idx.append(r)
-    return tuple(reversed(idx))
+    return tuple(o // n ** (arity - 1 - t) % n for t in range(arity))
 
 
 def _render(side, scale: int = 1, n: int = 0, arity: int = 1) -> str:
@@ -201,9 +195,10 @@ def _render(side, scale: int = 1, n: int = 0, arity: int = 1) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _compare(rep: CheckReport, check: str, index: tuple, lhs, ls: int, rhs, rs: int, n: int = 0, arity: int = 1) -> None:
+def _compare(rep: CheckReport, check: str, index: tuple, lhs, ls: int, rhs, rs: int, n=0, arity=1) -> None:
     """Record a failure unless side lhs of scale ls and side rhs of scale rs
-    stand for the same value."""
+    stand for the same value: each is multiplied by the other's scale over
+    their gcd.  A failing side renders its cells as n^arity index tuples."""
     g = gcd(ls, rs)
     if not _same(_scaled(lhs, rs // g), _scaled(rhs, ls // g)):
         rep.add(check, index, _render(lhs, ls, n, arity), _render(rhs, rs, n, arity))
@@ -216,7 +211,7 @@ def check_algebra(a: AlgebraPresentation) -> CheckReport:
     n = a.dim
     rep = CheckReport("algebra")
     v = a._views
-    m, mt, mp, u, D2, store = v.m, v.mt, v.mp, v.u, v.D**2, v.store
+    m, mt, u, D2, store = v.m, v.mt, v.u, v.D**2, v.store
 
     for i in range(n):
         mi = m[i]
@@ -224,8 +219,8 @@ def check_algebra(a: AlgebraPresentation) -> CheckReport:
             # (e_i e_j) e_l and e_i (e_j e_l) for every l, over the cells (l, p)
             lhs = store(n * n)
             for k, c in mi[j]:
-                for o, d in mp[k]:
-                    lhs[o] += c * d
+                for o0, p, d in mt[k]:
+                    lhs[o0 + p] += c * d
             rhs = store(n * n)
             for o0, k, c in mt[j]:
                 for p, d in mi[k]:
