@@ -361,13 +361,11 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
         right = store(n)
         for j, k, c in dl[i]:
             for l, sl in scol[j]:
-                x = c * sl
                 for p, d in m[l][k]:
-                    left[p] += x * d
+                    left[p] += c * sl * d
             for l, sl in scol[k]:
-                x = c * sl
                 for p, d in m[j][l]:
-                    right[p] += x * d
+                    right[p] += c * sl * d
         want = store(n)
         for p in range(n):
             x = v.u[p] * v.eps[i]
@@ -388,9 +386,8 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
             o0 = j * n
             for l, sl in scol[j]:
                 for p, sp in scol[i]:
-                    x = sl * sp
                     for q, d in m[l][p]:
-                        rhs[o0 + q] += x * d
+                        rhs[o0 + q] += sl * sp * d
         if not _same(_scaled(lhs, D), rhs):
             antihom = False
             break
@@ -450,9 +447,8 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
             rhs = store(nd)
             for p, ci in cols[i]:
                 for q, cj in cols[j]:
-                    x = ci * cj
                     for t, d in vd.m[p][q]:
-                        rhs[t] += x * d
+                        rhs[t] += ci * cj * d
             _compare(rep, "morphism-multiplicative", (i, j), lhs, ds * dm, rhs, dm * dm * dd)
 
     img_u = store(nd)

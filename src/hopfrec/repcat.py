@@ -130,45 +130,51 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
 
 
 def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
-    """aw (x) I - I (x) av^T, built row by row: row (i, k) holds aw[i, j] at
-    column (j, k) and -av[l, k] at column (i, l).  When both actions have
-    conductor 1 the rows are built on their lowerings, at D the lcm of the
-    two, and handed to the result as its own lowering (see
-    `Matrix._lowered`), reduced like a product's."""
+    """aw (x) I - I (x) av^T: row (i, k) holds aw[i, j] at column (j, k) and
+    -av[l, k] at column (i, l).  When both actions have conductor 1 and the
+    product will lower the result (more than one column), its rows are
+    built on the actions' lowerings at D the lcm of theirs, reduced like a
+    product's, and handed to the result as its own lowering (see
+    `Matrix._lowered`); otherwise it is written entry by entry."""
     nv, nw = av.rows, aw.rows
     n = nv * nw
-    rat = av._n == 1 == aw._n
-    if rat:
-        (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
-        d = dv * dw // gcd(dv, dw)
-        rw = [[(j, x * (d // dw)) for j, x in row] for row in rw]
-        rv = [[(k, y * (d // dv)) for k, y in row] for row in rv]
-    else:
-        d = 1
-        rw = [[(j, x) for j, x in enumerate(aw.row(i)) if x] for i in range(nw)]
-        rv = [[(k, y) for k, y in enumerate(av.row(l)) if y] for l in range(nv)]
-    cv: list = [[] for _ in range(nv)]  # column k of av: (l, av[l, k])
+    out = [ZERO] * (n * n)
+    if not (av._n == 1 == aw._n and n > 1):
+        for i in range(nw):
+            for j, x in enumerate(aw.row(i)):
+                if x:
+                    for k in range(nv):
+                        out[(i * nv + k) * n + j * nv + k] = x
+            for k in range(nv):
+                for l in range(nv):
+                    y = av.at(l, k)
+                    if y:
+                        p = (i * nv + k) * n + i * nv + l
+                        out[p] = out[p] - y
+        return Matrix._of(n, n, out)
+    (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
+    d = dv * dw // gcd(dv, dw)
+    cv: list = [[] for _ in range(nv)]  # column k of av: (l, D*av[l, k])
     for l, row in enumerate(rv):
         for k, y in row:
-            cv[k].append((l, y))
+            cv[k].append((l, y * (d // dv)))
     low = []
     for i in range(nw):
+        wi = [(j * nv, x * (d // dw)) for j, x in rw[i]]
         for k in range(nv):
-            acc = {j * nv + k: x for j, x in rw[i]}
+            acc = {o + k: x for o, x in wi}
             for l, y in cv[k]:
                 c = i * nv + l
-                acc[c] = acc.get(c, 0) - y
+                acc[c] = acc[c] - y if c in acc else -y
             low.append(sorted((c, x) for c, x in acc.items() if x))
-    if rat and d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
+    if d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
         d //= g
         low = [[(c, x // g) for c, x in row] for row in low]
-    out = [ZERO] * (n * n)
     for r, row in enumerate(low):
         for c, x in row:
-            out[r * n + c] = _rat(Fraction(x, d)) if rat else x
+            out[r * n + c] = _rat(Fraction(x, d))
     res = Matrix._of(n, n, out)
-    if rat:
-        object.__setattr__(res, "_low", (d, low))
+    object.__setattr__(res, "_low", (d, low))
     return res
 
 

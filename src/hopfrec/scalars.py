@@ -244,6 +244,8 @@ class Scalar:
     def __add__(self, other):
         if type(other) is Scalar and self.conductor == 1 == other.conductor:
             return _rat(self.coeffs[0] + other.coeffs[0])
+        if type(other) is int and not other:
+            return self  # the int 0 a sum or an accumulation store starts from
         if not Scalar._coercible(other):
             return NotImplemented
         a, b, n = self._pair(other)
