@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
@@ -153,7 +153,7 @@ def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
                         out[p] = out[p] - y
         return Matrix._of(n, n, out)
     (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
-    d = dv * dw // gcd(dv, dw)
+    d = lcm(dv, dw)
     cv: list = [[] for _ in range(nv)]  # column k of av: (l, D*av[l, k])
     for l, row in enumerate(rv):
         for k, y in row:
