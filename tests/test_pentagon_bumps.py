@@ -47,6 +47,7 @@ PICKED = [
     ("ka4", (3, 3, 3, 3), (1, 5), 2),
     ("ka4", (3, 3, 3, 1), (0, 1), 3),
     ("ka4", (1, 3, 3, 3), (1, 1), 1),
+    ("vec-z8-omega", (1, 1, 1, 3), (0, 0), 1),
 ]
 # (family, F key, cell) bumped by -det/cofactor of the cell
 SINGULAR = [("ks3", (2, 2, 2, 2), (0, 0)), ("ks4", (3, 3, 4, 3), (1, 2)), ("ka4", (3, 3, 3, 3), (2, 2))]
