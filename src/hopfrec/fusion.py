@@ -23,8 +23,9 @@ conductors and D the lcm of every coefficient denominator; an entry x is
 held as the int D*x when n = 1, and otherwise as the int coefficients of
 D*x at conductor n, multiplied mod Phi_n by scalars._mul_int.  A path
 through k blocks holds D^k times its value, so the two-step side, scaled
-by D, meets the three-step side.  Only a failing (a, b, c, d, total) is
-rebuilt as dense Scalar matrices, to render its report.
+by D, meets the three-step side.  A failing (a, b, c, d, total) is
+rendered from the same walk over plain Scalars, each path promoted to the
+conductor its dense matrix product would meet at.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
       T5 a(b(cd)) : (z, rho, w, nu, sig) w in bz, total in aw
     The two-step path T1->T2->T5 must equal the three-step T1->T3->T4->T5.
     Each T1 basis vector is pushed through both paths on the lowered
-    blocks; a failing tuple reports both paths as dense matrices.
+    blocks; a failing tuple reports both paths as T5 x T1 matrices, taken
+    from the same walk over plain Scalars (see `_pentagon_render`).
     """
     rep = CheckReport("pentagon")
     N = skel.fusion
@@ -217,7 +219,16 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
         if (k := skel.F[key].rank()) != skel.F[key].rows:
             rep.add("recoordinatization-invertible", key, f"rank {k}", f"rank {skel.F[key].rows}")
 
-    holds = _pentagon_kernel(skel)
+    low, mul, add, zero = _residues([x for m in skel.F.values() for x in m.entries])
+    sides = _pentagon_kernel(skel, low, mul, add, zero)
+    scale = low(ONE)
+
+    def meets(lhs, rhs):
+        return {k: mul(scale, v) for k, v in lhs.items() if v != zero} == {
+            k: v for k, v in rhs.items() if v != zero
+        }
+
+    plain = None
     for a in range(r):
         for b in range(r):
             for c in range(r):
@@ -225,8 +236,11 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
                 ys = [y for y in range(r) if any(N[a][b][x] and N[x][c][y] for x in range(r))]
                 for dd in range(r):
                     for tot in range(r):
-                        if any(N[y][dd][tot] for y in ys) and not holds(a, b, c, dd, tot):
-                            _pentagon_at(skel, rep, a, b, c, dd, tot)
+                        if any(N[y][dd][tot] for y in ys) and not all(
+                            meets(lhs, rhs) for _, lhs, rhs in sides(a, b, c, dd, tot)
+                        ):
+                            plain = plain or _pentagon_kernel(skel, lambda x: x, operator.mul, operator.add, ZERO)
+                            rep.add("pentagon", (a, b, c, dd, tot), *_pentagon_render(skel, plain, a, b, c, dd, tot))
     return rep
 
 
@@ -250,12 +264,15 @@ def _residues(values) -> tuple:
     return low, partial(_mul_int, n=n), add, (0,) * phi_degree(n)
 
 
-def _pentagon_kernel(skel):
-    """holds(a, b, c, d, tot): the pentagon there, decided on the lowered
-    F blocks, each a column map left tree -> [(right tree, value)]."""
+def _pentagon_kernel(skel, low, mul, add, zero):
+    """sides(a, b, c, d, tot): for each T1 basis vector of verify_pentagon,
+    its label and its images along the two-step and the three-step path,
+    as dicts over T5 labels.  Each F block is lowered by low once, to a
+    column map left tree -> [(right tree, value)] of its nonzero entries.
+    The three-step path sums in T4 first and goes on from the cells that
+    did not cancel, as a matrix product would; cancelled cells of either
+    image are kept."""
     N, r, F = skel.fusion, skel.rank, skel.F
-    low, mul, add, zero = _residues([x for m in F.values() for x in m.entries])
-    scale = low(ONE)
     cols = {}
     for key, m in F.items():
         rb = f_right_basis(N, *key)
@@ -267,138 +284,50 @@ def _pentagon_kernel(skel):
     def acc(out, key, v):
         out[key] = add(out[key], v) if key in out else v
 
-    def holds(a, b, c, d, tot):
+    def sides(a, b, c, d, tot):
         for y in range(r):
             for m3 in range(N[y][d][tot]):
                 # T1 basis vector (x, m1, y, m2, m3), and its image in T3
                 for (x, m1, m2), to_t3 in cols.get((a, b, c, y), {}).items():
-                    lhs, rhs = {}, {}
+                    lhs, t4, rhs = {}, {}, {}
                     for (z, rho, tau), f in cols[x, c, d, tot][y, m2, m3]:
                         for (w, nu, sig), g in cols[a, b, z, tot][x, m1, tau]:
                             acc(lhs, (z, rho, w, nu, sig), mul(f, g))
                     for (v, s, t), f in to_t3:
                         for (w, tp, up), g in cols[a, v, d, tot][y, t, m3]:
-                            fg = mul(f, g)
+                            acc(t4, (v, s, w, tp, up), mul(f, g))
+                    for (v, s, w, tp, up), fg in t4.items():
+                        if fg != zero:
                             for (z, rho, nu), h in cols[b, c, d, w][v, s, tp]:
                                 acc(rhs, (z, rho, w, nu, up), mul(fg, h))
-                    lhs = {k: mul(scale, v) for k, v in lhs.items() if v != zero}
-                    if lhs != {k: v for k, v in rhs.items() if v != zero}:
-                        return False
-        return True
+                    yield (x, m1, y, m2, m3), lhs, rhs
 
-    return holds
+    return sides
 
 
-def _pentagon_at(skel, rep, a, b, c, d, tot):
-    N = skel.fusion
-    r = skel.rank
-    F = skel.F
-
-    t1 = [
-        (x, m1, y, m2, m3)
-        for x in range(r)
-        for m1 in range(N[a][b][x])
-        for y in range(r)
-        for m2 in range(N[x][c][y])
-        for m3 in range(N[y][d][tot])
-    ]
-    t2 = [
-        (x, m1, z, rho, tau)
-        for x in range(r)
-        for m1 in range(N[a][b][x])
-        for z in range(r)
-        for rho in range(N[c][d][z])
-        for tau in range(N[x][z][tot])
-    ]
-    t3 = [
-        (v, s, y, t, u)
-        for v in range(r)
-        for s in range(N[b][c][v])
-        for y in range(r)
-        for t in range(N[a][v][y])
-        for u in range(N[y][d][tot])
-    ]
-    t4 = [
-        (v, s, w, tp, up)
-        for v in range(r)
-        for s in range(N[b][c][v])
-        for w in range(r)
-        for tp in range(N[v][d][w])
-        for up in range(N[a][w][tot])
-    ]
-    t5 = [
-        (z, rho, w, nu, sig)
-        for z in range(r)
-        for rho in range(N[c][d][z])
-        for w in range(r)
-        for nu in range(N[b][z][w])
-        for sig in range(N[a][w][tot])
-    ]
-    dim = len(t1)
-    assert len(t2) == len(t3) == len(t4) == len(t5) == dim
-    p1 = {lab: i for i, lab in enumerate(t1)}
-    p2 = {lab: i for i, lab in enumerate(t2)}
-    p3 = {lab: i for i, lab in enumerate(t3)}
-    p4 = {lab: i for i, lab in enumerate(t4)}
-    p5 = {lab: i for i, lab in enumerate(t5)}
-
-    def placed(outer, key, dst, src):
-        """F[key(o)] applied below each outer label (o, m), m < outer[o]:
-        its right tree (i, j, k) sits at dst(o, m, i, j, k), its left tree
-        at src(o, m, i, j, k)."""
-        out = [ZERO] * (dim * dim)
-        for o, n_o in enumerate(outer):
-            if not n_o:
-                continue
-            k = key(o)
-            fm = F.get(k)
-            if fm is None:
-                continue
-            lb, rb = f_left_basis(N, *k), f_right_basis(N, *k)
-            for m in range(n_o):
-                for bi, rt in enumerate(rb):
-                    row = dst(o, m, *rt) * dim
-                    for bj, lt in enumerate(lb):
-                        val = fm.at(bi, bj)
-                        if val:
-                            out[row + src(o, m, *lt)] = val
-        return Matrix._of(dim, dim, out)
-
-    # T1 -> T2: reassociate (x c) d for each x, m1
-    m_a = placed(
-        N[a][b], lambda x: (x, c, d, tot),
-        lambda x, m1, z, rho, tau: p2[(x, m1, z, rho, tau)],
-        lambda x, m1, y, m2, m3: p1[(x, m1, y, m2, m3)],
+def _pentagon_render(skel, sides, a, b, c, d, tot) -> list:
+    """Both paths at (a, b, c, d, tot) as T5 x T1 matrices, labels in
+    lexicographic order, from the sides of a kernel over plain Scalars.
+    A path meets at the lcm of the conductors of the nonzero F blocks its
+    steps place, or at 1 when none of its terms reaches T5: the conductor
+    of the dense product of those steps."""
+    N, r, F = skel.fusion, skel.rank, skel.F
+    t5 = [(z, rho, *rt) for z in range(r) for rho in range(N[c][d][z]) for rt in f_right_basis(N, a, b, z, tot)]
+    images = sorted(sides(a, b, c, d, tot), key=operator.itemgetter(0))
+    steps = (
+        [(x, c, d, tot) for x in range(r) if N[a][b][x]] + [(a, b, z, tot) for z in range(r) if N[c][d][z]],
+        [(a, b, c, y) for y in range(r) if N[y][d][tot]]
+        + [(a, v, d, tot) for v in range(r) if N[b][c][v]]
+        + [(b, c, d, w) for w in range(r) if N[a][w][tot]],
     )
-    # T2 -> T5: reassociate (a b) z for each z, rho
-    m_b = placed(
-        N[c][d], lambda z: (a, b, z, tot),
-        lambda z, rho, w, nu, sig: p5[(z, rho, w, nu, sig)],
-        lambda z, rho, x, m1, tau: p2[(x, m1, z, rho, tau)],
-    )
-    # T1 -> T3: reassociate (a b) c below each y, m3
-    m_c = placed(
-        [N[y][d][tot] for y in range(r)], lambda y: (a, b, c, y),
-        lambda y, m3, v, s, t: p3[(v, s, y, t, m3)],
-        lambda y, m3, x, m1, m2: p1[(x, m1, y, m2, m3)],
-    )
-    # T3 -> T4: reassociate (a v) d for each v, s
-    m_d = placed(
-        N[b][c], lambda v: (a, v, d, tot),
-        lambda v, s, w, tp, up: p4[(v, s, w, tp, up)],
-        lambda v, s, y, t, u: p3[(v, s, y, t, u)],
-    )
-    # T4 -> T5: reassociate (b c) d below each w, sig
-    m_e = placed(
-        [N[a][w][tot] for w in range(r)], lambda w: (b, c, d, w),
-        lambda w, sig, z, rho, nu: p5[(z, rho, w, nu, sig)],
-        lambda w, sig, v, s, tp: p4[(v, s, w, tp, sig)],
-    )
-
-    lhs = m_b * m_a
-    rhs = m_e * (m_d * m_c)
-    if lhs != rhs:
-        rep.add("pentagon", (a, b, c, d, tot), lhs, rhs)
+    out = []
+    for side, keys in enumerate(steps, 1):
+        n = 1
+        if any(img[side] for img in images):
+            n = lcm(*(F[k]._n for k in keys if k in F and not F[k].is_zero()))
+        cells = [img[side].get(lab, ZERO).promote(n) for lab in t5 for img in images]
+        out.append(Matrix._of(len(t5), len(images), cells))
+    return out
 
 
 # -- fiber functor compatibility -------------------------------------------

@@ -137,10 +137,10 @@ def golden_text() -> str:
 
 @pytest.mark.parametrize("name", ["ks3", "dz2", "fun-s3", "ks4", "ka4", "kz5", "vec-z4", "vec-z8-omega"])
 def test_a_passing_skeleton_never_reaches_the_dense_rendering(name, monkeypatch):
-    def dense(*args):
-        raise AssertionError(f"_pentagon_at called at {args[2:]}")
+    def render(*args):
+        raise AssertionError(f"_pentagon_render called at {args[2:]}")
 
-    monkeypatch.setattr(fusion, "_pentagon_at", dense)
+    monkeypatch.setattr(fusion, "_pentagon_render", render)
     assert verify_pentagon(families()[name]).passed
 
 
