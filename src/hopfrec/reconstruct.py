@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ReconstructionAxiomFailure, ShapeError
-from .fusion import FiberData, FusionSkeleton, compute_delta, validate_fiber, verify_category
+from .fusion import FiberData, FusionSkeleton, _copy_offset, compute_delta, validate_fiber, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, run_hopf_checks
 from .matrices import Matrix, block_diag, mat_inverse
 from .repcat import ModuleRep, SliceMorphismData
@@ -108,34 +108,30 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
     def idx(a, i, j):
         return offs[a] + i * d[a] + j
 
-    jinv = {key: mat_inverse(m) for key, m in fiber.J.items()}
+    # E^c_ij sits at (o+i, o+j) of each copy o of c in a (x) b, so its
+    # image Jinv E J is the sum over copies of Jinv[:, o+i] J[o+j, :]
     comult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for c0 in range(r):
-        for i in range(d[c0]):
-            for j in range(d[c0]):
-                p = idx(c0, i, j)
-                eij = _matrix_unit(d[c0], i, j)
-                for a in range(r):
-                    for b in range(r):
-                        size = d[a] * d[b]
-                        mid = [[ZERO] * size for _ in range(size)]
-                        off = 0
-                        for c in range(r):
-                            for _mu in range(N[a][b][c]):
-                                if c == c0:
-                                    for s in range(d[c]):
-                                        for t in range(d[c]):
-                                            if eij.at(s, t):
-                                                mid[off + s][off + t] = eij.at(s, t)
-                                off += d[c]
-                        m = jinv[(a, b)] * (Matrix.from_rows(mid) * fiber.J[(a, b)])
-                        for i1 in range(d[a]):
-                            for j1 in range(d[a]):
-                                for k1 in range(d[b]):
-                                    for l1 in range(d[b]):
-                                        v = m.at(i1 * d[b] + k1, j1 * d[b] + l1)
-                                        if v:
-                                            comult[p][idx(a, i1, j1)][idx(b, k1, l1)] = v
+    for (a, b), jm in fiber.J.items():
+        jinv = mat_inverse(jm)
+        size = jm.rows
+        jcols = [[(t, x) for t in range(size) if (x := jinv.at(t, s))] for s in range(size)]
+        jrows = [[(t, x) for t, x in enumerate(jm.row(s)) if x] for s in range(size)]
+        acc = {}
+        for c in range(r):
+            for mu in range(N[a][b][c]):
+                o = _copy_offset(N[a][b], d, c, mu)
+                for i in range(d[c]):
+                    for j in range(d[c]):
+                        p = idx(c, i, j)
+                        for t, x in jcols[o + i]:
+                            i1, k1 = divmod(t, d[b])
+                            for u, y in jrows[o + j]:
+                                j1, l1 = divmod(u, d[b])
+                                key = (p, idx(a, i1, j1), idx(b, k1, l1))
+                                acc[key] = acc[key] + x * y if key in acc else x * y
+        for (p, q1, q2), v in acc.items():
+            if v:
+                comult[p][q1][q2] = v
 
     counit = [ZERO] * n
     for i, (a, _k, _l) in enumerate(basis):
@@ -143,18 +139,17 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
             counit[i] = ONE
 
     delta = compute_delta(skel, fiber)
+    # S(E^a_ij) = (delta E_ij delta^-1)^T in the block of a*, delta = delta[a*]
     anti = [[ZERO] * n for _ in range(n)]
     for a in range(r):
         ad = skel.dual[a]
-        dinv = mat_inverse(delta[ad])
+        dl, dinv = delta[ad], mat_inverse(delta[ad])
         for i in range(d[a]):
             for j in range(d[a]):
-                blk = (delta[ad] * (_matrix_unit(d[a], i, j) * dinv)).transpose()
                 for k in range(d[ad]):
                     for l in range(d[ad]):
-                        v = blk.at(k, l)
-                        if v:
-                            anti[idx(ad, k, l)][idx(a, i, j)] = v
+                        if (x := dl.at(l, i)) and (y := dinv.at(j, k)):
+                            anti[idx(ad, k, l)][idx(a, i, j)] = x * y
     hopf = HopfPresentation(alg, comult, counit, Matrix.from_rows(anti))
 
     if verify:
