@@ -7,7 +7,7 @@ carry their elements as permutation tuples in sorted order, composed as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import ShapeError

@@ -60,6 +60,22 @@ class Matrix:
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "_n", n)
 
+    @classmethod
+    def _from_low(cls, rows: int, cols: int, d: int, low: list) -> "Matrix":
+        """The conductor-1 matrix with x / d at (i, j) for each (j, x) in
+        low[i], holding that lowering as its own once d and every x are
+        divided by their gcd, so that d is the lcm of its denominators."""
+        if d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
+            d //= g
+            low = [[(j, x // g) for j, x in row] for row in low]
+        out = [ZERO] * (rows * cols)
+        for i, row in enumerate(low):
+            for j, x in row:
+                out[i * cols + j] = _rat(Fraction(x, d) if d != 1 else Fraction(x))
+        m = cls._of(rows, cols, out)
+        object.__setattr__(m, "_low", (d, low))
+        return m
+
     def _lowered(self):
         """(D, rows of (column, D*x) for each nonzero x); conductor 1 only."""
         if not hasattr(self, "_low"):
@@ -150,17 +166,7 @@ class Matrix:
                         for j, b in right[k]:
                             acc[j] += a * b
                     low.append([(j, x) for j, x in enumerate(acc) if x])
-                d = da * db
-                if d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
-                    d //= g
-                    low = [[(j, x // g) for j, x in row] for row in low]
-                out = [ZERO] * (self.rows * other.cols)
-                for i, row in enumerate(low):
-                    for j, x in row:
-                        out[i * other.cols + j] = _rat(Fraction(x, d) if d != 1 else Fraction(x))
-                res = Matrix._of(self.rows, other.cols, out)
-                object.__setattr__(res, "_low", (d, low))
-                return res
+                return Matrix._from_low(self.rows, other.cols, da * db, low)
             for i in range(self.rows):
                 ri = self.row(i)
                 for j in range(other.cols):

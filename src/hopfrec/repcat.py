@@ -10,15 +10,14 @@ every derived object (J, F, duals, coevaluations) is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, check_hopf_morphism
 from .matrices import Matrix, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
-from .scalars import ZERO, _rat
+from .scalars import ZERO
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,13 @@ def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
     """aw (x) I - I (x) av^T: row (i, k) holds aw[i, j] at column (j, k) and
     -av[l, k] at column (i, l).  When both actions have conductor 1 and the
     product will lower the result (more than one column), its rows are
-    built on the actions' lowerings at D the lcm of theirs, reduced like a
-    product's, and handed to the result as its own lowering (see
-    `Matrix._lowered`); otherwise it is written entry by entry."""
+    built on the actions' lowerings at D the lcm of theirs and handed to
+    `Matrix._from_low`, as a product's are; otherwise it is written entry
+    by entry."""
     nv, nw = av.rows, aw.rows
     n = nv * nw
-    out = [ZERO] * (n * n)
     if not (av._n == 1 == aw._n and n > 1):
+        out = [ZERO] * (n * n)
         for i in range(nw):
             for j, x in enumerate(aw.row(i)):
                 if x:
@@ -167,15 +166,7 @@ def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
                 c = i * nv + l
                 acc[c] = acc[c] - y if c in acc else -y
             low.append(sorted((c, x) for c, x in acc.items() if x))
-    if d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
-        d //= g
-        low = [[(c, x // g) for c, x in row] for row in low]
-    for r, row in enumerate(low):
-        for c, x in row:
-            out[r * n + c] = _rat(Fraction(x, d))
-    res = Matrix._of(n, n, out)
-    object.__setattr__(res, "_low", (d, low))
-    return res
+    return Matrix._from_low(n, n, d, low)
 
 
 def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
