@@ -25,7 +25,7 @@ from .groups import GroupTable
 from .hopf import AlgebraPresentation, HopfPresentation
 from .matrices import Matrix
 from .repcat import ModuleRep
-from .scalars import Scalar, phi_degree
+from .scalars import Scalar, _make, _rat, phi_degree
 
 _RAT = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -56,7 +56,7 @@ def _parse_fraction(text) -> Fraction:
 
 def parse_scalar(obj) -> Scalar:
     if isinstance(obj, str):
-        return Scalar(1, (_parse_fraction(obj),))
+        return _rat(_parse_fraction(obj))
     if isinstance(obj, dict):
         _expect_fields(obj, {"conductor", "coeffs"}, "scalar")
         n = obj["conductor"]
@@ -68,7 +68,7 @@ def parse_scalar(obj) -> Scalar:
             raise SchemaError(f"coeffs must be a list of length phi({n}) for conductor {n}")
         if len(coeffs) != phi_degree(n):
             raise SchemaError(f"coeffs must be a list of length {phi_degree(n)} for conductor {n}")
-        return Scalar(n, tuple(_parse_fraction(c) for c in coeffs))
+        return _make(n, tuple(_parse_fraction(c) for c in coeffs))
     raise SchemaError(f"scalar must be a string or conductor object, got {type(obj).__name__}")
 
 
