@@ -99,7 +99,13 @@ def _omega_lookup(g: GroupTable, omega):
         return lambda a, b, c: ONE
     if callable(omega):
         return lambda a, b, c: sc(omega(a, b, c))
-    return lambda a, b, c: sc(omega[(a, b, c)])
+
+    def look(a, b, c):
+        if (a, b, c) not in omega:
+            raise ShapeError(f"omega has no value at {(a, b, c)}")
+        return sc(omega[a, b, c])
+
+    return look
 
 
 def gen_pointed_category(g: GroupTable, omega=None) -> FusionSkeleton:

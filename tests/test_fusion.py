@@ -56,6 +56,11 @@ def test_cocycle_validation():
         gen_pointed_category(Z4, lambda a, b, c: z ** (a * b * c * c))
 
 
+def test_omega_dict_without_a_triple_is_a_shape_error():
+    with pytest.raises(ShapeError, match=r"omega has no value at \(0, 0, 1\)"):
+        gen_pointed_category(Z2, {(0, 0, 0): 1})
+
+
 @pytest.mark.parametrize(
     "g, w",
     [
