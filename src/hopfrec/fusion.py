@@ -24,8 +24,10 @@ held as the int D*x when n = 1, and otherwise as the int coefficients of
 D*x at conductor n, multiplied mod Phi_n by scalars._mul_int.  A path
 through k blocks holds D^k times its value, so the two-step side, scaled
 by D, meets the three-step side.  A failing (a, b, c, d, total) is
-rendered from the same walk over plain Scalars, each path promoted to the
-conductor its dense matrix product would meet at.
+rendered from the same walk over plain Scalars, as T5 x T1 matrices in
+lexicographic label order.  Each side meets at the lcm of the conductors
+of the nonzero F blocks its steps place, or at conductor 1 when none of
+its terms reaches T5: the conductor of the dense product of those steps.
 """
 
 from __future__ import annotations
@@ -236,11 +238,12 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
                 ys = [y for y in range(r) if any(N[a][b][x] and N[x][c][y] for x in range(r))]
                 for dd in range(r):
                     for tot in range(r):
+                        key = (a, b, c, dd, tot)
                         if any(N[y][dd][tot] for y in ys) and not all(
-                            meets(lhs, rhs) for _, lhs, rhs in sides(a, b, c, dd, tot)
+                            meets(lhs, rhs) for _, lhs, rhs in sides(*key)
                         ):
                             plain = plain or _pentagon_kernel(skel, lambda x: x, operator.mul, operator.add, ZERO)
-                            rep.add("pentagon", (a, b, c, dd, tot), *_pentagon_render(skel, plain, a, b, c, dd, tot))
+                            rep.add("pentagon", key, *_pentagon_render(skel, plain, *key))
     return rep
 
 
@@ -306,14 +309,12 @@ def _pentagon_kernel(skel, low, mul, add, zero):
 
 
 def _pentagon_render(skel, sides, a, b, c, d, tot) -> list:
-    """Both paths at (a, b, c, d, tot) as T5 x T1 matrices, labels in
-    lexicographic order, from the sides of a kernel over plain Scalars.
-    A path meets at the lcm of the conductors of the nonzero F blocks its
-    steps place, or at 1 when none of its terms reaches T5: the conductor
-    of the dense product of those steps."""
+    """Both sides at (a, b, c, d, tot) as the module docstring states, from
+    the sides of a kernel over plain Scalars."""
     N, r, F = skel.fusion, skel.rank, skel.F
     t5 = [(z, rho, *rt) for z in range(r) for rho in range(N[c][d][z]) for rt in f_right_basis(N, a, b, z, tot)]
     images = sorted(sides(a, b, c, d, tot), key=operator.itemgetter(0))
+    # the blocks placed by T1->T2 and T2->T5, then by T1->T3, T3->T4 and T4->T5
     steps = (
         [(x, c, d, tot) for x in range(r) if N[a][b][x]] + [(a, b, z, tot) for z in range(r) if N[c][d][z]],
         [(a, b, c, y) for y in range(r) if N[y][d][tot]]

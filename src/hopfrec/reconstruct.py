@@ -143,12 +143,12 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
     anti = [[ZERO] * n for _ in range(n)]
     for a in range(r):
         ad = skel.dual[a]
-        dl, dinv = delta[ad], mat_inverse(delta[ad])
+        dinv = mat_inverse(delta[ad])
         for i in range(d[a]):
             for j in range(d[a]):
                 for k in range(d[ad]):
                     for l in range(d[ad]):
-                        if (x := dl.at(l, i)) and (y := dinv.at(j, k)):
+                        if (x := delta[ad].at(l, i)) and (y := dinv.at(j, k)):
                             anti[idx(ad, k, l)][idx(a, i, j)] = x * y
     hopf = HopfPresentation(alg, comult, counit, Matrix.from_rows(anti))
 

@@ -8,9 +8,12 @@ an identity, so bumping it is a ShapeError).  A -1 bump of a 1x1 block
 holding 1 makes it singular; the SINGULAR bumps move one entry of a
 larger block by -det/cofactor, which makes the block singular with rank
 one less.  The report lines, "recoordinatization-invertible" lines among
-them, are pinned by `golden/pentagon-bumps.txt`.  verify_pentagon decides
-each quintuple on lowered blocks and renders only failing ones densely
-through `_pentagon_at`, so no unbumped family may reach it.
+them, are pinned by `golden/pentagon-bumps.txt`.  The -1 bump of the
+Vec_Z/8^omega block F(1, 1, 1, 3), a 1x1 block holding 1 among blocks of
+conductor 8, pins the rendered conductor of a side that no path term
+reaches (1).  verify_pentagon decides each quintuple on lowered blocks and
+renders only failing ones, from the same walk over plain Scalars, through
+`_pentagon_render`, so no unbumped family may reach it.
 
 Regenerate the golden file with `python tests/test_pentagon_bumps.py`.
 """
