@@ -14,7 +14,7 @@ from hopfrec.matrices import (
     mat_solve,
     permutation_matrix,
 )
-from hopfrec.scalars import Scalar, sc
+from hopfrec.scalars import Scalar, phi_degree, sc
 
 
 def rnd_matrix(rng, rows, cols, span=5):
@@ -340,3 +340,80 @@ def test_products_that_cancel_to_integers_hand_over_d_1():
     one = m * mat_inverse(m)
     assert one == Matrix.identity(3)
     assert one._low == (1, [[(0, 1)], [(1, 1)], [(2, 1)]]) == fresh_lowering(one)
+
+
+# -- kernels against the two-rref reference ----------------------------------
+#
+# The reference reads a raw kernel basis off the rref of m and then reduces
+# that basis with a second rref; mat_kernel must give the same canonical
+# basis, entry for entry, at the same conductor and with the same text.
+
+
+def two_rref_kernel(m: Matrix) -> Matrix:
+    red, pivots = m.rref()
+    free = [c for c in range(m.cols) if c not in pivots]
+    raw = []
+    for fc in free:
+        v = [sc(0)] * m.cols
+        v[fc] = sc(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.at(r, fc)
+        raw.append(v)
+    canon, _ = Matrix._of(len(raw), m.cols, [x for v in raw for x in v]).rref()
+    vecs = [canon.row(i) for i in range(canon.rows) if any(canon.row(i))]
+    return Matrix._of(len(vecs), m.cols, [x for v in vecs for x in v]).transpose()
+
+
+def rnd_cyclotomic(rng, rows, cols, n=8):
+    """Sparse entries of Q(zeta_n) with mixed denominators."""
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        return Scalar(n, [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(phi_degree(n))])
+
+    return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+KERNEL_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (1, 6), (3, 7), (5, 2), (7, 3), (4, 4), (6, 6)]
+
+
+def kernel_cases(rng):
+    for make in (rnd_rational, rnd_cyclotomic):
+        for rows, cols in KERNEL_SHAPES:
+            yield Matrix.zeros(rows, cols)
+            for _ in range(2):
+                yield make(rng, rows, cols)
+        for n, rank in ((4, 1), (5, 2), (6, 3)):
+            yield make(rng, n, rank) * make(rng, rank, n)  # rank deficient
+            yield make(rng, n + 2, n) * Matrix.identity(n)  # tall, usually full column rank
+    yield Matrix.identity(4)
+    yield Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    z = Scalar.zeta(8)
+    yield Matrix.from_rows([[z, z * z, 1], [1, z, -z * z * z]])
+
+
+def test_kernel_matches_two_rref_reference():
+    rng = random.Random(107)
+    full_column_rank = 0
+    for m in kernel_cases(rng):
+        got, want = mat_kernel(m), two_rref_kernel(m)
+        assert (got.rows, got.cols) == (want.rows, want.cols) == (m.cols, m.cols - m.rank())
+        assert got._n == want._n
+        assert [(e.conductor, e.coeffs) for e in got.entries] == [(e.conductor, e.coeffs) for e in want.entries]
+        assert str(got) == str(want)
+        assert (m * got).is_zero()
+        full_column_rank += m.cols > 0 and got.cols == 0
+    assert full_column_rank >= 5
+
+
+def test_inverse_of_singular_matrices_raises_value_error():
+    for m in (
+        Matrix.from_rows([[1, 1], [1, 1]]),
+        Matrix.zeros(3, 3),
+        Matrix.from_rows([[Scalar.zeta(8), 1], [1, -Scalar.zeta(8) ** 3]]),
+    ):
+        with pytest.raises(ValueError) as err:
+            mat_inverse(m)
+        assert type(err.value) is ValueError and str(err.value) == "matrix is singular"
+    with pytest.raises(ShapeError, match="inverse of a non-square matrix"):
+        mat_inverse(Matrix.zeros(2, 3))

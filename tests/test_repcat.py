@@ -11,7 +11,7 @@ from hopfrec.errors import DecompositionGap
 from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group, direct_product, symmetric_group
-from hopfrec.matrices import Matrix, mat_inverse
+from hopfrec.matrices import Matrix, block_diag, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import (
     ModuleRep,
@@ -184,6 +184,16 @@ def test_decompose_needs_complete_family():
     t = tensor_module(KS3, std, std)
     with pytest.raises(DecompositionGap):
         decompose(t, [triv, sgn])
+
+
+def test_decompose_rejects_degenerate_isotypic_images():
+    # triv is counted twice, so the multiplicities add up to dim V but the
+    # two embeddings of triv into triv + sgn coincide
+    triv, sgn, std = s3_modules()
+    v = ModuleRep(2, tuple(block_diag([a, b]) for a, b in zip(triv.action, sgn.action)))
+    with pytest.raises(DecompositionGap) as err:
+        decompose(v, [triv, triv])
+    assert str(err.value) == "isotypic images of V are degenerate"
 
 
 def test_skeletalize_kz2_is_trivial_pointed():
