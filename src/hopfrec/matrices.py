@@ -1,11 +1,13 @@
 """Exact dense matrices over the cyclotomic scalars.
 
 Entries are stored row-major and promoted to one common conductor at
-construction.  Kernel and solve run reduced row echelon elimination over
-the field, so answers are canonical: the kernel basis is the unique
-reduced echelon basis of the kernel space (pivot entries 1, pivot
-positions increasing left to right), and underdetermined solves set the
-free variables to zero.
+construction.  Kernel, solve and inverse each run one reduced row echelon
+elimination over the field, so answers are canonical: the kernel basis is
+the unique reduced echelon basis of the kernel space (pivot entries 1,
+pivot positions increasing left to right), read off one rref of the
+matrix with its columns reversed; underdetermined solves set the free
+variables to zero; an inverse is one solve against the identity, and a
+singular matrix shows as an inconsistent solve.
 
 Rational kernel.  A matrix records the conductor its entries meet at.
 When both factors of a product have conductor 1 and the inner dimension
@@ -303,20 +305,25 @@ def mat_kernel(m: Matrix) -> Matrix:
     The columns form the unique reduced echelon basis of the kernel space:
     leading entries 1, leading positions strictly increasing, and each
     leading position zeroed out in every other basis vector.
+
+    One rref of m with its columns reversed gives that basis directly.  In
+    reversed coordinates the vector of a free column f is 1 at f, 0 at the
+    other free columns, and minus the reduced column f at the pivots, which
+    is nonzero only at pivots before f; reversed back, it leads at its free
+    column, where every other vector is 0.
     """
-    red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    # one vector per free column: 1 there, minus the reduced column above pivots
-    raw = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, fc)
-        raw.append(v)
-    canon, _ = Matrix._of(len(raw), m.cols, [x for v in raw for x in v]).rref()
-    vecs = [canon.row(i) for i in range(canon.rows) if any(canon.row(i))]
-    return Matrix._of(len(vecs), m.cols, [x for v in vecs for x in v]).transpose()
+    c = m.cols
+    rev, pivots = Matrix._of(m.rows, c, [x for i in range(m.rows) for x in m.row(i)[::-1]])._echelon()
+    pivot_set = set(pivots)
+    free = [f for f in range(c - 1, -1, -1) if f not in pivot_set]  # leading positions ascending
+    neg = (lambda x: _rat(-x) if x else ZERO) if m._n == 1 else (lambda x: -x)
+    k = len(free)
+    out = [ZERO] * (c * k)
+    for j, f in enumerate(free):
+        out[(c - 1 - f) * k + j] = ONE
+        for r, p in enumerate(pivots):
+            out[(c - 1 - p) * k + j] = neg(rev[r][f])
+    return Matrix._of(c, k, out)
 
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -343,10 +350,9 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
 def mat_inverse(m: Matrix) -> Matrix:
     if not m.is_square():
         raise ShapeError("inverse of a non-square matrix")
-    if m.rank() != m.rows:
-        raise ValueError("matrix is singular")
     inv = mat_solve(m, Matrix.identity(m.rows))
-    assert inv is not None
+    if inv is None:
+        raise ValueError("matrix is singular")
     return inv
 
 

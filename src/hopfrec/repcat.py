@@ -121,11 +121,10 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
         if hit.is_zero():
             continue
         ker = ker * mat_kernel(hit)
-    if ker.cols:
-        red, _ = ker.transpose().rref()
-        rows = [red.row(i) for i in range(red.rows) if any(red.row(i))]
-        ker = Matrix._of(len(rows), ker.rows, [x for r in rows for x in r]).transpose()
-    return [Matrix._of(w.dim, v.dim, [ker.at(i, c) for i in range(ker.rows)]) for c in range(ker.cols)]
+    if not ker.cols:
+        return []
+    red, _ = ker.transpose().rref()  # ker has full column rank: no zero rows
+    return [Matrix._of(w.dim, v.dim, red.row(i)) for i in range(red.rows)]
 
 
 def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
@@ -230,9 +229,10 @@ def decompose(v: ModuleRep, irreps: list) -> Decomposition:
             f"module {v.name} has dim {v.dim} but the family accounts for {total}"
         )
     stack = Matrix.from_rows(cols).transpose()  # columns embed the sum into v
-    if stack.rank() != v.dim:
-        raise DecompositionGap(f"isotypic images of {v.name} are degenerate")
-    return Decomposition(tuple(mult), mat_inverse(stack))
+    try:
+        return Decomposition(tuple(mult), mat_inverse(stack))
+    except ValueError:
+        raise DecompositionGap(f"isotypic images of {v.name} are degenerate") from None
 
 
 # -- skeletal data from a module family -------------------------------------
@@ -315,10 +315,10 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
 
     coev = []
     for a in range(r):
-        p = pairing_matrix(skel, fiber, a)
-        if not p.is_square() or p.rank() != p.rows:
-            raise NonRigid(f"pairing for simple {a} is singular")
-        q = mat_inverse(p)
+        try:
+            q = mat_inverse(pairing_matrix(skel, fiber, a))
+        except (ShapeError, ValueError):
+            raise NonRigid(f"pairing for simple {a} is singular") from None
         w = J[(a, dual[a])] * Matrix.column(q.entries)
         off = _copy_offset(Ntup[a][dual[a]], dims, unit)
         for i in range(w.rows):

@@ -8,13 +8,17 @@ Representation constraint: coefficients are a tuple of Fraction of length
 deg Phi_n = phi(n), reduced modulo Phi_n, so each field element has exactly
 one representation at a given conductor.  Scalars of different conductors
 compare and combine by promotion into Q(zeta_lcm).
+
+Inverses take no Euclid: off conductor 1, x^-1 is the product of the
+other Galois conjugates of x divided by its norm, computed on int
+residues (`Scalar.inverse`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import DivisionByZero
 
@@ -105,43 +109,6 @@ def _mul_int(a: tuple, b: tuple, n: int) -> tuple:
     return _reduce(conv, n)
 
 
-def _ext_inverse(coeffs: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
-    """Inverse of a nonzero residue modulo Phi_n via extended Euclid in Q[x]."""
-    phi = [Fraction(c) for c in cyclotomic_poly(n)]
-
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    r0, r1 = phi, strip(list(coeffs))
-    s0, s1 = [_ZERO], [_ONE]
-    while r1:
-        # r0 = q * r1 + r2
-        r2 = list(r0)
-        q = [_ZERO] * max(1, len(r2) - len(r1) + 1)
-        lead = r1[-1]
-        for k in range(len(r2) - 1, len(r1) - 2, -1):
-            c = r2[k] / lead
-            q[k - len(r1) + 1] = c
-            if c:
-                for i, rc in enumerate(r1):
-                    r2[k - len(r1) + 1 + i] -= c * rc
-        r2 = strip(r2)
-        # s2 = s0 - q * s1
-        s2 = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for a, qa in enumerate(q):
-            if qa:
-                for b, sb in enumerate(s1):
-                    s2[a + b] -= qa * sb
-        r0, r1 = r1, r2
-        s0, s1 = s1, strip(s2)
-    # r0 = gcd, a nonzero constant since Phi_n is irreducible over Q
-    assert len(r0) == 1 and r0[0] != 0, "residue not invertible"
-    g = r0[0]
-    return _reduce([c / g for c in s0], n)
-
-
 class Scalar:
     """An element of Q(zeta_n), exact.
 
@@ -173,14 +140,6 @@ class Scalar:
     @classmethod
     def rational(cls, p, q=1) -> "Scalar":
         return _rat(Fraction(p, q))
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return ONE
 
     @classmethod
     def zeta(cls, n: int) -> "Scalar":
@@ -289,11 +248,27 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
+        """x^-1 = D*P/N: a = D*x is integral at D the lcm of the
+        denominators, P is the product of the Galois conjugates sigma_k(a),
+        zeta -> zeta^k, over the units k != 1 mod n, and N = a*P is the
+        norm of a, a nonzero integer.  All on int residues."""
         if not self:
             raise DivisionByZero("inverse of zero")
-        if self.conductor == 1:
+        n = self.conductor
+        if n == 1:
             return _rat(1 / self.coeffs[0])
-        return _make(self.conductor, _ext_inverse(self.coeffs, self.conductor))
+        d = lcm(*(c.denominator for c in self.coeffs))
+        a = tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
+        p = (1,) + (0,) * (len(a) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * n
+                for i, c in enumerate(a):
+                    conj[i * k % n] = c
+                p = _mul_int(p, _reduce(conj, n), n)
+        norm = _mul_int(a, p, n)
+        assert norm[0] and not any(norm[1:]), "residue not invertible"
+        return _make(n, tuple(Fraction(d * c, norm[0]) for c in p))
 
     def __truediv__(self, other):
         if not Scalar._coercible(other):
