@@ -8,7 +8,11 @@ import pytest
 
 from hopfrec import serialize
 from hopfrec.cli import main
+from hopfrec.errors import SchemaError
+from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.fusion import verify_category
+from hopfrec.groups import cyclic_group
+from hopfrec.repcat import trivial_module
 
 
 def run(capsys, *argv):
@@ -229,3 +233,81 @@ def test_text_report_is_the_report_lines_of_each_check(tmp_path, capsys):
     assert lines[0] == "command: check-category"
     assert lines[1:-1] == [line for r in reports for line in r.lines()]
     assert lines[-1].startswith("result: FAIL (")
+
+
+# -- JSON booleans are not integers --------------------------------------------
+#
+# json.loads turns true and false into bools, an int subclass; every integer
+# field must reject them rather than read them as 1 or 0.
+
+
+def _set(path, value):
+    """A payload mutation: set the entry at the key/index path to value."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+BOOL_FIELDS = [
+    # (id, example, mutation, loader message)
+    ("conductor", "kz2", _set(["antipode", "entries", 0, 0], {"conductor": True, "coeffs": ["1"]}),
+     "conductor must be a positive integer"),
+    ("rows", "vec-z2", _set(["F", 0, "matrix", "rows"], True), "matrix rows and cols must be nonnegative integers"),
+    ("cols", "vec-z2", _set(["F", 0, "matrix", "cols"], True), "matrix rows and cols must be nonnegative integers"),
+    ("dim", "k1", _set(["dim"], True), "hopf dim must be a positive integer"),
+    ("basis", "kz2", _set(["basis"], [[True, 0, 0], [1, 0, 0]]), "basis must be a list of integer triples"),
+    ("rank", "vec-z2", _set(["rank"], True), "fusion rank must be a positive integer"),
+    ("unit", "vec-z2", _set(["unit"], False), "unit must be an integer"),
+    ("dual", "vec-z2", _set(["dual", 1], True), "dual must be a list of integers"),
+    ("fusion", "vec-z2", _set(["fusion", 0, 0, 0], True), "fusion must be a 2x2x2 nested list of integers"),
+    ("F-key", "vec-z2", _set(["F", 0, "key", 0], False), "F keys must be integer quadruples"),
+    ("J-key", "vec-z2-fiber", _set(["J", 0, "key", 0], False), "J keys must be integer pairs"),
+    ("dims", "vec-z2-fiber", _set(["dims", 0], True), "dims must be a list of integers"),
+    ("algebra_dim", "k1-modules", _set(["algebra_dim"], True), "algebra_dim must be a positive integer"),
+    ("module-dim", "kz2-modules", _set(["modules", 0, "dim"], True),
+     "module name must be a string and dim an integer"),
+    ("order", "z1-group", _set(["order"], True), "group order must be a positive integer"),
+    ("table", "z2-group", _set(["table", 0, 1], True), "table must be a 2x2 list of integers"),
+    ("elements", "z2-group", _set(["elements"], [[True], [1]]), "elements must be lists of integers"),
+]
+
+
+def _payload(example):
+    """The payload of a shipped example, or of K[Z/1], its one module or
+    Z/1, where a true dim or order would read as the right value."""
+    if example in ("k1", "k1-modules", "z1-group"):
+        group = cyclic_group(1)
+        h = gen_group_algebra(group)
+        obj = {"k1": h, "k1-modules": [trivial_module(h)], "z1-group": group}[example]
+    else:
+        obj = EXAMPLES[example][1]()
+    return json.loads(serialize.dumps(obj))
+
+
+@pytest.mark.parametrize("example,mutate,message", [c[1:] for c in BOOL_FIELDS], ids=[c[0] for c in BOOL_FIELDS])
+def test_json_booleans_are_rejected_in_every_integer_field(tmp_path, capsys, example, mutate, message):
+    doc = _payload(example)
+    mutate(doc)
+    with pytest.raises(SchemaError) as exc:
+        serialize.loads(json.dumps(doc))
+    assert str(exc.value) == message
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    hopf, fusion = tmp_path / "kz2.json", tmp_path / "vec-z2.json"
+    serialize.save(hopf, EXAMPLES["kz2"][1]())
+    serialize.save(fusion, EXAMPLES["vec-z2"][1]())
+    argv = {
+        "hopf": ["check-hopf", bad],
+        "fusion": ["check-category", bad],
+        "fiber": ["check-category", fusion, bad],
+        "modules": ["roundtrip", hopf, bad],
+        "group": ["check-hopf", bad],  # the loader fails before the kind is compared
+    }[doc["kind"]]
+    code, out = run(capsys, *map(str, argv))
+    assert code == 2
+    assert message in out
