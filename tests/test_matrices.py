@@ -390,6 +390,10 @@ def kernel_cases(rng):
     yield Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
     z = Scalar.zeta(8)
     yield Matrix.from_rows([[z, z * z, 1], [1, z, -z * z * z]])
+    # the kernel is spanned by unit vectors after every pivot: its zeros still
+    # come from the conductor-8 rref, so the kernel has conductor 8
+    yield Matrix.from_rows([[z, 0]])
+    yield Matrix.from_rows([[z, 1, 0, 0], [0, z, 0, 0]])
 
 
 def test_kernel_matches_two_rref_reference():

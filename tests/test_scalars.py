@@ -267,6 +267,35 @@ def test_scalar_operations_match_reference(pair):
         assert_same(ref_mul(a, inv), ref_scalar([Fraction(1)], a.conductor))
 
 
+# odd primes, prime powers, n = 2 mod 4 and composites, beside 1, 4 and 8
+INVERSE_CONDUCTORS = [2, 3, 5, 6, 7, 9, 12, 15]
+
+
+@given(st.sampled_from(INVERSE_CONDUCTORS).flatmap(in_field))
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_reference_at_every_kind_of_conductor(a):
+    n = a.conductor
+    if not a:
+        with pytest.raises(DivisionByZero):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert_same(inv, Scalar(n, inv.coeffs))
+    assert_same(ref_mul(a, inv), ref_scalar([Fraction(1)], n))
+    assert_same(a * inv, ref_scalar([Fraction(1)], n))
+    assert_same(inv.inverse(), a)
+
+
+def test_inverse_at_conductor_97():
+    rng = random.Random(97)
+    a = Scalar(97, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(phi_degree(97))])
+    t0 = time.perf_counter()
+    inv = a.inverse()
+    assert time.perf_counter() - t0 < 10.0
+    assert_same(inv, Scalar(97, inv.coeffs))
+    assert_same(ref_mul(a, inv), ref_scalar([Fraction(1)], 97))
+
+
 @given(st.sampled_from([1, 8]).flatmap(in_field), plain_numbers)
 @settings(max_examples=150, deadline=None)
 def test_plain_number_operands_on_either_side(s, x):
