@@ -9,8 +9,9 @@ so equal data serializes to identical bytes.
 
 Lexically malformed input raises ParseError (with line and column for
 JSON syntax errors); structurally invalid input, including any unknown
-field and a JSON true or false where an integer belongs, raises
-SchemaError.
+field, raises SchemaError.  Integer fields take exact ints only
+(`type(x) is int`): JSON true and false load as bools, an int subclass,
+and are rejected rather than read as 1 and 0.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ from .repcat import ModuleRep
 from .scalars import Scalar, _make, _rat, phi_degree
 
 _RAT = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def _is_int(x) -> bool:
-    """An exact JSON integer.  A JSON true or false loads as a bool, which
-    is an int subclass, so an isinstance test would take it as 1 or 0."""
-    return type(x) is int
 
 
 def format_scalar(s: Scalar):
@@ -67,7 +62,7 @@ def parse_scalar(obj) -> Scalar:
     if isinstance(obj, dict):
         _expect_fields(obj, {"conductor", "coeffs"}, "scalar")
         n = obj["conductor"]
-        if not _is_int(n) or n < 1:
+        if type(n) is not int or n < 1:
             raise SchemaError("conductor must be a positive integer")
         coeffs = obj["coeffs"]
         # phi(n) >= sqrt(n / 2), so a larger n cannot fit and is never factored
@@ -92,7 +87,7 @@ def parse_matrix(obj) -> Matrix:
         raise SchemaError("matrix must be an object")
     _expect_fields(obj, {"rows", "cols", "entries"}, "matrix")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not _is_int(rows) or not _is_int(cols) or rows < 0 or cols < 0:
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
         raise SchemaError("matrix rows and cols must be nonnegative integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise SchemaError(f"matrix needs {rows} entry rows")
@@ -163,7 +158,7 @@ def _hopf_parse(d: dict) -> Loaded:
         fields.add("basis")
     _expect_fields(d, fields, "hopf")
     n = d["dim"]
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("hopf dim must be a positive integer")
     h = HopfPresentation(
         AlgebraPresentation(
@@ -179,7 +174,7 @@ def _hopf_parse(d: dict) -> Loaded:
     if "basis" in d:
         basis = d["basis"]
         if not isinstance(basis, list) or any(
-            not isinstance(b, list) or len(b) != 3 or any(not _is_int(x) for x in b)
+            not isinstance(b, list) or len(b) != 3 or any(type(x) is not int for x in b)
             for b in basis
         ):
             raise SchemaError("basis must be a list of integer triples")
@@ -212,7 +207,7 @@ def _keyed_matrices(recs, name: str, arity: int, keys: str) -> dict:
             raise SchemaError(f"{name} records must be objects")
         _expect_fields(rec, {"key", "matrix"}, f"{name} record")
         key = rec["key"]
-        if not isinstance(key, list) or len(key) != arity or any(not _is_int(x) for x in key):
+        if not isinstance(key, list) or len(key) != arity or any(type(x) is not int for x in key):
             raise SchemaError(f"{name} keys must be integer {keys}")
         if tuple(key) in out:
             raise SchemaError(f"duplicate {name} key {key}")
@@ -223,7 +218,7 @@ def _keyed_matrices(recs, name: str, arity: int, keys: str) -> dict:
 def _fusion_parse(d: dict) -> Loaded:
     _expect_fields(d, {"kind", "rank", "unit", "names", "fusion", "dual", "F"}, "fusion")
     r = d["rank"]
-    if not _is_int(r) or r < 1:
+    if type(r) is not int or r < 1:
         raise SchemaError("fusion rank must be a positive integer")
     fus = d["fusion"]
     if (
@@ -231,14 +226,14 @@ def _fusion_parse(d: dict) -> Loaded:
         or len(fus) != r
         or any(not isinstance(p, list) or len(p) != r for p in fus)
         or any(not isinstance(row, list) or len(row) != r for p in fus for row in p)
-        or any(not _is_int(x) for p in fus for row in p for x in row)
+        or any(type(x) is not int for p in fus for row in p for x in row)
     ):
         raise SchemaError(f"fusion must be a {r}x{r}x{r} nested list of integers")
-    if not isinstance(d["dual"], list) or any(not _is_int(x) for x in d["dual"]):
+    if not isinstance(d["dual"], list) or any(type(x) is not int for x in d["dual"]):
         raise SchemaError("dual must be a list of integers")
     if not isinstance(d["names"], list) or any(not isinstance(x, str) for x in d["names"]):
         raise SchemaError("names must be a list of strings")
-    if not _is_int(d["unit"]):
+    if type(d["unit"]) is not int:
         raise SchemaError("unit must be an integer")
     skel = FusionSkeleton(
         rank=r,
@@ -275,7 +270,7 @@ def _fiber_payload(f: FiberData, extras: dict):
 def _fiber_parse(d: dict) -> Loaded:
     _expect_fields(d, {"kind", "dims", "iota", "ev", "coev", "J"}, "fiber")
     dims = d["dims"]
-    if not isinstance(dims, list) or any(not _is_int(x) for x in dims):
+    if not isinstance(dims, list) or any(type(x) is not int for x in dims):
         raise SchemaError("dims must be a list of integers")
     fiber = FiberData(
         dims=tuple(dims),
@@ -305,7 +300,7 @@ def _modules_payload(mods: list, extras: dict):
 def _modules_parse(d: dict) -> Loaded:
     _expect_fields(d, {"kind", "algebra_dim", "modules"}, "modules")
     n = d["algebra_dim"]
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("algebra_dim must be a positive integer")
     if not isinstance(d["modules"], list):
         raise SchemaError("modules must be a list")
@@ -314,7 +309,7 @@ def _modules_parse(d: dict) -> Loaded:
         if not isinstance(rec, dict):
             raise SchemaError("module records must be objects")
         _expect_fields(rec, {"name", "dim", "action"}, "module record")
-        if not isinstance(rec["name"], str) or not _is_int(rec["dim"]):
+        if not isinstance(rec["name"], str) or type(rec["dim"]) is not int:
             raise SchemaError("module name must be a string and dim an integer")
         if not isinstance(rec["action"], list) or len(rec["action"]) != n:
             raise SchemaError(f"module action must list {n} matrices")
@@ -342,14 +337,14 @@ def _group_parse(d: dict) -> Loaded:
         fields.add("elements")
     _expect_fields(d, fields, "group")
     n = d["order"]
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("group order must be a positive integer")
     t = d["table"]
     if (
         not isinstance(t, list)
         or len(t) != n
         or any(not isinstance(r, list) or len(r) != n for r in t)
-        or any(not _is_int(x) for r in t for x in r)
+        or any(type(x) is not int for r in t for x in r)
     ):
         raise SchemaError(f"table must be a {n}x{n} list of integers")
     if not isinstance(d["name"], str):
@@ -358,7 +353,7 @@ def _group_parse(d: dict) -> Loaded:
     if "elements" in d:
         e = d["elements"]
         if not isinstance(e, list) or any(
-            not isinstance(p, list) or any(not _is_int(x) for x in p) for p in e
+            not isinstance(p, list) or any(type(x) is not int for x in p) for p in e
         ):
             raise SchemaError("elements must be lists of integers")
         elements = tuple(tuple(p) for p in e)

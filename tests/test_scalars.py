@@ -282,7 +282,6 @@ def test_inverse_matches_reference_at_every_kind_of_conductor(a):
     inv = a.inverse()
     assert_same(inv, Scalar(n, inv.coeffs))
     assert_same(ref_mul(a, inv), ref_scalar([Fraction(1)], n))
-    assert_same(a * inv, ref_scalar([Fraction(1)], n))
     assert_same(inv.inverse(), a)
 
 
