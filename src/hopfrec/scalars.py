@@ -9,9 +9,9 @@ deg Phi_n = phi(n), reduced modulo Phi_n, so each field element has exactly
 one representation at a given conductor.  Scalars of different conductors
 compare and combine by promotion into Q(zeta_lcm).
 
-Inverses take no Euclid: off conductor 1, x^-1 is the product of the
-other Galois conjugates of x divided by its norm, computed on int
-residues (`Scalar.inverse`).
+Off conductor 1, x^-1 is the product of the other Galois conjugates of
+x divided by its norm, an integer, all computed on int residues
+(`Scalar.inverse`).
 """
 
 from __future__ import annotations
