@@ -42,9 +42,22 @@ def format_scalar(s: Scalar):
     }
 
 
-def _parse_fraction(text) -> Fraction:
+def _format(s: Scalar, memo: dict):
+    """format_scalar once per Scalar: the dumped object keeps each alive, so ids stay unique."""
+    out = memo.get(id(s))
+    if out is None:
+        out = memo[id(s)] = format_scalar(s)
+    return out
+
+
+def _parse_text(text, memo: dict) -> Scalar:
+    """The conductor 1 Scalar of a JSON string, parsed once per memo.  Only
+    successful parses are stored, so a malformed string raises every time."""
     if not isinstance(text, str):
         raise SchemaError(f"scalar must be a string or conductor object, got {type(text).__name__}")
+    s = memo.get(text)
+    if s is not None:
+        return s
     if not _RAT.match(text):
         raise ParseError(f"malformed rational {text!r}")
     try:
@@ -53,12 +66,15 @@ def _parse_fraction(text) -> Fraction:
         raise ParseError(f"rational of {len(text)} characters is too long") from None
     if q == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(p, q)
+    s = memo[text] = _rat(Fraction(p, q))
+    return s
 
 
 def parse_scalar(obj) -> Scalar:
-    if isinstance(obj, str):
-        return _rat(_parse_fraction(obj))
+    return _scalar(obj, {})
+
+
+def _scalar(obj, memo: dict) -> Scalar:
     if isinstance(obj, dict):
         _expect_fields(obj, {"conductor", "coeffs"}, "scalar")
         n = obj["conductor"]
@@ -70,19 +86,27 @@ def parse_scalar(obj) -> Scalar:
             raise SchemaError(f"coeffs must be a list of length phi({n}) for conductor {n}")
         if len(coeffs) != phi_degree(n):
             raise SchemaError(f"coeffs must be a list of length {phi_degree(n)} for conductor {n}")
-        return _make(n, tuple(_parse_fraction(c) for c in coeffs))
-    raise SchemaError(f"scalar must be a string or conductor object, got {type(obj).__name__}")
+        return _make(n, tuple(_parse_text(c, memo).coeffs[0] for c in coeffs))
+    return _parse_text(obj, memo)
 
 
 def format_matrix(m: Matrix):
+    return _matrix_payload(m, {})
+
+
+def _matrix_payload(m: Matrix, memo: dict):
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[format_scalar(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)],
+        "entries": [[_format(x, memo) for x in m.row(i)] for i in range(m.rows)],
     }
 
 
 def parse_matrix(obj) -> Matrix:
+    return _matrix(obj, {})
+
+
+def _matrix(obj, memo: dict) -> Matrix:
     if not isinstance(obj, dict):
         raise SchemaError("matrix must be an object")
     _expect_fields(obj, {"rows", "cols", "entries"}, "matrix")
@@ -95,7 +119,7 @@ def parse_matrix(obj) -> Matrix:
     for r in entries:
         if not isinstance(r, list) or len(r) != cols:
             raise SchemaError(f"matrix rows must have {cols} entries")
-        data.append([parse_scalar(x) for x in r])
+        data.append([_scalar(x, memo) for x in r])
     return Matrix(rows, cols, [x for r in data for x in r]) if rows * cols else Matrix.zeros(rows, cols)
 
 
@@ -108,11 +132,11 @@ def _expect_fields(d: dict, fields: set, where: str):
         raise SchemaError(f"missing fields {sorted(missing)} in {where}")
 
 
-def _tensor3_payload(t):
-    return [[[format_scalar(x) for x in row] for row in plane] for plane in t]
+def _tensor3_payload(t, memo: dict):
+    return [[[_format(x, memo) for x in row] for row in plane] for plane in t]
 
 
-def _parse_tensor3(obj, n: int, where: str):
+def _parse_tensor3(obj, n: int, where: str, memo: dict):
     if (
         not isinstance(obj, list)
         or len(obj) != n
@@ -120,13 +144,13 @@ def _parse_tensor3(obj, n: int, where: str):
         or any(not isinstance(r, list) or len(r) != n for p in obj for r in p)
     ):
         raise SchemaError(f"{where} must be a {n}x{n}x{n} nested list")
-    return [[[parse_scalar(x) for x in row] for row in plane] for plane in obj]
+    return [[[_scalar(x, memo) for x in row] for row in plane] for plane in obj]
 
 
-def _parse_scalar_list(obj, n: int, where: str):
+def _parse_scalar_list(obj, n: int, where: str, memo: dict):
     if not isinstance(obj, list) or len(obj) != n:
         raise SchemaError(f"{where} must be a list of length {n}")
-    return [parse_scalar(x) for x in obj]
+    return [_scalar(x, memo) for x in obj]
 
 
 class Loaded(NamedTuple):
@@ -137,22 +161,22 @@ class Loaded(NamedTuple):
 
 # -- per kind ---------------------------------------------------------------
 
-def _hopf_payload(h: HopfPresentation, extras: dict):
+def _hopf_payload(h: HopfPresentation, extras: dict, memo: dict):
     out = {
         "kind": "hopf",
         "dim": h.dim,
-        "mult": _tensor3_payload(h.alg.mult),
-        "unit": [format_scalar(x) for x in h.alg.unit],
-        "comult": _tensor3_payload(h.comult),
-        "counit": [format_scalar(x) for x in h.counit],
-        "antipode": format_matrix(h.antipode),
+        "mult": _tensor3_payload(h.alg.mult, memo),
+        "unit": [_format(x, memo) for x in h.alg.unit],
+        "comult": _tensor3_payload(h.comult, memo),
+        "counit": [_format(x, memo) for x in h.counit],
+        "antipode": _matrix_payload(h.antipode, memo),
     }
     if "basis" in extras:
         out["basis"] = [list(b) for b in extras["basis"]]
     return out
 
 
-def _hopf_parse(d: dict) -> Loaded:
+def _hopf_parse(d: dict, memo: dict) -> Loaded:
     fields = {"kind", "dim", "mult", "unit", "comult", "counit", "antipode"}
     if "basis" in d:
         fields.add("basis")
@@ -163,12 +187,12 @@ def _hopf_parse(d: dict) -> Loaded:
     h = HopfPresentation(
         AlgebraPresentation(
             n,
-            _parse_tensor3(d["mult"], n, "mult"),
-            _parse_scalar_list(d["unit"], n, "unit"),
+            _parse_tensor3(d["mult"], n, "mult", memo),
+            _parse_scalar_list(d["unit"], n, "unit", memo),
         ),
-        _parse_tensor3(d["comult"], n, "comult"),
-        _parse_scalar_list(d["counit"], n, "counit"),
-        parse_matrix(d["antipode"]),
+        _parse_tensor3(d["comult"], n, "comult", memo),
+        _parse_scalar_list(d["counit"], n, "counit", memo),
+        _matrix(d["antipode"], memo),
     )
     extras = {}
     if "basis" in d:
@@ -182,7 +206,7 @@ def _hopf_parse(d: dict) -> Loaded:
     return Loaded("hopf", h, extras)
 
 
-def _fusion_payload(s: FusionSkeleton, extras: dict):
+def _fusion_payload(s: FusionSkeleton, extras: dict, memo: dict):
     return {
         "kind": "fusion",
         "rank": s.rank,
@@ -191,13 +215,13 @@ def _fusion_payload(s: FusionSkeleton, extras: dict):
         "fusion": [[[x for x in row] for row in plane] for plane in s.fusion],
         "dual": list(s.dual),
         "F": [
-            {"key": list(key), "matrix": format_matrix(s.F[key])}
+            {"key": list(key), "matrix": _matrix_payload(s.F[key], memo)}
             for key in sorted(s.F)
         ],
     }
 
 
-def _keyed_matrices(recs, name: str, arity: int, keys: str) -> dict:
+def _keyed_matrices(recs, name: str, arity: int, keys: str, memo: dict) -> dict:
     """The {"key": [...], "matrix": ...} records of F or J, keyed by tuple."""
     if not isinstance(recs, list):
         raise SchemaError(f"{name} must be a list of key/matrix records")
@@ -211,11 +235,11 @@ def _keyed_matrices(recs, name: str, arity: int, keys: str) -> dict:
             raise SchemaError(f"{name} keys must be integer {keys}")
         if tuple(key) in out:
             raise SchemaError(f"duplicate {name} key {key}")
-        out[tuple(key)] = parse_matrix(rec["matrix"])
+        out[tuple(key)] = _matrix(rec["matrix"], memo)
     return out
 
 
-def _fusion_parse(d: dict) -> Loaded:
+def _fusion_parse(d: dict, memo: dict) -> Loaded:
     _expect_fields(d, {"kind", "rank", "unit", "names", "fusion", "dual", "F"}, "fusion")
     r = d["rank"]
     if type(r) is not int or r < 1:
@@ -239,50 +263,50 @@ def _fusion_parse(d: dict) -> Loaded:
         rank=r,
         fusion=fus,
         dual=tuple(d["dual"]),
-        F=_keyed_matrices(d["F"], "F", 4, "quadruples"),
+        F=_keyed_matrices(d["F"], "F", 4, "quadruples", memo),
         unit=d["unit"],
         names=tuple(d["names"]),
     )
     return Loaded("fusion", skel, {})
 
 
-def _coeff_vectors_payload(vecs):
-    return [[format_scalar(x) for x in v] for v in vecs]
+def _coeff_vectors_payload(vecs, memo: dict):
+    return [[_format(x, memo) for x in v] for v in vecs]
 
 
-def _parse_coeff_vectors(obj, where: str):
+def _parse_coeff_vectors(obj, where: str, memo: dict):
     if not isinstance(obj, list) or any(not isinstance(v, list) for v in obj):
         raise SchemaError(f"{where} must be a list of scalar lists")
-    return tuple(tuple(parse_scalar(x) for x in v) for v in obj)
+    return tuple(tuple(_scalar(x, memo) for x in v) for v in obj)
 
 
-def _fiber_payload(f: FiberData, extras: dict):
+def _fiber_payload(f: FiberData, extras: dict, memo: dict):
     return {
         "kind": "fiber",
         "dims": list(f.dims),
-        "iota": format_scalar(f.iota),
-        "ev": _coeff_vectors_payload(f.ev_coeff),
-        "coev": _coeff_vectors_payload(f.coev_coeff),
-        "J": [{"key": list(key), "matrix": format_matrix(f.J[key])} for key in sorted(f.J)],
+        "iota": _format(f.iota, memo),
+        "ev": _coeff_vectors_payload(f.ev_coeff, memo),
+        "coev": _coeff_vectors_payload(f.coev_coeff, memo),
+        "J": [{"key": list(key), "matrix": _matrix_payload(f.J[key], memo)} for key in sorted(f.J)],
     }
 
 
-def _fiber_parse(d: dict) -> Loaded:
+def _fiber_parse(d: dict, memo: dict) -> Loaded:
     _expect_fields(d, {"kind", "dims", "iota", "ev", "coev", "J"}, "fiber")
     dims = d["dims"]
     if not isinstance(dims, list) or any(type(x) is not int for x in dims):
         raise SchemaError("dims must be a list of integers")
     fiber = FiberData(
         dims=tuple(dims),
-        J=_keyed_matrices(d["J"], "J", 2, "pairs"),
-        iota=parse_scalar(d["iota"]),
-        ev_coeff=_parse_coeff_vectors(d["ev"], "ev"),
-        coev_coeff=_parse_coeff_vectors(d["coev"], "coev"),
+        J=_keyed_matrices(d["J"], "J", 2, "pairs", memo),
+        iota=_scalar(d["iota"], memo),
+        ev_coeff=_parse_coeff_vectors(d["ev"], "ev", memo),
+        coev_coeff=_parse_coeff_vectors(d["coev"], "coev", memo),
     )
     return Loaded("fiber", fiber, {})
 
 
-def _modules_payload(mods: list, extras: dict):
+def _modules_payload(mods: list, extras: dict, memo: dict):
     return {
         "kind": "modules",
         "algebra_dim": len(mods[0].action) if mods else 0,
@@ -290,14 +314,14 @@ def _modules_payload(mods: list, extras: dict):
             {
                 "name": v.name,
                 "dim": v.dim,
-                "action": [format_matrix(m) for m in v.action],
+                "action": [_matrix_payload(m, memo) for m in v.action],
             }
             for v in mods
         ],
     }
 
 
-def _modules_parse(d: dict) -> Loaded:
+def _modules_parse(d: dict, memo: dict) -> Loaded:
     _expect_fields(d, {"kind", "algebra_dim", "modules"}, "modules")
     n = d["algebra_dim"]
     if type(n) is not int or n < 1:
@@ -314,12 +338,12 @@ def _modules_parse(d: dict) -> Loaded:
         if not isinstance(rec["action"], list) or len(rec["action"]) != n:
             raise SchemaError(f"module action must list {n} matrices")
         out.append(
-            ModuleRep(rec["dim"], tuple(parse_matrix(m) for m in rec["action"]), rec["name"])
+            ModuleRep(rec["dim"], tuple(_matrix(m, memo) for m in rec["action"]), rec["name"])
         )
     return Loaded("modules", out, {})
 
 
-def _group_payload(g: GroupTable, extras: dict):
+def _group_payload(g: GroupTable, extras: dict, memo: dict):
     out = {
         "kind": "group",
         "order": g.order,
@@ -331,7 +355,7 @@ def _group_payload(g: GroupTable, extras: dict):
     return out
 
 
-def _group_parse(d: dict) -> Loaded:
+def _group_parse(d: dict, memo: dict) -> Loaded:
     fields = {"kind", "order", "name", "table"}
     if "elements" in d:
         fields.add("elements")
@@ -372,15 +396,15 @@ _PARSERS = {
 
 def to_payload(obj, **extras) -> dict:
     if isinstance(obj, HopfPresentation):
-        return _hopf_payload(obj, extras)
+        return _hopf_payload(obj, extras, {})
     if isinstance(obj, FusionSkeleton):
-        return _fusion_payload(obj, extras)
+        return _fusion_payload(obj, extras, {})
     if isinstance(obj, FiberData):
-        return _fiber_payload(obj, extras)
+        return _fiber_payload(obj, extras, {})
     if isinstance(obj, GroupTable):
-        return _group_payload(obj, extras)
+        return _group_payload(obj, extras, {})
     if isinstance(obj, list) and obj and all(isinstance(v, ModuleRep) for v in obj):
-        return _modules_payload(obj, extras)
+        return _modules_payload(obj, extras, {})
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -400,7 +424,7 @@ def loads(text: str) -> Loaded:
     kind = d.get("kind")
     if kind not in _PARSERS:
         raise SchemaError(f"unknown kind {kind!r}")
-    return _PARSERS[kind](d)
+    return _PARSERS[kind](d, {})
 
 
 def save(path, obj, **extras) -> None:

@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 from hopfrec.errors import ParseError, SchemaError
-from hopfrec.examples import EXAMPLES, gen_pointed_category
+from hopfrec.examples import gen_pointed_category
 from hopfrec.groups import cyclic_group
 from hopfrec.scalars import Scalar
 from hopfrec.serialize import dumps, loads, parse_scalar
@@ -106,3 +106,16 @@ def test_a_malformed_cell_fails_alike_once_or_everywhere(bad, error, message):
     with pytest.raises(ParseError) as exc:
         loads(_kz2_with({(0, 1, 1): "first/", (1, 0, 0): bad, (1, 1, 1): "last"}))
     assert str(exc.value) == "malformed rational 'first/'"
+
+
+def _cells(h):
+    return [x for t in (h.alg.mult, h.comult) for plane in t for row in plane for x in row]
+
+
+def test_each_distinct_string_becomes_one_scalar_per_load():
+    text = (GOLDEN / "ds3.json").read_text()
+    first, second = _cells(loads(text).obj), _cells(loads(text).obj)
+    assert len(first) == 2 * 36**3
+    assert len({id(x) for x in first}) <= 2
+    # no cache outlives a call: a second load builds its own Scalars
+    assert not {id(x) for x in first} & {id(x) for x in second}
