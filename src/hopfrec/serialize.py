@@ -29,7 +29,7 @@ from .matrices import Matrix
 from .repcat import ModuleRep
 from .scalars import Scalar, _make, _rat, phi_degree
 
-_RAT = re.compile(r"^-?\d+(/\d+)?$")
+_RAT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def format_scalar(s: Scalar):
@@ -58,7 +58,7 @@ def _parse_text(text, memo: dict) -> Scalar:
     s = memo.get(text)
     if s is not None:
         return s
-    if not _RAT.match(text):
+    if not _RAT.fullmatch(text):
         raise ParseError(f"malformed rational {text!r}")
     try:
         p, q = (int(x) for x in text.split("/")) if "/" in text else (int(text), 1)

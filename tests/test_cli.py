@@ -112,6 +112,18 @@ def test_oversized_integers_are_exit_2(tmp_path, capsys):
     assert "integer literal is too long" in out
 
 
+def test_non_ascii_or_newline_rationals_are_exit_2(tmp_path, capsys):
+    f = tmp_path / "kz2.json"
+    run(capsys, "example", "kz2", "-o", str(f))
+    doc = json.loads(f.read_text())
+    for one in ("1\n", "\u0661", "\uff11"):  # trailing newline, Arabic-Indic 1, fullwidth 1
+        doc["unit"] = [one, "0/1"]
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, "check-hopf", str(f))
+        assert code == 2
+        assert "malformed rational" in out
+
+
 def test_huge_conductor_is_rejected_before_it_is_factored(tmp_path, capsys):
     f = _vec_z2_with_entry(tmp_path, capsys, {"conductor": 10**12, "coeffs": ["1"]})
     t0 = time.perf_counter()

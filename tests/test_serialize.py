@@ -119,3 +119,16 @@ def test_each_distinct_string_becomes_one_scalar_per_load():
     assert len({id(x) for x in first}) <= 2
     # no cache outlives a call: a second load builds its own Scalars
     assert not {id(x) for x in first} & {id(x) for x in second}
+
+
+NOT_ASCII = ["1\n", "٣", "１", "1/２"]  # trailing newline, Arabic-Indic 3, fullwidth 1 and 2
+
+
+@pytest.mark.parametrize("text", NOT_ASCII, ids=["newline", "arabic-indic", "fullwidth", "fullwidth-denominator"])
+def test_rationals_are_ascii_only(text):
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_scalar(text)
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_scalar({"conductor": 4, "coeffs": ["0/1", text]})
+    with pytest.raises(ParseError, match="malformed rational"):
+        loads(_kz2_with({(0, 0, 0): text}))
