@@ -202,6 +202,8 @@ def _hopf_parse(d: dict, memo: dict) -> Loaded:
             for b in basis
         ):
             raise SchemaError("basis must be a list of integer triples")
+        if len(basis) != n:
+            raise SchemaError(f"basis must list {n} triples, one per basis element")
         extras["basis"] = tuple(tuple(b) for b in basis)
     return Loaded("hopf", h, extras)
 

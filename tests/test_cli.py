@@ -124,6 +124,19 @@ def test_non_ascii_or_newline_rationals_are_exit_2(tmp_path, capsys):
         assert "malformed rational" in out
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_hopf_basis_lists_exactly_dim_triples(tmp_path, capsys, count):
+    doc = json.loads(serialize.dumps(EXAMPLES["kz2"][1]()))
+    doc["basis"] = [[0, 0, 0]] * count
+    with pytest.raises(SchemaError, match="basis must list 2 triples"):
+        serialize.loads(json.dumps(doc))
+    f = tmp_path / "kz2.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "check-hopf", str(f))
+    assert code == 2
+    assert "basis must list 2 triples" in out
+
+
 def test_huge_conductor_is_rejected_before_it_is_factored(tmp_path, capsys):
     f = _vec_z2_with_entry(tmp_path, capsys, {"conductor": 10**12, "coeffs": ["1"]})
     t0 = time.perf_counter()
