@@ -11,7 +11,12 @@ Lexically malformed input raises ParseError (with line and column for
 JSON syntax errors); structurally invalid input, including any unknown
 field, raises SchemaError.  Integer fields take exact ints only
 (`type(x) is int`): JSON true and false load as bools, an int subclass,
-and are rejected rather than read as 1 and 0.
+and are rejected rather than read as 1 and 0.  A rational is ASCII only,
+matched in full by -?[0-9]+(/[0-9]+)?: no Unicode digits, no newline.
+
+Each call parses a distinct string once: `loads` keeps a memo from string
+to Scalar, so equal cells share one immutable Scalar, and `dumps` keeps
+one from id(Scalar) to its formatted value.  Both are locals of the call.
 """
 
 from __future__ import annotations
@@ -424,7 +429,7 @@ def loads(text: str) -> Loaded:
     if not isinstance(d, dict):
         raise SchemaError("top level must be an object")
     kind = d.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise SchemaError(f"unknown kind {kind!r}")
     return _PARSERS[kind](d, {})
 

@@ -1,14 +1,17 @@
 """The load path of `serialize`: byte-exact round trips of every golden file,
-a cell-by-cell reference parse, and the order in which malformed cells are
-reported.
+a cell-by-cell reference parse, the order in which malformed cells are
+reported, the per-call memo of parsed strings, the ASCII rule for
+rationals, and a fuzz of `loads` over single-value replacements.
 """
 
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfrec.errors import ParseError, SchemaError
+from hopfrec.errors import ParseError, SchemaError, ShapeError
 from hopfrec.examples import gen_pointed_category
 from hopfrec.groups import cyclic_group
 from hopfrec.scalars import Scalar
@@ -132,3 +135,55 @@ def test_rationals_are_ascii_only(text):
         parse_scalar({"conductor": 4, "coeffs": ["0/1", text]})
     with pytest.raises(ParseError, match="malformed rational"):
         loads(_kz2_with({(0, 0, 0): text}))
+
+
+FUZZED = {
+    name: json.loads((GOLDEN / f"{name}.json").read_text())
+    for name in ("kz2", "vec-z2", "vec-z2-fiber", "kz2-modules", "z2-group")
+}
+# the payloads' own field names and scalar strings, so that a drawn value
+# often gets past the first check it meets
+WORDS = ["conductor", "coeffs", "rows", "cols", "entries", "key", "matrix", "name", "dim", "action"]
+SCALARS = ["0/1", "1/1", "-1/2", "1/0", "x"]
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(SCALARS),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    items = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    for k, child in items:
+        yield from _paths(child, path + (k,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_loads_fails_only_with_the_errors_the_cli_maps_to_exit_2(data):
+    doc = json.loads(json.dumps(FUZZED[data.draw(st.sampled_from(sorted(FUZZED)))]))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(JSON)
+    if path:
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+    else:
+        doc = value
+    try:
+        loads(json.dumps(doc))
+    except (ParseError, SchemaError, ShapeError):
+        pass
+
+
+def test_an_unhashable_kind_is_a_schema_error():
+    with pytest.raises(SchemaError, match=r"unknown kind \[\]"):
+        loads('{"kind": []}')
