@@ -49,19 +49,16 @@ def format_scalar(s: Scalar):
 
 def _format(s: Scalar, memo: dict):
     """format_scalar once per Scalar: the dumped object keeps each alive, so ids stay unique."""
-    out = memo.get(id(s))
-    if out is None:
+    if (out := memo.get(id(s))) is None:
         out = memo[id(s)] = format_scalar(s)
     return out
 
 
 def _parse_text(text, memo: dict) -> Scalar:
-    """The conductor 1 Scalar of a JSON string, parsed once per memo.  Only
-    successful parses are stored, so a malformed string raises every time."""
+    """The conductor 1 Scalar of a JSON string, parsed once per memo, which stores successes only."""
     if not isinstance(text, str):
         raise SchemaError(f"scalar must be a string or conductor object, got {type(text).__name__}")
-    s = memo.get(text)
-    if s is not None:
+    if (s := memo.get(text)) is not None:
         return s
     if not _RAT.fullmatch(text):
         raise ParseError(f"malformed rational {text!r}")
@@ -71,8 +68,7 @@ def _parse_text(text, memo: dict) -> Scalar:
         raise ParseError(f"rational of {len(text)} characters is too long") from None
     if q == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    s = memo[text] = _rat(Fraction(p, q))
-    return s
+    return memo.setdefault(text, _rat(Fraction(p, q)))
 
 
 def parse_scalar(obj) -> Scalar:

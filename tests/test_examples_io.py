@@ -114,6 +114,8 @@ def test_parse_rejects_zero_denominator():
 def test_loads_rejects_unknown_kind_and_fields():
     with pytest.raises(SchemaError, match="kind"):
         loads('{"kind": "frobnicator"}\n')
+    with pytest.raises(SchemaError, match=r"unknown kind \[\]"):
+        loads('{"kind": []}\n')
     good = dumps(gen_group_algebra(Z2))
     import json
 

@@ -182,8 +182,3 @@ def test_loads_fails_only_with_the_errors_the_cli_maps_to_exit_2(data):
         loads(json.dumps(doc))
     except (ParseError, SchemaError, ShapeError):
         pass
-
-
-def test_an_unhashable_kind_is_a_schema_error():
-    with pytest.raises(SchemaError, match=r"unknown kind \[\]"):
-        loads('{"kind": []}')
