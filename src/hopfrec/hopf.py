@@ -44,17 +44,32 @@ rendered at its own.  The map is lowered whenever it is rational, and each
 presentation enters with its views as they are; a product with a Scalar
 factor is a Scalar, and a Scalar side renders as its value divided by its
 scale.  Its sides span target cells and use the target's store.
+
+Generators.  Once a map f into an algebra has f(1) = 1, the x with
+f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;
+so f is multiplicative as soon as that identity holds at x in a set of
+generators.  `AlgebraPresentation._gens` is such a set of basis indices,
+taken greedily (e_i joins when it lies outside the subalgebra generated
+so far), and None unless check_algebra has passed: its verdict is kept by
+the sweep that ran, and the sweep runs once when none has.
+check_bialgebra first checks comult-of-unit and counit-of-unit, both
+multiplicativities at (g, j), then coassociativity and both counit laws
+at g, for g in the generators: once Delta and the counit are
+multiplicative, both sides of those laws are algebra maps, which agree
+wherever they agree on generators.  Any failure there runs the full
+sweep, so a failing report lists every tuple in the same order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import ShapeError
-from .matrices import Matrix, lowering
+from .matrices import Matrix, _inv, lowering
 from .reports import CheckReport
 from .scalars import ZERO, Scalar, sc
 
@@ -86,6 +101,14 @@ class AlgebraPresentation:
     @cached_property
     def _views(self) -> "_Views":
         return _Views(self.mult, self.unit)
+
+    @cached_property
+    def _gens(self) -> list | None:
+        """Basis indices of generators, or None when the algebra fails
+        check_algebra (see the module docstring)."""
+        if self._views.passed is None:
+            check_algebra(self)
+        return _generators(self._views) if self._views.passed else None
 
 
 @dataclass(frozen=True)
@@ -145,10 +168,81 @@ class _Views:
         self.dp = [[(j * n + k, x) for j, k, x in plane] for plane in self.dl]
         self.dt = [[(o * n, x) for o, x in plane] for plane in self.dp]
         self.dense = nnz * nnz >= n**5
+        self.passed = None  # check_algebra's verdict, once it has run
 
     def store(self, cells: int):
         """An empty side over `cells` flat offsets, in this presentation's store."""
         return [0] * cells if self.dense else defaultdict(int)
+
+
+def _generators(v: _Views) -> list:
+    """Greedy generators of an associative unital algebra from its views:
+    index i joins when e_i lies outside the subalgebra that 1 and the
+    indices before it generate.  When every product of basis elements is a
+    multiple of at most one basis element, that subalgebra is K1 plus the
+    span of the basis elements that products of generators reach, and sets
+    of indices decide; otherwise exact elimination does."""
+    m, n = v.m, len(v.m)
+    gens = []
+    if all(len(row) <= 1 for plane in m for row in plane):
+        unit = {k for k, x in enumerate(v.u) if x}
+        inside: set = set()
+
+        def close(work):
+            # with one index of the unit left outside, 1 puts its e_k inside
+            while work or len(unit - inside) == 1:
+                x = work.pop() if work else min(unit - inside)
+                if x not in inside:
+                    inside.add(x)
+                    for y in inside:
+                        work += [k for k, _ in m[x][y]] + [k for k, _ in m[y][x]]
+
+        close([])
+        for i in range(n):
+            if i not in inside:
+                gens.append(i)
+                close([i])
+        return gens
+
+    rows: list = []  # (pivot, row): 1 at its pivot, 0 at the pivots before it
+    field = Fraction if type(v.u[0]) is int else sc  # lowered ints, or Scalars
+
+    def absorb(vec) -> bool:
+        """Add vec to the span; False when it already lies in it."""
+        for p, row in rows:
+            if c := vec[p]:
+                vec = [x - c * y for x, y in zip(vec, row)]
+        p = next((k for k, x in enumerate(vec) if x), None)
+        if p is not None:
+            inv = _inv(vec[p])
+            rows.append((p, [x * inv for x in vec]))
+        return p is not None
+
+    def times(g, w):
+        """e_g w, up to the views' scale."""
+        out = [field(0)] * n
+        for j, x in enumerate(w):
+            if x:
+                for k, c in m[g][j]:
+                    out[k] += x * c
+        return out
+
+    members = [[field(x) for x in v.u]]
+    absorb(members[0])
+    for i in range(n):
+        e = [field(int(k == i)) for k in range(n)]
+        if absorb(e):
+            gens.append(i)
+            members.append(e)
+            # close the span of members under left products by generators
+            work = list(members)
+            while work:
+                w = work.pop()
+                for g in gens:
+                    if absorb(p := times(g, w)):
+                        members.append(p)
+                        work.append(p)
+    return gens
 
 
 def _same(a, b) -> bool:
@@ -242,12 +336,28 @@ def check_algebra(a: AlgebraPresentation) -> CheckReport:
         want[i] = 1
         _compare(rep, "left-unit", (i,), left, D2, want, 1)
         _compare(rep, "right-unit", (i,), right, D2, want, 1)
+    v.passed = rep.passed
     return rep
 
 
 def check_bialgebra(h: HopfPresentation) -> CheckReport:
     """Coassociativity, counit laws, and compatibility of Delta, counit
-    with multiplication and unit."""
+    with multiplication and unit.  Decided on the algebra's generators
+    when they exist and everything passes there (see the module
+    docstring); otherwise every index is checked."""
+    gens = h.alg._gens
+    if gens is not None:
+        rep = _bialgebra(h, gens, stop=True)
+        if rep.passed:
+            return rep
+    return _bialgebra(h, range(h.dim))
+
+
+def _bialgebra(h: HopfPresentation, rows, stop: bool = False) -> CheckReport:
+    """check_bialgebra with coassociativity and the counit laws checked at
+    e_i, and both multiplicativities at (e_i, e_j) for every j, for i in
+    rows.  With stop, the unit checks run first, then the
+    multiplicativities, and the sweep ends at its first failure."""
     n = h.dim
     nn = n * n
     rep = CheckReport("bialgebra")
@@ -255,7 +365,7 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
     m, mt, dl, dp, dt, eps, u, store = v.m, v.mt, v.dl, v.dp, v.dt, v.eps, v.u, v.store
     D2, D4 = v.D**2, v.D**4
 
-    for i in range(n):
+    def coassociativity(i):
         lhs = store(nn * n)
         rhs = store(nn * n)
         for j, k, c in dl[i]:
@@ -266,7 +376,7 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
                 rhs[o0 + o] += c * d
         _compare(rep, "coassociativity", (i,), lhs, D2, rhs, D2, n, 3)
 
-    for i in range(n):
+    def counit_laws(i):
         left = store(n)
         right = store(n)
         for j, k, c in dl[i]:
@@ -288,7 +398,7 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
         for a2, b2, c2 in dl[j]:
             by_first[a2].setdefault(b2, []).append((j * nn, c2))
 
-    for i in range(n):
+    def multiplicative(i):
         # Delta(e_i e_j) and Delta(e_i) Delta(e_j) for every j, over the
         # cells (j, p, q); the left side has degree 2 and is held at D^4
         lhs = store(nn * n)
@@ -324,22 +434,36 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
             if e_lhs != e_rhs:
                 rep.add("counit-multiplicative", (i, j), _value(e_lhs, D2), _value(e_rhs, D2))
 
-    du = store(nn)
-    for i in range(n):
-        if u[i]:
-            for o, c in dp[i]:
-                du[o] += u[i] * c
-    uu = store(nn)
-    for j in range(n):
-        for k in range(n):
-            x = u[j] * u[k]
-            if x:
-                uu[j * n + k] = x
-    _compare(rep, "comult-of-unit", (), du, D2, uu, D2, n, 2)
+    def unit_laws():
+        du = store(nn)
+        for i in range(n):
+            if u[i]:
+                for o, c in dp[i]:
+                    du[o] += u[i] * c
+        uu = store(nn)
+        for j in range(n):
+            for k in range(n):
+                x = u[j] * u[k]
+                if x:
+                    uu[j * n + k] = x
+        _compare(rep, "comult-of-unit", (), du, D2, uu, D2, n, 2)
 
-    eu = sum(u[i] * eps[i] for i in range(n))
-    if eu != D2:
-        rep.add("counit-of-unit", (), _value(eu, D2), _value(D2, D2))
+        eu = sum(u[i] * eps[i] for i in range(n))
+        if eu != D2:
+            rep.add("counit-of-unit", (), _value(eu, D2), _value(D2, D2))
+
+    if stop:
+        unit_laws()
+        for sweep in (multiplicative, coassociativity, counit_laws):
+            for i in rows:
+                if not rep.passed:
+                    return rep
+                sweep(i)
+        return rep
+    for sweep in (coassociativity, counit_laws, multiplicative):
+        for i in rows:
+            sweep(i)
+    unit_laws()
     return rep
 
 
