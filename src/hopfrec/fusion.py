@@ -39,7 +39,7 @@ from itertools import product
 from math import lcm
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
-from .matrices import Matrix, lowering, mat_inverse
+from .matrices import Matrix, _with_inverse, lowering, mat_inverse
 from .reports import CheckReport
 from .scalars import ONE, ZERO, _mul_int, phi_degree, sc
 
@@ -351,9 +351,10 @@ def _stack(blocks: list) -> Matrix:
 
 
 def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
-    """The trees (a b c) -> d realized through J, for every total d.
+    """The trees (a b c) -> d realized through J, for every total d that
+    has a tree, ascending.
 
-    Entry d is (left, right): one dims[d] x (dims[a] dims[b] dims[c])
+    Each entry is (d, left, right): one dims[d] x (dims[a] dims[b] dims[c])
     matrix per tree of f_left_basis(N, a, b, c, d), resp. f_right_basis,
     in that order.  Left tree (e, mu, nu) is copy nu of d in J[(e, c)]
     after copy mu of e in J[(a, b)] (x) I; right tree (f, rho, sigma) is
@@ -381,27 +382,32 @@ def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
             _copy_rows(J[(a, f)], N[a][f], dims, d, sigma) * first_right[f, rho]
             for f, rho, sigma in f_right_basis(N, a, b, c, d)
         ]
-        out.append((left, right))
+        if left or right:
+            out.append((d, left, right))
     return out
 
 
-def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
+def verify_tensorator(skel: FusionSkeleton, fiber: FiberData, *, trees=None) -> CheckReport:
     """The fiber functor's J against the category's F: for every triple and
     total d, the trees of tree_maps satisfy R_y = sum_x F[y, x] L_x, so
     decomposing (ab)c through J and recoordinatizing by F equals
     decomposing a(bc) through J.  A failing triple reports both sides
-    stacked over d.  Also the strict unit constraints on J.
+    stacked over d.  Also the strict unit constraints on J.  trees, when
+    given, maps (a, b, c) to tree_maps of skel.fusion, fiber.J and
+    fiber.dims at that triple, already realized by the caller.
 
     Raises NonInvertibleJ when some J block is singular; everything else
-    is reported, not raised.
+    is reported, not raised.  Each block's inverse is kept by mat_inverse.
     """
     validate_fiber(skel, fiber)
     rep = CheckReport("tensor-structure")
     r = skel.rank
     d = fiber.dims
     for key in sorted(fiber.J):
-        if fiber.J[key].rank() != fiber.J[key].rows:
-            raise NonInvertibleJ(f"J[{key}] is singular")
+        try:
+            mat_inverse(fiber.J[key])
+        except ValueError:
+            raise NonInvertibleJ(f"J[{key}] is singular") from None
 
     u = skel.unit
     iota = fiber.iota
@@ -416,7 +422,8 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
         for b in range(r):
             for c in range(r):
                 lhs, rhs = [], []
-                for dd, (left, right) in enumerate(tree_maps(skel.fusion, fiber.J, d, a, b, c)):
+                maps = trees[a, b, c] if trees is not None else tree_maps(skel.fusion, fiber.J, d, a, b, c)
+                for dd, left, right in maps:
                     if left:
                         lhs.append(skel.F[(a, b, c, dd)].kron(Matrix.identity(d[dd])) * _stack(left))
                         rhs.append(_stack(right))
@@ -481,23 +488,27 @@ def verify_duality(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
 
 def compute_delta(skel: FusionSkeleton, fiber: FiberData) -> dict:
     """Transpose pairings delta_a = P_a^T used to conjugate between a
-    block and its dual's block.  Raises NonRigid when some pairing is
-    singular, since then no antipode can be formed."""
+    block and its dual's block, each holding its inverse for mat_inverse.
+    Raises NonRigid when some pairing is singular, since then no antipode
+    can be formed."""
     validate_fiber(skel, fiber)
     out = {}
     for a in range(skel.rank):
         p = pairing_matrix(skel, fiber, a)
-        if not p.is_square() or p.rank() != p.rows:
-            raise NonRigid(f"pairing for simple {a} is singular")
-        out[a] = p.transpose()
+        try:
+            pinv = mat_inverse(p)
+        except (ShapeError, ValueError):
+            raise NonRigid(f"pairing for simple {a} is singular") from None
+        out[a] = _with_inverse(p.transpose(), pinv.transpose())
     return out
 
 
-def verify_category(skel: FusionSkeleton, fiber: FiberData | None = None) -> list:
+def verify_category(skel: FusionSkeleton, fiber: FiberData | None = None, *, trees=None) -> list:
     """The full coherence suite: pentagon, then with a fiber the tensor
-    structure compatibility and the duality zigzags."""
+    structure compatibility (given the trees, as verify_tensorator takes
+    them) and the duality zigzags."""
     reports = [verify_pentagon(skel)]
     if fiber is not None:
-        reports.append(verify_tensorator(skel, fiber))
+        reports.append(verify_tensorator(skel, fiber, trees=trees))
         reports.append(verify_duality(skel, fiber))
     return reports

@@ -36,7 +36,7 @@ from .scalars import ONE, ZERO, Scalar, _rat, sc
 class Matrix:
     """Immutable exact matrix.  `entries` is a flat row-major tuple."""
 
-    __slots__ = ("rows", "cols", "entries", "_n", "_low")
+    __slots__ = ("rows", "cols", "entries", "_n", "_low", "_inv")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [sc(x) for x in entries]
@@ -71,9 +71,12 @@ class Matrix:
             d //= g
             low = [[(j, x // g) for j, x in row] for row in low]
         out = [ZERO] * (rows * cols)
+        made: dict = {}  # x -> its Scalar, so equal entries share one
         for i, row in enumerate(low):
             for j, x in row:
-                out[i * cols + j] = _rat(Fraction(x, d) if d != 1 else Fraction(x))
+                if (e := made.get(x)) is None:
+                    e = made[x] = _rat(Fraction(x, d) if d != 1 else Fraction(x))
+                out[i * cols + j] = e
         m = cls._of(rows, cols, out)
         object.__setattr__(m, "_low", (d, low))
         return m
@@ -348,12 +351,24 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def mat_inverse(m: Matrix) -> Matrix:
+    """The inverse, eliminated once: m and its inverse each keep the other."""
+    if hasattr(m, "_inv"):
+        return m._inv
     if not m.is_square():
         raise ShapeError("inverse of a non-square matrix")
     inv = mat_solve(m, Matrix.identity(m.rows))
     if inv is None:
         raise ValueError("matrix is singular")
+    _with_inverse(m, inv)
     return inv
+
+
+def _with_inverse(m: Matrix, inv: Matrix) -> Matrix:
+    """m, now keeping inv as its inverse, and inv keeping a copy of m that
+    shares its entries (m itself would make a reference cycle)."""
+    object.__setattr__(m, "_inv", inv)
+    object.__setattr__(inv, "_inv", Matrix._of(m.rows, m.cols, m.entries))
+    return m
 
 
 def block_diag(blocks: list[Matrix]) -> Matrix:

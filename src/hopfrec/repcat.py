@@ -5,6 +5,18 @@ skeletal category data with the forgetful fiber functor.
 A module is the tuple of action matrices of the algebra basis.  All
 decompositions use the canonical echelon bases of intertwiner spaces, so
 every derived object (J, F, duals, coevaluations) is deterministic.
+
+Generators.  The basis indices `AlgebraPresentation._gens` generate the
+algebra, and exist only once check_algebra has passed (see hopf).  The
+e_x on which a module's action is multiplicative form a unital subalgebra
+once the unit acts as the identity, so verify_irreps checks module
+structure at (g, j) for g in the generators and every j, and sweeps every
+(i, j) of a module on any failure.  The e_x that an intertwiner of two
+modules commutes with form a unital subalgebra too, so hom_space(...,
+gens=...) solves the constraints of the generators alone; because its
+arguments need not be modules, each basis matrix T it finds is then
+checked against every action, aw T = T av, and any miss solves all the
+constraints instead.  gens changes only the work done, never the answer.
 """
 
 from __future__ import annotations
@@ -102,7 +114,7 @@ def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
     return ModuleRep(v.dim, tuple(action), f"{v.name}*")
 
 
-def hom_space(v: ModuleRep, w: ModuleRep) -> list:
+def hom_space(v: ModuleRep, w: ModuleRep, *, gens=None) -> list:
     """Canonical basis of intertwiners v -> w, as dim(w) x dim(v) matrices.
 
     T intertwines iff act_w(e_i) T = T act_v(e_i) for every basis element;
@@ -110,14 +122,24 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
     on act_w (x) I - I (x) act_v^T.  The kernel is refined one constraint
     at a time, which usually stabilizes after a few basis elements, and is
     re-echelonized at the end so the result equals the canonical reduced
-    basis of the joint kernel.
+    basis of the joint kernel.  With gens, the constraints of those basis
+    indices come first, as the module docstring says.
     """
     assert len(v.action) == len(w.action)
+    if gens is not None:
+        basis = _hom_basis(v, w, gens)
+        if all(aw * t == t * av for t in basis for av, aw in zip(v.action, w.action)):
+            return basis
+    return _hom_basis(v, w, range(len(v.action)))
+
+
+def _hom_basis(v: ModuleRep, w: ModuleRep, rows) -> list:
+    """hom_space on the constraints of the basis indices in rows."""
     ker = Matrix.identity(w.dim * v.dim)
-    for av, aw in zip(v.action, w.action):
+    for i in rows:
         if ker.cols == 0:
             break
-        hit = _intertwiner_constraint(av, aw) * ker
+        hit = _intertwiner_constraint(v.action[i], w.action[i]) * ker
         if hit.is_zero():
             continue
         ker = ker * mat_kernel(hit)
@@ -172,9 +194,11 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     """The family is a complete set of pairwise distinct split irreducible
     modules: actions respect the structure tensors, endomorphism spaces are
     one dimensional, cross homs vanish, and squared dimensions fill the
-    algebra."""
+    algebra.  Module structure and the hom spaces are decided on the
+    algebra's generators where the module docstring allows."""
     rep = CheckReport("irreducible-family")
     n = alg.dim
+    gens = alg._gens
     for idx, v in enumerate(modules):
         if len(v.action) != n:
             raise ShapeError(f"module {idx} has {len(v.action)} action matrices for dim {n}")
@@ -184,26 +208,19 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
                 uni = uni + alg.unit[i] * v.action[i]
         if uni != Matrix.identity(v.dim):
             rep.add("module-unit", (idx,), uni, Matrix.identity(v.dim))
-        for i in range(n):
-            for j in range(n):
-                lhs = v.action[i] * v.action[j]
-                rhs = Matrix.zeros(v.dim, v.dim)
-                for k in range(n):
-                    c = alg.mult[i][j][k]
-                    if c:
-                        rhs = rhs + c * v.action[k]
-                if lhs != rhs:
-                    rep.add("module-structure", (idx, i, j), lhs, rhs)
+        elif gens is not None and _module_structure(CheckReport(rep.name), alg, idx, v, gens).passed:
+            continue
+        _module_structure(rep, alg, idx, v, range(n))
 
     for idx, v in enumerate(modules):
-        endo = len(hom_space(v, v))
+        endo = len(hom_space(v, v, gens=gens))
         if endo != 1:
             rep.add("split-irreducible", (idx,), f"dim End = {endo}", "dim End = 1")
     for a in range(len(modules)):
         for b in range(len(modules)):
             if a == b:
                 continue
-            cross = len(hom_space(modules[a], modules[b]))
+            cross = len(hom_space(modules[a], modules[b], gens=gens))
             if cross:
                 rep.add("distinct", (a, b), f"dim Hom = {cross}", "dim Hom = 0")
     total = sum(v.dim * v.dim for v in modules)
@@ -212,13 +229,29 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     return rep
 
 
-def decompose(v: ModuleRep, irreps: list) -> Decomposition:
+def _module_structure(rep: CheckReport, alg: AlgebraPresentation, idx: int, v: ModuleRep, rows) -> CheckReport:
+    """act(e_i) act(e_j) = act(e_i e_j) for i in rows and every j."""
+    for i in rows:
+        for j in range(alg.dim):
+            lhs = v.action[i] * v.action[j]
+            rhs = Matrix.zeros(v.dim, v.dim)
+            for k in range(alg.dim):
+                c = alg.mult[i][j][k]
+                if c:
+                    rhs = rhs + c * v.action[k]
+            if lhs != rhs:
+                rep.add("module-structure", (idx, i, j), lhs, rhs)
+    return rep
+
+
+def decompose(v: ModuleRep, irreps: list, *, gens=None) -> Decomposition:
     """Multiplicities and the isomorphism onto the ordered isotypic sum.
-    Raises DecompositionGap when the family does not exhaust v."""
+    Raises DecompositionGap when the family does not exhaust v.  gens is
+    passed on to hom_space."""
     cols = []
     mult = []
     for w in irreps:
-        basis = hom_space(w, v)
+        basis = hom_space(w, v, gens=gens)
         mult.append(len(basis))
         for t in basis:
             for j in range(t.cols):
@@ -262,22 +295,23 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     if unit is None:
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
+    gens = h.alg._gens
     N = [[None] * r for _ in range(r)]
     J = {}
     for a in range(r):
         for b in range(r):
-            dec = decompose(tensor_module(h, modules[a], modules[b]), modules)
+            dec = decompose(tensor_module(h, modules[a], modules[b]), modules, gens=gens)
             N[a][b] = list(dec.mult)
             J[(a, b)] = dec.tau
     Ntup = tuple(tuple(tuple(row) for row in plane) for plane in N)
 
     F = {}
+    trees = {}
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                for d, (left, right) in enumerate(tree_maps(Ntup, J, dims, a, b, c)):
-                    if not left and not right:
-                        continue
+                trees[a, b, c] = tree_maps(Ntup, J, dims, a, b, c)
+                for d, left, right in trees[a, b, c]:
                     if len(left) != len(right):
                         raise SkeletalizationFailure(
                             f"tree spaces at {(a, b, c, d)} have dims {len(left)} and {len(right)}"
@@ -295,7 +329,7 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     for a in range(r):
         dm = dual_module(h, modules[a])
         for b in range(r):
-            if modules[b].dim == dm.dim and hom_space(dm, modules[b]):
+            if modules[b].dim == dm.dim and hom_space(dm, modules[b], gens=gens):
                 dual[a] = b
                 break
         if dual[a] is None:
@@ -330,7 +364,7 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     fiber = FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
 
     if verify:
-        reports = verify_category(skel, fiber)
+        reports = verify_category(skel, fiber, trees=trees)
         bad = [rep for rep in reports if not rep.passed]
         if bad:
             raise SkeletalizationFailure(

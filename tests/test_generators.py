@@ -1,0 +1,308 @@
+"""Verification on algebra generators, against the full sweep it replaces.
+
+`AlgebraPresentation._gens` lists basis indices that generate the algebra.
+check_bialgebra, verify_irreps and hom_space decide on those generators
+first and run every index on any failure, so each report must equal the
+forced full sweep: `hopf._bialgebra` over every index, verify_irreps on
+a copy of the algebra whose `_gens` is None, and hom_space without gens.
+
+K[S3] and rebuilt D(Z2) under a fixed rational change of basis have dense
+structure tensors, so their generators come from exact elimination rather
+than from closing sets of basis indices.  A guard test asserts that the
+generators decide, with no full sweep, on every shipped Hopf example and
+module family and on rebuilt K[S4].
+"""
+
+import dataclasses
+import functools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfrec import fusion, hopf, repcat
+from hopfrec.examples import EXAMPLES
+from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_algebra, check_bialgebra, run_hopf_checks
+from hopfrec.matrices import Matrix, mat_inverse
+from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
+from hopfrec.repcat import ModuleRep, hom_space, skeletalize, tensor_module, verify_irreps
+from hopfrec.scalars import Scalar
+
+HOPF_EXAMPLES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf"]
+FAMILIES = [name for name in HOPF_EXAMPLES if f"{name}-modules" in EXAMPLES]
+
+
+def fracs(xs):
+    return [x.as_fraction() for x in xs]
+
+
+def change_basis(h: HopfPresentation, mods: list):
+    """h and its modules on the basis f_i = sum_a P[a][i] e_a, for the
+    unitriangular P with P[a][i] = ((a + 2 i) % 5 - 2) / 3 above the
+    diagonal."""
+    n = h.dim
+    P = [[Fraction(int(a == i)) if a >= i else Fraction((a + 2 * i) % 5 - 2, 3) for i in range(n)] for a in range(n)]
+    Q = [fracs(row) for row in mat_inverse(Matrix.from_rows(P)).to_rows()]
+    mult = [[fracs(row) for row in plane] for plane in h.alg.mult]
+    comult = [[fracs(row) for row in plane] for plane in h.comult]
+
+    def contract(t, left, mid, right):
+        """out[i][j][k] = sum left[a][i] mid[b][j] right[k][c] t[a][b][c]."""
+        t1 = [[[sum(left[a][i] * t[a][b][c] for a in range(n)) for c in range(n)] for b in range(n)] for i in range(n)]
+        t2 = [[[sum(mid[b][j] * t1[i][b][c] for b in range(n)) for c in range(n)] for j in range(n)] for i in range(n)]
+        return [[[sum(right[k][c] * t2[i][j][c] for c in range(n)) for k in range(n)] for j in range(n)] for i in range(n)]
+
+    Qt = [list(col) for col in zip(*Q)]
+    unit = [sum(Q[k][c] * u for c, u in enumerate(fracs(h.alg.unit))) for k in range(n)]
+    counit = [sum(P[a][i] * e for a, e in enumerate(fracs(h.counit))) for i in range(n)]
+    antipode = Matrix.from_rows(Q) * h.antipode * Matrix.from_rows(P)
+    out = HopfPresentation(
+        AlgebraPresentation(n, contract(mult, P, P, Q), unit), contract(comult, P, Qt, Q), counit, antipode
+    )
+    moved = [
+        ModuleRep(v.dim, [functools.reduce(Matrix.__add__, [P[a][i] * v.action[a] for a in range(n)]) for i in range(n)], v.name)
+        for v in mods
+    ]
+    return out, moved
+
+
+@functools.cache
+def base(name):
+    """(presentation, module family) by name: the shipped ks3, rebuilt K[S3],
+    D(Z2) and K[S4] with their zeta_modules, and the two dense ones."""
+    if name.startswith("dense-"):
+        return change_basis(*base(name.removeprefix("dense-")))
+    if name.startswith("rebuilt-"):
+        src = name.removeprefix("rebuilt-")
+        rec = reconstruct_hopf(*skeletalize(EXAMPLES[src][1](), EXAMPLES[f"{src}-modules"][1](), verify=False), verify=False)
+        return rec.hopf, zeta_modules(rec)
+    return EXAMPLES[name][1](), EXAMPLES[f"{name}-modules"][1]()
+
+
+def span_of_words(alg: AlgebraPresentation, gens: list) -> int:
+    """Dimension of the span of 1 and every product of the generators, by
+    left products over the structure tensor as given; one rref per word
+    length keeps the independent vectors."""
+    vecs: list = []
+    frontier = [list(alg.unit)]
+    while frontier:
+        cand = vecs + frontier
+        _, pivots = Matrix.from_rows(cand).transpose().rref()
+        grown = [cand[p] for p in pivots if p >= len(vecs)]
+        vecs = [cand[p] for p in pivots]
+        frontier = [times(alg, g, w) for w in grown for g in gens]
+    return len(vecs)
+
+
+def times(alg: AlgebraPresentation, g: int, w: list) -> list:
+    """e_g w over the structure tensor."""
+    out = [Scalar.rational(0)] * alg.dim
+    for j, x in enumerate(w):
+        if x:
+            for k, c in enumerate(alg.mult[g][j]):
+                if c:
+                    out[k] = out[k] + x * c
+    return out
+
+
+@pytest.mark.parametrize("name", ["dense-ks3", "dense-rebuilt-dz2"])
+def test_dense_generators_come_from_elimination_and_generate(name):
+    h, _ = base(name)
+    alg = h.alg
+    assert any(len(row) > 1 for plane in alg._views.m for row in plane), "not a dense product"
+    gens = alg._gens
+    assert gens and span_of_words(alg, gens) == alg.dim
+    # the same algebra on the Scalar path picks the same generators
+    promoted = AlgebraPresentation(alg.dim, [[[x.promote(2) for x in r] for r in p] for p in alg.mult], [x.promote(2) for x in alg.unit])
+    assert promoted._gens == gens
+    assert all(r.passed for r in run_hopf_checks(h))
+
+
+@pytest.mark.parametrize("name", ["dense-ks3", "dense-rebuilt-dz2", "ks3", "fun-s3", "dz2", "rebuilt-ks3"])
+def test_generators_are_the_greedy_choice(name):
+    """e_i joins exactly when it enlarges the subalgebra generated so far."""
+    alg = base(name)[0].alg
+    want: list = []
+    for i in range(alg.dim):
+        if span_of_words(alg, want + [i]) > span_of_words(alg, want):
+            want.append(i)
+    assert alg._gens == want
+
+
+@pytest.mark.parametrize("name", HOPF_EXAMPLES + ["rebuilt-ks4"])
+def test_shipped_generators_generate(name):
+    h = base(name)[0] if name.startswith("rebuilt-") else EXAMPLES[name][1]()
+    gens = h.alg._gens
+    assert span_of_words(h.alg, gens) == h.dim
+    support = [k for k, x in enumerate(h.alg.unit) if x]
+    assert len(support) > 1 or support[0] not in gens  # 1 is never a generator
+
+
+def test_group_algebra_generators_and_rebuilt_count():
+    assert EXAMPLES["ks4"][1]().alg._gens == [1, 2, 6]
+    assert len(base("rebuilt-ks4")[0].alg._gens) == 15
+
+
+def test_generators_need_a_passing_check_algebra_run_once(monkeypatch):
+    calls = []
+    real = hopf.check_algebra
+    monkeypatch.setattr(hopf, "check_algebra", lambda a: calls.append(a) or real(a))
+    h = EXAMPLES["ks3"][1]()
+    run_hopf_checks(h)
+    assert len(calls) == 1 and h.alg._gens == [1, 2]
+    # with no verdict yet, the generators run the sweep once themselves
+    fresh = EXAMPLES["ks3"][1]()
+    assert fresh.alg._gens == [1, 2] and len(calls) == 2
+    broken = [[list(r) for r in p] for p in fresh.alg.mult]
+    broken[1][1][0] = broken[1][1][0] + 1
+    alg = AlgebraPresentation(fresh.dim, broken, fresh.alg.unit)
+    assert not check_algebra(alg).passed and alg._gens is None
+
+
+# -- reports equal the forced full sweep -------------------------------------
+
+def full_sweep_alg(alg: AlgebraPresentation) -> AlgebraPresentation:
+    out = dataclasses.replace(alg)
+    out.__dict__["_gens"] = None
+    return out
+
+
+def bump(h, mods, target, cell, by):
+    """h and mods with one entry raised by `by`; target names the tensor,
+    "unit", "counit" or "action".  Returns (presentation, family)."""
+    t = {
+        "mult": [[list(r) for r in p] for p in h.alg.mult],
+        "comult": [[list(r) for r in p] for p in h.comult],
+        "unit": list(h.alg.unit),
+        "counit": list(h.counit),
+    }
+    if target == "action":
+        m, i, r, c = cell
+        rows = mods[m].action[i].to_rows()
+        rows[r][c] = rows[r][c] + by
+        action = list(mods[m].action)
+        action[i] = Matrix.from_rows(rows)
+        return h, mods[:m] + [ModuleRep(mods[m].dim, action, mods[m].name)] + mods[m + 1 :]
+    x = t[target]
+    for k in cell[:-1]:
+        x = x[k]
+    x[cell[-1]] = x[cell[-1]] + by
+    alg = AlgebraPresentation(h.dim, t["mult"], t["unit"])
+    return HopfPresentation(alg, t["comult"], t["counit"], h.antipode), mods
+
+
+def assert_reports_match_full_sweep(h, mods):
+    n = h.dim
+    assert check_bialgebra(h).lines() == hopf._bialgebra(h, range(n)).lines()
+    assert verify_irreps(h.alg, mods).lines() == verify_irreps(full_sweep_alg(h.alg), mods).lines()
+    gens = h.alg._gens
+    if gens is None:
+        return
+    pairs = [(v, w) for v in mods for w in mods]
+    pairs += [(w, tensor_module(h, mods[-1], v)) for v in mods[:2] for w in mods]
+    for v, w in pairs:
+        assert hom_space(v, w, gens=gens) == hom_space(v, w)
+
+
+BASES = ["ks3", "rebuilt-ks3", "rebuilt-dz2", "dense-ks3", "dense-rebuilt-dz2"]
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_unbumped_reports_match_full_sweep(name):
+    assert_reports_match_full_sweep(*base(name))
+
+
+def test_module_structure_needs_the_unit_to_act_as_one():
+    """Fun(Z2) is generated by delta_0, whose nonempty words never reach
+    1 = delta_0 + delta_1.  The line with delta_0 acting by 0 and delta_1
+    by 2 is multiplicative at (0, j), but not at (1, 1), and the unit acts
+    by 2: the full sweep must run."""
+    h = EXAMPLES["fun-z2"][1]()
+    assert h.alg._gens == [0]
+    v = ModuleRep(1, [Matrix(1, 1, [0]), Matrix(1, 1, [2])], "v")
+    rep = verify_irreps(h.alg, [v])
+    assert ("module-structure", (0, 1, 1)) in [(f.check, f.index) for f in rep.failures]
+    assert rep.lines() == verify_irreps(full_sweep_alg(h.alg), [v]).lines()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_bumped_reports_match_full_sweep(data):
+    h, mods = base(data.draw(st.sampled_from(BASES)))
+    n = h.dim
+    target = data.draw(st.sampled_from(["mult", "comult", "unit", "counit", "action"]))
+    idx = st.integers(0, n - 1)
+    if target == "action":
+        m = data.draw(st.integers(0, len(mods) - 1))
+        d = st.integers(0, mods[m].dim - 1)
+        cell = (m, data.draw(idx), data.draw(d), data.draw(d))
+    elif target in ("unit", "counit"):
+        cell = (data.draw(idx),)
+    else:
+        cell = data.draw(st.tuples(idx, idx, idx))
+    p = data.draw(st.integers(-3, 3).filter(bool))
+    q = data.draw(st.integers(1, 3))
+    assert_reports_match_full_sweep(*bump(h, mods, target, cell, Scalar.rational(p, q)))
+
+
+# -- the generators decide on every shipped example --------------------------
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The index sets each layer's sweep receives: a range means a full
+    sweep, a list the generators."""
+    seen = []
+    for module, name in ((hopf, "_bialgebra"), (repcat, "_hom_basis"), (repcat, "_module_structure")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            rows = args[1] if name == "_bialgebra" else args[-1]
+            seen.append((name, type(rows) is range))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", HOPF_EXAMPLES + ["rebuilt-ks4"])
+def test_check_bialgebra_decides_on_generators(name, sweeps):
+    h = base(name)[0] if name.startswith("rebuilt-") else EXAMPLES[name][1]()
+    assert check_bialgebra(h).passed
+    assert sweeps == [("_bialgebra", False)]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_skeletalize_decides_on_generators(name, sweeps):
+    skeletalize(*base(name), verify=False)
+    assert sweeps and not any(full for _, full in sweeps)
+
+
+def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
+    h, mods = base("rebuilt-ks4")
+    assert verify_irreps(h.alg, mods).passed
+    assert sweeps and not any(full for _, full in sweeps)
+
+
+# -- trees and inverses, computed once ---------------------------------------
+
+def test_trees_are_realized_once_per_triple(monkeypatch):
+    calls = []
+    real = fusion.tree_maps
+    for module in (fusion, repcat):
+        monkeypatch.setattr(module, "tree_maps", lambda *a: calls.append(a[3:]) or real(*a))
+    h, mods = base("ks3")
+    skel, fiber = skeletalize(h, mods, verify=True)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == skel.rank**3
+    calls.clear()
+    assert fusion.verify_tensorator(skel, fiber).passed
+    assert len(calls) == skel.rank**3
+
+
+def test_inverse_is_eliminated_once_and_kept_both_ways(monkeypatch):
+    m = Matrix.from_rows([[2, 1], [1, 1]])
+    inv = mat_inverse(m)
+    monkeypatch.setattr(Matrix, "rref", lambda self: pytest.fail("eliminated again"))
+    assert mat_inverse(m) is inv
+    assert mat_inverse(inv) == m
+    assert inv == Matrix.from_rows([[1, -1], [-1, 2]])
