@@ -7,14 +7,16 @@ the unique reduced echelon basis of the kernel space (pivot entries 1,
 pivot positions increasing left to right), read off one rref of the
 matrix with its columns reversed; underdetermined solves set the free
 variables to zero; an inverse is one solve against the identity, and a
-singular matrix shows as an inconsistent solve.
+singular matrix shows as an inconsistent solve.  mat_inverse keeps each
+inverse on its matrix, and the matrix (as a copy sharing its entries) on
+the inverse, so neither is eliminated twice.
 
 Rational kernel.  A matrix records the conductor its entries meet at.
 When both factors of a product have conductor 1 and the inner dimension
 is above 1, each factor is lowered once to D, the lcm of its
 denominators, and per row the (column, D*x) pairs of its nonzero entries
 x; the lowering is cached on the instance.  Output rows are summed in
-plain ints and each entry becomes a Scalar once, as x / (Da*Db).  The
+plain ints and each distinct value becomes one Scalar, as x / (Da*Db).  The
 product hands its result that lowering too, reduced by the gcd g of Da*Db
 and every sum, so the result's D is again the lcm of its denominators.  Kron
 on conductor 1 multiplies the Fractions directly, and elimination (rref,
@@ -351,7 +353,7 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """The inverse, eliminated once: m and its inverse each keep the other."""
+    """The inverse, eliminated once (see the module docstring)."""
     if hasattr(m, "_inv"):
         return m._inv
     if not m.is_square():
