@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfrec.errors import ShapeError
 from hopfrec.matrices import (
@@ -417,3 +419,145 @@ def test_kernel_matches_two_rref_reference():
         full_column_rank += m.cols > 0 and got.cols == 0
     assert full_column_rank >= 5
 
+
+
+# -- elimination against a Fraction Gauss-Jordan reference --------------------
+#
+# The reference is the Gauss-Jordan elimination on bare Fractions that the
+# rational kernel once ran: each pivot scaled to 1, then cleared from
+# every other row.  The kernel is read off one rref with the columns
+# reversed, a solve off the rref of [A | B], and the determinant off a
+# forward elimination.  Every conductor-1 result must equal it entry for
+# entry, with the same conductor and text.
+
+
+def ref_echelon(rows: list, ncols: int) -> tuple[list, list]:
+    m = [list(r) for r in rows]
+    pivots: list = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        prow = m[r] = [inv * x for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [x - f * y for x, y in zip(m[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def ref_kernel(rows: list, ncols: int) -> list:
+    """Kernel basis vectors, leading positions ascending."""
+    rev, pivots = ref_echelon([r[::-1] for r in rows], ncols)
+    vecs = []
+    for f in range(ncols - 1, -1, -1):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[ncols - 1 - f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[ncols - 1 - p] = -rev[r][f]
+        vecs.append(v)
+    return vecs
+
+
+def ref_solve(a: list, b: list, acols: int, bcols: int):
+    red, pivots = ref_echelon([ra + rb for ra, rb in zip(a, b)], acols + bcols)
+    if any(p >= acols for p in pivots):
+        return None
+    out = [[Fraction(0)] * bcols for _ in range(acols)]
+    for r, p in enumerate(pivots):
+        out[p] = red[r][acols:]
+    return out
+
+
+def ref_det(rows: list) -> Fraction:
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def frac_rows(m: Matrix) -> list:
+    return [[e.coeffs[0] for e in m.row(i)] for i in range(m.rows)]
+
+
+def assert_equals_ref(got: Matrix, want: list, rows: int, cols: int):
+    """got holds exactly the Fractions of want, as conductor-1 Scalars."""
+    ref = Matrix(rows, cols, [x for r in want for x in r])
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got._n == 1
+    assert [(e.conductor, e.coeffs) for e in got.entries] == [(1, (x,)) for r in want for x in r]
+    assert str(got) == str(ref)
+
+
+fraction_entries = st.tuples(st.integers(0, 9), st.integers(-20, 20), st.integers(1, 12)).map(
+    lambda t: Fraction(0) if t[0] < 4 else Fraction(t[1], t[2])
+)
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """0-7 x 0-7 rational matrices, about 40% zeros, with some rows
+    replaced by scaled copies of others to force rank deficiency."""
+    rows = draw(st.integers(0, 7)) if rows is None else rows
+    cols = draw(st.integers(0, 7)) if cols is None else cols
+    m = [draw(st.lists(fraction_entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1:
+        for dst, src, s in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1), fraction_entries), max_size=3)):
+            m[dst] = [s * x for x in m[src]] if s else list(m[src])
+    return m
+
+
+@given(rational_matrices(), st.integers(0, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_fraction_gauss_jordan(rows, bcols, data):
+    nr, nc = len(rows), len(rows[0]) if rows else data.draw(st.integers(0, 7))
+    m = Matrix(nr, nc, [x for r in rows for x in r])
+    want, want_pivots = ref_echelon(rows, nc)
+    red, pivots = m.rref()
+    assert_equals_ref(red, want, nr, nc)
+    assert pivots == want_pivots
+    assert m.rank() == len(want_pivots)
+
+    kernel = ref_kernel(rows, nc)
+    ker = mat_kernel(m)
+    assert_equals_ref(ker, [list(r) for r in zip(*kernel)] if kernel else [[]] * nc, nc, len(kernel))
+
+    xs = data.draw(rational_matrices(nc, 2))
+    for b in (data.draw(rational_matrices(nr, bcols)), frac_rows(m * Matrix(nc, 2, [x for r in xs for x in r]))):
+        bm = Matrix(nr, len(b[0]) if b else bcols, [x for r in b for x in r])
+        got, sol = mat_solve(m, bm), ref_solve(rows, b, nc, bm.cols)
+        assert (got is None) == (sol is None)
+        if sol is not None:
+            assert_equals_ref(got, sol, nc, bm.cols)
+
+    if nr == nc:
+        det = m.det()
+        assert (det.conductor, det.coeffs) == (1, (ref_det(rows),))
+        inv = ref_solve(rows, [[Fraction(int(i == j)) for j in range(nr)] for i in range(nr)], nr, nr)
+        if len(want_pivots) < nr:
+            with pytest.raises(ValueError) as err:
+                mat_inverse(m)
+            assert type(err.value) is ValueError and str(err.value) == "matrix is singular"
+        else:
+            assert_equals_ref(mat_inverse(m), inv, nr, nr)
