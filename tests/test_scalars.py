@@ -179,8 +179,11 @@ def in_field(n):
     )
 
 
-# same conductor (1 and 8) and mixed conductors (1 x 4, 4 x 8), both orders
+# same conductor (1 and 8) and mixed conductors (1 x 4, 4 x 8), both orders;
+# Phi_4 and Phi_8 are binomials, so conductors 3, 5, 12 and 15 (alone, mixed
+# and beside a rational) reduce against Phi_n with -1 and 0 coefficients
 CONDUCTOR_PAIRS = [(1, 1), (8, 8), (1, 4), (4, 1), (4, 8), (8, 4)]
+CONDUCTOR_PAIRS += [(3, 3), (5, 5), (12, 12), (15, 15), (3, 5), (5, 15), (1, 15)]
 scalar_pairs = st.sampled_from(CONDUCTOR_PAIRS).flatmap(
     lambda mn: st.tuples(in_field(mn[0]), in_field(mn[1]))
 )
