@@ -82,21 +82,35 @@ def phi_degree(n: int) -> int:
     return out
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Remainder of a polynomial modulo Phi_n, padded to length phi(n)."""
+def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
+    """Remainder of an int polynomial modulo Phi_n, padded to length phi(n);
+    Phi_n is monic and integral, so the remainder stays in ints."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
     cs = list(coeffs)
     for k in range(len(cs) - 1, deg - 1, -1):
-        c = cs[k]
-        if c:
-            # subtract c * x^(k-deg) * Phi_n; Phi_n is monic
-            for i in range(deg + 1):
+        if c := cs.pop():
+            # subtract c * x^(k-deg) * Phi_n below its leading term
+            for i in range(deg):
                 cs[k - deg + i] -= c * phi[i]
-        cs.pop()
     while len(cs) < deg:
-        cs.append(_ZERO)
+        cs.append(0)
     return tuple(cs)
+
+
+def _ints(coeffs: tuple) -> tuple[int, list[int]]:
+    """(D, the ints D*c): D is the lcm of the denominators of the Fractions c."""
+    d = lcm(*(c.denominator for c in coeffs))
+    if d == 1:
+        return 1, [c.numerator for c in coeffs]
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _fractions(cs, d: int) -> tuple:
+    """The Fractions c / d of ints c, in lowest terms."""
+    if d == 1:
+        return tuple(Fraction(c) if c else _ZERO for c in cs)
+    return tuple(Fraction(c, d) if c else _ZERO for c in cs)
 
 
 def _mul_int(a: tuple, b: tuple, n: int) -> tuple:
@@ -144,7 +158,7 @@ class Scalar:
     @classmethod
     def zeta(cls, n: int) -> "Scalar":
         """A primitive n-th root of unity, as the residue of x mod Phi_n."""
-        return _make(n, _reduce([_ZERO, _ONE], n))
+        return _make(n, _fractions(_reduce([0, 1], n), 1))
 
     @classmethod
     def coerce(cls, x) -> "Scalar":
@@ -181,11 +195,8 @@ class Scalar:
         if m == n:
             return self
         assert n % m == 0, "promotion target must be a conductor multiple"
-        stride = n // m
-        out = [_ZERO] * ((len(self.coeffs) - 1) * stride + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * stride] = c
-        return _make(n, _reduce(out, n))
+        d, cs = _ints(self.coeffs)
+        return _make(n, _fractions(_reduce(_at_power(cs, n // m), n), d))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -237,13 +248,8 @@ class Scalar:
         a, b, n = self._pair(other)
         if n == 1:
             return _rat(a.coeffs[0] * b.coeffs[0])
-        conv = [_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        conv[i + j] += ca * cb
-        return _make(n, _reduce(conv, n))
+        (da, ia), (db, ib) = _ints(a.coeffs), _ints(b.coeffs)
+        return _make(n, _fractions(_mul_int(ia, ib, n), da * db))
 
     __rmul__ = __mul__
 
@@ -257,8 +263,7 @@ class Scalar:
         n = self.conductor
         if n == 1:
             return _rat(1 / self.coeffs[0])
-        d = lcm(*(c.denominator for c in self.coeffs))
-        a = tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
+        d, a = _ints(self.coeffs)
         p = (1,) + (0,) * (len(a) - 1)
         for k in range(2, n):
             if gcd(k, n) == 1:
