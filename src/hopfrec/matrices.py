@@ -91,11 +91,19 @@ class Matrix:
             object.__setattr__(self, "_low", (d, [[(j, low(e)) for j, e in row] for row in nz]))
         return self._low
 
-    def _work_rows(self) -> list:
-        """Mutable rows for elimination: bare Fractions on conductor 1."""
-        if self._n == 1:
-            return [[e.coeffs[0] for e in self.row(i)] for i in range(self.rows)]
-        return [list(self.row(i)) for i in range(self.rows)]
+    def _rows(self) -> list:
+        """Mutable rows for `_echelon`: Scalars, or on conductor 1 the ints
+        D*x, read off the lowering the matrix holds (none is cached)."""
+        if self._n != 1:
+            return self.to_rows()
+        if not hasattr(self, "_low"):
+            _, low = lowering(self.entries)
+            return [[low(e) for e in self.row(i)] for i in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for row, pairs in zip(out, self._low[1]):
+            for j, x in pairs:
+                row[j] = x
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -197,7 +205,6 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major: (A kron B)[(i,k),(j,l)] = A[i,j] B[k,l]."""
         rat = self._n == 1 == other._n
-        bfr = other._work_rows() if rat else None
         out = []
         for i in range(self.rows):
             arow = self.row(i)
@@ -211,39 +218,55 @@ class Matrix:
                     elif (f := a.coeffs[0]) == 1:
                         out.extend(brow)
                     else:
-                        out.extend(_rat(f * b) if b else ZERO for b in bfr[k])
+                        out.extend(_rat(f * b.coeffs[0]) if b else ZERO for b in brow)
         return Matrix._of(self.rows * other.rows, self.cols * other.cols, out)
 
     # -- elimination -----------------------------------------------------
 
-    def _echelon(self):
-        """Reduced row echelon form as mutable `_work_rows`, plus pivot columns."""
-        m = self._work_rows()
-        pivots = []
-        r = 0
+    def _echelon(self, m=None) -> tuple[list, list]:
+        """Gauss-Jordan elimination, in place, of the mutable rows m of a
+        matrix of this shape and conductor, by default its own `_rows`;
+        returns (m, pivot columns), pivot c of row r at pivots[r].  On
+        conductor 1 the rows hold ints and stay fraction-free: at a pivot
+        p = m[r][c], each other row with f = row[c] != 0 becomes (p/g) row -
+        (f/g) m[r], g = gcd(p, f), divided by the gcd of its entries.  Row r
+        of the rref is then m[r] / m[r][pivots[r]], and the rows past the
+        rank are zero.  Otherwise the rows hold Scalars and each pivot is
+        scaled to 1."""
+        m = self._rows() if m is None else m
+        pivots: list = []
         for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
+            r = len(pivots)
+            if r == len(m):
+                break
+            pr = next((i for i in range(r, len(m)) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = _inv(m[r][c])
-            prow = m[r] = [inv * x if x else x for x in m[r]]
-            for i in range(self.rows):
-                f = m[i][c]
-                if i != r and f:
-                    m[i] = [x - f * y if y else x for x, y in zip(m[i], prow)]
+            prow = m[r]
+            if self._n == 1:
+                p = prow[c]
+                for i, row in enumerate(m):
+                    if i != r and (f := row[c]):
+                        g = gcd(p, f)
+                        a, b = p // g, f // g
+                        row = [a * x - b * y for x, y in zip(row, prow)]
+                        if (h := gcd(*row)) > 1:
+                            row = [x // h for x in row]
+                        m[i] = row
+            else:
+                inv = prow[c].inverse()
+                prow = m[r] = [inv * x if x else x for x in prow]
+                for i, row in enumerate(m):
+                    if i != r and (f := row[c]):
+                        m[i] = [x - f * y if y else x for x, y in zip(row, prow)]
             pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
         return m, pivots
 
     def rref(self) -> tuple["Matrix", list[int]]:
         m, pivots = self._echelon()
-        flat = [x for r in m for x in r]
-        if self._n == 1:
-            flat = [_rat(x) if x else ZERO for x in flat]
-        return Matrix._of(len(m), self.cols, flat), pivots
+        ps = [row[p] for row, p in zip(m, pivots)] + [1] * (len(m) - len(pivots))
+        return _reduced(self._n, self.cols, [(p, enumerate(row)) for p, row in zip(ps, m)]), pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -252,7 +275,7 @@ class Matrix:
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
-        m = self._work_rows()
+        m = self.to_rows()
         det = 1
         for c in range(n):
             pr = next((i for i in range(c, n) if m[i][c]), None)
@@ -262,7 +285,7 @@ class Matrix:
                 m[c], m[pr] = m[pr], m[c]
                 det = -det
             det = det * m[c][c]
-            inv = _inv(m[c][c])
+            inv = m[c][c].inverse()
             for i in range(c + 1, n):
                 if m[i][c]:
                     f = m[i][c] * inv
@@ -304,6 +327,23 @@ def _inv(x):
     return x.inverse() if type(x) is Scalar else 1 / x
 
 
+def _reduced(n: int, cols: int, out: list) -> Matrix:
+    """The matrix read off `_echelon` rows at conductor n: row i holds x / p
+    at column j for each (j, x) in r, where out[i] = (p, r), and 0
+    elsewhere.  On conductor 1 only these cells are divided, and the result
+    is handed its lowering at D the lcm of the p, so D > 0 also when some p
+    is negative.  Otherwise p is 1 and the Scalars x, zeros too, are placed
+    as they are, so the result keeps their conductor."""
+    if n == 1:
+        d = lcm(*(p for p, _ in out))
+        return Matrix._from_low(len(out), cols, d, [[(j, x * (d // p)) for j, x in r if x] for p, r in out])
+    flat = [ZERO] * (len(out) * cols)
+    for i, (_, r) in enumerate(out):
+        for j, x in r:
+            flat[i * cols + j] = sc(x)
+    return Matrix._of(len(out), cols, flat)
+
+
 def mat_kernel(m: Matrix) -> Matrix:
     """Canonical basis of the right kernel, as columns.
 
@@ -318,17 +358,15 @@ def mat_kernel(m: Matrix) -> Matrix:
     column, where every other vector is 0.
     """
     c = m.cols
-    rev, pivots = Matrix._of(m.rows, c, [x for i in range(m.rows) for x in m.row(i)[::-1]])._echelon()
+    rev, pivots = m._echelon([row[::-1] for row in m._rows()])
     pivot_set = set(pivots)
     free = [f for f in range(c - 1, -1, -1) if f not in pivot_set]  # leading positions ascending
-    neg = (lambda x: _rat(-x) if x else ZERO) if m._n == 1 else (lambda x: -x)
-    k = len(free)
-    out = [ZERO] * (c * k)
+    out = [(1, ())] * c
     for j, f in enumerate(free):
-        out[(c - 1 - f) * k + j] = ONE
-        for r, p in enumerate(pivots):
-            out[(c - 1 - p) * k + j] = neg(rev[r][f])
-    return Matrix._of(c, k, out)
+        out[c - 1 - f] = (1, [(j, 1)])
+    for row, p in zip(rev, pivots):
+        out[c - 1 - p] = (row[p], [(j, -row[f]) for j, f in enumerate(free)])
+    return _reduced(m._n, len(free), out)
 
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -342,14 +380,13 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
     if a.rows != b.rows:
         raise ShapeError(f"A has {a.rows} rows but B has {b.rows}")
     aug = Matrix._of(a.rows, a.cols + b.cols, [x for i in range(a.rows) for x in (*a.row(i), *b.row(i))])
-    red, pivots = aug.rref()
+    red, pivots = aug._echelon()
     if any(p >= a.cols for p in pivots):
         return None
-    out = [[ZERO] * b.cols for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = red.at(r, a.cols + j)
-    return Matrix._of(a.cols, b.cols, [x for r in out for x in r])
+    out = [(1, ())] * a.cols
+    for row, pc in zip(red, pivots):
+        out[pc] = (row[pc], enumerate(row[a.cols :]))
+    return _reduced(aug._n, b.cols, out)
 
 
 def mat_inverse(m: Matrix) -> Matrix:

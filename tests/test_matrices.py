@@ -195,8 +195,8 @@ def test_public_constructor_coerces_and_validates():
 
 # -- rational kernel against the Scalar path -------------------------------
 #
-# Conductor-1 matrices take the rational kernel (int products, Fraction
-# elimination); the same matrices promoted to conductor 2, which is still
+# Conductor-1 matrices take the rational kernel (int products, fraction-free
+# elimination on int rows); the same matrices promoted to conductor 2, which is still
 # the field Q, take the Scalar loops.  Every result must agree in value,
 # and the rational results must be proper conductor-1 Scalars.
 
@@ -502,12 +502,14 @@ def frac_rows(m: Matrix) -> list:
 
 
 def assert_equals_ref(got: Matrix, want: list, rows: int, cols: int):
-    """got holds exactly the Fractions of want, as conductor-1 Scalars."""
+    """got holds exactly the Fractions of want, as conductor-1 Scalars, and
+    the lowering handed to it is the one its entries give afresh."""
     ref = Matrix(rows, cols, [x for r in want for x in r])
     assert (got.rows, got.cols) == (rows, cols)
     assert got._n == 1
     assert [(e.conductor, e.coeffs) for e in got.entries] == [(1, (x,)) for r in want for x in r]
     assert str(got) == str(ref)
+    assert got._low == fresh_lowering(got)
 
 
 fraction_entries = st.tuples(st.integers(0, 9), st.integers(-20, 20), st.integers(1, 12)).map(
