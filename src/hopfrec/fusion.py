@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from math import lcm
 
@@ -161,6 +161,12 @@ class FiberData:
                 raw = ((1,),) * len(dims)
             vecs = tuple(tuple(sc(x) for x in v) for v in raw)
             object.__setattr__(self, field, vecs)
+
+    @cached_property
+    def _pairings(self) -> dict:
+        """pairing_matrix results by (a, dual a, unit offset), each beside the
+        J block it reads, so that mat_inverse keeps one inverse of each."""
+        return {}
 
 
 def validate_fiber(skel: FusionSkeleton, fiber: FiberData) -> None:
@@ -448,13 +454,18 @@ def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     realized by the selected evaluation morphism through J[(a*, a)].
 
     The unit block of J[(a*, a)] has one row per copy of the unit (the
-    unit's fiber is a line); ev_coeff[a] combines those rows."""
+    unit's fiber is a line); ev_coeff[a] combines those rows.  The fiber
+    keeps the result while that J block stays in place."""
     ad = skel.dual[a]
     j = fiber.J[(ad, a)]
     off = _copy_offset(skel.fusion[ad][a], fiber.dims, skel.unit)
-    return _unit_copies(
-        fiber.ev_coeff[a], sc(1) / fiber.iota, fiber.dims[ad], fiber.dims[a], lambda mu, k: j.at(off + mu, k)
-    )
+    kept = fiber._pairings.get((a, ad, off))
+    if kept is None or kept[0] is not j:
+        p = _unit_copies(
+            fiber.ev_coeff[a], sc(1) / fiber.iota, fiber.dims[ad], fiber.dims[a], lambda mu, k: j.at(off + mu, k)
+        )
+        kept = fiber._pairings[a, ad, off] = (j, p)
+    return kept[1]
 
 
 def copairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:

@@ -361,7 +361,8 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
                     f"copairing for simple {a} is not supported on the unit"
                 )
         coev.append((w.at(off, 0),))
-    fiber = FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
+    first, fiber = fiber, FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
+    fiber._pairings.update(first._pairings)  # with their inverses; a pairing reads no coev
 
     if verify:
         reports = verify_category(skel, fiber, trees=trees)
