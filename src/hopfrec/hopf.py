@@ -69,7 +69,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import ShapeError
-from .matrices import Matrix, _inv, lowering
+from .matrices import Matrix, lowering
 from .reports import CheckReport
 from .scalars import ZERO, Scalar, sc
 
@@ -100,7 +100,7 @@ class AlgebraPresentation:
 
     @cached_property
     def _views(self) -> "_Views":
-        return _Views(self.mult, self.unit)
+        return _Views(self)
 
     @cached_property
     def _gens(self) -> list | None:
@@ -131,7 +131,7 @@ class HopfPresentation:
 
     @cached_property
     def _views(self) -> "_Views":
-        return _Views(self.alg.mult, self.alg.unit, self.comult, self.counit, self.antipode)
+        return _Views(self.alg, self.comult, self.counit, self.antipode)
 
 
 # -- sparse views ---------------------------------------------------------
@@ -142,13 +142,18 @@ class _Views:
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
     column i, and u and eps are dense.  Flat offsets over the nonzero
     entries of plane i: mt[i] lists (j*n, k, mult), dp[i] lists
-    (j*n + k, comult) and dt[i] lists ((j*n + k)*n, comult)."""
+    (j*n + k, comult) and dt[i] lists ((j*n + k)*n, comult).  The views of
+    a Hopf presentation read the nonzero positions of mult off its
+    algebra's views instead of scanning the n^3 cells again."""
 
-    def __init__(self, mult, unit, comult=(), counit=(), antipode=None):
-        n = len(mult)
+    def __init__(self, alg: AlgebraPresentation, comult=(), counit=(), antipode=None):
+        n, mult = alg.dim, alg.mult
         cols = antipode.transpose().to_rows() if antipode is not None else []
-        self.m = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in mult]
-        self.u = list(unit)
+        if antipode is None:
+            self.m = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in mult]
+        else:
+            self.m = [[[(k, mult[i][j][k]) for k, _ in row] for j, row in enumerate(p)] for i, p in enumerate(alg._views.m)]
+        self.u = list(alg.unit)
         self.dl = [[(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x] for plane in comult]
         self.eps = list(counit)
         self.s = [[(l, x) for l, x in enumerate(col) if x] for col in cols]
@@ -214,7 +219,7 @@ def _generators(v: _Views) -> list:
                 vec = [x - c * y for x, y in zip(vec, row)]
         p = next((k for k, x in enumerate(vec) if x), None)
         if p is not None:
-            inv = _inv(vec[p])
+            inv = 1 / vec[p]
             rows.append((p, [x * inv for x in vec]))
         return p is not None
 

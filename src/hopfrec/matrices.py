@@ -323,10 +323,6 @@ def lowering(entries) -> tuple:
     return d, low
 
 
-def _inv(x):
-    return x.inverse() if type(x) is Scalar else 1 / x
-
-
 def _reduced(n: int, cols: int, out: list) -> Matrix:
     """The matrix read off `_echelon` rows at conductor n: row i holds x / p
     at column j for each (j, x) in r, where out[i] = (p, r), and 0

@@ -186,4 +186,4 @@ def test_checks_lower_each_presentation_once(monkeypatch):
     monkeypatch.setattr(hopf, "_Views", Counting)
     h = gen_group_algebra(S3)
     assert all_pass(h) and all_pass(h)
-    assert built == [2, 5]  # the algebra's views, then the Hopf algebra's
+    assert built == [1, 4]  # the algebra's views, then the Hopf algebra's
