@@ -33,8 +33,8 @@ its terms reaches T5: the conductor of the dense product of those steps.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from math import lcm
 
@@ -145,6 +145,8 @@ class FiberData:
     iota: object = None  # nonzero Scalar, K -> F(unit); None means 1
     ev_coeff: tuple = None
     coev_coeff: tuple = None
+    # pairing_matrix results by (a, dual a, unit offset), each beside its J block
+    _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(x) for x in self.dims)
@@ -155,18 +157,12 @@ class FiberData:
         if not iota:
             raise ShapeError("iota must be nonzero")
         object.__setattr__(self, "iota", iota)
-        for field in ("ev_coeff", "coev_coeff"):
-            raw = getattr(self, field)
+        for name in ("ev_coeff", "coev_coeff"):
+            raw = getattr(self, name)
             if raw is None:
                 raw = ((1,),) * len(dims)
             vecs = tuple(tuple(sc(x) for x in v) for v in raw)
-            object.__setattr__(self, field, vecs)
-
-    @cached_property
-    def _pairings(self) -> dict:
-        """pairing_matrix results by (a, dual a, unit offset), each beside the
-        J block it reads, so that mat_inverse keeps one inverse of each."""
-        return {}
+            object.__setattr__(self, name, vecs)
 
 
 def validate_fiber(skel: FusionSkeleton, fiber: FiberData) -> None:

@@ -19,11 +19,12 @@ x; the lowering is cached on the instance.  Output rows are summed in
 plain ints and each distinct value becomes one Scalar, as x / (Da*Db).  The
 product hands its result that lowering too, reduced by the gcd g of Da*Db
 and every sum, so the result's D is again the lcm of its denominators.  Kron
-on conductor 1 multiplies the Fractions directly, and elimination (rref,
-rank, det, and so mat_kernel and mat_solve) runs on rows of bare
-Fractions, wrapped back into Scalars only in its results.  Any other
-conductor, and a product whose entries are single products, keeps the
-Scalar loops.
+on conductor 1 multiplies the Fractions directly.  Elimination on conductor
+1 is fraction-free on the int rows D*x (`Matrix._echelon`): rank reads the
+pivots, and rref, mat_kernel and mat_solve divide only the cells they read
+by their row's pivot and hand their results that lowering too.  Any other
+conductor, det, and a product whose entries are single products keep the
+Scalar loops, whose cyclotomic products run on int residues.
 """
 
 from __future__ import annotations
@@ -224,21 +225,17 @@ class Matrix:
     # -- elimination -----------------------------------------------------
 
     def _echelon(self, m=None) -> tuple[list, list]:
-        """Gauss-Jordan elimination, in place, of the mutable rows m of a
-        matrix of this shape and conductor, by default its own `_rows`;
-        returns (m, pivot columns), pivot c of row r at pivots[r].  On
-        conductor 1 the rows hold ints and stay fraction-free: at a pivot
-        p = m[r][c], each other row with f = row[c] != 0 becomes (p/g) row -
-        (f/g) m[r], g = gcd(p, f), divided by the gcd of its entries.  Row r
-        of the rref is then m[r] / m[r][pivots[r]], and the rows past the
-        rank are zero.  Otherwise the rows hold Scalars and each pivot is
-        scaled to 1."""
+        """Gauss-Jordan elimination, in place, of mutable rows m of this
+        shape and conductor, by default `_rows`; returns (m, pivots), pivot
+        column c of row r at pivots[r].  Int rows stay fraction-free: at a
+        pivot p = m[r][c], each other row with f = row[c] != 0 becomes
+        (p/g) row - (f/g) m[r], g = gcd(p, f), divided by the gcd of its
+        entries, so row r of the rref is m[r] / p.  Scalar rows scale each
+        pivot to 1."""
         m = self._rows() if m is None else m
         pivots: list = []
         for c in range(self.cols):
             r = len(pivots)
-            if r == len(m):
-                break
             pr = next((i for i in range(r, len(m)) if m[i][c]), None)
             if pr is None:
                 continue
@@ -251,9 +248,7 @@ class Matrix:
                         g = gcd(p, f)
                         a, b = p // g, f // g
                         row = [a * x - b * y for x, y in zip(row, prow)]
-                        if (h := gcd(*row)) > 1:
-                            row = [x // h for x in row]
-                        m[i] = row
+                        m[i] = [x // h for x in row] if (h := gcd(*row)) > 1 else row
             else:
                 inv = prow[c].inverse()
                 prow = m[r] = [inv * x if x else x for x in prow]
@@ -275,22 +270,19 @@ class Matrix:
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
-        m = self.to_rows()
-        det = 1
+        m, det = self.to_rows(), ONE
         for c in range(n):
             pr = next((i for i in range(c, n) if m[i][c]), None)
             if pr is None:
                 return ZERO
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det = det * m[c][c]
+            m[c], m[pr] = m[pr], m[c]
+            det = (det if pr == c else -det) * m[c][c]
             inv = m[c][c].inverse()
             for i in range(c + 1, n):
                 if m[i][c]:
                     f = m[i][c] * inv
                     m[i] = [x - f * y if y else x for x, y in zip(m[i], m[c])]
-        return sc(det)
+        return det
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -324,12 +316,11 @@ def lowering(entries) -> tuple:
 
 
 def _reduced(n: int, cols: int, out: list) -> Matrix:
-    """The matrix read off `_echelon` rows at conductor n: row i holds x / p
-    at column j for each (j, x) in r, where out[i] = (p, r), and 0
-    elsewhere.  On conductor 1 only these cells are divided, and the result
-    is handed its lowering at D the lcm of the p, so D > 0 also when some p
-    is negative.  Otherwise p is 1 and the Scalars x, zeros too, are placed
-    as they are, so the result keeps their conductor."""
+    """The matrix with x / p at (i, j) for each (j, x) in r, out[i] = (p, r),
+    and 0 elsewhere, read off `_echelon` rows at conductor n.  On conductor
+    1 it is handed its lowering at D the lcm of the p, so D > 0 also when
+    some p is negative.  Otherwise p is 1 and the Scalars x, zeros too, are
+    placed as they are, so the result keeps their conductor."""
     if n == 1:
         d = lcm(*(p for p, _ in out))
         return Matrix._from_low(len(out), cols, d, [[(j, x * (d // p)) for j, x in r if x] for p, r in out])
@@ -413,8 +404,7 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
     r0 = c0 = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.at(i, j)
+            out[r0 + i][c0 : c0 + b.cols] = b.row(i)
         r0 += b.rows
         c0 += b.cols
     return Matrix._of(rows, cols, [x for r in out for x in r])

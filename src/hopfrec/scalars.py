@@ -9,9 +9,11 @@ deg Phi_n = phi(n), reduced modulo Phi_n, so each field element has exactly
 one representation at a given conductor.  Scalars of different conductors
 compare and combine by promotion into Q(zeta_lcm).
 
-Off conductor 1, x^-1 is the product of the other Galois conjugates of
-x divided by its norm, an integer, all computed on int residues
-(`Scalar.inverse`).
+Off conductor 1 arithmetic runs on int residues: a product writes each
+factor as D*x with int coefficients, D the lcm of their denominators,
+reduces the int convolution mod Phi_n, and builds its Fractions once, as
+r / (Da*Db); x^-1 is the product of the other Galois conjugates of x
+divided by its norm, an integer (`Scalar.inverse`).
 """
 
 from __future__ import annotations
@@ -93,17 +95,13 @@ def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
             # subtract c * x^(k-deg) * Phi_n below its leading term
             for i in range(deg):
                 cs[k - deg + i] -= c * phi[i]
-    while len(cs) < deg:
-        cs.append(0)
-    return tuple(cs)
+    return tuple(cs) + (0,) * (deg - len(cs))
 
 
 def _ints(coeffs: tuple) -> tuple[int, list[int]]:
     """(D, the ints D*c): D is the lcm of the denominators of the Fractions c."""
     d = lcm(*(c.denominator for c in coeffs))
-    if d == 1:
-        return 1, [c.numerator for c in coeffs]
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+    return d, [c.numerator for c in coeffs] if d == 1 else [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def _fractions(cs, d: int) -> tuple:
