@@ -145,8 +145,7 @@ class FiberData:
     iota: object = None  # nonzero Scalar, K -> F(unit); None means 1
     ev_coeff: tuple = None
     coev_coeff: tuple = None
-    # pairing_matrix results by (a, dual a, unit offset), each beside its J block
-    _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see pairing_matrix
 
     def __post_init__(self):
         dims = tuple(int(x) for x in self.dims)
@@ -451,7 +450,7 @@ def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
 
     The unit block of J[(a*, a)] has one row per copy of the unit (the
     unit's fiber is a line); ev_coeff[a] combines those rows.  The fiber
-    keeps the result while that J block stays in place."""
+    keeps P by (a, a*, unit offset) while that J block stays in place."""
     ad = skel.dual[a]
     j = fiber.J[(ad, a)]
     off = _copy_offset(skel.fusion[ad][a], fiber.dims, skel.unit)

@@ -346,8 +346,7 @@ def mat_kernel(m: Matrix) -> Matrix:
     """
     c = m.cols
     rev, pivots = m._echelon([row[::-1] for row in m._rows()])
-    pivot_set = set(pivots)
-    free = [f for f in range(c - 1, -1, -1) if f not in pivot_set]  # leading positions ascending
+    free = [f for f in range(c - 1, -1, -1) if f not in pivots]  # leading positions ascending
     out = [(1, ())] * c
     for j, f in enumerate(free):
         out[c - 1 - f] = (1, [(j, 1)])

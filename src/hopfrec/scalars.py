@@ -193,8 +193,11 @@ class Scalar:
         if m == n:
             return self
         assert n % m == 0, "promotion target must be a conductor multiple"
+        s, deg = n // m, len(cyclotomic_poly(n)) - 1
+        if (len(self.coeffs) - 1) * s < deg:  # each x^(k*s) is reduced already
+            return _make(n, tuple(_ZERO if k % s else self.coeffs[k // s] for k in range(deg)))
         d, cs = _ints(self.coeffs)
-        return _make(n, _fractions(_reduce(_at_power(cs, n // m), n), d))
+        return _make(n, _fractions(_reduce(_at_power(cs, s), n), d))
 
     # -- arithmetic ------------------------------------------------------
 
