@@ -196,8 +196,8 @@ def test_public_constructor_coerces_and_validates():
 # -- rational kernel against the Scalar path -------------------------------
 #
 # Conductor-1 matrices take the rational kernel (int products, fraction-free
-# elimination on int rows); the same matrices promoted to conductor 2, which is still
-# the field Q, take the Scalar loops.  Every result must agree in value,
+# elimination on int rows); the same matrices promoted to conductor 2, which
+# is still the field Q, take the Scalar loops.  Every result must agree in value,
 # and the rational results must be proper conductor-1 Scalars.
 
 SHAPES = [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 4), (5, 3), (4, 6)]
@@ -418,7 +418,6 @@ def test_kernel_matches_two_rref_reference():
         assert (m * got).is_zero()
         full_column_rank += m.cols > 0 and got.cols == 0
     assert full_column_rank >= 5
-
 
 
 # -- elimination against a Fraction Gauss-Jordan reference --------------------
