@@ -274,7 +274,7 @@ class Scalar:
                 p = _mul_int(p, _reduce(conj, n), n)
         norm = _mul_int(a, p, n)
         assert norm[0] and not any(norm[1:]), "residue not invertible"
-        return _make(n, tuple(Fraction(d * c, norm[0]) for c in p))
+        return _make(n, _fractions([d * c for c in p], norm[0]))
 
     def __truediv__(self, other):
         if not Scalar._coercible(other):
