@@ -16,7 +16,7 @@ from hopfrec.matrices import (
     mat_solve,
     permutation_matrix,
 )
-from hopfrec.scalars import Scalar, phi_degree, sc
+from hopfrec.scalars import ZERO, Scalar, phi_degree, sc
 
 
 def rnd_matrix(rng, rows, cols, span=5):
@@ -197,8 +197,36 @@ def test_public_constructor_coerces_and_validates():
 #
 # Conductor-1 matrices take the rational kernel (int products, fraction-free
 # elimination on int rows); the same matrices promoted to conductor 2, which
-# is still the field Q, take the Scalar loops.  Every result must agree in value,
-# and the rational results must be proper conductor-1 Scalars.
+# is still the field Q, take the Scalar loops of kron and elimination.  A
+# product is checked against `ref_product`, the dense Scalar triple loop
+# below, at both conductors.  Every result must agree in value, and the
+# rational results must be proper conductor-1 Scalars.
+
+
+def ref_product(a: Matrix, b: Matrix) -> Matrix:
+    """The dense Scalar triple loop: each cell starts at ZERO and adds x*y
+    for every k with both factors nonzero, so a cell whose terms cancel is
+    a zero at their conductor and a cell with no terms stays ZERO."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                x, y = a.at(i, k), b.at(k, j)
+                if x and y:
+                    acc = acc + x * y
+            out.append(acc)
+    return Matrix._of(a.rows, b.cols, out)
+
+
+def assert_same_entries(got: Matrix, want: Matrix):
+    """Same shape, conductor, and value and text of every entry; a lowering
+    handed to got is the one its entries give afresh."""
+    assert (got.rows, got.cols, got._n) == (want.rows, want.cols, want._n)
+    assert [(e.conductor, e.coeffs) for e in got.entries] == [(e.conductor, e.coeffs) for e in want.entries]
+    assert [str(e) for e in got.entries] == [str(e) for e in want.entries]
+    if hasattr(got, "_low"):
+        assert repr(got._low) == repr(fresh_lowering(got))
 
 SHAPES = [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 4), (5, 3), (4, 6)]
 
@@ -251,7 +279,8 @@ def test_rational_product_matches_scalar_path():
             got = a * b
             assert (got.rows, got.cols) == (rows, cols)
             assert_rational(got)
-            assert got == promoted(a) * promoted(b)
+            assert_same_entries(got, ref_product(a, b))
+            assert got == ref_product(promoted(a), promoted(b))
             # a cached lowering is reused, not stale
             assert a * b == got and a * promoted(b) == got
 
@@ -333,7 +362,7 @@ def test_chain_products_match_scalar_path_and_hand_over_fresh_lowerings():
             c = rnd_rational(rng, inner, cols)
             ab = a * b
             abc = ab * c
-            assert abc == promoted(a) * promoted(b) * promoted(c)
+            assert abc == ref_product(ref_product(promoted(a), promoted(b)), promoted(c))
             assert a * (b * c) == abc
             assert ab._low == fresh_lowering(ab)
             assert abc._low == fresh_lowering(abc)
@@ -350,6 +379,66 @@ def test_products_that_cancel_to_integers_hand_over_d_1():
     one = m * mat_inverse(m)
     assert one == Matrix.identity(3)
     assert one._low == (1, [[(0, 1)], [(1, 1)], [(2, 1)]]) == fresh_lowering(one)
+
+
+# -- products off conductor 1 against the dense reference --------------------
+#
+# Products at conductor 3 and across conductors 1 and 3, with inner
+# dimension 1 and above, must equal `ref_product` entry for entry: a cell
+# whose terms cancel stays a zero at their conductor, and a cell with no
+# terms stays ZERO, so the result keeps the conductor the reference gives.
+
+
+def cyclotomic_cases(rng):
+    """(a, b) pairs at conductors (3, 3), (1, 3) and (3, 1)."""
+    shapes = [(1, 1, 1), (3, 1, 2), (1, 1, 4), (2, 2, 2), (3, 2, 4), (4, 3, 1), (2, 5, 3), (0, 2, 3), (3, 0, 2)]
+    for rows, inner, cols in shapes:
+        for na, nb in ((3, 3), (1, 3), (3, 1)):
+            for _ in range(2):
+                a = rnd_cyclotomic(rng, rows, inner, 3) if na == 3 else rnd_rational(rng, rows, inner)
+                b = rnd_cyclotomic(rng, inner, cols, 3) if nb == 3 else rnd_rational(rng, inner, cols)
+                yield a, b
+    z = Scalar.zeta(3)
+    # every cell cancels: z*1 + 1*(-z)
+    yield Matrix.from_rows([[z, 1], [2 * z, 2]]), Matrix.from_rows([[1, 1], [-z, -z]])
+    # across conductors: 1*z + 1*(-z), and a row with no terms
+    yield Matrix.from_rows([[1, 1], [0, 0]]), Matrix.from_rows([[z, 0], [-z, 0]])
+    yield Matrix.from_rows([[z, -z], [0, 0]]), Matrix.from_rows([[1, 2], [1, 2]])
+    # a rational value at conductor 3: z * z^2 = 1
+    yield Matrix.from_rows([[z, 0], [0, 0]]), Matrix.from_rows([[z * z, 0], [0, 1]])
+    # outer products (inner dimension 1) with zero factors
+    yield Matrix.from_rows([[z], [0], [1]]), Matrix.from_rows([[0, z, Fraction(1, 2)]])
+    yield Matrix.from_rows([[0], [2]]), Matrix.from_rows([[z * z, 0]])
+    # conductor-3 zeros that are entries, not cancellations
+    zero3 = Scalar(3, [0, 0])
+    yield Matrix(2, 2, [zero3, 1, 0, z]), Matrix(2, 2, [1, zero3, zero3, 0])
+
+
+def test_cyclotomic_products_match_the_dense_reference():
+    rng = random.Random(108)
+    seen = set()
+    for a, b in cyclotomic_cases(rng):
+        got = a * b
+        want = ref_product(a, b)
+        assert_same_entries(got, want)
+        assert a * b == got  # a lowering cached on a factor is reused, not stale
+        seen.add((a._n, b._n, a.cols > 1))
+        if a.cols == b.rows == b.cols:
+            # a result's lowering feeds the next product
+            assert_same_entries(got * b, ref_product(want, b))
+            assert_same_entries(a * (b * b), ref_product(a, ref_product(b, b)))
+    assert {(3, 3, True), (3, 3, False), (1, 3, True), (1, 3, False), (3, 1, True), (3, 1, False)} <= seen
+
+
+def test_cancelled_products_keep_the_conductor_of_their_terms():
+    z = Scalar.zeta(3)
+    got = Matrix.from_rows([[z, 1]]) * Matrix.from_rows([[1, 0], [-z, 0]])
+    assert got._n == 3 and str(got) == "[z3[0/1,0/1] z3[0/1,0/1]]"
+    assert str(got.at(0, 0)) == "z3[0/1,0/1]" and got.at(0, 1).conductor == 3
+    got = Matrix.from_rows([[1, 1]]) * Matrix.from_rows([[z], [-z]])
+    assert got._n == 3 and str(got) == "[z3[0/1,0/1]]"
+    got = Matrix.from_rows([[0, 0]]) * Matrix.from_rows([[z], [1]])
+    assert got._n == 1 and str(got) == "[0/1]"
 
 
 # -- kernels against the two-rref reference ----------------------------------

@@ -25,7 +25,7 @@ from hopfrec.repcat import (
     trivial_module,
     verify_irreps,
 )
-from hopfrec.scalars import sc
+from hopfrec.scalars import ZERO, Scalar, sc
 
 S3 = symmetric_group(3)
 KS3 = gen_group_algebra(S3)
@@ -98,6 +98,81 @@ def test_intertwiner_constraint_is_the_kron_form():
     i2 = Matrix.identity(2)
     assert got == a.kron(i2) - i2.kron(a.transpose())
     assert got._low == Matrix._of(4, 4, got.entries)._lowered() and got._low[0] == 1
+
+
+def ref_constraint(av: Matrix, aw: Matrix) -> Matrix:
+    """aw (x) I - I (x) av^T written entry by entry: each nonzero aw[i, j]
+    is placed, then each nonzero av[l, k] subtracted from its cell, so a
+    cell whose terms cancel is a zero at their conductor and an untouched
+    cell stays ZERO."""
+    nv, nw = av.rows, aw.rows
+    n = nv * nw
+    out = [ZERO] * (n * n)
+    for i in range(nw):
+        for j, x in enumerate(aw.row(i)):
+            if x:
+                for k in range(nv):
+                    out[(i * nv + k) * n + j * nv + k] = x
+        for k in range(nv):
+            for l in range(nv):
+                y = av.at(l, k)
+                if y:
+                    p = (i * nv + k) * n + i * nv + l
+                    out[p] = out[p] - y
+    return Matrix._of(n, n, out)
+
+
+def test_intertwiner_constraint_off_conductor_1_matches_the_entrywise_form():
+    # conductor-3 actions, actions across conductors 1 and 3, and 1x1 pairs
+    # give the entries, conductor and text of the entrywise form
+    z = Scalar.zeta(3)
+    zero3 = Scalar(3, [0, 0])
+    p = Matrix.from_rows([[1, z], [0, 1]])
+    pinv = mat_inverse(p)
+    triv, sgn, std = s3_modules()
+    std3 = ModuleRep(2, tuple(p * a * pinv for a in std.action), "std/Pz")
+    assert {a._n for a in std3.action} == {3}
+    ones = [Matrix(1, 1, [x]) for x in (0, 1, -1, z, z * z, zero3, Fraction(1, 2) * z)]
+    actions = [a for v in (triv, sgn, std, std3) for a in v.action] + ones
+    cancelled = 0
+    for av in actions:
+        for aw in actions:
+            got, want = _intertwiner_constraint(av, aw), ref_constraint(av, aw)
+            iv, iw = Matrix.identity(av.rows), Matrix.identity(aw.rows)
+            assert got == aw.kron(iv) - iw.kron(av.transpose())
+            assert (got._n, str(got)) == (want._n, str(want))
+            assert [(e.conductor, e.coeffs) for e in got.entries] == [(e.conductor, e.coeffs) for e in want.entries]
+            if hasattr(got, "_low"):
+                assert repr(got._low) == repr(Matrix._of(got.rows, got.cols, got.entries)._lowered())
+            cancelled += any(e.conductor == 3 and not e for e in want.entries)
+    assert cancelled
+    # the text and conductor the entrywise form gives, pinned
+    zero, one, neg, mz, mz2, mzero3, mzhalf = ones
+    pins = [
+        (zero, zero, 1, "[0/1]"),
+        (mzero3, mzero3, 1, "[0/1]"),
+        (mzero3, one, 1, "[1/1]"),
+        (one, mzero3, 1, "[-1/1]"),
+        (mz, mzero3, 3, "[z3[0/1,-1/1]]"),
+        (mz, mz, 3, "[z3[0/1,0/1]]"),
+        (one, mz2, 3, "[z3[-2/1,-1/1]]"),
+        (mzhalf, neg, 3, "[z3[-1/1,-1/2]]"),
+    ]
+    assert all(av.rows == aw.rows == 1 for av, aw, *_ in pins)
+    pins += [
+        (mz, std3.action[1], 3, "[z3[1/1,0/1] z3[1/1,-1/1]; z3[1/1,0/1] z3[-1/1,-2/1]]"),
+        (std3.action[1], mz, 3, "[z3[-1/1,0/1] z3[-1/1,0/1]; z3[-1/1,1/1] z3[1/1,2/1]]"),
+        (
+            std3.action[3],
+            std.action[3],
+            3,
+            "[z3[0/1,-1/1] z3[-1/1,0/1] z3[-1/1,0/1] z3[0/1,0/1]; z3[0/1,0/1] z3[1/1,1/1] z3[0/1,0/1] z3[-1/1,0/1]; "
+            "z3[1/1,0/1] z3[0/1,0/1] z3[-1/1,-1/1] z3[-1/1,0/1]; z3[0/1,0/1] z3[1/1,0/1] z3[0/1,0/1] z3[0/1,1/1]]",
+        ),
+    ]
+    for av, aw, n, text in pins:
+        got = _intertwiner_constraint(av, aw)
+        assert (got._n, str(got)) == (n, text)
 
 
 def _promoted(v: ModuleRep) -> ModuleRep:
