@@ -19,7 +19,9 @@ so sides of degrees k < l compare after the lower one is scaled by
 D^(l-k); constants such as 1 have degree 0.  A failing side of degree l is
 rendered as the rational v / D^l, the Scalar it stands for, so a report
 reads the same on either path.  When some entry has conductor > 1 the
-views keep the Scalars, D = 1, and nothing is scaled.
+views keep the Scalars as they are (`matrices.lowering` promotes nothing,
+so a failing side that mixes conductors prints each term at its own),
+D = 1, and nothing is scaled.
 
 A side is a vector over index tuples, laid out flat: the cell (p, q) of
 an n x n side sits at offset p*n + q, and (p, q, k) of an n x n x n side
@@ -40,10 +42,11 @@ carries its own scale, the product of the D of its factors: multiplicative
 Ds*Dm against Dm^2*Dd, unit Ds*Dm against Dd, comultiplicative Ds*Dm^2
 against Dm*Dd, counit Ds against Dm*Dd.  Two sides compare after each is
 multiplied by the other's scale over their gcd, and a failing side is
-rendered at its own.  The map is lowered whenever it is rational, and each
-presentation enters with its views as they are; a product with a Scalar
-factor is a Scalar, and a Scalar side renders as its value divided by its
-scale.  Its sides span target cells and use the target's store.
+rendered at its own.  The map's columns are `Matrix._lowered` of its
+transpose, ints at Dm on conductor 1 and its Scalars at Dm = 1 above, and
+each presentation enters with its views as they are; a product with a
+Scalar factor is a Scalar, and a Scalar side renders as its value divided
+by its scale.  Its sides span target cells and use the target's store.
 
 Generators.  Once a map f into an algebra has f(1) = 1, the x with
 f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;
@@ -157,18 +160,16 @@ class _Views:
         self.dl = [[(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x] for plane in comult]
         self.eps = list(counit)
         self.s = [[(l, x) for l, x in enumerate(col) if x] for col in cols]
-        self.D = 1
         nz = [x for plane in self.m for row in plane for _, x in row]
         nz += [x for plane in self.dl for *_, x in plane]
         nnz = len(nz)
         nz += [x for col in self.s for _, x in col] + self.u + self.eps
-        if all(x.conductor == 1 for x in nz):
-            self.D, low = lowering(nz)
-            self.m = [[[(k, low(x)) for k, x in row] for row in plane] for plane in self.m]
-            self.u = [low(x) for x in self.u]
-            self.dl = [[(j, k, low(x)) for j, k, x in plane] for plane in self.dl]
-            self.eps = [low(x) for x in self.eps]
-            self.s = [[(l, low(x)) for l, x in col] for col in self.s]
+        self.D, low = lowering(nz)
+        self.m = [[[(k, low(x)) for k, x in row] for row in plane] for plane in self.m]
+        self.u = [low(x) for x in self.u]
+        self.dl = [[(j, k, low(x)) for j, k, x in plane] for plane in self.dl]
+        self.eps = [low(x) for x in self.eps]
+        self.s = [[(l, low(x)) for l, x in col] for col in self.s]
         self.mt = [[(j * n, k, x) for j, row in enumerate(plane) for k, x in row] for plane in self.m]
         self.dp = [[(j * n + k, x) for j, k, x in plane] for plane in self.dl]
         self.dt = [[(o * n, x) for o, x in plane] for plane in self.dp]
@@ -559,12 +560,7 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
     ns, nd = src.dim, dst.dim
     vs, vd = src._views, dst._views
     store = vd.store
-    mt = m.transpose()
-    if m._n == 1:
-        dm, cols = mt._lowered()
-    else:
-        dm = 1
-        cols = [[(p, x) for p, x in enumerate(mt.row(i)) if x] for i in range(ns)]
+    dm, cols = m.transpose()._lowered()
     ds, dd = vs.D, vd.D
 
     for i in range(ns):

@@ -11,20 +11,21 @@ singular matrix shows as an inconsistent solve.  mat_inverse keeps each
 inverse on its matrix, and the matrix (as a copy sharing its entries) on
 the inverse, so neither is eliminated twice.
 
-Rational kernel.  A matrix records the conductor its entries meet at.
-When both factors of a product have conductor 1 and the inner dimension
-is above 1, each factor is lowered once to D, the lcm of its
-denominators, and per row the (column, D*x) pairs of its nonzero entries
-x; the lowering is cached on the instance.  Output rows are summed in
-plain ints and each distinct value becomes one Scalar, as x / (Da*Db).  The
-product hands its result that lowering too, reduced by the gcd g of Da*Db
-and every sum, so the result's D is again the lcm of its denominators.  Kron
-on conductor 1 multiplies the Fractions directly.  Elimination on conductor
-1 is fraction-free on the int rows D*x (`Matrix._echelon`): rank reads the
-pivots, and rref, mat_kernel and mat_solve divide only the cells they read
-by their row's pivot and hand their results that lowering too.  Any other
-conductor, det, and a product whose entries are single products keep the
-Scalar loops, whose cyclotomic products run on int residues.
+Lowered kernel.  A matrix is lowered once, cached on the instance, to D
+and per row the (column, low(x)) pairs of its nonzero entries x
+(`lowering`): on conductor 1, D is the lcm of its denominators and low(x)
+the int D*x; on any other, D = 1 and low(x) is x.  A product sums each
+output row over both lowerings and hands its result the sums
+(`Matrix._from_low`), reduced so that D is again the lcm of the result's
+denominators, or its Scalars at D = 1.  A cell whose terms cancel stays a
+zero Scalar at their conductor; a cell with no terms is ZERO.  Only shape
+picks another path: inner dimension 1 is an outer product, as lowering
+such tiny factors costs more than it saves.  Kron on conductor 1
+multiplies the Fractions.  Elimination on conductor 1 is fraction-free on
+the int rows D*x (`Matrix._echelon`); rank reads the pivots, and rref,
+mat_kernel and mat_solve divide only the cells they read by their row's
+pivot and hand their results that lowering.  Other conductors, and det,
+keep the Scalar Gauss-Jordan, whose products run on int residues.
 """
 
 from __future__ import annotations
@@ -67,25 +68,32 @@ class Matrix:
 
     @classmethod
     def _from_low(cls, rows: int, cols: int, d: int, low: list) -> "Matrix":
-        """The conductor-1 matrix with x / d at (i, j) for each (j, x) in
-        low[i], holding that lowering as its own once d and every x are
-        divided by their gcd, so that d is the lcm of its denominators."""
-        if d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
-            d //= g
-            low = [[(j, x // g) for j, x in row] for row in low]
+        """The matrix with x / d at (i, j) for each (j, x) in low[i], else
+        ZERO; x is a nonzero int, or a Scalar placed even when zero, so a
+        cancelled cell keeps its conductor.  The result holds its lowering:
+        on conductor 1 (all ints) low, with d and every x divided by their
+        gcd; above it, its nonzero entries at D = 1."""
         out = [ZERO] * (rows * cols)
-        made: dict = {}  # x -> its Scalar, so equal entries share one
+        made: dict = {}  # int x -> its Scalar, so equal entries share one
         for i, row in enumerate(low):
             for j, x in row:
-                if (e := made.get(x)) is None:
+                if type(x) is not int:
+                    e = x if d == 1 else x / d
+                elif (e := made.get(x)) is None:
                     e = made[x] = _rat(Fraction(x, d) if d != 1 else Fraction(x))
                 out[i * cols + j] = e
         m = cls._of(rows, cols, out)
+        if m._n != 1:
+            d, placed = 1, m.entries
+            low = [[(j, y) for j, _ in row if (y := placed[i * cols + j])] for i, row in enumerate(low)]
+        elif d != 1 and (g := gcd(d, *(x for row in low for _, x in row))) != 1:
+            d //= g
+            low = [[(j, x // g) for j, x in row] for row in low]
         object.__setattr__(m, "_low", (d, low))
         return m
 
     def _lowered(self):
-        """(D, rows of (column, D*x) for each nonzero x); conductor 1 only."""
+        """(D, rows of (column, low(x)) for each nonzero x), by `lowering`."""
         if not hasattr(self, "_low"):
             nz = [[(j, e) for j, e in enumerate(self.row(i)) if e] for i in range(self.rows)]
             d, low = lowering([e for row in nz for _, e in row])
@@ -171,30 +179,18 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            out = []
-            if self._n == 1 == other._n and self.cols > 1:
-                da, left = self._lowered()
-                db, right = other._lowered()
-                low = []
-                for lrow in left:
-                    acc = [0] * other.cols
-                    for k, a in lrow:
-                        for j, b in right[k]:
-                            acc[j] += a * b
-                    low.append([(j, x) for j, x in enumerate(acc) if x])
-                return Matrix._from_low(self.rows, other.cols, da * db, low)
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(other.cols):
-                    acc = ZERO
-                    for k in range(self.cols):
-                        a = ri[k]
-                        if a:
-                            b = other.entries[k * other.cols + j]
-                            if b:
-                                acc = acc + a * b
-                    out.append(acc)
-            return Matrix._of(self.rows, other.cols, out)
+            if self.cols == 1:  # an outer product: lowering its factors costs more than it saves
+                return Matrix._of(self.rows, other.cols, [a * b if a and b else ZERO for a in self.entries for b in other.entries])
+            da, left = self._lowered()
+            db, right = other._lowered()
+            low = []
+            for lrow in left:
+                acc = [0] * other.cols
+                for k, a in lrow:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+                low.append([(j, x) for j, x in enumerate(acc) if x or type(x) is not int])
+            return Matrix._from_low(self.rows, other.cols, da * db, low)
         s = sc(other)
         return Matrix._of(self.rows, self.cols, [s * a for a in self.entries])
 
@@ -224,14 +220,14 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------
 
-    def _echelon(self, m=None) -> tuple[list, list]:
+    def _echelon(self, m=None) -> tuple[list, list, list]:
         """Gauss-Jordan elimination, in place, of mutable rows m of this
-        shape and conductor, by default `_rows`; returns (m, pivots), pivot
-        column c of row r at pivots[r].  Int rows stay fraction-free: at a
-        pivot p = m[r][c], each other row with f = row[c] != 0 becomes
-        (p/g) row - (f/g) m[r], g = gcd(p, f), divided by the gcd of its
-        entries, so row r of the rref is m[r] / p.  Scalar rows scale each
-        pivot to 1."""
+        shape and conductor, by default `_rows`; returns (m, pivots, ps):
+        pivot column c of row r at pivots[r], and row r of the rref is m[r]
+        / ps[r], an int.  Int rows stay fraction-free: at a pivot p = m[r][c]
+        each other row with f = row[c] != 0 becomes (p/g) row - (f/g) m[r],
+        g = gcd(p, f), divided by the gcd of its entries; ps[r] is m[r][c] at
+        the end.  Scalar rows scale each pivot to 1, and ps[r] = 1."""
         m = self._rows() if m is None else m
         pivots: list = []
         for c in range(self.cols):
@@ -256,12 +252,12 @@ class Matrix:
                     if i != r and (f := row[c]):
                         m[i] = [x - f * y if y else x for x, y in zip(row, prow)]
             pivots.append(c)
-        return m, pivots
+        return m, pivots, [row[c] for row, c in zip(m, pivots)] if self._n == 1 else [1] * len(pivots)
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        m, pivots = self._echelon()
-        ps = [row[p] for row, p in zip(m, pivots)] + [1] * (len(m) - len(pivots))
-        return _reduced(self._n, self.cols, [(p, enumerate(row)) for p, row in zip(ps, m)]), pivots
+        m, pivots, ps = self._echelon()
+        ps += [1] * (len(m) - len(pivots))
+        return _reduced(self.cols, [(p, enumerate(row)) for p, row in zip(ps, m)]), pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -303,9 +299,12 @@ class Matrix:
 
 
 def lowering(entries) -> tuple:
-    """The one lowering of conductor-1 Scalars that the exact kernels share:
-    (D, low) with D the lcm of their denominators and low(x) the int D*x
-    for any x among them."""
+    """The one lowering of Scalars that the exact kernels share: (D, low).
+    On conductor 1, D is the lcm of their denominators and low(x) the int
+    D*x for any x among them.  When any has a conductor above 1, D = 1 and
+    low(x) is x itself, neither promoted nor copied."""
+    if any(x.conductor != 1 for x in entries):
+        return 1, lambda x: x
     d = lcm(*{x.coeffs[0].denominator for x in entries})
 
     def low(x):
@@ -315,20 +314,12 @@ def lowering(entries) -> tuple:
     return d, low
 
 
-def _reduced(n: int, cols: int, out: list) -> Matrix:
-    """The matrix with x / p at (i, j) for each (j, x) in r, out[i] = (p, r),
-    and 0 elsewhere, read off `_echelon` rows at conductor n.  On conductor
-    1 it is handed its lowering at D the lcm of the p, so D > 0 also when
-    some p is negative.  Otherwise p is 1 and the Scalars x, zeros too, are
-    placed as they are, so the result keeps their conductor."""
-    if n == 1:
-        d = lcm(*(p for p, _ in out))
-        return Matrix._from_low(len(out), cols, d, [[(j, x * (d // p)) for j, x in r if x] for p, r in out])
-    flat = [ZERO] * (len(out) * cols)
-    for i, (_, r) in enumerate(out):
-        for j, x in r:
-            flat[i * cols + j] = sc(x)
-    return Matrix._of(len(out), cols, flat)
+def _reduced(cols: int, out: list) -> Matrix:
+    """The matrix with x / p at (i, j) for each (j, x) in r, out[i] = (p, r)
+    with p an int, read off `_echelon` rows, handed to `Matrix._from_low` at
+    D the lcm of the p, so D > 0 also when some p is negative."""
+    d = lcm(*(p for p, _ in out))
+    return Matrix._from_low(len(out), cols, d, [[(j, x if p == d else x * (d // p)) for j, x in r if x or type(x) is not int] for p, r in out])
 
 
 def mat_kernel(m: Matrix) -> Matrix:
@@ -345,14 +336,14 @@ def mat_kernel(m: Matrix) -> Matrix:
     column, where every other vector is 0.
     """
     c = m.cols
-    rev, pivots = m._echelon([row[::-1] for row in m._rows()])
+    rev, pivots, ps = m._echelon([row[::-1] for row in m._rows()])
     free = [f for f in range(c - 1, -1, -1) if f not in pivots]  # leading positions ascending
     out = [(1, ())] * c
     for j, f in enumerate(free):
         out[c - 1 - f] = (1, [(j, 1)])
-    for row, p in zip(rev, pivots):
-        out[c - 1 - p] = (row[p], [(j, -row[f]) for j, f in enumerate(free)])
-    return _reduced(m._n, len(free), out)
+    for row, p, s in zip(rev, pivots, ps):
+        out[c - 1 - p] = (s, [(j, -row[f]) for j, f in enumerate(free)])
+    return _reduced(len(free), out)
 
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -366,13 +357,13 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
     if a.rows != b.rows:
         raise ShapeError(f"A has {a.rows} rows but B has {b.rows}")
     aug = Matrix._of(a.rows, a.cols + b.cols, [x for i in range(a.rows) for x in (*a.row(i), *b.row(i))])
-    red, pivots = aug._echelon()
+    red, pivots, ps = aug._echelon()
     if any(p >= a.cols for p in pivots):
         return None
     out = [(1, ())] * a.cols
-    for row, pc in zip(red, pivots):
-        out[pc] = (row[pc], enumerate(row[a.cols :]))
-    return _reduced(aug._n, b.cols, out)
+    for row, pc, s in zip(red, pivots, ps):
+        out[pc] = (s, enumerate(row[a.cols :]))
+    return _reduced(b.cols, out)
 
 
 def mat_inverse(m: Matrix) -> Matrix:

@@ -123,9 +123,11 @@ def hom_space(v: ModuleRep, w: ModuleRep, *, gens=None) -> list:
     at a time, which usually stabilizes after a few basis elements, and is
     re-echelonized at the end so the result equals the canonical reduced
     basis of the joint kernel.  With gens, the constraints of those basis
-    indices come first, as the module docstring says.
+    indices come first, as the module docstring says.  Modules over
+    algebras of different dims raise ShapeError.
     """
-    assert len(v.action) == len(w.action)
+    if len(v.action) != len(w.action):
+        raise ShapeError(f"{v.name} and {w.name} are modules over algebras of dims {len(v.action)} and {len(w.action)}")
     if gens is not None:
         basis = _hom_basis(v, w, gens)
         if all(aw * t == t * av for t in basis for av, aw in zip(v.action, w.action)):
@@ -151,42 +153,31 @@ def _hom_basis(v: ModuleRep, w: ModuleRep, rows) -> list:
 
 def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
     """aw (x) I - I (x) av^T: row (i, k) holds aw[i, j] at column (j, k) and
-    -av[l, k] at column (i, l).  When both actions have conductor 1 and the
-    product will lower the result (more than one column), its rows are
-    built on the actions' lowerings at D the lcm of theirs and handed to
-    `Matrix._from_low`, as a product's are; otherwise it is written entry
-    by entry."""
+    -av[l, k] at column (i, l).  Its rows are built on the actions'
+    lowerings at D the lcm of theirs, and handed to `Matrix._from_low` as a
+    product's are; a cell whose terms cancel keeps them as a zero Scalar
+    off conductor 1.  Only shape picks another path: a pair of 1x1 actions,
+    which no product lowers, gives the 1x1 difference."""
     nv, nw = av.rows, aw.rows
     n = nv * nw
-    if not (av._n == 1 == aw._n and n > 1):
-        out = [ZERO] * (n * n)
-        for i in range(nw):
-            for j, x in enumerate(aw.row(i)):
-                if x:
-                    for k in range(nv):
-                        out[(i * nv + k) * n + j * nv + k] = x
-            for k in range(nv):
-                for l in range(nv):
-                    y = av.at(l, k)
-                    if y:
-                        p = (i * nv + k) * n + i * nv + l
-                        out[p] = out[p] - y
-        return Matrix._of(n, n, out)
+    if n == 1:
+        x = aw.entries[0] or ZERO
+        return Matrix._of(1, 1, [x - y if (y := av.entries[0]) else x])
     (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
     d = lcm(dv, dw)
     cv: list = [[] for _ in range(nv)]  # column k of av: (l, D*av[l, k])
     for l, row in enumerate(rv):
         for k, y in row:
-            cv[k].append((l, y * (d // dv)))
+            cv[k].append((l, y if d == dv else y * (d // dv)))
     low = []
     for i in range(nw):
-        wi = [(j * nv, x * (d // dw)) for j, x in rw[i]]
+        wi = [(j * nv, x if d == dw else x * (d // dw)) for j, x in rw[i]]
         for k in range(nv):
             acc = {o + k: x for o, x in wi}
             for l, y in cv[k]:
                 c = i * nv + l
                 acc[c] = acc[c] - y if c in acc else -y
-            low.append(sorted((c, x) for c, x in acc.items() if x))
+            low.append(sorted((c, x) for c, x in acc.items() if x or type(x) is not int))
     return Matrix._from_low(n, n, d, low)
 
 

@@ -430,17 +430,6 @@ def test_cyclotomic_products_match_the_dense_reference():
     assert {(3, 3, True), (3, 3, False), (1, 3, True), (1, 3, False), (3, 1, True), (3, 1, False)} <= seen
 
 
-def test_cancelled_products_keep_the_conductor_of_their_terms():
-    z = Scalar.zeta(3)
-    got = Matrix.from_rows([[z, 1]]) * Matrix.from_rows([[1, 0], [-z, 0]])
-    assert got._n == 3 and str(got) == "[z3[0/1,0/1] z3[0/1,0/1]]"
-    assert str(got.at(0, 0)) == "z3[0/1,0/1]" and got.at(0, 1).conductor == 3
-    got = Matrix.from_rows([[1, 1]]) * Matrix.from_rows([[z], [-z]])
-    assert got._n == 3 and str(got) == "[z3[0/1,0/1]]"
-    got = Matrix.from_rows([[0, 0]]) * Matrix.from_rows([[z], [1]])
-    assert got._n == 1 and str(got) == "[0/1]"
-
-
 # -- kernels against the two-rref reference ----------------------------------
 #
 # The reference reads a raw kernel basis off the rref of m and then reduces

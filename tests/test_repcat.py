@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfrec.errors import DecompositionGap
+from hopfrec.errors import DecompositionGap, ShapeError
 from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group, direct_product, symmetric_group
@@ -60,6 +60,18 @@ def test_hom_space_character_oracle():
     for m in hom_space(std, t):
         for i in range(6):
             assert t.action[i] * m == m * std.action[i]
+
+
+def test_hom_space_rejects_modules_over_algebras_of_different_dims():
+    # a module over a 1-dim algebra into one over a 2-dim algebra
+    v = ModuleRep(1, (Matrix.identity(1),), "V")
+    w = ModuleRep(1, (Matrix.identity(1), Matrix.identity(1)), "W")
+    with pytest.raises(ShapeError, match="V and W are modules over algebras of dims 1 and 2"):
+        hom_space(v, w)
+    with pytest.raises(ShapeError, match="W and V are modules over algebras of dims 2 and 1"):
+        hom_space(w, v)
+    with pytest.raises(ShapeError, match="V and W are modules over algebras of dims 1 and 2"):
+        decompose(w, [v])  # through hom_space(v, w)
 
 
 def test_hom_space_dim_is_basis_independent():
