@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from math import lcm
 
@@ -62,6 +62,21 @@ def f_right_basis(N, a: int, b: int, c: int, d: int) -> list:
         for rho in range(N[b][c][f])
         for sigma in range(N[a][f][d])
     ]
+
+
+def _tree_dims(nz: list, a: int, b: int, c: int) -> dict:
+    """d -> (dim of the trees ((a b) c) -> d, dim of (a (b c)) -> d), over
+    the d with a tree, ascending; nz[x][y] lists (z, N[x][y][z]) over the
+    nonzero multiplicities."""
+    left: dict = {}
+    right: dict = {}
+    for e, x in nz[a][b]:
+        for d, y in nz[e][c]:
+            left[d] = left.get(d, 0) + x * y
+    for f, x in nz[b][c]:
+        for d, y in nz[a][f]:
+            right[d] = right.get(d, 0) + x * y
+    return {d: (left.get(d, 0), right.get(d, 0)) for d in sorted(left.keys() | right.keys())}
 
 
 @dataclass(frozen=True)
@@ -103,18 +118,16 @@ class FusionSkeleton:
             raise ShapeError("names length differs from rank")
         object.__setattr__(self, "names", names)
 
-        expect = {}
-        for key in product(range(r), repeat=4):
-            a, b, c, d = key
-            dl = sum(N[a][b][e] * N[e][c][d] for e in range(r))
-            dr = sum(N[b][c][f] * N[a][f][d] for f in range(r))
-            if dl or dr:
-                expect[key] = (dl, dr)
-        missing = sorted(set(expect) - set(self.F))
-        extra = sorted(set(self.F) - set(expect))
+        # in proportion to the payload: trees are walked over the nonzero N,
+        # in key order up to the first key with a tree but no block
+        nz = [[[(z, x) for z, x in enumerate(row) if x] for row in plane] for plane in N]
+        dims = cache(partial(_tree_dims, nz))
+        abc = list(product(range(r), repeat=3))
+        missing = next(((*t, d) for t in abc for d in dims(*t) if (*t, d) not in self.F), None)
+        extra = next((k for k in sorted(self.F) if not (len(k) == 4 and all(0 <= x < r for x in k) and k[3] in dims(*k[:3]))), None)
         if missing or extra:
-            raise ShapeError(f"F keys mismatch: missing {missing}, extra {extra}")
-        for key, (dl, dr) in expect.items():
+            raise ShapeError(f"F keys mismatch: first missing {missing}, first extra {extra}")
+        for key, (dl, dr) in (((*t, d), v) for t in abc for d, v in dims(*t).items()):
             if dl != dr:
                 raise ShapeError(
                     f"tree spaces at {key} have dims {dl} and {dr}: fusion tensor is not associative"

@@ -146,6 +146,31 @@ def test_huge_conductor_is_rejected_before_it_is_factored(tmp_path, capsys):
     assert "conductor 1000000000000" in out
 
 
+def test_oversized_fusion_payload_is_rejected_in_proportion_to_it(tmp_path, capsys):
+    # rank 30, every multiplicity 1 off the unit, one F record: the key check
+    # stops at the first quadruple with a tree but no block and names it,
+    # and the first extra key, instead of every key of the r^4 it would sweep
+    r = 30
+    fusion = [[[int(c == b) if a == 0 else int(c == a) if b == 0 else 1 for c in range(r)] for b in range(r)] for a in range(r)]
+    doc = {
+        "kind": "fusion",
+        "rank": r,
+        "unit": 0,
+        "names": [f"X{i}" for i in range(r)],
+        "fusion": fusion,
+        "dual": list(range(r)),
+        "F": [{"key": [1, 1, 1, r], "matrix": {"rows": 1, "cols": 1, "entries": [["1/1"]]}}],
+    }
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "check-category", str(f))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert f"F keys mismatch: first missing (0, 0, 0, 0), first extra (1, 1, 1, {r})" in out
+    assert len(out) < 500
+
+
 def test_wrong_kind_is_exit_2(tmp_path, capsys):
     f = tmp_path / "vec.json"
     run(capsys, "example", "vec-z2", "-o", str(f))
