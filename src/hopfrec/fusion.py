@@ -124,7 +124,10 @@ class FusionSkeleton:
         dims = cache(partial(_tree_dims, nz))
         abc = list(product(range(r), repeat=3))
         missing = next(((*t, d) for t in abc for d in dims(*t) if (*t, d) not in self.F), None)
-        extra = next((k for k in sorted(self.F) if not (len(k) == 4 and all(0 <= x < r for x in k) and k[3] in dims(*k[:3]))), None)
+        extra = next(
+            (k for k in sorted(self.F) if not (len(k) == 4 and all(0 <= x < r for x in k) and k[3] in dims(*k[:3]))),
+            None,
+        )
         if missing or extra:
             raise ShapeError(f"F keys mismatch: first missing {missing}, first extra {extra}")
         for key, (dl, dr) in (((*t, d), v) for t in abc for d, v in dims(*t).items()):

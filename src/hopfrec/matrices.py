@@ -180,7 +180,8 @@ class Matrix:
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
             if self.cols == 1:  # an outer product: lowering its factors costs more than it saves
-                return Matrix._of(self.rows, other.cols, [a * b if a and b else ZERO for a in self.entries for b in other.entries])
+                out = [a * b if a and b else ZERO for a in self.entries for b in other.entries]
+                return Matrix._of(self.rows, other.cols, out)
             da, left = self._lowered()
             db, right = other._lowered()
             low = []
@@ -319,7 +320,8 @@ def _reduced(cols: int, out: list) -> Matrix:
     with p an int, read off `_echelon` rows, handed to `Matrix._from_low` at
     D the lcm of the p, so D > 0 also when some p is negative."""
     d = lcm(*(p for p, _ in out))
-    return Matrix._from_low(len(out), cols, d, [[(j, x if p == d else x * (d // p)) for j, x in r if x or type(x) is not int] for p, r in out])
+    low = [[(j, x if p == d else x * (d // p)) for j, x in r if x or type(x) is not int] for p, r in out]
+    return Matrix._from_low(len(out), cols, d, low)
 
 
 def mat_kernel(m: Matrix) -> Matrix:

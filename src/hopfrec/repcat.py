@@ -127,7 +127,8 @@ def hom_space(v: ModuleRep, w: ModuleRep, *, gens=None) -> list:
     algebras of different dims raise ShapeError.
     """
     if len(v.action) != len(w.action):
-        raise ShapeError(f"{v.name} and {w.name} are modules over algebras of dims {len(v.action)} and {len(w.action)}")
+        dims = f"{len(v.action)} and {len(w.action)}"
+        raise ShapeError(f"{v.name} and {w.name} are modules over algebras of dims {dims}")
     if gens is not None:
         basis = _hom_basis(v, w, gens)
         if all(aw * t == t * av for t in basis for av, aw in zip(v.action, w.action)):

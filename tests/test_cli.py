@@ -151,7 +151,10 @@ def test_oversized_fusion_payload_is_rejected_in_proportion_to_it(tmp_path, caps
     # stops at the first quadruple with a tree but no block and names it,
     # and the first extra key, instead of every key of the r^4 it would sweep
     r = 30
-    fusion = [[[int(c == b) if a == 0 else int(c == a) if b == 0 else 1 for c in range(r)] for b in range(r)] for a in range(r)]
+    def n(a, b, c):  # the unit acts strictly; any other product holds every simple once
+        return int(c == b) if a == 0 else int(c == a) if b == 0 else 1
+
+    fusion = [[[n(a, b, c) for c in range(r)] for b in range(r)] for a in range(r)]
     doc = {
         "kind": "fusion",
         "rank": r,

@@ -228,6 +228,7 @@ def assert_same_entries(got: Matrix, want: Matrix):
     if hasattr(got, "_low"):
         assert repr(got._low) == repr(fresh_lowering(got))
 
+
 SHAPES = [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 4), (5, 3), (4, 6)]
 
 
