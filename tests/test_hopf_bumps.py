@@ -12,6 +12,12 @@ by the checkers before the flat-offset accumulation stores existed.  A
 Hypothesis property bumps random cells by random p/q, which changes the
 common denominator of the integer path.
 
+The conductor-2 twin runs the same checker code as the presentation it
+mirrors, so every reported (check, index) is also evaluated here on plain
+Scalars, straight from the structure tensors (`reference_sides`), and must
+fail there; the antipode flags are recomputed the same way
+(`reference_flags`).
+
 Regenerate the golden file with `python tests/test_hopf_bumps.py`.
 """
 
@@ -26,7 +32,7 @@ from hopfrec.hopf import AlgebraPresentation, HopfPresentation, run_hopf_checks
 from hopfrec.matrices import Matrix
 from hopfrec.reconstruct import reconstruct_hopf
 from hopfrec.repcat import skeletalize
-from hopfrec.scalars import ONE, Scalar
+from hopfrec.scalars import ONE, ZERO, Scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "hopf-bumps.txt"
 
@@ -114,6 +120,115 @@ def bumps():
     )
 
 
+# -- test-local reference -------------------------------------------------------
+
+def _nonzero(h):
+    """(mult, comult): for each i and j the (k, value) over nonzero cells,
+    and for each i the (j, k, value) over nonzero cells."""
+    n = h.dim
+    m = [[[(k, x) for k, x in enumerate(h.alg.mult[i][j]) if x] for j in range(n)] for i in range(n)]
+    c = [[(j, k, x) for j in range(n) for k, x in enumerate(h.comult[i][j]) if x] for i in range(n)]
+    return m, c
+
+
+def _side(cells, terms):
+    out = dict.fromkeys(cells, ZERO)
+    for cell, x in terms:
+        out[cell] = out[cell] + x
+    return [out[cell] for cell in cells]
+
+
+def reference_sides(h, check, index):
+    """Both sides of the identity `check` at `index` as Scalar vectors,
+    summed term by term from the structure tensors."""
+    n, u, eps = h.dim, h.alg.unit, h.counit
+    m, c = _nonzero(h)
+    s = [[h.antipode.at(l, i) for l in range(n)] for i in range(n)]  # s[i][l]: S(e_i) at e_l
+    one = range(n)
+    two = [(p, q) for p in one for q in one]
+    three = [(p, q, r) for p in one for q in one for r in one]
+    if check == "associativity":
+        i, j, l = index
+        lhs = [(p, x * y) for k, x in m[i][j] for p, y in m[k][l]]
+        rhs = [(p, x * y) for k, x in m[j][l] for p, y in m[i][k]]
+        return _side(one, lhs), _side(one, rhs)
+    if check in ("left-unit", "right-unit"):
+        (i,) = index
+        rows = [m[j][i] if check == "left-unit" else m[i][j] for j in one]
+        lhs = [(k, u[j] * x) for j in one for k, x in rows[j]]
+        return _side(one, lhs), _side(one, [(i, ONE)])
+    if check == "coassociativity":
+        (i,) = index
+        lhs = [((a, b, k), x * y) for j, k, x in c[i] for a, b, y in c[j]]
+        rhs = [((j, a, b), x * y) for j, k, x in c[i] for a, b, y in c[k]]
+        return _side(three, lhs), _side(three, rhs)
+    if check in ("left-counit", "right-counit"):
+        (i,) = index
+        left = check == "left-counit"
+        lhs = [(k if left else j, eps[j if left else k] * x) for j, k, x in c[i]]
+        return _side(one, lhs), _side(one, [(i, ONE)])
+    if check == "comult-multiplicative":
+        i, j = index
+        lhs = [((p, q), x * y) for k, x in m[i][j] for p, q, y in c[k]]
+        rhs = [
+            ((p, q), c1 * c2 * x * y)
+            for a1, b1, c1 in c[i]
+            for a2, b2, c2 in c[j]
+            for p, x in m[a1][a2]
+            for q, y in m[b1][b2]
+        ]
+        return _side(two, lhs), _side(two, rhs)
+    if check == "counit-multiplicative":
+        i, j = index
+        return _side([()], [((), x * eps[k]) for k, x in m[i][j]]), _side([()], [((), eps[i] * eps[j])])
+    if check == "comult-of-unit":
+        lhs = [((p, q), u[i] * x) for i in one for p, q, x in c[i]]
+        return _side(two, lhs), _side(two, [((p, q), u[p] * u[q]) for p, q in two])
+    if check == "counit-of-unit":
+        return _side([()], [((), u[i] * eps[i]) for i in one]), _side([()], [((), ONE)])
+    if check in ("left-snake", "right-snake"):
+        (i,) = index
+        if check == "left-snake":
+            lhs = [(p, x * s[j][l] * y) for j, k, x in c[i] for l in one for p, y in m[l][k]]
+        else:
+            lhs = [(p, x * s[k][l] * y) for j, k, x in c[i] for l in one for p, y in m[j][l]]
+        return _side(one, lhs), _side(one, [(p, u[p] * eps[i]) for p in one])
+    raise AssertionError(f"no reference for {check}")
+
+
+def reference_flags(h):
+    """The antipode's informational flags, from the Scalar tensors."""
+    n = h.dim
+    m, c = _nonzero(h)
+    s = [[(l, x) for l in range(n) if (x := h.antipode.at(l, i))] for i in range(n)]
+    two = [(p, q) for p in range(n) for q in range(n)]
+    antihom = all(
+        _side(range(n), [(l, x * y) for k, x in m[i][j] for l, y in s[k]])
+        == _side(range(n), [(q, x * y * z) for l, x in s[j] for p, y in s[i] for q, z in m[l][p]])
+        for i in range(n)
+        for j in range(n)
+    )
+    co_antihom = all(
+        _side(two, [((p, q), x * y) for l, x in s[i] for p, q, y in c[l]])
+        == _side(two, [((p, q), x * y * z) for j, k, x in c[i] for p, y in s[k] for q, z in s[j]])
+        for i in range(n)
+    )
+    return {
+        "algebra-antihomomorphism": antihom,
+        "coalgebra-antihomomorphism": co_antihom,
+        "involutive": h.antipode * h.antipode == Matrix.identity(n),
+    }
+
+
+def assert_reference_agrees(label, h, reports):
+    """Each reported (check, index) fails on plain Scalars, and the flags match."""
+    for r in reports:
+        for f in r.failures:
+            lhs, rhs = reference_sides(h, f.check, f.index)
+            assert lhs != rhs, (label, f.check, f.index)
+    assert reports[-1].flags == reference_flags(h), label
+
+
 def report_lines(label, reports) -> list[str]:
     return [label] + ["  " + line for r in reports for line in r.lines()]
 
@@ -135,6 +250,7 @@ def test_every_bump_fails_alike_on_both_paths_and_matches_golden():
     for label, h in bumps():
         reports = run_hopf_checks(h)
         assert not all(r.passed for r in reports), f"{label} passed every check"
+        assert_reference_agrees(label, h, reports)
         if label.endswith("+1"):
             on_scalars = run_hopf_checks(promoted(h, 2))
             assert failing_tuples(on_scalars) == failing_tuples(reports), label
@@ -178,6 +294,7 @@ def test_rational_bumps_fail_alike_on_both_paths(data):
     q = data.draw(st.integers(1, 9))
     b = bumped(h, tensor, index, Scalar.rational(p, q))
     on_ints, on_scalars = run_hopf_checks(b), run_hopf_checks(promoted(b, 2))
+    assert_reference_agrees("p/q bump", b, on_ints)
     assert failing_tuples(on_scalars) == failing_tuples(on_ints)
     assert [r.flags for r in on_scalars] == [r.flags for r in on_ints]
 

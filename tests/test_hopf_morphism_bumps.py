@@ -10,7 +10,10 @@ both paths must reject each +1 bump at the same (check, index) tuples.
 Bumps by zeta_3 and zeta_5 make the map cyclotomic while the presentations
 stay rational, the mixed path.  The full report lines are pinned by
 `golden/hopf-morphism-bumps.txt`, written by the checker while it still ran
-on Scalars alone.
+on Scalars alone.  The conductor-2 twins run the same checker code, so every
+reported (check, index) is also evaluated here on plain Scalars, straight
+from the structure tensors and the map (`reference_sides`), and must fail
+there.
 
 Regenerate the golden file with `python tests/test_hopf_morphism_bumps.py`.
 """
@@ -25,7 +28,7 @@ from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_hopf_morph
 from hopfrec.matrices import Matrix, block_diag, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf
 from hopfrec.repcat import ModuleRep, _roundtrip, skeletalize
-from hopfrec.scalars import ONE, Scalar
+from hopfrec.scalars import ONE, ZERO, Scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "hopf-morphism-bumps.txt"
 
@@ -118,6 +121,52 @@ def bumps(base):
         yield label_of(name, cell, f"zeta{n}"), src, dst, bumped(m, cell, Scalar.zeta(n))
 
 
+# -- test-local reference -------------------------------------------------------
+
+def reference_sides(src, dst, m, check, index):
+    """Both sides of the morphism identity `check` at `index` as Scalar
+    vectors over target cells, summed term by term."""
+    ns, nd = src.dim, dst.dim
+    one = range(nd)
+    two = [(p, q) for p in one for q in one]
+
+    def img(i):  # m(e_i) over the target basis
+        return [m.at(p, i) for p in one]
+
+    def dot(pairs):
+        return sum((x * y for x, y in pairs), ZERO)
+
+    if check == "morphism-multiplicative":
+        i, j = index
+        lhs = [dot((src.alg.mult[i][j][k], m.at(t, k)) for k in range(ns)) for t in one]
+        a, b = img(i), img(j)
+        rhs = [dot((a[p] * b[q], dst.alg.mult[p][q][t]) for p, q in two) for t in one]
+        return lhs, rhs
+    if check == "morphism-unit":
+        return [dot((src.alg.unit[i], m.at(p, i)) for i in range(ns)) for p in one], list(dst.alg.unit)
+    if check == "morphism-comultiplicative":
+        (i,) = index
+        terms = [(src.comult[i][j][k], j, k) for j in range(ns) for k in range(ns)]
+        lhs = [dot((c, m.at(p, j) * m.at(q, k)) for c, j, k in terms) for p, q in two]
+        a = img(i)
+        rhs = [dot((a[r], dst.comult[r][p][q]) for r in one) for p, q in two]
+        return lhs, rhs
+    if check == "morphism-counit":
+        (i,) = index
+        return [src.counit[i]], [dot((m.at(p, i), dst.counit[p]) for p in one)]
+    if check == "morphism-antipode":
+        (i,) = index
+        ms, sm = m * src.antipode, dst.antipode * m
+        return [ms.at(p, i) for p in one], [sm.at(p, i) for p in one]
+    raise AssertionError(f"no reference for {check}")
+
+
+def assert_reference_agrees(label, src, dst, m, rep):
+    for f in rep.failures:
+        lhs, rhs = reference_sides(src, dst, m, f.check, f.index)
+        assert lhs != rhs, (label, f.check, f.index)
+
+
 def report_lines(label, rep) -> list[str]:
     return [label] + ["  " + line for line in rep.lines()]
 
@@ -141,6 +190,7 @@ def test_every_morphism_bump_fails_alike_on_both_paths_and_matches_golden():
     for label, src, dst, m in bumps(base):
         rep = check_hopf_morphism(src, dst, m)
         assert not rep.passed, f"{label} passed"
+        assert_reference_agrees(label, src, dst, m, rep)
         if label.endswith("+1"):
             on_scalars = check_hopf_morphism(*twins[label.rsplit("/", 1)[0]], promoted(m, 2))
             assert failing_tuples(on_scalars) == failing_tuples(rep), label

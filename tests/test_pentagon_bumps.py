@@ -13,7 +13,9 @@ Vec_Z/8^omega block F(1, 1, 1, 3), a 1x1 block holding 1 among blocks of
 conductor 8, pins the rendered conductor of a side that no path term
 reaches (1).  verify_pentagon decides each quintuple on lowered blocks and
 renders only failing ones, from the same walk over plain Scalars, through
-`_pentagon_render`, so no unbumped family may reach it.
+`_pentagon_render`, so no unbumped family may reach it.  The quintuples the
+check walks are exactly those with a tree, in lexicographic order, against
+a test-local scan of all rank^5 of them.
 
 Regenerate the golden file with `python tests/test_pentagon_bumps.py`.
 """
@@ -21,6 +23,7 @@ Regenerate the golden file with `python tests/test_pentagon_bumps.py`.
 import dataclasses
 import pathlib
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -145,6 +148,36 @@ def test_a_passing_skeleton_never_reaches_the_dense_rendering(name, monkeypatch)
 
     monkeypatch.setattr(fusion, "_pentagon_render", render)
     assert verify_pentagon(families()[name]).passed
+
+
+def keys_with_a_tree(skel):
+    """Every (a, b, c, d, total) with a tree (((ab)c)d) -> total, over all rank^5."""
+    N, r = skel.fusion, skel.rank
+    return [
+        (a, b, c, d, t)
+        for a, b, c, d, t in product(range(r), repeat=5)
+        if any(N[a][b][x] and N[x][c][y] and N[y][d][t] for x in range(r) for y in range(r))
+    ]
+
+
+@pytest.mark.parametrize("name", ["ks3", "ks4", "fun-s3", "vec-z4", "vec-z8-omega"])
+def test_the_pentagon_walks_exactly_the_keys_with_a_tree_in_order(name, monkeypatch):
+    walked = []
+    kernel = fusion._pentagon_kernel
+
+    def recording(*args):
+        sides = kernel(*args)
+
+        def at(*key):
+            walked.append(key)
+            return sides(*key)
+
+        return at
+
+    monkeypatch.setattr(fusion, "_pentagon_kernel", recording)
+    skel = families()[name]
+    assert verify_pentagon(skel).passed
+    assert walked == keys_with_a_tree(skel)
 
 
 def test_pentagon_bumps_match_golden():
