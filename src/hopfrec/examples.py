@@ -7,10 +7,11 @@ elements, Fun(G) on point masses, D(G) on pairs (h, g) at index h*|G|+g.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 from .errors import NotACocycle, ShapeError
-from .fusion import FiberData, FusionSkeleton, _residues
+from .fusion import FiberData, FusionSkeleton
 from .groups import (
     GroupTable,
     cyclic_group,
@@ -23,7 +24,7 @@ from .groups import (
 from .hopf import AlgebraPresentation, HopfPresentation
 from .matrices import Matrix
 from .repcat import ModuleRep
-from .scalars import ONE, ZERO, sc
+from .scalars import ONE, ZERO, packing, sc
 
 
 def gen_group_algebra(g: GroupTable) -> HopfPresentation:
@@ -122,16 +123,15 @@ def gen_pointed_category(g: GroupTable, omega=None) -> FusionSkeleton:
     for t, x in w.items():
         if 0 in t and x != ONE:
             raise NotACocycle("omega is not normalized", t)
-    # decided on the lowered values, as verify_pentagon does: the left side
-    # has degree 2 and meets the right side of degree 3 once scaled by D
-    low, mul, _, _ = _residues(list(w.values()))
+    # decided in the ring of scalars.packing, as verify_pentagon does: the
+    # left side has degree 2 and meets the right side of degree 3 once
+    # scaled by D, so each side is one product of three factors
+    D, M, low = packing(list(w.values()), [(1, 3)] * 2)
+    differ = (lambda x, y: (x - y) % M) if M else operator.ne
     lw = {t: low(x) for t, x in w.items()}
-    scale = low(ONE)
     m = g.mul
     for a, b, c, d in product(range(n), repeat=4):
-        lhs = mul(mul(lw[m(a, b), c, d], lw[a, b, m(c, d)]), scale)
-        rhs = mul(mul(lw[a, b, c], lw[a, m(b, c), d]), lw[b, c, d])
-        if lhs != rhs:
+        if differ(lw[m(a, b), c, d] * lw[a, b, m(c, d)] * D, lw[a, b, c] * lw[a, m(b, c), d] * lw[b, c, d]):
             raise NotACocycle("omega fails the cocycle identity", (a, b, c, d))
 
     fusion = [[[1 if g.mul(a, b) == c else 0 for c in range(n)] for b in range(n)] for a in range(n)]

@@ -39,9 +39,9 @@ from itertools import product
 from math import lcm
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
-from .matrices import Matrix, _with_inverse, lowering, mat_inverse
+from .matrices import Matrix, _with_inverse, mat_inverse
 from .reports import CheckReport
-from .scalars import ONE, ZERO, _mul_int, phi_degree, sc
+from .scalars import ZERO, packing, sc
 
 
 def f_left_basis(N, a: int, b: int, c: int, d: int) -> list:
@@ -231,67 +231,43 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
     from the same walk over plain Scalars (see `_pentagon_render`).
     """
     rep = CheckReport("pentagon")
-    N = skel.fusion
-    r = skel.rank
+    N, r, F = skel.fusion, skel.rank, skel.F
 
-    for key in sorted(skel.F):
-        if (k := skel.F[key].rank()) != skel.F[key].rows:
-            rep.add("recoordinatization-invertible", key, f"rank {k}", f"rank {skel.F[key].rows}")
+    for key in sorted(F):
+        if (k := F[key].rank()) != F[key].rows:
+            rep.add("recoordinatization-invertible", key, f"rank {k}", f"rank {F[key].rows}")
 
-    low, mul, add, zero = _residues([x for m in skel.F.values() for x in m.entries])
-    sides = _pentagon_kernel(skel, low, mul, add, zero)
-    scale = low(ONE)
+    # a cell of either side sums at most dim^2 products of three factors
+    dim = max((m.rows for m in F.values()), default=0)
+    D, M, low = packing([x for m in F.values() for x in m.entries], [(dim * dim, 3)] * 2)
+    sides = _pentagon_kernel(skel, low)
 
-    def meets(lhs, rhs):
-        return {k: mul(scale, v) for k, v in lhs.items() if v != zero} == {
-            k: v for k, v in rhs.items() if v != zero
-        }
+    if M:
+        def meets(lhs, rhs):
+            return all((D * lhs.get(k, 0) - rhs.get(k, 0)) % M == 0 for k in lhs.keys() | rhs.keys())
+    else:
+        def meets(lhs, rhs):
+            return {k: D * v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
 
+    # the (a, b, c, d, total) with a tree: a block (a, b, c, y) and N[y][d][total] > 0
+    nz = [[[t for t, x in enumerate(row) if x] for row in plane] for plane in N]
     plain = None
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                # the y with a tree ((ab)c) -> y, as a plain integer prefilter
-                ys = [y for y in range(r) if any(N[a][b][x] and N[x][c][y] for x in range(r))]
-                for dd in range(r):
-                    for tot in range(r):
-                        key = (a, b, c, dd, tot)
-                        if any(N[y][dd][tot] for y in ys) and not all(
-                            meets(lhs, rhs) for _, lhs, rhs in sides(*key)
-                        ):
-                            plain = plain or _pentagon_kernel(skel, lambda x: x, operator.mul, operator.add, ZERO)
-                            rep.add("pentagon", key, *_pentagon_render(skel, plain, *key))
+    for key in sorted({(*t[:3], d, tot) for t in F for d in range(r) for tot in nz[t[3]][d]}):
+        if not all(meets(lhs, rhs) for _, lhs, rhs in sides(*key)):
+            plain = plain or _pentagon_kernel(skel, lambda x: x)
+            rep.add("pentagon", key, *_pentagon_render(skel, plain, *key))
     return rep
 
 
-def _residues(values) -> tuple:
-    """(low, mul, add, zero): the lowering the module docstring states, over
-    these Scalars.  low(x) is the int D*x when their conductors meet at
-    n = 1 and the int coefficients of D*x at conductor n otherwise; mul and
-    add act on lowered values, and zero is the lowered 0."""
-    n = lcm(*{x.conductor for x in values})
-    nz = [x.promote(n) for x in values if x]
-    if n == 1:
-        return lowering(nz)[1], operator.mul, operator.add, 0
-    dl = lcm(*{q.denominator for x in nz for q in x.coeffs})
-
-    def low(x):
-        return tuple(q.numerator * (dl // q.denominator) for q in x.promote(n).coeffs)
-
-    def add(x, y):
-        return tuple(map(operator.add, x, y))
-
-    return low, partial(_mul_int, n=n), add, (0,) * phi_degree(n)
-
-
-def _pentagon_kernel(skel, low, mul, add, zero):
+def _pentagon_kernel(skel, low):
     """sides(a, b, c, d, tot): for each T1 basis vector of verify_pentagon,
     its label and its images along the two-step and the three-step path,
     as dicts over T5 labels.  Each F block is lowered by low once, to a
-    column map left tree -> [(right tree, value)] of its nonzero entries.
+    column map left tree -> [(right tree, value)] of its nonzero entries;
+    the values are ints or Scalars, which +, * and truthiness serve alike.
     The three-step path sums in T4 first and goes on from the cells that
-    did not cancel, as a matrix product would; cancelled cells of either
-    image are kept."""
+    are not 0, as a matrix product would; cancelled cells of either image
+    are kept."""
     N, r, F = skel.fusion, skel.rank, skel.F
     cols = {}
     for key, m in F.items():
@@ -302,7 +278,7 @@ def _pentagon_kernel(skel, low, mul, add, zero):
         }
 
     def acc(out, key, v):
-        out[key] = add(out[key], v) if key in out else v
+        out[key] = out.get(key, 0) + v
 
     def sides(a, b, c, d, tot):
         for y in range(r):
@@ -312,14 +288,14 @@ def _pentagon_kernel(skel, low, mul, add, zero):
                     lhs, t4, rhs = {}, {}, {}
                     for (z, rho, tau), f in cols[x, c, d, tot][y, m2, m3]:
                         for (w, nu, sig), g in cols[a, b, z, tot][x, m1, tau]:
-                            acc(lhs, (z, rho, w, nu, sig), mul(f, g))
+                            acc(lhs, (z, rho, w, nu, sig), f * g)
                     for (v, s, t), f in to_t3:
                         for (w, tp, up), g in cols[a, v, d, tot][y, t, m3]:
-                            acc(t4, (v, s, w, tp, up), mul(f, g))
+                            acc(t4, (v, s, w, tp, up), f * g)
                     for (v, s, w, tp, up), fg in t4.items():
-                        if fg != zero:
+                        if fg:
                             for (z, rho, nu), h in cols[b, c, d, w][v, s, tp]:
-                                acc(rhs, (z, rho, w, nu, up), mul(fg, h))
+                                acc(rhs, (z, rho, w, nu, up), fg * h)
                     yield (x, m1, y, m2, m3), lhs, rhs
 
     return sides

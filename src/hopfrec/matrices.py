@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeError
-from .scalars import ONE, ZERO, Scalar, _rat, sc
+from .scalars import ONE, ZERO, Scalar, _rat, packing, sc
 
 
 class Matrix:
@@ -300,18 +300,13 @@ class Matrix:
 
 
 def lowering(entries) -> tuple:
-    """The one lowering of Scalars that the exact kernels share: (D, low).
-    On conductor 1, D is the lcm of their denominators and low(x) the int
-    D*x for any x among them.  When any has a conductor above 1, D = 1 and
+    """The lowering of Scalars that the matrix kernels share: (D, low).
+    On conductor 1 it is `scalars.packing`: D is the lcm of their
+    denominators and low(x) the int D*x for any x among them.  When any has a conductor above 1, D = 1 and
     low(x) is x itself, neither promoted nor copied."""
     if any(x.conductor != 1 for x in entries):
         return 1, lambda x: x
-    d = lcm(*{x.coeffs[0].denominator for x in entries})
-
-    def low(x):
-        f = x.coeffs[0]
-        return f.numerator * (d // f.denominator)
-
+    d, _, low = packing(entries, ())
     return d, low
 
 

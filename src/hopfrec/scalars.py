@@ -14,6 +14,34 @@ factor as D*x with int coefficients, D the lcm of their denominators,
 reduces the int convolution mod Phi_n, and builds its Fractions once, as
 r / (Da*Db); x^-1 is the product of the other Galois conjugates of x
 divided by its norm, an integer (`Scalar.inverse`).
+
+One packed-int ring (`packing`).  The exact kernels lower Scalars once and
+decide identities on plain ints.  n is the lcm of the conductors and D the
+lcm of the coefficient denominators.  On n = 1 an entry x is the int D*x
+and two sides are equal iff their ints are.  Above it x, with coefficients
+c_i at its own conductor m, is the int sum (D*c_i) B^(i*n/m), B = 2^k:
+Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009).  x -> B
+is a ring map Z[x]/Phi_n -> Z/M, M = Phi_n(B), so sums and products keep
+their kernels' int bodies and two sides are equal iff their difference is
+0 mod M, once k is large enough:
+
+  Let U be the difference of the two sides as a polynomial in x, each
+  lowered value read before reduction mod Phi_n, and R = U mod Phi_n, the
+  residue the identity claims is 0.  With h the largest of D and every
+  |D*c_i|, each factor has coefficient sum at most phi(n)*h, so |U|_1 is at
+  most the sum over both sides of terms * (phi(n)*h)^factors.  As
+  x^j = x^(j mod n) mod Phi_n, every coefficient of R is at most rho*|U|_1,
+  rho a bound on the coefficients of x^j mod Phi_n for j < n: for
+  phi(n) <= j < n the quotient of x^j by the palindromic Phi_n is a
+  truncation of 1/Phi_n = -Psi_n (1 + x^n + ...), Psi_n = (x^n - 1)/Phi_n
+  = prod_{d|n, d<n} Phi_d, so rho = |Phi_n|_inf prod |Phi_d|_1 serves.
+  Take 2^k above twice that coefficient bound C and above 2 phi(n).  The
+  ints of the sides differ by U(B) = R(B) mod M, and |R(B)| <=
+  C (B^phi - 1)/(B - 1) < B^phi/2 <= (B - 1)^phi <= Phi_n(B) = M, by
+  Bernoulli's inequality and since every root of Phi_n lies at distance at
+  least B - 1 from B.  So M | R(B) forces R(B) = 0, and then R = 0: its
+  coefficients are below B/2 in size, and such digits in base B are
+  unique.
 """
 
 from __future__ import annotations
@@ -119,6 +147,46 @@ def _mul_int(a: tuple, b: tuple, n: int) -> tuple:
             for j, y in enumerate(b):
                 conv[i + j] += x * y
     return _reduce(conv, n)
+
+
+@lru_cache(maxsize=None)
+def _reduction_height(n: int) -> int:
+    """A bound on every coefficient of x^j mod Phi_n, for every j >= 0 (see
+    `packing`)."""
+    psi = prod(sum(map(abs, cyclotomic_poly(d))) for d in range(1, n) if n % d == 0)
+    return psi * max(map(abs, cyclotomic_poly(n)))
+
+
+def packing(values, sides) -> tuple:
+    """(D, M, low): the one ring of plain ints in which the exact kernels
+    decide identities between sums of products of these Scalars; see the
+    module docstring.  sides lists (terms, factors) for each side the ring
+    must decide: a sum of at most `terms` products of `factors` each, a
+    factor being a lowered value or D, the D by which the side is scaled to
+    meet the other side included."""
+    n = lcm(*{x.conductor for x in values})
+    if n == 1:
+        d = lcm(*{x.coeffs[0].denominator for x in values})
+
+        def low(x):
+            f = x.coeffs[0]
+            return f.numerator * (d // f.denominator)
+
+        return d, 0, low
+    d = lcm(*{q.denominator for x in values for q in x.coeffs})
+    h = max([d] + [abs(q.numerator) * (d // q.denominator) for x in values for q in x.coeffs])
+    phi = phi_degree(n)
+    bound = _reduction_height(n) * sum(terms * (phi * h) ** factors for terms, factors in sides)
+    k = max(2 * bound, 2 * phi).bit_length()
+
+    def low(x):
+        if x.conductor == 1:
+            f = x.coeffs[0]
+            return f.numerator * (d // f.denominator)
+        step = k * (n // x.conductor)
+        return sum((q.numerator * (d // q.denominator)) << (step * i) for i, q in enumerate(x.coeffs) if q)
+
+    return d, sum(c << (k * i) for i, c in enumerate(cyclotomic_poly(n))), low
 
 
 class Scalar:

@@ -3,14 +3,15 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrec.errors import DivisionByZero
-from hopfrec.scalars import ONE, ZERO, Scalar, _mul_int, cyclotomic_poly, phi_degree, sc
+from hopfrec.matrices import lowering
+from hopfrec.scalars import ONE, ZERO, Scalar, _mul_int, _reduce, _reduction_height, cyclotomic_poly, packing, phi_degree, sc
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 rationals = fracs.map(lambda f: sc(f))
@@ -95,6 +96,75 @@ def test_int_residue_product_matches_scalar_mul(n):
         got = _mul_int(low_a, low_b, n)
         assert all(type(c) is int for c in got)
         assert Scalar(n, [Fraction(c, d * d) for c in got]) == a * b
+
+
+# -- the packed-int ring -------------------------------------------------------
+
+def test_reduction_height_bounds_every_power_of_x():
+    for n in range(2, 61):
+        worst = max(max(map(abs, _reduce([0] * j + [1], n))) for j in range(n))
+        assert worst <= _reduction_height(n), n
+
+
+def residues(n):
+    """Residues at a conductor dividing n, with denominators."""
+    def at(m):
+        return st.lists(fracs, min_size=phi_degree(m), max_size=phi_degree(m)).map(lambda cs: Scalar(m, cs))
+
+    return st.sampled_from([m for m in range(1, n + 1) if n % m == 0]).flatmap(at)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_decision_is_scalar_equality(data):
+    """Sums of products of t factors, against the same sums with two factors
+    of some terms multiplied out beside a factor 1 (equal values whose ints
+    differ before reduction mod M), and sometimes one factor replaced."""
+    n = data.draw(st.sampled_from([3, 4, 5, 8, 12, 15, 21]))
+    t = data.draw(st.integers(1, 3))
+    lhs = data.draw(st.lists(st.lists(residues(n), min_size=t, max_size=t), min_size=1, max_size=4))
+    rhs = [[p[0] * p[1], ONE, *p[2:]] if t > 1 and data.draw(st.booleans()) else list(p) for p in lhs]
+    rhs.reverse()
+    if data.draw(st.booleans()):
+        rhs[0][0] = data.draw(residues(n))
+
+    def value(side):
+        return sum((prod(p, start=ONE) for p in side), ZERO)
+
+    # zeta_n puts the ring at conductor n when every factor lies below it
+    d, m, low = packing([Scalar.zeta(n)] + [x for p in lhs + rhs for x in p], [(len(lhs), t), (len(rhs), t)])
+    assert m > 0 and d >= 1
+
+    def packed(side):
+        return sum(prod(low(x) for x in p) for p in side)
+
+    assert ((packed(lhs) - packed(rhs)) % m == 0) == (value(lhs) == value(rhs))
+
+
+def test_the_packing_bound_is_load_bearing():
+    """3 * (-5 + 6 zeta_3) is not 0, yet at B' = 16, twice every input
+    coefficient, its ints 3 * 91 are Phi_3(16) = 273.  The bound for one
+    product of two factors picks a B that tells them apart."""
+    x, y = sc(3), Scalar(3, [-5, 6])
+    small = 16
+    assert x * y != ZERO and small > 2 * 6
+    assert 3 * (-5 + 6 * small) % (small * small + small + 1) == 0
+    d, m, low = packing([x, y], [(1, 2), (1, 0)])
+    big = low(Scalar.zeta(3))
+    assert d == 1 and small < big and m == big * big + big + 1
+    assert low(x) * low(y) % m != 0
+
+
+def test_conductor_1_packing_is_the_rational_lowering():
+    rng = random.Random(1)
+    values = [sc(Fraction(rng.randint(-50, 50), rng.randint(1, 30))) for _ in range(40)] + [ZERO]
+    d, m, low = packing(values, [(5, 3)])
+    assert m == 0
+    assert d == lcm(*(x.as_fraction().denominator for x in values))
+    assert [low(x) for x in values] == [x.as_fraction() * d for x in values]
+    assert all(type(low(x)) is int for x in values)
+    ld, llow = lowering(values)
+    assert ld == d and [llow(x) for x in values] == [low(x) for x in values]
 
 
 def test_conductor_promotion_and_cross_equality():
