@@ -12,16 +12,18 @@ sides of the identity; they never raise on honest axiom violations.
 
 Tensors are stored dense.  The first check of a presentation lowers it to
 sparse views of its nonzero entries, cached on the instance and shared by
-every checker after it.  When every entry is rational, D is the lcm of all
-their denominators and each entry x is held as the int D*x.  A side of an
-identity that sums products of k entries then holds D^k times its value,
-so sides of degrees k < l compare after the lower one is scaled by
-D^(l-k); constants such as 1 have degree 0.  A failing side of degree l is
-rendered as the rational v / D^l, the Scalar it stands for, so a report
-reads the same on either path.  When some entry has conductor > 1 the
-views keep the Scalars as they are (`matrices.lowering` promotes nothing,
-so a failing side that mixes conductors prints each term at its own),
-D = 1, and nothing is scaled.
+every checker after it, in the ring of `scalars.packing`: each entry x is
+held as the int D*x, packed at x -> B when some entry has conductor > 1.
+A side of an identity that sums products of k entries then holds D^k
+times its value, so sides of degrees k < l compare after the lower one is
+scaled by D^(l-k); constants such as 1 have degree 0.  Two sides agree
+when their ints are equal, or congruent mod M above conductor 1; every
+side sums at most n^4 products of at most four factors, which fixes B.
+A failing side of degree l is rendered as the rational v / D^l, the
+Scalar it stands for.  Packed ints do not render: a checker that fails on
+them runs again on Scalar views (`_plain`: D = 1, nothing scaled, the
+Scalars as they are, so a failing side that mixes conductors prints each
+term at its own), and that run gives the report.
 
 A side is a vector over index tuples, laid out flat: the cell (p, q) of
 an n x n side sits at offset p*n + q, and (p, q, k) of an n x n x n side
@@ -42,11 +44,15 @@ carries its own scale, the product of the D of its factors: multiplicative
 Ds*Dm against Dm^2*Dd, unit Ds*Dm against Dd, comultiplicative Ds*Dm^2
 against Dm*Dd, counit Ds against Dm*Dd.  Two sides compare after each is
 multiplied by the other's scale over their gcd, and a failing side is
-rendered at its own.  The map's columns are `Matrix._lowered` of its
-transpose, ints at Dm on conductor 1 and its Scalars at Dm = 1 above, and
-each presentation enters with its views as they are; a product with a
-Scalar factor is a Scalar, and a Scalar side renders as its value divided
-by its scale.  Its sides span target cells and use the target's store.
+rendered at its own.  On conductor 1 these are the ints of the two views
+and of `Matrix._lowered` of the map's transpose.  When any conductor is
+above 1, the map and both presentations are lowered into one packed ring,
+so Ds = Dm = Dd, and every side is at most max(ns, nd)^2 products of three
+factors.  A failure there reruns the sweep on each presentation's views,
+Scalar views in place of packed ones, and the map's Scalars at Dm = 1: a
+product with a Scalar factor is a Scalar, and a Scalar side renders as its
+value divided by its scale.  Its sides span target cells and use the
+target's store.
 
 Generators.  Once a map f into an algebra has f(1) = 1, the x with
 f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;
@@ -54,7 +60,9 @@ so f is multiplicative as soon as that identity holds at x in a set of
 generators.  `AlgebraPresentation._gens` is such a set of basis indices,
 taken greedily (e_i joins when it lies outside the subalgebra generated
 so far), and None unless check_algebra has passed: its verdict is kept by
-the sweep that ran, and the sweep runs once when none has.
+the sweep that ran, and the sweep runs once when none has.  The greedy
+choice may eliminate, which divides, so it reads Scalar views in place of
+packed ones.
 check_bialgebra first checks comult-of-unit and counit-of-unit, both
 multiplicativities at (g, j), then coassociativity and both counit laws
 at g, for g in the generators: once Delta and the counit are
@@ -72,7 +80,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import ShapeError
-from .matrices import Matrix, lowering
+from .matrices import Matrix
 from .reports import CheckReport
 from .scalars import ZERO, Scalar, packing, sc
 
@@ -106,12 +114,17 @@ class AlgebraPresentation:
         return _Views(self)
 
     @cached_property
+    def _plain(self) -> "_Views":
+        return _Views(self, ring=_SCALARS)
+
+    @cached_property
     def _gens(self) -> list | None:
         """Basis indices of generators, or None when the algebra fails
         check_algebra (see the module docstring)."""
-        if self._views.passed is None:
+        v = self._views
+        if v.passed is None:
             check_algebra(self)
-        return _generators(self._views) if self._views.passed else None
+        return _generators(self._plain if v.M else v) if v.passed else None
 
 
 @dataclass(frozen=True)
@@ -136,11 +149,17 @@ class HopfPresentation:
     def _views(self) -> "_Views":
         return _Views(self.alg, self.comult, self.counit, self.antipode)
 
+    @cached_property
+    def _plain(self) -> "_Views":
+        return _Views(self.alg, self.comult, self.counit, self.antipode, _SCALARS)
+
 
 # -- sparse views ---------------------------------------------------------
 
 class _Views:
-    """A presentation's entries lowered once, as the module docstring says:
+    """A presentation's entries lowered once, as the module docstring says,
+    in `ring` (D, M, low): by default the presentation's own packing, and
+    `_SCALARS` for Scalar views.  `values` lists the Scalars lowered.
     m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
     column i, and u and eps are dense.  Flat offsets over the nonzero
@@ -165,10 +184,9 @@ class _Views:
         nnz = len(nz)
         nz += [x for col in self.s for _, x in col] + self.u + self.eps
         self.values = nz
-        if ring is None:
-            d, low = lowering(nz)
-            ring = d, 0, low
-        self.D, self.M, low = ring
+        # a cell of any side of the checkers sums at most n^4 products of at
+        # most four factors, the powers of D that scale it included
+        self.D, self.M, low = ring or packing(nz, [(n**4, 4)] * 2)
         self.m = [[[(k, low(x)) for k, x in row] for row in plane] for plane in self.m]
         self.u = [low(x) for x in self.u]
         self.dl = [[(j, k, low(x)) for j, k, x in plane] for plane in self.dl]
@@ -208,6 +226,16 @@ class _Views:
         g = gcd(ls, rs)
         if not self.same(_scaled(lhs, rs // g), _scaled(rhs, ls // g)):
             rep.add(check, index, _render(lhs, ls, n, arity), _render(rhs, rs, n, arity))
+
+
+_SCALARS = (1, 0, lambda x: x)  # the ring of Scalar views: D = 1, no modulus
+
+
+def _on_views(h, sweep) -> CheckReport:
+    """sweep(h._views), the report of a presentation's checker; a failure on
+    packed views is recomputed on its Scalar views, which render it."""
+    rep = sweep(h._views)
+    return sweep(h._plain) if h._views.M and not rep.passed else rep
 
 
 def _generators(v: _Views) -> list:
@@ -318,9 +346,14 @@ def _render(side, scale: int = 1, n: int = 0, arity: int = 1) -> str:
 
 def check_algebra(a: AlgebraPresentation) -> CheckReport:
     """Associativity and the two unit laws, every basis index tuple."""
-    n = a.dim
+    rep = _on_views(a, _algebra)
+    a._views.passed = rep.passed
+    return rep
+
+
+def _algebra(v: _Views) -> CheckReport:
+    n = len(v.m)
     rep = CheckReport("algebra")
-    v = a._views
     m, mt, u, D2, store = v.m, v.mt, v.u, v.D**2, v.store
 
     for i in range(n):
@@ -352,7 +385,6 @@ def check_algebra(a: AlgebraPresentation) -> CheckReport:
         want[i] = 1
         v.compare(rep, "left-unit", (i,), left, D2, want, 1)
         v.compare(rep, "right-unit", (i,), right, D2, want, 1)
-    v.passed = rep.passed
     return rep
 
 
@@ -372,12 +404,18 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
 def _bialgebra(h: HopfPresentation, rows, stop: bool = False) -> CheckReport:
     """check_bialgebra with coassociativity and the counit laws checked at
     e_i, and both multiplicativities at (e_i, e_j) for every j, for i in
-    rows.  With stop, the unit checks run first, then the
-    multiplicativities, and the sweep ends at its first failure."""
-    n = h.dim
+    rows, on h's views as `_on_views` says.  With stop, the unit checks run
+    first, then the multiplicativities, and the sweep ends at its first
+    failure; only its verdict counts, so it is not recomputed."""
+    if stop:
+        return _bialgebra_sweep(h._views, rows, True)
+    return _on_views(h, lambda v: _bialgebra_sweep(v, rows, False))
+
+
+def _bialgebra_sweep(v: _Views, rows, stop: bool) -> CheckReport:
+    n = len(v.m)
     nn = n * n
     rep = CheckReport("bialgebra")
-    v = h._views
     m, mt, dl, dp, dt, eps, u, store = v.m, v.mt, v.dl, v.dp, v.dt, v.eps, v.u, v.store
     D2, D4 = v.D**2, v.D**4
 
@@ -490,9 +528,12 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
     informational flags: whether S is an algebra antihomomorphism, a
     coalgebra antihomomorphism, and an involution.
     """
+    return _on_views(h, lambda v: _antipode(h, v))
+
+
+def _antipode(h: HopfPresentation, v: _Views) -> CheckReport:
     n = h.dim
     rep = CheckReport("antipode")
-    v = h._views
     m, mt, dl, dp, scol, store = v.m, v.mt, v.dl, v.dp, v.s, v.store
     D, D2, D3 = v.D, v.D**2, v.D**3
 
@@ -571,7 +612,7 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
     ns, nd = src.dim, dst.dim
     vs, vd = src._views, dst._views
     rep = None
-    if m._n != 1 or type(vs.u[0]) is not int or type(vd.u[0]) is not int:
+    if m._n != 1 or vs.M or vd.M:
         # a cell of any side sums at most max(ns, nd)^2 products of three factors
         ring = packing(vs.values + vd.values + list(m.entries), [(max(ns, nd) ** 2, 3)] * 2)
         d, _, low = ring
@@ -580,6 +621,7 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
         rep = _morphism(hs, hd, cols, d, d, d)
     if rep is None or not rep.passed:
         dm, cols = m.transpose()._lowered()
+        vs, vd = (h._plain if v.M else v for h, v in ((src, vs), (dst, vd)))
         rep = _morphism(vs, vd, cols, vs.D, dm, vd.D)
 
     ms = m * src.antipode

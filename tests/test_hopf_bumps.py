@@ -262,9 +262,10 @@ def test_every_bump_fails_alike_on_both_paths_and_matches_golden():
 def test_unbumped_bases_pass_on_both_paths():
     for name in ("dz2", "ks3"):
         h = rebuilt(name)
-        assert {type(x) for x in h._views.eps} == {int}
-        assert {type(x) for x in promoted(h, 2)._views.eps} == {Scalar}
-        for reports in (run_hopf_checks(h), run_hopf_checks(promoted(h, 2))):
+        assert {type(x) for x in h._views.eps} == {int} and h._views.M == 0
+        twin = promoted(h, 2)  # decided in the packed ring, rendered from Scalar views
+        assert twin._views.M > 0 and {type(x) for x in twin._plain.eps} == {Scalar}
+        for reports in (run_hopf_checks(h), run_hopf_checks(twin)):
             assert all(r.passed for r in reports), name
 
 
