@@ -59,14 +59,16 @@ def trivial_group() -> GroupTable:
 
 
 def cyclic_group(n: int) -> GroupTable:
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cyclic group order must be positive, got {n}")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return GroupTable(n, table, name=f"Z{n}")
 
 
 def symmetric_group(n: int) -> GroupTable:
     """S_n on {0..n-1}; elements sorted lexicographically so identity is 0."""
-    assert 1 <= n <= 6
+    if not 1 <= n <= 6:
+        raise ValueError(f"symmetric group degree must be between 1 and 6, got {n}")
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     table = tuple(

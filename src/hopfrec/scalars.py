@@ -260,7 +260,8 @@ class Scalar:
         m = self.conductor
         if m == n:
             return self
-        assert n % m == 0, "promotion target must be a conductor multiple"
+        if n % m:
+            raise ValueError(f"cannot promote conductor {m} to {n}, which it does not divide")
         s, deg = n // m, len(cyclotomic_poly(n)) - 1
         if (len(self.coeffs) - 1) * s < deg:  # each x^(k*s) is reduced already
             return _make(n, tuple(_ZERO if k % s else self.coeffs[k // s] for k in range(deg)))

@@ -182,6 +182,11 @@ def test_conductor_promotion_and_cross_equality():
     assert z6 == -(z3 * z3)
 
 
+def test_promotion_to_a_non_multiple_is_a_value_error():
+    with pytest.raises(ValueError, match="conductor 3 to 5"):
+        Scalar.zeta(3).promote(5)
+
+
 def test_zero_division_raises():
     with pytest.raises(DivisionByZero):
         ZERO.inverse()
