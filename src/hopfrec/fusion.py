@@ -18,12 +18,14 @@ J[(a, b)] maps F(a) (x) F(b) onto the sum over c of N[a][b][c] copies of
 F(c); its row blocks, ordered (c ascending, copy index outer), realize
 the skeletal basis morphisms a (x) b -> c under the fiber functor.
 
-The pentagon check lowers the F blocks once.  n is the lcm of their
-conductors and D the lcm of every coefficient denominator; an entry x is
-held as the int D*x when n = 1, and otherwise as the int coefficients of
-D*x at conductor n, multiplied mod Phi_n by scalars._mul_int.  A path
-through k blocks holds D^k times its value, so the two-step side, scaled
-by D, meets the three-step side.  A failing (a, b, c, d, total) is
+The pentagon check lowers the F blocks once, into the packed-int ring of
+`scalars.packing`: an entry x is the int D*x, packed at x -> B above
+conductor 1.  A path through k blocks holds D^k times its value, so the
+two-step side, scaled by D, meets the three-step side: equal ints on
+conductor 1, congruent ones mod M above it.  A cell of either side sums
+at most dim^2 products of three factors, dim the largest block's.  The
+check walks only the (a, b, c, d, total) with a tree, read off the F keys
+and the nonzero N in lexicographic order.  A failing (a, b, c, d, total) is
 rendered from the same walk over plain Scalars, as T5 x T1 matrices in
 lexicographic label order.  Each side meets at the lcm of the conductors
 of the nonzero F blocks its steps place, or at conductor 1 when none of
