@@ -302,8 +302,9 @@ class Matrix:
 def lowering(entries) -> tuple:
     """The lowering of Scalars that the matrix kernels share: (D, low).
     On conductor 1 it is `scalars.packing`: D is the lcm of their
-    denominators and low(x) the int D*x for any x among them.  When any has a conductor above 1, D = 1 and
-    low(x) is x itself, neither promoted nor copied."""
+    denominators and low(x) the int D*x for any x among them.  When any
+    has a conductor above 1, D = 1 and low(x) is x itself, neither
+    promoted nor copied."""
     if any(x.conductor != 1 for x in entries):
         return 1, lambda x: x
     d, _, low = packing(entries, ())
