@@ -49,10 +49,11 @@ and of `Matrix._lowered` of the map's transpose.  When any conductor is
 above 1, the map and both presentations are lowered into one packed ring,
 so Ds = Dm = Dd, and every side is at most max(ns, nd)^2 products of three
 factors.  A failure there reruns the sweep on each presentation's views,
-Scalar views in place of packed ones, and the map's Scalars at Dm = 1: a
-product with a Scalar factor is a Scalar, and a Scalar side renders as its
-value divided by its scale.  Its sides span target cells and use the
-target's store.
+Scalar views in place of packed ones, and on `Matrix._lowered` of the
+map's transpose, its Scalars at Dm = 1 above conductor 1: a product with
+a Scalar factor is a Scalar, and a Scalar side renders as its value
+divided by its scale.  Its sides span target cells and use the target's
+store.
 
 Generators.  Once a map f into an algebra has f(1) = 1, the x with
 f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;

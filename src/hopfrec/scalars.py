@@ -32,9 +32,10 @@ their kernels' int bodies and two sides are equal iff their difference is
   most the sum over both sides of terms * (phi(n)*h)^factors.  As
   x^j = x^(j mod n) mod Phi_n, every coefficient of R is at most rho*|U|_1,
   rho a bound on the coefficients of x^j mod Phi_n for j < n: for
-  phi(n) <= j < n the quotient of x^j by the palindromic Phi_n is a
-  truncation of 1/Phi_n = -Psi_n (1 + x^n + ...), Psi_n = (x^n - 1)/Phi_n
-  = prod_{d|n, d<n} Phi_d, so rho = |Phi_n|_inf prod |Phi_d|_1 serves.
+  phi(n) <= j < n the quotient of x^j by the palindromic Phi_n, read
+  backwards, is a truncation of the power series 1/Phi_n =
+  -Psi_n (1 + x^n + ...), Psi_n = (x^n - 1)/Phi_n = prod_{d|n, d<n} Phi_d,
+  so rho = |Phi_n|_inf prod |Phi_d|_1 serves.
   Take 2^k above twice that coefficient bound C and above 2 phi(n).  The
   ints of the sides differ by U(B) = R(B) mod M, and |R(B)| <=
   C (B^phi - 1)/(B - 1) < B^phi/2 <= (B - 1)^phi <= Phi_n(B) = M, by
@@ -159,11 +160,11 @@ def _reduction_height(n: int) -> int:
 
 def packing(values, sides) -> tuple:
     """(D, M, low): the one ring of plain ints in which the exact kernels
-    decide identities between sums of products of these Scalars; see the
-    module docstring.  sides lists (terms, factors) for each side the ring
-    must decide: a sum of at most `terms` products of `factors` each, a
-    factor being a lowered value or D, the D by which the side is scaled to
-    meet the other side included."""
+    decide identities between sums of products of these Scalars, as the
+    module docstring states and proves.  sides lists (terms, factors) for
+    each side the ring must decide: a cell of it sums at most `terms`
+    products of `factors` factors each, counting the lowered values and
+    each D that scales the side to meet the other."""
     n = lcm(*{x.conductor for x in values})
     if n == 1:
         d = lcm(*{x.coeffs[0].denominator for x in values})
