@@ -7,7 +7,6 @@ elements, Fun(G) on point masses, D(G) on pairs (h, g) at index h*|G|+g.
 
 from __future__ import annotations
 
-import operator
 from itertools import product
 
 from .errors import NotACocycle, ShapeError
@@ -24,7 +23,7 @@ from .groups import (
 from .hopf import AlgebraPresentation, HopfPresentation
 from .matrices import Matrix
 from .repcat import ModuleRep
-from .scalars import ONE, ZERO, packing, sc
+from .scalars import ONE, ZERO, packing, sc, vanishes
 
 
 def gen_group_algebra(g: GroupTable) -> HopfPresentation:
@@ -127,11 +126,10 @@ def gen_pointed_category(g: GroupTable, omega=None) -> FusionSkeleton:
     # left side has degree 2 and meets the right side of degree 3 once
     # scaled by D, so each side is one product of three factors
     D, M, low = packing(list(w.values()), [(1, 3)] * 2)
-    differ = (lambda x, y: (x - y) % M) if M else operator.ne
     lw = {t: low(x) for t, x in w.items()}
     m = g.mul
     for a, b, c, d in product(range(n), repeat=4):
-        if differ(lw[m(a, b), c, d] * lw[a, b, m(c, d)] * D, lw[a, b, c] * lw[a, m(b, c), d] * lw[b, c, d]):
+        if not vanishes(lw[m(a, b), c, d] * lw[a, b, m(c, d)] * D - lw[a, b, c] * lw[a, m(b, c), d] * lw[b, c, d], M):
             raise NotACocycle("omega fails the cocycle identity", (a, b, c, d))
 
     fusion = [[[1 if g.mul(a, b) == c else 0 for c in range(n)] for b in range(n)] for a in range(n)]
@@ -184,7 +182,8 @@ def modules_elementary_abelian(g: GroupTable, bits: int) -> list:
 
 def _perm_modules(g: GroupTable) -> list:
     elems = g.elements
-    assert elems, "needs a symmetric group table with permutation payload"
+    if not elems:
+        raise ValueError(f"{g.name} carries no permutations: needs a symmetric group table")
     triv = _one_dim([1] * g.order, "triv")
     sgn = _one_dim([perm_parity(p) for p in elems], "sgn")
     std = ModuleRep(

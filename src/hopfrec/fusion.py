@@ -21,12 +21,12 @@ the skeletal basis morphisms a (x) b -> c under the fiber functor.
 The pentagon check lowers the F blocks once, into the packed-int ring of
 `scalars.packing`: an entry x is the int D*x, packed at x -> B above
 conductor 1.  A path through k blocks holds D^k times its value, so the
-two-step side, scaled by D, meets the three-step side: equal ints on
-conductor 1, congruent ones mod M above it.  A cell of either side sums
-at most dim^2 products of three factors, dim the largest block's.  The
-check walks only the (a, b, c, d, total) with a tree, read off the F keys
-and the nonzero N in lexicographic order.  A failing (a, b, c, d, total) is
-rendered from the same walk over plain Scalars, as T5 x T1 matrices in
+two-step side, scaled by D, meets the three-step side, as
+`scalars.same_sides` decides.  A cell of either side sums at most dim^2
+products of three factors, dim the largest block's.  The check walks only
+the (a, b, c, d, total) with a tree, read off the F keys and the nonzero
+N in lexicographic order.  A failing (a, b, c, d, total) is rendered from
+the same walk in `scalars.SCALAR_RING`, as T5 x T1 matrices in
 lexicographic label order.  Each side meets at the lcm of the conductors
 of the nonzero F blocks its steps place, or at conductor 1 when none of
 its terms reaches T5: the conductor of the dense product of those steps.
@@ -43,7 +43,7 @@ from math import lcm
 from .errors import NonInvertibleJ, NonRigid, ShapeError
 from .matrices import Matrix, _with_inverse, mat_inverse
 from .reports import CheckReport
-from .scalars import ZERO, packing, sc
+from .scalars import SCALAR_RING, ZERO, packing, same_sides, sc
 
 
 def f_left_basis(N, a: int, b: int, c: int, d: int) -> list:
@@ -244,19 +244,12 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
     D, M, low = packing([x for m in F.values() for x in m.entries], [(dim * dim, 3)] * 2)
     sides = _pentagon_kernel(skel, low)
 
-    if M:
-        def meets(lhs, rhs):
-            return all((D * lhs.get(k, 0) - rhs.get(k, 0)) % M == 0 for k in lhs.keys() | rhs.keys())
-    else:
-        def meets(lhs, rhs):
-            return {k: D * v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
-
     # the (a, b, c, d, total) with a tree: a block (a, b, c, y) and N[y][d][total] > 0
     nz = [[[t for t, x in enumerate(row) if x] for row in plane] for plane in N]
     plain = None
     for key in sorted({(*t[:3], d, tot) for t in F for d in range(r) for tot in nz[t[3]][d]}):
-        if not all(meets(lhs, rhs) for _, lhs, rhs in sides(*key)):
-            plain = plain or _pentagon_kernel(skel, lambda x: x)
+        if not all(same_sides(lhs, rhs, M, D) for _, lhs, rhs in sides(*key)):
+            plain = plain or _pentagon_kernel(skel, SCALAR_RING[2])
             rep.add("pentagon", key, *_pentagon_render(skel, plain, *key))
     return rep
 

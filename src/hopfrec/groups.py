@@ -132,7 +132,8 @@ def standard_rep_matrix(p: tuple) -> list:
 def s4_to_s3_quotient(p: tuple) -> tuple:
     """The surjection S4 -> S3 by the action on the three pair partitions
     {01|23, 02|13, 03|12} of {0,1,2,3}."""
-    assert len(p) == 4
+    if len(p) != 4:
+        raise ValueError(f"not a permutation of 4 points: {p}")
     partitions = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
 
     def part_index(pair):

@@ -17,12 +17,12 @@ held as the int D*x, packed at x -> B when some entry has conductor > 1.
 A side of an identity that sums products of k entries then holds D^k
 times its value, so sides of degrees k < l compare after the lower one is
 scaled by D^(l-k); constants such as 1 have degree 0.  Two sides agree
-when their ints are equal, or congruent mod M above conductor 1; every
-side sums at most n^4 products of at most four factors, which fixes B.
+as `scalars.same_sides` decides; every side sums at most n^4 products of
+at most four factors, which fixes B.
 A failing side of degree l is rendered as the rational v / D^l, the
 Scalar it stands for.  Packed ints do not render: a checker that fails on
-them runs again on Scalar views (`_plain`: D = 1, nothing scaled, the
-Scalars as they are, so a failing side that mixes conductors prints each
+them runs again on Scalar views (`_plain`, in `scalars.SCALAR_RING`: D =
+1, nothing scaled, so a failing side that mixes conductors prints each
 term at its own), and that run gives the report.
 
 A side is a vector over index tuples, laid out flat: the cell (p, q) of
@@ -38,22 +38,23 @@ that is when the additions reach the cells.  Dense sides compare as lists
 and keyed sides after dropping cancelled zeros.  Only a failing side maps
 its offsets back to index tuples, in the order of the tuples.
 
-check_hopf_morphism meets three lowerings: the source's views at Ds, the
-target's at Dd, and the columns of the map at Dm.  Each side of an identity
-carries its own scale, the product of the D of its factors: multiplicative
-Ds*Dm against Dm^2*Dd, unit Ds*Dm against Dd, comultiplicative Ds*Dm^2
-against Dm*Dd, counit Ds against Dm*Dd.  Two sides compare after each is
-multiplied by the other's scale over their gcd, and a failing side is
-rendered at its own.  On conductor 1 these are the ints of the two views
-and of `Matrix._lowered` of the map's transpose.  When any conductor is
-above 1, the map and both presentations are lowered into one packed ring,
-so Ds = Dm = Dd, and every side is at most max(ns, nd)^2 products of three
-factors.  A failure there reruns the sweep on each presentation's views,
-Scalar views in place of packed ones, and on `Matrix._lowered` of the
-map's transpose, its Scalars at Dm = 1 above conductor 1: a product with
-a Scalar factor is a Scalar, and a Scalar side renders as its value
-divided by its scale.  Its sides span target cells and use the target's
-store.
+check_hopf_morphism decides its five laws on three lowerings: the
+source's views at Ds, the target's at Dd, and the columns of the map at
+Dm.  Each side of an identity carries its own scale, the product of the D
+of its factors: multiplicative Ds*Dm against Dm^2*Dd, unit Ds*Dm against
+Dd, comultiplicative Ds*Dm^2 against Dm*Dd, counit Ds against Dm*Dd, and
+antipode, m S_src against S_dst m, Ds*Dm against Dm*Dd.  Two sides compare
+after each is multiplied by the other's scale over their gcd, and a
+failing side is rendered at its own.  On conductor 1 these are the ints of
+the two views and of `matrices.lowering` of the map's entries.  When any
+conductor is above 1, the map and both presentations are lowered into one
+packed ring, so Ds = Dm = Dd, and every side is at most max(ns, nd)^2
+products of three factors.  A failure there reruns the sweep on each
+presentation's views, Scalar views in place of packed ones, and on
+`matrices.lowering` of the map's entries, its Scalars at Dm = 1 above
+conductor 1: a product with a Scalar factor is a Scalar, and a Scalar side
+renders as its value divided by its scale.  Its sides span target cells
+and use the target's store; no Matrix product is made.
 
 Generators.  Once a map f into an algebra has f(1) = 1, the x with
 f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;
@@ -78,12 +79,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd
 
 from .errors import ShapeError
-from .matrices import Matrix
+from .matrices import Matrix, lowering
 from .reports import CheckReport
-from .scalars import ZERO, Scalar, packing, sc
+from .scalars import SCALAR_RING, ZERO, Scalar, packing, same_sides, sc, vanishes
 
 
 def _tensor3(data, n: int):
@@ -116,7 +118,7 @@ class AlgebraPresentation:
 
     @cached_property
     def _plain(self) -> "_Views":
-        return _Views(self, ring=_SCALARS)
+        return _Views(self, ring=SCALAR_RING)
 
     @cached_property
     def _gens(self) -> list | None:
@@ -152,7 +154,7 @@ class HopfPresentation:
 
     @cached_property
     def _plain(self) -> "_Views":
-        return _Views(self.alg, self.comult, self.counit, self.antipode, _SCALARS)
+        return _Views(self.alg, self.comult, self.counit, self.antipode, SCALAR_RING)
 
 
 # -- sparse views ---------------------------------------------------------
@@ -160,7 +162,8 @@ class HopfPresentation:
 class _Views:
     """A presentation's entries lowered once, as the module docstring says,
     in `ring` (D, M, low): by default the presentation's own packing, and
-    `_SCALARS` for Scalar views.  `values` lists the Scalars lowered.
+    `scalars.SCALAR_RING` for Scalar views; sides compare by
+    `scalars.same_sides`.  `values` lists the Scalars lowered.
     m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
     column i, and u and eps are dense.  Flat offsets over the nonzero
@@ -203,33 +206,14 @@ class _Views:
         """An empty side over `cells` flat offsets, in this presentation's store."""
         return [0] * cells if self.dense else defaultdict(int)
 
-    def equal(self, x, y) -> bool:
-        """Two values of this ring stand for the same scalar."""
-        return (x - y) % self.M == 0 if self.M else x == y
-
-    def same(self, a, b) -> bool:
-        """Two sides in this store stand for the same vector; keyed sides
-        may keep cells that cancelled to zero."""
-        if a == b:
-            return True
-        M = self.M
-        if type(a) is list:
-            return bool(M) and all((x - y) % M == 0 for x, y in zip(a, b))
-        if M:
-            return all((a.get(o, 0) - b.get(o, 0)) % M == 0 for o in a.keys() | b.keys())
-        return {o: v for o, v in a.items() if v} == {o: v for o, v in b.items() if v}
-
     def compare(self, rep: CheckReport, check: str, index: tuple, lhs, ls: int, rhs, rs: int, n=0, arity=1) -> None:
         """Record a failure unless side lhs of scale ls and side rhs of scale
         rs stand for the same value: each is multiplied by the other's scale
         over their gcd.  A failing side renders its cells as n^arity index
         tuples."""
         g = gcd(ls, rs)
-        if not self.same(_scaled(lhs, rs // g), _scaled(rhs, ls // g)):
+        if not same_sides(_scaled(lhs, rs // g), _scaled(rhs, ls // g), self.M):
             rep.add(check, index, _render(lhs, ls, n, arity), _render(rhs, rs, n, arity))
-
-
-_SCALARS = (1, 0, lambda x: x)  # the ring of Scalar views: D = 1, no modulus
 
 
 def _on_views(h, sweep) -> CheckReport:
@@ -369,7 +353,7 @@ def _algebra(v: _Views) -> CheckReport:
             for o0, k, c in mt[j]:
                 for p, d in mi[k]:
                     rhs[o0 + p] += c * d
-            if not v.same(lhs, rhs):
+            if not same_sides(lhs, rhs, v.M):
                 for l in range(n):
                     v.compare(rep, "associativity", (i, j, l), _block(lhs, l * n, n), D2, _block(rhs, l * n, n), D2)
 
@@ -479,14 +463,14 @@ def _bialgebra_sweep(v: _Views, rows, stop: bool) -> CheckReport:
                             o1 = p * n + q
                             for o0, c2 in seconds:
                                 rhs[o0 + o1] += x * c2
-        same = v.same(lhs, rhs)
+        same = same_sides(lhs, rhs, v.M)
         for j in range(n):
             if not same:
                 lj, rj = _block(lhs, j * nn, nn), _block(rhs, j * nn, nn)
                 v.compare(rep, "comult-multiplicative", (i, j), lj, D4, rj, D4, n, 2)
             e_lhs = sum(c * eps[k] for k, c in m[i][j])
             e_rhs = eps[i] * eps[j]
-            if not v.equal(e_lhs, e_rhs):
+            if not vanishes(e_lhs - e_rhs, v.M):
                 rep.add("counit-multiplicative", (i, j), _value(e_lhs, D2), _value(e_rhs, D2))
 
     def unit_laws():
@@ -504,7 +488,7 @@ def _bialgebra_sweep(v: _Views, rows, stop: bool) -> CheckReport:
         v.compare(rep, "comult-of-unit", (), du, D2, uu, D2, n, 2)
 
         eu = sum(u[i] * eps[i] for i in range(n))
-        if not v.equal(eu, D2):
+        if not vanishes(eu - D2, v.M):
             rep.add("counit-of-unit", (), _value(eu, D2), _value(D2, D2))
 
     if stop:
@@ -570,7 +554,7 @@ def _antipode(h: HopfPresentation, v: _Views) -> CheckReport:
                 for p, sp in scol[i]:
                     for q, d in m[l][p]:
                         rhs[o0 + q] += sl * sp * d
-        if not v.same(_scaled(lhs, D), rhs):
+        if not same_sides(lhs, rhs, v.M, D):
             antihom = False
             break
 
@@ -587,7 +571,7 @@ def _antipode(h: HopfPresentation, v: _Views) -> CheckReport:
                 o0 = p * n
                 for q, sq in scol[j]:
                     rhs[o0 + q] += x * sq
-        if not v.same(_scaled(lhs, D), rhs):
+        if not same_sides(lhs, rhs, v.M, D):
             co_antihom = False
             break
 
@@ -610,41 +594,30 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
     sweep on the presentations' own views (see the module docstring)."""
     if m.rows != dst.dim or m.cols != src.dim:
         raise ShapeError(f"morphism matrix must be {dst.dim}x{src.dim}")
-    ns, nd = src.dim, dst.dim
     vs, vd = src._views, dst._views
     rep = None
     if m._n != 1 or vs.M or vd.M:
-        # a cell of any side sums at most max(ns, nd)^2 products of three factors
-        ring = packing(vs.values + vd.values + list(m.entries), [(max(ns, nd) ** 2, 3)] * 2)
+        # a cell of any side sums at most (the larger dim)^2 products of three factors
+        ring = packing(vs.values + vd.values + list(m.entries), [(max(m.rows, m.cols) ** 2, 3)] * 2)
         d, _, low = ring
-        cols = [[(p, low(x)) for p, x in enumerate(col) if x] for col in m.transpose().to_rows()]
         hs, hd = (_Views(h.alg, h.comult, h.counit, h.antipode, ring) for h in (src, dst))
-        rep = _morphism(hs, hd, cols, d, d, d)
+        rep = _morphism(hs, hd, m, low, d, d, d)
     if rep is None or not rep.passed:
-        dm, cols = m.transpose()._lowered()
+        dm, low = lowering(m.entries)
         vs, vd = (h._plain if v.M else v for h, v in ((src, vs), (dst, vd)))
-        rep = _morphism(vs, vd, cols, vs.D, dm, vd.D)
-
-    ms = m * src.antipode
-    sm = dst.antipode * m
-    if ms != sm:
-        for i in range(ns):
-            li = [ms.at(p, i) for p in range(nd)]
-            ri = [sm.at(p, i) for p in range(nd)]
-            if li != ri:
-                rep.add("morphism-antipode", (i,), _render(li), _render(ri))
-
+        rep = _morphism(vs, vd, m, low, vs.D, dm, vd.D)
     rep.flags["bijective"] = m.rows == m.cols and m.rank() == m.rows
     return rep
 
 
-def _morphism(vs: _Views, vd: _Views, cols: list, ds: int, dm: int, dd: int) -> CheckReport:
-    """The multiplicative, unit, comultiplicative and counit laws of a map
-    from the presentation of views vs to that of vd, whose column i lists
-    (p, value) over its nonzero entries, at the scales ds, dm and dd."""
+def _morphism(vs: _Views, vd: _Views, m: Matrix, low, ds: int, dm: int, dd: int) -> CheckReport:
+    """The multiplicative, unit, comultiplicative, counit and antipode laws
+    of the map m from the presentation of views vs to that of vd, its
+    entries lowered by low, at the scales ds, dm and dd."""
     rep = CheckReport("hopf-morphism")
     ns, nd = len(vs.m), len(vd.m)
     store = vd.store
+    cols = [[(p, low(x)) for p, x in enumerate(m.entries[i::ns]) if x] for i in range(ns)]  # column i: (p, m[p, i])
 
     for i in range(ns):
         for j in range(ns):
@@ -664,10 +637,7 @@ def _morphism(vs: _Views, vd: _Views, cols: list, ds: int, dm: int, dd: int) -> 
         if c:
             for p, x in cols[i]:
                 img_u[p] += c * x
-    want_u = store(nd)
-    for p, x in enumerate(vd.u):
-        if x:
-            want_u[p] = x
+    want_u = vd.u if vd.dense else {p: x for p, x in enumerate(vd.u) if x}
     vd.compare(rep, "morphism-unit", (), img_u, ds * dm, want_u, dd)
 
     for i in range(ns):
@@ -686,51 +656,40 @@ def _morphism(vs: _Views, vd: _Views, cols: list, ds: int, dm: int, dd: int) -> 
 
         e_lhs = vs.eps[i]
         e_rhs = sum(x * vd.eps[p] for p, x in cols[i])
-        if not vd.equal(e_lhs * dm * dd, e_rhs * ds):
+        if not vanishes(e_lhs * dm * dd - e_rhs * ds, vd.M):
             rep.add("morphism-counit", (i,), _value(e_lhs, ds), _value(e_rhs, dm * dd))
+
+    for i in range(ns):
+        # m S_src e_i and S_dst m e_i
+        lhs = store(nd)
+        for l, sl in vs.s[i]:
+            for p, x in cols[l]:
+                lhs[p] += sl * x
+        rhs = store(nd)
+        for p, x in cols[i]:
+            for t, sp in vd.s[p]:
+                rhs[t] += x * sp
+        vd.compare(rep, "morphism-antipode", (i,), lhs, ds * dm, rhs, dm * dd)
     return rep
 
 
 def tensor_hopf(h1: HopfPresentation, h2: HopfPresentation) -> HopfPresentation:
     """Tensor product Hopf algebra on basis e_i (x) f_j, index i*dim2 + j."""
-    n1, n2 = h1.dim, h2.dim
-    n = n1 * n2
+    n2 = h2.dim
+    n = h1.dim * n2
 
-    def idx(i, j):
-        return i * n2 + j
+    def kron3(t1, t2):
+        """The structure tensor t1 (x) t2, from the products of their nonzero entries."""
+        out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        nz = [[(i, j, k, c) for i, p in enumerate(t) for j, r in enumerate(p) for k, c in enumerate(r) if c]
+              for t in (t1, t2)]
+        for (i1, j1, k1, c1), (i2, j2, k2, c2) in product(*nz):
+            out[i1 * n2 + i2][j1 * n2 + j2][k1 * n2 + k2] = c1 * c2
+        return out
 
-    mult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i1 in range(n1):
-        for j1 in range(n1):
-            row1 = h1.alg.mult[i1][j1]
-            for k1 in range(n1):
-                c1 = row1[k1]
-                if not c1:
-                    continue
-                for i2 in range(n2):
-                    for j2 in range(n2):
-                        row2 = h2.alg.mult[i2][j2]
-                        for k2 in range(n2):
-                            c2 = row2[k2]
-                            if c2:
-                                mult[idx(i1, i2)][idx(j1, j2)][idx(k1, k2)] = c1 * c2
+    def kron1(v1, v2):
+        return [x * y for x in v1 for y in v2]
 
-    unit = [h1.alg.unit[i] * h2.alg.unit[j] for i in range(n1) for j in range(n2)]
-
-    comult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i1 in range(n1):
-        for a1 in range(n1):
-            for b1 in range(n1):
-                c1 = h1.comult[i1][a1][b1]
-                if not c1:
-                    continue
-                for i2 in range(n2):
-                    for a2 in range(n2):
-                        for b2 in range(n2):
-                            c2 = h2.comult[i2][a2][b2]
-                            if c2:
-                                comult[idx(i1, i2)][idx(a1, a2)][idx(b1, b2)] = c1 * c2
-
-    counit = [h1.counit[i] * h2.counit[j] for i in range(n1) for j in range(n2)]
+    alg = AlgebraPresentation(n, kron3(h1.alg.mult, h2.alg.mult), kron1(h1.alg.unit, h2.alg.unit))
     antipode = h1.antipode.kron(h2.antipode)
-    return HopfPresentation(AlgebraPresentation(n, mult, unit), comult, counit, antipode)
+    return HopfPresentation(alg, kron3(h1.comult, h2.comult), kron1(h1.counit, h2.counit), antipode)

@@ -14,8 +14,9 @@ the inverse, so neither is eliminated twice.
 Lowered kernel.  A matrix is lowered once, cached on the instance, to D
 and per row the (column, low(x)) pairs of its nonzero entries x
 (`lowering`): on conductor 1, D is the lcm of its denominators and low(x)
-the int D*x; on any other, D = 1 and low(x) is x.  A product sums each
-output row over both lowerings and hands its result the sums
+the int D*x; on any other, `scalars.SCALAR_RING`, D = 1 and low(x) = x.
+check_hopf_morphism lowers a map's columns with it too.  A product sums
+each output row over both lowerings and hands its result the sums
 (`Matrix._from_low`), reduced so that D is again the lcm of the result's
 denominators, or its Scalars at D = 1.  A cell whose terms cancel stays a
 zero Scalar at their conductor; a cell with no terms is ZERO.  Only shape
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeError
-from .scalars import ONE, ZERO, Scalar, _rat, packing, sc
+from .scalars import ONE, SCALAR_RING, ZERO, Scalar, _rat, packing, sc
 
 
 class Matrix:
@@ -303,11 +304,9 @@ def lowering(entries) -> tuple:
     """The lowering of Scalars that the matrix kernels share: (D, low).
     On conductor 1 it is `scalars.packing`: D is the lcm of their
     denominators and low(x) the int D*x for any x among them.  When any
-    has a conductor above 1, D = 1 and low(x) is x itself, neither
-    promoted nor copied."""
-    if any(x.conductor != 1 for x in entries):
-        return 1, lambda x: x
-    d, _, low = packing(entries, ())
+    has a conductor above 1 it is `scalars.SCALAR_RING`: D = 1 and low(x)
+    is x itself, neither promoted nor copied."""
+    d, _, low = SCALAR_RING if any(x.conductor != 1 for x in entries) else packing(entries, ())
     return d, low
 
 

@@ -102,16 +102,18 @@ def tensor_module(h: HopfPresentation, v: ModuleRep, w: ModuleRep) -> ModuleRep:
 def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
     """Contragredient action: transpose of the action of the antipode."""
     n = h.dim
-    s = h.antipode
-    action = []
-    for i in range(n):
-        acc = Matrix.zeros(v.dim, v.dim)
-        for j in range(n):
-            c = s.at(j, i)
-            if c:
-                acc = acc + c * v.action[j]
-        action.append(acc.transpose())
-    return ModuleRep(v.dim, tuple(action), f"{v.name}*")
+    action = tuple(_act(v, h.antipode.entries[i::n]).transpose() for i in range(n))
+    return ModuleRep(v.dim, action, f"{v.name}*")
+
+
+def _act(v: ModuleRep, coeffs) -> Matrix:
+    """The action of sum_k coeffs[k] e_k: c_k * action_k summed from the
+    zero matrix over the nonzero c_k."""
+    acc = Matrix.zeros(v.dim, v.dim)
+    for c, a in zip(coeffs, v.action, strict=True):
+        if c:
+            acc = acc + c * a
+    return acc
 
 
 def hom_space(v: ModuleRep, w: ModuleRep, *, gens=None) -> list:
@@ -194,10 +196,7 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     for idx, v in enumerate(modules):
         if len(v.action) != n:
             raise ShapeError(f"module {idx} has {len(v.action)} action matrices for dim {n}")
-        uni = Matrix.zeros(v.dim, v.dim)
-        for i in range(n):
-            if alg.unit[i]:
-                uni = uni + alg.unit[i] * v.action[i]
+        uni = _act(v, alg.unit)
         if uni != Matrix.identity(v.dim):
             rep.add("module-unit", (idx,), uni, Matrix.identity(v.dim))
         elif gens is not None and _module_structure(CheckReport(rep.name), alg, idx, v, gens).passed:
@@ -226,11 +225,7 @@ def _module_structure(rep: CheckReport, alg: AlgebraPresentation, idx: int, v: M
     for i in rows:
         for j in range(alg.dim):
             lhs = v.action[i] * v.action[j]
-            rhs = Matrix.zeros(v.dim, v.dim)
-            for k in range(alg.dim):
-                c = alg.mult[i][j][k]
-                if c:
-                    rhs = rhs + c * v.action[k]
+            rhs = _act(v, alg.mult[i][j])
             if lhs != rhs:
                 rep.add("module-structure", (idx, i, j), lhs, rhs)
     return rep

@@ -43,6 +43,11 @@ their kernels' int bodies and two sides are equal iff their difference is
   least B - 1 from B.  So M | R(B) forces R(B) = 0, and then R = 0: its
   coefficients are below B/2 in size, and such digits in base B are
   unique.
+
+So a lowered value stands for 0 iff it is 0 mod M, or 0 when M = 0
+(`vanishes`), and two lowered sides are compared here alone
+(`same_sides`).  `SCALAR_RING` is the ring of Scalars themselves: D = 1,
+no modulus, low the identity; the kernels rerun in it to render failures.
 """
 
 from __future__ import annotations
@@ -188,6 +193,28 @@ def packing(values, sides) -> tuple:
         return sum((q.numerator * (d // q.denominator)) << (step * i) for i, q in enumerate(x.coeffs) if q)
 
     return d, sum(c << (k * i) for i, c in enumerate(cyclotomic_poly(n))), low
+
+
+SCALAR_RING = (1, 0, lambda x: x)  # D = 1, no modulus: Scalars as they are
+
+
+def vanishes(x, M: int) -> bool:
+    """The lowered value x stands for 0 (see the module docstring)."""
+    return not x % M if M else not x
+
+
+def same_sides(a, b, M: int, f: int = 1) -> bool:
+    """f*a and b stand for the same vector: two sides of lowered values over
+    the same cells, lists, or dicts that may keep cells that cancelled."""
+    if f == 1 and a == b:
+        return True
+    if type(a) is list:
+        if not M:
+            return f != 1 and [f * x for x in a] == b
+        return all((f * x - y) % M == 0 for x, y in zip(a, b))
+    if M:
+        return all((f * a.get(o, 0) - b.get(o, 0)) % M == 0 for o in a.keys() | b.keys())
+    return {o: f * v for o, v in a.items() if v} == {o: v for o, v in b.items() if v}
 
 
 class Scalar:

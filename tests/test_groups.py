@@ -1,9 +1,17 @@
-"""Argument checks of the group table constructors, which hold under
-`python -O` too."""
+"""Argument checks of the group table constructors and of the helpers
+built on them, which hold under `python -O` too."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from hopfrec.groups import cyclic_group, symmetric_group
+from hopfrec.examples import _perm_modules
+from hopfrec.groups import cyclic_group, s4_to_s3_quotient, symmetric_group
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -16,3 +24,45 @@ def test_cyclic_group_of_nonpositive_order_is_a_value_error(n):
 def test_symmetric_group_out_of_range_is_a_value_error(n):
     with pytest.raises(ValueError, match="between 1 and 6"):
         symmetric_group(n)
+
+
+@pytest.mark.parametrize("p", [(0, 1, 2, 3, 4), (0, 1, 2)])
+def test_s4_quotient_of_a_non_s4_tuple_is_a_value_error(p):
+    with pytest.raises(ValueError, match="not a permutation of 4 points"):
+        s4_to_s3_quotient(p)
+
+
+def test_perm_modules_of_a_table_without_permutations_is_a_value_error():
+    with pytest.raises(ValueError, match="carries no permutations"):
+        _perm_modules(cyclic_group(3))
+
+
+# each check's call, and the exception name it must raise with asserts off
+OPTIMIZED = """
+from hopfrec.examples import _perm_modules
+from hopfrec.groups import cyclic_group, s4_to_s3_quotient, symmetric_group
+from hopfrec.scalars import Scalar
+
+assert not __debug__
+calls = [
+    lambda: cyclic_group(0),
+    lambda: symmetric_group(7),
+    lambda: Scalar.zeta(3).promote(5),
+    lambda: _perm_modules(cyclic_group(3)),
+    lambda: s4_to_s3_quotient((0, 1, 2, 3, 4)),
+    lambda: s4_to_s3_quotient((0, 1, 2)),
+]
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except Exception as e:
+        print(type(e).__name__)
+"""
+
+
+def test_argument_checks_raise_value_error_under_python_O():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ValueError"] * 6

@@ -208,5 +208,23 @@ def test_unbumped_maps_are_isomorphisms_on_both_paths():
             assert rep.passed and rep.flags == {"bijective": True}, name
 
 
+def test_all_five_laws_are_decided_without_a_matrix_product(monkeypatch):
+    """ks3 gamma (conductor 1) and the K[Z/5] character gamma (the packed
+    ring), plus a zeta5 bump of the latter (its Scalar rerun), report the
+    same lines with Matrix products barred."""
+    src, dst, m = character_case(5)
+    runs = [gamma_case("ks3"), (src, dst, m), (src, dst, bumped(m, (0, 1), Scalar.zeta(5)))]
+    want = [check_hopf_morphism(*run).lines() for run in runs]
+
+    def barred(*args):
+        raise AssertionError("check_hopf_morphism made a Matrix product")
+
+    monkeypatch.setattr(Matrix, "__mul__", barred)
+    monkeypatch.setattr(Matrix, "__rmul__", barred)
+    got = [check_hopf_morphism(*run) for run in runs]
+    assert [rep.passed for rep in got] == [True, True, False]
+    assert [rep.lines() for rep in got] == want
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(golden_text())

@@ -11,7 +11,20 @@ from hypothesis import strategies as st
 
 from hopfrec.errors import DivisionByZero
 from hopfrec.matrices import lowering
-from hopfrec.scalars import ONE, ZERO, Scalar, _mul_int, _reduce, _reduction_height, cyclotomic_poly, packing, phi_degree, sc
+from hopfrec.scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    _mul_int,
+    _reduce,
+    _reduction_height,
+    cyclotomic_poly,
+    packing,
+    phi_degree,
+    same_sides,
+    sc,
+    vanishes,
+)
 
 fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 rationals = fracs.map(lambda f: sc(f))
@@ -139,6 +152,27 @@ def test_packed_decision_is_scalar_equality(data):
         return sum(prod(low(x) for x in p) for p in side)
 
     assert ((packed(lhs) - packed(rhs)) % m == 0) == (value(lhs) == value(rhs))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_same_sides_is_scalar_equality_of_vectors(data):
+    """Cell k holds x*y on the left, scaled by f, against f*x*y, or a drawn
+    z, times D on the right: equal values whose ints differ before reduction
+    mod M.  As lists, and as dicts where the left keeps a cancelled cell,
+    same_sides decides as the Scalar vectors compare."""
+    n = data.draw(st.sampled_from([1, 3, 8]))
+    f = data.draw(st.integers(1, 3))
+    cells = data.draw(st.lists(st.tuples(residues(n), residues(n)), min_size=1, max_size=4))
+    want = [f * x * y for x, y in cells]
+    got = [data.draw(residues(n)) if data.draw(st.booleans()) else w for w in want]
+    d, m, low = packing([Scalar.zeta(n), sc(f)] + [x for c in cells for x in c] + want + got, [(1, 3)] * 2)
+    a = [low(x) * low(y) for x, y in cells]
+    b = [low(z) * d for z in got]
+    same = want == got
+    assert same_sides(a, b, m, f) == same
+    assert same_sides(dict(enumerate(a)) | {len(a): m}, dict(enumerate(b)), m, f) == same
+    assert vanishes(f * a[0] - b[0], m) == (want[0] == got[0])
 
 
 def test_the_packing_bound_is_load_bearing():
