@@ -20,7 +20,7 @@ from .examples import EXAMPLES
 from .fusion import verify_category
 from .hopf import run_hopf_checks
 from .reconstruct import reconstruct_hopf, zeta_modules
-from .repcat import _roundtrip, skeletalize, verify_irreps
+from .repcat import _roundtrip, _skeletalize, verify_irreps
 from .reports import CheckReport
 
 
@@ -38,6 +38,16 @@ def _load(path: str, kind: str):
     if loaded.kind != kind:
         raise _InputError(f"{path}: expected a {kind} payload, found {loaded.kind}")
     return loaded
+
+
+def _load_modules(args):
+    """The hopf payload and module family of args, which fit each other
+    when every module has one action matrix per algebra basis element."""
+    h, mods = _load(args.hopf, "hopf").obj, _load(args.modules, "modules").obj
+    for idx, v in enumerate(mods):
+        if len(v.action) != h.dim:
+            raise _InputError(f"{args.modules}: module {idx} has {len(v.action)} action matrices for dim {h.dim}")
+    return h, mods
 
 
 def _fiber_out_path(path: str) -> str:
@@ -91,13 +101,12 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_repcat(args):
-    h = _load(args.hopf, "hopf").obj
-    mods = _load(args.modules, "modules").obj
+    h, mods = _load_modules(args)
     rep = verify_irreps(h.alg, mods)
     if not rep.passed:
         return [rep], {}
     try:
-        skel, fiber = skeletalize(h, mods, verify=False)
+        skel, fiber = _skeletalize(h, mods, verify=False)
     except HopfrecError as e:
         return [rep, _failure_report(type(e).__name__, str(e))], {}
     reports = [rep] + verify_category(skel, fiber)
@@ -110,8 +119,7 @@ def _cmd_repcat(args):
 
 
 def _cmd_roundtrip(args):
-    h = _load(args.hopf, "hopf").obj
-    mods = _load(args.modules, "modules").obj
+    h, mods = _load_modules(args)
     try:
         rep, gamma, recon = _roundtrip(h, mods)
     except HopfrecError as e:

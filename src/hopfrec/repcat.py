@@ -11,12 +11,10 @@ algebra, and exist only once check_algebra has passed (see hopf).  The
 e_x on which a module's action is multiplicative form a unital subalgebra
 once the unit acts as the identity, so verify_irreps checks module
 structure at (g, j) for g in the generators and every j, and sweeps every
-(i, j) of a module on any failure.  The e_x that an intertwiner of two
-modules commutes with form a unital subalgebra too, so hom_space(...,
-gens=...) solves the constraints of the generators alone; because its
-arguments need not be modules, each basis matrix T it finds is then
-checked against every action, aw T = T av, and any miss solves all the
-constraints instead.  gens changes only the work done, never the answer.
+(i, j) of a module on any failure.  hom_space needs no generators: on
+modules, a non-generator e_i lies in the subalgebra of the earlier
+indices, with which every intertwiner kept so far already commutes, so
+refining in index order leaves its constraint nothing to cut.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tre
 from .hopf import AlgebraPresentation, HopfPresentation, check_hopf_morphism
 from .matrices import Matrix, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
-from .scalars import ZERO
+from .scalars import ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -116,40 +114,32 @@ def _act(v: ModuleRep, coeffs) -> Matrix:
     return acc
 
 
-def hom_space(v: ModuleRep, w: ModuleRep, *, gens=None) -> list:
+def hom_space(v: ModuleRep, w: ModuleRep) -> list:
     """Canonical basis of intertwiners v -> w, as dim(w) x dim(v) matrices.
 
     T intertwines iff act_w(e_i) T = T act_v(e_i) for every basis element;
     row-major vectorization turns each constraint into a kernel condition
-    on act_w (x) I - I (x) act_v^T.  The kernel is refined one constraint
-    at a time, which usually stabilizes after a few basis elements, and is
-    re-echelonized at the end so the result equals the canonical reduced
-    basis of the joint kernel.  With gens, the constraints of those basis
-    indices come first, as the module docstring says.  Modules over
+    on act_w (x) I - I (x) act_v^T.  The kernel is refined by each
+    constraint in index order, and re-echelonized at the end so the result
+    equals the canonical reduced basis of the joint kernel.  Modules over
     algebras of different dims raise ShapeError.
     """
     if len(v.action) != len(w.action):
         dims = f"{len(v.action)} and {len(w.action)}"
         raise ShapeError(f"{v.name} and {w.name} are modules over algebras of dims {dims}")
-    if gens is not None:
-        basis = _hom_basis(v, w, gens)
-        if all(aw * t == t * av for t in basis for av, aw in zip(v.action, w.action)):
-            return basis
-    return _hom_basis(v, w, range(len(v.action)))
-
-
-def _hom_basis(v: ModuleRep, w: ModuleRep, rows) -> list:
-    """hom_space on the constraints of the basis indices in rows."""
-    ker = Matrix.identity(w.dim * v.dim)
-    for i in rows:
-        if ker.cols == 0:
-            break
-        hit = _intertwiner_constraint(v.action[i], w.action[i]) * ker
+    ker = None  # no constraint has cut yet: every matrix intertwines so far
+    for av, aw in zip(v.action, w.action):
+        hit = _intertwiner_constraint(av, aw)
+        if ker is not None:
+            hit = hit * ker
         if hit.is_zero():
             continue
-        ker = ker * mat_kernel(hit)
-    if not ker.cols:
-        return []
+        ker = mat_kernel(hit) if ker is None else ker * mat_kernel(hit)
+        if not ker.cols:
+            return []
+    if ker is None:
+        n = w.dim * v.dim
+        return [Matrix._of(w.dim, v.dim, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
     red, _ = ker.transpose().rref()  # ker has full column rank: no zero rows
     return [Matrix._of(w.dim, v.dim, red.row(i)) for i in range(red.rows)]
 
@@ -188,8 +178,8 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     """The family is a complete set of pairwise distinct split irreducible
     modules: actions respect the structure tensors, endomorphism spaces are
     one dimensional, cross homs vanish, and squared dimensions fill the
-    algebra.  Module structure and the hom spaces are decided on the
-    algebra's generators where the module docstring allows."""
+    algebra.  Module structure is decided on the algebra's generators
+    where the module docstring allows, and swept in full on any miss."""
     rep = CheckReport("irreducible-family")
     n = alg.dim
     gens = alg._gens
@@ -204,14 +194,14 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
         _module_structure(rep, alg, idx, v, range(n))
 
     for idx, v in enumerate(modules):
-        endo = len(hom_space(v, v, gens=gens))
+        endo = len(hom_space(v, v))
         if endo != 1:
             rep.add("split-irreducible", (idx,), f"dim End = {endo}", "dim End = 1")
     for a in range(len(modules)):
         for b in range(len(modules)):
             if a == b:
                 continue
-            cross = len(hom_space(modules[a], modules[b], gens=gens))
+            cross = len(hom_space(modules[a], modules[b]))
             if cross:
                 rep.add("distinct", (a, b), f"dim Hom = {cross}", "dim Hom = 0")
     total = sum(v.dim * v.dim for v in modules)
@@ -231,14 +221,14 @@ def _module_structure(rep: CheckReport, alg: AlgebraPresentation, idx: int, v: M
     return rep
 
 
-def decompose(v: ModuleRep, irreps: list, *, gens=None) -> Decomposition:
-    """Multiplicities and the isomorphism onto the ordered isotypic sum.
-    Raises DecompositionGap when the family does not exhaust v.  gens is
-    passed on to hom_space."""
+def decompose(v: ModuleRep, irreps: list) -> Decomposition:
+    """Multiplicities and the isomorphism onto the ordered isotypic sum,
+    read off the canonical hom_space bases.  Raises DecompositionGap when
+    the family does not exhaust v."""
     cols = []
     mult = []
     for w in irreps:
-        basis = hom_space(w, v, gens=gens)
+        basis = hom_space(w, v)
         mult.append(len(basis))
         for t in basis:
             for j in range(t.cols):
@@ -270,6 +260,11 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
         raise SkeletalizationFailure(
             "modules are not a complete split irreducible family", fam
         )
+    return _skeletalize(h, modules, verify)
+
+
+def _skeletalize(h: HopfPresentation, modules: list, verify: bool):
+    """skeletalize on a family that verify_irreps has passed."""
     r = len(modules)
     dims = tuple(v.dim for v in modules)
 
@@ -282,12 +277,11 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     if unit is None:
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
-    gens = h.alg._gens
     N = [[None] * r for _ in range(r)]
     J = {}
     for a in range(r):
         for b in range(r):
-            dec = decompose(tensor_module(h, modules[a], modules[b]), modules, gens=gens)
+            dec = decompose(tensor_module(h, modules[a], modules[b]), modules)
             N[a][b] = list(dec.mult)
             J[(a, b)] = dec.tau
     Ntup = tuple(tuple(tuple(row) for row in plane) for plane in N)
@@ -316,7 +310,7 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     for a in range(r):
         dm = dual_module(h, modules[a])
         for b in range(r):
-            if modules[b].dim == dm.dim and hom_space(dm, modules[b], gens=gens):
+            if modules[b].dim == dm.dim and hom_space(dm, modules[b]):
                 dual[a] = b
                 break
         if dual[a] is None:

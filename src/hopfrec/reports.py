@@ -34,10 +34,6 @@ class CheckReport:
     def add(self, check: str, index: tuple, lhs, rhs) -> None:
         self.failures.append(Failure(check, index, str(lhs), str(rhs)))
 
-    def extend(self, other: "CheckReport") -> None:
-        self.failures.extend(other.failures)
-        self.flags.update(other.flags)
-
     def lines(self) -> list[str]:
         out = [f"{self.name}: {'pass' if self.passed else f'FAIL ({len(self.failures)} failing tuples)'}"]
         out.extend("  " + f.line() for f in self.failures)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfrec import serialize
+from hopfrec import cli, repcat, serialize
 from hopfrec.cli import main
 from hopfrec.errors import SchemaError
 from hopfrec.examples import EXAMPLES, gen_group_algebra
@@ -236,6 +236,33 @@ def test_repcat_writes_skeleton_and_fiber(tmp_path, capsys):
     assert out_f.exists() and fiber_f.exists()
     code, out = run(capsys, "check-category", str(out_f), str(fiber_f))
     assert code == 0
+
+
+def test_repcat_verifies_the_family_once(tmp_path, capsys, monkeypatch):
+    h = tmp_path / "ks3.json"
+    mods = tmp_path / "mods.json"
+    run(capsys, "example", "ks3", "-o", str(h))
+    run(capsys, "example", "ks3-modules", "-o", str(mods))
+    calls = []
+    for module in (cli, repcat):
+        real = module.verify_irreps
+        monkeypatch.setattr(module, "verify_irreps", lambda *a, real=real: calls.append(a) or real(*a))
+    code, _ = run(capsys, "repcat", str(h), str(mods), "-o", str(tmp_path / "skel.json"))
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["repcat", "roundtrip"])
+def test_modules_that_do_not_fit_their_hopf_file_are_exit_2(tmp_path, capsys, command):
+    h = tmp_path / "kz2.json"
+    mods = tmp_path / "mods.json"
+    run(capsys, "example", "kz2", "-o", str(h))
+    run(capsys, "example", "ks3-modules", "-o", str(mods))
+    out_f = ["-o", str(tmp_path / "skel.json")] if command == "repcat" else []
+    code = main([command, str(h), str(mods), *out_f])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == f"error: {mods}: module 0 has 6 action matrices for dim 2\n"
+    assert not (tmp_path / "skel.json").exists()
 
 
 def test_roundtrip_ks3(tmp_path, capsys):
