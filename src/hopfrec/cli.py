@@ -15,7 +15,14 @@ import sys
 import time
 
 from . import serialize
-from .errors import HopfrecError, ParseError, SchemaError, ShapeError
+from .errors import (
+    HopfrecError,
+    ParseError,
+    ReconstructionAxiomFailure,
+    SchemaError,
+    ShapeError,
+    SkeletalizationFailure,
+)
 from .examples import EXAMPLES
 from .fusion import verify_category
 from .hopf import run_hopf_checks
@@ -123,7 +130,12 @@ def _cmd_roundtrip(args):
     try:
         rep, gamma, recon = _roundtrip(h, mods)
     except HopfrecError as e:
-        return [_failure_report(type(e).__name__, str(e))], {}
+        reports = [_failure_report(type(e).__name__, str(e))]
+        if isinstance(e, ReconstructionAxiomFailure):
+            reports += e.reports
+        elif isinstance(e, SkeletalizationFailure) and e.report is not None:
+            reports.append(e.report)
+        return reports, {}
     payload = {"gamma": serialize.format_matrix(gamma)}
     # the five round-trip identities, plus the irreducible-family gate,
     # live in rep; completeness of the rebuilt side is cheap to add

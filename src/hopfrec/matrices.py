@@ -26,7 +26,9 @@ multiplies the Fractions.  Elimination on conductor 1 is fraction-free on
 the int rows D*x (`Matrix._echelon`); rank reads the pivots, and rref,
 mat_kernel and mat_solve divide only the cells they read by their row's
 pivot and hand their results that lowering.  Other conductors, and det,
-keep the Scalar Gauss-Jordan, whose products run on int residues.
+keep the Scalar Gauss-Jordan, whose products run on int residues.  The
+rank of a single row or column is whether any entry is nonzero, with no
+elimination at any conductor.
 """
 
 from __future__ import annotations
@@ -262,6 +264,8 @@ class Matrix:
         return _reduced(self.cols, [(p, enumerate(row)) for p, row in zip(ps, m)]), pivots
 
     def rank(self) -> int:
+        if self.rows == 1 or self.cols == 1:
+            return int(any(self.entries))
         return len(self._echelon()[1])
 
     def det(self) -> Scalar:

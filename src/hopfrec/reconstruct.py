@@ -8,6 +8,12 @@ blockwise matrix multiplication.  Comultiplication conjugates the block
 sum through J and reads tensor coordinates off the result; the counit is
 the unit block; the antipode conjugates the dual block through the
 transpose pairing and transposes.
+
+With verify on, reconstruct_hopf checks the category data, then re-checks
+the rebuilt presentation against every Hopf axiom (`_require_hopf`).  A
+round trip (`repcat.gamma_roundtrip`) assembles the presentation
+unchecked and re-checks it the same way unless transport along gamma
+certifies it.
 """
 
 from __future__ import annotations
@@ -97,7 +103,9 @@ def reconstruct_hopf(
 def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> ReconstructionResult:
     """reconstruct_hopf on category data whose coherence is already known;
     with verify on, the presentation is still checked against every Hopf
-    axiom."""
+    axiom by `_require_hopf`.  The round trip assembles with verify off
+    and calls `_require_hopf` itself when gamma does not certify the
+    result."""
     r = skel.rank
     d = fiber.dims
     N = skel.fusion
@@ -151,15 +159,17 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
                         if (x := delta[ad].at(l, i)) and (y := dinv.at(j, k)):
                             anti[idx(ad, k, l)][idx(a, i, j)] = x * y
     hopf = HopfPresentation(alg, comult, counit, Matrix.from_rows(anti))
-
     if verify:
-        checks = run_hopf_checks(hopf)
-        bad = [rep for rep in checks if not rep.passed]
-        if bad:
-            raise ReconstructionAxiomFailure(
-                "assembled presentation fails the Hopf axioms", bad
-            )
+        _require_hopf(hopf)
     return ReconstructionResult(hopf, tuple(basis), tuple(d), skel.unit, skel.names)
+
+
+def _require_hopf(hopf: HopfPresentation) -> None:
+    """Run the full Hopf axiom suite on an assembled presentation; any
+    failure raises ReconstructionAxiomFailure carrying the failing reports."""
+    bad = [rep for rep in run_hopf_checks(hopf) if not rep.passed]
+    if bad:
+        raise ReconstructionAxiomFailure("assembled presentation fails the Hopf axioms", bad)
 
 
 def zeta_modules(recon: ReconstructionResult) -> list:

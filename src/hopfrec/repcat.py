@@ -15,6 +15,12 @@ structure at (g, j) for g in the generators and every j, and sweeps every
 modules, a non-generator e_i lies in the subalgebra of the earlier
 indices, with which every intertwiner kept so far already commutes, so
 refining in index order leaves its constraint nothing to cut.
+
+Round trip.  gamma_roundtrip rebuilds the Hopf algebra from the skeletal
+data and compares it with the source along gamma.  The rebuilt side is
+certified by transport of structure along gamma when the source passes
+its Hopf checks and gamma is a bijective Hopf morphism; only otherwise
+does it run the Hopf axiom suite of reconstruct_hopf (see _roundtrip).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from math import lcm
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
-from .hopf import AlgebraPresentation, HopfPresentation, check_hopf_morphism
+from .hopf import AlgebraPresentation, HopfPresentation, check_antipode, check_bialgebra, check_hopf_morphism
 from .matrices import Matrix, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
 from .scalars import ONE, ZERO
@@ -362,20 +368,46 @@ def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     gamma sends a basis element to the block diagonal of its actions.  The
     returned report checks that gamma is a bijective map respecting
     multiplication, unit, comultiplication, counit and antipode; the matrix
-    of gamma is returned alongside.
+    of gamma is returned alongside.  With verify on, the rebuilt
+    presentation is certified a Hopf algebra by transport along gamma, or
+    checked against every Hopf axiom where transport does not apply (see
+    _roundtrip); a failure raises ReconstructionAxiomFailure.
     """
     return _roundtrip(h, modules, verify)[:2]
 
 
 def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     """gamma_roundtrip, returning (report, gamma, reconstruction).  The
-    category data is checked once, by skeletalize."""
+    category data is checked once, by skeletalize.
+
+    Transport.  The rebuilt presentation H' is assembled unchecked, and
+    with verify on it is certified by transport of structure when
+      (a) the source H passes check_algebra (its `_gens` is not None, a
+          verdict that verify_irreps has cached), check_bialgebra and
+          check_antipode;
+      (b) gamma is multiplicative, unital, comultiplicative, counital and
+          has S' gamma = gamma S, the five laws of check_hopf_morphism;
+      (c) gamma is bijective.
+    Then every axiom of H' is the gamma-image of the same axiom of H: each
+    element of H' is gamma(x) for some x, and by (b), for instance,
+    (gamma(x) gamma(y)) gamma(z) = gamma((xy)z) = gamma(x(yz)) =
+    gamma(x) (gamma(y) gamma(z)), Delta'(gamma(x) gamma(y)) = (gamma (x)
+    gamma)(Delta(x) Delta(y)) = Delta'(gamma(x)) Delta'(gamma(y)), and
+    m'(S' (x) id) Delta' gamma(x) = gamma m(S (x) id) Delta(x) =
+    eps(x) gamma(1) = eps'(gamma(x)) 1'; the unit, counit and
+    coassociativity laws go the same way.  The argument is linear algebra
+    over any field, so it holds at every conductor, and every identity in
+    it is one that (a) and (b) decided exactly.  Where the certificate
+    fails, the rebuilt side runs the full axiom suite and raises
+    ReconstructionAxiomFailure on a failure, with the reports of
+    reconstruct_hopf.
+    """
     if not modules:
         raise RoundTripFailure("no modules given")
     skel, fiber = skeletalize(h, modules, verify=verify)
-    from .reconstruct import _assemble, endf_offsets
+    from .reconstruct import _assemble, _require_hopf, endf_offsets
 
-    recon = _assemble(skel, fiber, verify)
+    recon = _assemble(skel, fiber, False)
     nq = recon.hopf.dim
     offsets = endf_offsets([v.dim for v in modules])
     cols = []
@@ -390,6 +422,15 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     gamma = Matrix.from_rows(cols).transpose()
 
     rep = check_hopf_morphism(h, recon.hopf, gamma)
-    if not rep.flags.get("bijective", False):
+    bijective = rep.flags.get("bijective", False)
+    if verify and not (
+        rep.passed
+        and bijective
+        and h.alg._gens is not None
+        and check_bialgebra(h).passed
+        and check_antipode(h).passed
+    ):
+        _require_hopf(recon.hopf)
+    if not bijective:
         rep.add("bijective", (), f"rank {gamma.rank()} of {gamma.rows}x{gamma.cols}", "invertible")
     return rep, gamma, recon

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from hopfrec import cli, repcat, serialize
+from hopfrec import cli, reconstruct, repcat, serialize
 from hopfrec.cli import main
 from hopfrec.errors import SchemaError
 from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group
+from hopfrec.reports import CheckReport
 from hopfrec.repcat import trivial_module
 
 
@@ -277,6 +278,33 @@ def test_roundtrip_ks3(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and "gamma" in doc
+
+
+def test_roundtrip_prints_the_reports_its_failure_carries(tmp_path, capsys, monkeypatch):
+    h = tmp_path / "kz2.json"
+    mods = tmp_path / "mods.json"
+    run(capsys, "example", "kz2", "-o", str(h))
+    doc = serialize.dumps(EXAMPLES["kz2-modules"][1]()[:1])  # chi0 alone
+    mods.write_text(doc)
+    code, out = run(capsys, "roundtrip", str(h), str(mods))
+    assert code == 1
+    lines = out.splitlines()
+    skel_line = lines.index("  SkeletalizationFailure at (): modules are not a complete split irreducible family != ")
+    assert lines[skel_line + 1 : skel_line + 3] == [
+        "irreducible-family: FAIL (1 failing tuples)",
+        "  complete at (): sum of squared dims = 1 != algebra dim = 2",
+    ]
+
+    # a rebuilt side that fails its checks: the reports of the exception follow
+    bad = CheckReport("antipode")
+    bad.add("left-snake", (0,), "1", "2")
+    monkeypatch.setattr(reconstruct, "run_hopf_checks", lambda hopf: [CheckReport("algebra"), bad])
+    monkeypatch.setattr(repcat, "check_antipode", lambda hopf: bad)  # no transport certificate
+    run(capsys, "example", "kz2-modules", "-o", str(mods))
+    code, out = run(capsys, "--report", "json", "roundtrip", str(h), str(mods))
+    checks = json.loads(out)["checks"]
+    assert code == 1 and [c["name"] for c in checks] == ["ReconstructionAxiomFailure", "antipode"]
+    assert checks[1] == bad.as_dict()
 
 
 def test_json_report_carries_failure_records(tmp_path, capsys):

@@ -152,6 +152,28 @@ def test_det_and_rank():
     assert Matrix.zeros(3, 3).det().is_zero()
 
 
+@pytest.mark.parametrize("conductor", [1, 8])
+def test_rank_of_one_row_or_column_reads_its_entries(monkeypatch, conductor):
+    # a single row or column has rank 1 iff some entry is nonzero; the
+    # elimination path must agree, and the short path must not eliminate
+    x = Scalar.zeta(8) + Fraction(1, 3) if conductor == 8 else sc(Fraction(-2, 3))
+    zero = Scalar.zeta(8) - Scalar.zeta(8)  # a zero Scalar kept at conductor 8
+    z = zero if conductor == 8 else ZERO
+    cases = []
+    for n in (1, 2, 4):
+        for entries in ([z] * n, [z] * (n - 1) + [x], [x] + [z] * (n - 1), [x] * n):
+            cases += [Matrix(1, n, entries), Matrix(n, 1, entries)]
+    want = [len(m._echelon()[1]) for m in cases]
+    assert all(m._n == conductor for m in cases)
+
+    def barred(self, m=None):
+        raise AssertionError("rank eliminated a single row or column")
+
+    monkeypatch.setattr(Matrix, "_echelon", barred)
+    assert [m.rank() for m in cases] == want
+    assert want == [0 if all(not e for e in m.entries) else 1 for m in cases]
+
+
 def test_rref_idempotent():
     rng = random.Random(9)
     for _ in range(6):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfrec.reconstruct
+import hopfrec.repcat
 from hopfrec.errors import ReconstructionAxiomFailure, ShapeError
 from hopfrec.examples import (
     EXAMPLES,
@@ -22,7 +23,7 @@ from hopfrec.examples import (
     gen_pointed_fiber,
 )
 from hopfrec.groups import cyclic_group, symmetric_group
-from hopfrec.hopf import check_hopf_morphism, run_hopf_checks
+from hopfrec.hopf import HopfPresentation, check_hopf_morphism, run_hopf_checks
 from hopfrec.matrices import Matrix, block_diag, mat_inverse
 from hopfrec.reconstruct import (
     endf_basis,
@@ -34,7 +35,9 @@ from hopfrec.reconstruct import (
 )
 from hopfrec.reports import CheckReport
 from hopfrec.repcat import (
+    ModuleRep,
     SliceMorphismData,
+    _roundtrip,
     gamma_roundtrip,
     skeletalize,
     verify_irreps,
@@ -235,13 +238,21 @@ def test_transport_matrix_matches_elementwise_transport():
 
 def test_hopf_axiom_failure_raises_from_both_entry_points(monkeypatch):
     # the assembled presentation is re-checked whether the category data was
-    # checked by reconstruct_hopf or, in the round trip, by skeletalize
+    # checked by reconstruct_hopf or, in the round trip, by skeletalize; the
+    # round trip re-checks it when transport along gamma cannot certify it,
+    # here because the morphism report fails
     def failing(h):
         good, bad = CheckReport("algebra"), CheckReport("antipode")
         bad.add("antipode", (0,), "1", "2")
         return [good, bad]
 
+    def untransported(src, dst, m):
+        rep = check_hopf_morphism(src, dst, m)
+        rep.add("morphism-unit", (), "0", "1")
+        return rep
+
     monkeypatch.setattr(hopfrec.reconstruct, "run_hopf_checks", failing)
+    monkeypatch.setattr(hopfrec.repcat, "check_hopf_morphism", untransported)
     h, mods = gen_group_algebra(Z2), EXAMPLES["kz2-modules"][1]()
     skel, fiber = skeletalize(h, mods)
     for attempt in (lambda: reconstruct_hopf(skel, fiber), lambda: gamma_roundtrip(h, mods)):
@@ -251,3 +262,96 @@ def test_hopf_axiom_failure_raises_from_both_entry_points(monkeypatch):
         assert [f.line() for f in err.value.reports[0].failures] == [
             f.line() for f in failing(h)[1].failures
         ]
+
+
+def character_family(n):
+    """K[Z/n] and its characters chi_s(t) = zeta_n^(s t)."""
+    z = Scalar.zeta(n)
+    mods = [ModuleRep(1, tuple(Matrix(1, 1, [z ** (s * t % n)]) for t in range(n))) for s in range(n)]
+    return gen_group_algebra(cyclic_group(n)), mods
+
+
+ROUND_TRIPS = {
+    "kz2": lambda: (EXAMPLES["kz2"][1](), EXAMPLES["kz2-modules"][1]()),
+    "ks3": lambda: (EXAMPLES["ks3"][1](), EXAMPLES["ks3-modules"][1]()),
+    "ks4": lambda: (EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()),
+    "kz5-characters": lambda: character_family(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_a_certified_round_trip_runs_no_rebuilt_checks(monkeypatch, name):
+    def barred(hopf):
+        raise AssertionError("the rebuilt side ran its Hopf checks")
+
+    monkeypatch.setattr(hopfrec.reconstruct, "run_hopf_checks", barred)
+    h, mods = ROUND_TRIPS[name]()
+    rep, gamma, recon = _roundtrip(h, mods)
+    assert rep.passed and rep.flags["bijective"], [f.line() for f in rep.failures]
+    assert gamma.rows == gamma.cols == h.dim
+    # no checker swept the rebuilt algebra, not even check_algebra
+    assert recon.hopf.alg._views.passed is None
+
+
+def _failing_report(name):
+    rep = CheckReport(name)
+    rep.add(name, (0,), "1", "2")
+    return rep
+
+
+def _morphism_then(edit):
+    """check_hopf_morphism with its report edited afterwards."""
+
+    def morphism(src, dst, m):
+        rep = check_hopf_morphism(src, dst, m)
+        edit(rep)
+        return rep
+
+    return morphism
+
+
+# each case removes one condition of the certificate: the name in repcat
+# to patch and its stand-in, or None for the source's algebra verdict
+UNCERTIFIED = {
+    "source-algebra": None,
+    "source-bialgebra": ("check_bialgebra", lambda h: _failing_report("bialgebra")),
+    "source-antipode": ("check_antipode", lambda h: _failing_report("antipode")),
+    "morphism-law": ("check_hopf_morphism", _morphism_then(lambda rep: rep.add("morphism-counit", (0,), "1", "2"))),
+    "not-bijective": ("check_hopf_morphism", _morphism_then(lambda rep: rep.flags.update(bijective=False))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCERTIFIED))
+def test_each_condition_of_the_transport_certificate_is_required(monkeypatch, case):
+    # with any one condition missing the rebuilt side runs its checks, whose
+    # failure (a stub here) raises as reconstruct_hopf would
+    rebuilt = _failing_report("antipode")
+    monkeypatch.setattr(hopfrec.reconstruct, "run_hopf_checks", lambda hopf: [CheckReport("algebra"), rebuilt])
+    h, mods = gen_group_algebra(Z2), EXAMPLES["kz2-modules"][1]()
+    if UNCERTIFIED[case] is None:
+        vars(h.alg)["_gens"] = None  # as cached when check_algebra fails
+    else:
+        monkeypatch.setattr(hopfrec.repcat, *UNCERTIFIED[case])
+    with pytest.raises(ReconstructionAxiomFailure, match="Hopf axioms") as err:
+        gamma_roundtrip(h, mods)
+    assert err.value.reports == [rebuilt]
+
+
+@pytest.mark.parametrize("name", ["kz2", "ks3"])
+def test_a_bumped_rebuilt_antipode_raises_the_rebuilt_reports(monkeypatch, name):
+    # one rebuilt antipode entry off by 1: gamma fails the antipode law, so
+    # the rebuilt checks run and their failing reports are raised
+    def bumped(alg, comult, counit, antipode):
+        rows = antipode.to_rows()
+        rows[0][0] = rows[0][0] + 1
+        return HopfPresentation(alg, comult, counit, Matrix.from_rows(rows))
+
+    monkeypatch.setattr(hopfrec.reconstruct, "HopfPresentation", bumped)
+    h, mods = ROUND_TRIPS[name]()
+    skel, fiber = skeletalize(h, mods)
+    want = [r for r in run_hopf_checks(reconstruct_hopf(skel, fiber, verify=False).hopf) if not r.passed]
+    assert [r.name for r in want] == ["antipode"]
+    with pytest.raises(ReconstructionAxiomFailure, match="Hopf axioms") as err:
+        gamma_roundtrip(h, mods)
+    assert [r.name for r in err.value.reports] == ["antipode"]
+    assert [f.line() for f in err.value.reports[0].failures] == [f.line() for f in want[0].failures]
