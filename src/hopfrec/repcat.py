@@ -422,7 +422,7 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     gamma = Matrix.from_rows(cols).transpose()
 
     rep = check_hopf_morphism(h, recon.hopf, gamma)
-    bijective = rep.flags.get("bijective", False)
+    bijective = rep.flags["bijective"]
     if verify and not (
         rep.passed
         and bijective
