@@ -113,10 +113,10 @@ def _cmd_repcat(args):
     if not rep.passed:
         return [rep], {}
     try:
-        skel, fiber = _skeletalize(h, mods, verify=False)
+        skel, fiber, trees = _skeletalize(h, mods)
     except HopfrecError as e:
         return [rep, _failure_report(type(e).__name__, str(e))], {}
-    reports = [rep] + verify_category(skel, fiber)
+    reports = [rep] + verify_category(skel, fiber, trees=trees)
     if all(r.passed for r in reports):
         fiber_path = _fiber_out_path(args.out)
         serialize.save(args.out, skel)

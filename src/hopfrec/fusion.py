@@ -328,15 +328,10 @@ def _copy_offset(n_ab, dims, c: int, mu: int = 0) -> int:
 
 
 def _copy_rows(j: Matrix, n_ab, dims, c: int, mu: int) -> Matrix:
-    """The rows of a J block realizing copy mu of simple c.  They keep the
-    rows of J's lowering, when J holds one, at J's D: a product reduces its
-    result's D by the gcd (`Matrix._from_low`)."""
+    """The rows of a J block realizing copy mu of simple c, as a
+    `Matrix.row_block`, so they keep J's lowering."""
     off = _copy_offset(n_ab, dims, c, mu)
-    out = Matrix._of(dims[c], j.cols, j.entries[off * j.cols : (off + dims[c]) * j.cols])
-    if hasattr(j, "_low"):
-        d, low = j._low
-        object.__setattr__(out, "_low", (d, low[off : off + dims[c]]))
-    return out
+    return j.row_block(off, off + dims[c])
 
 
 def _stack(blocks: list) -> Matrix:

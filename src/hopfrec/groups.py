@@ -54,10 +54,6 @@ class GroupTable:
         return self.mul(self.mul(g, h), self.inv(g))
 
 
-def trivial_group() -> GroupTable:
-    return GroupTable(1, ((0,),), name="1")
-
-
 def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")

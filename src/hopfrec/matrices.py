@@ -21,14 +21,17 @@ each output row over both lowerings and hands its result the sums
 denominators, or its Scalars at D = 1.  A cell whose terms cancel stays a
 zero Scalar at their conductor; a cell with no terms is ZERO.  Only shape
 picks another path: inner dimension 1 is an outer product, as lowering
-such tiny factors costs more than it saves.  Kron on conductor 1
-multiplies the Fractions.  Elimination on conductor 1 is fraction-free on
-the int rows D*x (`Matrix._echelon`); rank reads the pivots, and rref,
-mat_kernel and mat_solve divide only the cells they read by their row's
-pivot and hand their results that lowering.  Other conductors, and det,
-keep the Scalar Gauss-Jordan, whose products run on int residues.  The
-rank of a single row or column is whether any entry is nonzero, with no
-elimination at any conductor.
+such tiny factors costs more than it saves.  Kron multiplies the nonzero
+pairs of both lowerings into its rows, and the intertwiner constraint of
+`repcat.hom_space` builds its rows on the actions' lowerings; both hand
+them over as a product does.  A row block keeps its rows of the lowering.
+No other module reads or writes a matrix's lowering.  Elimination on
+conductor 1 is fraction-free on the int rows D*x (`Matrix._echelon`);
+rank reads the pivots, and rref, mat_kernel and mat_solve divide only the
+cells they read by their row's pivot and hand their results that
+lowering.  Other conductors, and det, keep the Scalar Gauss-Jordan, whose
+products run on int residues.  The rank of a single row or column is
+whether any entry is nonzero, with no elimination at any conductor.
 """
 
 from __future__ import annotations
@@ -102,6 +105,16 @@ class Matrix:
             d, low = lowering([e for row in nz for _, e in row])
             object.__setattr__(self, "_low", (d, [[(j, low(e)) for j, e in row] for row in nz]))
         return self._low
+
+    def row_block(self, start: int, stop: int) -> "Matrix":
+        """Rows start to stop - 1.  They keep their rows of this matrix's
+        lowering, when it holds one, at its D: a product reduces its
+        result's D by the gcd (`Matrix._from_low`)."""
+        out = Matrix._of(stop - start, self.cols, self.entries[start * self.cols : stop * self.cols])
+        if hasattr(self, "_low"):
+            d, low = self._low
+            object.__setattr__(out, "_low", (d, low[start:stop]))
+        return out
 
     def _rows(self) -> list:
         """Mutable rows for `_echelon`: Scalars, or on conductor 1 the ints
@@ -204,23 +217,28 @@ class Matrix:
         return Matrix._of(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, row-major: (A kron B)[(i,k),(j,l)] = A[i,j] B[k,l]."""
-        rat = self._n == 1 == other._n
-        out = []
-        for i in range(self.rows):
-            arow = self.row(i)
-            for k in range(other.rows):
-                brow = other.row(k)
-                for a in arow:
-                    if not a:
-                        out.extend([ZERO] * other.cols)
-                    elif not rat:
-                        out.extend(a * b for b in brow)
-                    elif (f := a.coeffs[0]) == 1:
-                        out.extend(brow)
-                    else:
-                        out.extend(_rat(f * b.coeffs[0]) if b else ZERO for b in brow)
-        return Matrix._of(self.rows * other.rows, self.cols * other.cols, out)
+        """Kronecker product, row-major: (A kron B)[(i,k),(j,l)] = A[i,j] B[k,l].
+
+        A cell is ZERO where A[i,j] is zero and the Scalar product
+        otherwise, so the result has conductor 1 when A is zero and
+        lcm(A._n, B._n) otherwise, also when B is zero.  The nonzero pairs
+        of both lowerings are multiplied into rows and handed to
+        `Matrix._from_low`, as a product's are.  Only shape picks another
+        path: a 1x1 factor makes a scalar multiple, and the rational 1 the
+        other factor itself."""
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        if self.is_zero():
+            return Matrix.zeros(rows, cols)
+        if other.is_zero():
+            return Matrix._of(rows, cols, [ZERO.promote(lcm(self._n, other._n))] * (rows * cols))
+        if self.rows == self.cols == 1 or other.rows == other.cols == 1:
+            s, m = (self.entries[0], other) if self.rows == self.cols == 1 else (other.entries[0], self)
+            return m if s.conductor == 1 and s.coeffs[0] == 1 else m * s
+        da, left = self._lowered()
+        db, right = other._lowered()
+        c = other.cols
+        low = [[(j * c + l, a * b) for j, a in arow for l, b in brow] for arow in left for brow in right]
+        return Matrix._from_low(rows, cols, da * db, low)
 
     # -- elimination -----------------------------------------------------
 
@@ -323,6 +341,36 @@ def _reduced(cols: int, out: list) -> Matrix:
     return Matrix._from_low(len(out), cols, d, low)
 
 
+def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
+    """aw (x) I - I (x) av^T: row (i, k) holds aw[i, j] at column (j, k) and
+    -av[l, k] at column (i, l).  Its rows are built on the actions'
+    lowerings at D the lcm of theirs, and handed to `Matrix._from_low` as a
+    product's are; a cell whose terms cancel keeps them as a zero Scalar
+    off conductor 1.  Only shape picks another path: a pair of 1x1 actions,
+    which no product lowers, gives the 1x1 difference."""
+    nv, nw = av.rows, aw.rows
+    n = nv * nw
+    if n == 1:
+        x = aw.entries[0] or ZERO
+        return Matrix._of(1, 1, [x - y if (y := av.entries[0]) else x])
+    (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
+    d = lcm(dv, dw)
+    cv: list = [[] for _ in range(nv)]  # column k of av: (l, D*av[l, k])
+    for l, row in enumerate(rv):
+        for k, y in row:
+            cv[k].append((l, y if d == dv else y * (d // dv)))
+    low = []
+    for i in range(nw):
+        wi = [(j * nv, x if d == dw else x * (d // dw)) for j, x in rw[i]]
+        for k in range(nv):
+            acc = {o + k: x for o, x in wi}
+            for l, y in cv[k]:
+                c = i * nv + l
+                acc[c] = acc[c] - y if c in acc else -y
+            low.append(sorted((c, x) for c, x in acc.items() if x or type(x) is not int))
+    return Matrix._from_low(n, n, d, low)
+
+
 def mat_kernel(m: Matrix) -> Matrix:
     """Canonical basis of the right kernel, as columns.
 
@@ -400,8 +448,3 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
         c0 += b.cols
     return Matrix._of(rows, cols, [x for r in out for x in r])
 
-
-def permutation_matrix(source_of: list[int]) -> Matrix:
-    """P with (P v)[i] = v[source_of[i]]."""
-    n = len(source_of)
-    return Matrix._of(n, n, [ONE if j == source_of[i] else ZERO for i in range(n) for j in range(n)])

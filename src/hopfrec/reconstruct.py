@@ -9,11 +9,11 @@ sum through J and reads tensor coordinates off the result; the counit is
 the unit block; the antipode conjugates the dual block through the
 transpose pairing and transposes.
 
-With verify on, reconstruct_hopf checks the category data, then re-checks
-the rebuilt presentation against every Hopf axiom (`_require_hopf`).  A
-round trip (`repcat.gamma_roundtrip`) assembles the presentation
-unchecked and re-checks it the same way unless transport along gamma
-certifies it.
+`_assemble` builds the presentation unchecked.  With verify on,
+reconstruct_hopf checks the category data first and the result against
+every Hopf axiom after (`_require_hopf`).  A round trip
+(`repcat.gamma_roundtrip`) checks the result the same way unless
+transport along gamma certifies it.
 """
 
 from __future__ import annotations
@@ -97,15 +97,17 @@ def reconstruct_hopf(
         bad = [r for r in reports if not r.passed]
         if bad:
             raise ReconstructionAxiomFailure("category data fails coherence", bad)
-    return _assemble(skel, fiber, verify)
+    recon = _assemble(skel, fiber)
+    if verify:
+        _require_hopf(recon.hopf)
+    return recon
 
 
-def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> ReconstructionResult:
-    """reconstruct_hopf on category data whose coherence is already known;
-    with verify on, the presentation is still checked against every Hopf
-    axiom by `_require_hopf`.  The round trip assembles with verify off
-    and calls `_require_hopf` itself when gamma does not certify the
-    result."""
+def _assemble(skel: FusionSkeleton, fiber: FiberData) -> ReconstructionResult:
+    """The presentation of reconstruct_hopf, assembled unchecked: the
+    caller knows the category data coherent, and checks the result by
+    `_require_hopf` where it must (reconstruct_hopf with verify on, the
+    round trip when gamma does not certify it)."""
     r = skel.rank
     d = fiber.dims
     N = skel.fusion
@@ -159,8 +161,6 @@ def _assemble(skel: FusionSkeleton, fiber: FiberData, verify: bool) -> Reconstru
                         if (x := delta[ad].at(l, i)) and (y := dinv.at(j, k)):
                             anti[idx(ad, k, l)][idx(a, i, j)] = x * y
     hopf = HopfPresentation(alg, comult, counit, Matrix.from_rows(anti))
-    if verify:
-        _require_hopf(hopf)
     return ReconstructionResult(hopf, tuple(basis), tuple(d), skel.unit, skel.names)
 
 

@@ -26,12 +26,11 @@ does it run the Hopf axiom suite of reconstruct_hopf (see _roundtrip).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, check_antipode, check_bialgebra, check_hopf_morphism
-from .matrices import Matrix, mat_inverse, mat_kernel, mat_solve
+from .matrices import Matrix, _intertwiner_constraint, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
 from .scalars import ONE, ZERO
 
@@ -125,7 +124,8 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
 
     T intertwines iff act_w(e_i) T = T act_v(e_i) for every basis element;
     row-major vectorization turns each constraint into a kernel condition
-    on act_w (x) I - I (x) act_v^T.  The kernel is refined by each
+    on act_w (x) I - I (x) act_v^T, which `matrices._intertwiner_constraint`
+    builds on the actions' lowerings.  The kernel is refined by each
     constraint in index order, and re-echelonized at the end so the result
     equals the canonical reduced basis of the joint kernel.  Modules over
     algebras of different dims raise ShapeError.
@@ -148,36 +148,6 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
         return [Matrix._of(w.dim, v.dim, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
     red, _ = ker.transpose().rref()  # ker has full column rank: no zero rows
     return [Matrix._of(w.dim, v.dim, red.row(i)) for i in range(red.rows)]
-
-
-def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
-    """aw (x) I - I (x) av^T: row (i, k) holds aw[i, j] at column (j, k) and
-    -av[l, k] at column (i, l).  Its rows are built on the actions'
-    lowerings at D the lcm of theirs, and handed to `Matrix._from_low` as a
-    product's are; a cell whose terms cancel keeps them as a zero Scalar
-    off conductor 1.  Only shape picks another path: a pair of 1x1 actions,
-    which no product lowers, gives the 1x1 difference."""
-    nv, nw = av.rows, aw.rows
-    n = nv * nw
-    if n == 1:
-        x = aw.entries[0] or ZERO
-        return Matrix._of(1, 1, [x - y if (y := av.entries[0]) else x])
-    (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
-    d = lcm(dv, dw)
-    cv: list = [[] for _ in range(nv)]  # column k of av: (l, D*av[l, k])
-    for l, row in enumerate(rv):
-        for k, y in row:
-            cv[k].append((l, y if d == dv else y * (d // dv)))
-    low = []
-    for i in range(nw):
-        wi = [(j * nv, x if d == dw else x * (d // dw)) for j, x in rw[i]]
-        for k in range(nv):
-            acc = {o + k: x for o, x in wi}
-            for l, y in cv[k]:
-                c = i * nv + l
-                acc[c] = acc[c] - y if c in acc else -y
-            low.append(sorted((c, x) for c, x in acc.items() if x or type(x) is not int))
-    return Matrix._from_low(n, n, d, low)
 
 
 def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
@@ -266,11 +236,21 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
         raise SkeletalizationFailure(
             "modules are not a complete split irreducible family", fam
         )
-    return _skeletalize(h, modules, verify)
+    skel, fiber, trees = _skeletalize(h, modules)
+    if verify:
+        reports = verify_category(skel, fiber, trees=trees)
+        bad = [rep for rep in reports if not rep.passed]
+        if bad:
+            raise SkeletalizationFailure(
+                f"derived skeletal data fails its own coherence: {bad[0].name}", bad[0]
+            )
+    return skel, fiber
 
 
-def _skeletalize(h: HopfPresentation, modules: list, verify: bool):
-    """skeletalize on a family that verify_irreps has passed."""
+def _skeletalize(h: HopfPresentation, modules: list):
+    """skeletalize on a family that verify_irreps has passed, unchecked:
+    (skel, fiber, trees), trees mapping each (a, b, c) to its tree_maps,
+    realized once to solve F, for verify_category to check."""
     r = len(modules)
     dims = tuple(v.dim for v in modules)
 
@@ -350,15 +330,7 @@ def _skeletalize(h: HopfPresentation, modules: list, verify: bool):
         coev.append((w.at(off, 0),))
     first, fiber = fiber, FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
     fiber._pairings.update(first._pairings)  # with their inverses; a pairing reads no coev
-
-    if verify:
-        reports = verify_category(skel, fiber, trees=trees)
-        bad = [rep for rep in reports if not rep.passed]
-        if bad:
-            raise SkeletalizationFailure(
-                f"derived skeletal data fails its own coherence: {bad[0].name}", bad[0]
-            )
-    return skel, fiber
+    return skel, fiber, trees
 
 
 def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
@@ -405,20 +377,11 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     if not modules:
         raise RoundTripFailure("no modules given")
     skel, fiber = skeletalize(h, modules, verify=verify)
-    from .reconstruct import _assemble, _require_hopf, endf_offsets
+    from .reconstruct import _assemble, _require_hopf
 
-    recon = _assemble(skel, fiber, False)
-    nq = recon.hopf.dim
-    offsets = endf_offsets([v.dim for v in modules])
-    cols = []
-    for i in range(h.dim):
-        col = [ZERO] * nq
-        for a, v in enumerate(modules):
-            m = v.action[i]
-            for k in range(v.dim):
-                for l in range(v.dim):
-                    col[offsets[a] + k * v.dim + l] = m.at(k, l)
-        cols.append(col)
+    recon = _assemble(skel, fiber)
+    # End(F) coordinates run block by block, each block row-major (endf_offsets)
+    cols = [[x for v in modules for x in v.action[i].entries] for i in range(h.dim)]
     gamma = Matrix.from_rows(cols).transpose()
 
     rep = check_hopf_morphism(h, recon.hopf, gamma)

@@ -17,13 +17,14 @@ module family and on rebuilt K[S4].
 
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrec import fusion, hopf, repcat
+from hopfrec import cli, fusion, hopf, repcat
 from hopfrec.examples import EXAMPLES
 from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_algebra, check_bialgebra, run_hopf_checks
 from hopfrec.matrices import Matrix, mat_inverse
@@ -339,7 +340,7 @@ def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
 
 # -- trees and inverses, computed once ---------------------------------------
 
-def test_trees_are_realized_once_per_triple(monkeypatch):
+def test_trees_are_realized_once_per_triple(monkeypatch, tmp_path, capsys):
     calls = []
     real = fusion.tree_maps
     for module in (fusion, repcat):
@@ -350,6 +351,40 @@ def test_trees_are_realized_once_per_triple(monkeypatch):
     calls.clear()
     assert fusion.verify_tensorator(skel, fiber).passed
     assert len(calls) == skel.rank**3
+    calls.clear()
+    paths = [str(tmp_path / f) for f in ("ks3.json", "mods.json", "skel.json")]
+    assert cli.main(["example", "ks3", "-o", paths[0]]) == 0
+    assert cli.main(["example", "ks3-modules", "-o", paths[1]]) == 0
+    assert cli.main(["repcat", *paths[:2], "-o", paths[2]]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == skel.rank**3
+
+
+def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
+    # a matrix that kron builds holds the lowering of its rows, so the
+    # product that takes it as a factor does not lower it again (a kron
+    # by the rational 1 is the other factor, lowered or not as before)
+    skel, fiber = skeletalize(*base("ks3"), verify=False)
+    made, fresh = [], []
+    real_kron, real_lowered = Matrix.kron, Matrix._lowered
+
+    def kron(self, other):
+        out = real_kron(self, other)
+        if out is not self and out is not other:
+            made.append(out)
+        return out
+
+    def lowered(self):
+        if not hasattr(self, "_low"):
+            fresh.append(self)
+        return real_lowered(self)
+
+    monkeypatch.setattr(Matrix, "kron", kron)
+    monkeypatch.setattr(Matrix, "_lowered", lowered)
+    for a, b, c in itertools.product(range(skel.rank), repeat=3):
+        fusion.tree_maps(skel.fusion, fiber.J, fiber.dims, a, b, c)
+    assert any(m.rows > 1 for m in made) and fresh
+    assert not {id(m) for m in made} & {id(m) for m in fresh}
 
 
 def test_inverse_is_eliminated_once_and_kept_both_ways(monkeypatch):

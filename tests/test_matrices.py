@@ -1,5 +1,6 @@
 """Exact linear algebra: kernels, solving, kron, determinism."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,9 +15,8 @@ from hopfrec.matrices import (
     mat_inverse,
     mat_kernel,
     mat_solve,
-    permutation_matrix,
 )
-from hopfrec.scalars import ZERO, Scalar, phi_degree, sc
+from hopfrec.scalars import ZERO, Scalar, _rat, phi_degree, sc
 
 
 def rnd_matrix(rng, rows, cols, span=5):
@@ -134,16 +134,6 @@ def test_block_diag():
     assert block_diag([]) == Matrix.identity(0)
 
 
-def test_permutation_matrix_convention():
-    # (Pv)[i] = v[source_of[i]]
-    p = permutation_matrix([2, 0, 1])
-    v = Matrix.column([sc(10), sc(20), sc(30)])
-    pv = p * v
-    assert [pv.at(i, 0) for i in range(3)] == [sc(30), sc(10), sc(20)]
-    q = permutation_matrix([1, 2, 0])
-    assert p * q == Matrix.identity(3)
-
-
 def test_det_and_rank():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     assert a.det() == sc(-2)
@@ -219,7 +209,8 @@ def test_public_constructor_coerces_and_validates():
 #
 # Conductor-1 matrices take the rational kernel (int products, fraction-free
 # elimination on int rows); the same matrices promoted to conductor 2, which
-# is still the field Q, take the Scalar loops of kron and elimination.  A
+# is still the field Q, take the Scalar Gauss-Jordan, and kron and products
+# on their Scalars rather than ints.  A
 # product is checked against `ref_product`, the dense Scalar triple loop
 # below, at both conductors.  Every result must agree in value, and the
 # rational results must be proper conductor-1 Scalars.
@@ -451,6 +442,72 @@ def test_cyclotomic_products_match_the_dense_reference():
             assert_same_entries(got * b, ref_product(want, b))
             assert_same_entries(a * (b * b), ref_product(a, ref_product(b, b)))
     assert {(3, 3, True), (3, 3, False), (1, 3, True), (1, 3, False), (3, 1, True), (3, 1, False)} <= seen
+
+
+# -- kron against the entrywise reference -------------------------------------
+#
+# `ref_kron` is the entrywise Scalar kron that the lowered kernel replaced: a
+# cell is ZERO where a's entry is zero and the Scalar product otherwise (the
+# Fractions multiplied when both factors have conductor 1), and the result
+# meets at the lcm of its cells' conductors.  So it has conductor 1 when a is
+# zero and lcm(a._n, b._n) otherwise, also when b is zero.  Every kron must
+# equal it entry for entry, with the same conductor and text.
+
+
+def ref_kron(a: Matrix, b: Matrix) -> Matrix:
+    rat = a._n == 1 == b._n
+    out = []
+    for i in range(a.rows):
+        arow = a.row(i)
+        for k in range(b.rows):
+            brow = b.row(k)
+            for x in arow:
+                if not x:
+                    out.extend([ZERO] * b.cols)
+                elif not rat:
+                    out.extend(x * y for y in brow)
+                elif (f := x.coeffs[0]) == 1:
+                    out.extend(brow)
+                else:
+                    out.extend(_rat(f * y.coeffs[0]) if y else ZERO for y in brow)
+    return Matrix._of(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def rnd_at(rng, rows, cols, n):
+    """Sparse entries at conductor n, or at conductors 1, 3 and 4 mixed
+    when n is 0; a drawn entry may be a zero at its conductor."""
+    def entry():
+        if rng.random() < 0.35:
+            return 0
+        m = rng.choice((1, 3, 4)) if n == 0 else n
+        return Scalar(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(phi_degree(m))])
+
+    return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+def test_kron_matches_the_entrywise_reference():
+    rng = random.Random(109)
+    cases = [
+        (rnd_at(rng, *sa, na), rnd_at(rng, *sb, nb))
+        for na, nb in itertools.product((1, 2, 3, 4, 0), repeat=2)
+        for sa, sb in zip(SHAPES, SHAPES[3:] + SHAPES[:3])
+    ]
+    zero3, zero4, z3 = Scalar(3, [0, 0]), Scalar(4, [0, 0]), Scalar.zeta(3)
+    special = [Matrix(1, 1, [x]) for x in (0, zero3, 1, Fraction(-2, 3), Scalar.zeta(4), z3 * z3 * z3)]
+    special += [Matrix(2, 3, [zero3] * 6), Matrix(3, 2, [zero4] * 6), Matrix.zeros(2, 2)]
+    pool = [b for _, b in cases[::6]] + special
+    cases += [(s, m) for s in special for m in pool] + [(m, s) for s in special for m in pool]
+    handed = set()
+    for a, b in cases:
+        got = a.kron(b)
+        assert_same_entries(got, ref_kron(a, b))
+        if got is not a and got is not b:
+            handed.add((got._n, hasattr(got, "_low")))
+    assert {(1, True), (3, True), (12, True), (1, False), (3, False), (12, False)} <= handed
+    one = special[2]
+    for m in pool:
+        if not m.is_zero():
+            assert one.kron(m) is m and (m.kron(one) is m or m.rows == m.cols == 1)
 
 
 # -- kernels against the two-rref reference ----------------------------------

@@ -11,11 +11,10 @@ from hopfrec.errors import DecompositionGap, ShapeError
 from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group, direct_product, symmetric_group
-from hopfrec.matrices import Matrix, block_diag, mat_inverse
+from hopfrec.matrices import Matrix, _intertwiner_constraint, block_diag, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import (
     ModuleRep,
-    _intertwiner_constraint,
     decompose,
     dual_module,
     gamma_roundtrip,
