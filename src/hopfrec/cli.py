@@ -102,8 +102,9 @@ def _cmd_reconstruct(args):
         return reports, {}
     recon = reconstruct_hopf(skel, fiber, verify=False)
     reports.extend(run_hopf_checks(recon.hopf))
-    if all(r.passed for r in reports):
-        serialize.save(args.out, recon.hopf, basis=recon.basis)
+    if not all(r.passed for r in reports):
+        return reports, {"dim": recon.hopf.dim}
+    serialize.save(args.out, recon.hopf, basis=recon.basis)
     return reports, {"dim": recon.hopf.dim, "written": args.out}
 
 

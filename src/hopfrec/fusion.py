@@ -35,7 +35,7 @@ its terms reaches T5: the conductor of the dense product of those steps.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from math import lcm
@@ -151,7 +151,9 @@ class FusionSkeleton:
 class FiberData:
     """A fiber functor's linear data: dimensions, tensor structure J, the
     unit scalar iota, and coefficient vectors picking evaluation and
-    coevaluation morphisms out of the relevant multiplicity spaces.
+    coevaluation morphisms out of the relevant multiplicity spaces.  It
+    holds these fields and nothing derived from them: the pairings are
+    read off J where they are used (pairing_matrix).
 
     ev_coeff[a] has one entry per copy of the unit inside dual(a) (x) a
     (so length N[dual(a)][a][unit]); coev_coeff[a] likewise for copies of
@@ -163,7 +165,6 @@ class FiberData:
     iota: object = None  # nonzero Scalar, K -> F(unit); None means 1
     ev_coeff: tuple = None
     coev_coeff: tuple = None
-    _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see pairing_matrix
 
     def __post_init__(self):
         dims = tuple(int(x) for x in self.dims)
@@ -334,56 +335,54 @@ def _copy_rows(j: Matrix, n_ab, dims, c: int, mu: int) -> Matrix:
     return j.row_block(off, off + dims[c])
 
 
-def _stack(blocks: list) -> Matrix:
-    """Matrices with equal column counts, one above the next."""
-    return Matrix._of(sum(m.rows for m in blocks), blocks[0].cols, [x for m in blocks for x in m.entries])
-
-
 def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
     """The trees (a b c) -> d realized through J, for every total d that
     has a tree, ascending.
 
-    Each entry is (d, left, right): one dims[d] x (dims[a] dims[b] dims[c])
-    matrix per tree of f_left_basis(N, a, b, c, d), resp. f_right_basis,
-    in that order.  Left tree (e, mu, nu) is copy nu of d in J[(e, c)]
+    Each entry is (d, left, right): left has one row per tree of
+    f_left_basis(N, a, b, c, d), in that order, holding its dims[d] x
+    (dims[a] dims[b] dims[c]) map row-major; right likewise for
+    f_right_basis.  Left tree (e, mu, nu) is copy nu of d in J[(e, c)]
     after copy mu of e in J[(a, b)] (x) I; right tree (f, rho, sigma) is
     copy sigma of d in J[(a, f)] after I (x) copy rho of f in J[(b, c)].
+    One product, J[(e, c)] (resp. J[(a, f)]) times the first step, realizes
+    the trees through that step for every d at once, in J's row order.
     """
     r = len(N)
     ida, idc = Matrix.identity(dims[a]), Matrix.identity(dims[c])
-    first_left = {
-        (e, mu): _copy_rows(J[(a, b)], N[a][b], dims, e, mu).kron(idc)
-        for e in range(r)
-        for mu in range(N[a][b][e])
-    }
-    first_right = {
-        (f, rho): ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, f, rho))
-        for f in range(r)
-        for rho in range(N[b][c][f])
-    }
-    out = []
-    for d in range(r):
-        left = [
-            _copy_rows(J[(e, c)], N[e][c], dims, d, nu) * first_left[e, mu]
-            for e, mu, nu in f_left_basis(N, a, b, c, d)
-        ]
-        right = [
-            _copy_rows(J[(a, f)], N[a][f], dims, d, sigma) * first_right[f, rho]
-            for f, rho, sigma in f_right_basis(N, a, b, c, d)
-        ]
-        if left or right:
-            out.append((d, left, right))
-    return out
+    left, right = [[] for _ in range(r)], [[] for _ in range(r)]
+    for x in range(r):
+        for mu in range(N[a][b][x]):
+            _cut(J[(x, c)] * _copy_rows(J[(a, b)], N[a][b], dims, x, mu).kron(idc), N[x][c], dims, left)
+        for rho in range(N[b][c][x]):
+            _cut(J[(a, x)] * ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, x, rho)), N[a][x], dims, right)
+    width = dims[a] * dims[b] * dims[c]
+    return [
+        (d, *(Matrix._of(len(t) // (dims[d] * width), dims[d] * width, t) for t in (left[d], right[d])))
+        for d in range(r)
+        if left[d] or right[d]
+    ]
+
+
+def _cut(step: Matrix, n_xy, dims, out: list) -> None:
+    """Append to out[d] the entries of the rows of step that realize the
+    n_xy[d] copies of each simple d, as J's rows do."""
+    stop = 0
+    for d, k in enumerate(n_xy):
+        start, stop = stop, stop + k * dims[d] * step.cols
+        out[d].extend(step.entries[start:stop])
 
 
 def verify_tensorator(skel: FusionSkeleton, fiber: FiberData, *, trees=None) -> CheckReport:
     """The fiber functor's J against the category's F: for every triple and
     total d, the trees of tree_maps satisfy R_y = sum_x F[y, x] L_x, so
     decomposing (ab)c through J and recoordinatizing by F equals
-    decomposing a(bc) through J.  A failing triple reports both sides
-    stacked over d.  Also the strict unit constraints on J.  trees, when
-    given, maps (a, b, c) to tree_maps of skel.fusion, fiber.J and
-    fiber.dims at that triple, already realized by the caller.
+    decomposing a(bc) through J.  With one flat tree per row, row y of
+    F * left is sum_x F[y, x] L_x row-major, which is compared with right.
+    A failing triple reports both sides stacked over d, cut into rows of
+    dims[a] dims[b] dims[c].  Also the strict unit constraints on J.
+    trees, when given, maps (a, b, c) to tree_maps of skel.fusion, fiber.J
+    and fiber.dims at that triple, already realized by the caller.
 
     Raises NonInvertibleJ when some J block is singular; everything else
     is reported, not raised.  Each block's inverse is kept by mat_inverse.
@@ -407,18 +406,16 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData, *, trees=None) -> 
         if fiber.J[(a, u)] != want:
             rep.add("unit-right", (a,), fiber.J[(a, u)], want)
 
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                lhs, rhs = [], []
-                maps = trees[a, b, c] if trees is not None else tree_maps(skel.fusion, fiber.J, d, a, b, c)
-                for dd, left, right in maps:
-                    if left:
-                        lhs.append(skel.F[(a, b, c, dd)].kron(Matrix.identity(d[dd])) * _stack(left))
-                        rhs.append(_stack(right))
-                lhs, rhs = _stack(lhs), _stack(rhs)
-                if lhs != rhs:
-                    rep.add("compatibility", (a, b, c), lhs, rhs)
+    for a, b, c in product(range(r), repeat=3):
+        lhs, rhs = [], []
+        maps = trees[a, b, c] if trees is not None else tree_maps(skel.fusion, fiber.J, d, a, b, c)
+        for dd, left, right in maps:
+            if left.rows:
+                lhs += (skel.F[(a, b, c, dd)] * left).entries
+                rhs += right.entries
+        if lhs != rhs:
+            width = d[a] * d[b] * d[c]
+            rep.add("compatibility", (a, b, c), *(Matrix._of(len(t) // width, width, t) for t in (lhs, rhs)))
     return rep
 
 
@@ -437,18 +434,14 @@ def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     realized by the selected evaluation morphism through J[(a*, a)].
 
     The unit block of J[(a*, a)] has one row per copy of the unit (the
-    unit's fiber is a line); ev_coeff[a] combines those rows.  The fiber
-    keeps P by (a, a*, unit offset) while that J block stays in place."""
+    unit's fiber is a line); ev_coeff[a] combines those rows.  P is read
+    off J afresh at each call: nothing of it is kept on the fiber."""
     ad = skel.dual[a]
     j = fiber.J[(ad, a)]
     off = _copy_offset(skel.fusion[ad][a], fiber.dims, skel.unit)
-    kept = fiber._pairings.get((a, ad, off))
-    if kept is None or kept[0] is not j:
-        p = _unit_copies(
-            fiber.ev_coeff[a], sc(1) / fiber.iota, fiber.dims[ad], fiber.dims[a], lambda mu, k: j.at(off + mu, k)
-        )
-        kept = fiber._pairings[a, ad, off] = (j, p)
-    return kept[1]
+    return _unit_copies(
+        fiber.ev_coeff[a], sc(1) / fiber.iota, fiber.dims[ad], fiber.dims[a], lambda mu, k: j.at(off + mu, k)
+    )
 
 
 def copairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
@@ -483,8 +476,8 @@ def verify_duality(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
 def compute_delta(skel: FusionSkeleton, fiber: FiberData) -> dict:
     """Transpose pairings delta_a = P_a^T used to conjugate between a
     block and its dual's block, each holding its inverse for mat_inverse.
-    Raises NonRigid when some pairing is singular, since then no antipode
-    can be formed."""
+    Each pairing is read off J here and inverted once.  Raises NonRigid
+    when some pairing is singular, since then no antipode can be formed."""
     validate_fiber(skel, fiber)
     out = {}
     for a in range(skel.rank):

@@ -16,6 +16,10 @@ modules, a non-generator e_i lies in the subalgebra of the earlier
 indices, with which every intertwiner kept so far already commutes, so
 refining in index order leaves its constraint nothing to cut.
 
+Skeletal data.  skeletalize reads N and J off the decompositions of the
+tensor modules, F off the trees that J realizes, and each dual off N; it
+reads no antipode (see _skeletalize).
+
 Round trip.  gamma_roundtrip rebuilds the Hopf algebra from the skeletal
 data and compares it with the source along gamma.  The rebuilt side is
 certified by transport of structure along gamma when the source passes
@@ -26,6 +30,7 @@ does it run the Hopf axiom suite of reconstruct_hopf (see _roundtrip).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
@@ -250,7 +255,24 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
 def _skeletalize(h: HopfPresentation, modules: list):
     """skeletalize on a family that verify_irreps has passed, unchecked:
     (skel, fiber, trees), trees mapping each (a, b, c) to its tree_maps,
-    realized once to solve F, for verify_category to check."""
+    realized once to solve F, for verify_category to check.
+
+    N and J alone.  The skeletal data is read off the fusion rules N and
+    the decompositions J of the tensor modules, which depend only on the
+    bialgebra (mult, unit, comult, counit); no antipode is read.  F at
+    (a, b, c, d) solves R_y = sum_x F[y, x] L_x on the flat trees of
+    tree_maps.  dual[a] is the first b with N[a][b][unit] >= 1: in a rigid
+    category Hom(1, a (x) b) = Hom(a*, b) (Etingof-Gelaki-Nikshych-Ostrik,
+    Tensor Categories, 2.10), which for a simple b is nonzero exactly when
+    b is a*.  On a Hopf presentation this is the simple that dual_module
+    finds, since V* with its action through S is a left dual of V whose
+    ev is H-linear.  Rigidity is checked, not assumed: FusionSkeleton
+    requires the duals to form an involution with N[a][a*][unit] =
+    N[a*][a][unit] = 1, a singular pairing raises NonRigid, and
+    verify_duality checks the zigzags.  So a presentation whose antipode is
+    wrong skeletalizes to the category of its bialgebra, and the round
+    trip reports morphism-antipode wherever S' gamma differs from gamma S.
+    """
     r = len(modules)
     dims = tuple(v.dim for v in modules)
 
@@ -263,48 +285,32 @@ def _skeletalize(h: HopfPresentation, modules: list):
     if unit is None:
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
-    N = [[None] * r for _ in range(r)]
-    J = {}
-    for a in range(r):
-        for b in range(r):
-            dec = decompose(tensor_module(h, modules[a], modules[b]), modules)
-            N[a][b] = list(dec.mult)
-            J[(a, b)] = dec.tau
-    Ntup = tuple(tuple(tuple(row) for row in plane) for plane in N)
+    pairs = product(range(r), repeat=2)
+    decs = {(a, b): decompose(tensor_module(h, modules[a], modules[b]), modules) for a, b in pairs}
+    J = {key: dec.tau for key, dec in decs.items()}
+    N = tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r))
 
     F = {}
     trees = {}
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                trees[a, b, c] = tree_maps(Ntup, J, dims, a, b, c)
-                for d, left, right in trees[a, b, c]:
-                    if len(left) != len(right):
-                        raise SkeletalizationFailure(
-                            f"tree spaces at {(a, b, c, d)} have dims {len(left)} and {len(right)}"
-                        )
-                    lmat = Matrix.from_rows([m.entries for m in left]).transpose()
-                    rmat = Matrix.from_rows([m.entries for m in right]).transpose()
-                    x = mat_solve(lmat, rmat)
-                    if x is None:
-                        raise SkeletalizationFailure(
-                            f"recoordinatization at {(a, b, c, d)} is not solvable"
-                        )
-                    F[(a, b, c, d)] = x.transpose()
+    for a, b, c in product(range(r), repeat=3):
+        trees[a, b, c] = tree_maps(N, J, dims, a, b, c)
+        for d, left, right in trees[a, b, c]:
+            if left.rows != right.rows:
+                raise SkeletalizationFailure(
+                    f"tree spaces at {(a, b, c, d)} have dims {left.rows} and {right.rows}"
+                )
+            x = mat_solve(left.transpose(), right.transpose())
+            if x is None:
+                raise SkeletalizationFailure(f"recoordinatization at {(a, b, c, d)} is not solvable")
+            F[(a, b, c, d)] = x.transpose()
 
-    dual = [None] * r
-    for a in range(r):
-        dm = dual_module(h, modules[a])
-        for b in range(r):
-            if modules[b].dim == dm.dim and hom_space(dm, modules[b]):
-                dual[a] = b
-                break
-        if dual[a] is None:
-            raise SkeletalizationFailure(f"no dual in the family for module {a}")
+    dual = [next((b for b in range(r) if N[a][b][unit]), None) for a in range(r)]
+    if None in dual:
+        raise SkeletalizationFailure(f"no dual in the family for module {dual.index(None)}")
 
     skel = FusionSkeleton(
         rank=r,
-        fusion=Ntup,
+        fusion=N,
         dual=tuple(dual),
         F=F,
         unit=unit,
@@ -321,16 +327,14 @@ def _skeletalize(h: HopfPresentation, modules: list):
         except (ShapeError, ValueError):
             raise NonRigid(f"pairing for simple {a} is singular") from None
         w = J[(a, dual[a])] * Matrix.column(q.entries)
-        off = _copy_offset(Ntup[a][dual[a]], dims, unit)
+        off = _copy_offset(N[a][dual[a]], dims, unit)
         for i in range(w.rows):
             if i != off and w.at(i, 0):
                 raise SkeletalizationFailure(
                     f"copairing for simple {a} is not supported on the unit"
                 )
         coev.append((w.at(off, 0),))
-    first, fiber = fiber, FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
-    fiber._pairings.update(first._pairings)  # with their inverses; a pairing reads no coev
-    return skel, fiber, trees
+    return skel, FiberData(dims=dims, J=J, coev_coeff=tuple(coev)), trees
 
 
 def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):

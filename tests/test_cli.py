@@ -225,6 +225,22 @@ def test_reconstruct_writes_verified_hopf(tmp_path, capsys):
     assert code == 0
 
 
+def test_reconstruct_writes_nothing_when_a_rebuilt_check_fails(tmp_path, capsys, monkeypatch):
+    skel, fib, out_f = (tmp_path / f for f in ("vec.json", "fib.json", "hopf.json"))
+    run(capsys, "example", "vec-z2", "-o", str(skel))
+    run(capsys, "example", "vec-z2-fiber", "-o", str(fib))
+    bad = CheckReport("antipode")
+    bad.add("left-snake", (0,), "1", "2")
+    monkeypatch.setattr(cli, "run_hopf_checks", lambda hopf: [CheckReport("algebra"), bad])
+    code, out = run(capsys, "--report", "json", "reconstruct", str(skel), str(fib), "-o", str(out_f))
+    doc = json.loads(out)
+    assert code == 1 and not out_f.exists()
+    assert doc["passed"] is False and doc["dim"] == 2 and "written" not in doc
+    code, out = run(capsys, "reconstruct", str(skel), str(fib), "-o", str(out_f))
+    assert code == 1 and not out_f.exists()
+    assert "  left-snake at (0,): 1 != 2" in out.splitlines() and "written" not in out
+
+
 def test_repcat_writes_skeleton_and_fiber(tmp_path, capsys):
     h = tmp_path / "ks3.json"
     mods = tmp_path / "mods.json"
@@ -278,6 +294,25 @@ def test_roundtrip_ks3(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and "gamma" in doc
+
+
+def test_roundtrip_names_a_wrong_antipode(tmp_path, capsys):
+    # skeletalize reads no antipode, so K[S3] with S = id skeletalizes, and
+    # gamma fails the antipode law at the two 3-cycles, which S swaps
+    h = tmp_path / "ks3.json"
+    mods = tmp_path / "mods.json"
+    run(capsys, "example", "ks3", "-o", str(h))
+    run(capsys, "example", "ks3-modules", "-o", str(mods))
+    doc = json.loads(h.read_text())
+    n = doc["dim"]
+    doc["antipode"]["entries"] = [["1/1" if i == j else "0/1" for j in range(n)] for i in range(n)]
+    h.write_text(json.dumps(doc))
+    code, out = run(capsys, "roundtrip", str(h), str(mods))
+    lines = out.splitlines()
+    assert code == 1 and "hopf-morphism: FAIL (2 failing tuples)" in lines
+    failing = [line for line in lines if line.startswith("  morphism-antipode at ")]
+    assert [line.split(":")[0] for line in failing] == ["  morphism-antipode at (3,)", "  morphism-antipode at (4,)"]
+    assert "SkeletalizationFailure" not in out
 
 
 def test_roundtrip_prints_the_reports_its_failure_carries(tmp_path, capsys, monkeypatch):

@@ -343,28 +343,3 @@ def test_gamma_roundtrip_checks_category_data_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_gamma_roundtrip_inverts_each_pairing_once(monkeypatch):
-    import hopfrec.fusion as fusion
-    import hopfrec.matrices as matrices
-    import hopfrec.reconstruct as reconstruct
-
-    solves, inside = [], []
-    solve, delta = matrices.mat_solve, fusion.compute_delta
-
-    def counted_solve(a, b):
-        solves.append(bool(inside))
-        return solve(a, b)
-
-    def counted_delta(skel, fiber):
-        inside.append(1)
-        try:
-            return delta(skel, fiber)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(matrices, "mat_solve", counted_solve)
-    monkeypatch.setattr(reconstruct, "compute_delta", counted_delta)
-    rep, _ = gamma_roundtrip(KS3, s3_modules())
-    assert rep.passed
-    # skeletalize inverts the pairings; compute_delta finds them kept
-    assert solves and not any(solves)
