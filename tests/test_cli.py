@@ -378,6 +378,126 @@ def test_text_report_is_the_report_lines_of_each_check(tmp_path, capsys):
     assert lines[-1].startswith("result: FAIL (")
 
 
+# -- failing and edge paths of each pipeline, pinned line by line -----------
+
+def _text(out: str) -> list:
+    """The report lines, with the elapsed time cut off the result line."""
+    lines = out.splitlines()
+    assert lines[-1].startswith("result: ") and lines[-1].endswith("s)")
+    return lines[:-1] + [lines[-1].split(" (")[0]]
+
+
+def _vec_z2_fiber(tmp_path, capsys, edit):
+    skel, fib = tmp_path / "vec.json", tmp_path / "fib.json"
+    run(capsys, "example", "vec-z2", "-o", str(skel))
+    run(capsys, "example", "vec-z2-fiber", "-o", str(fib))
+    doc = json.loads(fib.read_text())
+    edit(doc)
+    fib.write_text(json.dumps(doc))
+    return str(skel), str(fib)
+
+
+def test_check_category_fiber_of_the_wrong_rank_is_exit_2(tmp_path, capsys):
+    skel, fib = _vec_z2_fiber(tmp_path, capsys, lambda doc: doc.update(dims=[1, 1, 1]))
+    code = main(["check-category", skel, fib])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == "error: fiber has 3 dimensions for rank 2\n"
+
+
+def test_check_category_singular_j_is_a_failing_report(tmp_path, capsys):
+    def zero_j11(doc):
+        doc["J"][3]["matrix"]["entries"] = [["0/1"]]
+
+    skel, fib = _vec_z2_fiber(tmp_path, capsys, zero_j11)
+    code, out = run(capsys, "check-category", skel, fib)
+    assert code == 1
+    assert _text(out) == [
+        "command: check-category",
+        "NonInvertibleJ: FAIL (1 failing tuples)",
+        "  NonInvertibleJ at (): J[(1, 1)] is singular != ",
+        "result: FAIL",
+    ]
+
+
+def test_reconstruct_of_an_incoherent_pair_writes_nothing(tmp_path, capsys):
+    skel, fib, out_f = (str(tmp_path / f) for f in ("vecw.json", "fib.json", "X.json"))
+    run(capsys, "example", "vec-z2-omega", "-o", skel)
+    run(capsys, "example", "vec-z2-fiber", "-o", fib)
+    code, out = run(capsys, "reconstruct", skel, fib, "-o", out_f)
+    assert code == 1 and not (tmp_path / "X.json").exists()
+    assert _text(out) == [
+        "command: reconstruct",
+        "pentagon: pass",
+        "tensor-structure: FAIL (1 failing tuples)",
+        "  compatibility at (1, 1, 1): [-1/1] != [1/1]",
+        "duality: pass",
+        "result: FAIL",
+    ]
+    code, out = run(capsys, "--report", "json", "reconstruct", skel, fib, "-o", out_f)
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False and "written" not in doc
+    assert not (tmp_path / "X.json").exists()
+
+
+def _ks3_files(tmp_path, capsys):
+    h, mods = tmp_path / "ks3.json", tmp_path / "mods.json"
+    run(capsys, "example", "ks3", "-o", str(h))
+    run(capsys, "example", "ks3-modules", "-o", str(mods))
+    return h, mods
+
+
+def test_repcat_of_an_incomplete_family_reports_only_the_family(tmp_path, capsys):
+    h, mods = _ks3_files(tmp_path, capsys)
+    doc = json.loads(mods.read_text())
+    doc["modules"] = doc["modules"][:2]  # triv and sgn
+    mods.write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    code, out = run(capsys, "repcat", str(h), str(mods), "-o", str(tmp_path / "skel.json"))
+    assert code == 1 and sorted(tmp_path.iterdir()) == before
+    assert _text(out) == [
+        "command: repcat",
+        "irreducible-family: FAIL (1 failing tuples)",
+        "  complete at (): sum of squared dims = 2 != algebra dim = 6",
+        "result: FAIL",
+    ]
+
+
+def test_repcat_reports_a_decomposition_gap(tmp_path, capsys):
+    h, mods = _ks3_files(tmp_path, capsys)
+    doc = json.loads(h.read_text())
+    doc["comult"][0][0][0] = "2/1"
+    h.write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    code, out = run(capsys, "repcat", str(h), str(mods), "-o", str(tmp_path / "skel.json"))
+    assert code == 1 and sorted(tmp_path.iterdir()) == before
+    assert _text(out) == [
+        "command: repcat",
+        "irreducible-family: pass",
+        "DecompositionGap: FAIL (1 failing tuples)",
+        "  DecompositionGap at (): module (triv(x)triv) has dim 1 but the family accounts for 0 != ",
+        "result: FAIL",
+    ]
+
+
+def test_repcat_text_and_an_out_path_without_json(tmp_path, capsys):
+    h, mods = _ks3_files(tmp_path, capsys)
+    out_f = str(tmp_path / "skel")
+    code, out = run(capsys, "repcat", str(h), str(mods), "-o", out_f)
+    assert code == 0
+    assert _text(out) == [
+        "command: repcat",
+        "irreducible-family: pass",
+        "pentagon: pass",
+        "tensor-structure: pass",
+        "duality: pass",
+        f"written: {out_f}",
+        f"written_fiber: {out_f}.fiber",
+        "result: pass",
+    ]
+    assert serialize.load(out_f).kind == "fusion" and serialize.load(out_f + ".fiber").kind == "fiber"
+
+
 # -- JSON booleans are not integers --------------------------------------------
 #
 # json.loads turns true and false into bools, an int subclass; every integer

@@ -47,6 +47,21 @@ def test_verify_irreps_flags_duplicates_and_gaps():
     assert rep.failures  # and nothing passed silently
 
 
+def test_verify_irreps_flags_a_reducible_member():
+    # triv (+) sgn has a two dimensional End, and shares a line of Hom with
+    # each of its summands; 1 + 1 + 4 = 6 still fills the algebra
+    triv, sgn, _ = s3_modules()
+    both = ModuleRep(2, [block_diag([t, s]) for t, s in zip(triv.action, sgn.action)], "triv+sgn")
+    rep = verify_irreps(KS3.alg, [triv, sgn, both])
+    assert [f.line() for f in rep.failures] == [
+        "split-irreducible at (2,): dim End = 2 != dim End = 1",
+        "distinct at (0, 2): dim Hom = 1 != dim Hom = 0",
+        "distinct at (1, 2): dim Hom = 1 != dim Hom = 0",
+        "distinct at (2, 0): dim Hom = 1 != dim Hom = 0",
+        "distinct at (2, 1): dim Hom = 1 != dim Hom = 0",
+    ]
+
+
 def test_hom_space_character_oracle():
     triv, sgn, std = s3_modules()
     assert len(hom_space(triv, sgn)) == 0
