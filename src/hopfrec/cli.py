@@ -114,10 +114,10 @@ def _cmd_repcat(args):
     if not rep.passed:
         return [rep], {}
     try:
-        skel, fiber, trees = _skeletalize(h, mods)
+        skel, fiber = _skeletalize(h, mods)
     except HopfrecError as e:
         return [rep, _failure_report(type(e).__name__, str(e))], {}
-    reports = [rep] + verify_category(skel, fiber, trees=trees)
+    reports = [rep] + verify_category(skel, fiber)
     if all(r.passed for r in reports):
         fiber_path = _fiber_out_path(args.out)
         serialize.save(args.out, skel)
@@ -138,8 +138,8 @@ def _cmd_roundtrip(args):
             reports.append(e.report)
         return reports, {}
     payload = {"gamma": serialize.format_matrix(gamma)}
-    # the five round-trip identities, plus the irreducible-family gate,
-    # live in rep; completeness of the rebuilt side is cheap to add
+    # rep holds the five round-trip identities (a family that fails its gate
+    # raised SkeletalizationFailure above); the rebuilt family is cheap to add
     zrep = verify_irreps(recon.hopf.alg, zeta_modules(recon))
     zrep.name = "rebuilt-irreps"
     return [rep, zrep], payload

@@ -373,7 +373,7 @@ def _cut(step: Matrix, n_xy, dims, out: list) -> None:
         out[d].extend(step.entries[start:stop])
 
 
-def verify_tensorator(skel: FusionSkeleton, fiber: FiberData, *, trees=None) -> CheckReport:
+def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     """The fiber functor's J against the category's F: for every triple and
     total d, the trees of tree_maps satisfy R_y = sum_x F[y, x] L_x, so
     decomposing (ab)c through J and recoordinatizing by F equals
@@ -381,8 +381,6 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData, *, trees=None) -> 
     F * left is sum_x F[y, x] L_x row-major, which is compared with right.
     A failing triple reports both sides stacked over d, cut into rows of
     dims[a] dims[b] dims[c].  Also the strict unit constraints on J.
-    trees, when given, maps (a, b, c) to tree_maps of skel.fusion, fiber.J
-    and fiber.dims at that triple, already realized by the caller.
 
     Raises NonInvertibleJ when some J block is singular; everything else
     is reported, not raised.  Each block's inverse is kept by mat_inverse.
@@ -408,8 +406,7 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData, *, trees=None) -> 
 
     for a, b, c in product(range(r), repeat=3):
         lhs, rhs = [], []
-        maps = trees[a, b, c] if trees is not None else tree_maps(skel.fusion, fiber.J, d, a, b, c)
-        for dd, left, right in maps:
+        for dd, left, right in tree_maps(skel.fusion, fiber.J, d, a, b, c):
             if left.rows:
                 lhs += (skel.F[(a, b, c, dd)] * left).entries
                 rhs += right.entries
@@ -490,12 +487,11 @@ def compute_delta(skel: FusionSkeleton, fiber: FiberData) -> dict:
     return out
 
 
-def verify_category(skel: FusionSkeleton, fiber: FiberData | None = None, *, trees=None) -> list:
+def verify_category(skel: FusionSkeleton, fiber: FiberData | None = None) -> list:
     """The full coherence suite: pentagon, then with a fiber the tensor
-    structure compatibility (given the trees, as verify_tensorator takes
-    them) and the duality zigzags."""
+    structure compatibility and the duality zigzags."""
     reports = [verify_pentagon(skel)]
     if fiber is not None:
-        reports.append(verify_tensorator(skel, fiber, trees=trees))
+        reports.append(verify_tensorator(skel, fiber))
         reports.append(verify_duality(skel, fiber))
     return reports

@@ -24,7 +24,8 @@ picks another path: inner dimension 1 is an outer product, as lowering
 such tiny factors costs more than it saves.  Kron multiplies the nonzero
 pairs of both lowerings into its rows, and the intertwiner constraint of
 `repcat.hom_space` builds its rows on the actions' lowerings; both hand
-them over as a product does.  A row block keeps its rows of the lowering.
+them over as a product does.  A row block keeps its rows of the lowering,
+and an identity is built holding its own.
 No other module reads or writes a matrix's lowering.  Elimination on
 conductor 1 is fraction-free on the int rows D*x (`Matrix._echelon`);
 rank reads the pivots, and rref, mat_kernel and mat_solve divide only the
@@ -146,7 +147,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        """I_n, holding its lowering: D = 1 and a 1 on each row."""
+        return cls._from_low(n, n, 1, [[(i, 1)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":

@@ -18,13 +18,16 @@ refining in index order leaves its constraint nothing to cut.
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
 tensor modules, F off the trees that J realizes, and each dual off N; it
-reads no antipode (see _skeletalize).
+reads no antipode.  Whatever it returns passes verify_category by
+construction (the proof is in _skeletalize).
 
 Round trip.  gamma_roundtrip rebuilds the Hopf algebra from the skeletal
-data and compares it with the source along gamma.  The rebuilt side is
-certified by transport of structure along gamma when the source passes
-its Hopf checks and gamma is a bijective Hopf morphism; only otherwise
-does it run the Hopf axiom suite of reconstruct_hopf (see _roundtrip).
+data and compares it with the source along gamma.  It sweeps no category
+data, since the proof leaves nothing for a sweep to find.  The rebuilt
+side is certified by transport of structure along gamma when the source
+passes its Hopf checks and gamma is a bijective Hopf morphism; only
+otherwise does it run the Hopf axiom suite of reconstruct_hopf (see
+_roundtrip).
 """
 
 from __future__ import annotations
@@ -234,16 +237,20 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
 
     Returns (FusionSkeleton, FiberData).  The multiplicity bases are the
     canonical intertwiner bases, so J, F and the duality coefficients are
-    uniquely determined by the input.
+    uniquely determined by the input.  A family that fails verify_irreps
+    raises SkeletalizationFailure with its report.  With verify on, the
+    output is audited by verify_category, which realizes every tree once
+    more; the proof in _skeletalize shows the audit cannot fail, and a
+    failure would raise SkeletalizationFailure.
     """
     fam = verify_irreps(h.alg, modules)
     if not fam.passed:
         raise SkeletalizationFailure(
             "modules are not a complete split irreducible family", fam
         )
-    skel, fiber, trees = _skeletalize(h, modules)
+    skel, fiber = _skeletalize(h, modules)
     if verify:
-        reports = verify_category(skel, fiber, trees=trees)
+        reports = verify_category(skel, fiber)
         bad = [rep for rep in reports if not rep.passed]
         if bad:
             raise SkeletalizationFailure(
@@ -253,9 +260,8 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
 
 
 def _skeletalize(h: HopfPresentation, modules: list):
-    """skeletalize on a family that verify_irreps has passed, unchecked:
-    (skel, fiber, trees), trees mapping each (a, b, c) to its tree_maps,
-    realized once to solve F, for verify_category to check.
+    """skeletalize on a family that verify_irreps has passed: (skel, fiber),
+    with no sweep of verify_category.
 
     N and J alone.  The skeletal data is read off the fusion rules N and
     the decompositions J of the tensor modules, which depend only on the
@@ -269,9 +275,51 @@ def _skeletalize(h: HopfPresentation, modules: list):
     ev is H-linear.  Rigidity is checked, not assumed: FusionSkeleton
     requires the duals to form an involution with N[a][a*][unit] =
     N[a*][a][unit] = 1, a singular pairing raises NonRigid, and
-    verify_duality checks the zigzags.  So a presentation whose antipode is
-    wrong skeletalizes to the category of its bialgebra, and the round
-    trip reports morphism-antipode wherever S' gamma differs from gamma S.
+    the coevaluation below must lie on the unit copy.  So a presentation
+    whose antipode is wrong skeletalizes to the category of its bialgebra,
+    and the round trip reports morphism-antipode wherever S' gamma differs
+    from gamma S.
+
+    Coherence by construction.  Whenever this returns without raising,
+    verify_category(skel, fiber) passes: it raises nothing and lists no
+    failing tuple.  A faithful monoidal functor to Vec reflects coherence
+    (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories), and every step
+    below is an identity that the construction decided exactly.
+      1. Compatibility.  F = x^T where left^T x = right^T is solved
+         exactly, and mat_solve returns None on an inconsistent system.
+         So F * left == right at every (a, b, c, d): the compatibility
+         checks of verify_tensorator hold.  validate_fiber's shapes hold
+         by construction (J[(a, b)] is the square tau of a decomposition,
+         the unit has dim 1, and the ev and coev vectors have length
+         N[a*][a][unit] = N[a][a*][unit] = 1).
+      2. J invertible.  Each J is the tau of decompose, which is
+         mat_inverse(stack); so NonInvertibleJ cannot fire.
+      3. F invertible.  The left trees of (a, b, c) are the components,
+         onto the copies of each F(d), of one invertible map: the direct
+         sum of the J[(e, c)] after J[(a, b)] (x) I.  Every dims[d] >= 1,
+         so the realized trees of one total are linearly independent:
+         left has full row rank, and so has right.  right = F * left then
+         gives rank F = rows: recoordinatization-invertible holds.
+      4. Pentagon.  Realize the five trees of a (x) b (x) c (x) d ->
+         total through J.  Each step of either path applies one F block
+         inside a context: precomposed with a J copy tensored with
+         identities, or tensored with an identity and composed with a J
+         copy.  Step 1 is a linear identity between realized maps, so it
+         holds in every such context, and realize(T5) = P2 realize(T1) =
+         P3 realize(T1), P2 and P3 being the two-step and the three-step
+         products that verify_pentagon compares.  The realized T1 trees
+         are independent, by step 3's argument applied to the invertible
+         direct sum of the J[(y, d)] after that of the J[(x, c)] (x) I
+         after J[(a, b)] (x) I (x) I.  So P2 = P3.
+      5. Units.  FusionSkeleton rejects a unit-argument F block that is
+         not an identity, and iota = 1.  J[(unit, unit)] = 1, the inverse
+         of the pivot-1 canonical basis of a 1-dim Hom.  Step 1 at
+         F[(unit, unit, a, a)] = 1 gives J[(unit, a)]^2 = J[(unit, a)],
+         and at F[(a, unit, unit, a)] it gives J[(a, unit)]^2 =
+         J[(a, unit)].  An invertible idempotent is I = iota I.
+      6. Duality.  The coevaluation is J[(a, a*)] vec(P_a^-1), and it lies
+         on the unit copy, or this raises.  So the copairing read back
+         through J^-1 is P_a^-1, and both zigzags hold.
     """
     r = len(modules)
     dims = tuple(v.dim for v in modules)
@@ -291,10 +339,8 @@ def _skeletalize(h: HopfPresentation, modules: list):
     N = tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r))
 
     F = {}
-    trees = {}
     for a, b, c in product(range(r), repeat=3):
-        trees[a, b, c] = tree_maps(N, J, dims, a, b, c)
-        for d, left, right in trees[a, b, c]:
+        for d, left, right in tree_maps(N, J, dims, a, b, c):
             if left.rows != right.rows:
                 raise SkeletalizationFailure(
                     f"tree spaces at {(a, b, c, d)} have dims {left.rows} and {right.rows}"
@@ -334,7 +380,7 @@ def _skeletalize(h: HopfPresentation, modules: list):
                     f"copairing for simple {a} is not supported on the unit"
                 )
         coev.append((w.at(off, 0),))
-    return skel, FiberData(dims=dims, J=J, coev_coeff=tuple(coev)), trees
+    return skel, FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
 
 
 def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
@@ -344,17 +390,20 @@ def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     gamma sends a basis element to the block diagonal of its actions.  The
     returned report checks that gamma is a bijective map respecting
     multiplication, unit, comultiplication, counit and antipode; the matrix
-    of gamma is returned alongside.  With verify on, the rebuilt
-    presentation is certified a Hopf algebra by transport along gamma, or
-    checked against every Hopf axiom where transport does not apply (see
-    _roundtrip); a failure raises ReconstructionAxiomFailure.
+    of gamma is returned alongside.  verify governs only the rebuilt side:
+    with it on, the rebuilt presentation is certified a Hopf algebra by
+    transport along gamma, or checked against every Hopf axiom where
+    transport does not apply (see _roundtrip); a failure raises
+    ReconstructionAxiomFailure.  The category data is never swept: it is
+    coherent by construction (see _skeletalize).
     """
     return _roundtrip(h, modules, verify)[:2]
 
 
 def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     """gamma_roundtrip, returning (report, gamma, reconstruction).  The
-    category data is checked once, by skeletalize.
+    skeletal data is not swept by verify_category: the proof in
+    _skeletalize shows that the sweep passes on whatever it returns.
 
     Transport.  The rebuilt presentation H' is assembled unchecked, and
     with verify on it is certified by transport of structure when
@@ -380,7 +429,7 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     """
     if not modules:
         raise RoundTripFailure("no modules given")
-    skel, fiber = skeletalize(h, modules, verify=verify)
+    skel, fiber = skeletalize(h, modules, verify=False)
     from .reconstruct import _assemble, _require_hopf
 
     recon = _assemble(skel, fiber)

@@ -29,7 +29,7 @@ from hopfrec.examples import EXAMPLES
 from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_algebra, check_bialgebra, run_hopf_checks
 from hopfrec.matrices import Matrix, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
-from hopfrec.repcat import ModuleRep, hom_space, skeletalize, tensor_module, verify_irreps
+from hopfrec.repcat import ModuleRep, gamma_roundtrip, hom_space, skeletalize, tensor_module, verify_irreps
 from hopfrec.scalars import Scalar
 
 HOPF_EXAMPLES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf"]
@@ -341,32 +341,41 @@ def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
 # -- trees and inverses, computed once ---------------------------------------
 
 def test_trees_are_realized_once_per_triple(monkeypatch, tmp_path, capsys):
+    # _skeletalize realizes each triple once to solve F; the audit of
+    # verify_category (skeletalize with verify, CLI repcat) realizes it again
     calls = []
     real = fusion.tree_maps
     for module in (fusion, repcat):
         monkeypatch.setattr(module, "tree_maps", lambda *a: calls.append(a[3:]) or real(*a))
     h, mods = base("ks3")
+    triples = sorted(itertools.product(range(len(mods)), repeat=3))
+    for go in (lambda: gamma_roundtrip(h, mods), lambda: skeletalize(h, mods, verify=False)):
+        calls.clear()
+        go()
+        assert sorted(calls) == triples
+    calls.clear()
     skel, fiber = skeletalize(h, mods, verify=True)
-    assert sorted(calls) == sorted(set(calls)) and len(calls) == skel.rank**3
+    assert sorted(calls) == sorted(triples * 2)
     calls.clear()
     assert fusion.verify_tensorator(skel, fiber).passed
-    assert len(calls) == skel.rank**3
+    assert sorted(calls) == triples
     calls.clear()
     paths = [str(tmp_path / f) for f in ("ks3.json", "mods.json", "skel.json")]
     assert cli.main(["example", "ks3", "-o", paths[0]]) == 0
     assert cli.main(["example", "ks3-modules", "-o", paths[1]]) == 0
     assert cli.main(["repcat", *paths[:2], "-o", paths[2]]) == 0
     capsys.readouterr()
-    assert sorted(calls) == sorted(set(calls)) and len(calls) == skel.rank**3
+    assert sorted(calls) == sorted(triples * 2)
 
 
 def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
-    # a matrix that kron builds holds the lowering of its rows, so the
-    # product that takes it as a factor does not lower it again (a kron
-    # by the rational 1 is the other factor, lowered or not as before)
+    # a matrix that kron builds holds the lowering of its rows, and an
+    # identity holds its own, so the product or kron that takes either as a
+    # factor does not lower it again (a kron by the rational 1 is the other
+    # factor); with the rows of J kept too, tree_maps lowers nothing afresh
     skel, fiber = skeletalize(*base("ks3"), verify=False)
-    made, fresh = [], []
-    real_kron, real_lowered = Matrix.kron, Matrix._lowered
+    made, identities, fresh = [], [], []
+    real_kron, real_identity, real_lowered = Matrix.kron, Matrix.identity.__func__, Matrix._lowered
 
     def kron(self, other):
         out = real_kron(self, other)
@@ -374,17 +383,22 @@ def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
             made.append(out)
         return out
 
+    def identity(cls, n):
+        identities.append(real_identity(cls, n))
+        return identities[-1]
+
     def lowered(self):
         if not hasattr(self, "_low"):
             fresh.append(self)
         return real_lowered(self)
 
     monkeypatch.setattr(Matrix, "kron", kron)
+    monkeypatch.setattr(Matrix, "identity", classmethod(identity))
     monkeypatch.setattr(Matrix, "_lowered", lowered)
     for a, b, c in itertools.product(range(skel.rank), repeat=3):
         fusion.tree_maps(skel.fusion, fiber.J, fiber.dims, a, b, c)
-    assert any(m.rows > 1 for m in made) and fresh
-    assert not {id(m) for m in made} & {id(m) for m in fresh}
+    assert any(m.rows > 1 for m in made) and any(m.rows > 1 for m in identities)
+    assert fresh == []
 
 
 def test_inverse_is_eliminated_once_and_kept_both_ways(monkeypatch):

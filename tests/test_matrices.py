@@ -124,6 +124,15 @@ def test_kron_associative():
     assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
 
+def test_identity_holds_its_lowering():
+    for n in range(4):
+        m = Matrix.identity(n)
+        want = Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+        assert m == want and m._n == want._n == 1
+        assert [(x.conductor, str(x)) for x in m.entries] == [(x.conductor, str(x)) for x in want.entries]
+        assert m._low == (1, [[(i, 1)] for i in range(n)]) == want._lowered()
+
+
 def test_block_diag():
     a = Matrix.from_rows([[1]])
     b = Matrix.from_rows([[2, 0], [0, 3]])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfrec import fusion
 from hopfrec.errors import DecompositionGap, ShapeError
 from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
@@ -342,19 +343,22 @@ def test_gamma_roundtrip_ks4():
     assert gamma.rows == 24
 
 
-def test_gamma_roundtrip_checks_category_data_once(monkeypatch):
+def test_gamma_roundtrip_sweeps_no_category_data(monkeypatch):
+    # the skeletal data is coherent by construction (repcat._skeletalize), so
+    # the round trip calls no category checker; skeletalize audits it once
     calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return verify_category(*args, **kwargs)
-
-    # every hopfrec module that binds verify_category by name
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("hopfrec") and getattr(mod, "verify_category", None) is verify_category:
-            monkeypatch.setattr(mod, "verify_category", counted)
-    rep, gamma = gamma_roundtrip(KS3, s3_modules())
-    assert rep.passed and gamma.rows == 6
-    assert len(calls) == 1
+    checkers = ("verify_category", "verify_pentagon", "verify_tensorator", "verify_duality")
+    reals = {name: getattr(fusion, name) for name in checkers}
+    # every hopfrec module that binds one of them by name
+    for modname, mod in list(sys.modules.items()):
+        for name, real in reals.items():
+            if modname.startswith("hopfrec") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    for verify in (True, False):
+        rep, gamma = gamma_roundtrip(KS3, s3_modules(), verify=verify)
+        assert rep.passed and gamma.rows == 6
+    assert calls == []
+    skeletalize(KS3, s3_modules(), verify=True)
+    assert calls == list(checkers)
 
 

@@ -1,0 +1,112 @@
+"""The skeletal data of a module family is coherent by construction.
+
+`repcat._skeletalize` proves in its docstring that verify_category passes
+on whatever it returns: F solves the tree equations exactly, every J is an
+inverse, and the pentagon, unit and duality identities follow.  Here the
+full sweep runs on every shipped module family, on K[A4], on the
+characters of K[Z/n] for n = 5, 7, 8, on K[S3] with the identity as its
+antipode, and on K[Z2 x Z2] with its comult conjugated by an invertible
+T in H (x) H that is not a cocycle.  K[S3] conjugated by such a T is not
+coassociative, and `_skeletalize` raises on it: no F solves its trees.
+"""
+
+import dataclasses
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from hopfrec.errors import SkeletalizationFailure
+from hopfrec.examples import EXAMPLES, gen_group_algebra
+from hopfrec.fusion import verify_category
+from hopfrec.groups import cyclic_group
+from hopfrec.hopf import check_bialgebra
+from hopfrec.matrices import Matrix, mat_inverse
+from hopfrec.repcat import ModuleRep, _skeletalize
+from hopfrec.scalars import Scalar
+from test_tensorator_bumps import alternating_group_4, modules_a4
+
+FAMILIES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf" and f"{name}-modules" in EXAMPLES]
+
+
+def conjugated(h, t: dict):
+    """h with comult x -> T Delta(x) T^-1, T = sum t[(j, k)] e_j (x) e_k,
+    products taken in the algebra H (x) H."""
+    n = h.dim
+    m = h.alg.mult
+
+    def times(x: list, y: list) -> list:  # x * y in H (x) H, index j * n + k
+        out = [Scalar.coerce(0)] * (n * n)
+        for p, xp in enumerate(x):
+            if xp:
+                for q, yq in enumerate(y):
+                    if yq:
+                        for j in range(n):
+                            for k in range(n):
+                                c = m[p // n][q // n][j] * m[p % n][q % n][k]
+                                if c:
+                                    out[j * n + k] += xp * yq * c
+        return out
+
+    tvec = [Scalar.coerce(t.get((j, k), 0)) for j in range(n) for k in range(n)]
+    unit = [h.alg.unit[j] * h.alg.unit[k] for j in range(n) for k in range(n)]
+    # T^-1 solves T * y = 1: the columns of left multiplication by T
+    basis = [[Scalar.coerce(int(i == p)) for i in range(n * n)] for p in range(n * n)]
+    left = Matrix.from_rows([list(col) for col in zip(*(times(tvec, e) for e in basis))])
+    tinv = (mat_inverse(left) * Matrix.column(unit)).entries
+    comult = []
+    for i in range(n):
+        delta = [h.comult[i][j][k] for j in range(n) for k in range(n)]
+        out = times(times(tvec, delta), list(tinv))
+        comult.append([[out[j * n + k] for k in range(n)] for j in range(n)])
+    return dataclasses.replace(h, comult=comult)
+
+
+# 1 (x) 1 + 1/2 g1 (x) g2 - 1/3 g2 (x) g3: invertible, and not a cocycle
+NOT_A_COCYCLE = {(0, 0): 1, (1, 2): Fraction(1, 2), (2, 3): Fraction(-1, 3)}
+
+
+def cyclic_characters(n: int) -> list:
+    z = Scalar.zeta(n)
+    return [ModuleRep(1, tuple(Matrix(1, 1, [z ** (s * t % n)]) for t in range(n)), f"chi{s}") for s in range(n)]
+
+
+@lru_cache(maxsize=None)
+def case(name: str):
+    if name in FAMILIES:
+        return EXAMPLES[name][1](), EXAMPLES[f"{name}-modules"][1]()
+    if name == "ka4":
+        g = alternating_group_4()
+        return gen_group_algebra(g), modules_a4(g)
+    if name == "ks3-identity-antipode":
+        h, mods = case("ks3")
+        return dataclasses.replace(h, antipode=Matrix.identity(h.dim)), mods
+    if name == "kz2z2-conjugated":
+        h, mods = case("kz2z2")
+        return conjugated(h, NOT_A_COCYCLE), mods
+    n = int(name.removeprefix("kz"))  # K[Z/n] on its characters
+    return gen_group_algebra(cyclic_group(n)), cyclic_characters(n)
+
+
+CASES = FAMILIES + ["ka4", "kz5", "kz7", "kz8", "ks3-identity-antipode", "kz2z2-conjugated"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_skeletal_data_passes_every_coherence_check(name):
+    reports = verify_category(*_skeletalize(*case(name)))
+    assert [r.name for r in reports] == ["pentagon", "tensor-structure", "duality"]
+    assert [f.line() for r in reports for f in r.failures] == []
+
+
+def test_conjugating_a_commutative_comult_changes_nothing():
+    # H (x) H is commutative, so T Delta T^-1 is Delta itself
+    assert case("kz2z2-conjugated")[0].comult == case("kz2z2")[0].comult
+
+
+def test_a_non_coassociative_comult_is_not_skeletalized():
+    h, mods = case("ks3")
+    bad = conjugated(h, NOT_A_COCYCLE)
+    assert {f.check for f in check_bialgebra(bad).failures} >= {"coassociativity"}
+    with pytest.raises(SkeletalizationFailure, match="is not solvable"):
+        _skeletalize(bad, mods)
+
