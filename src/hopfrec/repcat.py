@@ -15,6 +15,12 @@ structure at (g, j) for g in the generators and every j, and sweeps every
 modules, a non-generator e_i lies in the subalgebra of the earlier
 indices, with which every intertwiner kept so far already commutes, so
 refining in index order leaves its constraint nothing to cut.
+_skeletalize does not build those constraints at all: once H passes
+check_bialgebra, it builds each tensor module's actions at the generators
+alone and decomposes it on those, since a map between modules that
+commutes with the generators' actions commutes with every action (the
+proof is in _skeletalize).  A presentation that fails check_algebra or
+check_bialgebra has every action built, as tensor_module builds them.
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
 tensor modules, F off the trees that J realizes, and each dual off N; it
@@ -37,7 +43,7 @@ from itertools import product
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
-from .hopf import AlgebraPresentation, HopfPresentation, check_antipode, check_bialgebra, check_hopf_morphism
+from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra, check_antipode, check_bialgebra, check_hopf_morphism
 from .matrices import Matrix, _intertwiner_constraint, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
 from .scalars import ONE, ZERO
@@ -97,17 +103,27 @@ def trivial_module(h: HopfPresentation) -> ModuleRep:
 
 def tensor_module(h: HopfPresentation, v: ModuleRep, w: ModuleRep) -> ModuleRep:
     """Action through the comultiplication on the row-major tensor basis."""
+    return ModuleRep(v.dim * w.dim, _tensor_actions(h, v, w, range(h.dim)), _tensor_name(v, w))
+
+
+def _tensor_name(v: ModuleRep, w: ModuleRep) -> str:
+    return f"({v.name}(x){w.name})"
+
+
+def _tensor_actions(h: HopfPresentation, v: ModuleRep, w: ModuleRep, rows) -> list:
+    """The actions of e_i on v (x) w, for i in rows: sum over the nonzero
+    comult[i][j][k] of that coefficient times act_v(e_j) (x) act_w(e_k)."""
     action = []
-    for i, terms in enumerate(h._views.dl):
+    for i in rows:
         acc = None
-        for j, k, _ in terms:
+        for j, k, _ in h._views.dl[i]:
             c = h.comult[i][j][k]
             t = v.action[j].kron(w.action[k])
             if c != 1:
                 t = c * t
             acc = t if acc is None else acc + t
         action.append(Matrix.zeros(v.dim * w.dim, v.dim * w.dim) if acc is None else acc)
-    return ModuleRep(v.dim * w.dim, tuple(action), f"({v.name}(x){w.name})")
+    return action
 
 
 def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
@@ -141,8 +157,15 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
     if len(v.action) != len(w.action):
         dims = f"{len(v.action)} and {len(w.action)}"
         raise ShapeError(f"{v.name} and {w.name} are modules over algebras of dims {dims}")
+    return _hom_basis(zip(v.action, w.action), v.dim, w.dim)
+
+
+def _hom_basis(pairs, dv: int, dw: int) -> list:
+    """hom_space from dv to dw on the (act_v(e_i), act_w(e_i)) pairs given:
+    the kernel is refined by each pair's constraint in turn, and the
+    canonical reduced basis of the joint kernel returned."""
     ker = None  # no constraint has cut yet: every matrix intertwines so far
-    for av, aw in zip(v.action, w.action):
+    for av, aw in pairs:
         hit = _intertwiner_constraint(av, aw)
         if ker is not None:
             hit = hit * ker
@@ -152,10 +175,10 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
         if not ker.cols:
             return []
     if ker is None:
-        n = w.dim * v.dim
-        return [Matrix._of(w.dim, v.dim, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
+        n = dw * dv
+        return [Matrix._of(dw, dv, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
     red, _ = ker.transpose().rref()  # ker has full column rank: no zero rows
-    return [Matrix._of(w.dim, v.dim, red.row(i)) for i in range(red.rows)]
+    return [Matrix._of(dw, dv, red.row(i)) for i in range(red.rows)]
 
 
 def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
@@ -209,24 +232,27 @@ def decompose(v: ModuleRep, irreps: list) -> Decomposition:
     """Multiplicities and the isomorphism onto the ordered isotypic sum,
     read off the canonical hom_space bases.  Raises DecompositionGap when
     the family does not exhaust v."""
+    return _isotypic(v.dim, v.name, [hom_space(w, v) for w in irreps])
+
+
+def _isotypic(dim: int, name: str, bases: list) -> Decomposition:
+    """decompose of a module of that dim and name, from the hom_space
+    bases of each irreducible into it."""
     cols = []
-    mult = []
-    for w in irreps:
-        basis = hom_space(w, v)
-        mult.append(len(basis))
+    for basis in bases:
         for t in basis:
             for j in range(t.cols):
                 cols.append([t.at(i, j) for i in range(t.rows)])
     total = len(cols)
-    if total != v.dim:
+    if total != dim:
         raise DecompositionGap(
-            f"module {v.name} has dim {v.dim} but the family accounts for {total}"
+            f"module {name} has dim {dim} but the family accounts for {total}"
         )
     stack = Matrix.from_rows(cols).transpose()  # columns embed the sum into v
     try:
-        return Decomposition(tuple(mult), mat_inverse(stack))
+        return Decomposition(tuple(len(b) for b in bases), mat_inverse(stack))
     except ValueError:
-        raise DecompositionGap(f"isotypic images of {v.name} are degenerate") from None
+        raise DecompositionGap(f"isotypic images of {name} are degenerate") from None
 
 
 # -- skeletal data from a module family -------------------------------------
@@ -279,6 +305,31 @@ def _skeletalize(h: HopfPresentation, modules: list):
     whose antipode is wrong skeletalizes to the category of its bialgebra,
     and the round trip reports morphism-antipode wherever S' gamma differs
     from gamma S.
+
+    Generators.  Each V_a (x) V_b is built and decomposed on the actions
+    of e_g, g in gens = h.alg._gens, alone, when
+      (a) gens is not None: the algebra passed check_algebra, and the
+          unital subalgebra that the e_g generate holds every e_i (see
+          hopf);
+      (b) H passes check_bialgebra, read as _bialgebra(h, gens,
+          stop=True), which equals that verdict whenever it passes.  Then
+          Delta is multiplicative and Delta(1) = 1 (x) 1, so V (x) W, with
+          e_i acting by (act_V (x) act_W) Delta(e_i), is a module whenever
+          V and W are;
+      (c) every V_u in the family is a module: verify_irreps has passed,
+          the gate of skeletalize and of the CLI repcat.
+    Take T: V_u -> V_a (x) V_b linear.  The x in H with T act(x) =
+    act(x) T form a subspace that holds 1, which acts as the identity on
+    both sides, and is closed under products, since both actions are
+    multiplicative: a unital subalgebra.  If it holds every e_g, it holds
+    every e_i by (a).  So the joint kernel of the generators' constraints
+    is Hom(V_u, V_a (x) V_b), the space that hom_space cuts out with every
+    constraint; _hom_basis re-echelonizes the kernel at the end, so the
+    basis is the same canonical one, and N, J and everything after them
+    are those of decompose(tensor_module(h, V_a, V_b), modules), with
+    no action at a non-generator built or checked.  Where (a) or (b)
+    fails, every action is built and decomposed, exactly as that call
+    does.
 
     Coherence by construction.  Whenever this returns without raising,
     verify_category(skel, fiber) passes: it raises nothing and lists no
@@ -333,8 +384,14 @@ def _skeletalize(h: HopfPresentation, modules: list):
     if unit is None:
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
-    pairs = product(range(r), repeat=2)
-    decs = {(a, b): decompose(tensor_module(h, modules[a], modules[b]), modules) for a, b in pairs}
+    gens = h.alg._gens
+    if gens is None or not _bialgebra(h, gens, stop=True).passed:
+        gens = range(h.dim)
+    decs = {}
+    for (a, v), (b, w) in product(enumerate(modules), repeat=2):
+        acts = _tensor_actions(h, v, w, gens)
+        bases = [_hom_basis(zip([u.action[i] for i in gens], acts), u.dim, v.dim * w.dim) for u in modules]
+        decs[a, b] = _isotypic(v.dim * w.dim, _tensor_name(v, w), bases)
     J = {key: dec.tau for key, dec in decs.items()}
     N = tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r))
 

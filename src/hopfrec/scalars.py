@@ -12,8 +12,9 @@ compare and combine by promotion into Q(zeta_lcm).
 Off conductor 1 arithmetic runs on int residues: a product writes each
 factor as D*x with int coefficients, D the lcm of their denominators,
 reduces the int convolution mod Phi_n, and builds its Fractions once, as
-r / (Da*Db); x^-1 is the product of the other Galois conjugates of x
-divided by its norm, an integer (`Scalar.inverse`).
+r / (Da*Db); a rational factor only scales the other's coefficients,
+which gives the convolution's result.  x^-1 is the product of the other
+Galois conjugates of x divided by its norm, an integer (`Scalar.inverse`).
 
 One packed-int ring (`packing`).  The exact kernels lower Scalars once and
 decide identities on plain ints.  n is the lcm of the conductors and D the
@@ -343,9 +344,11 @@ class Scalar:
             return _rat(self.coeffs[0] * other.coeffs[0])
         if not Scalar._coercible(other):
             return NotImplemented
-        a, b, n = self._pair(other)
-        if n == 1:
-            return _rat(a.coeffs[0] * b.coeffs[0])
+        b = Scalar.coerce(other)
+        if 1 in (self.conductor, b.conductor):
+            f, x = (b.coeffs[0], self) if b.conductor == 1 else (self.coeffs[0], b)
+            return _make(x.conductor, tuple(f * c if c else c for c in x.coeffs))
+        a, b, n = self._pair(b)
         (da, ia), (db, ib) = _ints(a.coeffs), _ints(b.coeffs)
         return _make(n, _fractions(_mul_int(ia, ib, n), da * db))
 

@@ -338,6 +338,38 @@ def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
     assert sweeps and not any(full for _, full in sweeps)
 
 
+def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
+    """A K[S4] round trip builds 561 intertwiner constraints (1,708 when
+    every tensor-module action was built): verify_irreps' hom_space calls
+    build theirs at every index as they need, and each hom_space of the
+    decompositions in _skeletalize at most one per generator."""
+    h, mods = EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()
+    calls, per_hom, phase = [], [], ["decompositions"]
+    real_constraint, real_hom, real_irreps = repcat._intertwiner_constraint, repcat._hom_basis, repcat.verify_irreps
+
+    def hom_basis(*args):
+        start = len(calls)
+        out = real_hom(*args)
+        per_hom.append((phase[0], len(calls) - start))
+        return out
+
+    def irreps(*args):
+        phase[0] = "irreps"
+        try:
+            return real_irreps(*args)
+        finally:
+            phase[0] = "decompositions"
+
+    monkeypatch.setattr(repcat, "_intertwiner_constraint", lambda *a: calls.append(a) or real_constraint(*a))
+    monkeypatch.setattr(repcat, "_hom_basis", hom_basis)
+    monkeypatch.setattr(repcat, "verify_irreps", irreps)
+    assert gamma_roundtrip(h, mods)[0].passed
+    decs = [k for p, k in per_hom if p == "decompositions"]
+    assert len(decs) == len(mods) ** 3  # one hom_space per irrep per tensor module
+    assert max(decs) <= len(h.alg._gens) == 3
+    assert len(calls) == 561
+
+
 # -- trees and inverses, computed once ---------------------------------------
 
 def test_trees_are_realized_once_per_triple(monkeypatch, tmp_path, capsys):

@@ -111,6 +111,26 @@ def test_int_residue_product_matches_scalar_mul(n):
         assert Scalar(n, [Fraction(c, d * d) for c in got]) == a * b
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_rational_times_residue_matches_the_convolution(n):
+    """A conductor-1 factor scales the other's coefficients; the product is
+    the one the int convolution mod Phi_n gives on the rational promoted to
+    conductor n, a zero factor included, in either operand order."""
+    rng = random.Random(n)
+    residues = [Scalar.zeta(n), Scalar(n, [0] * phi_degree(n))]
+    residues += [Scalar(n, [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(phi_degree(n))])]
+    for r in (0, 1, -1, 7, Fraction(2, 3), Fraction(-5, 4)):
+        for x in residues:
+            a = sc(r).promote(n)
+            d = lcm(*(q.denominator for q in a.coeffs + x.coeffs))
+            low_a, low_x = ([q.numerator * (d // q.denominator) for q in y.coeffs] for y in (a, x))
+            want = Scalar(n, [Fraction(c, d * d) for c in _mul_int(low_a, low_x, n)])
+            for f in (r, sc(r)):
+                for got in (f * x, x * f):
+                    assert (got.conductor, got.coeffs) == (n, want.coeffs)
+                    assert all(type(c) is Fraction for c in got.coeffs)
+
+
 # -- the packed-int ring -------------------------------------------------------
 
 def test_reduction_height_bounds_every_power_of_x():

@@ -8,22 +8,32 @@ characters of K[Z/n] for n = 5, 7, 8, on K[S3] with the identity as its
 antipode, and on K[Z2 x Z2] with its comult conjugated by an invertible
 T in H (x) H that is not a cocycle.  K[S3] conjugated by such a T is not
 coassociative, and `_skeletalize` raises on it: no F solves its trees.
+
+`_skeletalize` builds each tensor module's actions at the algebra's
+generators alone once check_algebra and check_bialgebra pass (the proof
+is in its docstring), so its N and J must equal what decompose reads off
+tensor_module, built on every action, in every case here.  A presentation
+that fails either check builds every action and ends as the full path
+does: the same raise, or the same data.
 """
 
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
-from hopfrec.errors import SkeletalizationFailure
+from hopfrec import repcat
+from hopfrec.errors import DecompositionGap, HopfrecError, SkeletalizationFailure
 from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group
 from hopfrec.hopf import check_bialgebra
 from hopfrec.matrices import Matrix, mat_inverse
-from hopfrec.repcat import ModuleRep, _skeletalize
+from hopfrec.repcat import ModuleRep, _skeletalize, decompose, tensor_module
 from hopfrec.scalars import Scalar
+from test_generators import bump
 from test_tensorator_bumps import alternating_group_4, modules_a4
 
 FAMILIES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf" and f"{name}-modules" in EXAMPLES]
@@ -110,3 +120,67 @@ def test_a_non_coassociative_comult_is_not_skeletalized():
     with pytest.raises(SkeletalizationFailure, match="is not solvable"):
         _skeletalize(bad, mods)
 
+
+
+# -- tensor modules decomposed on the generators -----------------------------
+
+@pytest.fixture
+def action_rows(monkeypatch):
+    """The index sets at which tensor-module actions are built."""
+    seen = []
+    real = repcat._tensor_actions
+    monkeypatch.setattr(repcat, "_tensor_actions", lambda h, v, w, rows: seen.append(list(rows)) or real(h, v, w, rows))
+    return seen
+
+
+def cells(m: Matrix) -> list:
+    return [(x.conductor, x.coeffs) for x in m.entries]
+
+
+def assert_full_decompositions(h, mods, skel, fiber):
+    """N and J are what decompose reads off every tensor_module."""
+    for (a, v), (b, w) in product(enumerate(mods), repeat=2):
+        dec = decompose(tensor_module(h, v, w), mods)
+        assert skel.fusion[a][b] == dec.mult
+        assert cells(fiber.J[(a, b)]) == cells(dec.tau)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_generator_decompositions_equal_the_full_ones(name, action_rows):
+    h, mods = case(name)
+    skel, fiber = _skeletalize(h, mods)
+    assert action_rows == [h.alg._gens] * len(mods) ** 2
+    assert_full_decompositions(h, mods, skel, fiber)
+
+
+def failed_premise(name: str):
+    h, mods = case("ks3")
+    if name == "ks3-conjugated":  # multiplicative, not coassociative
+        return conjugated(h, NOT_A_COCYCLE), mods
+    if name == "ks3-comult-bumped":  # e_0 = 1 is not a generator of K[S3]
+        return bump(h, mods, "comult", (0, 0, 0), Scalar.rational(1))
+    return bump(h, mods, "mult", (1, 1, 0), Scalar.rational(1))  # fails check_algebra
+
+
+# what `_skeletalize` raises on each, as it did when it built every action
+# unconditionally; None where it returns
+FAILED_PREMISES = {
+    "ks3-conjugated": (SkeletalizationFailure, "recoordinatization at (0, 0, 2, 2) is not solvable"),
+    "ks3-comult-bumped": (DecompositionGap, "module (triv(x)triv) has dim 1 but the family accounts for 0"),
+    "ks3-mult-bumped": None,
+}
+
+
+@pytest.mark.parametrize("name", FAILED_PREMISES)
+def test_a_failed_premise_builds_every_action(name, action_rows):
+    h, mods = failed_premise(name)
+    assert h.alg._gens is None or not check_bialgebra(h).passed
+    try:
+        out = _skeletalize(h, mods)
+    except HopfrecError as e:
+        out = e
+    assert action_rows and all(rows == list(range(h.dim)) for rows in action_rows)
+    if FAILED_PREMISES[name] is None:
+        assert_full_decompositions(h, mods, *out)
+    else:
+        assert (type(out), str(out)) == FAILED_PREMISES[name]
