@@ -2,7 +2,8 @@
 calculus, and the passage from a complete family of split irreducibles to
 skeletal category data with the forgetful fiber functor.
 
-A module is the tuple of action matrices of the algebra basis.  All
+A module is the tuple of action matrices of the algebra basis, or of the
+generators alone once it is known to be a module (see Generators).  All
 decompositions use the canonical echelon bases of intertwiner spaces, so
 every derived object (J, F, duals, coevaluations) is deterministic.
 
@@ -11,16 +12,26 @@ algebra, and exist only once check_algebra has passed (see hopf).  The
 e_x on which a module's action is multiplicative form a unital subalgebra
 once the unit acts as the identity, so verify_irreps checks module
 structure at (g, j) for g in the generators and every j, and sweeps every
-(i, j) of a module on any failure.  hom_space needs no generators: on
-modules, a non-generator e_i lies in the subalgebra of the earlier
-indices, with which every intertwiner kept so far already commutes, so
-refining in index order leaves its constraint nothing to cut.
-_skeletalize does not build those constraints at all: once H passes
-check_bialgebra, it builds each tensor module's actions at the generators
-alone and decomposes it on those, since a map between modules that
-commutes with the generators' actions commutes with every action (the
-proof is in _skeletalize).  A presentation that fails check_algebra or
-check_bialgebra has every action built, as tensor_module builds them.
+(i, j) of a module on any failure.  Between modules, the generators
+decide Hom as well.  Take modules V, W and T: V -> W linear.  The x in H
+with T act_V(x) = act_W(x) T form a subspace that holds 1, which acts as
+the identity on both sides, and is closed under products, since both
+actions are multiplicative: a unital subalgebra.  If it holds every e_g,
+g a generator, it holds every e_i.  So Hom(V, W) is the joint kernel of
+the generators' constraints, which hom_space cuts out of V and W
+restricted to the generators; it re-echelonizes the kernel at the end, so
+the basis is the canonical one that every action gives, and so is each
+decomposition read off such bases.  Two callers restrict, each only where
+the premise holds, and any other input keeps every action:
+  - verify_irreps runs its End and Hom checks on the family restricted to
+    the generators once every module has passed module-unit and
+    module-structure.  A family with a failure, an algebra that fails
+    check_algebra, and one of dim 1, which no basis index generates
+    beside its unit, read every action.
+  - _skeletalize builds each tensor module at the generators alone and
+    decomposes it against the family restricted to them, once H passes
+    check_bialgebra, which makes a tensor of modules a module (the
+    premises are in _skeletalize).
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
 tensor modules, F off the trees that J realizes, and each dual off N; it
@@ -52,7 +63,7 @@ from .scalars import ONE, ZERO
 @dataclass(frozen=True)
 class ModuleRep:
     dim: int
-    action: tuple  # one dim x dim Matrix per algebra basis element
+    action: tuple  # one dim x dim Matrix per listed algebra element: the basis, or the generators
     name: str = "V"
 
     def __post_init__(self):
@@ -112,18 +123,15 @@ def _tensor_name(v: ModuleRep, w: ModuleRep) -> str:
 
 def _tensor_actions(h: HopfPresentation, v: ModuleRep, w: ModuleRep, rows) -> list:
     """The actions of e_i on v (x) w, for i in rows: sum over the nonzero
-    comult[i][j][k] of that coefficient times act_v(e_j) (x) act_w(e_k)."""
-    action = []
-    for i in rows:
-        acc = None
-        for j, k, _ in h._views.dl[i]:
-            c = h.comult[i][j][k]
-            t = v.action[j].kron(w.action[k])
-            if c != 1:
-                t = c * t
-            acc = t if acc is None else acc + t
-        action.append(Matrix.zeros(v.dim * w.dim, v.dim * w.dim) if acc is None else acc)
-    return action
+    comult[i][j][k] of that coefficient times act_v(e_j) (x) act_w(e_k).
+    A coefficient equal to 1, at any conductor, leaves its kron unscaled,
+    at the kron's own conductor."""
+
+    def term(i, j, k):
+        c, t = h.comult[i][j][k], v.action[j].kron(w.action[k])
+        return t if c == 1 else c * t
+
+    return [_sum(v.dim * w.dim, (term(i, j, k) for j, k, _ in h._views.dl[i])) for i in rows]
 
 
 def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
@@ -134,38 +142,38 @@ def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
 
 
 def _act(v: ModuleRep, coeffs) -> Matrix:
-    """The action of sum_k coeffs[k] e_k: c_k * action_k summed from the
-    zero matrix over the nonzero c_k."""
-    acc = Matrix.zeros(v.dim, v.dim)
-    for c, a in zip(coeffs, v.action, strict=True):
-        if c:
-            acc = acc + c * a
-    return acc
+    """The action of sum_k coeffs[k] e_k.  Only the rational 1 leaves an
+    action unscaled, as in kron, so the sum equals the one folded from the
+    zero matrix, in value and in conductor."""
+    terms = zip(coeffs, v.action, strict=True)
+    return _sum(v.dim, (a if c.conductor == 1 and c.coeffs[0] == 1 else c * a for c, a in terms if c))
+
+
+def _sum(dim: int, terms) -> Matrix:
+    """The sum of the matrices in terms, folded from the first; the dim x
+    dim zero matrix when there is none."""
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return Matrix.zeros(dim, dim) if acc is None else acc
 
 
 def hom_space(v: ModuleRep, w: ModuleRep) -> list:
     """Canonical basis of intertwiners v -> w, as dim(w) x dim(v) matrices.
 
-    T intertwines iff act_w(e_i) T = T act_v(e_i) for every basis element;
+    T intertwines iff act_w(e_i) T = T act_v(e_i) for every listed action;
     row-major vectorization turns each constraint into a kernel condition
     on act_w (x) I - I (x) act_v^T, which `matrices._intertwiner_constraint`
     builds on the actions' lowerings.  The kernel is refined by each
     constraint in index order, and re-echelonized at the end so the result
-    equals the canonical reduced basis of the joint kernel.  Modules over
-    algebras of different dims raise ShapeError.
+    equals the canonical reduced basis of the joint kernel.  Modules with
+    different numbers of actions raise ShapeError.
     """
     if len(v.action) != len(w.action):
         dims = f"{len(v.action)} and {len(w.action)}"
         raise ShapeError(f"{v.name} and {w.name} are modules over algebras of dims {dims}")
-    return _hom_basis(zip(v.action, w.action), v.dim, w.dim)
-
-
-def _hom_basis(pairs, dv: int, dw: int) -> list:
-    """hom_space from dv to dw on the (act_v(e_i), act_w(e_i)) pairs given:
-    the kernel is refined by each pair's constraint in turn, and the
-    canonical reduced basis of the joint kernel returned."""
     ker = None  # no constraint has cut yet: every matrix intertwines so far
-    for av, aw in pairs:
+    for av, aw in zip(v.action, w.action):
         hit = _intertwiner_constraint(av, aw)
         if ker is not None:
             hit = hit * ker
@@ -175,10 +183,10 @@ def _hom_basis(pairs, dv: int, dw: int) -> list:
         if not ker.cols:
             return []
     if ker is None:
-        n = dw * dv
-        return [Matrix._of(dw, dv, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
+        n = w.dim * v.dim
+        return [Matrix._of(w.dim, v.dim, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
     red, _ = ker.transpose().rref()  # ker has full column rank: no zero rows
-    return [Matrix._of(dw, dv, red.row(i)) for i in range(red.rows)]
+    return [Matrix._of(w.dim, v.dim, red.row(i)) for i in range(red.rows)]
 
 
 def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
@@ -186,7 +194,9 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     modules: actions respect the structure tensors, endomorphism spaces are
     one dimensional, cross homs vanish, and squared dimensions fill the
     algebra.  Module structure is decided on the algebra's generators
-    where the module docstring allows, and swept in full on any miss."""
+    where the module docstring allows, and swept in full on any miss;
+    once every module passes, End and Hom are computed on the family
+    restricted to the generators (see the module docstring)."""
     rep = CheckReport("irreducible-family")
     n = alg.dim
     gens = alg._gens
@@ -200,21 +210,23 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
             continue
         _module_structure(rep, alg, idx, v, range(n))
 
-    for idx, v in enumerate(modules):
+    fam = _restricted(modules, gens) if gens and rep.passed else modules
+    for idx, v in enumerate(fam):
         endo = len(hom_space(v, v))
         if endo != 1:
             rep.add("split-irreducible", (idx,), f"dim End = {endo}", "dim End = 1")
-    for a in range(len(modules)):
-        for b in range(len(modules)):
-            if a == b:
-                continue
-            cross = len(hom_space(modules[a], modules[b]))
-            if cross:
-                rep.add("distinct", (a, b), f"dim Hom = {cross}", "dim Hom = 0")
+    for a, b in product(range(len(fam)), repeat=2):
+        if a != b and (cross := len(hom_space(fam[a], fam[b]))):
+            rep.add("distinct", (a, b), f"dim Hom = {cross}", "dim Hom = 0")
     total = sum(v.dim * v.dim for v in modules)
     if total != n:
         rep.add("complete", (), f"sum of squared dims = {total}", f"algebra dim = {n}")
     return rep
+
+
+def _restricted(modules: list, rows) -> list:
+    """Each module of the family with the actions of e_i, i in rows, alone."""
+    return [ModuleRep(v.dim, [v.action[i] for i in rows], v.name) for v in modules]
 
 
 def _module_structure(rep: CheckReport, alg: AlgebraPresentation, idx: int, v: ModuleRep, rows) -> CheckReport:
@@ -232,27 +244,22 @@ def decompose(v: ModuleRep, irreps: list) -> Decomposition:
     """Multiplicities and the isomorphism onto the ordered isotypic sum,
     read off the canonical hom_space bases.  Raises DecompositionGap when
     the family does not exhaust v."""
-    return _isotypic(v.dim, v.name, [hom_space(w, v) for w in irreps])
-
-
-def _isotypic(dim: int, name: str, bases: list) -> Decomposition:
-    """decompose of a module of that dim and name, from the hom_space
-    bases of each irreducible into it."""
+    bases = [hom_space(w, v) for w in irreps]
     cols = []
     for basis in bases:
         for t in basis:
             for j in range(t.cols):
                 cols.append([t.at(i, j) for i in range(t.rows)])
     total = len(cols)
-    if total != dim:
+    if total != v.dim:
         raise DecompositionGap(
-            f"module {name} has dim {dim} but the family accounts for {total}"
+            f"module {v.name} has dim {v.dim} but the family accounts for {total}"
         )
     stack = Matrix.from_rows(cols).transpose()  # columns embed the sum into v
     try:
         return Decomposition(tuple(len(b) for b in bases), mat_inverse(stack))
     except ValueError:
-        raise DecompositionGap(f"isotypic images of {name} are degenerate") from None
+        raise DecompositionGap(f"isotypic images of {v.name} are degenerate") from None
 
 
 # -- skeletal data from a module family -------------------------------------
@@ -306,9 +313,9 @@ def _skeletalize(h: HopfPresentation, modules: list):
     and the round trip reports morphism-antipode wherever S' gamma differs
     from gamma S.
 
-    Generators.  Each V_a (x) V_b is built and decomposed on the actions
-    of e_g, g in gens = h.alg._gens, alone, when
-      (a) gens is not None: the algebra passed check_algebra, and the
+    Generators.  Each V_a (x) V_b is built at gens = h.alg._gens alone and
+    decomposed against the family restricted to them, when
+      (a) gens is not empty: the algebra passed check_algebra, and the
           unital subalgebra that the e_g generate holds every e_i (see
           hopf);
       (b) H passes check_bialgebra, read as _bialgebra(h, gens,
@@ -318,18 +325,10 @@ def _skeletalize(h: HopfPresentation, modules: list):
           V and W are;
       (c) every V_u in the family is a module: verify_irreps has passed,
           the gate of skeletalize and of the CLI repcat.
-    Take T: V_u -> V_a (x) V_b linear.  The x in H with T act(x) =
-    act(x) T form a subspace that holds 1, which acts as the identity on
-    both sides, and is closed under products, since both actions are
-    multiplicative: a unital subalgebra.  If it holds every e_g, it holds
-    every e_i by (a).  So the joint kernel of the generators' constraints
-    is Hom(V_u, V_a (x) V_b), the space that hom_space cuts out with every
-    constraint; _hom_basis re-echelonizes the kernel at the end, so the
-    basis is the same canonical one, and N, J and everything after them
-    are those of decompose(tensor_module(h, V_a, V_b), modules), with
-    no action at a non-generator built or checked.  Where (a) or (b)
-    fails, every action is built and decomposed, exactly as that call
-    does.
+    By the proof in the module docstring, N, J and everything after them
+    are then those of decompose(tensor_module(h, V_a, V_b), modules), with
+    no action at a non-generator built.  Where (a) or (b) fails, every
+    action is built and decomposed, exactly as that call does.
 
     Coherence by construction.  Whenever this returns without raising,
     verify_category(skel, fiber) passes: it raises nothing and lists no
@@ -385,13 +384,13 @@ def _skeletalize(h: HopfPresentation, modules: list):
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
     gens = h.alg._gens
-    if gens is None or not _bialgebra(h, gens, stop=True).passed:
+    if not gens or not _bialgebra(h, gens, stop=True).passed:
         gens = range(h.dim)
+    fam = _restricted(modules, gens)
     decs = {}
     for (a, v), (b, w) in product(enumerate(modules), repeat=2):
-        acts = _tensor_actions(h, v, w, gens)
-        bases = [_hom_basis(zip([u.action[i] for i in gens], acts), u.dim, v.dim * w.dim) for u in modules]
-        decs[a, b] = _isotypic(v.dim * w.dim, _tensor_name(v, w), bases)
+        vw = ModuleRep(v.dim * w.dim, _tensor_actions(h, v, w, gens), _tensor_name(v, w))
+        decs[a, b] = decompose(vw, fam)
     J = {key: dec.tau for key, dec in decs.items()}
     N = tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r))
 

@@ -4,7 +4,9 @@
 check_bialgebra and verify_irreps decide on those generators first and
 run every index on any failure, so each report must equal the forced full
 sweep: `hopf._bialgebra` over every index, and verify_irreps on a copy of
-the algebra whose `_gens` is None.  hom_space, which refines its kernel
+the algebra whose `_gens` is None.  Once every module passes, verify_irreps
+runs its End and Hom checks on the family restricted to the generators,
+with the dims that every action gives.  hom_space, which refines its kernel
 by every constraint in index order, must equal a test-local reference
 that stacks all the constraints and eliminates once.
 
@@ -25,12 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrec import cli, fusion, hopf, repcat
-from hopfrec.examples import EXAMPLES
+from hopfrec.examples import EXAMPLES, gen_group_algebra
+from hopfrec.groups import cyclic_group
 from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_algebra, check_bialgebra, run_hopf_checks
 from hopfrec.matrices import Matrix, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import ModuleRep, gamma_roundtrip, hom_space, skeletalize, tensor_module, verify_irreps
 from hopfrec.scalars import Scalar
+from test_tensorator_bumps import alternating_group_4, modules_a4
 
 HOPF_EXAMPLES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf"]
 FAMILIES = [name for name in HOPF_EXAMPLES if f"{name}-modules" in EXAMPLES]
@@ -339,15 +343,15 @@ def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
 
 
 def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
-    """A K[S4] round trip builds 561 intertwiner constraints (1,708 when
-    every tensor-module action was built): verify_irreps' hom_space calls
-    build theirs at every index as they need, and each hom_space of the
-    decompositions in _skeletalize at most one per generator."""
+    """A K[S4] round trip builds 406 intertwiner constraints: 63 in
+    verify_irreps' hom_space calls on the family restricted to the
+    generators, and 343 in the decompositions in _skeletalize, at most one
+    per generator in each hom_space."""
     h, mods = EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()
     calls, per_hom, phase = [], [], ["decompositions"]
-    real_constraint, real_hom, real_irreps = repcat._intertwiner_constraint, repcat._hom_basis, repcat.verify_irreps
+    real_constraint, real_hom, real_irreps = repcat._intertwiner_constraint, repcat.hom_space, repcat.verify_irreps
 
-    def hom_basis(*args):
+    def hom(*args):
         start = len(calls)
         out = real_hom(*args)
         per_hom.append((phase[0], len(calls) - start))
@@ -361,13 +365,103 @@ def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
             phase[0] = "decompositions"
 
     monkeypatch.setattr(repcat, "_intertwiner_constraint", lambda *a: calls.append(a) or real_constraint(*a))
-    monkeypatch.setattr(repcat, "_hom_basis", hom_basis)
+    monkeypatch.setattr(repcat, "hom_space", hom)
     monkeypatch.setattr(repcat, "verify_irreps", irreps)
     assert gamma_roundtrip(h, mods)[0].passed
     decs = [k for p, k in per_hom if p == "decompositions"]
     assert len(decs) == len(mods) ** 3  # one hom_space per irrep per tensor module
     assert max(decs) <= len(h.alg._gens) == 3
-    assert len(calls) == 561
+    assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (63, 343)
+    assert len(calls) == 406
+
+
+# -- the gate's End and Hom checks on the generators ------------------------
+
+def gate_homs(monkeypatch, alg, mods):
+    """verify_irreps' report, and for each of its hom_space calls the
+    number of actions it read, the constraints it built and the dim of
+    the Hom it returned."""
+    seen, built = [], []
+    real_constraint, real_hom = repcat._intertwiner_constraint, repcat.hom_space
+
+    def hom(v, w):
+        start = len(built)
+        out = real_hom(v, w)
+        seen.append((len(v.action), len(built) - start, len(out)))
+        return out
+
+    monkeypatch.setattr(repcat, "_intertwiner_constraint", lambda *a: built.append(a) or real_constraint(*a))
+    monkeypatch.setattr(repcat, "hom_space", hom)
+    rep = verify_irreps(alg, mods)
+    monkeypatch.undo()
+    return rep, seen
+
+
+def full_hom_dims(mods) -> list:
+    """The End dims, then the cross Hom dims, in verify_irreps' order, on
+    the modules with every action."""
+    r = range(len(mods))
+    return [len(hom_space(v, v)) for v in mods] + [len(hom_space(mods[a], mods[b])) for a in r for b in r if a != b]
+
+
+def gate_case(name):
+    if name == "ka4":
+        g = alternating_group_4()
+        return gen_group_algebra(g), modules_a4(g)
+    return base(name)
+
+
+@pytest.mark.parametrize("name", FAMILIES + ["ka4", "rebuilt-ks4"])
+def test_gate_hom_checks_run_on_the_generators(name, monkeypatch):
+    """Once every module passes module-unit and module-structure, the End
+    and Hom checks read the family restricted to the generators, and each
+    hom_space builds at most one constraint per generator."""
+    h, mods = gate_case(name)
+    gens = h.alg._gens
+    rep, seen = gate_homs(monkeypatch, h.alg, mods)
+    assert rep.passed
+    assert len(seen) == len(mods) ** 2
+    assert all(built <= len(gens) for _, built, _ in seen)
+    assert all(acts == len(gens) for acts, *_ in seen)
+    assert [d for *_, d in seen] == full_hom_dims(mods)
+
+
+def every_action_case(name):
+    h, mods = base("ks3")
+    if name == "ks3-std-bumped":
+        return bump(h, mods, "action", (2, 1, 0, 0), Scalar.rational(1))
+    return dataclasses.replace(h, alg=full_sweep_alg(h.alg)), mods
+
+
+@pytest.mark.parametrize("name", ["ks3-std-bumped", "ks3-gens-none"])
+def test_gate_hom_checks_read_every_action_off_the_premise(name, monkeypatch):
+    """A family that fails module structure, and an algebra with no
+    generators, keep the End and Hom checks on every action."""
+    h, mods = every_action_case(name)
+    rep, seen = gate_homs(monkeypatch, h.alg, mods)
+    assert ("module-structure" in {f.check for f in rep.failures}) == (name == "ks3-std-bumped")
+    assert len(seen) == len(mods) ** 2
+    assert all(acts == h.dim for acts, *_ in seen)
+    assert [d for *_, d in seen] == full_hom_dims(mods)
+
+
+def test_dim_one_algebra_round_trips_on_every_action(monkeypatch):
+    """K[Z/1] is generated by no basis index (e_0 is the unit), and a
+    module with no action is not a module: the gate and the decompositions
+    keep its one action."""
+    h = gen_group_algebra(cyclic_group(1))
+    assert h.alg._gens == []
+    acts = []
+    real = repcat.ModuleRep
+
+    def module(dim, action, name="V"):
+        acts.append(len(action))
+        return real(dim, action, name)
+
+    monkeypatch.setattr(repcat, "ModuleRep", module)
+    rep, _ = gamma_roundtrip(h, [repcat.trivial_module(h)])
+    assert rep.passed and rep.flags["bijective"]
+    assert acts and set(acts) == {1}
 
 
 # -- trees and inverses, computed once ---------------------------------------

@@ -16,6 +16,7 @@ from hopfrec.matrices import Matrix, _intertwiner_constraint, block_diag, mat_in
 from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import (
     ModuleRep,
+    _act,
     decompose,
     dual_module,
     gamma_roundtrip,
@@ -26,6 +27,9 @@ from hopfrec.repcat import (
     verify_irreps,
 )
 from hopfrec.scalars import ZERO, Scalar, sc
+from test_hopf_bumps import promoted
+from test_skeletal_coherence import cyclic_characters
+from test_tensorator_bumps import alternating_group_4, modules_a4
 
 S3 = symmetric_group(3)
 KS3 = gen_group_algebra(S3)
@@ -246,6 +250,60 @@ def test_sparse_tensor_module_matches_the_dense_sum():
                 got = tensor_module(h, v, w).action
                 assert got == dense_tensor_action(h, v, w)
                 assert all(e.conductor == 1 for a in got for e in a.entries)
+
+
+def zero_folded(dim: int, terms) -> Matrix:
+    """sum c * m over the (c, m) terms with c nonzero, folded from the
+    dim x dim zero matrix."""
+    acc = Matrix.zeros(dim, dim)
+    for c, m in terms:
+        if c:
+            acc = acc + c * m
+    return acc
+
+
+def entry_cells(m: Matrix) -> list:
+    return [(x.conductor, x.coeffs, str(x)) for x in m.entries]
+
+
+def combination_case(name: str):
+    if name == "kz8":
+        return gen_group_algebra(cyclic_group(8)), cyclic_characters(8)
+    if name == "ks3-promoted":
+        return promoted(KS3, 2), s3_modules()
+    g = alternating_group_4()
+    h, mods = gen_group_algebra(g), modules_a4(g)
+    if name == "ka4":
+        return h, mods
+    recon = reconstruct_hopf(*skeletalize(h, mods, verify=False), verify=False)
+    return recon.hopf, zeta_modules(recon)
+
+
+@pytest.mark.parametrize("name", ["ka4", "kz8", "rebuilt-ka4", "ks3-promoted"])
+def test_combinations_match_the_zero_folded_sums(name):
+    """_act sums from its first nonzero term and tensor_module from its
+    first kron, yet every entry equals the fold from the zero matrix in
+    value, conductor and text.  tensor_module adds a kron whose comult
+    coefficient equals 1 unscaled at any conductor, so its reference reads
+    such a coefficient as the rational 1: on K[S3] promoted to conductor
+    2, scaling by that coefficient would lift the rational cells."""
+    h, mods = combination_case(name)
+    n = h.dim
+    lifted = False
+    for v in mods:
+        coeffs = [h.alg.unit] + [h.alg.mult[i][j] for i in range(n) for j in range(n)]
+        for cs in coeffs:
+            assert entry_cells(_act(v, cs)) == entry_cells(zero_folded(v.dim, zip(cs, v.action)))
+        for i, a in enumerate(dual_module(h, v).action):
+            ref = zero_folded(v.dim, zip(h.antipode.entries[i::n], v.action)).transpose()
+            assert entry_cells(a) == entry_cells(ref)
+        for w in mods:
+            d = v.dim * w.dim
+            for i, a in enumerate(tensor_module(h, v, w).action):
+                krons = [(c, v.action[j].kron(w.action[k])) for j, row in enumerate(h.comult[i]) for k, c in enumerate(row) if c]
+                assert entry_cells(a) == entry_cells(zero_folded(d, [(1 if c == 1 else c, m) for c, m in krons]))
+                lifted |= entry_cells(a) != entry_cells(zero_folded(d, krons))
+    assert lifted == (name == "ks3-promoted")
 
 
 def test_tensor_with_trivial_module():

@@ -40,3 +40,28 @@ def test_every_wrapped_name_exists_in_the_package():
     for attr in ("loads", "dumps"):
         assert callable(getattr(package_module("serialize"), attr, None)), f"serialize.{attr}"
     assert isinstance(package_module("examples").EXAMPLES, dict)
+
+
+def test_round_trip_calls_the_wrapped_hom_and_decompose(monkeypatch):
+    """The tracer replaces module attributes, so the repcat.decompose and
+    repcat.hom_space spans see exactly the calls made through them.  A
+    K[S3] round trip (r = 3 irreducibles) makes r^2 decompositions, one per
+    tensor module, and r^3 + r^2 hom_space calls: r per decomposition and
+    the r^2 End and Hom checks of verify_irreps."""
+    from hopfrec.examples import EXAMPLES
+    from hopfrec.repcat import gamma_roundtrip
+
+    spans = load_spans()
+    counts = {}
+    for layer in ("repcat.decompose", "repcat.hom_space"):
+        for modname, attr in spans.FUNCTION_SPANS[layer]:
+            mod = package_module(modname)
+
+            def counted(*args, real=getattr(mod, attr), layer=layer):
+                counts[layer] = counts.get(layer, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(mod, attr, counted)
+    rep, _ = gamma_roundtrip(EXAMPLES["ks3"][1](), EXAMPLES["ks3-modules"][1]())
+    assert rep.passed
+    assert counts == {"repcat.decompose": 9, "repcat.hom_space": 36}
