@@ -335,41 +335,59 @@ def _copy_rows(j: Matrix, n_ab, dims, c: int, mu: int) -> Matrix:
     return j.row_block(off, off + dims[c])
 
 
-def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
+def _first_rows(j: Matrix, n_ab, dims, rows) -> Matrix:
+    """The first rows[c] rows of every copy of every simple c in a J block
+    (c ascending, copy outer), taken by `Matrix.take_rows`, so they keep
+    J's lowering: the second-step block of tree_maps."""
+    picks, off = [], 0
+    for c, k in enumerate(n_ab):
+        for _ in range(k):
+            picks += range(off, off + rows[c])
+            off += dims[c]
+    return j.take_rows(picks)
+
+
+def tree_maps(N, J, dims, a: int, b: int, c: int, K=None, rows=None) -> list:
     """The trees (a b c) -> d realized through J, for every total d that
-    has a tree, ascending.
+    has a tree, ascending, each on the first rows[d] rows of its map.
 
     Each entry is (d, left, right): left has one row per tree of
-    f_left_basis(N, a, b, c, d), in that order, holding its dims[d] x
-    (dims[a] dims[b] dims[c]) map row-major; right likewise for
-    f_right_basis.  Left tree (e, mu, nu) is copy nu of d in J[(e, c)]
-    after copy mu of e in J[(a, b)] (x) I; right tree (f, rho, sigma) is
-    copy sigma of d in J[(a, f)] after I (x) copy rho of f in J[(b, c)].
-    One product, J[(e, c)] (resp. J[(a, f)]) times the first step, realizes
-    the trees through that step for every d at once, in J's row order.
+    f_left_basis(N, a, b, c, d), in that order, holding the first rows[d]
+    rows of its dims[d] x (dims[a] dims[b] dims[c]) map row-major; right
+    likewise for f_right_basis.  Left tree (e, mu, nu) is copy nu of d in
+    J[(e, c)] after copy mu of e in J[(a, b)] (x) I; right tree (f, rho,
+    sigma) is copy sigma of d in J[(a, f)] after I (x) copy rho of f in
+    J[(b, c)].  The second step reads K[(e, c)] (resp. K[(a, f)]), which
+    holds the first rows[d] rows of each copy of d in that J block
+    (_first_rows); without K and rows, K is J and rows is dims, and every
+    row of every tree is realized.  One product, K[(e, c)] (resp.
+    K[(a, f)]) times the first step, realizes the trees through that step
+    for every d at once, in J's row order.
     """
+    if K is None:
+        K, rows = J, dims
     r = len(N)
     ida, idc = Matrix.identity(dims[a]), Matrix.identity(dims[c])
     left, right = [[] for _ in range(r)], [[] for _ in range(r)]
     for x in range(r):
         for mu in range(N[a][b][x]):
-            _cut(J[(x, c)] * _copy_rows(J[(a, b)], N[a][b], dims, x, mu).kron(idc), N[x][c], dims, left)
+            _cut(K[(x, c)] * _copy_rows(J[(a, b)], N[a][b], dims, x, mu).kron(idc), N[x][c], rows, left)
         for rho in range(N[b][c][x]):
-            _cut(J[(a, x)] * ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, x, rho)), N[a][x], dims, right)
+            _cut(K[(a, x)] * ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, x, rho)), N[a][x], rows, right)
     width = dims[a] * dims[b] * dims[c]
     return [
-        (d, *(Matrix._of(len(t) // (dims[d] * width), dims[d] * width, t) for t in (left[d], right[d])))
+        (d, *(Matrix._of(len(t) // (rows[d] * width), rows[d] * width, t) for t in (left[d], right[d])))
         for d in range(r)
         if left[d] or right[d]
     ]
 
 
-def _cut(step: Matrix, n_xy, dims, out: list) -> None:
+def _cut(step: Matrix, n_xy, rows, out: list) -> None:
     """Append to out[d] the entries of the rows of step that realize the
-    n_xy[d] copies of each simple d, as J's rows do."""
+    n_xy[d] copies of each simple d, rows[d] rows each, as K's rows do."""
     stop = 0
     for d, k in enumerate(n_xy):
-        start, stop = stop, stop + k * dims[d] * step.cols
+        start, stop = stop, stop + k * rows[d] * step.cols
         out[d].extend(step.entries[start:stop])
 
 

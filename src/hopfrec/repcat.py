@@ -35,8 +35,13 @@ the premise holds, and any other input keeps every action:
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
 tensor modules, F off the trees that J realizes, and each dual off N; it
-reads no antipode.  Whatever it returns passes verify_category by
-construction (the proof is in _skeletalize).
+reads no antipode.  A tree into V_d is realized on its first row alone
+when H passes check_bialgebra and the first rows of V_d's actions span
+K^dims[d]: a map of modules into V_d whose first row is zero is then zero,
+so that row decides F (Schur's argument; Etingof-Gelaki-Nikshych-Ostrik,
+Tensor Categories, 2.10).  Otherwise every row is realized.  Whatever
+skeletalize returns passes verify_category by construction (the proof is
+in _skeletalize).
 
 Round trip.  gamma_roundtrip rebuilds the Hopf algebra from the skeletal
 data and compares it with the source along gamma.  It sweeps no category
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
-from .fusion import FiberData, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
+from .fusion import FiberData, FusionSkeleton, _copy_offset, _first_rows, pairing_matrix, tree_maps, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra, check_antipode, check_bialgebra, check_hopf_morphism
 from .matrices import Matrix, _intertwiner_constraint, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
@@ -300,7 +305,8 @@ def _skeletalize(h: HopfPresentation, modules: list):
     the decompositions J of the tensor modules, which depend only on the
     bialgebra (mult, unit, comult, counit); no antipode is read.  F at
     (a, b, c, d) solves R_y = sum_x F[y, x] L_x on the flat trees of
-    tree_maps.  dual[a] is the first b with N[a][b][unit] >= 1: in a rigid
+    tree_maps, each realized on its first rows[d] rows (see One row per
+    copy).  dual[a] is the first b with N[a][b][unit] >= 1: in a rigid
     category Hom(1, a (x) b) = Hom(a*, b) (Etingof-Gelaki-Nikshych-Ostrik,
     Tensor Categories, 2.10), which for a simple b is nonzero exactly when
     b is a*.  On a Hopf presentation this is the simple that dual_module
@@ -330,26 +336,52 @@ def _skeletalize(h: HopfPresentation, modules: list):
     no action at a non-generator built.  Where (a) or (b) fails, every
     action is built and decomposed, exactly as that call does.
 
+    One row per copy.  Each tree into V_d is realized, and F solved, on
+    the first rows[d] rows of its dims[d] x (dims[a] dims[b] dims[c]) map;
+    the second steps read the first rows[d] rows of each copy of d in each
+    J block, selected once per block (fusion._first_rows, which keeps J's
+    lowering).  rows[d] is 1 when
+      (i) (a) and (b) above hold: H passes check_bialgebra, by the one
+          _bialgebra(h, gens, stop=True) run that both uses read.  Then
+          V_a (x) V_b (x) V_c is one module under both bracketings,
+          Delta being coassociative, and each realized tree is an H-linear
+          map from it to V_d: J[(a, b)] (x) I and J[(e, c)] are H-linear,
+          and so are I (x) J[(b, c)] and J[(a, f)];
+      (ii) the first rows e_1^T act_d(e_i) of V_d's n actions span
+          K^dims[d], one rank per simple of dim > 1 (_tree_rows).
+    Otherwise rows[d] is dims[d]: every row, as verify_tensorator and the
+    audit of skeletalize realize them.
+
     Coherence by construction.  Whenever this returns without raising,
     verify_category(skel, fiber) passes: it raises nothing and lists no
     failing tuple.  A faithful monoidal functor to Vec reflects coherence
     (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories), and every step
     below is an identity that the construction decided exactly.
       1. Compatibility.  F = x^T where left^T x = right^T is solved
-         exactly, and mat_solve returns None on an inconsistent system.
-         So F * left == right at every (a, b, c, d): the compatibility
-         checks of verify_tensorator hold.  validate_fiber's shapes hold
-         by construction (J[(a, b)] is the square tau of a decomposition,
-         the unit has dim 1, and the ev and coev vectors have length
-         N[a*][a][unit] = N[a][a*][unit] = 1).
+         exactly on the realized rows, and mat_solve returns None on an
+         inconsistent system.  Where rows[d] = dims[d], that is F * left
+         == right at (a, b, c, d) on every row.  Where rows[d] = 1, take
+         p = sum_x F[y, x] L_x - R_y, a map into V_d: by (i) it is
+         H-linear, and its first row is zero.  So for every x in H,
+         e_1^T act_d(x) p = e_1^T p act_abc(x) = 0, and by (ii) these
+         rows span every row vector, so p = 0.  Either way the
+         compatibility checks of verify_tensorator, which realize every
+         row, hold.  validate_fiber's shapes hold by construction
+         (J[(a, b)] is the square tau of a decomposition, the unit has
+         dim 1, and the ev and coev vectors have length N[a*][a][unit] =
+         N[a][a*][unit] = 1).
       2. J invertible.  Each J is the tau of decompose, which is
          mat_inverse(stack); so NonInvertibleJ cannot fire.
       3. F invertible.  The left trees of (a, b, c) are the components,
          onto the copies of each F(d), of one invertible map: the direct
          sum of the J[(e, c)] after J[(a, b)] (x) I.  Every dims[d] >= 1,
-         so the realized trees of one total are linearly independent:
-         left has full row rank, and so has right.  right = F * left then
-         gives rank F = rows: recoordinatization-invertible holds.
+         so the trees of one total are linearly independent.  Where
+         rows[d] = 1, a combination of them with a zero first row is zero
+         by the argument of step 1, so their first rows are independent
+         exactly when the trees are.  Either way left, as realized, has
+         full row rank, and so has right.  right = F * left then gives
+         rank F = rows: recoordinatization-invertible holds, and the
+         solve of step 1 has one solution, the one that every row gives.
       4. Pentagon.  Realize the five trees of a (x) b (x) c (x) d ->
          total through J.  Each step of either path applies one F block
          inside a context: precomposed with a J copy tensored with
@@ -384,7 +416,8 @@ def _skeletalize(h: HopfPresentation, modules: list):
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
     gens = h.alg._gens
-    if not gens or not _bialgebra(h, gens, stop=True).passed:
+    bialgebra = bool(gens) and _bialgebra(h, gens, stop=True).passed
+    if not bialgebra:
         gens = range(h.dim)
     fam = _restricted(modules, gens)
     decs = {}
@@ -394,9 +427,11 @@ def _skeletalize(h: HopfPresentation, modules: list):
     J = {key: dec.tau for key, dec in decs.items()}
     N = tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r))
 
+    rows = _tree_rows(modules, bialgebra)
+    K = J if rows == dims else {(x, y): _first_rows(j, N[x][y], dims, rows) for (x, y), j in J.items()}
     F = {}
     for a, b, c in product(range(r), repeat=3):
-        for d, left, right in tree_maps(N, J, dims, a, b, c):
+        for d, left, right in tree_maps(N, J, dims, a, b, c, K, rows):
             if left.rows != right.rows:
                 raise SkeletalizationFailure(
                     f"tree spaces at {(a, b, c, d)} have dims {left.rows} and {right.rows}"
@@ -437,6 +472,19 @@ def _skeletalize(h: HopfPresentation, modules: list):
                 )
         coev.append((w.at(off, 0),))
     return skel, FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
+
+
+def _tree_rows(modules: list, bialgebra: bool) -> tuple:
+    """How many rows of each tree into V_d decide F (step 1 of the proof in
+    _skeletalize): 1 when H passes check_bialgebra and the first rows of
+    V_d's actions span K^dims[d], otherwise every one of its dims[d]."""
+
+    def spanned(v: ModuleRep) -> bool:
+        if v.dim == 1:
+            return True
+        return Matrix._of(len(v.action), v.dim, [x for m in v.action for x in m.row(0)]).rank() == v.dim
+
+    return tuple(1 if bialgebra and spanned(v) else v.dim for v in modules)
 
 
 def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):

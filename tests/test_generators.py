@@ -468,11 +468,13 @@ def test_dim_one_algebra_round_trips_on_every_action(monkeypatch):
 
 def test_trees_are_realized_once_per_triple(monkeypatch, tmp_path, capsys):
     # _skeletalize realizes each triple once to solve F; the audit of
-    # verify_category (skeletalize with verify, CLI repcat) realizes it again
+    # verify_category (skeletalize with verify, CLI repcat) realizes it again.
+    # The wrapper forwards every argument, the second-step blocks and row
+    # counts of _skeletalize too, and records the triple alone
     calls = []
     real = fusion.tree_maps
     for module in (fusion, repcat):
-        monkeypatch.setattr(module, "tree_maps", lambda *a: calls.append(a[3:]) or real(*a))
+        monkeypatch.setattr(module, "tree_maps", lambda *a: calls.append(a[3:6]) or real(*a))
     h, mods = base("ks3")
     triples = sorted(itertools.product(range(len(mods)), repeat=3))
     for go in (lambda: gamma_roundtrip(h, mods), lambda: skeletalize(h, mods, verify=False)):
@@ -498,8 +500,14 @@ def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
     # a matrix that kron builds holds the lowering of its rows, and an
     # identity holds its own, so the product or kron that takes either as a
     # factor does not lower it again (a kron by the rational 1 is the other
-    # factor); with the rows of J kept too, tree_maps lowers nothing afresh
-    skel, fiber = skeletalize(*base("ks3"), verify=False)
+    # factor); with the rows of J kept too, tree_maps lowers nothing afresh,
+    # on every row or on the first row of each copy, whose second-step
+    # blocks keep J's lowering as well
+    h, mods = base("ks3")
+    skel, fiber = skeletalize(h, mods, verify=False)
+    N, J, dims = skel.fusion, fiber.J, fiber.dims
+    rows = repcat._tree_rows(mods, True)
+    assert rows == (1, 1, 1) != dims
     made, identities, fresh = [], [], []
     real_kron, real_identity, real_lowered = Matrix.kron, Matrix.identity.__func__, Matrix._lowered
 
@@ -521,8 +529,10 @@ def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
     monkeypatch.setattr(Matrix, "kron", kron)
     monkeypatch.setattr(Matrix, "identity", classmethod(identity))
     monkeypatch.setattr(Matrix, "_lowered", lowered)
+    K = {(x, y): fusion._first_rows(j, N[x][y], dims, rows) for (x, y), j in J.items()}
     for a, b, c in itertools.product(range(skel.rank), repeat=3):
-        fusion.tree_maps(skel.fusion, fiber.J, fiber.dims, a, b, c)
+        fusion.tree_maps(N, J, dims, a, b, c)
+        fusion.tree_maps(N, J, dims, a, b, c, K, rows)
     assert any(m.rows > 1 for m in made) and any(m.rows > 1 for m in identities)
     assert fresh == []
 

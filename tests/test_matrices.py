@@ -404,6 +404,29 @@ def test_products_that_cancel_to_integers_hand_over_d_1():
     assert one._low == (1, [[(0, 1)], [(1, 1)], [(2, 1)]]) == fresh_lowering(one)
 
 
+def test_transpose_and_chosen_rows_keep_the_lowering_a_fresh_one_gives():
+    # a transpose hands its result the lowering it holds, transposed, so a
+    # product that takes it as a factor does not lower it again; a choice
+    # of rows keeps its rows of the lowering at the matrix's D
+    rng = random.Random(107)
+    for make in (rnd_rational, rnd_cyclotomic):
+        for rows, cols in SHAPES:
+            a, b = make(rng, rows, 3), make(rng, 3, cols)
+            held = [a * b, a.kron(b), mat_kernel(a), Matrix.identity(cols)]
+            assert hasattr(held[0], "_low") and hasattr(held[3], "_low")
+            for m in (m for m in held if hasattr(m, "_low")):  # kron's shape paths hold none
+                t = m.transpose()
+                assert t == Matrix(m.cols, m.rows, [m.at(i, j) for j in range(m.cols) for i in range(m.rows)])
+                assert repr(t._low) == repr(fresh_lowering(t))
+                assert t.transpose() == m and repr(t.transpose()._low) == repr(m._low)
+                picks = [i for i in range(m.rows) if i % 2 == 0] + [0] * (m.rows > 0)
+                part = m.take_rows(picks)
+                assert (part.rows, part.cols, part.to_rows()) == (len(picks), m.cols, [list(m.row(i)) for i in picks])
+                d, low = m._low
+                assert part._low == (d, [low[i] for i in picks])
+    assert not hasattr(Matrix.from_rows([[1, 2]]).transpose(), "_low")
+
+
 # -- products off conductor 1 against the dense reference --------------------
 #
 # Products at conductor 3 and across conductors 1 and 3, with inner

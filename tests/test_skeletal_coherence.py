@@ -15,6 +15,13 @@ is in its docstring), so its N and J must equal what decompose reads off
 tensor_module, built on every action, in every case here.  A presentation
 that fails either check builds every action and ends as the full path
 does: the same raise, or the same data.
+
+F is solved, and its trees are realized, on the first row of each copy of
+V_d where the proof in `_skeletalize` allows it: H passes check_bialgebra
+and the first rows of V_d's actions span K^dims[d].  Then F equals the
+solve on every row, in value, conductor and text, here on every case and
+on rebuilt K[S4]; a failed premise realizes every row, and a module whose
+first rows span too little keeps every row.
 """
 
 import dataclasses
@@ -24,16 +31,16 @@ from itertools import product
 
 import pytest
 
-from hopfrec import repcat
+from hopfrec import fusion, repcat
 from hopfrec.errors import DecompositionGap, HopfrecError, SkeletalizationFailure
 from hopfrec.examples import EXAMPLES, gen_group_algebra
-from hopfrec.fusion import verify_category
+from hopfrec.fusion import tree_maps, verify_category
 from hopfrec.groups import cyclic_group
 from hopfrec.hopf import check_bialgebra
-from hopfrec.matrices import Matrix, mat_inverse
-from hopfrec.repcat import ModuleRep, _skeletalize, decompose, tensor_module
+from hopfrec.matrices import Matrix, mat_inverse, mat_solve
+from hopfrec.repcat import ModuleRep, _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
 from hopfrec.scalars import Scalar
-from test_generators import bump
+from test_generators import base, bump
 from test_tensorator_bumps import alternating_group_4, modules_a4
 
 FAMILIES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf" and f"{name}-modules" in EXAMPLES]
@@ -153,10 +160,17 @@ def test_generator_decompositions_equal_the_full_ones(name, action_rows):
     assert_full_decompositions(h, mods, skel, fiber)
 
 
+# 1 (x) 1 + 1/2 (g1 - 1) (x) (g2 - 1): its legs are counital, so T Delta T^-1
+# is a counital algebra map; T is not a cocycle, so it is not coassociative
+COUNITAL_NOT_A_COCYCLE = {(0, 0): Fraction(3, 2), (1, 2): Fraction(1, 2), (1, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)}
+
+
 def failed_premise(name: str):
     h, mods = case("ks3")
     if name == "ks3-conjugated":  # multiplicative, not coassociative
         return conjugated(h, NOT_A_COCYCLE), mods
+    if name == "ks3-twisted":  # fails coassociativity alone
+        return conjugated(h, COUNITAL_NOT_A_COCYCLE), mods
     if name == "ks3-comult-bumped":  # e_0 = 1 is not a generator of K[S3]
         return bump(h, mods, "comult", (0, 0, 0), Scalar.rational(1))
     return bump(h, mods, "mult", (1, 1, 0), Scalar.rational(1))  # fails check_algebra
@@ -166,6 +180,7 @@ def failed_premise(name: str):
 # unconditionally; None where it returns
 FAILED_PREMISES = {
     "ks3-conjugated": (SkeletalizationFailure, "recoordinatization at (0, 0, 2, 2) is not solvable"),
+    "ks3-twisted": (SkeletalizationFailure, "recoordinatization at (1, 2, 1, 2) is not solvable"),
     "ks3-comult-bumped": (DecompositionGap, "module (triv(x)triv) has dim 1 but the family accounts for 0"),
     "ks3-mult-bumped": None,
 }
@@ -184,3 +199,86 @@ def test_a_failed_premise_builds_every_action(name, action_rows):
         assert_full_decompositions(h, mods, *out)
     else:
         assert (type(out), str(out)) == FAILED_PREMISES[name]
+
+
+# -- F on the first row of each copy -------------------------------------------
+
+@pytest.fixture
+def realized(monkeypatch):
+    """(dims[d], dims[a] dims[b] dims[c], left, right) for every total d of
+    every tree_maps call, with every argument forwarded."""
+    seen = []
+    real = fusion.tree_maps
+
+    def spy(N, J, dims, a, b, c, *rest):
+        out = real(N, J, dims, a, b, c, *rest)
+        seen.extend((dims[d], dims[a] * dims[b] * dims[c], left, right) for d, left, right in out)
+        return out
+
+    for module in (fusion, repcat):
+        monkeypatch.setattr(module, "tree_maps", spy)
+    return seen
+
+
+def all_rows_f(skel, fiber) -> dict:
+    """F solved on every row of every tree."""
+    F = {}
+    for a, b, c in product(range(skel.rank), repeat=3):
+        for d, left, right in tree_maps(skel.fusion, fiber.J, fiber.dims, a, b, c):
+            F[(a, b, c, d)] = mat_solve(left.transpose(), right.transpose()).transpose()
+    return F
+
+
+@pytest.mark.parametrize("name", CASES + ["rebuilt-ks4"])
+def test_f_on_first_rows_equals_the_all_rows_solve(name, realized):
+    h, mods = base(name) if name == "rebuilt-ks4" else case(name)
+    skel, fiber = _skeletalize(h, mods)
+    # every case passes both premises: each tree is realized on one row
+    assert realized and all(left.cols == right.cols == width for _, width, left, right in realized)
+    want = all_rows_f(skel, fiber)
+    assert sorted(skel.F) == sorted(want)
+    for key, x in want.items():
+        assert [(e.conductor, e.coeffs, str(e)) for e in skel.F[key].entries] == [
+            (e.conductor, e.coeffs, str(e)) for e in x.entries
+        ]
+
+
+def test_a_counital_twist_fails_coassociativity_alone():
+    h, _ = failed_premise("ks3-twisted")
+    assert {f.check for f in check_bialgebra(h).failures} == {"coassociativity"}
+
+
+@pytest.mark.parametrize("name", FAILED_PREMISES)
+def test_a_failed_premise_realizes_every_row(name, realized):
+    h, mods = failed_premise(name)
+    try:
+        _skeletalize(h, mods)
+    except HopfrecError:
+        pass
+    # the bumped comult fails in its decompositions, before any tree
+    assert bool(realized) == (name != "ks3-comult-bumped")
+    assert all(left.cols == right.cols == dd * width for dd, width, left, right in realized)
+
+
+def test_first_rows_that_span_too_little_keep_every_row():
+    # triv (+) triv over K[Z/2]: every action is I, so the first rows span
+    # only the first coordinate; the regular module's span both
+    h = gen_group_algebra(cyclic_group(2))
+    twice = ModuleRep(2, (Matrix.identity(2),) * h.dim, "triv+triv")
+    regular = ModuleRep(2, (Matrix.identity(2), Matrix.from_rows([[0, 1], [1, 0]])), "regular")
+    assert repcat._tree_rows([twice, regular, *cyclic_characters(2)], True) == (2, 1, 1, 1)
+    assert repcat._tree_rows([twice, regular, *cyclic_characters(2)], False) == (2, 2, 1, 1)
+
+
+def tree_cells(seen) -> int:
+    return sum(len(left.entries) + len(right.entries) for _, _, left, right in seen)
+
+
+def test_ks4_trees_are_realized_on_one_row_per_copy(realized):
+    # 2 (sum of dims[a]^2)^3 = 27,648 cells realize every row of every tree
+    h, mods = case("ks4")
+    gamma_roundtrip(h, mods)
+    assert tree_cells(realized) == 11_520
+    realized.clear()
+    skeletalize(h, mods, verify=True)  # the audit realizes every row
+    assert tree_cells(realized) == 11_520 + 27_648
