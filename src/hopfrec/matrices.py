@@ -228,9 +228,11 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         """The transpose, holding this matrix's lowering transposed, at its
-        D, when this matrix holds one."""
+        D, when this matrix holds one.  A 1x1 transpose holds none: no
+        kernel reads it, as a product with a 1x1 factor is an outer
+        product and a kron with one a scalar multiple."""
         out = Matrix._of(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])
-        if hasattr(self, "_low"):
+        if (self.rows, self.cols) != (1, 1) and hasattr(self, "_low"):
             d, low = self._low
             cols: list = [[] for _ in range(self.cols)]
             for i, row in enumerate(low):

@@ -416,6 +416,9 @@ def test_transpose_and_chosen_rows_keep_the_lowering_a_fresh_one_gives():
             assert hasattr(held[0], "_low") and hasattr(held[3], "_low")
             for m in (m for m in held if hasattr(m, "_low")):  # kron's shape paths hold none
                 t = m.transpose()
+                if m.rows == m.cols == 1:
+                    assert not hasattr(t, "_low") and t == m
+                    continue
                 assert t == Matrix(m.cols, m.rows, [m.at(i, j) for j in range(m.cols) for i in range(m.rows)])
                 assert repr(t._low) == repr(fresh_lowering(t))
                 assert t.transpose() == m and repr(t.transpose()._low) == repr(m._low)
