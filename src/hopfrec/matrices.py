@@ -25,8 +25,8 @@ such tiny factors costs more than it saves.  Kron multiplies the nonzero
 pairs of both lowerings into its rows, and the intertwiner constraint of
 `repcat.hom_space` builds its rows on the actions' lowerings; both hand
 them over as a product does.  A row block or any choice of rows keeps
-its rows of the lowering, a transpose the lowering transposed, and an
-identity is built holding its own.
+its rows of the lowering, a transpose other than 1x1 the lowering
+transposed, and an identity is built holding its own.
 No other module reads or writes a matrix's lowering.  Elimination on
 conductor 1 is fraction-free on the int rows D*x (`Matrix._echelon`);
 rank reads the pivots, and rref, mat_kernel and mat_solve divide only the

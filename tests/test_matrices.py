@@ -406,8 +406,9 @@ def test_products_that_cancel_to_integers_hand_over_d_1():
 
 def test_transpose_and_chosen_rows_keep_the_lowering_a_fresh_one_gives():
     # a transpose hands its result the lowering it holds, transposed, so a
-    # product that takes it as a factor does not lower it again; a choice
-    # of rows keeps its rows of the lowering at the matrix's D
+    # product that takes it as a factor does not lower it again (a 1x1 one,
+    # which no kernel reads, holds none); a choice of rows keeps its rows of
+    # the lowering at the matrix's D
     rng = random.Random(107)
     for make in (rnd_rational, rnd_cyclotomic):
         for rows, cols in SHAPES:
