@@ -329,10 +329,10 @@ def _copy_offset(n_ab, dims, c: int, mu: int = 0) -> int:
 
 
 def _copy_rows(j: Matrix, n_ab, dims, c: int, mu: int) -> Matrix:
-    """The rows of a J block realizing copy mu of simple c, as a
-    `Matrix.row_block`, so they keep J's lowering."""
+    """The rows of a J block realizing copy mu of simple c, taken by
+    `Matrix.take_rows`, so they keep J's lowering."""
     off = _copy_offset(n_ab, dims, c, mu)
-    return j.row_block(off, off + dims[c])
+    return j.take_rows(range(off, off + dims[c]))
 
 
 def _first_rows(j: Matrix, n_ab, dims, rows) -> Matrix:
@@ -347,7 +347,7 @@ def _first_rows(j: Matrix, n_ab, dims, rows) -> Matrix:
     return j.take_rows(picks)
 
 
-def tree_maps(N, J, dims, a: int, b: int, c: int, K=None, rows=None) -> list:
+def tree_maps(N, J, dims, a: int, b: int, c: int, K, rows) -> list:
     """The trees (a b c) -> d realized through J, for every total d that
     has a tree, ascending, each on the first rows[d] rows of its map.
 
@@ -359,13 +359,11 @@ def tree_maps(N, J, dims, a: int, b: int, c: int, K=None, rows=None) -> list:
     sigma) is copy sigma of d in J[(a, f)] after I (x) copy rho of f in
     J[(b, c)].  The second step reads K[(e, c)] (resp. K[(a, f)]), which
     holds the first rows[d] rows of each copy of d in that J block
-    (_first_rows); without K and rows, K is J and rows is dims, and every
-    row of every tree is realized.  One product, K[(e, c)] (resp.
+    (_first_rows); K = J with rows = dims realizes every row of every
+    tree.  One product, K[(e, c)] (resp.
     K[(a, f)]) times the first step, realizes the trees through that step
     for every d at once, in J's row order.
     """
-    if K is None:
-        K, rows = J, dims
     r = len(N)
     ida, idc = Matrix.identity(dims[a]), Matrix.identity(dims[c])
     left, right = [[] for _ in range(r)], [[] for _ in range(r)]
@@ -424,7 +422,7 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
 
     for a, b, c in product(range(r), repeat=3):
         lhs, rhs = [], []
-        for dd, left, right in tree_maps(skel.fusion, fiber.J, d, a, b, c):
+        for dd, left, right in tree_maps(skel.fusion, fiber.J, d, a, b, c, fiber.J, d):
             if left.rows:
                 lhs += (skel.F[(a, b, c, dd)] * left).entries
                 rhs += right.entries

@@ -24,9 +24,8 @@ picks another path: inner dimension 1 is an outer product, as lowering
 such tiny factors costs more than it saves.  Kron multiplies the nonzero
 pairs of both lowerings into its rows, and the intertwiner constraint of
 `repcat.hom_space` builds its rows on the actions' lowerings; both hand
-them over as a product does.  A row block or any choice of rows keeps
-its rows of the lowering, a transpose other than 1x1 the lowering
-transposed, and an identity is built holding its own.
+them over as a product does.  A choice of rows keeps its rows of the
+lowering, and an identity is built holding its own.
 No other module reads or writes a matrix's lowering.  Elimination on
 conductor 1 is fraction-free on the int rows D*x (`Matrix._echelon`);
 rank reads the pivots, and rref, mat_kernel and mat_solve divide only the
@@ -108,19 +107,10 @@ class Matrix:
             object.__setattr__(self, "_low", (d, [[(j, low(e)) for j, e in row] for row in nz]))
         return self._low
 
-    def row_block(self, start: int, stop: int) -> "Matrix":
-        """Rows start to stop - 1.  They keep their rows of this matrix's
-        lowering, when it holds one, at its D: a product reduces its
-        result's D by the gcd (`Matrix._from_low`)."""
-        out = Matrix._of(stop - start, self.cols, self.entries[start * self.cols : stop * self.cols])
-        if hasattr(self, "_low"):
-            d, low = self._low
-            object.__setattr__(out, "_low", (d, low[start:stop]))
-        return out
-
     def take_rows(self, rows) -> "Matrix":
-        """The rows at the given indices, in that order, keeping their rows
-        of the lowering as row_block does."""
+        """The rows at the given indices, in that order.  They keep their
+        rows of this matrix's lowering, when it holds one, at its D: a
+        product reduces its result's D by the gcd (`Matrix._from_low`)."""
         rows, c = list(rows), self.cols
         out = Matrix._of(len(rows), c, [x for i in rows for x in self.entries[i * c : (i + 1) * c]])
         if hasattr(self, "_low"):
@@ -227,19 +217,7 @@ class Matrix:
     __rmul__ = __mul__  # only ever called with a scalar on the left
 
     def transpose(self) -> "Matrix":
-        """The transpose, holding this matrix's lowering transposed, at its
-        D, when this matrix holds one.  A 1x1 transpose holds none: no
-        kernel reads it, as a product with a 1x1 factor is an outer
-        product and a kron with one a scalar multiple."""
-        out = Matrix._of(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])
-        if (self.rows, self.cols) != (1, 1) and hasattr(self, "_low"):
-            d, low = self._low
-            cols: list = [[] for _ in range(self.cols)]
-            for i, row in enumerate(low):
-                for j, x in row:
-                    cols[j].append((i, x))
-            object.__setattr__(out, "_low", (d, cols))
-        return out
+        return Matrix._of(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major: (A kron B)[(i,k),(j,l)] = A[i,j] B[k,l].

@@ -531,7 +531,7 @@ def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
     monkeypatch.setattr(Matrix, "_lowered", lowered)
     K = {(x, y): fusion._first_rows(j, N[x][y], dims, rows) for (x, y), j in J.items()}
     for a, b, c in itertools.product(range(skel.rank), repeat=3):
-        fusion.tree_maps(N, J, dims, a, b, c)
+        fusion.tree_maps(N, J, dims, a, b, c, J, dims)
         fusion.tree_maps(N, J, dims, a, b, c, K, rows)
     assert any(m.rows > 1 for m in made) and any(m.rows > 1 for m in identities)
     assert fresh == []

@@ -224,7 +224,7 @@ def all_rows_f(skel, fiber) -> dict:
     """F solved on every row of every tree."""
     F = {}
     for a, b, c in product(range(skel.rank), repeat=3):
-        for d, left, right in tree_maps(skel.fusion, fiber.J, fiber.dims, a, b, c):
+        for d, left, right in tree_maps(skel.fusion, fiber.J, fiber.dims, a, b, c, fiber.J, fiber.dims):
             F[(a, b, c, d)] = mat_solve(left.transpose(), right.transpose()).transpose()
     return F
 
