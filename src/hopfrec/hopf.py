@@ -60,11 +60,11 @@ Generators.  Once a map f into an algebra has f(1) = 1, the x with
 f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;
 so f is multiplicative as soon as that identity holds at x in a set of
 generators.  `AlgebraPresentation._gens` is such a set of basis indices,
-taken greedily (e_i joins when it lies outside the subalgebra generated
-so far), and None unless check_algebra has passed: its verdict is kept by
-the sweep that ran, and the sweep runs once when none has.  The greedy
-choice may eliminate, which divides, so it reads Scalar views in place of
-packed ones.
+closed over sets of indices (see `_generators`), and None unless
+check_algebra has passed: its verdict is kept by the sweep that ran, and
+the sweep runs once when none has.  The closure reads only the positions
+of nonzero products and the unit's support, which packed and Scalar views
+share, so it reads the presentation's own views.
 check_bialgebra first checks comult-of-unit and counit-of-unit, both
 multiplicativities at (g, j), then coassociativity and both counit laws
 at g, for g in the generators: once Delta and the counit are
@@ -77,7 +77,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -127,7 +126,7 @@ class AlgebraPresentation:
         v = self._views
         if v.passed is None:
             check_algebra(self)
-        return _generators(self._plain if v.M else v) if v.passed else None
+        return _generators(v) if v.passed else None
 
 
 @dataclass(frozen=True)
@@ -224,72 +223,36 @@ def _on_views(h, sweep) -> CheckReport:
 
 
 def _generators(v: _Views) -> list:
-    """Greedy generators of an associative unital algebra from its views:
-    index i joins when e_i lies outside the subalgebra that 1 and the
-    indices before it generate.  When every product of basis elements is a
-    multiple of at most one basis element, that subalgebra is K1 plus the
-    span of the basis elements that products of generators reach, and sets
-    of indices decide; otherwise exact elimination does."""
+    """Generators of an associative unital algebra from its views, by
+    closing a set of basis indices: k joins the set when a product of two
+    members is a nonzero multiple of e_k alone, or when k is the last index
+    of the unit's support still outside it; a product with several terms
+    closes nothing.  Index i is a generator when it is outside the set at
+    its turn, and then joins it.  Every index that joins lies in the
+    subalgebra the generators generate, and every index joins, so they
+    generate.  When every product of basis elements is a multiple of at
+    most one basis element, the set spans that subalgebra beside K1, so i
+    is a generator exactly when e_i lies outside the subalgebra that 1 and
+    the indices before it generate: the greedy choice."""
     m, n = v.m, len(v.m)
+    unit = {k for k, x in enumerate(v.u) if x}
+    inside: set = set()
     gens = []
-    if all(len(row) <= 1 for plane in m for row in plane):
-        unit = {k for k, x in enumerate(v.u) if x}
-        inside: set = set()
 
-        def close(work):
-            # with one index of the unit left outside, 1 puts its e_k inside
-            while work or len(unit - inside) == 1:
-                x = work.pop() if work else min(unit - inside)
-                if x not in inside:
-                    inside.add(x)
-                    for y in inside:
-                        work += [k for k, _ in m[x][y]] + [k for k, _ in m[y][x]]
+    def close(work):
+        # with one index of the unit left outside, 1 puts its e_k inside
+        while work or len(unit - inside) == 1:
+            x = work.pop() if work else min(unit - inside)
+            if x not in inside:
+                inside.add(x)
+                for y in inside:
+                    work += [row[0][0] for row in (m[x][y], m[y][x]) if len(row) == 1]
 
-        close([])
-        for i in range(n):
-            if i not in inside:
-                gens.append(i)
-                close([i])
-        return gens
-
-    rows: list = []  # (pivot, row): 1 at its pivot, 0 at the pivots before it
-    field = Fraction if type(v.u[0]) is int else sc  # lowered ints, or Scalars
-
-    def absorb(vec) -> bool:
-        """Add vec to the span; False when it already lies in it."""
-        for p, row in rows:
-            if c := vec[p]:
-                vec = [x - c * y for x, y in zip(vec, row)]
-        p = next((k for k, x in enumerate(vec) if x), None)
-        if p is not None:
-            inv = 1 / vec[p]
-            rows.append((p, [x * inv for x in vec]))
-        return p is not None
-
-    def times(g, w):
-        """e_g w, up to the views' scale."""
-        out = [field(0)] * n
-        for j, x in enumerate(w):
-            if x:
-                for k, c in m[g][j]:
-                    out[k] += x * c
-        return out
-
-    members = [[field(x) for x in v.u]]
-    absorb(members[0])
+    close([])
     for i in range(n):
-        e = [field(int(k == i)) for k in range(n)]
-        if absorb(e):
+        if i not in inside:
             gens.append(i)
-            members.append(e)
-            # close the span of members under left products by generators
-            work = list(members)
-            while work:
-                w = work.pop()
-                for g in gens:
-                    if absorb(p := times(g, w)):
-                        members.append(p)
-                        work.append(p)
+            close([i])
     return gens
 
 

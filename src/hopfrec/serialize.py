@@ -17,6 +17,11 @@ matched in full by -?[0-9]+(/[0-9]+)?: no Unicode digits, no newline.
 Each call parses a distinct string once: `loads` keeps a memo from string
 to Scalar, so equal cells share one immutable Scalar, and `dumps` keeps
 one from id(Scalar) to its formatted value.  Both are locals of the call.
+
+The checkers lower a payload's Scalars at the lcm L of their conductors
+(`scalars.packing`), at a cost that grows with phi(L), so a payload whose
+L has phi(L) above MAX_PHI is a SchemaError.  The loader's memo folds
+each conductor into L as it is read.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import ParseError, SchemaError
@@ -35,6 +41,26 @@ from .repcat import ModuleRep
 from .scalars import Scalar, _make, _rat, phi_degree
 
 _RAT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+# check-category on vec-z4 with two coprime conductors in its F blocks, one
+# 2-core machine: 0.2 s of checking at phi(L) = 9,600, 0.7 s at 16,380, 5 s
+# at 46,620
+MAX_PHI = 10_000
+
+
+class _Memo(dict):
+    """The parsed Scalars of one load by string, and the lcm of the
+    conductors read so far."""
+
+    lcm = 1
+
+    def take(self, n: int) -> None:
+        """Fold conductor n into the lcm, whose phi may not exceed MAX_PHI."""
+        L = lcm(self.lcm, n)
+        # phi(L) >= sqrt(L / 2), so a larger L cannot pass and is never factored
+        if L != self.lcm and (L > 2 * MAX_PHI**2 or phi_degree(L) > MAX_PHI):
+            raise SchemaError(f"conductors have lcm {L}, whose phi exceeds {MAX_PHI}")
+        self.lcm = L
 
 
 def format_scalar(s: Scalar):
@@ -72,10 +98,10 @@ def _parse_text(text, memo: dict) -> Scalar:
 
 
 def parse_scalar(obj) -> Scalar:
-    return _scalar(obj, {})
+    return _scalar(obj, _Memo())
 
 
-def _scalar(obj, memo: dict) -> Scalar:
+def _scalar(obj, memo: _Memo) -> Scalar:
     if isinstance(obj, dict):
         _expect_fields(obj, {"conductor", "coeffs"}, "scalar")
         n = obj["conductor"]
@@ -87,6 +113,7 @@ def _scalar(obj, memo: dict) -> Scalar:
             raise SchemaError(f"coeffs must be a list of length phi({n}) for conductor {n}")
         if len(coeffs) != phi_degree(n):
             raise SchemaError(f"coeffs must be a list of length {phi_degree(n)} for conductor {n}")
+        memo.take(n)
         return _make(n, tuple(_parse_text(c, memo).coeffs[0] for c in coeffs))
     return _parse_text(obj, memo)
 
@@ -104,7 +131,7 @@ def _matrix_payload(m: Matrix, memo: dict):
 
 
 def parse_matrix(obj) -> Matrix:
-    return _matrix(obj, {})
+    return _matrix(obj, _Memo())
 
 
 def _matrix(obj, memo: dict) -> Matrix:
@@ -427,7 +454,7 @@ def loads(text: str) -> Loaded:
     kind = d.get("kind")
     if not isinstance(kind, str) or kind not in _PARSERS:
         raise SchemaError(f"unknown kind {kind!r}")
-    return _PARSERS[kind](d, {})
+    return _PARSERS[kind](d, _Memo())
 
 
 def save(path, obj, **extras) -> None:

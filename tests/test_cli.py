@@ -1,6 +1,10 @@
 """Command line driver: exit codes, report formats, file round trips."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -14,12 +18,25 @@ from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group
 from hopfrec.reports import CheckReport
 from hopfrec.repcat import trivial_module
+from hopfrec.scalars import Scalar
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out + cap.err
+
+
+def test_python_m_hopfrec_writes_the_golden_example(tmp_path):
+    """`python -m hopfrec` runs the CLI through `__main__` and exits with its code."""
+    out = tmp_path / "kz2.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "hopfrec", "example", "kz2", "-o", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "kz2.json").read_bytes()
 
 
 def test_example_then_check_hopf(tmp_path, capsys):
@@ -559,6 +576,14 @@ def test_json_booleans_are_rejected_in_every_integer_field(tmp_path, capsys, exa
         serialize.loads(json.dumps(doc))
     assert str(exc.value) == message
 
+    code, out = run(capsys, *_argv(tmp_path, doc))
+    assert code == 2
+    assert message in out
+
+
+def _argv(tmp_path, doc) -> list:
+    """A CLI command line that loads the payload doc, written to a file,
+    beside the shipped kz2 or vec-z2 that it needs."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     hopf, fusion = tmp_path / "kz2.json", tmp_path / "vec-z2.json"
@@ -571,6 +596,74 @@ def test_json_booleans_are_rejected_in_every_integer_field(tmp_path, capsys, exa
         "modules": ["roundtrip", hopf, bad],
         "group": ["check-hopf", bad],  # the loader fails before the kind is compared
     }[doc["kind"]]
-    code, out = run(capsys, *map(str, argv))
-    assert code == 2
-    assert message in out
+    return [str(a) for a in argv]
+
+
+# -- every other rejection of a payload ----------------------------------------
+#
+# One field of a shipped payload changed: the loader, a constructor or the
+# fit of a fiber to its skeleton rejects it, and the CLI exits 2 with one
+# error line and nothing on standard output.
+
+
+def _ones(n):
+    """The payload of the n x n matrix of ones."""
+    return {"rows": n, "cols": n, "entries": [["1/1"] * n for _ in range(n)]}
+
+
+REJECTIONS = [
+    # (id, example, mutation, message)
+    ("coeffs-length", "kz2", _set(["antipode", "entries", 0, 0], {"conductor": 3, "coeffs": ["1/1", "0/1", "0/1"]}),
+     "coeffs must be a list of length 2 for conductor 3"),
+    ("unit-length", "kz2", _set(["unit"], ["1/1"]), "unit must be a list of length 2"),
+    ("antipode-dims", "kz2", _set(["antipode"], _ones(1)), "antipode must be a 2x2 Matrix"),
+    ("names-strings", "vec-z2", _set(["names", 0], 0), "names must be a list of strings"),
+    ("names-length", "vec-z2", _set(["names"], ["1"]), "names length differs from rank"),
+    ("negative-multiplicity", "vec-z2", _set(["fusion", 0, 1, 0], -1), "negative fusion multiplicity"),
+    ("unit-range", "vec-z2", _set(["unit"], 2), "unit index out of range"),
+    ("dual-permutation", "vec-z2", _set(["dual"], [0, 0]), "dual is not a permutation of the simples"),
+    ("F-shape", "vec-z2", _set(["F", 7, "matrix"], _ones(2)), "F block at (1, 1, 1, 1) is not a 1x1 matrix"),
+    ("modules-list", "kz2-modules", _set(["modules"], {}), "modules must be a list"),
+    ("action-count", "kz2-modules", _set(["modules", 0, "action"], [_ones(1)]), "module action must list 2 matrices"),
+    ("action-dims", "kz2-modules", _set(["modules", 0, "action", 1], _ones(2)), "action matrix is not 1x1"),
+    ("iota", "vec-z2-fiber", _set(["iota"], "0/1"), "iota must be nonzero"),
+    ("fiber-dim", "vec-z2-fiber", _set(["dims", 1], 0), "fiber dimensions must be positive"),
+    ("unit-fiber-dim", "vec-z2-fiber", _set(["dims", 0], 2), "fiber dimension of the unit must be 1"),
+    ("J-key", "vec-z2-fiber", lambda doc: doc["J"].pop(0), "J must have exactly one block per ordered pair of simples"),
+    ("J-shape", "vec-z2-fiber", _set(["J", 3, "matrix"], _ones(2)), "J[(1,1)] is not a 1x1 matrix"),
+    ("ev-length", "vec-z2-fiber", _set(["ev", 0], ["1/1", "1/1"]), "ev coefficients for simple 0 must have length 1"),
+    ("ev-count", "vec-z2-fiber", lambda doc: doc["ev"].pop(), "ev and coev coefficient sequences must have length rank"),
+]
+
+
+@pytest.mark.parametrize("example,mutate,message", [c[1:] for c in REJECTIONS], ids=[c[0] for c in REJECTIONS])
+def test_every_rejection_is_one_error_line(tmp_path, capsys, example, mutate, message):
+    doc = _payload(example)
+    mutate(doc)
+    code = main(_argv(tmp_path, doc))
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.endswith(f"{message}\n")
+    assert cap.err.count("\n") == 1
+
+
+def test_conductors_of_a_large_lcm_are_exit_2_before_any_check(tmp_path, capsys):
+    """vec-z4 with F(1,1,1,3) = zeta_211 and F(2,2,2,2) = zeta_223: each
+    conductor alone passes the loader, but their lcm 47053 has phi 46620,
+    and packing at it made check-category take seconds.  Conductors 97 and
+    101, phi 9600, still load."""
+    def vec_z4(p, q):
+        doc = _payload("vec-z4")
+        for key, n in (([1, 1, 1, 3], p), ([2, 2, 2, 2], q)):
+            (record,) = [r for r in doc["F"] if r["key"] == key]
+            record["matrix"]["entries"] = [[serialize.format_scalar(Scalar.zeta(n))]]
+        return doc
+
+    serialize.loads(json.dumps(vec_z4(97, 101)))
+    t0 = time.perf_counter()
+    code = main(_argv(tmp_path, vec_z4(211, 223)))
+    assert time.perf_counter() - t0 < 1.0
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.endswith(": conductors have lcm 47053, whose phi exceeds 10000\n")
+

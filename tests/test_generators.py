@@ -10,11 +10,16 @@ with the dims that every action gives.  hom_space, which refines its kernel
 by every constraint in index order, must equal a test-local reference
 that stacks all the constraints and eliminates once.
 
-K[S3] and rebuilt D(Z2) under a fixed rational change of basis have dense
-structure tensors, so their generators come from exact elimination rather
-than from closing sets of basis indices.  A guard test asserts that the
-generators decide, with no full sweep, on every shipped Hopf example and
-module family and on rebuilt K[S4].
+The generators close sets of basis indices, which is the greedy choice
+when every product of basis elements is a multiple of at most one basis
+element.  K[S3] and rebuilt D(Z2) under rational unitriangular changes of
+basis, a fixed one and random ones, have products with several terms,
+where the closure may take more generators than the greedy choice: those
+must still generate, and every report must still equal the full sweep.
+K[Z2 x Z2] on a basis where a product of two members has a term outside
+the subalgebra they generate shows why such a product closes nothing.  A
+guard test asserts that the generators decide, with no full sweep, on
+every shipped Hopf example and module family and on rebuilt K[S4].
 """
 
 import dataclasses
@@ -44,12 +49,18 @@ def fracs(xs):
     return [x.as_fraction() for x in xs]
 
 
-def change_basis(h: HopfPresentation, mods: list):
-    """h and its modules on the basis f_i = sum_a P[a][i] e_a, for the
-    unitriangular P with P[a][i] = ((a + 2 i) % 5 - 2) / 3 above the
-    diagonal."""
+def unitriangular(n: int, above) -> list:
+    """The n x n P with 1 on the diagonal, 0 below it and above(a, i) at
+    (a, i) above it."""
+    return [[Fraction(int(a == i)) if a >= i else Fraction(above(a, i)) for i in range(n)] for a in range(n)]
+
+
+def change_basis(h: HopfPresentation, mods: list, P=None):
+    """h and its modules on the basis f_i = sum_a P[a][i] e_a, for an
+    invertible rational P, by default unitriangular with ((a + 2 i) % 5 - 2) / 3
+    above the diagonal."""
     n = h.dim
-    P = [[Fraction(int(a == i)) if a >= i else Fraction((a + 2 * i) % 5 - 2, 3) for i in range(n)] for a in range(n)]
+    P = P or unitriangular(n, lambda a, i: Fraction((a + 2 * i) % 5 - 2, 3))
     Q = [fracs(row) for row in mat_inverse(Matrix.from_rows(P)).to_rows()]
     mult = [[fracs(row) for row in plane] for plane in h.alg.mult]
     comult = [[fracs(row) for row in plane] for plane in h.comult]
@@ -113,23 +124,50 @@ def times(alg: AlgebraPresentation, g: int, w: list) -> list:
     return out
 
 
-@pytest.mark.parametrize("name", ["dense-ks3", "dense-rebuilt-dz2"])
-def test_dense_generators_come_from_elimination_and_generate(name):
+def single_term(alg: AlgebraPresentation) -> bool:
+    """Every product of basis elements is a multiple of at most one basis element."""
+    return all(len(row) <= 1 for plane in alg._views.m for row in plane)
+
+
+DENSE_GENERATORS = {"dense-ks3": [1, 2, 3, 4, 5], "dense-rebuilt-dz2": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("name", DENSE_GENERATORS)
+def test_dense_generators_close_index_sets_and_generate(name):
+    """Products with several terms close nothing, so dense K[S3] takes
+    every index its single-term products do not reach: more than the two
+    transpositions the greedy choice would take, and still generators."""
     h, _ = base(name)
+    want = DENSE_GENERATORS[name]
     alg = h.alg
-    assert any(len(row) > 1 for plane in alg._views.m for row in plane), "not a dense product"
-    gens = alg._gens
-    assert gens and span_of_words(alg, gens) == alg.dim
-    # the same algebra on the Scalar path picks the same generators
+    assert not single_term(alg)
+    assert alg._gens == want and span_of_words(alg, want) == alg.dim
+    # the same algebra on packed views picks the same generators
     promoted = AlgebraPresentation(alg.dim, [[[x.promote(2) for x in r] for r in p] for p in alg.mult], [x.promote(2) for x in alg.unit])
-    assert promoted._gens == gens
+    assert promoted._gens == want
     assert all(r.passed for r in run_hopf_checks(h))
 
 
-@pytest.mark.parametrize("name", ["dense-ks3", "dense-rebuilt-dz2", "ks3", "fun-s3", "dz2", "rebuilt-ks3"])
+def test_a_product_with_several_terms_closes_nothing():
+    """K[Z2 x Z2] = K<a, b> on f_0 = a + b, f_1 = 1, f_2 = ab + a, f_3 = a:
+    f_0^2 = 2 + 2ab = 2 f_1 + 2 f_2 - 2 f_3 has the term f_3 = a, which lies
+    outside K[f_0] = span(1, a + b, ab).  Taking its indices in would leave
+    f_0 alone; closing nothing on it keeps f_3, one more than the greedy
+    [0, 2]."""
+    h, mods = base("kz2z2")
+    P = [[0, 1, 0, 0], [1, 0, 1, 1], [1, 0, 0, 0], [0, 0, 1, 0]]  # P[a][i]: f_i in e_0 = 1, e_1 = a, e_2 = b, e_3 = ab
+    h, mods = change_basis(h, mods, [[Fraction(x) for x in row] for row in P])
+    assert h.alg._gens == [0, 2, 3] and span_of_words(h.alg, [0, 2, 3]) == 4
+    assert span_of_words(h.alg, [0]) == 3 and span_of_words(h.alg, [0, 2]) == 4
+    assert_reports_match_full_sweep(h, mods)
+
+
+@pytest.mark.parametrize("name", ["ks3", "fun-s3", "dz2", "rebuilt-ks3", "rebuilt-dz2"])
 def test_generators_are_the_greedy_choice(name):
-    """e_i joins exactly when it enlarges the subalgebra generated so far."""
+    """On single-term products, e_i joins exactly when it enlarges the
+    subalgebra generated so far."""
     alg = base(name)[0].alg
+    assert single_term(alg)
     want: list = []
     for i in range(alg.dim):
         if span_of_words(alg, want + [i]) > span_of_words(alg, want):
@@ -302,6 +340,23 @@ def test_bumped_reports_match_full_sweep(data):
     p = data.draw(st.integers(-3, 3).filter(bool))
     q = data.draw(st.integers(1, 3))
     assert_reports_match_full_sweep(*bump(h, mods, target, cell, Scalar.rational(p, q)))
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_random_changes_of_basis_generate_and_match_full_sweep(data):
+    """K[S3] or rebuilt D(Z2) on the basis of a random rational
+    unitriangular P: the generators generate, and every report equals the
+    forced full sweep."""
+    name = data.draw(st.sampled_from(["ks3", "rebuilt-dz2"]))
+    h, mods = base(name)
+    cells = [(a, i) for i in range(h.dim) for a in range(i)]
+    entries = data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=len(cells), max_size=len(cells)))
+    chosen = dict(zip(cells, entries))
+    h, mods = change_basis(h, mods, unitriangular(h.dim, lambda a, i: chosen[a, i]))
+    gens = h.alg._gens
+    assert gens is not None and span_of_words(h.alg, gens) == h.dim
+    assert_reports_match_full_sweep(h, mods)
 
 
 # -- the generators decide on every shipped example --------------------------
