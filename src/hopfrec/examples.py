@@ -125,7 +125,7 @@ def gen_pointed_category(g: GroupTable, omega=None) -> FusionSkeleton:
     # decided in the ring of scalars.packing, as verify_pentagon does: the
     # left side has degree 2 and meets the right side of degree 3 once
     # scaled by D, so each side is one product of three factors
-    D, M, low = packing(list(w.values()), [(1, 3)] * 2)
+    D, M, low, _ = packing(list(w.values()), [(1, 3)] * 2)
     lw = {t: low(x) for t, x in w.items()}
     m = g.mul
     for a, b, c, d in product(range(n), repeat=4):

@@ -25,11 +25,10 @@ two-step side, scaled by D, meets the three-step side, as
 `scalars.same_sides` decides.  A cell of either side sums at most dim^2
 products of three factors, dim the largest block's.  The check walks only
 the (a, b, c, d, total) with a tree, read off the F keys and the nonzero
-N in lexicographic order.  A failing (a, b, c, d, total) is rendered from
-the same walk in `scalars.SCALAR_RING`, as T5 x T1 matrices in
-lexicographic label order.  Each side meets at the lcm of the conductors
-of the nonzero F blocks its steps place, or at conductor 1 when none of
-its terms reaches T5: the conductor of the dense product of those steps.
+N in lexicographic order.  A failing (a, b, c, d, total) is walked again
+and rendered from the same ints, as T5 x T1 matrices in lexicographic
+label order: the ring's `high` reads the two-step side back at D^2 and
+the three-step side at D^3, every cell at the ring's conductor.
 """
 
 from __future__ import annotations
@@ -38,12 +37,11 @@ import operator
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
-from math import lcm
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
 from .matrices import Matrix, _with_inverse, mat_inverse
 from .reports import CheckReport
-from .scalars import SCALAR_RING, ZERO, packing, same_sides, sc
+from .scalars import packing, same_sides, sc
 
 
 def f_left_basis(N, a: int, b: int, c: int, d: int) -> list:
@@ -230,8 +228,8 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
       T5 a(b(cd)) : (z, rho, w, nu, sig) w in bz, total in aw
     The two-step path T1->T2->T5 must equal the three-step T1->T3->T4->T5.
     Each T1 basis vector is pushed through both paths on the lowered
-    blocks; a failing tuple reports both paths as T5 x T1 matrices, taken
-    from the same walk over plain Scalars (see `_pentagon_render`).
+    blocks; a failing tuple reports both paths as T5 x T1 matrices, read
+    back from the same ints (see `_pentagon_render`).
     """
     rep = CheckReport("pentagon")
     N, r, F = skel.fusion, skel.rank, skel.F
@@ -242,16 +240,14 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
 
     # a cell of either side sums at most dim^2 products of three factors
     dim = max((m.rows for m in F.values()), default=0)
-    D, M, low = packing([x for m in F.values() for x in m.entries], [(dim * dim, 3)] * 2)
+    D, M, low, high = packing([x for m in F.values() for x in m.entries], [(dim * dim, 3)] * 2)
     sides = _pentagon_kernel(skel, low)
 
     # the (a, b, c, d, total) with a tree: a block (a, b, c, y) and N[y][d][total] > 0
     nz = [[[t for t, x in enumerate(row) if x] for row in plane] for plane in N]
-    plain = None
     for key in sorted({(*t[:3], d, tot) for t in F for d in range(r) for tot in nz[t[3]][d]}):
         if not all(same_sides(lhs, rhs, M, D) for _, lhs, rhs in sides(*key)):
-            plain = plain or _pentagon_kernel(skel, SCALAR_RING[2])
-            rep.add("pentagon", key, *_pentagon_render(skel, plain, *key))
+            rep.add("pentagon", key, *_pentagon_render(skel, sides, key, high, D))
     return rep
 
 
@@ -259,8 +255,7 @@ def _pentagon_kernel(skel, low):
     """sides(a, b, c, d, tot): for each T1 basis vector of verify_pentagon,
     its label and its images along the two-step and the three-step path,
     as dicts over T5 labels.  Each F block is lowered by low once, to a
-    column map left tree -> [(right tree, value)] of its nonzero entries;
-    the values are ints or Scalars, which +, * and truthiness serve alike.
+    column map left tree -> [(right tree, int)] of its nonzero entries.
     The three-step path sums in T4 first and goes on from the cells that
     are not 0, as a matrix product would; cancelled cells of either image
     are kept."""
@@ -297,27 +292,18 @@ def _pentagon_kernel(skel, low):
     return sides
 
 
-def _pentagon_render(skel, sides, a, b, c, d, tot) -> list:
-    """Both sides at (a, b, c, d, tot) as the module docstring states, from
-    the sides of a kernel over plain Scalars."""
-    N, r, F = skel.fusion, skel.rank, skel.F
+def _pentagon_render(skel, sides, key, high, D: int) -> list:
+    """Both sides at key = (a, b, c, d, tot) as the module docstring
+    states: the kernel's sides walked again and read back by high, the
+    two-step side at D^2 and the three-step side at D^3."""
+    N, r = skel.fusion, skel.rank
+    a, b, c, d, tot = key
     t5 = [(z, rho, *rt) for z in range(r) for rho in range(N[c][d][z]) for rt in f_right_basis(N, a, b, z, tot)]
-    images = sorted(sides(a, b, c, d, tot), key=operator.itemgetter(0))
-    # the blocks placed by T1->T2 and T2->T5, then by T1->T3, T3->T4 and T4->T5
-    steps = (
-        [(x, c, d, tot) for x in range(r) if N[a][b][x]] + [(a, b, z, tot) for z in range(r) if N[c][d][z]],
-        [(a, b, c, y) for y in range(r) if N[y][d][tot]]
-        + [(a, v, d, tot) for v in range(r) if N[b][c][v]]
-        + [(b, c, d, w) for w in range(r) if N[a][w][tot]],
-    )
-    out = []
-    for side, keys in enumerate(steps, 1):
-        n = 1
-        if any(img[side] for img in images):
-            n = lcm(*(F[k]._n for k in keys if k in F and not F[k].is_zero()))
-        cells = [img[side].get(lab, ZERO).promote(n) for lab in t5 for img in images]
-        out.append(Matrix._of(len(t5), len(images), cells))
-    return out
+    images = sorted(sides(*key), key=operator.itemgetter(0))
+    return [
+        Matrix._of(len(t5), len(images), [high(img[side].get(lab, 0), scale) for lab in t5 for img in images])
+        for side, scale in ((1, D**2), (2, D**3))
+    ]
 
 
 # -- fiber functor compatibility -------------------------------------------

@@ -19,11 +19,10 @@ times its value, so sides of degrees k < l compare after the lower one is
 scaled by D^(l-k); constants such as 1 have degree 0.  Two sides agree
 as `scalars.same_sides` decides; every side sums at most n^4 products of
 at most four factors, which fixes B.
-A failing side of degree l is rendered as the rational v / D^l, the
-Scalar it stands for.  Packed ints do not render: a checker that fails on
-them runs again on Scalar views (`_plain`, in `scalars.SCALAR_RING`: D =
-1, nothing scaled, so a failing side that mixes conductors prints each
-term at its own), and that run gives the report.
+A failing side of degree l is rendered from the ints that decided it:
+each cell v is the Scalar that the ring's `high` reads back at scale D^l,
+the rational v / D^l on conductor 1, so every cell of a report is printed
+at the ring's conductor.
 
 A side is a vector over index tuples, laid out flat: the cell (p, q) of
 an n x n side sits at offset p*n + q, and (p, q, k) of an n x n x n side
@@ -49,12 +48,9 @@ failing side is rendered at its own.  On conductor 1 these are the ints of
 the two views and of `matrices.lowering` of the map's entries.  When any
 conductor is above 1, the map and both presentations are lowered into one
 packed ring, so Ds = Dm = Dd, and every side is at most max(ns, nd)^2
-products of three factors.  A failure there reruns the sweep on each
-presentation's views, Scalar views in place of packed ones, and on
-`matrices.lowering` of the map's entries, its Scalars at Dm = 1 above
-conductor 1: a product with a Scalar factor is a Scalar, and a Scalar side
-renders as its value divided by its scale.  Its sides span target cells
-and use the target's store; no Matrix product is made.
+products of three factors, and a failing side is rendered from that
+ring.  Its sides span target cells and use the target's store; no Matrix
+product is made.
 
 Generators.  Once a map f into an algebra has f(1) = 1, the x with
 f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;
@@ -63,8 +59,8 @@ generators.  `AlgebraPresentation._gens` is such a set of basis indices,
 closed over sets of indices (see `_generators`), and None unless
 check_algebra has passed: its verdict is kept by the sweep that ran, and
 the sweep runs once when none has.  The closure reads only the positions
-of nonzero products and the unit's support, which packed and Scalar views
-share, so it reads the presentation's own views.
+of nonzero products and the unit's support, off the presentation's own
+views.
 check_bialgebra first checks comult-of-unit and counit-of-unit, both
 multiplicativities at (g, j), then coassociativity and both counit laws
 at g, for g in the generators: once Delta and the counit are
@@ -84,7 +80,7 @@ from math import gcd
 from .errors import ShapeError
 from .matrices import Matrix, lowering
 from .reports import CheckReport
-from .scalars import SCALAR_RING, ZERO, Scalar, packing, same_sides, sc, vanishes
+from .scalars import ZERO, packing, same_sides, sc, vanishes
 
 
 def _tensor3(data, n: int):
@@ -114,10 +110,6 @@ class AlgebraPresentation:
     @cached_property
     def _views(self) -> "_Views":
         return _Views(self)
-
-    @cached_property
-    def _plain(self) -> "_Views":
-        return _Views(self, ring=SCALAR_RING)
 
     @cached_property
     def _gens(self) -> list | None:
@@ -151,18 +143,14 @@ class HopfPresentation:
     def _views(self) -> "_Views":
         return _Views(self.alg, self.comult, self.counit, self.antipode)
 
-    @cached_property
-    def _plain(self) -> "_Views":
-        return _Views(self.alg, self.comult, self.counit, self.antipode, SCALAR_RING)
-
 
 # -- sparse views ---------------------------------------------------------
 
 class _Views:
     """A presentation's entries lowered once, as the module docstring says,
-    in `ring` (D, M, low): by default the presentation's own packing, and
-    `scalars.SCALAR_RING` for Scalar views; sides compare by
-    `scalars.same_sides`.  `values` lists the Scalars lowered.
+    in `ring` (D, M, low, high): by default the presentation's own packing;
+    sides compare by `scalars.same_sides` and render through high.
+    `values` lists the Scalars lowered.
     m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
     column i, and u and eps are dense.  Flat offsets over the nonzero
@@ -189,7 +177,7 @@ class _Views:
         self.values = nz
         # a cell of any side of the checkers sums at most n^4 products of at
         # most four factors, the powers of D that scale it included
-        self.D, self.M, low = ring or packing(nz, [(n**4, 4)] * 2)
+        self.D, self.M, low, self.high = ring or packing(nz, [(n**4, 4)] * 2)
         self.m = [[[(k, low(x)) for k, x in row] for row in plane] for plane in self.m]
         self.u = [low(x) for x in self.u]
         self.dl = [[(j, k, low(x)) for j, k, x in plane] for plane in self.dl]
@@ -212,14 +200,14 @@ class _Views:
         tuples."""
         g = gcd(ls, rs)
         if not same_sides(_scaled(lhs, rs // g), _scaled(rhs, ls // g), self.M):
-            rep.add(check, index, _render(lhs, ls, n, arity), _render(rhs, rs, n, arity))
+            rep.add(check, index, self.render(lhs, ls, n, arity), self.render(rhs, rs, n, arity))
 
-
-def _on_views(h, sweep) -> CheckReport:
-    """sweep(h._views), the report of a presentation's checker; a failure on
-    packed views is recomputed on its Scalar views, which render it."""
-    rep = sweep(h._views)
-    return sweep(h._plain) if h._views.M and not rep.passed else rep
+    def render(self, side, scale: int, n: int, arity: int) -> str:
+        """A side of scale `scale` as the sum of its nonzero cells, each the
+        Scalar that high reads back, over n^arity index tuples."""
+        cells = enumerate(side) if type(side) is list else sorted(side.items())
+        terms = [f"({x})e{_cell(o, n, arity)}" for o, v in cells if v and (x := self.high(v, scale))]
+        return " + ".join(terms) if terms else "0"
 
 
 def _generators(v: _Views) -> list:
@@ -272,11 +260,6 @@ def _block(side, lo: int, size: int):
     return {o - lo: v for o, v in side.items() if lo <= o < lo + size}
 
 
-def _value(v, scale: int = 1) -> Scalar:
-    """The Scalar a view value of degree l stands for; scale is D^l."""
-    return v / scale if type(v) is Scalar else Scalar.rational(v, scale)
-
-
 def _cell(o: int, n: int, arity: int):
     """The index tuple at flat offset o of an n^arity side; an int for arity 1."""
     if arity == 1:
@@ -284,17 +267,11 @@ def _cell(o: int, n: int, arity: int):
     return tuple(o // n ** (arity - 1 - t) % n for t in range(arity))
 
 
-def _render(side, scale: int = 1, n: int = 0, arity: int = 1) -> str:
-    cells = enumerate(side) if type(side) is list else sorted(side.items())
-    terms = [f"({_value(v, scale)})e{_cell(o, n, arity)}" for o, v in cells if v]
-    return " + ".join(terms) if terms else "0"
-
-
 # -- checkers -------------------------------------------------------------
 
 def check_algebra(a: AlgebraPresentation) -> CheckReport:
     """Associativity and the two unit laws, every basis index tuple."""
-    rep = _on_views(a, _algebra)
+    rep = _algebra(a._views)
     a._views.passed = rep.passed
     return rep
 
@@ -343,24 +320,18 @@ def check_bialgebra(h: HopfPresentation) -> CheckReport:
     docstring); otherwise every index is checked."""
     gens = h.alg._gens
     if gens is not None:
-        rep = _bialgebra(h, gens, stop=True)
+        rep = _bialgebra_sweep(h._views, gens, True)
         if rep.passed:
             return rep
-    return _bialgebra(h, range(h.dim))
-
-
-def _bialgebra(h: HopfPresentation, rows, stop: bool = False) -> CheckReport:
-    """check_bialgebra with coassociativity and the counit laws checked at
-    e_i, and both multiplicativities at (e_i, e_j) for every j, for i in
-    rows, on h's views as `_on_views` says.  With stop, the unit checks run
-    first, then the multiplicativities, and the sweep ends at its first
-    failure; only its verdict counts, so it is not recomputed."""
-    if stop:
-        return _bialgebra_sweep(h._views, rows, True)
-    return _on_views(h, lambda v: _bialgebra_sweep(v, rows, False))
+    return _bialgebra_sweep(h._views, range(h.dim), False)
 
 
 def _bialgebra_sweep(v: _Views, rows, stop: bool) -> CheckReport:
+    """check_bialgebra with coassociativity and the counit laws checked at
+    e_i, and both multiplicativities at (e_i, e_j) for every j, for i in
+    rows.  With stop, the unit checks run first, then the
+    multiplicativities, and the sweep ends at its first failure; only its
+    verdict counts."""
     n = len(v.m)
     nn = n * n
     rep = CheckReport("bialgebra")
@@ -434,7 +405,7 @@ def _bialgebra_sweep(v: _Views, rows, stop: bool) -> CheckReport:
             e_lhs = sum(c * eps[k] for k, c in m[i][j])
             e_rhs = eps[i] * eps[j]
             if not vanishes(e_lhs - e_rhs, v.M):
-                rep.add("counit-multiplicative", (i, j), _value(e_lhs, D2), _value(e_rhs, D2))
+                rep.add("counit-multiplicative", (i, j), v.high(e_lhs, D2), v.high(e_rhs, D2))
 
     def unit_laws():
         du = store(nn)
@@ -452,7 +423,7 @@ def _bialgebra_sweep(v: _Views, rows, stop: bool) -> CheckReport:
 
         eu = sum(u[i] * eps[i] for i in range(n))
         if not vanishes(eu - D2, v.M):
-            rep.add("counit-of-unit", (), _value(eu, D2), _value(D2, D2))
+            rep.add("counit-of-unit", (), v.high(eu, D2), v.high(D2, D2))
 
     if stop:
         unit_laws()
@@ -476,7 +447,7 @@ def check_antipode(h: HopfPresentation) -> CheckReport:
     informational flags: whether S is an algebra antihomomorphism, a
     coalgebra antihomomorphism, and an involution.
     """
-    return _on_views(h, lambda v: _antipode(h, v))
+    return _antipode(h, h._views)
 
 
 def _antipode(h: HopfPresentation, v: _Views) -> CheckReport:
@@ -553,22 +524,19 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
     """m, whose columns are the images of the source basis, respects every
     piece of structure.  Bijectivity is recorded as a flag so callers can
     decide whether they demand an isomorphism.  Off conductor 1 the sides
-    are decided in one packed ring, and a failure is reported from the
-    sweep on the presentations' own views (see the module docstring)."""
+    are decided and rendered in one packed ring (see the module
+    docstring)."""
     if m.rows != dst.dim or m.cols != src.dim:
         raise ShapeError(f"morphism matrix must be {dst.dim}x{src.dim}")
     vs, vd = src._views, dst._views
-    rep = None
     if m._n != 1 or vs.M or vd.M:
         # a cell of any side sums at most (the larger dim)^2 products of three factors
         ring = packing(vs.values + vd.values + list(m.entries), [(max(m.rows, m.cols) ** 2, 3)] * 2)
-        d, _, low = ring
-        hs, hd = (_Views(h.alg, h.comult, h.counit, h.antipode, ring) for h in (src, dst))
-        rep = _morphism(hs, hd, m, low, d, d, d)
-    if rep is None or not rep.passed:
+        dm, _, low, _ = ring
+        vs, vd = (_Views(h.alg, h.comult, h.counit, h.antipode, ring) for h in (src, dst))
+    else:
         dm, low = lowering(m.entries)
-        vs, vd = (h._plain if v.M else v for h, v in ((src, vs), (dst, vd)))
-        rep = _morphism(vs, vd, m, low, vs.D, dm, vd.D)
+    rep = _morphism(vs, vd, m, low, vs.D, dm, vd.D)
     rep.flags["bijective"] = m.rows == m.cols and m.rank() == m.rows
     return rep
 
@@ -620,7 +588,7 @@ def _morphism(vs: _Views, vd: _Views, m: Matrix, low, ds: int, dm: int, dd: int)
         e_lhs = vs.eps[i]
         e_rhs = sum(x * vd.eps[p] for p, x in cols[i])
         if not vanishes(e_lhs * dm * dd - e_rhs * ds, vd.M):
-            rep.add("morphism-counit", (i,), _value(e_lhs, ds), _value(e_rhs, dm * dd))
+            rep.add("morphism-counit", (i,), vd.high(e_lhs, ds), vd.high(e_rhs, dm * dd))
 
     for i in range(ns):
         # m S_src e_i and S_dst m e_i

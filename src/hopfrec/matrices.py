@@ -14,7 +14,7 @@ the inverse, so neither is eliminated twice.
 Lowered kernel.  A matrix is lowered once, cached on the instance, to D
 and per row the (column, low(x)) pairs of its nonzero entries x
 (`lowering`): on conductor 1, D is the lcm of its denominators and low(x)
-the int D*x; on any other, `scalars.SCALAR_RING`, D = 1 and low(x) = x.
+the int D*x; on any other, `SCALAR_RING`, D = 1 and low(x) = x.
 check_hopf_morphism lowers a map's columns with it too.  A product sums
 each output row over both lowerings and hands its result the sums
 (`Matrix._from_low`), reduced so that D is again the lcm of the result's
@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeError
-from .scalars import ONE, SCALAR_RING, ZERO, Scalar, _rat, packing, sc
+from .scalars import ONE, ZERO, Scalar, _rat, packing, sc
 
 
 class Matrix:
@@ -325,13 +325,18 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self})"
 
 
+SCALAR_RING = (1, lambda x: x)  # D = 1: Scalars as they are
+
+
 def lowering(entries) -> tuple:
     """The lowering of Scalars that the matrix kernels share: (D, low).
     On conductor 1 it is `scalars.packing`: D is the lcm of their
     denominators and low(x) the int D*x for any x among them.  When any
-    has a conductor above 1 it is `scalars.SCALAR_RING`: D = 1 and low(x)
-    is x itself, neither promoted nor copied."""
-    d, _, low = SCALAR_RING if any(x.conductor != 1 for x in entries) else packing(entries, ())
+    has a conductor above 1 it is `SCALAR_RING`: D = 1 and low(x) is x
+    itself, neither promoted nor copied."""
+    if any(x.conductor != 1 for x in entries):
+        return SCALAR_RING
+    d, _, low, _ = packing(entries, ())
     return d, low
 
 

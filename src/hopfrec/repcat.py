@@ -59,7 +59,7 @@ from itertools import product
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionSkeleton, _copy_offset, _first_rows, pairing_matrix, tree_maps, verify_category
-from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra, check_antipode, check_bialgebra, check_hopf_morphism
+from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra_sweep, check_antipode, check_bialgebra, check_hopf_morphism
 from .matrices import Matrix, _intertwiner_constraint, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
 from .scalars import ONE, ZERO
@@ -324,8 +324,8 @@ def _skeletalize(h: HopfPresentation, modules: list):
       (a) gens is not empty: the algebra passed check_algebra, and the
           unital subalgebra that the e_g generate holds every e_i (see
           hopf);
-      (b) H passes check_bialgebra, read as _bialgebra(h, gens,
-          stop=True), which equals that verdict whenever it passes.  Then
+      (b) H passes check_bialgebra, read as _bialgebra_sweep(h._views,
+          gens, True), which equals that verdict whenever it passes.  Then
           Delta is multiplicative and Delta(1) = 1 (x) 1, so V (x) W, with
           e_i acting by (act_V (x) act_W) Delta(e_i), is a module whenever
           V and W are;
@@ -342,7 +342,7 @@ def _skeletalize(h: HopfPresentation, modules: list):
     J block, selected once per block (fusion._first_rows, which keeps J's
     lowering).  rows[d] is 1 when
       (i) (a) and (b) above hold: H passes check_bialgebra, by the one
-          _bialgebra(h, gens, stop=True) run that both uses read.  Then
+          _bialgebra_sweep(h._views, gens, True) run that both uses read.  Then
           V_a (x) V_b (x) V_c is one module under both bracketings,
           Delta being coassociative, and each realized tree is an H-linear
           map from it to V_d: J[(a, b)] (x) I and J[(e, c)] are H-linear,
@@ -416,7 +416,7 @@ def _skeletalize(h: HopfPresentation, modules: list):
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
     gens = h.alg._gens
-    bialgebra = bool(gens) and _bialgebra(h, gens, stop=True).passed
+    bialgebra = bool(gens) and _bialgebra_sweep(h._views, gens, True).passed
     if not bialgebra:
         gens = range(h.dim)
     fam = _restricted(modules, gens)

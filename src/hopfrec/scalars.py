@@ -47,8 +47,12 @@ their kernels' int bodies and two sides are equal iff their difference is
 
 So a lowered value stands for 0 iff it is 0 mod M, or 0 when M = 0
 (`vanishes`), and two lowered sides are compared here alone
-(`same_sides`).  `SCALAR_RING` is the ring of Scalars themselves: D = 1,
-no modulus, low the identity; the kernels rerun in it to render failures.
+(`same_sides`).  The same bound reads one side back (`high`): its int v
+is U(B) for its own unreduced polynomial U, whose |U|_1 is bounded as
+above, so every coefficient of U is at most |U|_1 < B/2 in size and the
+balanced base-B digits of v are those coefficients.  U mod Phi_n, divided
+by the side's scale, is the Scalar the side stands for, so a failing side
+is rendered from the ints that decided it.
 """
 
 from __future__ import annotations
@@ -165,12 +169,14 @@ def _reduction_height(n: int) -> int:
 
 
 def packing(values, sides) -> tuple:
-    """(D, M, low): the one ring of plain ints in which the exact kernels
-    decide identities between sums of products of these Scalars, as the
-    module docstring states and proves.  sides lists (terms, factors) for
-    each side the ring must decide: a cell of it sums at most `terms`
-    products of `factors` factors each, counting the lowered values and
-    each D that scales the side to meet the other."""
+    """(D, M, low, high): the one ring of plain ints in which the exact
+    kernels decide identities between sums of products of these Scalars,
+    as the module docstring states and proves.  sides lists (terms,
+    factors) for each side the ring must decide: a cell of it sums at most
+    `terms` products of `factors` factors each, counting the lowered values
+    and each D that scales the side to meet the other.  high(v, scale) is
+    the Scalar, at the ring's conductor, that a side v of degree l stands
+    for, scale being D^l."""
     n = lcm(*{x.conductor for x in values})
     if n == 1:
         d = lcm(*{x.coeffs[0].denominator for x in values})
@@ -179,7 +185,7 @@ def packing(values, sides) -> tuple:
             f = x.coeffs[0]
             return f.numerator * (d // f.denominator)
 
-        return d, 0, low
+        return d, 0, low, Scalar.rational
     d = lcm(*{q.denominator for x in values for q in x.coeffs})
     h = max([d] + [abs(q.numerator) * (d // q.denominator) for x in values for q in x.coeffs])
     phi = phi_degree(n)
@@ -193,10 +199,14 @@ def packing(values, sides) -> tuple:
         step = k * (n // x.conductor)
         return sum((q.numerator * (d // q.denominator)) << (step * i) for i, q in enumerate(x.coeffs) if q)
 
-    return d, sum(c << (k * i) for i, c in enumerate(cyclotomic_poly(n))), low
+    def high(v, scale):
+        digits, half = [], 1 << (k - 1)
+        while v:  # the balanced base-B digits of v, each in [-B/2, B/2)
+            digits.append((v + half) % (2 * half) - half)
+            v = (v - digits[-1]) >> k
+        return _make(n, _fractions(_reduce(digits, n), scale))
 
-
-SCALAR_RING = (1, 0, lambda x: x)  # D = 1, no modulus: Scalars as they are
+    return d, sum(c << (k * i) for i, c in enumerate(cyclotomic_poly(n))), low, high
 
 
 def vanishes(x, M: int) -> bool:

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from hopfrec import cli, reconstruct, repcat, serialize
 from hopfrec.cli import main
 from hopfrec.errors import SchemaError
 from hopfrec.examples import EXAMPLES, gen_group_algebra
-from hopfrec.fusion import verify_category
+from hopfrec.fusion import verify_category, verify_pentagon
 from hopfrec.groups import cyclic_group
 from hopfrec.reports import CheckReport
 from hopfrec.repcat import trivial_module
@@ -371,6 +372,29 @@ def test_json_report_carries_failure_records(tmp_path, capsys):
     assert failing
     recs = [f for c in failing for f in c["failures"]]
     assert any(f["check"] == "compatibility" and f["index"] == [1, 1, 1] for f in recs)
+
+
+def test_a_cyclotomic_failure_prints_every_side_at_its_conductor(tmp_path):
+    """vec-z4 with F(1,1,1,3) = zeta_4 fails the pentagon.  `python -m
+    hopfrec` exits 1 without a traceback, its JSON report lists the
+    quintuples that verify_pentagon finds in process, and every scalar of
+    every failing side is printed at conductor 4, the pentagon ring's."""
+    doc = _payload("vec-z4")
+    (record,) = [r for r in doc["F"] if r["key"] == [1, 1, 1, 3]]
+    record["matrix"]["entries"] = [[serialize.format_scalar(Scalar.zeta(4))]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "hopfrec", "--report", "json", "check-category", str(bad)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 1 and "Traceback" not in done.stdout + done.stderr
+    (check,) = json.loads(done.stdout)["checks"]
+    want = verify_pentagon(serialize.load(bad).obj)
+    assert want.failures and [f["index"] for f in check["failures"]] == [list(f.index) for f in want.failures]
+    for f in check["failures"]:
+        for side in (f["lhs"], f["rhs"]):
+            scalars = re.findall(r"z\d+\[[^\]]*\]|-?\d+/\d+", side)
+            assert scalars and all(x.startswith("z4[") for x in scalars), side
 
 
 def test_text_report_is_the_report_lines_of_each_check(tmp_path, capsys):

@@ -3,12 +3,12 @@
 `AlgebraPresentation._gens` lists basis indices that generate the algebra.
 check_bialgebra and verify_irreps decide on those generators first and
 run every index on any failure, so each report must equal the forced full
-sweep: `hopf._bialgebra` over every index, and verify_irreps on a copy of
-the algebra whose `_gens` is None.  Once every module passes, verify_irreps
-runs its End and Hom checks on the family restricted to the generators,
-with the dims that every action gives.  hom_space, which refines its kernel
-by every constraint in index order, must equal a test-local reference
-that stacks all the constraints and eliminates once.
+sweep: `hopf._bialgebra_sweep` over every index, and verify_irreps on a
+copy of the algebra whose `_gens` is None.  Once every module passes,
+verify_irreps runs its End and Hom checks on the family restricted to the
+generators, with the dims that every action gives.  hom_space, which
+refines its kernel by every constraint in index order, must equal a
+test-local reference that stacks all the constraints and eliminates once.
 
 The generators close sets of basis indices, which is the greedy choice
 when every product of basis elements is a multiple of at most one basis
@@ -282,7 +282,7 @@ def ref_hom_space(v: ModuleRep, w: ModuleRep) -> list:
 
 def assert_reports_match_full_sweep(h, mods):
     n = h.dim
-    assert check_bialgebra(h).lines() == hopf._bialgebra(h, range(n)).lines()
+    assert check_bialgebra(h).lines() == hopf._bialgebra_sweep(h._views, range(n), False).lines()
     assert verify_irreps(h.alg, mods).lines() == verify_irreps(full_sweep_alg(h.alg), mods).lines()
     # tensor modules are not modules when the comult or mult is bumped
     pairs = [(v, w) for v in mods for w in mods]
@@ -366,11 +366,11 @@ def sweeps(monkeypatch):
     """The index sets each layer's sweep receives: a range means a full
     sweep, a list the generators."""
     seen = []
-    for module, name in ((hopf, "_bialgebra"), (repcat, "_module_structure")):
+    for module, name in ((hopf, "_bialgebra_sweep"), (repcat, "_module_structure")):
         real = getattr(module, name)
 
         def spy(*args, real=real, name=name, **kwargs):
-            rows = args[1] if name == "_bialgebra" else args[-1]
+            rows = args[1] if name == "_bialgebra_sweep" else args[-1]
             seen.append((name, type(rows) is range))
             return real(*args, **kwargs)
 
@@ -382,7 +382,7 @@ def sweeps(monkeypatch):
 def test_check_bialgebra_decides_on_generators(name, sweeps):
     h = base(name)[0] if name.startswith("rebuilt-") else EXAMPLES[name][1]()
     assert check_bialgebra(h).passed
-    assert sweeps == [("_bialgebra", False)]
+    assert sweeps == [("_bialgebra_sweep", False)]
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -3,10 +3,12 @@ paths of the Hopf checkers.
 
 Rebuilt D(Z2) and K[S3] have rational entries, so the checkers run them on
 common-denominator integers.  Promoting every entry to conductor 2 keeps the
-field (Q(zeta_2) = Q) but forces the Scalar path, so both paths must reject
-each bump at the same (check, index) tuples.  The full report lines are
-pinned by `golden/hopf-bumps.txt`, written by the checkers before the integer
-path existed; one bump by zeta_3 pins the cyclotomic path as well.  The
+field (Q(zeta_2) = Q) but puts the checkers in the packed ring of
+`scalars.packing`, at x -> B, so both paths must reject each bump at the
+same (check, index) tuples.  The full report lines are pinned by
+`golden/hopf-bumps.txt`, written by the checkers before the integer path
+existed; one bump by zeta_3 pins the cyclotomic path as well, and its
+report prints every cell at conductor 3, the conductor of its ring.  The
 samples of rebuilt and group-basis K[S3] comult bumps were added to the file
 by the checkers before the flat-offset accumulation stores existed.  A
 Hypothesis property bumps random cells by random p/q, which changes the
@@ -14,8 +16,10 @@ common denominator of the integer path.
 
 The conductor-2 twin runs the same checker code as the presentation it
 mirrors, so every reported (check, index) is also evaluated here on plain
-Scalars, straight from the structure tensors (`reference_sides`), and must
-fail there; the antipode flags are recomputed the same way
+Scalars, straight from the structure tensors (`reference_sides`): it must
+fail there, and each side the report prints, on both paths, must be that
+Scalar side with every nonzero cell at the conductor of the checkers' ring
+(`rendered`).  The antipode flags are recomputed the same way
 (`reference_flags`).
 
 Regenerate the golden file with `python tests/test_hopf_bumps.py`.
@@ -23,6 +27,8 @@ Regenerate the golden file with `python tests/test_hopf_bumps.py`.
 
 import functools
 import pathlib
+from itertools import product
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,12 +226,40 @@ def reference_flags(h):
     }
 
 
+# the arity of the index tuples a check's side is printed over; 0 prints
+# the side's one value alone
+ARITY = {"coassociativity": 3, "comult-multiplicative": 2, "comult-of-unit": 2,
+         "counit-multiplicative": 0, "counit-of-unit": 0}
+
+
+def ring_conductor(h):
+    """The lcm of the conductors of the Scalars the checkers lower: the
+    nonzero tensor entries, the unit and the counit."""
+    entries = [x for t in (h.alg.mult, h.comult) for plane in t for row in plane for x in row]
+    entries = [x for x in entries + list(h.antipode.entries) if x] + list(h.alg.unit + h.counit)
+    return lcm(*(x.conductor for x in entries))
+
+
+def rendered(side, n, arity, conductor):
+    """A Scalar side over the n^arity index tuples as a report prints it:
+    its nonzero cells, each promoted to the conductor."""
+    if arity == 0:
+        return str(side[0].promote(conductor))
+    cells = range(n) if arity == 1 else product(range(n), repeat=arity)
+    terms = [f"({x.promote(conductor)})e{c}" for c, x in zip(cells, side) if x]
+    return " + ".join(terms) or "0"
+
+
 def assert_reference_agrees(label, h, reports):
-    """Each reported (check, index) fails on plain Scalars, and the flags match."""
+    """Each reported (check, index) fails on plain Scalars and prints those
+    Scalar sides, and the flags match."""
+    n = ring_conductor(h)
     for r in reports:
         for f in r.failures:
             lhs, rhs = reference_sides(h, f.check, f.index)
             assert lhs != rhs, (label, f.check, f.index)
+            arity = ARITY.get(f.check, 1)
+            assert (f.lhs, f.rhs) == tuple(rendered(s, h.dim, arity, n) for s in (lhs, rhs)), (label, f.check, f.index)
     assert reports[-1].flags == reference_flags(h), label
 
 
@@ -252,7 +286,9 @@ def test_every_bump_fails_alike_on_both_paths_and_matches_golden():
         assert not all(r.passed for r in reports), f"{label} passed every check"
         assert_reference_agrees(label, h, reports)
         if label.endswith("+1"):
-            on_scalars = run_hopf_checks(promoted(h, 2))
+            twin = promoted(h, 2)
+            on_scalars = run_hopf_checks(twin)
+            assert_reference_agrees(label, twin, on_scalars)
             assert failing_tuples(on_scalars) == failing_tuples(reports), label
             assert [r.flags for r in on_scalars] == [r.flags for r in reports], label
         lines += report_lines(label, reports)
@@ -263,8 +299,8 @@ def test_unbumped_bases_pass_on_both_paths():
     for name in ("dz2", "ks3"):
         h = rebuilt(name)
         assert {type(x) for x in h._views.eps} == {int} and h._views.M == 0
-        twin = promoted(h, 2)  # decided in the packed ring, rendered from Scalar views
-        assert twin._views.M > 0 and {type(x) for x in twin._plain.eps} == {Scalar}
+        twin = promoted(h, 2)  # decided in the packed ring
+        assert twin._views.M > 0
         for reports in (run_hopf_checks(h), run_hopf_checks(twin)):
             assert all(r.passed for r in reports), name
 

@@ -5,15 +5,17 @@ The round-trip gamma of K[S3] and D(Z2) and a rational gauge conjugation
 between two rebuilt K[S3] presentations are bumped one nonzero entry at a
 time.  In the gauge case the source, target and map all have denominators
 above 1, so every identity compares sides of different scales.  Promoting
-every entry to conductor 2 keeps the field but forces the Scalar path, so
-both paths must reject each +1 bump at the same (check, index) tuples.
-Bumps by zeta_3 and zeta_5 make the map cyclotomic while the presentations
-stay rational, the mixed path.  The full report lines are pinned by
-`golden/hopf-morphism-bumps.txt`, written by the checker while it still ran
-on Scalars alone.  The conductor-2 twins run the same checker code, so every
-reported (check, index) is also evaluated here on plain Scalars, straight
-from the structure tensors and the map (`reference_sides`), and must fail
-there.
+every entry to conductor 2 keeps the field but puts the checker in one
+packed ring, so both paths must reject each +1 bump at the same (check,
+index) tuples.  Bumps by zeta_3 and zeta_5 make the map cyclotomic while
+the presentations stay rational, so they are packed too, and their reports
+print every cell at the ring's conductor.  The full report lines are pinned
+by `golden/hopf-morphism-bumps.txt`, written by the checker while it still
+ran on Scalars alone.  The conductor-2 twins run the same checker code, so
+every reported (check, index) is also evaluated here on plain Scalars,
+straight from the structure tensors and the map (`reference_sides`): it
+must fail there, and each side the report prints, on both paths, must be
+that Scalar side with every nonzero cell at the ring's conductor.
 
 Regenerate the golden file with `python tests/test_hopf_morphism_bumps.py`.
 """
@@ -21,6 +23,9 @@ Regenerate the golden file with `python tests/test_hopf_morphism_bumps.py`.
 import dataclasses
 import pathlib
 from fractions import Fraction
+from math import lcm
+
+from test_hopf_bumps import rendered, ring_conductor
 
 from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.groups import cyclic_group
@@ -33,7 +38,7 @@ from hopfrec.scalars import ONE, ZERO, Scalar
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "hopf-morphism-bumps.txt"
 
 # cases swept with +1 at every nonzero cell of the map; their conductor-2
-# twins take the Scalar path
+# twins take the packed path
 RATIONAL = ("ks3/gamma", "dz2/gamma", "ks3-gauge/conj")
 # (case, cell of the map, n) bumped by zeta_n instead of 1
 ZETA_BUMPS = [("ks3/gamma", (2, 1), 3), ("ks3-gauge/conj", (3, 2), 3), ("kz5/gamma", (0, 1), 5)]
@@ -133,8 +138,8 @@ def reference_sides(src, dst, m, check, index):
     def img(i):  # m(e_i) over the target basis
         return [m.at(p, i) for p in one]
 
-    def dot(pairs):
-        return sum((x * y for x, y in pairs), ZERO)
+    def dot(pairs):  # the sum of the products, zero terms skipped
+        return sum((x * y for x, y in pairs if x and y), ZERO)
 
     if check == "morphism-multiplicative":
         i, j = index
@@ -162,9 +167,15 @@ def reference_sides(src, dst, m, check, index):
 
 
 def assert_reference_agrees(label, src, dst, m, rep):
+    """Each reported (check, index) fails on plain Scalars and prints those
+    Scalar sides, at the conductor of the ring that holds the source, the
+    target and the map."""
+    n = lcm(ring_conductor(src), ring_conductor(dst), m._n)
     for f in rep.failures:
         lhs, rhs = reference_sides(src, dst, m, f.check, f.index)
         assert lhs != rhs, (label, f.check, f.index)
+        arity = {"morphism-comultiplicative": 2, "morphism-counit": 0}.get(f.check, 1)
+        assert (f.lhs, f.rhs) == tuple(rendered(s, dst.dim, arity, n) for s in (lhs, rhs)), (label, f.check, f.index)
 
 
 def report_lines(label, rep) -> list[str]:
@@ -192,7 +203,9 @@ def test_every_morphism_bump_fails_alike_on_both_paths_and_matches_golden():
         assert not rep.passed, f"{label} passed"
         assert_reference_agrees(label, src, dst, m, rep)
         if label.endswith("+1"):
-            on_scalars = check_hopf_morphism(*twins[label.rsplit("/", 1)[0]], promoted(m, 2))
+            twin = (*twins[label.rsplit("/", 1)[0]], promoted(m, 2))
+            on_scalars = check_hopf_morphism(*twin)
+            assert_reference_agrees(label, *twin, on_scalars)
             assert failing_tuples(on_scalars) == failing_tuples(rep), label
             assert on_scalars.flags == rep.flags, label
         lines += report_lines(label, rep)
@@ -210,8 +223,8 @@ def test_unbumped_maps_are_isomorphisms_on_both_paths():
 
 def test_all_five_laws_are_decided_without_a_matrix_product(monkeypatch):
     """ks3 gamma (conductor 1) and the K[Z/5] character gamma (the packed
-    ring), plus a zeta5 bump of the latter (its Scalar rerun), report the
-    same lines with Matrix products barred."""
+    ring), plus a zeta5 bump of the latter (rendered from that ring),
+    report the same lines with Matrix products barred."""
     src, dst, m = character_case(5)
     runs = [gamma_case("ks3"), (src, dst, m), (src, dst, bumped(m, (0, 1), Scalar.zeta(5)))]
     want = [check_hopf_morphism(*run).lines() for run in runs]

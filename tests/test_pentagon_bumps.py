@@ -11,9 +11,11 @@ one less.  The report lines, "recoordinatization-invertible" lines among
 them, are pinned by `golden/pentagon-bumps.txt`.  The -1 bump of the
 Vec_Z/8^omega block F(1, 1, 1, 3), a 1x1 block holding 1 among blocks of
 conductor 8, pins the rendered conductor of a side that no path term
-reaches (1).  verify_pentagon decides each quintuple on lowered blocks and
-renders only failing ones, from the same walk over plain Scalars, through
-`_pentagon_render`, so no unbumped family may reach it.  The quintuples the
+reaches: 8, the ring's, at which every side of a report is printed, as
+the three bump goldens show line by line.  verify_pentagon decides each
+quintuple on lowered blocks and renders only failing ones, by walking them
+again and reading their ints back, through `_pentagon_render`, so no
+unbumped family may reach it.  The quintuples the
 check walks are exactly those with a tree, in lexicographic order, against
 a test-local scan of all rank^5 of them.
 
@@ -22,6 +24,7 @@ Regenerate the golden file with `python tests/test_pentagon_bumps.py`.
 
 import dataclasses
 import pathlib
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -144,7 +147,7 @@ def golden_text() -> str:
 @pytest.mark.parametrize("name", ["ks3", "dz2", "fun-s3", "ks4", "ka4", "kz5", "vec-z4", "vec-z8-omega"])
 def test_a_passing_skeleton_never_reaches_the_dense_rendering(name, monkeypatch):
     def render(*args):
-        raise AssertionError(f"_pentagon_render called at {args[2:]}")
+        raise AssertionError(f"_pentagon_render called at {args[2]}")
 
     monkeypatch.setattr(fusion, "_pentagon_render", render)
     assert verify_pentagon(families()[name]).passed
@@ -182,6 +185,20 @@ def test_the_pentagon_walks_exactly_the_keys_with_a_tree_in_order(name, monkeypa
 
 def test_pentagon_bumps_match_golden():
     assert golden_text().splitlines() == GOLDEN.read_text().splitlines()
+
+
+def test_every_failure_line_of_the_bump_goldens_prints_at_one_conductor():
+    """A failing side is read back at the conductor of the ring that decided
+    it, so the scalars of a failure line, zN[...] or a bare rational p/q at
+    conductor 1, all share one conductor."""
+    seen = set()
+    for name in ("hopf-bumps", "hopf-morphism-bumps", "pentagon-bumps"):
+        for line in (GOLDEN.parent / f"{name}.txt").read_text().splitlines():
+            if " != " in line:
+                conductors = {int(m[1] or 1) for m in re.finditer(r"z(\d+)\[[^\]]*\]|-?\d+/\d+", line)}
+                assert len(conductors) <= 1, (name, line)
+                seen |= conductors
+    assert seen == {1, 3, 5, 8, 24}
 
 
 if __name__ == "__main__":

@@ -165,13 +165,17 @@ def test_packed_decision_is_scalar_equality(data):
         return sum((prod(p, start=ONE) for p in side), ZERO)
 
     # zeta_n puts the ring at conductor n when every factor lies below it
-    d, m, low = packing([Scalar.zeta(n)] + [x for p in lhs + rhs for x in p], [(len(lhs), t), (len(rhs), t)])
+    d, m, low, high = packing([Scalar.zeta(n)] + [x for p in lhs + rhs for x in p], [(len(lhs), t), (len(rhs), t)])
     assert m > 0 and d >= 1
 
     def packed(side):
         return sum(prod(low(x) for x in p) for p in side)
 
     assert ((packed(lhs) - packed(rhs)) % m == 0) == (value(lhs) == value(rhs))
+    # each side reads back, from its own int, as its value at the ring's conductor
+    for side in (lhs, rhs):
+        got = high(packed(side), d**t)
+        assert (got.conductor, got.coeffs) == (n, value(side).promote(n).coeffs)
 
 
 @given(st.data())
@@ -186,7 +190,7 @@ def test_same_sides_is_scalar_equality_of_vectors(data):
     cells = data.draw(st.lists(st.tuples(residues(n), residues(n)), min_size=1, max_size=4))
     want = [f * x * y for x, y in cells]
     got = [data.draw(residues(n)) if data.draw(st.booleans()) else w for w in want]
-    d, m, low = packing([Scalar.zeta(n), sc(f)] + [x for c in cells for x in c] + want + got, [(1, 3)] * 2)
+    d, m, low, _ = packing([Scalar.zeta(n), sc(f)] + [x for c in cells for x in c] + want + got, [(1, 3)] * 2)
     a = [low(x) * low(y) for x, y in cells]
     b = [low(z) * d for z in got]
     same = want == got
@@ -198,25 +202,28 @@ def test_same_sides_is_scalar_equality_of_vectors(data):
 def test_the_packing_bound_is_load_bearing():
     """3 * (-5 + 6 zeta_3) is not 0, yet at B' = 16, twice every input
     coefficient, its ints 3 * 91 are Phi_3(16) = 273.  The bound for one
-    product of two factors picks a B that tells them apart."""
+    product of two factors picks a B that tells them apart, and at which
+    the product's int reads back as itself."""
     x, y = sc(3), Scalar(3, [-5, 6])
     small = 16
     assert x * y != ZERO and small > 2 * 6
     assert 3 * (-5 + 6 * small) % (small * small + small + 1) == 0
-    d, m, low = packing([x, y], [(1, 2), (1, 0)])
+    d, m, low, high = packing([x, y], [(1, 2), (1, 0)])
     big = low(Scalar.zeta(3))
     assert d == 1 and small < big and m == big * big + big + 1
     assert low(x) * low(y) % m != 0
+    assert high(low(x) * low(y), 1) == x * y == Scalar(3, [-15, 18])
 
 
 def test_conductor_1_packing_is_the_rational_lowering():
     rng = random.Random(1)
     values = [sc(Fraction(rng.randint(-50, 50), rng.randint(1, 30))) for _ in range(40)] + [ZERO]
-    d, m, low = packing(values, [(5, 3)])
+    d, m, low, high = packing(values, [(5, 3)])
     assert m == 0
     assert d == lcm(*(x.as_fraction().denominator for x in values))
     assert [low(x) for x in values] == [x.as_fraction() * d for x in values]
     assert all(type(low(x)) is int for x in values)
+    assert [high(low(x), d) for x in values] == values
     ld, llow = lowering(values)
     assert ld == d and [llow(x) for x in values] == [low(x) for x in values]
 
