@@ -3,8 +3,8 @@ pipelines over the JSON payload files, with text or JSON reports.
 
 Exit codes: 0 when every check passes, 1 when some axiom or identity
 fails (the report names it), 2 for malformed input (syntax, schema, or a
-payload of the wrong kind).  Reports list every failing tuple; nothing
-is truncated.
+payload of the wrong kind) and for an output file that cannot be
+written.  Reports list every failing tuple; nothing is truncated.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ class _InputError(Exception):
 def _load(path: str, kind: str):
     try:
         loaded = serialize.load(path)
-    except OSError as e:
-        raise _InputError(f"{path}: {e}") from None
-    except (ParseError, SchemaError, ShapeError) as e:
+    except (OSError, ParseError, SchemaError, ShapeError) as e:
         raise _InputError(f"{path}: {e}") from None
     if loaded.kind != kind:
         raise _InputError(f"{path}: expected a {kind} payload, found {loaded.kind}")
@@ -238,7 +236,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         reports, payload = args.handler(args)
-    except _InputError as e:
+    except (_InputError, OSError) as e:  # _load wraps its OSErrors: these are from serialize.save
         print(f"error: {e}", file=sys.stderr)
         return 2
     passed = all(r.passed for r in reports)

@@ -7,6 +7,21 @@ generators alone once it is known to be a module (see Generators).  All
 decompositions use the canonical echelon bases of intertwiner spaces, so
 every derived object (J, F, duals, coevaluations) is deterministic.
 
+The gate.  Once each V_a of a family is a module, gamma = act_1 + ... +
+act_r: H -> End(V_1) + ... + End(V_r) is a unital algebra map.  When the
+squared dims sum to n = dim H, the family is a complete set of pairwise
+distinct split irreducibles exactly when gamma has rank n, and
+verify_irreps decides by that rank.  If gamma is onto, so is each act_a:
+a subspace that End(V_a) keeps is 0 or V_a, and End_H(V_a), the
+commutant of End(V_a), is K (Burnside).  An isomorphism T: V_a -> V_b,
+a != b, would confine the image of gamma to the pairs with act_b =
+T act_a T^-1, so Hom(V_a, V_b) = 0 by Schur's lemma.  Conversely, gamma
+is onto for distinct split irreducibles by the density theorem (Etingof
+et al., Introduction to Representation Theory, 3.2.2), and H = End(V_1)
++ ... + End(V_r) (Artin-Wedderburn).  dim End = 1 is weaker than
+irreducible: Sweedler's H4 on its 2-dim indecomposable module has it,
+and gamma has rank 3 of 4.
+
 Generators.  The basis indices `AlgebraPresentation._gens` generate the
 algebra, and exist only once check_algebra has passed (see hopf).  The
 e_x on which a module's action is multiplicative form a unital subalgebra
@@ -21,27 +36,17 @@ g a generator, it holds every e_i.  So Hom(V, W) is the joint kernel of
 the generators' constraints, which hom_space cuts out of V and W
 restricted to the generators; it re-echelonizes the kernel at the end, so
 the basis is the canonical one that every action gives, and so is each
-decomposition read off such bases.  Two callers restrict, each only where
-the premise holds, and any other input keeps every action:
-  - verify_irreps runs its End and Hom checks on the family restricted to
-    the generators once every module has passed module-unit and
-    module-structure.  A family with a failure, an algebra that fails
-    check_algebra, and one of dim 1, which no basis index generates
-    beside its unit, read every action.
-  - _skeletalize builds each tensor module at the generators alone and
-    decomposes it against the family restricted to them, once H passes
-    check_bialgebra, which makes a tensor of modules a module (the
-    premises are in _skeletalize).
+decomposition read off such bases.  _skeletalize decomposes each tensor
+module on the generators once H passes check_bialgebra, which makes it a
+module (the premises are in _skeletalize), and on every action otherwise.
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
 tensor modules, F off the trees that J realizes, and each dual off N; it
 reads no antipode.  A tree into V_d is realized on its first row alone
-when H passes check_bialgebra and the first rows of V_d's actions span
-K^dims[d]: a map of modules into V_d whose first row is zero is then zero,
-so that row decides F (Schur's argument; Etingof-Gelaki-Nikshych-Ostrik,
-Tensor Categories, 2.10).  Otherwise every row is realized.  Whatever
-skeletalize returns passes verify_category by construction (the proof is
-in _skeletalize).
+when H passes check_bialgebra: act_d being onto End(V_d), a map of
+modules into V_d whose first row is zero is zero.  Otherwise every row
+is realized.  Whatever skeletalize returns passes verify_category by
+construction (the proof is in _skeletalize).
 
 Round trip.  gamma_roundtrip rebuilds the Hopf algebra from the skeletal
 data and compares it with the source along gamma.  It sweeps no category
@@ -196,12 +201,10 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
 
 def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     """The family is a complete set of pairwise distinct split irreducible
-    modules: actions respect the structure tensors, endomorphism spaces are
-    one dimensional, cross homs vanish, and squared dimensions fill the
-    algebra.  Module structure is decided on the algebra's generators
-    where the module docstring allows, and swept in full on any miss;
-    once every module passes, End and Hom are computed on the family
-    restricted to the generators (see the module docstring)."""
+    modules: unit and product act (decided on the generators, swept in
+    full on any miss), the squared dims fill the algebra and gamma has
+    rank n (see The gate).  A failing family lists its End and Hom
+    failures on every action, and the rank of gamma if these find none."""
     rep = CheckReport("irreducible-family")
     n = alg.dim
     gens = alg._gens
@@ -215,23 +218,28 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
             continue
         _module_structure(rep, alg, idx, v, range(n))
 
-    fam = _restricted(modules, gens) if gens and rep.passed else modules
-    for idx, v in enumerate(fam):
+    total = sum(v.dim * v.dim for v in modules)
+    rank = _gamma(modules, n).rank() if rep.passed and total == n else None
+    if rank == n:
+        return rep
+    for idx, v in enumerate(modules):
         endo = len(hom_space(v, v))
         if endo != 1:
             rep.add("split-irreducible", (idx,), f"dim End = {endo}", "dim End = 1")
-    for a, b in product(range(len(fam)), repeat=2):
-        if a != b and (cross := len(hom_space(fam[a], fam[b]))):
+    for a, b in product(range(len(modules)), repeat=2):
+        if a != b and (cross := len(hom_space(modules[a], modules[b]))):
             rep.add("distinct", (a, b), f"dim Hom = {cross}", "dim Hom = 0")
-    total = sum(v.dim * v.dim for v in modules)
     if total != n:
         rep.add("complete", (), f"sum of squared dims = {total}", f"algebra dim = {n}")
+    elif rep.passed:  # the module checks passed, so the rank was taken, and it is below n
+        rep.add("complete", (), f"rank of gamma = {rank}", f"algebra dim = {n}")
     return rep
 
 
-def _restricted(modules: list, rows) -> list:
-    """Each module of the family with the actions of e_i, i in rows, alone."""
-    return [ModuleRep(v.dim, [v.action[i] for i in rows], v.name) for v in modules]
+def _gamma(modules: list, n: int) -> Matrix:
+    """gamma: H -> End(V_1) + ... + End(V_r), whose column i holds the
+    actions of e_i block by block, each block row-major (endf_offsets)."""
+    return Matrix.from_rows([[x for v in modules for x in v.action[i].entries] for i in range(n)]).transpose()
 
 
 def _module_structure(rep: CheckReport, alg: AlgebraPresentation, idx: int, v: ModuleRep, rows) -> CheckReport:
@@ -340,15 +348,16 @@ def _skeletalize(h: HopfPresentation, modules: list):
     the first rows[d] rows of its dims[d] x (dims[a] dims[b] dims[c]) map;
     the second steps read the first rows[d] rows of each copy of d in each
     J block, selected once per block (fusion._first_rows, which keeps J's
-    lowering).  rows[d] is 1 when
-      (i) (a) and (b) above hold: H passes check_bialgebra, by the one
-          _bialgebra_sweep(h._views, gens, True) run that both uses read.  Then
-          V_a (x) V_b (x) V_c is one module under both bracketings,
+    lowering).  rows[d] is 1 for every d when (a) and (b) above hold, by
+    the one _bialgebra_sweep run that both uses read.  Then
+      (i) V_a (x) V_b (x) V_c is one module under both bracketings,
           Delta being coassociative, and each realized tree is an H-linear
           map from it to V_d: J[(a, b)] (x) I and J[(e, c)] are H-linear,
           and so are I (x) J[(b, c)] and J[(a, f)];
       (ii) the first rows e_1^T act_d(e_i) of V_d's n actions span
-          K^dims[d], one rank per simple of dim > 1 (_tree_rows).
+          K^dims[d]: by (c) gamma has rank n, so act_d is onto End(V_d)
+          (the module docstring), and e_1^T X runs over every row vector
+          as X runs over End(V_d).
     Otherwise rows[d] is dims[d]: every row, as verify_tensorator and the
     audit of skeletalize realize them.
 
@@ -419,7 +428,7 @@ def _skeletalize(h: HopfPresentation, modules: list):
     bialgebra = bool(gens) and _bialgebra_sweep(h._views, gens, True).passed
     if not bialgebra:
         gens = range(h.dim)
-    fam = _restricted(modules, gens)
+    fam = [ModuleRep(v.dim, [v.action[i] for i in gens], v.name) for v in modules]
     decs = {}
     for (a, v), (b, w) in product(enumerate(modules), repeat=2):
         vw = ModuleRep(v.dim * w.dim, _tensor_actions(h, v, w, gens), _tensor_name(v, w))
@@ -427,7 +436,7 @@ def _skeletalize(h: HopfPresentation, modules: list):
     J = {key: dec.tau for key, dec in decs.items()}
     N = tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r))
 
-    rows = _tree_rows(modules, bialgebra)
+    rows = (1,) * r if bialgebra else dims
     K = J if rows == dims else {(x, y): _first_rows(j, N[x][y], dims, rows) for (x, y), j in J.items()}
     F = {}
     for a, b, c in product(range(r), repeat=3):
@@ -474,19 +483,6 @@ def _skeletalize(h: HopfPresentation, modules: list):
     return skel, FiberData(dims=dims, J=J, coev_coeff=tuple(coev))
 
 
-def _tree_rows(modules: list, bialgebra: bool) -> tuple:
-    """How many rows of each tree into V_d decide F (step 1 of the proof in
-    _skeletalize): 1 when H passes check_bialgebra and the first rows of
-    V_d's actions span K^dims[d], otherwise every one of its dims[d]."""
-
-    def spanned(v: ModuleRep) -> bool:
-        if v.dim == 1:
-            return True
-        return Matrix._of(len(v.action), v.dim, [x for m in v.action for x in m.row(0)]).rank() == v.dim
-
-    return tuple(1 if bialgebra and spanned(v) else v.dim for v in modules)
-
-
 def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     """Skeletalize the module category, rebuild a Hopf algebra from it, and
     compare with the original along the tautological evaluation map.
@@ -505,9 +501,8 @@ def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
 
 
 def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
-    """gamma_roundtrip, returning (report, gamma, reconstruction).  The
-    skeletal data is not swept by verify_category: the proof in
-    _skeletalize shows that the sweep passes on whatever it returns.
+    """gamma_roundtrip, returning (report, gamma, reconstruction), with no
+    sweep of verify_category (the proof in _skeletalize).
 
     Transport.  The rebuilt presentation H' is assembled unchecked, and
     with verify on it is certified by transport of structure when
@@ -537,9 +532,7 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     from .reconstruct import _assemble, _require_hopf
 
     recon = _assemble(skel, fiber)
-    # End(F) coordinates run block by block, each block row-major (endf_offsets)
-    cols = [[x for v in modules for x in v.action[i].entries] for i in range(h.dim)]
-    gamma = Matrix.from_rows(cols).transpose()
+    gamma = _gamma(modules, h.dim)
 
     rep = check_hopf_morphism(h, recon.hopf, gamma)
     bijective = rep.flags["bijective"]

@@ -7,12 +7,13 @@ denominator, always written with one) or, beyond the rationals, objects
 of the n-th cyclotomic polynomial.  Dumps are compact with sorted keys,
 so equal data serializes to identical bytes.
 
-Lexically malformed input raises ParseError (with line and column for
-JSON syntax errors); structurally invalid input, including any unknown
-field, raises SchemaError.  Integer fields take exact ints only
-(`type(x) is int`): JSON true and false load as bools, an int subclass,
-and are rejected rather than read as 1 and 0.  A rational is ASCII only,
-matched in full by -?[0-9]+(/[0-9]+)?: no Unicode digits, no newline.
+Lexically malformed input, a file that is not UTF-8 or JSON nested too
+deep included, raises ParseError (with line and column for JSON syntax
+errors); structurally invalid input, including any unknown field, raises
+SchemaError.  Integer fields take exact ints only (`type(x) is int`):
+JSON true and false load as bools, an int subclass, and are rejected
+rather than read as 1 and 0.  A rational is ASCII only, matched in full
+by -?[0-9]+(/[0-9]+)?: no Unicode digits, no newline.
 
 Each call parses a distinct string once: `loads` keeps a memo from string
 to Scalar, so equal cells share one immutable Scalar, and `dumps` keeps
@@ -449,6 +450,8 @@ def loads(text: str) -> Loaded:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except ValueError:  # an integer literal beyond the interpreter's digit limit
         raise ParseError("integer literal is too long") from None
+    except RecursionError:
+        raise ParseError("nesting is too deep") from None
     if not isinstance(d, dict):
         raise SchemaError("top level must be an object")
     kind = d.get("kind")
@@ -463,5 +466,10 @@ def save(path, obj, **extras) -> None:
 
 
 def load(path) -> Loaded:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: {e.reason} at byte {e.start}") from None
+    return loads(text)

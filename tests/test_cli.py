@@ -131,6 +131,37 @@ def test_oversized_integers_are_exit_2(tmp_path, capsys):
     assert "integer literal is too long" in out
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [(b'{"kind": "hopf", "dim": "\xff"}', "not UTF-8: invalid start byte at byte 25"), (b"[" * 100_000, "nesting is too deep")],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_undecodable_or_deeply_nested_files_are_exit_2(tmp_path, capsys, data, message):
+    f = tmp_path / "bad.json"
+    f.write_bytes(data)
+    code = main(["check-hopf", str(f)])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == f"error: {f}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["example", "repcat", "reconstruct"])
+def test_an_unwritable_output_path_is_exit_2(tmp_path, capsys, command):
+    inputs = {"example": ["ks3"], "repcat": ["ks3", "ks3-modules"], "reconstruct": ["vec-z2", "vec-z2-fiber"]}[command]
+    argv = [command]
+    for name in inputs:
+        if command == "example":
+            argv.append(name)
+        else:
+            serialize.save(tmp_path / f"{name}.json", EXAMPLES[name][1]())
+            argv.append(str(tmp_path / f"{name}.json"))
+    out_f = tmp_path / "no-such-dir" / "out.json"
+    code = main([*argv, "-o", str(out_f)])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == f"error: [Errno 2] No such file or directory: '{out_f}'\n"
+
+
 def test_non_ascii_or_newline_rationals_are_exit_2(tmp_path, capsys):
     f = tmp_path / "kz2.json"
     run(capsys, "example", "kz2", "-o", str(f))

@@ -5,10 +5,11 @@ check_bialgebra and verify_irreps decide on those generators first and
 run every index on any failure, so each report must equal the forced full
 sweep: `hopf._bialgebra_sweep` over every index, and verify_irreps on a
 copy of the algebra whose `_gens` is None.  Once every module passes,
-verify_irreps runs its End and Hom checks on the family restricted to the
-generators, with the dims that every action gives.  hom_space, which
-refines its kernel by every constraint in index order, must equal a
-test-local reference that stacks all the constraints and eliminates once.
+verify_irreps decides by the rank of gamma and computes no End or Hom
+space; a failing family lists its End and Hom failures on every action.
+hom_space, which refines its kernel by every constraint in index order,
+must equal a test-local reference that stacks all the constraints and
+eliminates once.
 
 The generators close sets of basis indices, which is the greedy choice
 when every product of basis elements is a multiple of at most one basis
@@ -398,10 +399,10 @@ def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
 
 
 def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
-    """A K[S4] round trip builds 406 intertwiner constraints: 63 in
-    verify_irreps' hom_space calls on the family restricted to the
-    generators, and 343 in the decompositions in _skeletalize, at most one
-    per generator in each hom_space."""
+    """A K[S4] round trip builds 343 intertwiner constraints, all in the
+    decompositions in _skeletalize, at most one per generator in each
+    hom_space; verify_irreps, which decides by the rank of gamma, builds
+    none."""
     h, mods = EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()
     calls, per_hom, phase = [], [], ["decompositions"]
     real_constraint, real_hom, real_irreps = repcat._intertwiner_constraint, repcat.hom_space, repcat.verify_irreps
@@ -426,26 +427,23 @@ def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
     decs = [k for p, k in per_hom if p == "decompositions"]
     assert len(decs) == len(mods) ** 3  # one hom_space per irrep per tensor module
     assert max(decs) <= len(h.alg._gens) == 3
-    assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (63, 343)
-    assert len(calls) == 406
+    assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (0, 343)
+    assert len(calls) == 343
 
 
-# -- the gate's End and Hom checks on the generators ------------------------
+# -- the gate: one rank of gamma ----------------------------------------------
 
 def gate_homs(monkeypatch, alg, mods):
     """verify_irreps' report, and for each of its hom_space calls the
-    number of actions it read, the constraints it built and the dim of
-    the Hom it returned."""
-    seen, built = [], []
-    real_constraint, real_hom = repcat._intertwiner_constraint, repcat.hom_space
+    number of actions it read and the dim of the Hom it returned."""
+    seen = []
+    real_hom = repcat.hom_space
 
     def hom(v, w):
-        start = len(built)
         out = real_hom(v, w)
-        seen.append((len(v.action), len(built) - start, len(out)))
+        seen.append((len(v.action), len(out)))
         return out
 
-    monkeypatch.setattr(repcat, "_intertwiner_constraint", lambda *a: built.append(a) or real_constraint(*a))
     monkeypatch.setattr(repcat, "hom_space", hom)
     rep = verify_irreps(alg, mods)
     monkeypatch.undo()
@@ -459,26 +457,29 @@ def full_hom_dims(mods) -> list:
     return [len(hom_space(v, v)) for v in mods] + [len(hom_space(mods[a], mods[b])) for a in r for b in r if a != b]
 
 
+def cyclic_characters(n: int) -> list:
+    z = Scalar.zeta(n)
+    return [ModuleRep(1, tuple(Matrix(1, 1, [z ** (s * t % n)]) for t in range(n)), f"chi{s}") for s in range(n)]
+
+
 def gate_case(name):
     if name == "ka4":
         g = alternating_group_4()
         return gen_group_algebra(g), modules_a4(g)
+    if name.endswith("-characters"):
+        n = int(name.removeprefix("kz").removesuffix("-characters"))
+        return gen_group_algebra(cyclic_group(n)), cyclic_characters(n)
     return base(name)
 
 
-@pytest.mark.parametrize("name", FAMILIES + ["ka4", "rebuilt-ks4"])
-def test_gate_hom_checks_run_on_the_generators(name, monkeypatch):
-    """Once every module passes module-unit and module-structure, the End
-    and Hom checks read the family restricted to the generators, and each
-    hom_space builds at most one constraint per generator."""
+@pytest.mark.parametrize("name", FAMILIES + ["ka4", "kz5-characters", "kz7-characters", "kz8-characters", "rebuilt-ks4"])
+def test_gate_passes_with_no_hom_space_call(name, monkeypatch):
+    """A complete family of distinct split irreducibles passes the gate on
+    the rank of gamma alone: no End or Hom space is computed."""
     h, mods = gate_case(name)
-    gens = h.alg._gens
     rep, seen = gate_homs(monkeypatch, h.alg, mods)
-    assert rep.passed
-    assert len(seen) == len(mods) ** 2
-    assert all(built <= len(gens) for _, built, _ in seen)
-    assert all(acts == len(gens) for acts, *_ in seen)
-    assert [d for *_, d in seen] == full_hom_dims(mods)
+    assert rep.passed and seen == []
+    assert full_hom_dims(mods) == [1] * len(mods) + [0] * (len(mods) ** 2 - len(mods))
 
 
 def every_action_case(name):
@@ -490,14 +491,16 @@ def every_action_case(name):
 
 @pytest.mark.parametrize("name", ["ks3-std-bumped", "ks3-gens-none"])
 def test_gate_hom_checks_read_every_action_off_the_premise(name, monkeypatch):
-    """A family that fails module structure, and an algebra with no
-    generators, keep the End and Hom checks on every action."""
+    """A family that fails module structure lists its End and Hom failures
+    on every action.  An algebra with no generators sweeps module
+    structure on every action and passes on the rank of gamma, which reads
+    every action too, with no End or Hom check."""
     h, mods = every_action_case(name)
     rep, seen = gate_homs(monkeypatch, h.alg, mods)
-    assert ("module-structure" in {f.check for f in rep.failures}) == (name == "ks3-std-bumped")
-    assert len(seen) == len(mods) ** 2
-    assert all(acts == h.dim for acts, *_ in seen)
-    assert [d for *_, d in seen] == full_hom_dims(mods)
+    failed = name == "ks3-std-bumped"
+    assert ("module-structure" in {f.check for f in rep.failures}) == failed == (not rep.passed)
+    assert all(acts == h.dim for acts, _ in seen)
+    assert [d for _, d in seen] == (full_hom_dims(mods) if failed else [])
 
 
 def test_dim_one_algebra_round_trips_on_every_action(monkeypatch):
@@ -561,8 +564,8 @@ def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
     h, mods = base("ks3")
     skel, fiber = skeletalize(h, mods, verify=False)
     N, J, dims = skel.fusion, fiber.J, fiber.dims
-    rows = repcat._tree_rows(mods, True)
-    assert rows == (1, 1, 1) != dims
+    rows = (1,) * skel.rank
+    assert rows != dims
     made, identities, fresh = [], [], []
     real_kron, real_identity, real_lowered = Matrix.kron, Matrix.identity.__func__, Matrix._lowered
 

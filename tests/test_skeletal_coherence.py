@@ -17,11 +17,10 @@ that fails either check builds every action and ends as the full path
 does: the same raise, or the same data.
 
 F is solved, and its trees are realized, on the first row of each copy of
-V_d where the proof in `_skeletalize` allows it: H passes check_bialgebra
-and the first rows of V_d's actions span K^dims[d].  Then F equals the
-solve on every row, in value, conductor and text, here on every case and
-on rebuilt K[S4]; a failed premise realizes every row, and a module whose
-first rows span too little keeps every row.
+V_d where the proof in `_skeletalize` allows it: H passes check_bialgebra,
+and the gate has made each act_d onto End(V_d).  Then F equals the solve
+on every row, in value, conductor and text, here on every case and on
+rebuilt K[S4]; a failed premise realizes every row.
 """
 
 import dataclasses
@@ -38,9 +37,9 @@ from hopfrec.fusion import tree_maps, verify_category
 from hopfrec.groups import cyclic_group
 from hopfrec.hopf import check_bialgebra
 from hopfrec.matrices import Matrix, mat_inverse, mat_solve
-from hopfrec.repcat import ModuleRep, _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
+from hopfrec.repcat import _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
 from hopfrec.scalars import Scalar
-from test_generators import base, bump
+from test_generators import base, bump, cyclic_characters
 from test_tensorator_bumps import alternating_group_4, modules_a4
 
 FAMILIES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf" and f"{name}-modules" in EXAMPLES]
@@ -81,11 +80,6 @@ def conjugated(h, t: dict):
 
 # 1 (x) 1 + 1/2 g1 (x) g2 - 1/3 g2 (x) g3: invertible, and not a cocycle
 NOT_A_COCYCLE = {(0, 0): 1, (1, 2): Fraction(1, 2), (2, 3): Fraction(-1, 3)}
-
-
-def cyclic_characters(n: int) -> list:
-    z = Scalar.zeta(n)
-    return [ModuleRep(1, tuple(Matrix(1, 1, [z ** (s * t % n)]) for t in range(n)), f"chi{s}") for s in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -258,16 +252,6 @@ def test_a_failed_premise_realizes_every_row(name, realized):
     # the bumped comult fails in its decompositions, before any tree
     assert bool(realized) == (name != "ks3-comult-bumped")
     assert all(left.cols == right.cols == dd * width for dd, width, left, right in realized)
-
-
-def test_first_rows_that_span_too_little_keep_every_row():
-    # triv (+) triv over K[Z/2]: every action is I, so the first rows span
-    # only the first coordinate; the regular module's span both
-    h = gen_group_algebra(cyclic_group(2))
-    twice = ModuleRep(2, (Matrix.identity(2),) * h.dim, "triv+triv")
-    regular = ModuleRep(2, (Matrix.identity(2), Matrix.from_rows([[0, 1], [1, 0]])), "regular")
-    assert repcat._tree_rows([twice, regular, *cyclic_characters(2)], True) == (2, 1, 1, 1)
-    assert repcat._tree_rows([twice, regular, *cyclic_characters(2)], False) == (2, 2, 1, 1)
 
 
 def tree_cells(seen) -> int:
