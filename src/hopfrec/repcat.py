@@ -9,18 +9,20 @@ every derived object (J, F, duals, coevaluations) is deterministic.
 
 The gate.  Once each V_a of a family is a module, gamma = act_1 + ... +
 act_r: H -> End(V_1) + ... + End(V_r) is a unital algebra map.  When the
-squared dims sum to n = dim H, the family is a complete set of pairwise
-distinct split irreducibles exactly when gamma has rank n, and
-verify_irreps decides by that rank.  If gamma is onto, so is each act_a:
-a subspace that End(V_a) keeps is 0 or V_a, and End_H(V_a), the
-commutant of End(V_a), is K (Burnside).  An isomorphism T: V_a -> V_b,
-a != b, would confine the image of gamma to the pairs with act_b =
-T act_a T^-1, so Hom(V_a, V_b) = 0 by Schur's lemma.  Conversely, gamma
-is onto for distinct split irreducibles by the density theorem (Etingof
-et al., Introduction to Representation Theory, 3.2.2), and H = End(V_1)
-+ ... + End(V_r) (Artin-Wedderburn).  dim End = 1 is weaker than
-irreducible: Sweedler's H4 on its 2-dim indecomposable module has it,
-and gamma has rank 3 of 4.
+squared dims sum to n = dim H and every V_a is nonzero, the family is a
+complete set of pairwise distinct split irreducibles exactly when gamma
+has rank n, and verify_irreps decides by that rank.  If gamma is onto,
+so is each act_a: a subspace of the nonzero V_a that End(V_a) keeps is 0
+or V_a, so V_a is irreducible, and End_H(V_a), the commutant of
+End(V_a), is K (Burnside).  An isomorphism T: V_a -> V_b, a != b, would
+confine the image of gamma to the pairs with act_b = T act_a T^-1, so
+Hom(V_a, V_b) = 0 by Schur's lemma.  Conversely, gamma is onto for
+distinct split irreducibles by the density theorem (Etingof et al.,
+Introduction to Representation Theory, 3.2.2), and H = End(V_1) + ... +
+End(V_r) (Artin-Wedderburn).  dim End = 1 is weaker than irreducible:
+Sweedler's H4 on its 2-dim indecomposable module has it, and gamma has
+rank 3 of 4.  A 0-dim module adds nothing to the squared dims or to
+gamma, and fails with dim End = 0.
 
 Generators.  The basis indices `AlgebraPresentation._gens` generate the
 algebra, and exist only once check_algebra has passed (see hopf).  The
@@ -202,9 +204,10 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
 def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     """The family is a complete set of pairwise distinct split irreducible
     modules: unit and product act (decided on the generators, swept in
-    full on any miss), the squared dims fill the algebra and gamma has
-    rank n (see The gate).  A failing family lists its End and Hom
-    failures on every action, and the rank of gamma if these find none."""
+    full on any miss), every module is nonzero, the squared dims fill the
+    algebra and gamma has rank n (see The gate).  A failing family lists
+    its End and Hom failures on every action, and the rank of gamma if
+    these find none."""
     rep = CheckReport("irreducible-family")
     n = alg.dim
     gens = alg._gens
@@ -219,7 +222,7 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
         _module_structure(rep, alg, idx, v, range(n))
 
     total = sum(v.dim * v.dim for v in modules)
-    rank = _gamma(modules, n).rank() if rep.passed and total == n else None
+    rank = _gamma(modules, n).rank() if rep.passed and total == n and all(v.dim for v in modules) else None
     if rank == n:
         return rep
     for idx, v in enumerate(modules):
@@ -231,7 +234,7 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
             rep.add("distinct", (a, b), f"dim Hom = {cross}", "dim Hom = 0")
     if total != n:
         rep.add("complete", (), f"sum of squared dims = {total}", f"algebra dim = {n}")
-    elif rep.passed:  # the module checks passed, so the rank was taken, and it is below n
+    elif rep.passed:  # no failure: every module is nonzero, and the rank was taken and is below n
         rep.add("complete", (), f"rank of gamma = {rank}", f"algebra dim = {n}")
     return rep
 
@@ -511,7 +514,7 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
           check_antipode;
       (b) gamma is multiplicative, unital, comultiplicative, counital and
           has S' gamma = gamma S, the five laws of check_hopf_morphism;
-      (c) gamma is bijective.
+      (c) gamma is bijective, as the gate of skeletalize certifies.
     Then every axiom of H' is the gamma-image of the same axiom of H: each
     element of H' is gamma(x) for some x, and by (b), for instance,
     (gamma(x) gamma(y)) gamma(z) = gamma((xy)z) = gamma(x(yz)) =
@@ -535,15 +538,12 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     gamma = _gamma(modules, h.dim)
 
     rep = check_hopf_morphism(h, recon.hopf, gamma)
-    bijective = rep.flags["bijective"]
     if verify and not (
         rep.passed
-        and bijective
+        and rep.flags["bijective"]
         and h.alg._gens is not None
         and check_bialgebra(h).passed
         and check_antipode(h).passed
     ):
         _require_hopf(recon.hopf)
-    if not bijective:
-        rep.add("bijective", (), f"rank {gamma.rank()} of {gamma.rows}x{gamma.cols}", "invertible")
     return rep, gamma, recon

@@ -535,6 +535,22 @@ def test_repcat_of_an_incomplete_family_reports_only_the_family(tmp_path, capsys
     ]
 
 
+def test_repcat_rejects_a_family_with_a_0_dim_module(tmp_path, capsys):
+    h, mods = _ks3_files(tmp_path, capsys)
+    doc = json.loads(mods.read_text())
+    doc["modules"].append({"name": "Z", "dim": 0, "action": [{"rows": 0, "cols": 0, "entries": []}] * 6})
+    mods.write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    code, out = run(capsys, "repcat", str(h), str(mods), "-o", str(tmp_path / "skel.json"))
+    assert code == 1 and sorted(tmp_path.iterdir()) == before
+    assert _text(out) == [
+        "command: repcat",
+        "irreducible-family: FAIL (1 failing tuples)",
+        "  split-irreducible at (3,): dim End = 0 != dim End = 1",
+        "result: FAIL",
+    ]
+
+
 def test_repcat_reports_a_decomposition_gap(tmp_path, capsys):
     h, mods = _ks3_files(tmp_path, capsys)
     doc = json.loads(h.read_text())

@@ -67,6 +67,14 @@ def test_verify_irreps_flags_a_reducible_member():
     ]
 
 
+def test_verify_irreps_rejects_a_0_dim_module():
+    # a 0-dim module adds nothing to the squared dims or to gamma's rows, so
+    # the family fills the algebra and gamma has rank 6; End(0) = 0 decides
+    zero = ModuleRep(0, [Matrix.zeros(0, 0)] * KS3.dim, "Z")
+    rep = verify_irreps(KS3.alg, [*s3_modules(), zero])
+    assert [f.line() for f in rep.failures] == ["split-irreducible at (3,): dim End = 0 != dim End = 1"]
+
+
 def test_hom_space_character_oracle():
     triv, sgn, std = s3_modules()
     assert len(hom_space(triv, sgn)) == 0
