@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -119,7 +120,11 @@ def _cmd_repcat(args):
     if all(r.passed for r in reports):
         fiber_path = _fiber_out_path(args.out)
         serialize.save(args.out, skel)
-        serialize.save(fiber_path, fiber)
+        try:
+            serialize.save(fiber_path, fiber)
+        except OSError:  # write both files or neither
+            os.remove(args.out)
+            raise
         return reports, {"written": args.out, "written_fiber": fiber_path}
     return reports, {}
 

@@ -30,9 +30,27 @@ No other module reads or writes a matrix's lowering.  Elimination on
 conductor 1 is fraction-free on the int rows D*x (`Matrix._echelon`);
 rank reads the pivots, and rref, mat_kernel and mat_solve divide only the
 cells they read by their row's pivot and hand their results that
-lowering.  Other conductors, and det, keep the Scalar Gauss-Jordan, whose
-products run on int residues.  The rank of a single row or column is
-whether any entry is nonzero, with no elimination at any conductor.
+lowering.  Other conductors, and det, eliminate by the Scalar
+Gauss-Jordan, whose products run on int residues and which inverts each
+pivot by its Galois norm.  Two answers need no elimination at any
+conductor: the rank of a single row or column, and the kernel of a single
+column, are read off whether any entry is nonzero (an empty kernel, or
+the 1x1 identity, handed its lowering).
+
+Split-prime certificate.  Off conductor 1 a rank, and the kernel of a
+matrix with at least as many rows as columns, first rank the image of
+the matrix in F_p, (p, r) = `scalars.split_prime(n)`: an entry x = sum
+c_i zeta^i goes to x(r) = sum c_i r^i mod p, each c_i as num * den^-1 mod
+p.  When that rank is min(rows, cols), it is the rank, and a kernel is
+empty; when it is less, or p divides a denominator, the Scalar
+Gauss-Jordan decides.  Proof: r is a root of Phi_n mod p, so with D the
+lcm of the denominators and p not dividing D, x -> x(r) is a ring map
+Z[zeta_n][1/D] -> F_p.  It sends each minor of m to the same minor of
+the image, so a minor that is nonzero mod p is nonzero: rank m is at
+least the modular rank, and at most min(rows, cols).  A full modular
+rank thus is the rank, and full column rank leaves only 0 in the kernel.
+p depends on n alone and is found once per conductor; no answer changes,
+only the route to it.
 """
 
 from __future__ import annotations
@@ -41,7 +59,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeError
-from .scalars import ONE, ZERO, Scalar, _rat, packing, sc
+from .scalars import ONE, ZERO, Scalar, _rat, packing, phi_degree, sc, split_prime
 
 
 class Matrix:
@@ -287,6 +305,8 @@ class Matrix:
     def rank(self) -> int:
         if self.rows == 1 or self.cols == 1:
             return int(any(self.entries))
+        if self._n != 1 and _full_rank_mod_p(self):
+            return min(self.rows, self.cols)
         return len(self._echelon()[1])
 
     def det(self) -> Scalar:
@@ -349,6 +369,37 @@ def _reduced(cols: int, out: list) -> Matrix:
     return Matrix._from_low(len(out), cols, d, low)
 
 
+def _full_rank_mod_p(m: Matrix) -> bool:
+    """The image of m in F_p has rank min(rows, cols), p = split_prime(n);
+    False also when p divides a denominator (see the module docstring).
+    The min(rows, cols) rows or columns of the image are reduced in turn
+    against the pivots of those before them, and one that reduces to zero
+    is a dependence."""
+    n = m._n
+    p, r = split_prime(n)
+    dens = {q.denominator for x in m.entries for q in x.coeffs}
+    if any(d % p == 0 for d in dens):
+        return False
+    inv = {d: pow(d, -1, p) for d in dens}
+    powers = [pow(r, i, p) for i in range(phi_degree(n))]
+
+    def image(x) -> int:  # x(r)
+        return sum(q.numerator * inv[q.denominator] * w for q, w in zip(x.coeffs, powers) if q) % p
+
+    img = [image(x) if x else 0 for x in m.entries]
+    c = m.cols
+    vecs = [img[i * c : (i + 1) * c] for i in range(m.rows)] if m.rows <= c else [img[j::c] for j in range(c)]
+    for k, v in enumerate(vecs):
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is None:
+            return False
+        pivot_inv = pow(v[j], -1, p)
+        for i in range(k + 1, len(vecs)):
+            if f := vecs[i][j] * pivot_inv % p:
+                vecs[i] = [(x - f * y) % p for x, y in zip(vecs[i], v)]
+    return True
+
+
 def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
     """aw (x) I - I (x) av^T: row (i, k) holds aw[i, j] at column (j, k) and
     -av[l, k] at column (i, l).  Its rows are built on the actions'
@@ -393,6 +444,11 @@ def mat_kernel(m: Matrix) -> Matrix:
     column, where every other vector is 0.
     """
     c = m.cols
+    if c == 1:  # read off the entries (see the module docstring)
+        k = 0 if any(m.entries) else 1
+        return Matrix._from_low(1, k, 1, [[(0, 1)] * k])
+    if m._n != 1 and m.rows >= c and _full_rank_mod_p(m):
+        return Matrix._from_low(c, 0, 1, [[] for _ in range(c)])
     rev, pivots, ps = m._echelon([row[::-1] for row in m._rows()])
     free = [f for f in range(c - 1, -1, -1) if f not in pivots]  # leading positions ascending
     out = [(1, ())] * c

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm, prod
 
 from .errors import DivisionByZero
@@ -110,6 +111,49 @@ def _primes(n: int) -> list[int]:
                 n //= p
         p += 1
     return out + [n] if n > 1 else out
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, which decides every
+    m below 3.3 * 10^24 (J. Sorenson, J. Webster, Math. Comp. 86, 2017)."""
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def split_prime(n: int) -> tuple[int, int]:
+    """(p, r): p the least prime above 2^31 with p = 1 mod n, so Phi_n
+    splits completely mod p, and r = a^((p-1)/n) mod p for the least a >= 2
+    that gives r multiplicative order exactly n.  Such an r is a root of
+    Phi_n mod p: as p does not divide n, x^n - 1 = prod_{d|n} Phi_d(x) has
+    distinct roots mod p, and the roots of Phi_d are the elements of order
+    d.  So x -> r is a ring map Z[x]/Phi_n -> F_p."""
+    p = -(-(1 << 31) // n) * n + 1
+    while not _is_prime(p):
+        p += n
+    qs = _primes(n)
+    for a in count(2):
+        r = pow(a, (p - 1) // n, p)
+        if all(pow(r, n // q, p) != 1 for q in qs):
+            return p, r
 
 
 def phi_degree(n: int) -> int:

@@ -304,6 +304,21 @@ def test_repcat_writes_skeleton_and_fiber(tmp_path, capsys):
     assert code == 0
 
 
+def test_repcat_writes_both_files_or_neither(tmp_path, capsys):
+    # the skeleton path is writable and the fiber path is a directory
+    h = tmp_path / "ks3.json"
+    mods = tmp_path / "mods.json"
+    out_f = tmp_path / "s2.json"
+    run(capsys, "example", "ks3", "-o", str(h))
+    run(capsys, "example", "ks3-modules", "-o", str(mods))
+    (tmp_path / "s2.fiber.json").mkdir()
+    code = main(["repcat", str(h), str(mods), "-o", str(out_f)])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: [Errno 21] Is a directory: ") and "s2.fiber.json" in cap.err
+    assert not out_f.exists()
+
+
 def test_repcat_verifies_the_family_once(tmp_path, capsys, monkeypatch):
     h = tmp_path / "ks3.json"
     mods = tmp_path / "mods.json"

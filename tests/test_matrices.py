@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from hopfrec.errors import ShapeError
 from hopfrec.matrices import (
     Matrix,
+    _full_rank_mod_p,
     block_diag,
     mat_inverse,
     mat_kernel,
     mat_solve,
 )
-from hopfrec.scalars import ZERO, Scalar, _rat, phi_degree, sc
+from hopfrec.scalars import ZERO, Scalar, _rat, phi_degree, sc, split_prime
 
 
 def rnd_matrix(rng, rows, cols, span=5):
@@ -171,6 +172,9 @@ def test_rank_of_one_row_or_column_reads_its_entries(monkeypatch, conductor):
     monkeypatch.setattr(Matrix, "_echelon", barred)
     assert [m.rank() for m in cases] == want
     assert want == [0 if all(not e for e in m.entries) else 1 for m in cases]
+    for m in cases:  # the kernel of one column reads its entries too
+        if m.cols == 1:
+            assert_equals_ref(mat_kernel(m), ref_kernel_matrix(m), 1, 1 - m.rank())
 
 
 def test_rref_idempotent():
@@ -687,14 +691,21 @@ def frac_rows(m: Matrix) -> list:
 
 
 def assert_equals_ref(got: Matrix, want: list, rows: int, cols: int):
-    """got holds exactly the Fractions of want, as conductor-1 Scalars, and
-    the lowering handed to it is the one its entries give afresh."""
+    """got holds exactly the values of want, Fractions or Scalars, at the
+    conductor they meet at (1 for Fractions), and the lowering handed to
+    it is the one its entries give afresh."""
     ref = Matrix(rows, cols, [x for r in want for x in r])
     assert (got.rows, got.cols) == (rows, cols)
-    assert got._n == 1
-    assert [(e.conductor, e.coeffs) for e in got.entries] == [(1, (x,)) for r in want for x in r]
+    assert got._n == ref._n
+    assert [(e.conductor, e.coeffs) for e in got.entries] == [(e.conductor, e.coeffs) for e in ref.entries]
     assert str(got) == str(ref)
     assert got._low == fresh_lowering(got)
+
+
+def ref_kernel_matrix(m: Matrix) -> list:
+    """The rows of ref_kernel's basis as the columns of a m.cols x k matrix."""
+    kernel = ref_kernel(m.to_rows(), m.cols)
+    return [list(r) for r in zip(*kernel)] if kernel else [[]] * m.cols
 
 
 fraction_entries = st.tuples(st.integers(0, 9), st.integers(-20, 20), st.integers(1, 12)).map(
@@ -748,3 +759,86 @@ def test_elimination_matches_fraction_gauss_jordan(rows, bcols, data):
             assert type(err.value) is ValueError and str(err.value) == "matrix is singular"
         else:
             assert_equals_ref(mat_inverse(m), inv, nr, nr)
+
+
+# -- the split-prime certificate off conductor 1 --------------------------------
+#
+# Off conductor 1 a full rank of the image in F_p, p = split_prime(n),
+# answers rank and an empty kernel without elimination; anything else falls
+# back to the Scalar Gauss-Jordan.  Both routes must give the same answers,
+# also on matrices whose rank is planted below full.
+
+SPLIT_CONDUCTORS = (2, 3, 4, 5, 8, 12)
+
+
+@st.composite
+def cyclotomic_matrices(draw):
+    """0-6 x 1-6 matrices over Q(zeta_n), about 40% zeros, with up to three
+    rows replaced by combinations s*row_a + t*row_b of others, s and t
+    rationals or powers of zeta_n."""
+    n = draw(st.sampled_from(SPLIT_CONDUCTORS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    coeffs = st.lists(fraction_entries, min_size=phi_degree(n), max_size=phi_degree(n))
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), coeffs.map(lambda c: Scalar(n, c)))
+    m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    factors = st.one_of(fraction_entries.map(sc), st.integers(0, n - 1).map(lambda k: Scalar.zeta(n) ** k))
+    if rows > 1:
+        index = st.integers(0, rows - 1)
+        for dst, a, b, f, g in draw(st.lists(st.tuples(index, index, index, factors, factors), max_size=3)):
+            m[dst] = [f * x + g * y for x, y in zip(m[a], m[b])]
+    return Matrix(rows, cols, [x for r in m for x in r])
+
+
+@given(cyclotomic_matrices())
+@settings(max_examples=200, deadline=None)
+def test_split_prime_rank_and_kernel_match_elimination(m):
+    assert m.rank() == len(m._echelon()[1])
+    assert_equals_ref(mat_kernel(m), ref_kernel_matrix(m), m.cols, m.cols - m.rank())
+
+
+def counted_echelon(monkeypatch) -> list:
+    calls = []
+    real = Matrix._echelon
+
+    def counted(self, rows=None):
+        calls.append((self.rows, self.cols))
+        return real(self, rows)
+
+    monkeypatch.setattr(Matrix, "_echelon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", SPLIT_CONDUCTORS)
+def test_full_rank_off_conductor_1_needs_no_elimination(monkeypatch, n):
+    # the character table of Z/n, and its first two columns: full rank
+    z = Scalar.zeta(n)
+    table = Matrix(n, n, [z ** (s * t % n) for s in range(n) for t in range(n)])
+    tall = table * Matrix(n, 2, [1, 0, 0, 1] + [0] * (2 * n - 4))
+    want = [ref_kernel_matrix(m) for m in (table, tall)]
+    calls = counted_echelon(monkeypatch)
+    assert table.rank() == n and tall.rank() == 2
+    for m, ref in zip((table, tall), want):
+        assert_equals_ref(mat_kernel(m), ref, m.cols, 0)
+    assert calls == []
+
+
+def test_a_deficient_modular_rank_falls_back_to_elimination(monkeypatch):
+    # p maps to 0 in F_p, so diag(p, zeta_5) has modular rank 1 and rank 2
+    p, _ = split_prime(5)
+    m = Matrix.from_rows([[p, 0], [0, Scalar.zeta(5)]])
+    assert m._n == 5 and not _full_rank_mod_p(m)
+    calls = counted_echelon(monkeypatch)
+    assert m.rank() == 2
+    assert_equals_ref(mat_kernel(m), [[], []], 2, 0)
+    assert calls == [(2, 2), (2, 2)]
+
+
+def test_a_denominator_p_gives_no_certificate():
+    p, _ = split_prime(5)
+    z = Scalar.zeta(5)
+    full = Matrix.from_rows([[Fraction(1, p), z], [z, 1]])
+    deficient = Matrix.from_rows([[Fraction(1, p), z], [z / p, z * z]])
+    for m, rank in ((full, 2), (deficient, 1)):
+        assert not _full_rank_mod_p(m)
+        assert m.rank() == len(m._echelon()[1]) == rank
+        assert_equals_ref(mat_kernel(m), ref_kernel_matrix(m), 2, 2 - rank)

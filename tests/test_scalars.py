@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from hopfrec.scalars import (
     phi_degree,
     same_sides,
     sc,
+    split_prime,
     vanishes,
 )
 
@@ -432,6 +433,16 @@ def test_inverse_at_conductor_97():
     assert time.perf_counter() - t0 < 10.0
     assert_same(inv, Scalar(97, inv.coeffs))
     assert_same(ref_mul(a, inv), ref_scalar([Fraction(1)], 97))
+
+
+def test_split_prime_is_1_mod_n_with_a_root_of_order_n():
+    # p is checked prime by trial division, independently of Miller-Rabin
+    for n in [*range(1, 65), 97, 211, 401]:
+        p, r = split_prime(n)
+        assert p > 1 << 31 and (p - 1) % n == 0
+        assert p % 2 and all(p % q for q in range(3, isqrt(p) + 1, 2))
+        assert pow(r, n, p) == 1
+        assert all(pow(r, d, p) != 1 for d in range(1, n) if n % d == 0)
 
 
 @given(st.sampled_from([1, 8]).flatmap(in_field), plain_numbers)

@@ -65,3 +65,27 @@ def test_round_trip_calls_the_wrapped_hom_and_decompose(monkeypatch):
     rep, _ = gamma_roundtrip(EXAMPLES["ks3"][1](), EXAMPLES["ks3-modules"][1]())
     assert rep.passed
     assert counts == {"repcat.decompose": 9, "repcat.hom_space": 27}
+
+
+def test_cyclic_round_trip_inverts_nothing_above_conductor_1(monkeypatch):
+    """The traced `scalars.inverse.calls` counts `Scalar.inverse`.  A K[Z/8]
+    round trip on its characters ranks gamma and solves its Hom spaces off
+    conductor 1; the split-prime certificate and the one-column kernel
+    answer each of them without inverting a field element there."""
+    from hopfrec.examples import gen_group_algebra
+    from hopfrec.groups import cyclic_group
+    from hopfrec.repcat import gamma_roundtrip
+    from hopfrec.scalars import Scalar
+    from test_skeletal_coherence import cyclic_characters
+
+    inverted = []
+
+    def counted(self, real=Scalar.inverse):
+        if self.conductor > 1:
+            inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Scalar, "inverse", counted)
+    rep, _ = gamma_roundtrip(gen_group_algebra(cyclic_group(8)), cyclic_characters(8), verify=True)
+    assert rep.passed
+    assert inverted == []
