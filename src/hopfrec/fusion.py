@@ -34,7 +34,7 @@ the three-step side at D^3, every cell at the ring's conductor.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
 
@@ -80,11 +80,12 @@ def _tree_dims(nz: list, a: int, b: int, c: int) -> dict:
 
 
 @dataclass(frozen=True)
-class FusionSkeleton:
+class FusionRules:
+    """Skeletal data without F: all that End of a fiber functor reads."""
+
     rank: int
     fusion: tuple  # N[a][b][c] nonnegative integers
     dual: tuple  # involution with N[a][dual[a]][unit] = 1
-    F: dict  # (a,b,c,d) -> Matrix, exactly the keys with positive tree dim
     unit: int = 0
     names: tuple = ()
 
@@ -118,6 +119,19 @@ class FusionSkeleton:
             raise ShapeError("names length differs from rank")
         object.__setattr__(self, "names", names)
 
+    def n(self, a: int, b: int, c: int) -> int:
+        return self.fusion[a][b][c]
+
+
+@dataclass(frozen=True)
+class FusionSkeleton(FusionRules):
+    """FusionRules with the associator F, an identity on the unit."""
+
+    F: dict = field(kw_only=True)  # (a,b,c,d) -> Matrix, exactly the keys with positive tree dim
+
+    def __post_init__(self):
+        super().__post_init__()
+        r, N, u = self.rank, self.fusion, self.unit
         # in proportion to the payload: trees are walked over the nonzero N,
         # in key order up to the first key with a tree but no block
         nz = [[[(z, x) for z, x in enumerate(row) if x] for row in plane] for plane in N]
@@ -140,9 +154,6 @@ class FusionSkeleton:
                 raise ShapeError(f"F block at {key} is not a {dr}x{dl} matrix")
             if u in key[:3] and m != Matrix.identity(dl):
                 raise ShapeError(f"F block at {key} must be an identity (strict unit)")
-
-    def n(self, a: int, b: int, c: int) -> int:
-        return self.fusion[a][b][c]
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,7 @@ class FiberData:
             object.__setattr__(self, name, vecs)
 
 
-def validate_fiber(skel: FusionSkeleton, fiber: FiberData) -> None:
+def validate_fiber(skel: FusionRules, fiber: FiberData) -> None:
     """Shape consistency of (dims, J, ev, coev) against the multiplicities."""
     r = skel.rank
     if len(fiber.dims) != r:
@@ -321,57 +332,41 @@ def _copy_rows(j: Matrix, n_ab, dims, c: int, mu: int) -> Matrix:
     return j.take_rows(range(off, off + dims[c]))
 
 
-def _first_rows(j: Matrix, n_ab, dims, rows) -> Matrix:
-    """The first rows[c] rows of every copy of every simple c in a J block
-    (c ascending, copy outer), taken by `Matrix.take_rows`, so they keep
-    J's lowering: the second-step block of tree_maps."""
-    picks, off = [], 0
-    for c, k in enumerate(n_ab):
-        for _ in range(k):
-            picks += range(off, off + rows[c])
-            off += dims[c]
-    return j.take_rows(picks)
-
-
-def tree_maps(N, J, dims, a: int, b: int, c: int, K, rows) -> list:
+def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
     """The trees (a b c) -> d realized through J, for every total d that
-    has a tree, ascending, each on the first rows[d] rows of its map.
+    has a tree, ascending.
 
     Each entry is (d, left, right): left has one row per tree of
-    f_left_basis(N, a, b, c, d), in that order, holding the first rows[d]
-    rows of its dims[d] x (dims[a] dims[b] dims[c]) map row-major; right
-    likewise for f_right_basis.  Left tree (e, mu, nu) is copy nu of d in
-    J[(e, c)] after copy mu of e in J[(a, b)] (x) I; right tree (f, rho,
-    sigma) is copy sigma of d in J[(a, f)] after I (x) copy rho of f in
-    J[(b, c)].  The second step reads K[(e, c)] (resp. K[(a, f)]), which
-    holds the first rows[d] rows of each copy of d in that J block
-    (_first_rows); K = J with rows = dims realizes every row of every
-    tree.  One product, K[(e, c)] (resp.
-    K[(a, f)]) times the first step, realizes the trees through that step
-    for every d at once, in J's row order.
+    f_left_basis(N, a, b, c, d), in that order, holding its dims[d] x
+    (dims[a] dims[b] dims[c]) map row-major; right likewise for
+    f_right_basis.  Left tree (e, mu, nu) is copy nu of d in J[(e, c)]
+    after copy mu of e in J[(a, b)] (x) I; right tree (f, rho, sigma) is
+    copy sigma of d in J[(a, f)] after I (x) copy rho of f in J[(b, c)].
+    One product, J[(e, c)] (resp. J[(a, f)]) times the first step, realizes
+    the trees through that step for every d at once, in J's row order.
     """
     r = len(N)
     ida, idc = Matrix.identity(dims[a]), Matrix.identity(dims[c])
     left, right = [[] for _ in range(r)], [[] for _ in range(r)]
     for x in range(r):
         for mu in range(N[a][b][x]):
-            _cut(K[(x, c)] * _copy_rows(J[(a, b)], N[a][b], dims, x, mu).kron(idc), N[x][c], rows, left)
+            _cut(J[(x, c)] * _copy_rows(J[(a, b)], N[a][b], dims, x, mu).kron(idc), N[x][c], dims, left)
         for rho in range(N[b][c][x]):
-            _cut(K[(a, x)] * ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, x, rho)), N[a][x], rows, right)
+            _cut(J[(a, x)] * ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, x, rho)), N[a][x], dims, right)
     width = dims[a] * dims[b] * dims[c]
     return [
-        (d, *(Matrix._of(len(t) // (rows[d] * width), rows[d] * width, t) for t in (left[d], right[d])))
+        (d, *(Matrix._of(len(t) // (dims[d] * width), dims[d] * width, t) for t in (left[d], right[d])))
         for d in range(r)
         if left[d] or right[d]
     ]
 
 
-def _cut(step: Matrix, n_xy, rows, out: list) -> None:
+def _cut(step: Matrix, n_xy, dims, out: list) -> None:
     """Append to out[d] the entries of the rows of step that realize the
-    n_xy[d] copies of each simple d, rows[d] rows each, as K's rows do."""
+    n_xy[d] copies of each simple d, as J's rows do."""
     stop = 0
     for d, k in enumerate(n_xy):
-        start, stop = stop, stop + k * rows[d] * step.cols
+        start, stop = stop, stop + k * dims[d] * step.cols
         out[d].extend(step.entries[start:stop])
 
 
@@ -408,7 +403,7 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
 
     for a, b, c in product(range(r), repeat=3):
         lhs, rhs = [], []
-        for dd, left, right in tree_maps(skel.fusion, fiber.J, d, a, b, c, fiber.J, d):
+        for dd, left, right in tree_maps(skel.fusion, fiber.J, d, a, b, c):
             if left.rows:
                 lhs += (skel.F[(a, b, c, dd)] * left).entries
                 rhs += right.entries
@@ -428,7 +423,7 @@ def _unit_copies(coeffs, scale, rows: int, cols: int, entry) -> Matrix:
     return Matrix.from_rows([[at(i, j) for j in range(cols)] for i in range(rows)])
 
 
-def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
+def pairing_matrix(skel: FusionRules, fiber: FiberData, a: int) -> Matrix:
     """P with P[i][j] = p(f_i (x) e_j), the pairing F(a*) (x) F(a) -> K
     realized by the selected evaluation morphism through J[(a*, a)].
 
@@ -443,7 +438,7 @@ def pairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
     )
 
 
-def copairing_matrix(skel: FusionSkeleton, fiber: FiberData, a: int) -> Matrix:
+def copairing_matrix(skel: FusionRules, fiber: FiberData, a: int) -> Matrix:
     """Q with q = sum_{i,j} Q[i][j] e_i (x) f_j, the copairing
     K -> F(a) (x) F(a*): coev_coeff[a] picks a vector supported on the
     unit block, carried back to F(a) (x) F(a*) by the inverse of J."""
@@ -472,7 +467,7 @@ def verify_duality(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     return rep
 
 
-def compute_delta(skel: FusionSkeleton, fiber: FiberData) -> dict:
+def compute_delta(skel: FusionRules, fiber: FiberData) -> dict:
     """Transpose pairings delta_a = P_a^T used to conjugate between a
     block and its dual's block, each holding its inverse for mat_inverse.
     Each pairing is read off J here and inverted once.  Raises NonRigid

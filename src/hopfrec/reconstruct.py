@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ReconstructionAxiomFailure, ShapeError
-from .fusion import FiberData, FusionSkeleton, _copy_offset, compute_delta, validate_fiber, verify_category
+from .fusion import FiberData, FusionRules, FusionSkeleton, _copy_offset, compute_delta, validate_fiber, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, run_hopf_checks
 from .matrices import Matrix, block_diag, mat_inverse
 from .repcat import ModuleRep, SliceMorphismData
@@ -54,7 +54,7 @@ def _matrix_unit(d: int, i: int, j: int) -> Matrix:
     return Matrix(d, d, [ONE if (r, c) == (i, j) else ZERO for r in range(d) for c in range(d)])
 
 
-def endf_algebra(skel: FusionSkeleton, fiber: FiberData):
+def endf_algebra(skel: FusionRules, fiber: FiberData):
     """The block algebra of endomorphisms of the fiber functor: one full
     matrix block per simple, on the matrix unit basis (a, i, j) with rows
     outer.  Returns the presentation and the basis label list."""
@@ -103,7 +103,7 @@ def reconstruct_hopf(
     return recon
 
 
-def _assemble(skel: FusionSkeleton, fiber: FiberData) -> ReconstructionResult:
+def _assemble(skel: FusionRules, fiber: FiberData) -> ReconstructionResult:
     """The presentation of reconstruct_hopf, assembled unchecked: the
     caller knows the category data coherent, and checks the result by
     `_require_hopf` where it must (reconstruct_hopf with verify on, the

@@ -43,20 +43,17 @@ module on the generators once H passes check_bialgebra, which makes it a
 module (the premises are in _skeletalize), and on every action otherwise.
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
-tensor modules, F off the trees that J realizes, and each dual off N; it
-reads no antipode.  A tree into V_d is realized on its first row alone
-when H passes check_bialgebra: act_d being onto End(V_d), a map of
-modules into V_d whose first row is zero is zero.  Otherwise every row
-is realized.  Whatever skeletalize returns passes verify_category by
-construction (the proof is in _skeletalize).
+tensor modules, F off the trees that J realizes, every row of each, and
+each dual off N; it reads no antipode.  Whatever skeletalize returns
+passes verify_category by construction (the proof is in _skeletalize).
 
-Round trip.  gamma_roundtrip rebuilds the Hopf algebra from the skeletal
-data and compares it with the source along gamma.  It sweeps no category
-data, since the proof leaves nothing for a sweep to find.  The rebuilt
-side is certified by transport of structure along gamma when the source
-passes its Hopf checks and gamma is a bijective Hopf morphism; only
-otherwise does it run the Hopf axiom suite of reconstruct_hopf (see
-_roundtrip).
+Round trip.  gamma_roundtrip rebuilds the Hopf algebra from N, J and the
+duals (FusionRules), reading no F, and compares it with the source along
+gamma.  It sweeps no category data, since the proof leaves nothing for a
+sweep to find.  The rebuilt side is certified by transport of structure
+along gamma when the source passes its Hopf checks and gamma is a
+bijective Hopf morphism; only otherwise does it run the Hopf axiom suite
+of reconstruct_hopf (see _roundtrip).
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
-from .fusion import FiberData, FusionSkeleton, _copy_offset, _first_rows, pairing_matrix, tree_maps, verify_category
+from .fusion import FiberData, FusionRules, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra_sweep, check_antipode, check_bialgebra, check_hopf_morphism
 from .matrices import Matrix, _intertwiner_constraint, mat_inverse, mat_kernel, mat_solve
 from .reports import CheckReport
@@ -292,11 +289,7 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     more; the proof in _skeletalize shows the audit cannot fail, and a
     failure would raise SkeletalizationFailure.
     """
-    fam = verify_irreps(h.alg, modules)
-    if not fam.passed:
-        raise SkeletalizationFailure(
-            "modules are not a complete split irreducible family", fam
-        )
+    _require_family(h, modules)
     skel, fiber = _skeletalize(h, modules)
     if verify:
         reports = verify_category(skel, fiber)
@@ -308,6 +301,13 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     return skel, fiber
 
 
+def _require_family(h: HopfPresentation, modules: list) -> None:
+    """The gate of skeletalize and the round trip, by verify_irreps."""
+    fam = verify_irreps(h.alg, modules)
+    if not fam.passed:
+        raise SkeletalizationFailure("modules are not a complete split irreducible family", fam)
+
+
 def _skeletalize(h: HopfPresentation, modules: list):
     """skeletalize on a family that verify_irreps has passed: (skel, fiber),
     with no sweep of verify_category.
@@ -316,19 +316,18 @@ def _skeletalize(h: HopfPresentation, modules: list):
     the decompositions J of the tensor modules, which depend only on the
     bialgebra (mult, unit, comult, counit); no antipode is read.  F at
     (a, b, c, d) solves R_y = sum_x F[y, x] L_x on the flat trees of
-    tree_maps, each realized on its first rows[d] rows (see One row per
-    copy).  dual[a] is the first b with N[a][b][unit] >= 1: in a rigid
-    category Hom(1, a (x) b) = Hom(a*, b) (Etingof-Gelaki-Nikshych-Ostrik,
-    Tensor Categories, 2.10), which for a simple b is nonzero exactly when
-    b is a*.  On a Hopf presentation this is the simple that dual_module
-    finds, since V* with its action through S is a left dual of V whose
-    ev is H-linear.  Rigidity is checked, not assumed: FusionSkeleton
-    requires the duals to form an involution with N[a][a*][unit] =
-    N[a*][a][unit] = 1, a singular pairing raises NonRigid, and
-    the coevaluation below must lie on the unit copy.  So a presentation
-    whose antipode is wrong skeletalizes to the category of its bialgebra,
-    and the round trip reports morphism-antipode wherever S' gamma differs
-    from gamma S.
+    tree_maps, every row of each realized.  dual[a] is the first b with
+    N[a][b][unit] >= 1: in a rigid category Hom(1, a (x) b) = Hom(a*, b)
+    (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, 2.10), which for a
+    simple b is nonzero exactly when b is a*.  On a Hopf presentation this
+    is the simple that dual_module finds, since V* with its action through
+    S is a left dual of V whose ev is H-linear.  Rigidity is checked, not
+    assumed: FusionRules requires the duals to form an involution with
+    N[a][a*][unit] = N[a*][a][unit] = 1, a singular pairing raises
+    NonRigid, and the coevaluation below must lie on the unit copy.  So a
+    presentation whose antipode is wrong skeletalizes to the category of
+    its bialgebra, and the round trip reports morphism-antipode wherever
+    S' gamma differs from gamma S.
 
     Generators.  Each V_a (x) V_b is built at gens = h.alg._gens alone and
     decomposed against the family restricted to them, when
@@ -347,22 +346,13 @@ def _skeletalize(h: HopfPresentation, modules: list):
     no action at a non-generator built.  Where (a) or (b) fails, every
     action is built and decomposed, exactly as that call does.
 
-    One row per copy.  Each tree into V_d is realized, and F solved, on
-    the first rows[d] rows of its dims[d] x (dims[a] dims[b] dims[c]) map;
-    the second steps read the first rows[d] rows of each copy of d in each
-    J block, selected once per block (fusion._first_rows, which keeps J's
-    lowering).  rows[d] is 1 for every d when (a) and (b) above hold, by
-    the one _bialgebra_sweep run that both uses read.  Then
-      (i) V_a (x) V_b (x) V_c is one module under both bracketings,
-          Delta being coassociative, and each realized tree is an H-linear
-          map from it to V_d: J[(a, b)] (x) I and J[(e, c)] are H-linear,
-          and so are I (x) J[(b, c)] and J[(a, f)];
-      (ii) the first rows e_1^T act_d(e_i) of V_d's n actions span
-          K^dims[d]: by (c) gamma has rank n, so act_d is onto End(V_d)
-          (the module docstring), and e_1^T X runs over every row vector
-          as X runs over End(V_d).
-    Otherwise rows[d] is dims[d]: every row, as verify_tensorator and the
-    audit of skeletalize realize them.
+    Existence.  The round trip skips the F solve (_associator) where (a)
+    and (b) hold, since every solve then succeeds.  The left trees of
+    (a, b, c, d) are H-linear, J being so, and independent (step 3).
+    There are dim Hom_H(V_a (x) V_b (x) V_c, V_d) of them, H being
+    semisimple once gamma is onto, so they form a basis of that space.
+    It holds every right tree, an H-linear map out of the same module by
+    coassociativity.
 
     Coherence by construction.  Whenever this returns without raising,
     verify_category(skel, fiber) passes: it raises nothing and lists no
@@ -370,30 +360,21 @@ def _skeletalize(h: HopfPresentation, modules: list):
     (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories), and every step
     below is an identity that the construction decided exactly.
       1. Compatibility.  F = x^T where left^T x = right^T is solved
-         exactly on the realized rows, and mat_solve returns None on an
-         inconsistent system.  Where rows[d] = dims[d], that is F * left
-         == right at (a, b, c, d) on every row.  Where rows[d] = 1, take
-         p = sum_x F[y, x] L_x - R_y, a map into V_d: by (i) it is
-         H-linear, and its first row is zero.  So for every x in H,
-         e_1^T act_d(x) p = e_1^T p act_abc(x) = 0, and by (ii) these
-         rows span every row vector, so p = 0.  Either way the
-         compatibility checks of verify_tensorator, which realize every
-         row, hold.  validate_fiber's shapes hold by construction
-         (J[(a, b)] is the square tau of a decomposition, the unit has
-         dim 1, and the ev and coev vectors have length N[a*][a][unit] =
-         N[a][a*][unit] = 1).
+         exactly, and mat_solve returns None on an inconsistent system.
+         So F * left == right at every (a, b, c, d): the compatibility
+         checks of verify_tensorator hold.  validate_fiber's shapes hold
+         by construction (J[(a, b)] is the square tau of a decomposition,
+         the unit has dim 1, and the ev and coev vectors have length
+         N[a*][a][unit] = N[a][a*][unit] = 1).
       2. J invertible.  Each J is the tau of decompose, which is
          mat_inverse(stack); so NonInvertibleJ cannot fire.
       3. F invertible.  The left trees of (a, b, c) are the components,
          onto the copies of each F(d), of one invertible map: the direct
          sum of the J[(e, c)] after J[(a, b)] (x) I.  Every dims[d] >= 1,
-         so the trees of one total are linearly independent.  Where
-         rows[d] = 1, a combination of them with a zero first row is zero
-         by the argument of step 1, so their first rows are independent
-         exactly when the trees are.  Either way left, as realized, has
-         full row rank, and so has right.  right = F * left then gives
-         rank F = rows: recoordinatization-invertible holds, and the
-         solve of step 1 has one solution, the one that every row gives.
+         so the realized trees of one total are linearly independent:
+         left has full row rank, and so has right.  right = F * left then
+         gives rank F = rows: recoordinatization-invertible holds, and the
+         solve of step 1 has one solution.
       4. Pentagon.  Realize the five trees of a (x) b (x) c (x) d ->
          total through J.  Each step of either path applies one F block
          inside a context: precomposed with a J copy tensored with
@@ -415,9 +396,13 @@ def _skeletalize(h: HopfPresentation, modules: list):
          on the unit copy, or this raises.  So the copairing read back
          through J^-1 is P_a^-1, and both zigzags hold.
     """
-    r = len(modules)
-    dims = tuple(v.dim for v in modules)
+    unit, N, J, _ = _decompositions(h, modules)
+    return _rigidity(modules, unit, N, J, _associator(N, J, modules))
 
+
+def _decompositions(h: HopfPresentation, modules: list):
+    """_skeletalize up to F: (unit, N, J, whether (a) and (b) hold)."""
+    r = len(modules)
     unit = None
     triv = trivial_module(h)
     for idx, v in enumerate(modules):
@@ -428,8 +413,8 @@ def _skeletalize(h: HopfPresentation, modules: list):
         raise SkeletalizationFailure("the family does not contain the trivial module")
 
     gens = h.alg._gens
-    bialgebra = bool(gens) and _bialgebra_sweep(h._views, gens, True).passed
-    if not bialgebra:
+    premises = bool(gens) and _bialgebra_sweep(h._views, gens, True).passed
+    if not premises:
         gens = range(h.dim)
     fam = [ModuleRep(v.dim, [v.action[i] for i in gens], v.name) for v in modules]
     decs = {}
@@ -438,12 +423,15 @@ def _skeletalize(h: HopfPresentation, modules: list):
         decs[a, b] = decompose(vw, fam)
     J = {key: dec.tau for key, dec in decs.items()}
     N = tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r))
+    return unit, N, J, premises
 
-    rows = (1,) * r if bialgebra else dims
-    K = J if rows == dims else {(x, y): _first_rows(j, N[x][y], dims, rows) for (x, y), j in J.items()}
+
+def _associator(N, J, modules: list) -> dict:
+    """The F of _skeletalize, solved on every row of every tree."""
+    dims = tuple(v.dim for v in modules)
     F = {}
-    for a, b, c in product(range(r), repeat=3):
-        for d, left, right in tree_maps(N, J, dims, a, b, c, K, rows):
+    for a, b, c in product(range(len(modules)), repeat=3):
+        for d, left, right in tree_maps(N, J, dims, a, b, c):
             if left.rows != right.rows:
                 raise SkeletalizationFailure(
                     f"tree spaces at {(a, b, c, d)} have dims {left.rows} and {right.rows}"
@@ -452,19 +440,20 @@ def _skeletalize(h: HopfPresentation, modules: list):
             if x is None:
                 raise SkeletalizationFailure(f"recoordinatization at {(a, b, c, d)} is not solvable")
             F[(a, b, c, d)] = x.transpose()
+    return F
 
+
+def _rigidity(modules: list, unit: int, N, J, F):
+    """_skeletalize after F: the duals and coevaluations, on FusionRules
+    where F is None."""
+    r = len(modules)
+    dims = tuple(v.dim for v in modules)
     dual = [next((b for b in range(r) if N[a][b][unit]), None) for a in range(r)]
     if None in dual:
         raise SkeletalizationFailure(f"no dual in the family for module {dual.index(None)}")
 
-    skel = FusionSkeleton(
-        rank=r,
-        fusion=N,
-        dual=tuple(dual),
-        F=F,
-        unit=unit,
-        names=tuple(v.name for v in modules),
-    )
+    rules = dict(rank=r, fusion=N, dual=tuple(dual), unit=unit, names=tuple(v.name for v in modules))
+    skel = FusionRules(**rules) if F is None else FusionSkeleton(**rules, F=F)
     # ev is normalized to coefficient 1; solve coev so the zigzags close.
     # The echelon-normalized J gives J[(unit, a)] = identity, hence iota = 1.
     fiber = FiberData(dims=dims, J=J)
@@ -487,8 +476,8 @@ def _skeletalize(h: HopfPresentation, modules: list):
 
 
 def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
-    """Skeletalize the module category, rebuild a Hopf algebra from it, and
-    compare with the original along the tautological evaluation map.
+    """Rebuild a Hopf algebra from the module category and its fiber
+    functor, and compare with the original along the evaluation map.
 
     gamma sends a basis element to the block diagonal of its actions.  The
     returned report checks that gamma is a bijective map respecting
@@ -506,6 +495,9 @@ def gamma_roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
 def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     """gamma_roundtrip, returning (report, gamma, reconstruction), with no
     sweep of verify_category (the proof in _skeletalize).
+
+    No F.  This solves F only where premise (a) or (b) of _skeletalize
+    fails, and so raises what _skeletalize raises (Existence, there).
 
     Transport.  The rebuilt presentation H' is assembled unchecked, and
     with verify on it is certified by transport of structure when
@@ -531,10 +523,12 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     """
     if not modules:
         raise RoundTripFailure("no modules given")
-    skel, fiber = skeletalize(h, modules, verify=False)
+    _require_family(h, modules)
+    unit, N, J, premises = _decompositions(h, modules)
+    rules, fiber = _rigidity(modules, unit, N, J, None if premises else _associator(N, J, modules))
     from .reconstruct import _assemble, _require_hopf
 
-    recon = _assemble(skel, fiber)
+    recon = _assemble(rules, fiber)
     gamma = _gamma(modules, h.dim)
 
     rep = check_hopf_morphism(h, recon.hopf, gamma)

@@ -379,6 +379,20 @@ def test_roundtrip_names_a_wrong_antipode(tmp_path, capsys):
     assert "SkeletalizationFailure" not in out
 
 
+def test_roundtrip_solves_f_where_coassociativity_fails(tmp_path, capsys):
+    # the counital twist of K[S3] fails coassociativity alone, so the round
+    # trip solves F, and no F solves its trees
+    from test_skeletal_coherence import failed_premise
+
+    h, mods = failed_premise("ks3-twisted")
+    paths = [tmp_path / "twisted.json", tmp_path / "mods.json"]
+    for path, obj in zip(paths, (h, mods)):
+        path.write_text(serialize.dumps(obj))
+    code, out = run(capsys, "roundtrip", *map(str, paths))
+    assert code == 1
+    assert "  SkeletalizationFailure at (): recoordinatization at (1, 2, 1, 2) is not solvable != " in out.splitlines()
+
+
 def test_roundtrip_prints_the_reports_its_failure_carries(tmp_path, capsys, monkeypatch):
     h = tmp_path / "kz2.json"
     mods = tmp_path / "mods.json"

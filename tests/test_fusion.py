@@ -144,21 +144,21 @@ def test_cyclotomic_cocycle_on_z4():
 def test_skeleton_shape_validation():
     good = gen_pointed_category(Z2)
     with pytest.raises(ShapeError, match="F keys mismatch"):
-        FusionSkeleton(2, good.fusion, good.dual, dict(list(good.F.items())[:-1]), 0)
+        FusionSkeleton(2, good.fusion, good.dual, 0, F=dict(list(good.F.items())[:-1]))
     bad_f = dict(good.F)
     bad_f[(1, 1, 0, 0)] = Matrix(1, 1, [sc(2)])  # unit in slot c must act as identity
     with pytest.raises(ShapeError, match="identity"):
-        FusionSkeleton(2, good.fusion, good.dual, bad_f, 0)
+        FusionSkeleton(2, good.fusion, good.dual, 0, F=bad_f)
     good4 = gen_pointed_category(Z4)
     with pytest.raises(ShapeError, match="involution"):
-        FusionSkeleton(4, good4.fusion, (0, 2, 3, 1), good4.F, 0)
+        FusionSkeleton(4, good4.fusion, (0, 2, 3, 1), 0, F=good4.F)
     with pytest.raises(ShapeError, match="permutation"):
-        FusionSkeleton(2, good.fusion, (0, 0), good.F, 0)
+        FusionSkeleton(2, good.fusion, (0, 0), 0, F=good.F)
     # non-associative multiplicities make the two F-basis sizes disagree
     fusion = [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
     fusion[1][1][1] = 1  # g x g = e + g while e stays strict
     with pytest.raises(ShapeError):
-        FusionSkeleton(2, fusion, (0, 1), good.F, 0)
+        FusionSkeleton(2, fusion, (0, 1), 0, F=good.F)
 
 
 def test_tensorator_trivial_fiber():

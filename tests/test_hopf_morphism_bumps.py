@@ -60,13 +60,18 @@ def character_case(n):
     return h, recon.hopf, gamma
 
 
+def gauge_eta(dims) -> list:
+    """The rational gauge of gauge_case, one block per simple of K[S3]."""
+    std = Matrix.from_rows([[1, Fraction(1, 2)], [0, Fraction(2, 3)]])
+    return [std if d == 2 else Matrix.identity(1) for d in dims]
+
+
 def gauge_case():
     """Rebuilt K[S3] to its rebuild along a rational gauge eta of the fiber,
     by block conjugation x -> eta x eta^-1."""
     h = EXAMPLES["ks3"][1]()
     skel, fiber = skeletalize(h, EXAMPLES["ks3-modules"][1](), verify=False)
-    std = Matrix.from_rows([[1, Fraction(1, 2)], [0, Fraction(2, 3)]])
-    eta = [std if d == 2 else Matrix.identity(1) for d in fiber.dims]
+    eta = gauge_eta(fiber.dims)
     j = {}
     for (a, b), m in fiber.J.items():
         out = block_diag([eta[c] for c in range(skel.rank) for _ in range(skel.n(a, b, c))])

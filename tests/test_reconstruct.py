@@ -43,6 +43,7 @@ from hopfrec.repcat import (
     verify_irreps,
 )
 from hopfrec.scalars import ONE, Scalar, sc
+from test_hopf_morphism_bumps import gauge_case, gauge_eta
 
 Z2 = cyclic_group(2)
 S3 = symmetric_group(3)
@@ -234,6 +235,38 @@ def test_transport_matrix_matches_elementwise_transport():
     out = transport_along(t, eta)[0]
     flat = [out.at(i, j) for i in range(2) for j in range(2)]
     assert [tm.at(r, 0) for r in range(4)] == flat
+
+
+def ks3_fiber():
+    skel, fiber = skeletalize(EXAMPLES["ks3"][1](), EXAMPLES["ks3-modules"][1](), verify=False)
+    assert skel.names == ("triv", "sgn", "std")
+    return fiber
+
+
+def test_transport_matrix_is_the_gauge_conjugation():
+    # along the identity functor, tau = eta^-1 transports x to eta x eta^-1:
+    # the Hopf isomorphism from rebuilt K[S3] to its rebuild along the gauge
+    # eta; tau = eta transports back
+    src, dst, conj = gauge_case()
+    dims = ks3_fiber().dims
+    eta = gauge_eta(dims)
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    there = transport_matrix(SliceMorphismData(ident, [mat_inverse(e) for e in eta]), dims)
+    assert there == conj
+    assert check_hopf_morphism(src, dst, there).passed
+    back = transport_matrix(SliceMorphismData(ident, eta), dims)
+    assert check_hopf_morphism(dst, src, back).passed
+
+
+def test_transport_matrix_swapping_the_characters_is_no_hopf_map():
+    # swapping triv and sgn, identity taus: bijective, and it moves the
+    # counit, which reads the triv block, and so the comultiplication
+    src, _, _ = gauge_case()
+    dims = ks3_fiber().dims
+    swap = SliceMorphismData(((0, 1, 0), (1, 0, 0), (0, 0, 1)), [Matrix.identity(d) for d in dims])
+    rep = check_hopf_morphism(src, src, transport_matrix(swap, dims))
+    assert rep.flags["bijective"]
+    assert sorted({f.check for f in rep.failures}) == ["morphism-comultiplicative", "morphism-counit"]
 
 
 def test_hopf_axiom_failure_raises_from_both_entry_points(monkeypatch):

@@ -16,11 +16,11 @@ tensor_module, built on every action, in every case here.  A presentation
 that fails either check builds every action and ends as the full path
 does: the same raise, or the same data.
 
-F is solved, and its trees are realized, on the first row of each copy of
-V_d where the proof in `_skeletalize` allows it: H passes check_bialgebra,
-and the gate has made each act_d onto End(V_d).  Then F equals the solve
-on every row, in value, conductor and text, here on every case and on
-rebuilt K[S4]; a failed premise realizes every row.
+`_skeletalize` solves F on every row of every tree.  The round trip reads
+no F, and solves none where H passes check_bialgebra (the existence
+argument in `_skeletalize`): its output equals that of reconstruct_hopf
+on skeletalize, with no tree realized and no F solved.  A failed premise
+solves F, so the round trip raises what `_skeletalize` raises.
 """
 
 import dataclasses
@@ -30,14 +30,15 @@ from itertools import product
 
 import pytest
 
-from hopfrec import fusion, repcat
+from hopfrec import fusion, repcat, serialize
 from hopfrec.errors import DecompositionGap, HopfrecError, SkeletalizationFailure
 from hopfrec.examples import EXAMPLES, gen_group_algebra
-from hopfrec.fusion import tree_maps, verify_category
+from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group
-from hopfrec.hopf import check_bialgebra
-from hopfrec.matrices import Matrix, mat_inverse, mat_solve
-from hopfrec.repcat import _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
+from hopfrec.hopf import check_bialgebra, check_hopf_morphism
+from hopfrec.matrices import Matrix, mat_inverse
+from hopfrec.reconstruct import reconstruct_hopf
+from hopfrec.repcat import _roundtrip, _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
 from hopfrec.scalars import Scalar
 from test_generators import base, bump, cyclic_characters
 from test_tensorator_bumps import alternating_group_4, modules_a4
@@ -195,17 +196,17 @@ def test_a_failed_premise_builds_every_action(name, action_rows):
         assert (type(out), str(out)) == FAILED_PREMISES[name]
 
 
-# -- F on the first row of each copy -------------------------------------------
+# -- F where it is output -----------------------------------------------------
 
 @pytest.fixture
 def realized(monkeypatch):
     """(dims[d], dims[a] dims[b] dims[c], left, right) for every total d of
-    every tree_maps call, with every argument forwarded."""
+    every tree_maps call."""
     seen = []
     real = fusion.tree_maps
 
-    def spy(N, J, dims, a, b, c, *rest):
-        out = real(N, J, dims, a, b, c, *rest)
+    def spy(N, J, dims, a, b, c):
+        out = real(N, J, dims, a, b, c)
         seen.extend((dims[d], dims[a] * dims[b] * dims[c], left, right) for d, left, right in out)
         return out
 
@@ -214,27 +215,52 @@ def realized(monkeypatch):
     return seen
 
 
-def all_rows_f(skel, fiber) -> dict:
-    """F solved on every row of every tree."""
-    F = {}
-    for a, b, c in product(range(skel.rank), repeat=3):
-        for d, left, right in tree_maps(skel.fusion, fiber.J, fiber.dims, a, b, c, fiber.J, fiber.dims):
-            F[(a, b, c, d)] = mat_solve(left.transpose(), right.transpose()).transpose()
-    return F
+@pytest.fixture
+def solves(monkeypatch):
+    """The F solves of repcat, one entry per mat_solve call."""
+    seen = []
+    real = repcat.mat_solve
+    monkeypatch.setattr(repcat, "mat_solve", lambda a, b: seen.append((a, b)) or real(a, b))
+    return seen
 
 
-@pytest.mark.parametrize("name", CASES + ["rebuilt-ks4"])
-def test_f_on_first_rows_equals_the_all_rows_solve(name, realized):
+def rebuilt(h, mods):
+    """What the round trip returns, computed through skeletalize and
+    reconstruct_hopf: the rebuilt presentation with its basis, gamma, and
+    the report lines and flags of check_hopf_morphism."""
+    recon = reconstruct_hopf(*skeletalize(h, mods, verify=False), verify=False)
+    gamma = repcat._gamma(mods, h.dim)
+    rep = check_hopf_morphism(h, recon.hopf, gamma)
+    return serialize.dumps(recon.hopf, basis=recon.basis), gamma, rep.lines(), rep.flags
+
+
+ROUND_TRIPS = FAMILIES + ["rebuilt-ks4", "ka4", "kz5", "kz7", "kz8", "kz12"]
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_the_round_trip_solves_no_f(name, realized, solves):
     h, mods = base(name) if name == "rebuilt-ks4" else case(name)
-    skel, fiber = _skeletalize(h, mods)
-    # every case passes both premises: each tree is realized on one row
-    assert realized and all(left.cols == right.cols == width for _, width, left, right in realized)
-    want = all_rows_f(skel, fiber)
-    assert sorted(skel.F) == sorted(want)
-    for key, x in want.items():
-        assert [(e.conductor, e.coeffs, str(e)) for e in skel.F[key].entries] == [
-            (e.conductor, e.coeffs, str(e)) for e in x.entries
-        ]
+    realized.clear(), solves.clear()  # rebuilding K[S4] skeletalizes it
+    rep, gamma, recon = _roundtrip(h, mods)
+    assert realized == [] and solves == []
+    got = serialize.dumps(recon.hopf, basis=recon.basis), gamma, rep.lines(), rep.flags
+    assert got == rebuilt(h, mods)
+
+
+# the bumped product makes no module of the family: _skeletalize, which has
+# no gate, returns, and skeletalize and the round trip stop at the gate
+GATED = (SkeletalizationFailure, "modules are not a complete split irreducible family")
+
+
+@pytest.mark.parametrize("name", FAILED_PREMISES)
+def test_a_failed_premise_round_trip_raises_what_skeletalize_raises(name):
+    h, mods = failed_premise(name)
+    outcomes = []
+    for go in (lambda: skeletalize(h, mods, verify=False), lambda: gamma_roundtrip(h, mods)):
+        with pytest.raises(HopfrecError) as e:
+            go()
+        outcomes.append((type(e.value), str(e.value)))
+    assert outcomes == [FAILED_PREMISES[name] or GATED] * 2
 
 
 def test_a_counital_twist_fails_coassociativity_alone():
@@ -259,10 +285,14 @@ def tree_cells(seen) -> int:
 
 
 def test_ks4_trees_are_realized_on_one_row_per_copy(realized):
-    # 2 (sum of dims[a]^2)^3 = 27,648 cells realize every row of every tree
+    # the round trip realizes no tree; 2 (sum of dims[a]^2)^3 = 27,648 cells
+    # realize every row of every tree, once to solve F and once more in the
+    # audit of skeletalize
     h, mods = case("ks4")
     gamma_roundtrip(h, mods)
-    assert tree_cells(realized) == 11_520
+    assert tree_cells(realized) == 0
+    skeletalize(h, mods, verify=False)
+    assert tree_cells(realized) == 27_648
     realized.clear()
-    skeletalize(h, mods, verify=True)  # the audit realizes every row
-    assert tree_cells(realized) == 11_520 + 27_648
+    skeletalize(h, mods, verify=True)
+    assert tree_cells(realized) == 55_296

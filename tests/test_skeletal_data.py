@@ -112,7 +112,7 @@ def test_flat_trees_hold_the_per_tree_products(name):
     skel, fiber = skeletal(name)
     dims = fiber.dims
     for a, b, c in itertools.product(range(skel.rank), repeat=3):
-        got = tree_maps(skel.fusion, fiber.J, dims, a, b, c, fiber.J, dims)
+        got = tree_maps(skel.fusion, fiber.J, dims, a, b, c)
         want = trees_one_product_each(skel.fusion, fiber.J, dims, a, b, c)
         assert [d for d, _, _ in got] == [d for d, _, _ in want]
         for (d, left, right), (_, wl, wr) in zip(got, want):
@@ -128,8 +128,8 @@ def test_tensorator_multiplies_no_kron_and_no_identity_by_f(name, monkeypatch):
     # the trees are realized beforehand, so only F * left is counted
     skel, fiber = skeletal(name)
     triples = itertools.product(range(skel.rank), repeat=3)
-    trees = {t: tree_maps(skel.fusion, fiber.J, fiber.dims, *t, fiber.J, fiber.dims) for t in triples}
-    monkeypatch.setattr(fusion, "tree_maps", lambda N, J, dims, a, b, c, K, rows: trees[a, b, c])
+    trees = {t: tree_maps(skel.fusion, fiber.J, fiber.dims, *t) for t in triples}
+    monkeypatch.setattr(fusion, "tree_maps", lambda N, J, dims, a, b, c: trees[a, b, c])
     made = []
     real_kron, real_identity = Matrix.kron, Matrix.identity
     monkeypatch.setattr(Matrix, "kron", lambda self, other: made.append("kron") or real_kron(self, other))
