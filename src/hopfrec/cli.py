@@ -141,7 +141,8 @@ def _cmd_roundtrip(args):
             reports.append(e.report)
         return reports, {}
     payload = {"gamma": serialize.format_matrix(gamma)}
-    # rep holds the five round-trip identities (a family that fails its gate
+    # rep is gamma's Hopf-morphism report: the antipode law decided, the other
+    # four laws and bijectivity certified by the gate (a family that fails it
     # raised SkeletalizationFailure above); the rebuilt family is cheap to add
     zrep = verify_irreps(recon.hopf.alg, zeta_modules(recon))
     zrep.name = "rebuilt-irreps"

@@ -6,6 +6,7 @@ reconstruct something isomorphic to the group algebra via the evaluation
 map gamma.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import hopfrec.reconstruct
 import hopfrec.repcat
-from hopfrec.errors import ReconstructionAxiomFailure, ShapeError
+from hopfrec.errors import ReconstructionAxiomFailure, ShapeError, SkeletalizationFailure
 from hopfrec.examples import (
     EXAMPLES,
     gen_function_algebra,
@@ -44,6 +45,7 @@ from hopfrec.repcat import (
 )
 from hopfrec.scalars import ONE, Scalar, sc
 from test_hopf_morphism_bumps import gauge_case, gauge_eta
+from test_sweedler_h4 import indecomposable_v, sweedler_h4
 
 Z2 = cyclic_group(2)
 S3 = symmetric_group(3)
@@ -269,23 +271,26 @@ def test_transport_matrix_swapping_the_characters_is_no_hopf_map():
     assert sorted({f.check for f in rep.failures}) == ["morphism-comultiplicative", "morphism-counit"]
 
 
+def bumped_antipode(alg, comult, counit, antipode):
+    """HopfPresentation with one antipode entry off by 1, to patch in for
+    reconstruct's: gamma then fails the antipode law."""
+    rows = antipode.to_rows()
+    rows[0][0] = rows[0][0] + 1
+    return HopfPresentation(alg, comult, counit, Matrix.from_rows(rows))
+
+
 def test_hopf_axiom_failure_raises_from_both_entry_points(monkeypatch):
     # the assembled presentation is re-checked whether the category data was
     # checked by reconstruct_hopf or, in the round trip, by skeletalize; the
     # round trip re-checks it when transport along gamma cannot certify it,
-    # here because the morphism report fails
+    # here because the bumped rebuilt antipode fails the morphism report
     def failing(h):
         good, bad = CheckReport("algebra"), CheckReport("antipode")
         bad.add("antipode", (0,), "1", "2")
         return [good, bad]
 
-    def untransported(src, dst, m):
-        rep = check_hopf_morphism(src, dst, m)
-        rep.add("morphism-unit", (), "0", "1")
-        return rep
-
     monkeypatch.setattr(hopfrec.reconstruct, "run_hopf_checks", failing)
-    monkeypatch.setattr(hopfrec.repcat, "check_hopf_morphism", untransported)
+    monkeypatch.setattr(hopfrec.reconstruct, "HopfPresentation", bumped_antipode)
     h, mods = gen_group_algebra(Z2), EXAMPLES["kz2-modules"][1]()
     skel, fiber = skeletalize(h, mods)
     for attempt in (lambda: reconstruct_hopf(skel, fiber), lambda: gamma_roundtrip(h, mods)):
@@ -312,8 +317,18 @@ ROUND_TRIPS = {
 }
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The calls the round trip makes to check_hopf_morphism."""
+    seen = []
+    monkeypatch.setattr(
+        hopfrec.repcat, "check_hopf_morphism", lambda src, dst, m: seen.append(m) or check_hopf_morphism(src, dst, m)
+    )
+    return seen
+
+
 @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
-def test_a_certified_round_trip_runs_no_rebuilt_checks(monkeypatch, name):
+def test_a_certified_round_trip_runs_no_rebuilt_checks(monkeypatch, sweeps, name):
     def barred(hopf):
         raise AssertionError("the rebuilt side ran its Hopf checks")
 
@@ -322,8 +337,36 @@ def test_a_certified_round_trip_runs_no_rebuilt_checks(monkeypatch, name):
     rep, gamma, recon = _roundtrip(h, mods)
     assert rep.passed and rep.flags["bijective"], [f.line() for f in rep.failures]
     assert gamma.rows == gamma.cols == h.dim
-    # no checker swept the rebuilt algebra, not even check_algebra
-    assert recon.hopf.alg._views.passed is None
+    # the four laws and bijectivity hold by construction: no morphism sweep,
+    # and no checker built the rebuilt side's views, not even check_algebra
+    assert sweeps == []
+    assert "_views" not in vars(recon.hopf) and "_views" not in vars(recon.hopf.alg)
+
+
+def test_a_failing_antipode_identity_sweeps_once(sweeps):
+    # K[S3] with S = id: S' gamma != gamma S, so the full sweep lists the
+    # failing tuples, the two 3-cycles that S swaps
+    h, mods = ROUND_TRIPS["ks3"]()
+    h = dataclasses.replace(h, antipode=Matrix.identity(h.dim))
+    rep, gamma, _ = _roundtrip(h, mods, verify=False)
+    assert sweeps == [gamma]
+    assert [f.line().split(":")[0] for f in rep.failures] == ["morphism-antipode at (3,)", "morphism-antipode at (4,)"]
+    assert rep.flags == {"bijective": True}
+
+
+def test_a_rank_deficient_family_stops_at_the_gate(monkeypatch, sweeps):
+    # gamma is bijective once the gate passes, so a family whose gamma is not
+    # (Sweedler's H4 on its 2-dim indecomposable module, rank 3 of 4) raises
+    # at the gate, before anything is assembled or any morphism law is read
+    def barred(*args):
+        raise AssertionError("the round trip went past the gate")
+
+    monkeypatch.setattr(hopfrec.reconstruct, "_assemble", barred)
+    monkeypatch.setattr(hopfrec.repcat, "_decompositions", barred)
+    with pytest.raises(SkeletalizationFailure, match="not a complete split irreducible family") as err:
+        gamma_roundtrip(sweedler_h4(), [indecomposable_v()])
+    assert err.value.report.lines()[1:] == ["  complete at (): rank of gamma = 3 != algebra dim = 4"]
+    assert sweeps == []
 
 
 def _failing_report(name):
@@ -332,25 +375,15 @@ def _failing_report(name):
     return rep
 
 
-def _morphism_then(edit):
-    """check_hopf_morphism with its report edited afterwards."""
-
-    def morphism(src, dst, m):
-        rep = check_hopf_morphism(src, dst, m)
-        edit(rep)
-        return rep
-
-    return morphism
-
-
-# each case removes one condition of the certificate: the name in repcat
-# to patch and its stand-in, or None for the source's algebra verdict
+# each case removes one condition of the certificate: the module and name
+# to patch and its stand-in, or None for the source's algebra verdict; the
+# morphism laws can fail only at the antipode, and bijectivity not at all
+# past the gate (test_a_rank_deficient_family_stops_at_the_gate)
 UNCERTIFIED = {
     "source-algebra": None,
-    "source-bialgebra": ("check_bialgebra", lambda h: _failing_report("bialgebra")),
-    "source-antipode": ("check_antipode", lambda h: _failing_report("antipode")),
-    "morphism-law": ("check_hopf_morphism", _morphism_then(lambda rep: rep.add("morphism-counit", (0,), "1", "2"))),
-    "not-bijective": ("check_hopf_morphism", _morphism_then(lambda rep: rep.flags.update(bijective=False))),
+    "source-bialgebra": (hopfrec.repcat, "check_bialgebra", lambda h: _failing_report("bialgebra")),
+    "source-antipode": (hopfrec.repcat, "check_antipode", lambda h: _failing_report("antipode")),
+    "morphism-law": (hopfrec.reconstruct, "HopfPresentation", bumped_antipode),
 }
 
 
@@ -364,7 +397,7 @@ def test_each_condition_of_the_transport_certificate_is_required(monkeypatch, ca
     if UNCERTIFIED[case] is None:
         vars(h.alg)["_gens"] = None  # as cached when check_algebra fails
     else:
-        monkeypatch.setattr(hopfrec.repcat, *UNCERTIFIED[case])
+        monkeypatch.setattr(*UNCERTIFIED[case])
     with pytest.raises(ReconstructionAxiomFailure, match="Hopf axioms") as err:
         gamma_roundtrip(h, mods)
     assert err.value.reports == [rebuilt]
@@ -374,12 +407,7 @@ def test_each_condition_of_the_transport_certificate_is_required(monkeypatch, ca
 def test_a_bumped_rebuilt_antipode_raises_the_rebuilt_reports(monkeypatch, name):
     # one rebuilt antipode entry off by 1: gamma fails the antipode law, so
     # the rebuilt checks run and their failing reports are raised
-    def bumped(alg, comult, counit, antipode):
-        rows = antipode.to_rows()
-        rows[0][0] = rows[0][0] + 1
-        return HopfPresentation(alg, comult, counit, Matrix.from_rows(rows))
-
-    monkeypatch.setattr(hopfrec.reconstruct, "HopfPresentation", bumped)
+    monkeypatch.setattr(hopfrec.reconstruct, "HopfPresentation", bumped_antipode)
     h, mods = ROUND_TRIPS[name]()
     skel, fiber = skeletalize(h, mods)
     want = [r for r in run_hopf_checks(reconstruct_hopf(skel, fiber, verify=False).hopf) if not r.passed]

@@ -21,6 +21,11 @@ no F, and solves none where H passes check_bialgebra (the existence
 argument in `_skeletalize`): its output equals that of reconstruct_hopf
 on skeletalize, with no tree realized and no F solved.  A failed premise
 solves F, so the round trip raises what `_skeletalize` raises.
+
+The round trip decides only the antipode law of gamma, the other four and
+bijectivity holding by construction (the proof in `repcat._roundtrip`):
+its report equals the full check_hopf_morphism on its own gamma and
+rebuilt presentation, passing or failing.
 """
 
 import dataclasses
@@ -30,7 +35,7 @@ from itertools import product
 
 import pytest
 
-from hopfrec import fusion, repcat, serialize
+from hopfrec import fusion, reconstruct, repcat, serialize
 from hopfrec.errors import DecompositionGap, HopfrecError, SkeletalizationFailure
 from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.fusion import verify_category
@@ -41,6 +46,7 @@ from hopfrec.reconstruct import reconstruct_hopf
 from hopfrec.repcat import _roundtrip, _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
 from hopfrec.scalars import Scalar
 from test_generators import base, bump, cyclic_characters
+from test_reconstruct import bumped_antipode
 from test_tensorator_bumps import alternating_group_4, modules_a4
 
 FAMILIES = [name for name, (kind, _) in EXAMPLES.items() if kind == "hopf" and f"{name}-modules" in EXAMPLES]
@@ -90,8 +96,8 @@ def case(name: str):
     if name == "ka4":
         g = alternating_group_4()
         return gen_group_algebra(g), modules_a4(g)
-    if name == "ks3-identity-antipode":
-        h, mods = case("ks3")
+    if name.endswith("-identity-antipode"):
+        h, mods = case(name.removesuffix("-identity-antipode"))
         return dataclasses.replace(h, antipode=Matrix.identity(h.dim)), mods
     if name == "kz2z2-conjugated":
         h, mods = case("kz2z2")
@@ -245,6 +251,29 @@ def test_the_round_trip_solves_no_f(name, realized, solves):
     assert realized == [] and solves == []
     got = serialize.dumps(recon.hopf, basis=recon.basis), gamma, rep.lines(), rep.flags
     assert got == rebuilt(h, mods)
+
+
+# the antipode identity's cases, each with the number of morphism-antipode
+# tuples that S' gamma != gamma S fails at
+ANTIPODE_IDENTITY = {name: 0 for name in FAMILIES + ["kz5", "kz7", "kz8", "kz12"]} | {
+    "ks3-identity-antipode": 2,
+    "kz5-identity-antipode": 4,
+    "ks3-bumped-rebuilt-antipode": 6,
+}
+
+
+@pytest.mark.parametrize("name", ANTIPODE_IDENTITY)
+def test_the_round_trip_reports_what_the_full_morphism_sweep_reports(name, monkeypatch):
+    # the four laws that construction fixes, and bijectivity, which the gate
+    # certifies, cannot change the report: the antipode identity alone, with
+    # the full sweep on a miss, gives check_hopf_morphism's report
+    if name == "ks3-bumped-rebuilt-antipode":
+        monkeypatch.setattr(reconstruct, "HopfPresentation", bumped_antipode)
+    h, mods = case(name.removesuffix("-bumped-rebuilt-antipode"))
+    rep, gamma, recon = _roundtrip(h, mods, verify=False)
+    assert rep.as_dict() == check_hopf_morphism(h, recon.hopf, gamma).as_dict()
+    assert [f.check for f in rep.failures] == ["morphism-antipode"] * ANTIPODE_IDENTITY[name]
+    assert rep.flags == {"bijective": True}
 
 
 # the bumped product makes no module of the family: _skeletalize, which has
