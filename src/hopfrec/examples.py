@@ -20,7 +20,7 @@ from .groups import (
     standard_rep_matrix,
     symmetric_group,
 )
-from .hopf import AlgebraPresentation, HopfPresentation
+from .hopf import AlgebraPresentation, HopfPresentation, StructureTensor
 from .matrices import Matrix
 from .repcat import ModuleRep
 from .scalars import ONE, ZERO, packing, sc, vanishes
@@ -29,23 +29,29 @@ from .scalars import ONE, ZERO, packing, sc, vanishes
 def gen_group_algebra(g: GroupTable) -> HopfPresentation:
     """K[G]: grouplike basis, S by inversion."""
     n = g.order
-    mult = [[[ONE if g.mul(i, j) == k else ZERO for k in range(n)] for j in range(n)] for i in range(n)]
+    mult = StructureTensor(n, ([(j, g.mul(i, j), ONE) for j in range(n)] for i in range(n)))
     unit = [ONE if i == 0 else ZERO for i in range(n)]
-    comult = [[[ONE if i == j == k else ZERO for k in range(n)] for j in range(n)] for i in range(n)]
+    comult = StructureTensor(n, ([(i, i, ONE)] for i in range(n)))
     counit = [ONE] * n
-    s = Matrix(n, n, [ONE if j == g.inv(i) else ZERO for j in range(n) for i in range(n)])
-    return HopfPresentation(AlgebraPresentation(n, mult, unit), comult, counit, s)
+    return HopfPresentation(AlgebraPresentation(n, mult, unit), comult, counit, _inversion(g))
 
 
 def gen_function_algebra(g: GroupTable) -> HopfPresentation:
     """Fun(G): point mass basis, comultiplication by convolution splitting."""
     n = g.order
-    mult = [[[ONE if i == j == k else ZERO for k in range(n)] for j in range(n)] for i in range(n)]
+    inv = [g.inv(a) for a in range(n)]
+    mult = StructureTensor(n, ([(i, i, ONE)] for i in range(n)))
     unit = [ONE] * n
-    comult = [[[ONE if g.mul(a, b) == i else ZERO for b in range(n)] for a in range(n)] for i in range(n)]
+    # delta_i splits over the pairs (a, b) with ab = i, that is b = a^-1 i
+    comult = StructureTensor(n, ([(a, g.mul(inv[a], i), ONE) for a in range(n)] for i in range(n)))
     counit = [ONE if i == 0 else ZERO for i in range(n)]
-    s = Matrix(n, n, [ONE if j == g.inv(i) else ZERO for j in range(n) for i in range(n)])
-    return HopfPresentation(AlgebraPresentation(n, mult, unit), comult, counit, s)
+    return HopfPresentation(AlgebraPresentation(n, mult, unit), comult, counit, _inversion(g))
+
+
+def _inversion(g: GroupTable) -> Matrix:
+    """The permutation matrix of g -> g^-1 on the group's basis."""
+    inv = [g.inv(i) for i in range(g.order)]
+    return Matrix(g.order, g.order, [ONE if j == x else ZERO for j in range(g.order) for x in inv])
 
 
 def gen_drinfeld_double(g: GroupTable) -> HopfPresentation:
@@ -57,35 +63,32 @@ def gen_drinfeld_double(g: GroupTable) -> HopfPresentation:
     """
     n = g.order
     dim = n * n
+    inv = [g.inv(a) for a in range(n)]
 
     def idx(h, a):
         return h * n + a
 
-    mult = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for h in range(n):
-        for a in range(n):
-            for hp in range(n):
-                for b in range(n):
-                    if h == g.conjugate(a, hp):
-                        mult[idx(h, a)][idx(hp, b)][idx(h, g.mul(a, b))] = ONE
+    # the one h' with h = a h' a^-1 is a^-1 h a
+    mult = StructureTensor(dim, (
+        [(idx(g.mul(g.mul(inv[a], h), a), b), idx(h, g.mul(a, b)), ONE) for b in range(n)]
+        for h in range(n) for a in range(n)
+    ))
     unit = [ZERO] * dim
     for h in range(n):
         unit[idx(h, 0)] = ONE
-    comult = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for h in range(n):
-        for a in range(n):
-            for h1 in range(n):
-                for h2 in range(n):
-                    if g.mul(h1, h2) == h:
-                        comult[idx(h, a)][idx(h1, a)][idx(h2, a)] = ONE
+    # the one h2 with h1 h2 = h is h1^-1 h
+    comult = StructureTensor(dim, (
+        [(idx(h1, a), idx(g.mul(inv[h1], h), a), ONE) for h1 in range(n)]
+        for h in range(n) for a in range(n)
+    ))
     counit = [ZERO] * dim
     for a in range(n):
         counit[idx(0, a)] = ONE
     s = [[ZERO] * dim for _ in range(dim)]
     for h in range(n):
         for a in range(n):
-            ai = g.inv(a)
-            hi = g.conjugate(ai, g.inv(h))
+            ai = inv[a]
+            hi = g.conjugate(ai, inv[h])
             s[idx(hi, ai)][idx(h, a)] = ONE
     return HopfPresentation(
         AlgebraPresentation(dim, mult, unit), comult, counit, Matrix.from_rows(s)

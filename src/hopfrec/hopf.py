@@ -10,9 +10,13 @@ Conventions, fixed once for the whole package:
 Checkers return a CheckReport listing every failing index tuple with both
 sides of the identity; they never raise on honest axiom violations.
 
-Tensors are stored dense.  The first check of a presentation lowers it to
-sparse views of its nonzero entries, cached on the instance and shared by
-every checker after it, in the ring of `scalars.packing`: each entry x is
+Structure tensors are held as their nonzero entries (`StructureTensor`),
+plane by plane in (j, k) order, as the builders and the loader produce
+them; t[i][j][k] and iteration over planes derive the dense form on each
+call, and no reader in the package asks for it.  The first check of a
+presentation lowers it to views of its nonzero entries, cached on the
+instance and shared by every checker after it, in the ring of
+`scalars.packing`: each entry x is
 held as the int D*x, packed at x -> B when some entry has conductor > 1.
 A side of an identity that sums products of k entries then holds D^k
 times its value, so sides of degrees k < l compare after the lower one is
@@ -83,11 +87,78 @@ from .reports import CheckReport
 from .scalars import ZERO, packing, same_sides, sc, vanishes
 
 
-def _tensor3(data, n: int):
-    t = tuple(tuple(tuple(sc(x) for x in row) for row in plane) for plane in data)
-    if len(t) != n or any(len(p) != n or any(len(r) != n for r in p) for p in t):
+class StructureTensor:
+    """An n x n x n structure tensor held as its nonzero entries: planes[i]
+    lists (j, k, t[i][j][k]) over the nonzero cells of plane i in (j, k)
+    order.  Entries are coerced by `sc`, zeros are dropped, and an index
+    out of range or out of order raises ShapeError.  t[i][j][k], len(t)
+    and iteration over planes and rows read the dense form that `plane`
+    derives; the package itself walks `planes`."""
+
+    __slots__ = ("n", "planes")
+
+    def __init__(self, n: int, planes):
+        planes = tuple(planes)
+        if len(planes) != n:
+            raise ShapeError(f"structure tensor is not {n}x{n}x{n}")
+        out = []
+        for p in planes:
+            nz = []
+            last = -1
+            for j, k, x in p:
+                if not (0 <= j < n and 0 <= k < n and j * n + k > last):
+                    raise ShapeError(f"entry ({j}, {k}) is out of range or out of (j, k) order")
+                last = j * n + k
+                if x := sc(x):
+                    nz.append((j, k, x))
+            out.append(tuple(nz))
+        self.n = n
+        self.planes = tuple(out)
+
+    def rows(self, i: int) -> list:
+        """Plane i as n rows, row j listing (k, t[i][j][k]) over its nonzero cells."""
+        rows = [[] for _ in range(self.n)]
+        for j, k, x in self.planes[i]:
+            rows[j].append((k, x))
+        return rows
+
+    def plane(self, i: int) -> tuple:
+        """The dense plane i, ZERO in every absent cell, derived on each call."""
+        n = self.n
+        rows = [[ZERO] * n for _ in range(n)]
+        for j, k, x in self.planes[i]:
+            rows[j][k] = x
+        return tuple(map(tuple, rows))
+
+    def __getitem__(self, i: int) -> tuple:
+        return self.plane(i)
+
+    def __iter__(self):
+        return (self.plane(i) for i in range(self.n))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, StructureTensor):
+            return NotImplemented
+        return self.n == other.n and self.planes == other.planes
+
+    def __repr__(self):
+        return f"StructureTensor({self.n}, {sum(map(len, self.planes))} nonzeros)"
+
+
+def _tensor3(data, n: int) -> StructureTensor:
+    """The one normalizer: a StructureTensor of dim n is kept, and dense
+    nested input is scanned once for its nonzero cells."""
+    if isinstance(data, StructureTensor):
+        if data.n != n:
+            raise ShapeError(f"structure tensor is not {n}x{n}x{n}")
+        return data
+    planes = [tuple(tuple(sc(x) for x in row) for row in plane) for plane in data]
+    if len(planes) != n or any(len(p) != n or any(len(r) != n for r in p) for p in planes):
         raise ShapeError(f"structure tensor is not {n}x{n}x{n}")
-    return t
+    return StructureTensor(n, ([(j, k, x) for j, row in enumerate(p) for k, x in enumerate(row) if x] for p in planes))
 
 
 def _vector(data, n: int):
@@ -100,7 +171,7 @@ def _vector(data, n: int):
 @dataclass(frozen=True)
 class AlgebraPresentation:
     dim: int
-    mult: tuple  # mult[i][j][k]
+    mult: StructureTensor  # mult[i][j][k]; dense nested input is accepted
     unit: tuple  # length dim
 
     def __post_init__(self):
@@ -124,7 +195,7 @@ class AlgebraPresentation:
 @dataclass(frozen=True)
 class HopfPresentation:
     alg: AlgebraPresentation
-    comult: tuple  # comult[i][j][k]
+    comult: StructureTensor  # comult[i][j][k]; dense nested input is accepted
     counit: tuple  # length dim
     antipode: Matrix  # dim x dim
 
@@ -144,7 +215,7 @@ class HopfPresentation:
         return _Views(self.alg, self.comult, self.counit, self.antipode)
 
 
-# -- sparse views ---------------------------------------------------------
+# -- views ----------------------------------------------------------------
 
 class _Views:
     """A presentation's entries lowered once, as the module docstring says,
@@ -155,19 +226,15 @@ class _Views:
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
     column i, and u and eps are dense.  Flat offsets over the nonzero
     entries of plane i: mt[i] lists (j*n, k, mult), dp[i] lists
-    (j*n + k, comult) and dt[i] lists ((j*n + k)*n, comult).  The views of
-    a Hopf presentation read the nonzero positions of mult off its
-    algebra's views instead of scanning the n^3 cells again."""
+    (j*n + k, comult) and dt[i] lists ((j*n + k)*n, comult).  m and dl are
+    read off the stored nonzeros of mult and comult; nothing is scanned."""
 
-    def __init__(self, alg: AlgebraPresentation, comult=(), counit=(), antipode=None, ring=None):
+    def __init__(self, alg: AlgebraPresentation, comult=None, counit=(), antipode=None, ring=None):
         n, mult = alg.dim, alg.mult
         cols = antipode.transpose().to_rows() if antipode is not None else []
-        if antipode is None:
-            self.m = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in mult]
-        else:
-            self.m = [[[(k, mult[i][j][k]) for k, _ in row] for j, row in enumerate(p)] for i, p in enumerate(alg._views.m)]
+        self.m = [mult.rows(i) for i in range(n)]
         self.u = list(alg.unit)
-        self.dl = [[(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x] for plane in comult]
+        self.dl = list(comult.planes) if comult is not None else []
         self.eps = list(counit)
         self.s = [[(l, x) for l, x in enumerate(col) if x] for col in cols]
         nz = [x for plane in self.m for row in plane for _, x in row]
@@ -611,12 +678,10 @@ def tensor_hopf(h1: HopfPresentation, h2: HopfPresentation) -> HopfPresentation:
 
     def kron3(t1, t2):
         """The structure tensor t1 (x) t2, from the products of their nonzero entries."""
-        out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        nz = [[(i, j, k, c) for i, p in enumerate(t) for j, r in enumerate(p) for k, c in enumerate(r) if c]
-              for t in (t1, t2)]
-        for (i1, j1, k1, c1), (i2, j2, k2, c2) in product(*nz):
-            out[i1 * n2 + i2][j1 * n2 + j2][k1 * n2 + k2] = c1 * c2
-        return out
+        return StructureTensor(n, (
+            sorted((j1 * n2 + j2, k1 * n2 + k2, c1 * c2) for j1, k1, c1 in p1 for j2, k2, c2 in p2)
+            for p1, p2 in product(t1.planes, t2.planes)
+        ))
 
     def kron1(v1, v2):
         return [x * y for x in v1 for y in v2]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import ReconstructionAxiomFailure, ShapeError
 from .fusion import FiberData, FusionRules, FusionSkeleton, _copy_offset, compute_delta, validate_fiber, verify_category
-from .hopf import AlgebraPresentation, HopfPresentation, run_hopf_checks
+from .hopf import AlgebraPresentation, HopfPresentation, StructureTensor, run_hopf_checks
 from .matrices import Matrix, block_diag, mat_inverse
 from .repcat import ModuleRep, SliceMorphismData
 from .scalars import ONE, ZERO
@@ -68,13 +68,10 @@ def endf_algebra(skel: FusionRules, fiber: FiberData):
     def idx(a, i, j):
         return offs[a] + i * d[a] + j
 
-    mult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a in range(r):
-        for i in range(d[a]):
-            for j in range(d[a]):
-                for k in range(d[a]):
-                    # E_ij E_jk = E_ik within the block of a
-                    mult[idx(a, i, j)][idx(a, j, k)][idx(a, i, k)] = ONE
+    # E_ij E_jk = E_ik within the block of a
+    mult = StructureTensor(n, (
+        [(idx(a, j, k), idx(a, i, k), ONE) for k in range(d[a])] for a, i, j in basis
+    ))
     unit = [ZERO] * n
     for a in range(r):
         for i in range(d[a]):
@@ -119,29 +116,27 @@ def _assemble(skel: FusionRules, fiber: FiberData) -> ReconstructionResult:
         return offs[a] + i * d[a] + j
 
     # E^c_ij sits at (o+i, o+j) of each copy o of c in a (x) b, so its
-    # image Jinv E J is the sum over copies of Jinv[:, o+i] J[o+j, :]
-    comult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    # image Jinv E J is the sum over copies of Jinv[:, o+i] J[o+j, :]; the
+    # cells (q1, q2) of plane p that a (x) b reaches lie in blocks a and b
+    planes = [{} for _ in range(n)]
     for (a, b), jm in fiber.J.items():
         jinv = mat_inverse(jm)
         size = jm.rows
         jcols = [[(t, x) for t in range(size) if (x := jinv.at(t, s))] for s in range(size)]
         jrows = [[(t, x) for t, x in enumerate(jm.row(s)) if x] for s in range(size)]
-        acc = {}
         for c in range(r):
             for mu in range(N[a][b][c]):
                 o = _copy_offset(N[a][b], d, c, mu)
                 for i in range(d[c]):
                     for j in range(d[c]):
-                        p = idx(c, i, j)
+                        acc = planes[idx(c, i, j)]
                         for t, x in jcols[o + i]:
                             i1, k1 = divmod(t, d[b])
                             for u, y in jrows[o + j]:
                                 j1, l1 = divmod(u, d[b])
-                                key = (p, idx(a, i1, j1), idx(b, k1, l1))
+                                key = (idx(a, i1, j1), idx(b, k1, l1))
                                 acc[key] = acc[key] + x * y if key in acc else x * y
-        for (p, q1, q2), v in acc.items():
-            if v:
-                comult[p][q1][q2] = v
+    comult = StructureTensor(n, (sorted((q1, q2, v) for (q1, q2), v in acc.items()) for acc in planes))
 
     counit = [ZERO] * n
     for i, (a, _k, _l) in enumerate(basis):

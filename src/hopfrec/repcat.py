@@ -135,31 +135,36 @@ def _tensor_name(v: ModuleRep, w: ModuleRep) -> str:
 
 
 def _tensor_actions(h: HopfPresentation, v: ModuleRep, w: ModuleRep, rows) -> list:
-    """The actions of e_i on v (x) w, for i in rows: sum over the nonzero
-    comult[i][j][k] of that coefficient times act_v(e_j) (x) act_w(e_k).
-    A coefficient equal to 1, at any conductor, leaves its kron unscaled,
-    at the kron's own conductor."""
+    """The actions of e_i on v (x) w, for i in rows: sum over the stored
+    nonzero comult[i][j][k] of that coefficient times act_v(e_j) (x)
+    act_w(e_k).  A coefficient equal to 1, at any conductor, leaves its
+    kron unscaled, at the kron's own conductor."""
 
-    def term(i, j, k):
-        c, t = h.comult[i][j][k], v.action[j].kron(w.action[k])
+    def term(j, k, c):
+        t = v.action[j].kron(w.action[k])
         return t if c == 1 else c * t
 
-    return [_sum(v.dim * w.dim, (term(i, j, k) for j, k, _ in h._views.dl[i])) for i in rows]
+    planes = h.comult.planes
+    return [_sum(v.dim * w.dim, (term(*e) for e in planes[i])) for i in rows]
 
 
 def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
-    """Contragredient action: transpose of the action of the antipode."""
+    """Contragredient action: transpose of the action of the antipode.  A
+    module with other than one action per basis element raises ShapeError."""
     n = h.dim
-    action = tuple(_act(v, h.antipode.entries[i::n]).transpose() for i in range(n))
+    if len(v.action) != n:
+        raise ShapeError(f"module {v.name} has {len(v.action)} action matrices for dim {n}")
+    action = tuple(_act(v, enumerate(h.antipode.entries[i::n])).transpose() for i in range(n))
     return ModuleRep(v.dim, action, f"{v.name}*")
 
 
-def _act(v: ModuleRep, coeffs) -> Matrix:
-    """The action of sum_k coeffs[k] e_k.  Only the rational 1 leaves an
-    action unscaled, as in kron, so the sum equals the one folded from the
-    zero matrix, in value and in conductor."""
-    terms = zip(coeffs, v.action, strict=True)
-    return _sum(v.dim, (a if c.conductor == 1 and c.coeffs[0] == 1 else c * a for c, a in terms if c))
+def _act(v: ModuleRep, terms) -> Matrix:
+    """The action of the sum of c e_k over the (k, c) pairs of terms, zeros
+    skipped.  Only the rational 1 leaves an action unscaled, as in kron, so
+    the sum equals the one folded from the zero matrix, in value and in
+    conductor."""
+    act = v.action
+    return _sum(v.dim, (act[k] if c.conductor == 1 and c.coeffs[0] == 1 else c * act[k] for k, c in terms if c))
 
 
 def _sum(dim: int, terms) -> Matrix:
@@ -215,7 +220,7 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     for idx, v in enumerate(modules):
         if len(v.action) != n:
             raise ShapeError(f"module {idx} has {len(v.action)} action matrices for dim {n}")
-        uni = _act(v, alg.unit)
+        uni = _act(v, enumerate(alg.unit))
         if uni != Matrix.identity(v.dim):
             rep.add("module-unit", (idx,), uni, Matrix.identity(v.dim))
         elif gens is not None and _module_structure(CheckReport(rep.name), alg, idx, v, gens).passed:
@@ -247,11 +252,12 @@ def _gamma(modules: list, n: int) -> Matrix:
 
 
 def _module_structure(rep: CheckReport, alg: AlgebraPresentation, idx: int, v: ModuleRep, rows) -> CheckReport:
-    """act(e_i) act(e_j) = act(e_i e_j) for i in rows and every j."""
+    """act(e_i) act(e_j) = act(e_i e_j) for i in rows and every j, each
+    right side summed over the stored nonzeros of e_i e_j."""
     for i in rows:
-        for j in range(alg.dim):
+        for j, terms in enumerate(alg.mult.rows(i)):
             lhs = v.action[i] * v.action[j]
-            rhs = _act(v, alg.mult[i][j])
+            rhs = _act(v, terms)
             if lhs != rhs:
                 rep.add("module-structure", (idx, i, j), lhs, rhs)
     return rep

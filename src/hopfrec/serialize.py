@@ -36,10 +36,10 @@ from typing import NamedTuple
 from .errors import ParseError, SchemaError
 from .fusion import FiberData, FusionSkeleton
 from .groups import GroupTable
-from .hopf import AlgebraPresentation, HopfPresentation
+from .hopf import AlgebraPresentation, HopfPresentation, StructureTensor
 from .matrices import Matrix
 from .repcat import ModuleRep
-from .scalars import Scalar, _make, _rat, phi_degree
+from .scalars import ZERO, Scalar, _make, _rat, phi_degree
 
 _RAT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -161,11 +161,23 @@ def _expect_fields(d: dict, fields: set, where: str):
         raise SchemaError(f"missing fields {sorted(missing)} in {where}")
 
 
-def _tensor3_payload(t, memo: dict):
-    return [[[_format(x, memo) for x in row] for row in plane] for plane in t]
+def _tensor3_payload(t: StructureTensor, memo: dict):
+    """The dense nested list of t, format_scalar(ZERO) in every absent cell."""
+    zero = format_scalar(ZERO)
+    out = []
+    for plane in t.planes:
+        rows = [[zero] * t.n for _ in range(t.n)]
+        for j, k, x in plane:
+            rows[j][k] = _format(x, memo)
+        out.append(rows)
+    return out
 
 
-def _parse_tensor3(obj, n: int, where: str, memo: dict):
+def _parse_tensor3(obj, n: int, where: str, memo: dict) -> StructureTensor:
+    """The nonzero cells of a dense nested list.  Every cell is validated
+    in order, but a string that has parsed to zero once is not parsed
+    again; a zero conductor object is parsed, its conductor folded into
+    the lcm, and dropped."""
     if (
         not isinstance(obj, list)
         or len(obj) != n
@@ -173,7 +185,20 @@ def _parse_tensor3(obj, n: int, where: str, memo: dict):
         or any(not isinstance(r, list) or len(r) != n for p in obj for r in p)
     ):
         raise SchemaError(f"{where} must be a {n}x{n}x{n} nested list")
-    return [[[_scalar(x, memo) for x in row] for row in plane] for plane in obj]
+    zeros = set()
+    planes = []
+    for plane in obj:
+        nz = []
+        for j, row in enumerate(plane):
+            for k, x in enumerate(row):
+                if type(x) is str and x in zeros:
+                    continue
+                if s := _scalar(x, memo):
+                    nz.append((j, k, s))
+                elif type(x) is str:
+                    zeros.add(x)
+        planes.append(nz)
+    return StructureTensor(n, planes)
 
 
 def _parse_scalar_list(obj, n: int, where: str, memo: dict):

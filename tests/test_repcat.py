@@ -301,7 +301,7 @@ def test_combinations_match_the_zero_folded_sums(name):
     for v in mods:
         coeffs = [h.alg.unit] + [h.alg.mult[i][j] for i in range(n) for j in range(n)]
         for cs in coeffs:
-            assert entry_cells(_act(v, cs)) == entry_cells(zero_folded(v.dim, zip(cs, v.action)))
+            assert entry_cells(_act(v, enumerate(cs))) == entry_cells(zero_folded(v.dim, zip(cs, v.action)))
         for i, a in enumerate(dual_module(h, v).action):
             ref = zero_folded(v.dim, zip(h.antipode.entries[i::n], v.action)).transpose()
             assert entry_cells(a) == entry_cells(ref)
@@ -335,6 +335,12 @@ def test_dual_module_of_std_is_std():
     d = dual_module(KS3, std)
     assert d.dim == 2
     assert len(hom_space(d, std)) == 1
+
+
+def test_dual_module_needs_one_action_per_basis_element():
+    triv, sgn, std = s3_modules()
+    with pytest.raises(ShapeError, match="has 5 action matrices for dim 6"):
+        dual_module(KS3, dataclasses.replace(std, action=std.action[:5]))
 
 
 def test_decompose_std_squared():

@@ -1,7 +1,8 @@
 """The load path of `serialize`: byte-exact round trips of every golden file,
 a cell-by-cell reference parse, the order in which malformed cells are
-reported, the per-call memo of parsed strings, the ASCII rule for
-rationals, and a fuzz of `loads` over single-value replacements.
+reported, the checks that skipping parsed zeros keeps, the per-call memo
+of parsed strings, the ASCII rule for rationals, and a fuzz of `loads`
+over single-value replacements.
 """
 
 import json
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from hopfrec.errors import ParseError, SchemaError, ShapeError
 from hopfrec.examples import gen_pointed_category
 from hopfrec.groups import cyclic_group
-from hopfrec.scalars import Scalar
-from hopfrec.serialize import dumps, loads, parse_scalar
+from hopfrec.scalars import Scalar, phi_degree
+from hopfrec.serialize import MAX_PHI, dumps, loads, parse_scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
@@ -111,15 +112,66 @@ def test_a_malformed_cell_fails_alike_once_or_everywhere(bad, error, message):
     assert str(exc.value) == "malformed rational 'first/'"
 
 
-def _cells(h):
-    return [x for t in (h.alg.mult, h.comult) for plane in t for row in plane for x in row]
+def _zero_object(n: int, count: int | None = None) -> dict:
+    """A conductor-n zero as a JSON conductor object of count coeffs, phi(n) by default."""
+    return {"conductor": n, "coeffs": ["0/1"] * (phi_degree(n) if count is None else count)}
+
+
+# zeros the loader must still reject, with the message of each
+BAD_ZEROS = [
+    ("0/0", ParseError, "zero denominator in '0/0'"),
+    (_zero_object(4, 3), SchemaError, "coeffs must be a list of length 2 for conductor 4"),
+]
+
+
+@pytest.mark.parametrize("bad,error,message", BAD_ZEROS, ids=["text", "coeffs"])
+def test_skipping_parsed_zeros_keeps_every_check_of_a_zero_cell(bad, error, message):
+    """A string that parsed to zero is not parsed again, but every other
+    cell is: a bad zero fails where it stands, after zeros already seen,
+    and the first bad cell in order is the one reported."""
+    everywhere = {(i, j, k): bad for i in range(2) for j in range(2) for k in range(2)}
+    for cells in ({(1, 0, 1): bad}, {(0, 1, 1): _zero_object(4), (1, 1, 0): bad}, everywhere):
+        with pytest.raises(error) as exc:
+            loads(_kz2_with(cells))
+        assert str(exc.value) == message
+    with pytest.raises(error) as exc:
+        loads(_kz2_with({(0, 1, 1): bad, (1, 0, 0): "x", (1, 1, 1): "last"}))
+    assert str(exc.value) == message
+    with pytest.raises(ParseError) as exc:
+        loads(_kz2_with({(0, 1, 1): "x", (1, 0, 0): bad}))
+    assert str(exc.value) == "malformed rational 'x'"
+
+
+def test_zero_conductor_objects_count_toward_the_lcm_cap():
+    """Two zero conductor objects alone break MAX_PHI: each conductor is
+    folded into the lcm before the zero is dropped."""
+    with pytest.raises(SchemaError) as exc:
+        loads(_kz2_with({(0, 0, 1): _zero_object(211), (1, 1, 0): _zero_object(223)}))
+    assert str(exc.value) == f"conductors have lcm 47053, whose phi exceeds {MAX_PHI}"
+
+
+def test_a_zero_conductor_object_is_dropped_like_0_over_1():
+    golden = (GOLDEN / "kz2.json").read_text()
+    loaded = loads(_kz2_with({(0, 0, 1): _zero_object(4), (1, 0, 0): _zero_object(3)})).obj
+    assert loaded.alg.mult.planes == loads(golden).obj.alg.mult.planes
+    # so it is written back as "0/1"
+    assert dumps(loaded) == golden
+
+
+def _nonzero_texts(text):
+    d = json.loads(text)
+    return {x for t in ("mult", "comult") for plane in d[t] for row in plane for x in row if x != "0/1"}
+
+
+def _stored(h):
+    return [x for t in (h.alg.mult, h.comult) for plane in t.planes for *_, x in plane]
 
 
 def test_each_distinct_string_becomes_one_scalar_per_load():
     text = (GOLDEN / "ds3.json").read_text()
-    first, second = _cells(loads(text).obj), _cells(loads(text).obj)
-    assert len(first) == 2 * 36**3
-    assert len({id(x) for x in first}) <= 2
+    first, second = _stored(loads(text).obj), _stored(loads(text).obj)
+    assert len(first) == 432  # D(S3) stores its nonzero cells only
+    assert len({id(x) for x in first}) == len(_nonzero_texts(text))
     # no cache outlives a call: a second load builds its own Scalars
     assert not {id(x) for x in first} & {id(x) for x in second}
 
