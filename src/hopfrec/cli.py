@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import serialize
 from .errors import (
@@ -158,7 +159,10 @@ def _cmd_example(args):
     return [], {"written": args.out, "payload_kind": kind}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It binds the handlers; each
+    handler looks up the names it calls when it runs."""
     p = argparse.ArgumentParser(
         prog="hopfrec",
         description="Exact checkers and reconstruction for Hopf algebra and fusion category data.",

@@ -29,6 +29,11 @@ N in lexicographic order.  A failing (a, b, c, d, total) is walked again
 and rendered from the same ints, as T5 x T1 matrices in lexicographic
 label order: the ring's `high` reads the two-step side back at D^2 and
 the three-step side at D^3, every cell at the ring's conductor.
+
+The tensorator check reads the trees of each triple off the lowered rows
+of J (`tree_maps`, which builds no kron, identity or product) and decides
+F * left == right on the lowerings of F and of the trees.  Only a triple
+that fails is multiplied out as Scalar matrices, to render its report.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
+from math import lcm
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
 from .matrices import Matrix, _with_inverse, mat_inverse
@@ -282,9 +288,12 @@ def _pentagon_kernel(skel, low):
     def acc(out, key, v):
         out[key] = out.get(key, 0) + v
 
+    # (y, N[y][d][tot]) over the y with N[y][d][tot] > 0, ascending
+    ys = [[[(y, N[y][d][tot]) for y in range(r) if N[y][d][tot]] for tot in range(r)] for d in range(r)]
+
     def sides(a, b, c, d, tot):
-        for y in range(r):
-            for m3 in range(N[y][d][tot]):
+        for y, k in ys[d][tot]:
+            for m3 in range(k):
                 # T1 basis vector (x, m1, y, m2, m3), and its image in T3
                 for (x, m1, m2), to_t3 in cols.get((a, b, c, y), {}).items():
                     lhs, t4, rhs = {}, {}, {}
@@ -325,13 +334,6 @@ def _copy_offset(n_ab, dims, c: int, mu: int = 0) -> int:
     return sum(n_ab[x] * dims[x] for x in range(c)) + mu * dims[c]
 
 
-def _copy_rows(j: Matrix, n_ab, dims, c: int, mu: int) -> Matrix:
-    """The rows of a J block realizing copy mu of simple c, taken by
-    `Matrix.take_rows`, so they keep J's lowering."""
-    off = _copy_offset(n_ab, dims, c, mu)
-    return j.take_rows(range(off, off + dims[c]))
-
-
 def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
     """The trees (a b c) -> d realized through J, for every total d that
     has a tree, ascending.
@@ -342,32 +344,62 @@ def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
     f_right_basis.  Left tree (e, mu, nu) is copy nu of d in J[(e, c)]
     after copy mu of e in J[(a, b)] (x) I; right tree (f, rho, sigma) is
     copy sigma of d in J[(a, f)] after I (x) copy rho of f in J[(b, c)].
-    One product, J[(e, c)] (resp. J[(a, f)]) times the first step, realizes
-    the trees through that step for every d at once, in J's row order.
+    Both are read off the lowered rows of the two J blocks (`_trees`): the
+    identity factor is index arithmetic, so no kron, identity or product
+    is built.  Each flat matrix is handed its lowering by
+    `Matrix._from_low`, at D the lcm of its trees'; its entries and
+    conductor are those of the per-tree products, promoted to the lcm of
+    their conductors.
     """
     r = len(N)
-    ida, idc = Matrix.identity(dims[a]), Matrix.identity(dims[c])
+    da, dc, dbc = dims[a], dims[c], dims[b] * dims[c]
+    width = da * dbc
     left, right = [[] for _ in range(r)], [[] for _ in range(r)]
     for x in range(r):
-        for mu in range(N[a][b][x]):
-            _cut(J[(x, c)] * _copy_rows(J[(a, b)], N[a][b], dims, x, mu).kron(idc), N[x][c], dims, left)
-        for rho in range(N[b][c][x]):
-            _cut(J[(a, x)] * ida.kron(_copy_rows(J[(b, c)], N[b][c], dims, x, rho)), N[a][x], dims, right)
-    width = dims[a] * dims[b] * dims[c]
-    return [
-        (d, *(Matrix._of(len(t) // (dims[d] * width), dims[d] * width, t) for t in (left[d], right[d])))
-        for d in range(r)
-        if left[d] or right[d]
-    ]
+        dx = dims[x]
+        if N[a][b][x]:  # column q dc + k of J[(x, c)] meets row q of the copy at cell dc t + k
+            split = [divmod(col, dc) for col in range(dx * dc)]
+            for mu in range(N[a][b][x]):
+                off = _copy_offset(N[a][b], dims, x, mu)
+                _trees(J[(x, c)], N[x][c], J[(a, b)], off, split, dc, dims, width, left)
+        if N[b][c][x]:  # column i dx + q of J[(a, x)] meets row q of the copy at cell i dbc + t
+            split = [(col % dx, col // dx * dbc) for col in range(da * dx)]
+            for rho in range(N[b][c][x]):
+                off = _copy_offset(N[b][c], dims, x, rho)
+                _trees(J[(a, x)], N[a][x], J[(b, c)], off, split, 1, dims, width, right)
+    return [(d, *(_flat(t[d], dims[d] * width) for t in (left, right))) for d in range(r) if left[d] or right[d]]
 
 
-def _cut(step: Matrix, n_xy, dims, out: list) -> None:
-    """Append to out[d] the entries of the rows of step that realize the
-    n_xy[d] copies of each simple d, as J's rows do."""
-    stop = 0
+def _trees(second, n_xy, first, off: int, split: list, stride: int, dims, width: int, out: list) -> None:
+    """Append to out[d], for each copy of each simple d in the J block
+    second (n_xy[d] copies, in J's row order), its tree after the copy of
+    first whose rows start at off, as (D, the (cell, x) pairs of its flat
+    row).  Row p of the tree sums, over the pairs (col, u) of that copy's
+    row p of second, u times row q of the copy, each of its pairs (t, y)
+    adding u y to cell p width + base + stride t, where (q, base) =
+    split[col].  Cells whose terms cancel stay zero Scalars off conductor
+    1, as in a product."""
+    ds, srows = second._lowered()
+    df, frows = first._lowered()
+    i = 0
     for d, k in enumerate(n_xy):
-        start, stop = stop, stop + k * dims[d] * step.cols
-        out[d].extend(step.entries[start:stop])
+        for _ in range(k):
+            acc = [0] * (dims[d] * width)
+            for o in range(0, dims[d] * width, width):
+                for col, u in srows[i]:
+                    q, base = split[col]
+                    for t, y in frows[off + q]:
+                        acc[o + base + stride * t] += u * y
+                i += 1
+            out[d].append((ds * df, [(j, x) for j, x in enumerate(acc) if x or type(x) is not int]))
+
+
+def _flat(trees: list, cols: int) -> Matrix:
+    """One row per (D, pairs) of trees, handed to `Matrix._from_low` at the
+    lcm of their D."""
+    d = lcm(*(s for s, _ in trees))
+    low = [row if s == d else [(j, x * (d // s)) for j, x in row] for s, row in trees]
+    return Matrix._from_low(len(trees), cols, d, low)
 
 
 def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
@@ -375,8 +407,9 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     total d, the trees of tree_maps satisfy R_y = sum_x F[y, x] L_x, so
     decomposing (ab)c through J and recoordinatizing by F equals
     decomposing a(bc) through J.  With one flat tree per row, row y of
-    F * left is sum_x F[y, x] L_x row-major, which is compared with right.
-    A failing triple reports both sides stacked over d, cut into rows of
+    F * left is sum_x F[y, x] L_x row-major, which is compared with right
+    on the lowerings (`_recoordinates`).  A failing triple reports both
+    sides, F * left multiplied out, stacked over d and cut into rows of
     dims[a] dims[b] dims[c].  Also the strict unit constraints on J.
 
     Raises NonInvertibleJ when some J block is singular; everything else
@@ -402,15 +435,31 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
             rep.add("unit-right", (a,), fiber.J[(a, u)], want)
 
     for a, b, c in product(range(r), repeat=3):
-        lhs, rhs = [], []
-        for dd, left, right in tree_maps(skel.fusion, fiber.J, d, a, b, c):
-            if left.rows:
-                lhs += (skel.F[(a, b, c, dd)] * left).entries
-                rhs += right.entries
-        if lhs != rhs:
+        realized = tree_maps(skel.fusion, fiber.J, d, a, b, c)
+        trees = [(skel.F[(a, b, c, dd)], left, right) for dd, left, right in realized if left.rows]
+        if not all(_recoordinates(*t) for t in trees):
+            lhs = [x for f, left, _ in trees for x in (f * left).entries]
+            rhs = [x for _, _, right in trees for x in right.entries]
             width = d[a] * d[b] * d[c]
             rep.add("compatibility", (a, b, c), *(Matrix._of(len(t) // width, width, t) for t in (lhs, rhs)))
     return rep
+
+
+def _recoordinates(f: Matrix, left: Matrix, right: Matrix) -> bool:
+    """f * left == right, decided on the three lowerings: with f, left and
+    right standing for the pairs over Df, Dl and Dr, each row of Dr (f *
+    left) equals Df Dl times that row of right."""
+    (df, fr), (dl, lr), (dr, rr) = f._lowered(), left._lowered(), right._lowered()
+    s = df * dl
+    for frow, want in zip(fr, rr):
+        acc: dict = {}
+        for x, u in frow:
+            for j, v in lr[x]:
+                acc[j] = acc.get(j, 0) + u * v
+        got = {j: v if dr == 1 else dr * v for j, v in acc.items() if v}
+        if got != {j: v if s == 1 else s * v for j, v in want}:
+            return False
+    return True
 
 
 # -- duality ----------------------------------------------------------------

@@ -22,20 +22,26 @@ denominators, or its Scalars at D = 1.  A cell whose terms cancel stays a
 zero Scalar at their conductor; a cell with no terms is ZERO.  Only shape
 picks another path: inner dimension 1 is an outer product, as lowering
 such tiny factors costs more than it saves.  Kron multiplies the nonzero
-pairs of both lowerings into its rows, and the intertwiner constraint of
-`repcat.hom_space` builds its rows on the actions' lowerings; both hand
-them over as a product does.  A choice of rows keeps its rows of the
-lowering, and an identity is built holding its own.
-No other module reads or writes a matrix's lowering.  Elimination on
-conductor 1 is fraction-free on the int rows D*x (`Matrix._echelon`);
-rank reads the pivots, and rref, mat_kernel and mat_solve divide only the
-cells they read by their row's pivot and hand their results that
-lowering.  Other conductors, and det, eliminate by the Scalar
-Gauss-Jordan, whose products run on int residues and which inverts each
-pivot by its Galois norm.  Two answers need no elimination at any
-conductor: the rank of a single row or column, and the kernel of a single
-column, are read off whether any entry is nonzero (an empty kernel, or
-the 1x1 identity, handed its lowering).
+pairs of both lowerings into its rows; `_kron_sum` sums the krons of a
+tensor action of `repcat` on theirs, once per action; and the
+intertwiner constraint of `repcat.hom_space` builds its rows on the
+actions' lowerings (two 1-dim modules compare their actions entrywise
+and build none).  All three hand their rows over as a product does, and
+an identity is built holding its own.  Outside this module only `fusion`
+reads lowerings: `tree_maps` realizes the trees of a triple off the rows
+of the J blocks and hands each flat matrix its lowering through
+`Matrix._from_low`, and `verify_tensorator` decides F * left == right on
+the three lowerings.  Elimination (`_eliminate`) on conductor 1 is
+fraction-free on the int rows D*x; rank reads the pivots, and rref,
+mat_kernel, mat_solve and mat_rsolve divide only the cells they read by
+their row's pivot and hand their results that lowering.  mat_rsolve
+builds the rows of its transposed system off the lowerings of its
+operands and builds no transpose.  Other conductors, and det, eliminate
+by the Scalar Gauss-Jordan, whose products run on int residues and which
+inverts each pivot by its Galois norm.  Two answers need no elimination
+at any conductor: the rank of a single row or column, and the kernel of
+a single column, are read off whether any entry is nonzero (an empty
+kernel, or the 1x1 identity, handed its lowering).
 
 Split-prime certificate.  Off conductor 1 a rank, and the kernel of a
 matrix with at least as many rows as columns, first rank the image of
@@ -124,17 +130,6 @@ class Matrix:
             d, low = lowering([e for row in nz for _, e in row])
             object.__setattr__(self, "_low", (d, [[(j, low(e)) for j, e in row] for row in nz]))
         return self._low
-
-    def take_rows(self, rows) -> "Matrix":
-        """The rows at the given indices, in that order.  They keep their
-        rows of this matrix's lowering, when it holds one, at its D: a
-        product reduces its result's D by the gcd (`Matrix._from_low`)."""
-        rows, c = list(rows), self.cols
-        out = Matrix._of(len(rows), c, [x for i in rows for x in self.entries[i * c : (i + 1) * c]])
-        if hasattr(self, "_low"):
-            d, low = self._low
-            object.__setattr__(out, "_low", (d, [low[i] for i in rows]))
-        return out
 
     def _rows(self) -> list:
         """Mutable rows for `_echelon`: Scalars, or on conductor 1 the ints
@@ -264,38 +259,9 @@ class Matrix:
     # -- elimination -----------------------------------------------------
 
     def _echelon(self, m=None) -> tuple[list, list, list]:
-        """Gauss-Jordan elimination, in place, of mutable rows m of this
-        shape and conductor, by default `_rows`; returns (m, pivots, ps):
-        pivot column c of row r at pivots[r], and row r of the rref is m[r]
-        / ps[r], an int.  Int rows stay fraction-free: at a pivot p = m[r][c]
-        each other row with f = row[c] != 0 becomes (p/g) row - (f/g) m[r],
-        g = gcd(p, f), divided by the gcd of its entries; ps[r] is m[r][c] at
-        the end.  Scalar rows scale each pivot to 1, and ps[r] = 1."""
-        m = self._rows() if m is None else m
-        pivots: list = []
-        for c in range(self.cols):
-            r = len(pivots)
-            pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            prow = m[r]
-            if self._n == 1:
-                p = prow[c]
-                for i, row in enumerate(m):
-                    if i != r and (f := row[c]):
-                        g = gcd(p, f)
-                        a, b = p // g, f // g
-                        row = [a * x - b * y for x, y in zip(row, prow)]
-                        m[i] = [x // h for x in row] if (h := gcd(*row)) > 1 else row
-            else:
-                inv = prow[c].inverse()
-                prow = m[r] = [inv * x if x else x for x in prow]
-                for i, row in enumerate(m):
-                    if i != r and (f := row[c]):
-                        m[i] = [x - f * y if y else x for x, y in zip(row, prow)]
-            pivots.append(c)
-        return m, pivots, [row[c] for row, c in zip(m, pivots)] if self._n == 1 else [1] * len(pivots)
+        """`_eliminate` on mutable rows m of this shape and conductor, by
+        default `_rows`."""
+        return _eliminate(self._rows() if m is None else m, self.cols, self._n == 1)
 
     def rref(self) -> tuple["Matrix", list[int]]:
         m, pivots, ps = self._echelon()
@@ -360,6 +326,41 @@ def lowering(entries) -> tuple:
     return d, low
 
 
+def _eliminate(m: list, cols: int, ints: bool) -> tuple[list, list, list]:
+    """Gauss-Jordan elimination, in place, of the mutable rows m, with cols
+    columns, of ints (conductor 1) or else of Scalars at one conductor;
+    returns (m, pivots, ps): pivot column c of row r at pivots[r], and row
+    r of the rref is m[r] / ps[r], an int.  Int rows stay fraction-free: at
+    a pivot p = m[r][c] each other row with f = row[c] != 0 becomes (p/g)
+    row - (f/g) m[r], g = gcd(p, f), divided by the gcd of its entries;
+    ps[r] is m[r][c] at the end.  Scalar rows scale each pivot to 1, and
+    ps[r] = 1."""
+    pivots: list = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        if ints:
+            p = prow[c]
+            for i, row in enumerate(m):
+                if i != r and (f := row[c]):
+                    g = gcd(p, f)
+                    a, b = p // g, f // g
+                    row = [a * x - b * y for x, y in zip(row, prow)]
+                    m[i] = [x // h for x in row] if (h := gcd(*row)) > 1 else row
+        else:
+            inv = prow[c].inverse()
+            prow = m[r] = [inv * x if x else x for x in prow]
+            for i, row in enumerate(m):
+                if i != r and (f := row[c]):
+                    m[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+        pivots.append(c)
+    return m, pivots, [row[c] for row, c in zip(m, pivots)] if ints else [1] * len(pivots)
+
+
 def _reduced(cols: int, out: list) -> Matrix:
     """The matrix with x / p at (i, j) for each (j, x) in r, out[i] = (p, r)
     with p an int, read off `_echelon` rows, handed to `Matrix._from_low` at
@@ -405,13 +406,9 @@ def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
     -av[l, k] at column (i, l).  Its rows are built on the actions'
     lowerings at D the lcm of theirs, and handed to `Matrix._from_low` as a
     product's are; a cell whose terms cancel keeps them as a zero Scalar
-    off conductor 1.  Only shape picks another path: a pair of 1x1 actions,
-    which no product lowers, gives the 1x1 difference."""
+    off conductor 1."""
     nv, nw = av.rows, aw.rows
     n = nv * nw
-    if n == 1:
-        x = aw.entries[0] or ZERO
-        return Matrix._of(1, 1, [x - y if (y := av.entries[0]) else x])
     (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
     d = lcm(dv, dw)
     cv: list = [[] for _ in range(nv)]  # column k of av: (l, D*av[l, k])
@@ -428,6 +425,36 @@ def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
                 acc[c] = acc[c] - y if c in acc else -y
             low.append(sorted((c, x) for c, x in acc.items() if x or type(x) is not int))
     return Matrix._from_low(n, n, d, low)
+
+
+def _kron_sum(rows: int, cols: int, terms) -> Matrix:
+    """The rows x cols sum of c (A kron B) over the (c, A, B) of terms, equal
+    in value and conductor to that sum folded from the zero matrix, a c
+    equal to 1 taken as the rational 1, as kron takes it.  Each term's
+    nonzero pairs are multiplied into rows at D the lcm of the terms' D,
+    and handed to `Matrix._from_low` as a product's are; a term that places
+    no cell (A or B zero) still lifts the result to its conductor."""
+    scaled, n = [], 1
+    for c, a, b in terms:
+        (da, la), (db, lb) = a._lowered(), b._lowered()
+        c = ONE if c == 1 else c
+        dc, f = (c.coeffs[0].denominator, c.coeffs[0].numerator) if c.conductor == 1 else (1, c)
+        n = lcm(n, c.conductor, lcm(a._n, b._n) if any(la) else 1)
+        scaled.append((da * db * dc, f, la, lb, b.cols))
+    d = lcm(*(s for s, *_ in scaled))
+    acc = [[0] * cols for _ in range(rows)]
+    for s, f, la, lb, bc in scaled:
+        f *= d // s
+        for i, arow in enumerate(la):
+            arow = [(j * bc, f * x) for j, x in arow]
+            for k, brow in enumerate(lb, i * len(lb)):
+                out = acc[k]
+                for o, x in arow:
+                    for l, y in brow:
+                        out[o + l] += x * y
+    low = [[(j, x) for j, x in enumerate(row) if x or type(x) is not int] for row in acc]
+    m = Matrix._from_low(rows, cols, d, low)
+    return m if m._n == n else Matrix._of(rows, cols, [e.promote(n) for e in m.entries])
 
 
 def mat_kernel(m: Matrix) -> Matrix:
@@ -477,6 +504,37 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
     for row, pc, s in zip(red, pivots, ps):
         out[pc] = (s, enumerate(row[a.cols :]))
     return _reduced(b.cols, out)
+
+
+def mat_rsolve(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve X A = B exactly: mat_solve(A^T, B^T)^T, in value and conductor.
+    The rows of [A^T | B^T] are built straight off the lowerings of A and B
+    on conductor 1, and off their entries, promoted to the lcm of their
+    conductors, above it; the solution is handed to `Matrix._from_low`
+    already transposed, so no transpose is built."""
+    if a.cols != b.cols:
+        raise ShapeError(f"A has {a.cols} columns but B has {b.cols}")
+    k, n = a.rows, lcm(a._n, b._n)
+    if n == 1:
+        (da, la), (db, lb) = a._lowered(), b._lowered()
+        d = lcm(da, db)
+        rows = [[0] * (k + b.rows) for _ in range(a.cols)]
+        for off, f, low in ((0, d // da, la), (k, d // db, lb)):
+            for i, pairs in enumerate(low):
+                for j, x in pairs:
+                    rows[j][off + i] = x * f
+    else:
+        rows = [[e.promote(n) for t in (a, b) for e in t.entries[j :: t.cols]] for j in range(a.cols)]
+    red, pivots, ps = _eliminate(rows, k + b.rows, n == 1)
+    if any(p >= k for p in pivots):
+        return None
+    d = lcm(*ps)
+    low = [[] for _ in range(b.rows)]
+    for row, pc, s in zip(red, pivots, ps):
+        for y, x in enumerate(row[k:]):
+            if x or type(x) is not int:
+                low[y].append((pc, x if s == d else x * (d // s)))
+    return Matrix._from_low(b.rows, k, d, low)
 
 
 def mat_inverse(m: Matrix) -> Matrix:

@@ -44,8 +44,11 @@ module (the premises are in _skeletalize), and on every action otherwise.
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
 tensor modules, F off the trees that J realizes, every row of each, and
-each dual off N; it reads no antipode.  Whatever skeletalize returns
-passes verify_category by construction (the proof is in _skeletalize).
+each dual off N; it reads no antipode.  The tensor actions, the trees
+and the F solve run on the lowered rows that the matrices hold
+(matrices, Lowered kernel), and no Scalar matrix is built per comult term
+or per tree.  Whatever skeletalize returns passes verify_category by
+construction (the proof is in _skeletalize).
 
 Round trip.  gamma_roundtrip rebuilds the Hopf algebra from N, J and the
 duals (FusionRules), reading no F, and compares it with the source along
@@ -68,7 +71,7 @@ from itertools import product
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionRules, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra_sweep, check_antipode, check_bialgebra, check_hopf_morphism
-from .matrices import Matrix, _intertwiner_constraint, mat_inverse, mat_kernel, mat_solve
+from .matrices import Matrix, _intertwiner_constraint, _kron_sum, mat_inverse, mat_kernel, mat_rsolve
 from .reports import CheckReport
 from .scalars import ONE, ZERO
 
@@ -137,15 +140,17 @@ def _tensor_name(v: ModuleRep, w: ModuleRep) -> str:
 def _tensor_actions(h: HopfPresentation, v: ModuleRep, w: ModuleRep, rows) -> list:
     """The actions of e_i on v (x) w, for i in rows: sum over the stored
     nonzero comult[i][j][k] of that coefficient times act_v(e_j) (x)
-    act_w(e_k).  A coefficient equal to 1, at any conductor, leaves its
-    kron unscaled, at the kron's own conductor."""
-
-    def term(j, k, c):
-        t = v.action[j].kron(w.action[k])
-        return t if c == 1 else c * t
-
-    planes = h.comult.planes
-    return [_sum(v.dim * w.dim, (term(*e) for e in planes[i])) for i in rows]
+    act_w(e_k), summed on the lowered rows by `matrices._kron_sum`.  A
+    coefficient equal to 1, at any conductor, leaves its kron unscaled, at
+    the kron's own conductor; a single such term is the kron itself."""
+    d, planes = v.dim * w.dim, h.comult.planes
+    out = []
+    for terms in (planes[i] for i in rows):
+        if len(terms) == 1 and terms[0][2] == 1:
+            out.append(v.action[terms[0][0]].kron(w.action[terms[0][1]]))
+        else:
+            out.append(_kron_sum(d, d, [(c, v.action[j], w.action[k]) for j, k, c in terms]))
+    return out
 
 
 def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
@@ -184,12 +189,17 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
     on act_w (x) I - I (x) act_v^T, which `matrices._intertwiner_constraint`
     builds on the actions' lowerings.  The kernel is refined by each
     constraint in index order, and re-echelonized at the end so the result
-    equals the canonical reduced basis of the joint kernel.  Modules with
-    different numbers of actions raise ShapeError.
+    equals the canonical reduced basis of the joint kernel.  Between two
+    1-dim modules each constraint is the difference of two entries, so Hom
+    is [[1]] when every pair of actions is equal and 0 otherwise.  Modules
+    with different numbers of actions raise ShapeError.
     """
     if len(v.action) != len(w.action):
         dims = f"{len(v.action)} and {len(w.action)}"
         raise ShapeError(f"{v.name} and {w.name} are modules over algebras of dims {dims}")
+    if v.dim == w.dim == 1:
+        same = all(av.entries[0] == aw.entries[0] for av, aw in zip(v.action, w.action))
+        return [Matrix._of(1, 1, [ONE])] if same else []
     ker = None  # no constraint has cut yet: every matrix intertwines so far
     for av, aw in zip(v.action, w.action):
         hit = _intertwiner_constraint(av, aw)
@@ -369,13 +379,13 @@ def _skeletalize(h: HopfPresentation, modules: list):
     failing tuple.  A faithful monoidal functor to Vec reflects coherence
     (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories), and every step
     below is an identity that the construction decided exactly.
-      1. Compatibility.  F = x^T where left^T x = right^T is solved
-         exactly, and mat_solve returns None on an inconsistent system.
-         So F * left == right at every (a, b, c, d): the compatibility
-         checks of verify_tensorator hold.  validate_fiber's shapes hold
-         by construction (J[(a, b)] is the square tau of a decomposition,
-         the unit has dim 1, and the ev and coev vectors have length
-         N[a*][a][unit] = N[a][a*][unit] = 1).
+      1. Compatibility.  F solves F * left = right exactly (mat_rsolve,
+         mat_solve on the transposed system), and the solve returns None
+         on an inconsistent system.  So F * left == right at every (a, b,
+         c, d): the compatibility checks of verify_tensorator hold.
+         validate_fiber's shapes hold by construction (J[(a, b)] is the
+         square tau of a decomposition, the unit has dim 1, and the ev and
+         coev vectors have length N[a*][a][unit] = N[a][a*][unit] = 1).
       2. J invertible.  Each J is the tau of decompose, which is
          mat_inverse(stack); so NonInvertibleJ cannot fire.
       3. F invertible.  The left trees of (a, b, c) are the components,
@@ -437,7 +447,8 @@ def _decompositions(h: HopfPresentation, modules: list):
 
 
 def _associator(N, J, modules: list) -> dict:
-    """The F of _skeletalize, solved on every row of every tree."""
+    """The F of _skeletalize, solved on every row of every tree: F * left =
+    right by `matrices.mat_rsolve`, off the trees' lowered rows."""
     dims = tuple(v.dim for v in modules)
     F = {}
     for a, b, c in product(range(len(modules)), repeat=3):
@@ -446,10 +457,10 @@ def _associator(N, J, modules: list) -> dict:
                 raise SkeletalizationFailure(
                     f"tree spaces at {(a, b, c, d)} have dims {left.rows} and {right.rows}"
                 )
-            x = mat_solve(left.transpose(), right.transpose())
-            if x is None:
+            f = mat_rsolve(left, right)
+            if f is None:
                 raise SkeletalizationFailure(f"recoordinatization at {(a, b, c, d)} is not solvable")
-            F[(a, b, c, d)] = x.transpose()
+            F[(a, b, c, d)] = f
     return F
 
 

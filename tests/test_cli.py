@@ -71,6 +71,36 @@ def test_report_flag_after_subcommand(tmp_path, capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main builds its parser once per process: --report before or after the
+    # subcommand, and an argparse error (exit 2) on an earlier call, leave
+    # each later call's output and exit code those of its first call
+    f = str(tmp_path / "kz2.json")
+    run(capsys, "example", "kz2", "-o", f)
+    calls = [
+        ["--report", "json", "check-hopf", f],
+        ["check-hopf", f, "--report", "json"],
+        ["check-hopf", f],
+        ["example", "nope", "-o", "/dev/null"],
+        ["check-hopf", f, "--report", "text"],
+    ]
+
+    def once(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        cap = capsys.readouterr()
+        return code, re.sub(r'"elapsed": [0-9.e-]+|\(\d+\.\d+s\)', "<elapsed>", cap.out), cap.err
+
+    first = [once(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 0]
+    assert first[0][1] == first[1][1] != first[2][1] == first[4][1]
+    for order in (range(len(calls) - 1, -1, -1), range(len(calls))):
+        assert all(once(calls[i]) == first[i] for i in order)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_mutated_hopf_is_exit_1_and_names_the_axiom(tmp_path, capsys):
     f = tmp_path / "kz2.json"
     run(capsys, "example", "kz2", "-o", str(f))

@@ -399,10 +399,11 @@ def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
 
 
 def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
-    """A K[S4] round trip builds 343 intertwiner constraints, all in the
+    """A K[S4] round trip builds 327 intertwiner constraints, all in the
     decompositions in _skeletalize, at most one per generator in each
     hom_space; verify_irreps, which decides by the rank of gamma, builds
-    none."""
+    none.  A hom_space between two 1-dim modules compares their actions
+    entrywise and builds none; 8 of the calls here meet two characters."""
     h, mods = EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()
     calls, per_hom, phase = [], [], ["decompositions"]
     real_constraint, real_hom, real_irreps = repcat._intertwiner_constraint, repcat.hom_space, repcat.verify_irreps
@@ -427,8 +428,8 @@ def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
     decs = [k for p, k in per_hom if p == "decompositions"]
     assert len(decs) == len(mods) ** 3  # one hom_space per irrep per tensor module
     assert max(decs) <= len(h.alg._gens) == 3
-    assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (0, 343)
-    assert len(calls) == 343
+    assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (0, 327)
+    assert len(calls) == 327
 
 
 # -- the gate: one rank of gamma ----------------------------------------------
@@ -555,38 +556,33 @@ def test_trees_are_realized_once_per_triple(monkeypatch, tmp_path, capsys):
 
 
 def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):
-    # a matrix that kron builds holds the lowering of its rows, and an
-    # identity holds its own, so the product or kron that takes either as a
-    # factor does not lower it again (a kron by the rational 1 is the other
-    # factor); with the rows of J kept too, tree_maps lowers nothing afresh
+    # tree_maps reads the trees off the lowered rows of J, whose lowerings
+    # the decompositions left on them: it builds no kron, no identity and no
+    # product, and lowers no matrix afresh
     h, mods = base("ks3")
     skel, fiber = skeletalize(h, mods, verify=False)
     N, J, dims = skel.fusion, fiber.J, fiber.dims
-    made, identities, fresh = [], [], []
-    real_kron, real_identity, real_lowered = Matrix.kron, Matrix.identity.__func__, Matrix._lowered
+    made, fresh = [], []
+    real_kron, real_identity, real_mul, real_lowered = Matrix.kron, Matrix.identity.__func__, Matrix.__mul__, Matrix._lowered
 
-    def kron(self, other):
-        out = real_kron(self, other)
-        if out is not self and out is not other:
-            made.append(out)
-        return out
-
-    def identity(cls, n):
-        identities.append(real_identity(cls, n))
-        return identities[-1]
+    def mul(self, other):
+        if isinstance(other, Matrix):
+            made.append("product")
+        return real_mul(self, other)
 
     def lowered(self):
         if not hasattr(self, "_low"):
             fresh.append(self)
         return real_lowered(self)
 
-    monkeypatch.setattr(Matrix, "kron", kron)
-    monkeypatch.setattr(Matrix, "identity", classmethod(identity))
+    monkeypatch.setattr(Matrix, "kron", lambda self, other: made.append("kron") or real_kron(self, other))
+    monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, n: made.append("identity") or real_identity(cls, n)))
+    monkeypatch.setattr(Matrix, "__mul__", mul)
     monkeypatch.setattr(Matrix, "_lowered", lowered)
-    for a, b, c in itertools.product(range(skel.rank), repeat=3):
-        fusion.tree_maps(N, J, dims, a, b, c)
-    assert any(m.rows > 1 for m in made) and any(m.rows > 1 for m in identities)
-    assert fresh == []
+    trees = [fusion.tree_maps(N, J, dims, *t) for t in itertools.product(range(skel.rank), repeat=3)]
+    assert any(left.rows > 1 for out in trees for _, left, _ in out)
+    assert made == [] and fresh == []
+    assert all(hasattr(m, "_low") for out in trees for _, left, right in out for m in (left, right))
 
 
 def test_inverse_is_eliminated_once_and_kept_both_ways(monkeypatch):

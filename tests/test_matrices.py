@@ -15,6 +15,7 @@ from hopfrec.matrices import (
     block_diag,
     mat_inverse,
     mat_kernel,
+    mat_rsolve,
     mat_solve,
 )
 from hopfrec.scalars import ZERO, Scalar, _rat, phi_degree, sc, split_prime
@@ -408,25 +409,6 @@ def test_products_that_cancel_to_integers_hand_over_d_1():
     assert one._low == (1, [[(0, 1)], [(1, 1)], [(2, 1)]]) == fresh_lowering(one)
 
 
-def test_chosen_rows_keep_their_rows_of_the_lowering():
-    # a choice of rows, in any order and with repeats, or a block of
-    # consecutive rows, keeps its rows of the lowering at the matrix's D
-    rng = random.Random(107)
-    for make in (rnd_rational, rnd_cyclotomic):
-        for rows, cols in SHAPES:
-            a, b = make(rng, rows, 3), make(rng, 3, cols)
-            held = [a * b, a.kron(b), mat_kernel(a), Matrix.identity(cols)]
-            assert hasattr(held[0], "_low") and hasattr(held[3], "_low")
-            for m in (m for m in held if hasattr(m, "_low")):  # kron's shape paths hold none
-                d, low = m._low
-                odd = [i for i in range(m.rows) if i % 2 == 0] + [0] * (m.rows > 0)
-                for picks in (odd, range(m.rows // 2, m.rows)):
-                    part = m.take_rows(picks)
-                    want = [list(m.row(i)) for i in picks]
-                    assert (part.rows, part.cols, part.to_rows()) == (len(want), m.cols, want)
-                    assert part._low == (d, [low[i] for i in picks])
-
-
 # -- products off conductor 1 against the dense reference --------------------
 #
 # Products at conductor 3 and across conductors 1 and 3, with inner
@@ -572,6 +554,32 @@ def rnd_cyclotomic(rng, rows, cols, n=8):
         return Scalar(n, [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(phi_degree(n))])
 
     return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+def test_right_solve_is_the_solve_of_the_transposes():
+    # X A = B, solved off the lowerings of A and B, equals mat_solve(A^T,
+    # B^T)^T in value and conductor, and holds the lowering a fresh one
+    # gives; also where no X exists, on A with a zero row or column, and at
+    # conductors 1, 3 and 8 and across 1, 3 and 4
+    rng = random.Random(211)
+    makers = [rnd_rational, rnd_cyclotomic, lambda r, p, q: rnd_at(r, p, q, 3), lambda r, p, q: rnd_at(r, p, q, 0)]
+    solved = unsolvable = 0
+    for (k, cols, j), make_a, make_x in itertools.product([(1, 1, 1), (2, 5, 3), (3, 4, 2), (3, 9, 3), (4, 4, 1)], makers, makers):
+        a, x = make_a(rng, k, cols), make_x(rng, j, k)
+        for b in (x * a, make_x(rng, j, cols)):
+            got, want = mat_rsolve(a, b), mat_solve(a.transpose(), b.transpose())
+            assert (got is None) == (want is None)
+            if want is None:
+                unsolvable += 1
+                continue
+            want = want.transpose()
+            assert (got.rows, got.cols, got._n) == (want.rows, want.cols, want._n)
+            assert [(e.conductor, e.coeffs) for e in got.entries] == [(e.conductor, e.coeffs) for e in want.entries]
+            assert repr(got._low) == repr(fresh_lowering(got))
+            solved += 1
+    assert solved and unsolvable
+    with pytest.raises(ShapeError):
+        mat_rsolve(Matrix.identity(2), Matrix.identity(3))
 
 
 KERNEL_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (1, 6), (3, 7), (5, 2), (7, 3), (4, 4), (6, 6)]

@@ -2,6 +2,7 @@
 decompositions, skeletalization, and the reconstruction round trip."""
 
 import dataclasses
+import itertools
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hopfrec.errors import DecompositionGap, ShapeError
 from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group, direct_product, symmetric_group
-from hopfrec.matrices import Matrix, _intertwiner_constraint, block_diag, mat_inverse
+from hopfrec.matrices import Matrix, _intertwiner_constraint, _kron_sum, block_diag, mat_inverse, mat_kernel
 from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import (
     ModuleRep,
@@ -26,7 +27,7 @@ from hopfrec.repcat import (
     trivial_module,
     verify_irreps,
 )
-from hopfrec.scalars import ZERO, Scalar, sc
+from hopfrec.scalars import ONE, ZERO, Scalar, sc
 from test_hopf_bumps import promoted
 from test_skeletal_coherence import cyclic_characters
 from test_tensorator_bumps import alternating_group_4, modules_a4
@@ -275,10 +276,13 @@ def entry_cells(m: Matrix) -> list:
 
 
 def combination_case(name: str):
-    if name == "kz8":
-        return gen_group_algebra(cyclic_group(8)), cyclic_characters(8)
+    if name.startswith("kz"):
+        n = int(name.removeprefix("kz"))
+        return gen_group_algebra(cyclic_group(n)), cyclic_characters(n)
     if name == "ks3-promoted":
         return promoted(KS3, 2), s3_modules()
+    if name in ("fun-s3", "dz2"):
+        return EXAMPLES[name][1](), EXAMPLES[f"{name}-modules"][1]()
     g = alternating_group_4()
     h, mods = gen_group_algebra(g), modules_a4(g)
     if name == "ka4":
@@ -287,14 +291,15 @@ def combination_case(name: str):
     return recon.hopf, zeta_modules(recon)
 
 
-@pytest.mark.parametrize("name", ["ka4", "kz8", "rebuilt-ka4", "ks3-promoted"])
+@pytest.mark.parametrize("name", ["ka4", "kz5", "kz8", "kz12", "fun-s3", "dz2", "rebuilt-ka4", "ks3-promoted"])
 def test_combinations_match_the_zero_folded_sums(name):
-    """_act sums from its first nonzero term and tensor_module from its
-    first kron, yet every entry equals the fold from the zero matrix in
-    value, conductor and text.  tensor_module adds a kron whose comult
-    coefficient equals 1 unscaled at any conductor, so its reference reads
-    such a coefficient as the rational 1: on K[S3] promoted to conductor
-    2, scaling by that coefficient would lift the rational cells."""
+    """_act sums from its first nonzero term and tensor_module sums its
+    krons on their lowered rows, yet every entry equals the fold from the
+    zero matrix in value, conductor and text.  tensor_module adds a kron
+    whose comult coefficient equals 1 unscaled at any conductor, so its
+    reference reads such a coefficient as the rational 1: on K[S3]
+    promoted to conductor 2, scaling by that coefficient would lift the
+    rational cells."""
     h, mods = combination_case(name)
     n = h.dim
     lifted = False
@@ -309,9 +314,49 @@ def test_combinations_match_the_zero_folded_sums(name):
             d = v.dim * w.dim
             for i, a in enumerate(tensor_module(h, v, w).action):
                 krons = [(c, v.action[j].kron(w.action[k])) for j, row in enumerate(h.comult[i]) for k, c in enumerate(row) if c]
-                assert entry_cells(a) == entry_cells(zero_folded(d, [(1 if c == 1 else c, m) for c, m in krons]))
+                want = zero_folded(d, [(1 if c == 1 else c, m) for c, m in krons])
+                assert (a._n, entry_cells(a)) == (want._n, entry_cells(want))
                 lifted |= entry_cells(a) != entry_cells(zero_folded(d, krons))
     assert lifted == (name == "ks3-promoted")
+
+
+def test_a_kron_that_places_no_cell_still_lifts_the_conductor():
+    # a zero factor, or a zero at conductor 3, adds no cell to the sum, yet
+    # scaling it by a conductor-3 coefficient lifts the zero-folded sum
+    z = Scalar.zeta(3)
+    a, zero, zero3 = Matrix.from_rows([[1, 2], [0, 1]]), Matrix.zeros(2, 2), Matrix(2, 2, [Scalar(3, [0, 0])] * 4)
+    for terms in ([(z, zero, a), (ONE, a, a)], [(ONE, a, zero3), (sc(2), a, a)], [(z, a, zero)], []):
+        got = _kron_sum(4, 4, terms)
+        want = zero_folded(4, [(c, x.kron(y)) for c, x, y in terms])
+        assert (got._n, entry_cells(got)) == (want._n, entry_cells(want))
+
+
+def constraint_route(v: ModuleRep, w: ModuleRep) -> list:
+    """hom_space of two 1-dim modules as a kernel: each action's 1x1
+    constraint aw - av, in index order, cuts a kernel of the identity."""
+    ker = Matrix.identity(1)
+    for av, aw in zip(v.action, w.action):
+        if ker.cols and not (hit := _intertwiner_constraint(av, aw) * ker).is_zero():
+            ker = ker * mat_kernel(hit)
+    return [Matrix(1, 1, [ker.at(0, j)]) for j in range(ker.cols)]
+
+
+def test_one_dim_hom_is_the_constraint_route():
+    # every pair of characters of K[Z/n] for n = 5, 8, 12, and the
+    # characters of K[Z/12] of order dividing 4 written at conductor 4,
+    # which equal their twins at conductor 12 and differ from the others
+    twelve = cyclic_characters(12)
+    i = Scalar.zeta(4)
+    fours = [ModuleRep(1, tuple(Matrix(1, 1, [i ** (s * t % 4)]) for t in range(12)), f"psi{s}") for s in range(4)]
+    assert {v.action[1]._n for v in fours} == {1, 4} and all(v.action == twelve[3 * s].action for s, v in enumerate(fours))
+    families = [cyclic_characters(5), cyclic_characters(8), twelve + fours]
+    dims = []
+    for mods in families:
+        for v, w in itertools.product(mods, repeat=2):
+            got, want = hom_space(v, w), constraint_route(v, w)
+            assert [(t._n, str(t)) for t in got] == [(t._n, str(t)) for t in want]
+            dims.append(len(got))
+    assert sum(dims) == 5 + 8 + 12 + 2 * 4 + 4
 
 
 def test_tensor_with_trivial_module():

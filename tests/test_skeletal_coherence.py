@@ -223,10 +223,10 @@ def realized(monkeypatch):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The F solves of repcat, one entry per mat_solve call."""
+    """The F solves of repcat, one entry per mat_rsolve call."""
     seen = []
-    real = repcat.mat_solve
-    monkeypatch.setattr(repcat, "mat_solve", lambda a, b: seen.append((a, b)) or real(a, b))
+    real = repcat.mat_rsolve
+    monkeypatch.setattr(repcat, "mat_rsolve", lambda a, b: seen.append((a, b)) or real(a, b))
     return seen
 
 
