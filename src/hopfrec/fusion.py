@@ -42,10 +42,9 @@ import operator
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
-from math import lcm
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
-from .matrices import Matrix, _with_inverse, mat_inverse
+from .matrices import Matrix, _reduced, _with_inverse, mat_inverse
 from .reports import CheckReport
 from .scalars import packing, same_sides, sc
 
@@ -346,10 +345,10 @@ def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
     copy sigma of d in J[(a, f)] after I (x) copy rho of f in J[(b, c)].
     Both are read off the lowered rows of the two J blocks (`_trees`): the
     identity factor is index arithmetic, so no kron, identity or product
-    is built.  Each flat matrix is handed its lowering by
-    `Matrix._from_low`, at D the lcm of its trees'; its entries and
-    conductor are those of the per-tree products, promoted to the lcm of
-    their conductors.
+    is built.  Each flat matrix is handed its lowering, at D the lcm of
+    its trees', by `matrices._reduced`; its entries and conductor are
+    those of the per-tree products, promoted to the lcm of their
+    conductors.
     """
     r = len(N)
     da, dc, dbc = dims[a], dims[c], dims[b] * dims[c]
@@ -367,18 +366,18 @@ def tree_maps(N, J, dims, a: int, b: int, c: int) -> list:
             for rho in range(N[b][c][x]):
                 off = _copy_offset(N[b][c], dims, x, rho)
                 _trees(J[(a, x)], N[a][x], J[(b, c)], off, split, 1, dims, width, right)
-    return [(d, *(_flat(t[d], dims[d] * width) for t in (left, right))) for d in range(r) if left[d] or right[d]]
+    return [(d, *(_reduced(dims[d] * width, t[d]) for t in (left, right))) for d in range(r) if left[d] or right[d]]
 
 
 def _trees(second, n_xy, first, off: int, split: list, stride: int, dims, width: int, out: list) -> None:
     """Append to out[d], for each copy of each simple d in the J block
     second (n_xy[d] copies, in J's row order), its tree after the copy of
-    first whose rows start at off, as (D, the (cell, x) pairs of its flat
-    row).  Row p of the tree sums, over the pairs (col, u) of that copy's
-    row p of second, u times row q of the copy, each of its pairs (t, y)
-    adding u y to cell p width + base + stride t, where (q, base) =
-    split[col].  Cells whose terms cancel stay zero Scalars off conductor
-    1, as in a product."""
+    first whose rows start at off, as (D, its flat row's cells x
+    enumerated), the row of `matrices._reduced`.  Row p of the tree sums,
+    over the pairs (col, u) of that copy's row p of second, u times row q
+    of the copy, each of its pairs (t, y) adding u y to cell p width + base
+    + stride t, where (q, base) = split[col].  Cells whose terms cancel
+    stay zero Scalars off conductor 1, as in a product."""
     ds, srows = second._lowered()
     df, frows = first._lowered()
     i = 0
@@ -391,15 +390,7 @@ def _trees(second, n_xy, first, off: int, split: list, stride: int, dims, width:
                     for t, y in frows[off + q]:
                         acc[o + base + stride * t] += u * y
                 i += 1
-            out[d].append((ds * df, [(j, x) for j, x in enumerate(acc) if x or type(x) is not int]))
-
-
-def _flat(trees: list, cols: int) -> Matrix:
-    """One row per (D, pairs) of trees, handed to `Matrix._from_low` at the
-    lcm of their D."""
-    d = lcm(*(s for s, _ in trees))
-    low = [row if s == d else [(j, x * (d // s)) for j, x in row] for s, row in trees]
-    return Matrix._from_low(len(trees), cols, d, low)
+            out[d].append((ds * df, enumerate(acc)))
 
 
 def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:

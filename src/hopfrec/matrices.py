@@ -30,8 +30,8 @@ and build none).  All three hand their rows over as a product does, and
 an identity is built holding its own.  Outside this module only `fusion`
 reads lowerings: `tree_maps` realizes the trees of a triple off the rows
 of the J blocks and hands each flat matrix its lowering through
-`Matrix._from_low`, and `verify_tensorator` decides F * left == right on
-the three lowerings.  Elimination (`_eliminate`) on conductor 1 is
+`_reduced`, and `verify_tensorator` decides F * left == right on the
+three lowerings.  Elimination (`_eliminate`) on conductor 1 is
 fraction-free on the int rows D*x; rank reads the pivots, and rref,
 mat_kernel, mat_solve and mat_rsolve divide only the cells they read by
 their row's pivot and hand their results that lowering.  mat_rsolve
@@ -363,8 +363,9 @@ def _eliminate(m: list, cols: int, ints: bool) -> tuple[list, list, list]:
 
 def _reduced(cols: int, out: list) -> Matrix:
     """The matrix with x / p at (i, j) for each (j, x) in r, out[i] = (p, r)
-    with p an int, read off `_echelon` rows, handed to `Matrix._from_low` at
-    D the lcm of the p, so D > 0 also when some p is negative."""
+    with p an int, read off `_echelon` rows or `fusion._trees`, handed to
+    `Matrix._from_low` at D the lcm of the p, so D > 0 also when some p is
+    negative; an int x that is 0 places no cell."""
     d = lcm(*(p for p, _ in out))
     low = [[(j, x if p == d else x * (d // p)) for j, x in r if x or type(x) is not int] for p, r in out]
     return Matrix._from_low(len(out), cols, d, low)
