@@ -39,12 +39,9 @@ class _InputError(Exception):
 
 def _load(path: str, kind: str):
     try:
-        loaded = serialize.load(path)
+        return serialize.load(path, kind)
     except (OSError, ParseError, SchemaError, ShapeError) as e:
         raise _InputError(f"{path}: {e}") from None
-    if loaded.kind != kind:
-        raise _InputError(f"{path}: expected a {kind} payload, found {loaded.kind}")
-    return loaded
 
 
 def _load_modules(args):

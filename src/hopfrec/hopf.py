@@ -41,20 +41,15 @@ that is when the additions reach the cells.  Dense sides compare as lists
 and keyed sides after dropping cancelled zeros.  Only a failing side maps
 its offsets back to index tuples, in the order of the tuples.
 
-check_hopf_morphism decides its five laws on three lowerings: the
-source's views at Ds, the target's at Dd, and the columns of the map at
-Dm.  Each side of an identity carries its own scale, the product of the D
-of its factors: multiplicative Ds*Dm against Dm^2*Dd, unit Ds*Dm against
-Dd, comultiplicative Ds*Dm^2 against Dm*Dd, counit Ds against Dm*Dd, and
-antipode, m S_src against S_dst m, Ds*Dm against Dm*Dd.  Two sides compare
-after each is multiplied by the other's scale over their gcd, and a
-failing side is rendered at its own.  On conductor 1 these are the ints of
-the two views and of `matrices.lowering` of the map's entries.  When any
-conductor is above 1, the map and both presentations are lowered into one
-packed ring, so Ds = Dm = Dd, and every side is at most max(ns, nd)^2
-products of three factors, and a failing side is rendered from that
-ring.  Its sides span target cells and use the target's store; no Matrix
-product is made.
+check_hopf_morphism lowers the map and both presentations into one ring
+of `scalars.packing` at every conductor, so a side that sums products of
+k lowered values holds D^k times its value: multiplicative D^2 against
+D^3, unit D^2 against D, comultiplicative D^3 against D^2, counit D
+against D^2, and antipode, m S_src against S_dst m, D^2 on both sides.
+The lower side is scaled to the higher, every side is at most
+max(ns, nd)^2 products of three factors, and a failing side is rendered
+from that ring at its own scale.  Its sides span target cells and use
+the target's store; no Matrix product is made.
 
 Generators.  Once a map f into an algebra has f(1) = 1, the x with
 f(xy) = f(x)f(y) for every y form a unital subalgebra, by associativity;
@@ -82,7 +77,7 @@ from itertools import product
 from math import gcd
 
 from .errors import ShapeError
-from .matrices import Matrix, lowering
+from .matrices import Matrix
 from .reports import CheckReport
 from .scalars import ZERO, packing, same_sides, sc, vanishes
 
@@ -590,31 +585,26 @@ def run_hopf_checks(h: HopfPresentation) -> list[CheckReport]:
 def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix) -> CheckReport:
     """m, whose columns are the images of the source basis, respects every
     piece of structure.  Bijectivity is recorded as a flag so callers can
-    decide whether they demand an isomorphism.  Off conductor 1 the sides
-    are decided and rendered in one packed ring (see the module
-    docstring)."""
+    decide whether they demand an isomorphism.  The sides are decided and
+    rendered in one packed ring (see the module docstring)."""
     if m.rows != dst.dim or m.cols != src.dim:
         raise ShapeError(f"morphism matrix must be {dst.dim}x{src.dim}")
-    vs, vd = src._views, dst._views
-    if m._n != 1 or vs.M or vd.M:
-        # a cell of any side sums at most (the larger dim)^2 products of three factors
-        ring = packing(vs.values + vd.values + list(m.entries), [(max(m.rows, m.cols) ** 2, 3)] * 2)
-        dm, _, low, _ = ring
-        vs, vd = (_Views(h.alg, h.comult, h.counit, h.antipode, ring) for h in (src, dst))
-    else:
-        dm, low = lowering(m.entries)
-    rep = _morphism(vs, vd, m, low, vs.D, dm, vd.D)
+    # a cell of any side sums at most (the larger dim)^2 products of three factors
+    ring = packing(src._views.values + dst._views.values + list(m.entries), [(max(m.rows, m.cols) ** 2, 3)] * 2)
+    vs, vd = (_Views(h.alg, h.comult, h.counit, h.antipode, ring) for h in (src, dst))
+    rep = _morphism(vs, vd, m, ring[2], ring[0])
     rep.flags["bijective"] = m.rows == m.cols and m.rank() == m.rows
     return rep
 
 
-def _morphism(vs: _Views, vd: _Views, m: Matrix, low, ds: int, dm: int, dd: int) -> CheckReport:
+def _morphism(vs: _Views, vd: _Views, m: Matrix, low, D: int) -> CheckReport:
     """The multiplicative, unit, comultiplicative, counit and antipode laws
     of the map m from the presentation of views vs to that of vd, its
-    entries lowered by low, at the scales ds, dm and dd."""
+    entries lowered by low, all three in one ring of scale D."""
     rep = CheckReport("hopf-morphism")
     ns, nd = len(vs.m), len(vd.m)
     store = vd.store
+    D2, D3 = D**2, D**3
     cols = [[(p, low(x)) for p, x in enumerate(m.entries[i::ns]) if x] for i in range(ns)]  # column i: (p, m[p, i])
 
     for i in range(ns):
@@ -628,7 +618,7 @@ def _morphism(vs: _Views, vd: _Views, m: Matrix, low, ds: int, dm: int, dd: int)
                 for q, cj in cols[j]:
                     for t, d in vd.m[p][q]:
                         rhs[t] += ci * cj * d
-            vd.compare(rep, "morphism-multiplicative", (i, j), lhs, ds * dm, rhs, dm * dm * dd)
+            vd.compare(rep, "morphism-multiplicative", (i, j), lhs, D2, rhs, D3)
 
     img_u = store(nd)
     for i, c in enumerate(vs.u):
@@ -636,7 +626,7 @@ def _morphism(vs: _Views, vd: _Views, m: Matrix, low, ds: int, dm: int, dd: int)
             for p, x in cols[i]:
                 img_u[p] += c * x
     want_u = vd.u if vd.dense else {p: x for p, x in enumerate(vd.u) if x}
-    vd.compare(rep, "morphism-unit", (), img_u, ds * dm, want_u, dd)
+    vd.compare(rep, "morphism-unit", (), img_u, D2, want_u, D)
 
     for i in range(ns):
         lhs = store(nd * nd)
@@ -650,12 +640,12 @@ def _morphism(vs: _Views, vd: _Views, m: Matrix, low, ds: int, dm: int, dd: int)
         for p, ci in cols[i]:
             for o, d in vd.dp[p]:
                 rhs[o] += ci * d
-        vd.compare(rep, "morphism-comultiplicative", (i,), lhs, ds * dm * dm, rhs, dm * dd, nd, 2)
+        vd.compare(rep, "morphism-comultiplicative", (i,), lhs, D3, rhs, D2, nd, 2)
 
         e_lhs = vs.eps[i]
         e_rhs = sum(x * vd.eps[p] for p, x in cols[i])
-        if not vanishes(e_lhs * dm * dd - e_rhs * ds, vd.M):
-            rep.add("morphism-counit", (i,), vd.high(e_lhs, ds), vd.high(e_rhs, dm * dd))
+        if not vanishes(e_lhs * D - e_rhs, vd.M):
+            rep.add("morphism-counit", (i,), vd.high(e_lhs, D), vd.high(e_rhs, D2))
 
     for i in range(ns):
         # m S_src e_i and S_dst m e_i
@@ -667,7 +657,7 @@ def _morphism(vs: _Views, vd: _Views, m: Matrix, low, ds: int, dm: int, dd: int)
         for p, x in cols[i]:
             for t, sp in vd.s[p]:
                 rhs[t] += x * sp
-        vd.compare(rep, "morphism-antipode", (i,), lhs, ds * dm, rhs, dm * dd)
+        vd.compare(rep, "morphism-antipode", (i,), lhs, D2, rhs, D2)
     return rep
 
 

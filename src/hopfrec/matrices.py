@@ -6,16 +6,17 @@ elimination over the field, so answers are canonical: the kernel basis is
 the unique reduced echelon basis of the kernel space (pivot entries 1,
 pivot positions increasing left to right), read off one rref of the
 matrix with its columns reversed; underdetermined solves set the free
-variables to zero; an inverse is one solve against the identity, and a
-singular matrix shows as an inconsistent solve.  mat_inverse keeps each
-inverse on its matrix, and the matrix (as a copy sharing its entries) on
-the inverse, so neither is eliminated twice.
+variables to zero.  Every solve is one right solve X A = B (`mat_rsolve`):
+A X = B is that of the transposes, and an inverse that against the
+identity, where a singular matrix shows as an inconsistent solve.
+mat_inverse keeps each inverse on its matrix, and the matrix (as a copy
+sharing its entries) on the inverse, so neither is eliminated twice.
 
 Lowered kernel.  A matrix is lowered once, cached on the instance, to D
 and per row the (column, low(x)) pairs of its nonzero entries x
-(`lowering`): on conductor 1, D is the lcm of its denominators and low(x)
-the int D*x; on any other, `SCALAR_RING`, D = 1 and low(x) = x.
-check_hopf_morphism lowers a map's columns with it too.  A product sums
+(`Matrix._lowered`): on conductor 1, by `scalars.packing`, D is the lcm
+of the denominators and low(x) the int D*x; on any other, D = 1 and
+low(x) = x; a transpose holds none.  A product sums
 each output row over both lowerings and hands its result the sums
 (`Matrix._from_low`), reduced so that D is again the lcm of the result's
 denominators, or its Scalars at D = 1.  A cell whose terms cancel stays a
@@ -32,11 +33,10 @@ reads lowerings: `tree_maps` realizes the trees of a triple off the rows
 of the J blocks and hands each flat matrix its lowering through
 `_reduced`, and `verify_tensorator` decides F * left == right on the
 three lowerings.  Elimination (`_eliminate`) on conductor 1 is
-fraction-free on the int rows D*x; rank reads the pivots, and rref,
-mat_kernel, mat_solve and mat_rsolve divide only the cells they read by
-their row's pivot and hand their results that lowering.  mat_rsolve
-builds the rows of its transposed system off the lowerings of its
-operands and builds no transpose.  Other conductors, and det, eliminate
+fraction-free on the int rows D*x of the lowering; rank reads the pivots,
+and rref, mat_kernel and mat_rsolve divide only the cells they read by
+their row's pivot and hand their results that lowering; mat_rsolve
+builds its transposed system off its operands' lowerings.  Other conductors, and det, eliminate
 by the Scalar Gauss-Jordan, whose products run on int residues and which
 inverts each pivot by its Galois norm.  Two answers need no elimination
 at any conductor: the rank of a single row or column, and the kernel of
@@ -124,23 +124,24 @@ class Matrix:
         return m
 
     def _lowered(self):
-        """(D, rows of (column, low(x)) for each nonzero x), by `lowering`."""
+        """(D, rows of (column, low(x)) for each nonzero x), made once (see the module docstring)."""
         if not hasattr(self, "_low"):
             nz = [[(j, e) for j, e in enumerate(self.row(i)) if e] for i in range(self.rows)]
-            d, low = lowering([e for row in nz for _, e in row])
-            object.__setattr__(self, "_low", (d, [[(j, low(e)) for j, e in row] for row in nz]))
+            d = 1
+            if self._n == 1:
+                d, _, low, _ = packing([e for row in nz for _, e in row], ())
+                nz = [[(j, low(e)) for j, e in row] for row in nz]
+            object.__setattr__(self, "_low", (d, nz))
         return self._low
 
     def _rows(self) -> list:
-        """Mutable rows for `_echelon`: Scalars, or on conductor 1 the ints
-        D*x, read off the lowering the matrix holds (none is cached)."""
+        """Mutable rows for `_echelon`: on conductor 1 the ints D*x of
+        `_lowered`, above it the entries, whose zero Scalars keep a result at
+        the matrix's conductor."""
         if self._n != 1:
             return self.to_rows()
-        if not hasattr(self, "_low"):
-            _, low = lowering(self.entries)
-            return [[low(e) for e in self.row(i)] for i in range(self.rows)]
         out = [[0] * self.cols for _ in range(self.rows)]
-        for row, pairs in zip(out, self._low[1]):
+        for row, pairs in zip(out, self._lowered()[1]):
             for j, x in pairs:
                 row[j] = x
         return out
@@ -311,21 +312,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self})"
 
 
-SCALAR_RING = (1, lambda x: x)  # D = 1: Scalars as they are
-
-
-def lowering(entries) -> tuple:
-    """The lowering of Scalars that the matrix kernels share: (D, low).
-    On conductor 1 it is `scalars.packing`: D is the lcm of their
-    denominators and low(x) the int D*x for any x among them.  When any
-    has a conductor above 1 it is `SCALAR_RING`: D = 1 and low(x) is x
-    itself, neither promoted nor copied."""
-    if any(x.conductor != 1 for x in entries):
-        return SCALAR_RING
-    d, _, low, _ = packing(entries, ())
-    return d, low
-
-
 def _eliminate(m: list, cols: int, ints: bool) -> tuple[list, list, list]:
     """Gauss-Jordan elimination, in place, of the mutable rows m, with cols
     columns, of ints (conductor 1) or else of Scalars at one conductor;
@@ -488,7 +474,7 @@ def mat_kernel(m: Matrix) -> Matrix:
 
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve A X = B exactly.
+    """Solve A X = B exactly: mat_rsolve(A^T, B^T)^T.
 
     Returns the unique solution when A has full column rank, the solution
     with all free variables zero otherwise, and None when the system is
@@ -497,22 +483,16 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ShapeError(f"A has {a.rows} rows but B has {b.rows}")
-    aug = Matrix._of(a.rows, a.cols + b.cols, [x for i in range(a.rows) for x in (*a.row(i), *b.row(i))])
-    red, pivots, ps = aug._echelon()
-    if any(p >= a.cols for p in pivots):
-        return None
-    out = [(1, ())] * a.cols
-    for row, pc, s in zip(red, pivots, ps):
-        out[pc] = (s, enumerate(row[a.cols :]))
-    return _reduced(b.cols, out)
+    x = mat_rsolve(a.transpose(), b.transpose())
+    return None if x is None else x.transpose()
 
 
 def mat_rsolve(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve X A = B exactly: mat_solve(A^T, B^T)^T, in value and conductor.
-    The rows of [A^T | B^T] are built straight off the lowerings of A and B
-    on conductor 1, and off their entries, promoted to the lcm of their
-    conductors, above it; the solution is handed to `Matrix._from_low`
-    already transposed, so no transpose is built."""
+    """Solve X A = B exactly, with the answers mat_solve gives on the
+    transposes.  The rows of [A^T | B^T] are built straight off the
+    lowerings of A and B on conductor 1, and off their entries, promoted to
+    the lcm of their conductors, above it; the solution is handed to
+    `Matrix._from_low` already transposed, so no transpose is built."""
     if a.cols != b.cols:
         raise ShapeError(f"A has {a.cols} columns but B has {b.cols}")
     k, n = a.rows, lcm(a._n, b._n)
@@ -544,7 +524,7 @@ def mat_inverse(m: Matrix) -> Matrix:
         return m._inv
     if not m.is_square():
         raise ShapeError("inverse of a non-square matrix")
-    inv = mat_solve(m, Matrix.identity(m.rows))
+    inv = mat_rsolve(m, Matrix.identity(m.rows))
     if inv is None:
         raise ValueError("matrix is singular")
     _with_inverse(m, inv)

@@ -380,8 +380,8 @@ def _skeletalize(h: HopfPresentation, modules: list):
     (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories), and every step
     below is an identity that the construction decided exactly.
       1. Compatibility.  F solves F * left = right exactly (mat_rsolve,
-         mat_solve on the transposed system), and the solve returns None
-         on an inconsistent system.  So F * left == right at every (a, b,
+         one elimination of the transposed system), and the solve returns
+         None on an inconsistent system.  So F * left == right at every (a, b,
          c, d): the compatibility checks of verify_tensorator hold.
          validate_fiber's shapes hold by construction (J[(a, b)] is the
          square tau of a decomposition, the unit has dim 1, and the ev and

@@ -10,10 +10,12 @@ so equal data serializes to identical bytes.
 Lexically malformed input, a file that is not UTF-8 or JSON nested too
 deep included, raises ParseError (with line and column for JSON syntax
 errors); structurally invalid input, including any unknown field, raises
-SchemaError.  Integer fields take exact ints only (`type(x) is int`):
-JSON true and false load as bools, an int subclass, and are rejected
-rather than read as 1 and 0.  A rational is ASCII only, matched in full
-by -?[0-9]+(/[0-9]+)?: no Unicode digits, no newline.
+SchemaError, and so does a payload of another kind than the one `load`
+or `loads` is told to expect, before any of it is built.  Integer fields
+take exact ints only (`type(x) is int`): JSON true and false load as
+bools, an int subclass, and are rejected rather than read as 1 and 0.
+A rational is ASCII only, matched in full by -?[0-9]+(/[0-9]+)?: no
+Unicode digits, no newline.
 
 Each call parses a distinct string once: `loads` keeps a memo from string
 to Scalar, so equal cells share one immutable Scalar, and `dumps` keeps
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextvars import ContextVar
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -468,7 +471,16 @@ def dumps(obj, **extras) -> str:
     return json.dumps(to_payload(obj, **extras), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def loads(text: str) -> Loaded:
+# The kind that `load` expects, read by the `loads` it calls.  load hands
+# loads the text alone, so a stand-in for loads that takes only the text,
+# such as the byte counter of perfbench/spans.py, still sees every load.
+_EXPECTED = ContextVar("expected_kind", default=None)
+
+
+def loads(text: str, kind: str | None = None) -> Loaded:
+    """The payload in text.  When a kind is expected, by `kind` or by the
+    `load` that calls this, a payload of another kind is a SchemaError
+    raised before its parser builds anything."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as e:
@@ -479,10 +491,12 @@ def loads(text: str) -> Loaded:
         raise ParseError("nesting is too deep") from None
     if not isinstance(d, dict):
         raise SchemaError("top level must be an object")
-    kind = d.get("kind")
-    if not isinstance(kind, str) or kind not in _PARSERS:
-        raise SchemaError(f"unknown kind {kind!r}")
-    return _PARSERS[kind](d, _Memo())
+    found = d.get("kind")
+    if not isinstance(found, str) or found not in _PARSERS:
+        raise SchemaError(f"unknown kind {found!r}")
+    if (kind := kind or _EXPECTED.get()) is not None and found != kind:
+        raise SchemaError(f"expected a {kind} payload, found {found}")
+    return _PARSERS[found](d, _Memo())
 
 
 def save(path, obj, **extras) -> None:
@@ -490,11 +504,16 @@ def save(path, obj, **extras) -> None:
         fh.write(dumps(obj, **extras))
 
 
-def load(path) -> Loaded:
+def load(path, kind: str | None = None) -> Loaded:
+    """The payload in the file at path, as `loads` reads it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8: {e.reason} at byte {e.start}") from None
-    return loads(text)
+    token = _EXPECTED.set(kind)
+    try:
+        return loads(text)
+    finally:
+        _EXPECTED.reset(token)

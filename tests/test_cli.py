@@ -16,7 +16,7 @@ from hopfrec.cli import main
 from hopfrec.errors import SchemaError
 from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.fusion import verify_category, verify_pentagon
-from hopfrec.groups import cyclic_group
+from hopfrec.groups import GroupTable, cyclic_group
 from hopfrec.reports import CheckReport
 from hopfrec.repcat import trivial_module
 from hopfrec.scalars import Scalar
@@ -260,6 +260,24 @@ def test_wrong_kind_is_exit_2(tmp_path, capsys):
     code, out = run(capsys, "check-hopf", str(f))
     assert code == 2
     assert "expected a hopf payload" in out
+
+
+def test_a_payload_of_the_wrong_kind_is_never_built(tmp_path, capsys, monkeypatch):
+    # the kind is checked before the payload's parser runs: a group payload
+    # given to check-hopf constructs no GroupTable, whose n^3 associativity
+    # check took seconds on an order-500 table before the exit
+    f = tmp_path / "z5.json"
+    serialize.save(f, cyclic_group(5))
+
+    def built(self):
+        raise AssertionError("a GroupTable was constructed")
+
+    monkeypatch.setattr(GroupTable, "__post_init__", built)
+    code, out = run(capsys, "check-hopf", str(f))
+    assert code == 2
+    assert f"{f}: expected a hopf payload, found group" in out
+    with pytest.raises(SchemaError, match="^expected a hopf payload, found group$"):
+        serialize.loads(f.read_text(), "hopf")
 
 
 def test_bad_example_name_exits_2(capsys):
@@ -708,7 +726,8 @@ def test_json_booleans_are_rejected_in_every_integer_field(tmp_path, capsys, exa
 
     code, out = run(capsys, *_argv(tmp_path, doc))
     assert code == 2
-    assert message in out
+    # no command reads a group payload, so the CLI rejects its kind unparsed
+    assert (message if doc["kind"] != "group" else "expected a hopf payload, found group") in out
 
 
 def _argv(tmp_path, doc) -> list:
@@ -724,7 +743,7 @@ def _argv(tmp_path, doc) -> list:
         "fusion": ["check-category", bad],
         "fiber": ["check-category", fusion, bad],
         "modules": ["roundtrip", hopf, bad],
-        "group": ["check-hopf", bad],  # the loader fails before the kind is compared
+        "group": ["check-hopf", bad],
     }[doc["kind"]]
     return [str(a) for a in argv]
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -556,28 +557,53 @@ def rnd_cyclotomic(rng, rows, cols, n=8):
     return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
 
 
+def system_rows(*ms: Matrix) -> list:
+    """The Scalar rows of each matrix, promoted to the lcm of their conductors."""
+    n = lcm(*(m._n for m in ms))
+    return [[[e.promote(n) for e in row] for row in m.to_rows()] for m in ms]
+
+
 def test_right_solve_is_the_solve_of_the_transposes():
-    # X A = B, solved off the lowerings of A and B, equals mat_solve(A^T,
-    # B^T)^T in value and conductor, and holds the lowering a fresh one
-    # gives; also where no X exists, on A with a zero row or column, and at
-    # conductors 1, 3 and 8 and across 1, 3 and 4
+    # X A = B and A^T X^T = B^T, and the inverse, against the test-local
+    # Gauss-Jordan (ref_solve) run on the Scalar rows of the transposed
+    # system, which shares no code with _eliminate: value, conductor and
+    # text, None where no X exists, the singular error, and for the right
+    # solve and the inverse a handed lowering equal to a fresh one; on A
+    # with a zero row or column, at conductors 1, 3 and 8 and across 1, 3
+    # and 4
     rng = random.Random(211)
     makers = [rnd_rational, rnd_cyclotomic, lambda r, p, q: rnd_at(r, p, q, 3), lambda r, p, q: rnd_at(r, p, q, 0)]
     solved = unsolvable = 0
     for (k, cols, j), make_a, make_x in itertools.product([(1, 1, 1), (2, 5, 3), (3, 4, 2), (3, 9, 3), (4, 4, 1)], makers, makers):
         a, x = make_a(rng, k, cols), make_x(rng, j, k)
         for b in (x * a, make_x(rng, j, cols)):
-            got, want = mat_rsolve(a, b), mat_solve(a.transpose(), b.transpose())
-            assert (got is None) == (want is None)
+            ta, tb = system_rows(a.transpose(), b.transpose())
+            want = ref_solve(ta, tb, k, j)
+            got, left = mat_rsolve(a, b), mat_solve(a.transpose(), b.transpose())
+            assert (got is None) == (left is None) == (want is None)
             if want is None:
                 unsolvable += 1
                 continue
-            want = want.transpose()
-            assert (got.rows, got.cols, got._n) == (want.rows, want.cols, want._n)
-            assert [(e.conductor, e.coeffs) for e in got.entries] == [(e.conductor, e.coeffs) for e in want.entries]
-            assert repr(got._low) == repr(fresh_lowering(got))
+            assert_equals_ref(got, [list(r) for r in zip(*want)], j, k)
+            assert_equals_ref(left, want, k, j, handed=False)  # a transpose holds no lowering
             solved += 1
     assert solved and unsolvable
+    inverted = singular = 0
+    for make, n in itertools.product(makers, (1, 2, 3, 4)):
+        rows = make(rng, n, n).to_rows()
+        deficient = rows[:-1] + [[sum((r[c] for r in rows[:-1]), ZERO) for c in range(n)]]  # last row: the others' sum
+        for m in (Matrix.from_rows(rows), Matrix.from_rows(deficient)):
+            mr, ident = system_rows(m, Matrix.identity(n))
+            want = ref_solve(mr, ident, n, n)
+            if want is None:
+                with pytest.raises(ValueError) as err:
+                    mat_inverse(m)
+                assert type(err.value) is ValueError and str(err.value) == "matrix is singular"
+                singular += 1
+            else:
+                assert_equals_ref(mat_inverse(m), want, n, n)
+                inverted += 1
+    assert inverted >= 8 and singular >= 8
     with pytest.raises(ShapeError):
         mat_rsolve(Matrix.identity(2), Matrix.identity(3))
 
@@ -698,16 +724,17 @@ def frac_rows(m: Matrix) -> list:
     return [[e.coeffs[0] for e in m.row(i)] for i in range(m.rows)]
 
 
-def assert_equals_ref(got: Matrix, want: list, rows: int, cols: int):
+def assert_equals_ref(got: Matrix, want: list, rows: int, cols: int, handed: bool = True):
     """got holds exactly the values of want, Fractions or Scalars, at the
-    conductor they meet at (1 for Fractions), and the lowering handed to
-    it is the one its entries give afresh."""
+    conductor they meet at (1 for Fractions), and when handed, the lowering
+    handed to it is the one its entries give afresh."""
     ref = Matrix(rows, cols, [x for r in want for x in r])
     assert (got.rows, got.cols) == (rows, cols)
     assert got._n == ref._n
     assert [(e.conductor, e.coeffs) for e in got.entries] == [(e.conductor, e.coeffs) for e in ref.entries]
     assert str(got) == str(ref)
-    assert got._low == fresh_lowering(got)
+    if handed:
+        assert got._low == fresh_lowering(got)
 
 
 def ref_kernel_matrix(m: Matrix) -> list:
@@ -753,9 +780,11 @@ def test_elimination_matches_fraction_gauss_jordan(rows, bcols, data):
     for b in (data.draw(rational_matrices(nr, bcols)), frac_rows(m * Matrix(nc, 2, [x for r in xs for x in r]))):
         bm = Matrix(nr, len(b[0]) if b else bcols, [x for r in b for x in r])
         got, sol = mat_solve(m, bm), ref_solve(rows, b, nc, bm.cols)
-        assert (got is None) == (sol is None)
+        right = mat_rsolve(m.transpose(), bm.transpose())
+        assert (got is None) == (right is None) == (sol is None)
         if sol is not None:
-            assert_equals_ref(got, sol, nc, bm.cols)
+            assert_equals_ref(got, sol, nc, bm.cols, handed=False)  # a transpose holds no lowering
+            assert_equals_ref(right, [list(r) for r in zip(*sol)] if sol else [[]] * bm.cols, bm.cols, nc)
 
     if nr == nc:
         det = m.det()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrec.errors import DivisionByZero
-from hopfrec.matrices import lowering
+from hopfrec.matrices import Matrix
 from hopfrec.scalars import (
     ONE,
     ZERO,
@@ -225,8 +225,8 @@ def test_conductor_1_packing_is_the_rational_lowering():
     assert [low(x) for x in values] == [x.as_fraction() * d for x in values]
     assert all(type(low(x)) is int for x in values)
     assert [high(low(x), d) for x in values] == values
-    ld, llow = lowering(values)
-    assert ld == d and [llow(x) for x in values] == [low(x) for x in values]
+    # the lowering of a matrix is this ring over its nonzero entries
+    assert Matrix(1, len(values), values)._lowered() == (d, [[(j, low(x)) for j, x in enumerate(values) if x]])
 
 
 def test_conductor_promotion_and_cross_equality():
