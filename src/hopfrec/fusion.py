@@ -28,7 +28,8 @@ the (a, b, c, d, total) with a tree, read off the F keys and the nonzero
 N in lexicographic order.  A failing (a, b, c, d, total) is walked again
 and rendered from the same ints, as T5 x T1 matrices in lexicographic
 label order: the ring's `high` reads the two-step side back at D^2 and
-the three-step side at D^3, every cell at the ring's conductor.
+the three-step side at D^3, every cell at the ring's conductor, and each
+distinct int of a side once per failing tuple.
 
 The tensorator check reads the trees of each triple off the lowered rows
 of J (`tree_maps`, which builds no kron, identity or product) and decides
@@ -314,15 +315,18 @@ def _pentagon_kernel(skel, low):
 def _pentagon_render(skel, sides, key, high, D: int) -> list:
     """Both sides at key = (a, b, c, d, tot) as the module docstring
     states: the kernel's sides walked again and read back by high, the
-    two-step side at D^2 and the three-step side at D^3."""
+    two-step side at D^2 and the three-step side at D^3.  Each distinct
+    int of a side, 0 for every absent cell included, is read back once."""
     N, r = skel.fusion, skel.rank
     a, b, c, d, tot = key
     t5 = [(z, rho, *rt) for z in range(r) for rho in range(N[c][d][z]) for rt in f_right_basis(N, a, b, z, tot)]
     images = sorted(sides(*key), key=operator.itemgetter(0))
-    return [
-        Matrix._of(len(t5), len(images), [high(img[side].get(lab, 0), scale) for lab in t5 for img in images])
-        for side, scale in ((1, D**2), (2, D**3))
-    ]
+    out = []
+    for side, scale in ((1, D**2), (2, D**3)):
+        ints = [img[side].get(lab, 0) for lab in t5 for img in images]
+        back = {v: high(v, scale) for v in set(ints)}
+        out.append(Matrix._of(len(t5), len(images), [back[v] for v in ints]))
+    return out
 
 
 # -- fiber functor compatibility -------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import ShapeError
 
@@ -31,11 +32,15 @@ class GroupTable:
         for i in range(n):
             if t[0][i] != i or t[i][0] != i:
                 raise ShapeError("element 0 is not an identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[t[i][j]][k] != t[i][t[j][k]]:
-                        raise ShapeError(f"table is not associative at {(i, j, k)}")
+        # row by row: (g_i g_j) g_k over every k is row t[i][j] of t, and
+        # g_i (g_j g_k) is row i read at the entries of row j; a group of
+        # order 1 is associative once 0 is its identity
+        reads = [itemgetter(*r) for r in t] if n > 1 else []
+        for i, ti in enumerate(t):
+            for j, read in enumerate(reads):
+                if t[ti[j]] != read(ti):
+                    k = next(k for k in range(n) if t[ti[j]][k] != ti[t[j][k]])
+                    raise ShapeError(f"table is not associative at {(i, j, k)}")
         for i in range(n):
             if all(t[i][j] != 0 for j in range(n)):
                 raise ShapeError(f"element {i} has no inverse")

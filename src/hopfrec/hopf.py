@@ -26,7 +26,8 @@ at most four factors, which fixes B.
 A failing side of degree l is rendered from the ints that decided it:
 each cell v is the Scalar that the ring's `high` reads back at scale D^l,
 the rational v / D^l on conductor 1, so every cell of a report is printed
-at the ring's conductor.
+at the ring's conductor.  The cells of a side take few distinct values,
+so each distinct value is read back and formatted once per rendered side.
 
 A side is a vector over index tuples, laid out flat: the cell (p, q) of
 an n x n side sits at offset p*n + q, and (p, q, k) of an n x n x n side
@@ -42,10 +43,12 @@ and keyed sides after dropping cancelled zeros.  Only a failing side maps
 its offsets back to index tuples, in the order of the tuples.
 
 check_hopf_morphism lowers the map and both presentations into one ring
-of `scalars.packing` at every conductor, so a side that sums products of
-k lowered values holds D^k times its value: multiplicative D^2 against
-D^3, unit D^2 against D, comultiplicative D^3 against D^2, counit D
-against D^2, and antipode, m S_src against S_dst m, D^2 on both sides.
+of `scalars.packing` at every conductor, each presentation once: the
+ring is chosen from the entries read off both, and neither builds or
+keeps views in its own ring.  A side that sums products of k lowered
+values holds D^k times its value: multiplicative D^2 against D^3, unit
+D^2 against D, comultiplicative D^3 against D^2, counit D against D^2,
+and antipode, m S_src against S_dst m, D^2 on both sides.
 The lower side is scaled to the higher, every side is at most
 max(ns, nd)^2 products of three factors, and a failing side is rendered
 from that ring at its own scale.  Its sides span target cells and use
@@ -175,7 +178,7 @@ class AlgebraPresentation:
 
     @cached_property
     def _views(self) -> "_Views":
-        return _Views(self)
+        return _Views(self).lower()
 
     @cached_property
     def _gens(self) -> list | None:
@@ -207,16 +210,17 @@ class HopfPresentation:
 
     @cached_property
     def _views(self) -> "_Views":
-        return _Views(self.alg, self.comult, self.counit, self.antipode)
+        return _Views(self.alg, self.comult, self.counit, self.antipode).lower()
 
 
 # -- views ----------------------------------------------------------------
 
 class _Views:
     """A presentation's entries lowered once, as the module docstring says,
-    in `ring` (D, M, low, high): by default the presentation's own packing;
-    sides compare by `scalars.same_sides` and render through high.
-    `values` lists the Scalars lowered.
+    by `lower` in a ring (D, M, low, high): by default the presentation's
+    own packing; sides compare by `scalars.same_sides` and render through
+    high.  `values` lists the Scalars to lower, read off the presentation
+    before any ring is chosen.
     m[i][j] lists (k, mult) and dl[i] lists (j, k, comult) over nonzero
     entries, s[i] lists (l, antipode[l][i]) over the nonzero entries of
     column i, and u and eps are dense.  Flat offsets over the nonzero
@@ -224,7 +228,7 @@ class _Views:
     (j*n + k, comult) and dt[i] lists ((j*n + k)*n, comult).  m and dl are
     read off the stored nonzeros of mult and comult; nothing is scanned."""
 
-    def __init__(self, alg: AlgebraPresentation, comult=None, counit=(), antipode=None, ring=None):
+    def __init__(self, alg: AlgebraPresentation, comult=None, counit=(), antipode=None):
         n, mult = alg.dim, alg.mult
         cols = antipode.transpose().to_rows() if antipode is not None else []
         self.m = [mult.rows(i) for i in range(n)]
@@ -237,9 +241,16 @@ class _Views:
         nnz = len(nz)
         nz += [x for col in self.s for _, x in col] + self.u + self.eps
         self.values = nz
+        self.dense = nnz * nnz >= n**5
+        self.passed = None  # check_algebra's verdict, once it has run
+
+    def lower(self, ring=None) -> "_Views":
+        """These views with every entry lowered in ring, by default the
+        presentation's own packing."""
+        n = len(self.m)
         # a cell of any side of the checkers sums at most n^4 products of at
         # most four factors, the powers of D that scale it included
-        self.D, self.M, low, self.high = ring or packing(nz, [(n**4, 4)] * 2)
+        self.D, self.M, low, self.high = ring or packing(self.values, [(n**4, 4)] * 2)
         self.m = [[[(k, low(x)) for k, x in row] for row in plane] for plane in self.m]
         self.u = [low(x) for x in self.u]
         self.dl = [[(j, k, low(x)) for j, k, x in plane] for plane in self.dl]
@@ -248,8 +259,7 @@ class _Views:
         self.mt = [[(j * n, k, x) for j, row in enumerate(plane) for k, x in row] for plane in self.m]
         self.dp = [[(j * n + k, x) for j, k, x in plane] for plane in self.dl]
         self.dt = [[(o * n, x) for o, x in plane] for plane in self.dp]
-        self.dense = nnz * nnz >= n**5
-        self.passed = None  # check_algebra's verdict, once it has run
+        return self
 
     def store(self, cells: int):
         """An empty side over `cells` flat offsets, in this presentation's store."""
@@ -266,9 +276,20 @@ class _Views:
 
     def render(self, side, scale: int, n: int, arity: int) -> str:
         """A side of scale `scale` as the sum of its nonzero cells, each the
-        Scalar that high reads back, over n^arity index tuples."""
+        Scalar that high reads back, over n^arity index tuples.  Each
+        distinct nonzero int of the side is read back and formatted once per
+        call, in a memo that ends with the call; one that reads back as 0
+        keeps "" and is skipped."""
         cells = enumerate(side) if type(side) is list else sorted(side.items())
-        terms = [f"({x})e{_cell(o, n, arity)}" for o, v in cells if v and (x := self.high(v, scale))]
+        memo: dict = {}
+        terms = []
+        for o, v in cells:
+            if v:
+                if (head := memo.get(v)) is None:
+                    x = self.high(v, scale)
+                    head = memo[v] = f"({x})e" if x else ""
+                if head:
+                    terms.append(f"{head}{_cell(o, n, arity)}")
         return " + ".join(terms) if terms else "0"
 
 
@@ -326,7 +347,10 @@ def _cell(o: int, n: int, arity: int):
     """The index tuple at flat offset o of an n^arity side; an int for arity 1."""
     if arity == 1:
         return o
-    return tuple(o // n ** (arity - 1 - t) % n for t in range(arity))
+    if arity == 2:
+        return divmod(o, n)
+    o, k = divmod(o, n)
+    return (*_cell(o, n, arity - 1), k)
 
 
 # -- checkers -------------------------------------------------------------
@@ -589,10 +613,10 @@ def check_hopf_morphism(src: HopfPresentation, dst: HopfPresentation, m: Matrix)
     rendered in one packed ring (see the module docstring)."""
     if m.rows != dst.dim or m.cols != src.dim:
         raise ShapeError(f"morphism matrix must be {dst.dim}x{src.dim}")
+    vs, vd = (_Views(h.alg, h.comult, h.counit, h.antipode) for h in (src, dst))
     # a cell of any side sums at most (the larger dim)^2 products of three factors
-    ring = packing(src._views.values + dst._views.values + list(m.entries), [(max(m.rows, m.cols) ** 2, 3)] * 2)
-    vs, vd = (_Views(h.alg, h.comult, h.counit, h.antipode, ring) for h in (src, dst))
-    rep = _morphism(vs, vd, m, ring[2], ring[0])
+    ring = packing(vs.values + vd.values + list(m.entries), [(max(m.rows, m.cols) ** 2, 3)] * 2)
+    rep = _morphism(vs.lower(ring), vd.lower(ring), m, ring[2], ring[0])
     rep.flags["bijective"] = m.rows == m.cols and m.rank() == m.rows
     return rep
 

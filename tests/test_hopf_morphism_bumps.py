@@ -27,6 +27,7 @@ from math import lcm
 
 from test_hopf_bumps import rendered, ring_conductor
 
+from hopfrec import hopf
 from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.groups import cyclic_group
 from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_hopf_morphism
@@ -243,6 +244,29 @@ def test_all_five_laws_are_decided_without_a_matrix_product(monkeypatch):
     assert [rep.passed for rep in got] == [True, True, False]
     assert [rep.lines() for rep in got] == want
 
+
+
+def test_each_presentation_is_lowered_once_and_keeps_no_views(monkeypatch):
+    """The joint ring reads its values straight off the presentations, so
+    each is lowered once, in that ring, and neither caches its own views."""
+    lowered = []
+    lower = hopf._Views.lower
+
+    def counted(self, ring=None):
+        lowered.append(ring is not None)
+        return lower(self, ring)
+
+    monkeypatch.setattr(hopf._Views, "lower", counted)
+    src, dst, m = gauge_case()
+    passed = []
+    for run in ((src, dst, m), (src, dst, bumped(m, (3, 2)))):
+        for h in run[:2]:
+            assert "_views" not in h.__dict__ and "_views" not in h.alg.__dict__
+        lowered.clear()
+        passed.append(check_hopf_morphism(*run).passed)
+        assert lowered == [True, True]
+        for h in run[:2]:
+            assert "_views" not in h.__dict__ and "_views" not in h.alg.__dict__
 
 if __name__ == "__main__":
     GOLDEN.write_text(golden_text())
