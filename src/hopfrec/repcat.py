@@ -307,7 +307,9 @@ def skeletalize(h: HopfPresentation, modules: list, verify: bool = True):
     raises SkeletalizationFailure with its report.  With verify on, the
     output is audited by verify_category, which realizes every tree once
     more; the proof in _skeletalize shows the audit cannot fail, and a
-    failure would raise SkeletalizationFailure.
+    failure would raise SkeletalizationFailure.  The audit is the test
+    suite's oracle for that proof; the CLI `repcat` runs no audit and
+    reports the three verdicts from the proof.
     """
     _require_family(h, modules)
     skel, fiber = _skeletalize(h, modules)

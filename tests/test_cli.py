@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfrec import cli, reconstruct, repcat, serialize
+from hopfrec import cli, fusion, reconstruct, repcat, serialize
 from hopfrec.cli import main
 from hopfrec.errors import SchemaError
 from hopfrec.examples import EXAMPLES, gen_group_algebra
@@ -352,19 +352,49 @@ def test_repcat_writes_skeleton_and_fiber(tmp_path, capsys):
     assert code == 0
 
 
-def test_repcat_writes_both_files_or_neither(tmp_path, capsys):
-    # the skeleton path is writable and the fiber path is a directory
-    h = tmp_path / "ks3.json"
-    mods = tmp_path / "mods.json"
-    out_f = tmp_path / "s2.json"
+@pytest.fixture
+def ks3_files(tmp_path, capsys):
+    h, mods = tmp_path / "ks3.json", tmp_path / "mods.json"
     run(capsys, "example", "ks3", "-o", str(h))
     run(capsys, "example", "ks3-modules", "-o", str(mods))
-    (tmp_path / "s2.fiber.json").mkdir()
-    code = main(["repcat", str(h), str(mods), "-o", str(out_f)])
+    return str(h), str(mods)
+
+
+def test_repcat_writes_both_files_or_neither(tmp_path, capsys, ks3_files):
+    # the skeleton path is writable and the fiber path is a directory; a
+    # skeleton file that was there before the run is left as it was
+    for stem, before in (("s2", None), ("s3", "other content\n")):
+        out_f, fiber_f = tmp_path / f"{stem}.json", tmp_path / f"{stem}.fiber.json"
+        if before is not None:
+            out_f.write_text(before)
+        fiber_f.mkdir()
+        code = main(["repcat", *ks3_files, "-o", str(out_f)])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        assert cap.err == f"error: [Errno 21] Is a directory: '{fiber_f}'\n"
+        assert (out_f.read_text() if out_f.exists() else None) == before
+        assert os.listdir(fiber_f) == []
+
+
+def test_repcat_puts_back_a_fiber_file_whose_write_fails(tmp_path, capsys, monkeypatch, ks3_files):
+    # the fiber file opens, and its write fails: both files that were there
+    # are put back byte for byte
+    out_f, fiber_f = tmp_path / "s.json", tmp_path / "s.fiber.json"
+    out_f.write_bytes(b"old skeleton")
+    fiber_f.write_bytes(b"old fiber")
+    real = serialize.save
+
+    def save(path, obj, **extras):
+        if path == str(fiber_f):  # it opens, so empties, the file, and fails
+            open(path, "w").close()
+            raise OSError(28, "No space left on device")
+        real(path, obj, **extras)
+
+    monkeypatch.setattr(serialize, "save", save)
+    code = main(["repcat", *ks3_files, "-o", str(out_f)])
     cap = capsys.readouterr()
-    assert code == 2 and cap.out == ""
-    assert cap.err.startswith("error: [Errno 21] Is a directory: ") and "s2.fiber.json" in cap.err
-    assert not out_f.exists()
+    assert code == 2 and cap.err == "error: [Errno 28] No space left on device\n"
+    assert (out_f.read_bytes(), fiber_f.read_bytes()) == (b"old skeleton", b"old fiber")
 
 
 def test_repcat_verifies_the_family_once(tmp_path, capsys, monkeypatch):
@@ -378,6 +408,44 @@ def test_repcat_verifies_the_family_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, "verify_irreps", lambda *a, real=real: calls.append(a) or real(*a))
     code, _ = run(capsys, "repcat", str(h), str(mods), "-o", str(tmp_path / "skel.json"))
     assert code == 0 and len(calls) == 1
+
+
+def test_repcat_reports_coherence_from_the_proof(tmp_path, capsys, monkeypatch, ks3_files):
+    # _skeletalize's output is coherent by construction: no category checker runs
+    calls = []
+    for module in (cli, fusion, reconstruct, repcat):
+        for name in ("verify_category", "verify_pentagon", "verify_tensorator", "verify_duality"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    code, out = run(capsys, "repcat", *ks3_files, "-o", str(tmp_path / "skel.json"))
+    assert code == 0 and calls == []
+
+
+def test_repcat_names_its_certified_reports_as_verify_category_does(tmp_path, capsys, ks3_files):
+    out_f = tmp_path / "skel.json"
+    code, out = run(capsys, "--report", "json", "repcat", *ks3_files, "-o", str(out_f))
+    checks = json.loads(out)["checks"]
+    skel = serialize.load(str(out_f), "fusion").obj
+    fiber = serialize.load(str(tmp_path / "skel.fiber.json"), "fiber").obj
+    swept = [r.as_dict() for r in verify_category(skel, fiber)]
+    assert code == 0 and [c["name"] for c in checks[1:]] == [r["name"] for r in swept]
+    assert checks[1:] == swept
+
+
+def test_roundtrip_gates_once_and_sweeps_no_rebuilt_family(capsys, monkeypatch, ks3_files):
+    # verify_irreps runs once, as the gate on the source family; the
+    # rebuilt-irreps report comes from the matrix-unit proof
+    calls, zetas = [], []
+    for module in (cli, repcat):
+        real = module.verify_irreps
+        monkeypatch.setattr(module, "verify_irreps", lambda alg, mods, real=real: calls.append(alg) or real(alg, mods))
+    for module in (cli, reconstruct):
+        monkeypatch.setattr(module, "zeta_modules", lambda *a: zetas.append(a), raising=False)
+    code, out = run(capsys, "roundtrip", *ks3_files)
+    h = serialize.load(ks3_files[0], "hopf").obj
+    assert code == 0 and "rebuilt-irreps: pass" in out.splitlines()
+    assert [alg.dim for alg in calls] == [h.dim] and calls[0].mult == h.alg.mult
+    assert zetas == []
 
 
 @pytest.mark.parametrize("command", ["repcat", "roundtrip"])

@@ -527,9 +527,10 @@ def test_dim_one_algebra_round_trips_on_every_action(monkeypatch):
 
 def test_trees_are_realized_once_per_triple(monkeypatch, tmp_path, capsys):
     # _skeletalize realizes each triple once to solve F; the audit of
-    # verify_category (skeletalize with verify, CLI repcat) realizes it again.
-    # The round trip solves no F, so it realizes no triple.  The wrapper
-    # forwards every argument and records the triple alone
+    # verify_category (skeletalize with verify) realizes it again.  CLI
+    # repcat reports coherence from the proof, with no audit, and the round
+    # trip solves no F, so it realizes no triple.  The wrapper forwards
+    # every argument and records the triple alone
     calls = []
     real = fusion.tree_maps
     for module in (fusion, repcat):
@@ -552,7 +553,7 @@ def test_trees_are_realized_once_per_triple(monkeypatch, tmp_path, capsys):
     assert cli.main(["example", "ks3-modules", "-o", paths[1]]) == 0
     assert cli.main(["repcat", *paths[:2], "-o", paths[2]]) == 0
     capsys.readouterr()
-    assert sorted(calls) == sorted(triples * 2)
+    assert sorted(calls) == triples
 
 
 def test_tree_maps_lower_no_kron_result_afresh(monkeypatch):

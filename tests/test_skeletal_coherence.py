@@ -26,6 +26,11 @@ The round trip decides only the antipode law of gamma, the other four and
 bijectivity holding by construction (the proof in `repcat._roundtrip`):
 its report equals the full check_hopf_morphism on its own gamma and
 rebuilt presentation, passing or failing.
+
+The CLI's rebuilt-irreps report is certified by the matrix-unit argument
+of `cli._cmd_roundtrip`: the family that zeta_modules reads off the
+rebuilt algebra passes verify_irreps, with gamma' the identity, on the
+reconstruction of every case here.
 """
 
 import dataclasses
@@ -43,6 +48,7 @@ from hopfrec.groups import cyclic_group
 from hopfrec.hopf import check_bialgebra, check_hopf_morphism
 from hopfrec.matrices import Matrix, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf
+from hopfrec.reports import CheckReport
 from hopfrec.repcat import _roundtrip, _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
 from hopfrec.scalars import Scalar
 from test_generators import base, bump, cyclic_characters
@@ -251,6 +257,15 @@ def test_the_round_trip_solves_no_f(name, realized, solves):
     assert realized == [] and solves == []
     got = serialize.dumps(recon.hopf, basis=recon.basis), gamma, rep.lines(), rep.flags
     assert got == rebuilt(h, mods)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_the_rebuilt_matrix_units_are_a_complete_irreducible_family(name):
+    _, _, recon = _roundtrip(*case(name))
+    mods = reconstruct.zeta_modules(recon)
+    rep = repcat.verify_irreps(recon.hopf.alg, mods)
+    assert rep.as_dict() == CheckReport("irreducible-family").as_dict()
+    assert repcat._gamma(mods, recon.hopf.dim) == Matrix.identity(recon.hopf.dim)
 
 
 # the antipode identity's cases, each with the number of morphism-antipode
