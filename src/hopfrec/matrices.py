@@ -23,12 +23,18 @@ denominators, or its Scalars at D = 1.  A cell whose terms cancel stays a
 zero Scalar at their conductor; a cell with no terms is ZERO.  Only shape
 picks another path: inner dimension 1 is an outer product, as lowering
 such tiny factors costs more than it saves.  Kron multiplies the nonzero
-pairs of both lowerings into its rows; `_kron_sum` sums the krons of a
-tensor action of `repcat` on theirs, once per action; and the
-intertwiner constraint of `repcat.hom_space` builds its rows on the
-actions' lowerings (two 1-dim modules compare their actions entrywise
-and build none).  All three hand their rows over as a product does, and
-an identity is built holding its own.  Outside this module only `fusion`
+pairs of both lowerings into its rows, and `_kron_sum` sums the krons of
+a tensor action of `repcat` on theirs, once per action; both hand their
+rows over as a product does, and an identity is built holding its own.
+`repcat.hom_space` builds no matrix until its answer (two 1-dim modules
+compare their actions entrywise and build nothing): each intertwiner
+constraint is rows on the actions' lowerings, scaled to their lcm D
+(`_intertwiner_constraint`), and `_joint_kernel` cuts an integer
+spanning set of the kernel by each in turn, eliminating fraction-free
+with `_eliminate` and making each kernel vector primitive by its gcd,
+never dividing; the rref of the last spanning set is canonical, and only
+it becomes Scalars, through `_reduced`.  Above conductor 1 the same code
+runs on the Scalars of the lowering.  Outside this module only `fusion`
 reads lowerings: `tree_maps` realizes the trees of a triple off the rows
 of the J blocks and hands each flat matrix its lowering through
 `_reduced`, and `verify_tensorator` decides F * left == right on the
@@ -43,7 +49,7 @@ at any conductor: the rank of a single row or column, and the kernel of
 a single column, are read off whether any entry is nonzero (an empty
 kernel, or the 1x1 identity, handed its lowering).
 
-Split-prime certificate.  Off conductor 1 a rank, and the kernel of a
+Split-prime certificate.  Off conductor 1 a rank, and mat_kernel of a
 matrix with at least as many rows as columns, first rank the image of
 the matrix in F_p, (p, r) = `scalars.split_prime(n)`: an entry x = sum
 c_i zeta^i goes to x(r) = sum c_i r^i mod p, each c_i as num * den^-1 mod
@@ -388,14 +394,16 @@ def _full_rank_mod_p(m: Matrix) -> bool:
     return True
 
 
-def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
-    """aw (x) I - I (x) av^T: row (i, k) holds aw[i, j] at column (j, k) and
-    -av[l, k] at column (i, l).  Its rows are built on the actions'
-    lowerings at D the lcm of theirs, and handed to `Matrix._from_low` as a
-    product's are; a cell whose terms cancel keeps them as a zero Scalar
-    off conductor 1."""
+def _intertwiner_constraint(av: Matrix, aw: Matrix) -> tuple:
+    """(D, n, rows): the rows of aw (x) I - I (x) av^T scaled to D, the lcm
+    of the actions' D, and n the conductor of that matrix.  Row (i, k)
+    lists (column, x): D aw[i, j] at column (j, k) and -D av[l, k] at
+    column (i, l), built on the actions' lowerings; an int x is nonzero,
+    and a Scalar x is kept when its terms cancel, so `Matrix._from_low`
+    of the rows at D is the matrix.  n is the lcm of the conductors of the
+    actions that are not zero, as each nonzero entry of one places a
+    cell."""
     nv, nw = av.rows, aw.rows
-    n = nv * nw
     (dv, rv), (dw, rw) = av._lowered(), aw._lowered()
     d = lcm(dv, dw)
     cv: list = [[] for _ in range(nv)]  # column k of av: (l, D*av[l, k])
@@ -411,7 +419,69 @@ def _intertwiner_constraint(av: Matrix, aw: Matrix) -> Matrix:
                 c = i * nv + l
                 acc[c] = acc[c] - y if c in acc else -y
             low.append(sorted((c, x) for c, x in acc.items() if x or type(x) is not int))
-    return Matrix._from_low(n, n, d, low)
+    return d, lcm(*(m._n for m, rows in ((av, rv), (aw, rw)) if any(rows))), low
+
+
+def _joint_kernel(constraints, dim: int) -> Matrix:
+    """The canonical basis of the joint kernel of the (D, n, rows) of
+    `_intertwiner_constraint` in constraints, as the rows of a Matrix with
+    dim columns: the rref of any basis of the kernel.
+
+    The kernel so far is held as the columns of K, an integer spanning
+    set, from the first constraint C that cuts (C K is not zero; K is I
+    before it).  The kernel of C K is read off one `_eliminate`: with p_r
+    the pivot of row r and s_r = ps[r], the vector of a free column f is
+    L at f and -m[r][f] L / s_r at p_r, L the lcm of the s_r.  K times
+    these vectors, each made primitive by its gcd, spans the new kernel
+    with full column rank; no field division is made.  The rref of K^T is
+    canonical, so it is the basis whatever K spans the kernel, and only it
+    is handed to `_reduced`.  Above conductor 1 the same code runs on the
+    Scalars of the lowering, promoted to the conductor of C K, the lcm of
+    those of C and K, with `_eliminate(ints=False)`: its ps are 1, and no
+    gcd is taken.  The conductors follow those of the Matrix chain K
+    mat_kernel(C K), which a cut leaves at that of C K.  A cut that
+    leaves no column stops before the next constraint is built; no cut at
+    all leaves the identity."""
+    kn, vecs = 1, None  # K's conductor and columns; None while K = I
+    for _, cn, rows in constraints:
+        n, width = lcm(cn, kn), dim if vecs is None else len(vecs)
+        krows = None if vecs is None else list(zip(*vecs))
+        hit = [row for pairs in rows if any(row := _combine(pairs, width, krows))]
+        if not hit:
+            continue
+        if n != 1:
+            hit = [[sc(x).promote(n) for x in row] for row in hit]
+        m, pivots, ps = _eliminate(hit, width, n == 1)
+        cut = []
+        for f in sorted(set(range(width)) - set(pivots)):
+            col = [(p, row[f], s) for row, p, s in zip(m, pivots, ps) if row[f]]
+            top = lcm(*(s for *_, s in col))
+            vec = _combine([(f, top)] + [(p, -x if s == top else -x * (top // s)) for p, x, s in col], dim, vecs)
+            if n == 1 and (g := gcd(*vec)) > 1:
+                vec = [x // g for x in vec]
+            cut.append(vec)
+        if not cut:
+            return Matrix.zeros(0, dim)
+        kn, vecs = n, cut
+    if vecs is None:
+        return Matrix.identity(dim)
+    if kn != 1:
+        vecs = [[sc(x).promote(kn) for x in row] for row in vecs]
+    m, _, ps = _eliminate(vecs, dim, kn == 1)
+    return _reduced(dim, [(p, enumerate(row)) for p, row in zip(ps, m)])
+
+
+def _combine(pairs, width: int, vecs) -> list:
+    """The sum of x vecs[c] over the (c, x) of pairs, vectors of length
+    width; x e_c when vecs is None, pairs naming each c once."""
+    out = [0] * width
+    if vecs is None:
+        for c, x in pairs:
+            out[c] = x
+    else:
+        for c, x in pairs:
+            out = [a + x * b for a, b in zip(out, vecs[c])]
+    return out
 
 
 def _kron_sum(rows: int, cols: int, terms) -> Matrix:

@@ -9,6 +9,19 @@ sum through J and reads tensor coordinates off the result; the counit is
 the unit block; the antipode conjugates the dual block through the
 transpose pairing and transposes.
 
+The comultiplication is summed on ints (`_comult`).  The J blocks and
+their inverses are lowered once into one `scalars.packing` ring per
+conductor of their entries, so each cell is read back at the conductor
+that the Scalar sum of its products would have.  A cell of the plane of
+E^c_ij in the block of a (x) b sums one product J^-1[t, o+i] J[o+j, u]
+per copy o of c in a (x) b: at most N[a][b][c] products of two lowered
+factors.  That is the packing bound: a ring is built for the side (the
+largest such N over its blocks, 2), so every coefficient of a cell's
+unreduced polynomial lies below B/2 and high(v, D^2) reads the cell back
+exactly (the proof is in `scalars`).  Each distinct int is read back
+once, and a cell that stands for 0 is dropped, as a zero Scalar sum
+would be.
+
 `_assemble` builds the presentation unchecked.  With verify on,
 reconstruct_hopf checks the category data first and the result against
 every Hopf axiom after (`_require_hopf`).  A round trip
@@ -18,6 +31,7 @@ transport along gamma certifies it.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .errors import ReconstructionAxiomFailure, ShapeError
@@ -25,7 +39,7 @@ from .fusion import FiberData, FusionRules, FusionSkeleton, _copy_offset, comput
 from .hopf import AlgebraPresentation, HopfPresentation, StructureTensor, run_hopf_checks
 from .matrices import Matrix, block_diag, mat_inverse
 from .repcat import ModuleRep, SliceMorphismData
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, packing, vanishes
 
 
 def endf_basis(dims) -> list:
@@ -107,36 +121,12 @@ def _assemble(skel: FusionRules, fiber: FiberData) -> ReconstructionResult:
     round trip when gamma does not certify it)."""
     r = skel.rank
     d = fiber.dims
-    N = skel.fusion
     alg, basis = endf_algebra(skel, fiber)
     offs = endf_offsets(d)
     n = len(basis)
 
     def idx(a, i, j):
         return offs[a] + i * d[a] + j
-
-    # E^c_ij sits at (o+i, o+j) of each copy o of c in a (x) b, so its
-    # image Jinv E J is the sum over copies of Jinv[:, o+i] J[o+j, :]; the
-    # cells (q1, q2) of plane p that a (x) b reaches lie in blocks a and b
-    planes = [{} for _ in range(n)]
-    for (a, b), jm in fiber.J.items():
-        jinv = mat_inverse(jm)
-        size = jm.rows
-        jcols = [[(t, x) for t in range(size) if (x := jinv.at(t, s))] for s in range(size)]
-        jrows = [[(t, x) for t, x in enumerate(jm.row(s)) if x] for s in range(size)]
-        for c in range(r):
-            for mu in range(N[a][b][c]):
-                o = _copy_offset(N[a][b], d, c, mu)
-                for i in range(d[c]):
-                    for j in range(d[c]):
-                        acc = planes[idx(c, i, j)]
-                        for t, x in jcols[o + i]:
-                            i1, k1 = divmod(t, d[b])
-                            for u, y in jrows[o + j]:
-                                j1, l1 = divmod(u, d[b])
-                                key = (idx(a, i1, j1), idx(b, k1, l1))
-                                acc[key] = acc[key] + x * y if key in acc else x * y
-    comult = StructureTensor(n, (sorted((q1, q2, v) for (q1, q2), v in acc.items()) for acc in planes))
 
     counit = [ZERO] * n
     for i, (a, _k, _l) in enumerate(basis):
@@ -155,8 +145,56 @@ def _assemble(skel: FusionRules, fiber: FiberData) -> ReconstructionResult:
                     for l in range(d[ad]):
                         if (x := delta[ad].at(l, i)) and (y := dinv.at(j, k)):
                             anti[idx(ad, k, l)][idx(a, i, j)] = x * y
-    hopf = HopfPresentation(alg, comult, counit, Matrix.from_rows(anti))
+    hopf = HopfPresentation(alg, _comult(skel.fusion, fiber), counit, Matrix.from_rows(anti))
     return ReconstructionResult(hopf, tuple(basis), tuple(d), skel.unit, skel.names)
+
+
+def _comult(N, fiber: FiberData) -> StructureTensor:
+    """The comult of _assemble, summed on ints in one packed ring per
+    conductor of the J blocks (the bound is in the module docstring).
+    E^c_ij sits at (o+i, o+j) of each copy o of c in a (x) b, so its image
+    J^-1 E J is the sum over the copies of J^-1[:, o+i] J[o+j, :], and the
+    cells (q1, q2) of plane (c, i, j) that a (x) b reaches lie in blocks a
+    and b; no other pair reaches them.  Each distinct sum of a ring is
+    read back once by high(v, D^2), in a memo that ends with the ring."""
+    d = fiber.dims
+    offs = endf_offsets(d)
+    planes = [{} for _ in range(sum(x * x for x in d))]
+    rings: dict = {}  # conductor -> the J blocks there, each with its inverse
+    for (a, b), jm in fiber.J.items():
+        jinv = mat_inverse(jm)
+        rings.setdefault(lcm(jm._n, jinv._n), []).append((a, b, jm, jinv))
+    for blocks in rings.values():
+        values = [x for *_, jm, jinv in blocks for m in (jm, jinv) for x in m.entries if x]
+        D, M, low, high = packing(values, [(max(max(N[a][b]) for a, b, *_ in blocks), 2)])
+        sums: dict = {}
+        for a, b, jm, jinv in blocks:
+            size, db = jm.rows, d[b]
+            # column s of J^-1 with each row t = (i1, k1) of a (x) b read as
+            # the offsets of row i1 in block a and of row k1 in block b; row
+            # s of J with each column u read as (j1, l1)
+            jcols = [
+                [(offs[a] + t // db * d[a], offs[b] + t % db * db, low(x)) for t, x in enumerate(jinv.entries[s::size]) if x]
+                for s in range(size)
+            ]
+            jrows = [[(*divmod(u, db), low(y)) for u, y in enumerate(jm.row(s)) if y] for s in range(size)]
+            for c, copies in enumerate(N[a][b]):
+                for mu in range(copies):
+                    o = _copy_offset(N[a][b], d, c, mu)
+                    for i in range(d[c]):
+                        for j in range(d[c]):
+                            p = offs[c] + i * d[c] + j
+                            for r1, r2, x in jcols[o + i]:
+                                for j1, l1, y in jrows[o + j]:
+                                    key = (p, r1 + j1, r2 + l1)
+                                    sums[key] = sums.get(key, 0) + x * y
+        memo: dict = {}
+        for (p, q1, q2), v in sums.items():
+            if not vanishes(v, M):
+                if (cell := memo.get(v)) is None:
+                    cell = memo[v] = high(v, D * D)
+                planes[p][q1, q2] = cell
+    return StructureTensor(len(planes), (sorted((q1, q2, v) for (q1, q2), v in acc.items()) for acc in planes))
 
 
 def _require_hopf(hopf: HopfPresentation) -> None:

@@ -36,7 +36,7 @@ the identity on both sides, and is closed under products, since both
 actions are multiplicative: a unital subalgebra.  If it holds every e_g,
 g a generator, it holds every e_i.  So Hom(V, W) is the joint kernel of
 the generators' constraints, which hom_space cuts out of V and W
-restricted to the generators; it re-echelonizes the kernel at the end, so
+restricted to the generators; it ends with the rref of the kernel, so
 the basis is the canonical one that every action gives, and so is each
 decomposition read off such bases.  _skeletalize decomposes each tensor
 module on the generators once H passes check_bialgebra, which makes it a
@@ -44,10 +44,12 @@ module (the premises are in _skeletalize), and on every action otherwise.
 
 Skeletal data.  skeletalize reads N and J off the decompositions of the
 tensor modules, F off the trees that J realizes, every row of each, and
-each dual off N; it reads no antipode.  The tensor actions, the trees
-and the F solve run on the lowered rows that the matrices hold
-(matrices, Lowered kernel), and no Scalar matrix is built per comult term
-or per tree.  Whatever skeletalize returns passes verify_category by
+each dual off N; it reads no antipode.  The tensor actions, the Hom
+kernels, the trees and the F solve run on the lowered rows that the
+matrices hold (matrices, Lowered kernel): no Scalar matrix is built per
+comult term, per tree, or per step of a kernel, whose elimination runs
+fraction-free on ints at conductor 1; hom_space builds Scalars for its
+answer alone.  Whatever skeletalize returns passes verify_category by
 construction (the proof is in _skeletalize).
 
 Round trip.  gamma_roundtrip rebuilds the Hopf algebra from N, J and the
@@ -71,9 +73,9 @@ from itertools import product
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionRules, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
 from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra_sweep, check_antipode, check_bialgebra, check_hopf_morphism
-from .matrices import Matrix, _intertwiner_constraint, _kron_sum, mat_inverse, mat_kernel, mat_rsolve
+from .matrices import Matrix, _intertwiner_constraint, _joint_kernel, _kron_sum, mat_inverse, mat_rsolve
 from .reports import CheckReport
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -186,12 +188,15 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
 
     T intertwines iff act_w(e_i) T = T act_v(e_i) for every listed action;
     row-major vectorization turns each constraint into a kernel condition
-    on act_w (x) I - I (x) act_v^T, which `matrices._intertwiner_constraint`
-    builds on the actions' lowerings.  The kernel is refined by each
-    constraint in index order, and re-echelonized at the end so the result
-    equals the canonical reduced basis of the joint kernel.  Between two
-    1-dim modules each constraint is the difference of two entries, so Hom
-    is [[1]] when every pair of actions is equal and 0 otherwise.  Modules
+    on act_w (x) I - I (x) act_v^T, whose rows
+    `matrices._intertwiner_constraint` builds on the actions' lowerings.
+    `matrices._joint_kernel` refines an integer spanning set of the kernel
+    by each constraint in index order, fraction-free on ints at conductor
+    1, building no matrix per step, and returns the canonical reduced
+    basis of the joint kernel, the one Scalar matrix of the call; a
+    constraint is built only while the kernel is not 0.  Between two 1-dim
+    modules each constraint is the difference of two entries, so Hom is
+    [[1]] when every pair of actions is equal and 0 otherwise.  Modules
     with different numbers of actions raise ShapeError.
     """
     if len(v.action) != len(w.action):
@@ -200,20 +205,8 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> list:
     if v.dim == w.dim == 1:
         same = all(av.entries[0] == aw.entries[0] for av, aw in zip(v.action, w.action))
         return [Matrix._of(1, 1, [ONE])] if same else []
-    ker = None  # no constraint has cut yet: every matrix intertwines so far
-    for av, aw in zip(v.action, w.action):
-        hit = _intertwiner_constraint(av, aw)
-        if ker is not None:
-            hit = hit * ker
-        if hit.is_zero():
-            continue
-        ker = mat_kernel(hit) if ker is None else ker * mat_kernel(hit)
-        if not ker.cols:
-            return []
-    if ker is None:
-        n = w.dim * v.dim
-        return [Matrix._of(w.dim, v.dim, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
-    red, _ = ker.transpose().rref()  # ker has full column rank: no zero rows
+    constraints = (_intertwiner_constraint(av, aw) for av, aw in zip(v.action, w.action))
+    red = _joint_kernel(constraints, w.dim * v.dim)
     return [Matrix._of(w.dim, v.dim, red.row(i)) for i in range(red.rows)]
 
 

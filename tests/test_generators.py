@@ -23,6 +23,7 @@ guard test asserts that the generators decide, with no full sweep, on
 every shipped Hopf example and module family and on rebuilt K[S4].
 """
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -32,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrec import cli, fusion, hopf, repcat
+from hopfrec import cli, fusion, hopf, matrices, reconstruct, repcat
 from hopfrec.examples import EXAMPLES, gen_group_algebra
 from hopfrec.groups import cyclic_group
 from hopfrec.hopf import AlgebraPresentation, HopfPresentation, check_algebra, check_bialgebra, run_hopf_checks
@@ -430,6 +431,39 @@ def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
     assert max(decs) <= len(h.alg._gens) == 3
     assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (0, 327)
     assert len(calls) == 327
+
+
+def test_ks4_round_trip_runs_hom_space_and_the_comult_on_ints(monkeypatch):
+    """A K[S4] round trip calls neither mat_kernel nor a Matrix product
+    inside hom_space, whose kernel runs on int rows, and no Scalar product
+    inside _assemble's comult, which sums ints in its packed ring; the
+    spies see both products elsewhere in the round trip."""
+    h, mods = EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()
+    inside, calls = [None], collections.Counter()
+
+    def within(name, real):
+        def run(*args):
+            inside[0] = name
+            try:
+                return real(*args)
+            finally:
+                inside[0] = None
+        return run
+
+    def counted(name, real):
+        return lambda *args: calls.update([(inside[0], name)]) or real(*args)
+
+    monkeypatch.setattr(repcat, "hom_space", within("hom_space", repcat.hom_space))
+    monkeypatch.setattr(reconstruct, "_comult", within("comult", reconstruct._comult))
+    monkeypatch.setattr(matrices, "mat_kernel", counted("mat_kernel", matrices.mat_kernel))
+    monkeypatch.setattr(repcat, "mat_kernel", matrices.mat_kernel, raising=False)
+    for cls, name in ((Matrix, "Matrix"), (Scalar, "Scalar")):
+        real = cls.__mul__
+        for op in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, op, counted(f"{name}.__mul__", real))
+    assert gamma_roundtrip(h, mods)[0].passed
+    assert [key for key in calls if key[0] is not None] == []
+    assert calls[None, "Matrix.__mul__"] and calls[None, "Scalar.__mul__"]
 
 
 # -- the gate: one rank of gamma ----------------------------------------------

@@ -29,7 +29,8 @@ from hopfrec.repcat import (
 )
 from hopfrec.scalars import ONE, ZERO, Scalar, sc
 from test_hopf_bumps import promoted
-from test_skeletal_coherence import cyclic_characters
+from test_generators import base
+from test_skeletal_coherence import FAMILIES, cyclic_characters
 from test_tensorator_bumps import alternating_group_4, modules_a4
 
 S3 = symmetric_group(3)
@@ -115,9 +116,19 @@ def test_hom_space_dim_is_basis_independent():
     assert len(hom_space(conj, conj)) == 1
 
 
+def constraint_matrix(av: Matrix, aw: Matrix) -> Matrix:
+    """The matrix of the rows that `_intertwiner_constraint` returns, at
+    the D it returns; its conductor is the one returned beside them."""
+    d, n, rows = _intertwiner_constraint(av, aw)
+    size = av.rows * aw.rows
+    m = Matrix._from_low(size, size, d, rows)
+    assert m._n == n
+    return m
+
+
 def test_intertwiner_constraint_is_the_kron_form():
-    # hom_space builds act_w (x) I - I (x) act_v^T and, on conductor 1, hands
-    # the product the lowering that Matrix._lowered would compute from it
+    # hom_space builds the rows of act_w (x) I - I (x) act_v^T; on
+    # conductor 1 they hold the lowering that Matrix._lowered would compute
     mods = s3_modules()
     p = Matrix.from_rows([[2, 1], [0, 3]])
     pinv = mat_inverse(p)
@@ -127,14 +138,14 @@ def test_intertwiner_constraint_is_the_kron_form():
         for w in mods:
             iv, iw = Matrix.identity(v.dim), Matrix.identity(w.dim)
             for av, aw in zip(v.action, w.action):
-                got = _intertwiner_constraint(av, aw)
+                got = constraint_matrix(av, aw)
                 assert got == aw.kron(iv) - iw.kron(av.transpose())
                 assert {e.conductor for e in got.entries} == {1}
                 if got.cols > 1:  # a product lowers only a factor with more than one column
                     assert got._low == Matrix._of(got.rows, got.cols, got.entries)._lowered()
     # denominators that cancel on the diagonal leave D = 1, as a fresh lowering finds
     a = Matrix.from_rows([[Fraction(1, 2), 0], [1, Fraction(1, 2)]])
-    got = _intertwiner_constraint(a, a)
+    got = constraint_matrix(a, a)
     i2 = Matrix.identity(2)
     assert got == a.kron(i2) - i2.kron(a.transpose())
     assert got._low == Matrix._of(4, 4, got.entries)._lowered() and got._low[0] == 1
@@ -177,7 +188,7 @@ def test_intertwiner_constraint_off_conductor_1_matches_the_entrywise_form():
     cancelled = 0
     for av in actions:
         for aw in actions:
-            got, want = _intertwiner_constraint(av, aw), ref_constraint(av, aw)
+            got, want = constraint_matrix(av, aw), ref_constraint(av, aw)
             iv, iw = Matrix.identity(av.rows), Matrix.identity(aw.rows)
             assert got == aw.kron(iv) - iw.kron(av.transpose())
             assert (got._n, str(got)) == (want._n, str(want))
@@ -211,13 +222,89 @@ def test_intertwiner_constraint_off_conductor_1_matches_the_entrywise_form():
         ),
     ]
     for av, aw, n, text in pins:
-        got = _intertwiner_constraint(av, aw)
+        got = constraint_matrix(av, aw)
         assert (got._n, str(got)) == (n, text)
 
 
 def _promoted(v: ModuleRep) -> ModuleRep:
     act = tuple(Matrix(a.rows, a.cols, [e.promote(2) for e in a.entries]) for a in v.action)
     return ModuleRep(v.dim, act, v.name)
+
+
+def chain_hom_space(v: ModuleRep, w: ModuleRep) -> list:
+    """hom_space as a chain of public Matrix operations: the entrywise
+    constraint C of each action, in index order, cuts the kernel K so far
+    to K mat_kernel(C K) unless C K is zero, a K with no column ends it,
+    and the basis is the rows of the rref of K^T; no cut leaves the matrix
+    units."""
+    n = w.dim * v.dim
+    ker = None
+    for av, aw in zip(v.action, w.action):
+        hit = ref_constraint(av, aw)
+        if ker is not None:
+            hit = hit * ker
+        if hit.is_zero():
+            continue
+        ker = mat_kernel(hit) if ker is None else ker * mat_kernel(hit)
+        if not ker.cols:
+            return []
+    if ker is None:
+        return [Matrix._of(w.dim, v.dim, [ONE if k == j else ZERO for k in range(n)]) for j in range(n)]
+    red, _ = ker.transpose().rref()
+    return [Matrix._of(w.dim, v.dim, red.row(i)) for i in range(red.rows)]
+
+
+def basis_cells(basis: list) -> list:
+    return [(t._n, [(e.conductor, e.coeffs) for e in t.entries]) for t in basis]
+
+
+def zero_module(h) -> ModuleRep:
+    return ModuleRep(0, [Matrix.zeros(0, 0)] * h.dim, "0")
+
+
+def hom_chain_case(name: str):
+    if name == "rebuilt-ks4":
+        return base(name)
+    if name == "ka4":  # written over Q(zeta_3)
+        g = alternating_group_4()
+        return gen_group_algebra(g), modules_a4(g)
+    if name == "ks3-mixed":  # std at conductor 1 beside its conjugate at 3, and a 0-dim module
+        z = Scalar.zeta(3)
+        p = Matrix.from_rows([[1, z], [0, 1]])
+        mods = s3_modules()
+        std3 = ModuleRep(2, tuple(p * a * mat_inverse(p) for a in mods[2].action), "std/Pz")
+        return KS3, mods + [std3, zero_module(KS3)]
+    if name == "kz3-mixed":  # chi_0 + chi_1: a cut whose kernel holds ints only, at conductor 3
+        z = Scalar.zeta(3)
+        both = ModuleRep(2, tuple(Matrix(2, 2, [1, 0, 0, z**k]) for k in range(3)), "chi0+chi1")
+        return gen_group_algebra(cyclic_group(3)), cyclic_characters(3) + [both]
+    h, mods = EXAMPLES[name][1](), EXAMPLES[f"{name}-modules"][1]()
+    return h, mods + [zero_module(h)] if name == "ks3" else mods
+
+
+MIXED = ("ka4", "ks3-mixed", "kz3-mixed")
+
+
+@pytest.mark.parametrize("name", FAMILIES + ["rebuilt-ks4", *MIXED])
+def test_hom_space_is_the_matrix_chain(name):
+    """The fraction-free kernel of hom_space gives, entry by entry and in
+    conductor, the basis of the Matrix chain it replaced, between every
+    module of the family and each tensor module, on every action and on
+    the generators alone."""
+    h, mods = hom_chain_case(name)
+    gens = h.alg._gens
+    conductors = set()
+    for v, w in itertools.product(mods, repeat=2):
+        t = tensor_module(h, v, w)
+        for rows in ([range(h.dim)] + [gens] * bool(gens)):
+            def cut(m, rows=rows):
+                return ModuleRep(m.dim, [m.action[i] for i in rows], m.name)
+            for u in mods:
+                for a, b in ((cut(u), cut(t)), (cut(t), cut(u))):
+                    got, want = hom_space(a, b), chain_hom_space(a, b)
+                    assert basis_cells(got) == basis_cells(want), (a.name, b.name)
+                    conductors |= {t._n for t in got}
+    assert conductors == ({1, 3} if name in MIXED else {1})
 
 
 def test_hom_space_same_on_rational_and_scalar_paths():
@@ -336,7 +423,7 @@ def constraint_route(v: ModuleRep, w: ModuleRep) -> list:
     constraint aw - av, in index order, cuts a kernel of the identity."""
     ker = Matrix.identity(1)
     for av, aw in zip(v.action, w.action):
-        if ker.cols and not (hit := _intertwiner_constraint(av, aw) * ker).is_zero():
+        if ker.cols and not (hit := constraint_matrix(av, aw) * ker).is_zero():
             ker = ker * mat_kernel(hit)
     return [Matrix(1, 1, [ker.at(0, j)]) for j in range(ker.cols)]
 

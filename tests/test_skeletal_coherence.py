@@ -42,7 +42,7 @@ import pytest
 
 from hopfrec import fusion, reconstruct, repcat, serialize
 from hopfrec.errors import DecompositionGap, HopfrecError, SkeletalizationFailure
-from hopfrec.examples import EXAMPLES, gen_group_algebra
+from hopfrec.examples import EXAMPLES, gen_group_algebra, gen_pointed_category, gen_pointed_fiber
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group
 from hopfrec.hopf import check_bialgebra, check_hopf_morphism
@@ -51,6 +51,7 @@ from hopfrec.reconstruct import reconstruct_hopf
 from hopfrec.reports import CheckReport
 from hopfrec.repcat import _roundtrip, _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
 from hopfrec.scalars import Scalar
+from test_acceptance import J_BUMP_GAUGES, gauge_transform
 from test_generators import base, bump, cyclic_characters
 from test_reconstruct import bumped_antipode
 from test_tensorator_bumps import alternating_group_4, modules_a4
@@ -257,6 +258,48 @@ def test_the_round_trip_solves_no_f(name, realized, solves):
     assert realized == [] and solves == []
     got = serialize.dumps(recon.hopf, basis=recon.basis), gamma, rep.lines(), rep.flags
     assert got == rebuilt(h, mods)
+
+
+def scalar_comult(skel, fiber) -> list:
+    """The comult of the rebuilt presentation as a Scalar sum over the J
+    blocks: the plane of E^c_ij gets J^-1[t, o+i] J[o+j, u] at the cell
+    ((a, i1, j1), (b, k1, l1)), t = (i1, k1) and u = (j1, l1), from every
+    copy o of c in every a (x) b; each plane lists (q1, q2, conductor,
+    coefficients) over its cells in order, a cell that cancels dropped."""
+    d, N = fiber.dims, skel.fusion
+    offs = reconstruct.endf_offsets(d)
+    planes = [{} for _ in range(sum(x * x for x in d))]
+    for (a, b), jm in fiber.J.items():
+        jinv = mat_inverse(jm)
+        for c in range(skel.rank):
+            for mu in range(N[a][b][c]):
+                o = fusion._copy_offset(N[a][b], d, c, mu)
+                for i, j, t, u in product(range(d[c]), range(d[c]), range(jm.rows), range(jm.rows)):
+                    (i1, k1), (j1, l1) = divmod(t, d[b]), divmod(u, d[b])
+                    key = (offs[a] + i1 * d[a] + j1, offs[b] + k1 * d[b] + l1)
+                    plane = planes[offs[c] + i * d[c] + j]
+                    plane[key] = plane.get(key, 0) + jinv.at(t, o + i) * jm.at(o + j, u)
+    return [[(*key, x.conductor, x.coeffs) for key, x in sorted(p.items()) if x] for p in planes]
+
+
+def gauged_z2():
+    """The trivial Vec_Z2 fiber gauged by eta = (1, 1/(z8 + z8^-1)) over
+    Q(zeta_8): J(g, g) = 2, and every J block but J(e, e) at conductor 8."""
+    z2 = cyclic_group(2)
+    skel = gen_pointed_category(z2)
+    eta = [Matrix(1, 1, [x]) for x in J_BUMP_GAUGES[(1, 1)][1]]
+    return skel, gauge_transform(skel, gen_pointed_fiber(z2), eta)
+
+
+@pytest.mark.parametrize("name", CASES + ["kz12", "z2-gauge"])
+def test_the_assembled_comult_is_the_scalar_sum_over_the_j_blocks(name):
+    # the packed ring reads each cell back at the conductor of its J block:
+    # conductor 1 beside 8 on the gauged fiber
+    skel, fiber = gauged_z2() if name == "z2-gauge" else _skeletalize(*case(name))
+    if name == "z2-gauge":
+        assert [fiber.J[k]._n for k in sorted(fiber.J)] == [1, 8, 8, 8]
+    got = [[(q1, q2, x.conductor, x.coeffs) for q1, q2, x in p] for p in reconstruct._assemble(skel, fiber).hopf.comult.planes]
+    assert got == scalar_comult(skel, fiber)
 
 
 @pytest.mark.parametrize("name", CASES)
