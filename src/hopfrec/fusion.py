@@ -33,8 +33,9 @@ distinct int of a side once per failing tuple.
 
 The tensorator check reads the trees of each triple off the lowered rows
 of J (`tree_maps`, which builds no kron, identity or product) and decides
-F * left == right on the lowerings of F and of the trees.  Only a triple
-that fails is multiplied out as Scalar matrices, to render its report.
+F * left == right by `matrices._is_product`, as the duality check decides
+both zigzags against the identity.  Only a failing identity is
+multiplied out as Scalar matrices, to render its report.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cache, partial
 from itertools import product
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
-from .matrices import Matrix, _reduced, _with_inverse, mat_inverse
+from .matrices import Matrix, _is_product, _reduced, _with_inverse, mat_inverse
 from .reports import CheckReport
 from .scalars import packing, same_sides, sc
 
@@ -402,10 +403,10 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     total d, the trees of tree_maps satisfy R_y = sum_x F[y, x] L_x, so
     decomposing (ab)c through J and recoordinatizing by F equals
     decomposing a(bc) through J.  With one flat tree per row, row y of
-    F * left is sum_x F[y, x] L_x row-major, which is compared with right
-    on the lowerings (`_recoordinates`).  A failing triple reports both
-    sides, F * left multiplied out, stacked over d and cut into rows of
-    dims[a] dims[b] dims[c].  Also the strict unit constraints on J.
+    F * left is sum_x F[y, x] L_x row-major, which `matrices._is_product`
+    compares with right.  A failing triple reports both sides, F * left
+    multiplied out, stacked over d and cut into rows of dims[a] dims[b]
+    dims[c].  Also the strict unit constraints on J.
 
     Raises NonInvertibleJ when some J block is singular; everything else
     is reported, not raised.  Each block's inverse is kept by mat_inverse.
@@ -432,29 +433,12 @@ def verify_tensorator(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     for a, b, c in product(range(r), repeat=3):
         realized = tree_maps(skel.fusion, fiber.J, d, a, b, c)
         trees = [(skel.F[(a, b, c, dd)], left, right) for dd, left, right in realized if left.rows]
-        if not all(_recoordinates(*t) for t in trees):
+        if not all(_is_product(*t) for t in trees):
             lhs = [x for f, left, _ in trees for x in (f * left).entries]
             rhs = [x for _, _, right in trees for x in right.entries]
             width = d[a] * d[b] * d[c]
             rep.add("compatibility", (a, b, c), *(Matrix._of(len(t) // width, width, t) for t in (lhs, rhs)))
     return rep
-
-
-def _recoordinates(f: Matrix, left: Matrix, right: Matrix) -> bool:
-    """f * left == right, decided on the three lowerings: with f, left and
-    right standing for the pairs over Df, Dl and Dr, each row of Dr (f *
-    left) equals Df Dl times that row of right."""
-    (df, fr), (dl, lr), (dr, rr) = f._lowered(), left._lowered(), right._lowered()
-    s = df * dl
-    for frow, want in zip(fr, rr):
-        acc: dict = {}
-        for x, u in frow:
-            for j, v in lr[x]:
-                acc[j] = acc.get(j, 0) + u * v
-        got = {j: v if dr == 1 else dr * v for j, v in acc.items() if v}
-        if got != {j: v if s == 1 else s * v for j, v in want}:
-            return False
-    return True
 
 
 # -- duality ----------------------------------------------------------------
@@ -499,15 +483,17 @@ def copairing_matrix(skel: FusionRules, fiber: FiberData, a: int) -> Matrix:
 
 def verify_duality(skel: FusionSkeleton, fiber: FiberData) -> CheckReport:
     """Both zigzag identities for every simple, as matrix equations on the
-    pairing and copairing."""
+    pairing and copairing, decided by `matrices._is_product`; a failing
+    zigzag reports its product multiplied out against the identity."""
     validate_fiber(skel, fiber)
     rep = CheckReport("duality")
     for a in range(skel.rank):
         p = pairing_matrix(skel, fiber, a)
         q = copairing_matrix(skel, fiber, a)
-        for check, m in (("zigzag-qp", q * p), ("zigzag-pq", p * q)):
-            if m != Matrix.identity(m.rows):
-                rep.add(check, (a,), m, Matrix.identity(m.rows))
+        for check, x, y in (("zigzag-qp", q, p), ("zigzag-pq", p, q)):
+            eye = Matrix.identity(x.rows)
+            if not _is_product(x, y, eye):
+                rep.add(check, (a,), x * y, eye)
     return rep
 
 

@@ -80,7 +80,7 @@ from itertools import product
 from math import gcd
 
 from .errors import ShapeError
-from .matrices import Matrix
+from .matrices import Matrix, _is_product
 from .reports import CheckReport
 from .scalars import ZERO, packing, same_sides, sc, vanishes
 
@@ -597,7 +597,7 @@ def _antipode(h: HopfPresentation, v: _Views) -> CheckReport:
 
     rep.flags["algebra-antihomomorphism"] = antihom
     rep.flags["coalgebra-antihomomorphism"] = co_antihom
-    rep.flags["involutive"] = h.antipode * h.antipode == Matrix.identity(n)
+    rep.flags["involutive"] = _is_product(h.antipode, h.antipode, Matrix.identity(n))
     return rep
 
 

@@ -20,9 +20,10 @@ low(x) = x; a transpose holds none.  A product sums
 each output row over both lowerings and hands its result the sums
 (`Matrix._from_low`), reduced so that D is again the lcm of the result's
 denominators, or its Scalars at D = 1.  A cell whose terms cancel stays a
-zero Scalar at their conductor; a cell with no terms is ZERO.  Only shape
-picks another path: inner dimension 1 is an outer product, as lowering
-such tiny factors costs more than it saves.  Kron multiplies the nonzero
+zero Scalar at their conductor; a cell with no terms is ZERO.  Every
+identity A * B == C that a checker tests is decided by `_is_product`,
+the same sums compared with the rows of C's lowering, so no product is
+built unless a failing side is rendered.  Kron multiplies the nonzero
 pairs of both lowerings into its rows, and `_kron_sum` sums the krons of
 a tensor action of `repcat` on theirs, once per action; both hand their
 rows over as a product does, and an identity is built holding its own.
@@ -34,11 +35,10 @@ spanning set of the kernel by each in turn, eliminating fraction-free
 with `_eliminate` and making each kernel vector primitive by its gcd,
 never dividing; the rref of the last spanning set is canonical, and only
 it becomes Scalars, through `_reduced`.  Above conductor 1 the same code
-runs on the Scalars of the lowering.  Outside this module only `fusion`
-reads lowerings: `tree_maps` realizes the trees of a triple off the rows
-of the J blocks and hands each flat matrix its lowering through
-`_reduced`, and `verify_tensorator` decides F * left == right on the
-three lowerings.  Elimination (`_eliminate`) on conductor 1 is
+runs on the Scalars of the lowering.  Outside this module only
+`fusion.tree_maps` reads lowerings: it realizes the trees of a triple
+off the rows of the J blocks and hands each flat matrix its lowering
+through `_reduced`.  Elimination (`_eliminate`) on conductor 1 is
 fraction-free on the int rows D*x of the lowering; rank reads the pivots,
 and rref, mat_kernel and mat_rsolve divide only the cells they read by
 their row's pivot and hand their results that lowering; mat_rsolve
@@ -71,7 +71,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeError
-from .scalars import ONE, ZERO, Scalar, _rat, packing, phi_degree, sc, split_prime
+from .scalars import ONE, ZERO, Scalar, _rat, is_one, packing, phi_degree, sc, split_prime
 
 
 class Matrix:
@@ -218,9 +218,6 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            if self.cols == 1:  # an outer product: lowering its factors costs more than it saves
-                out = [a * b if a and b else ZERO for a in self.entries for b in other.entries]
-                return Matrix._of(self.rows, other.cols, out)
             da, left = self._lowered()
             db, right = other._lowered()
             low = []
@@ -316,6 +313,28 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} {self})"
+
+
+def _is_product(a: Matrix, b: Matrix, c: Matrix) -> bool:
+    """a * b == c, decided on the three lowerings, building no matrix: with
+    a, b and c standing for their pairs over Da, Db and Dc, each row of
+    Dc (a b) equals Da Db times that row of c.  An inner mismatch raises
+    ShapeError, as the product does, and a c of another shape is unequal."""
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    if c.rows != a.rows or c.cols != b.cols:
+        return False
+    (da, left), (db, right), (dc, want) = a._lowered(), b._lowered(), c._lowered()
+    s = da * db
+    for lrow, wrow in zip(left, want):
+        acc: dict = {}
+        for k, x in lrow:
+            for j, y in right[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        got = {j: x if dc == 1 else dc * x for j, x in acc.items() if x}
+        if got != {j: x if s == 1 else s * x for j, x in wrow}:
+            return False
+    return True
 
 
 def _eliminate(m: list, cols: int, ints: bool) -> tuple[list, list, list]:
@@ -494,7 +513,7 @@ def _kron_sum(rows: int, cols: int, terms) -> Matrix:
     scaled, n = [], 1
     for c, a, b in terms:
         (da, la), (db, lb) = a._lowered(), b._lowered()
-        c = ONE if c == 1 else c
+        c = ONE if is_one(c) else c
         dc, f = (c.coeffs[0].denominator, c.coeffs[0].numerator) if c.conductor == 1 else (1, c)
         n = lcm(n, c.conductor, lcm(a._n, b._n) if any(la) else 1)
         scaled.append((da * db * dc, f, la, lb, b.cols))

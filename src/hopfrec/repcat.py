@@ -22,7 +22,10 @@ Introduction to Representation Theory, 3.2.2), and H = End(V_1) + ... +
 End(V_r) (Artin-Wedderburn).  dim End = 1 is weaker than irreducible:
 Sweedler's H4 on its 2-dim indecomposable module has it, and gamma has
 rank 3 of 4.  A 0-dim module adds nothing to the squared dims or to
-gamma, and fails with dim End = 0.
+gamma, and fails with dim End = 0.  Each module law act(e_i) act(e_j) =
+act(e_i e_j) is decided by `matrices._is_product` on the lowerings of
+the three actions, so a passing gate builds no product; only a failing
+pair is multiplied out, to render its report.
 
 Generators.  The basis indices `AlgebraPresentation._gens` generate the
 algebra, and exist only once check_algebra has passed (see hopf).  The
@@ -58,11 +61,13 @@ gamma.  It sweeps no category data, since the proof leaves nothing for a
 sweep to find.  Of the five laws of a Hopf morphism, gamma is unital,
 multiplicative, counital and comultiplicative by construction, and
 bijective by the gate, so the round trip decides only S' gamma = gamma S,
-as one exact matrix identity; check_hopf_morphism runs only when that
-fails, to list every failing tuple.  The rebuilt side is certified by
-transport of structure along gamma when the source passes its Hopf
-checks and gamma is a bijective Hopf morphism; only otherwise does it run
-the Hopf axiom suite of reconstruct_hopf (see _roundtrip).
+as one exact matrix identity: `matrices._is_product` compares S' gamma
+with the one product gamma S that it builds.  check_hopf_morphism runs
+only when that fails, to list every failing tuple.  The rebuilt side is
+certified by transport of structure along gamma when the source passes
+its Hopf checks, its bialgebra verdict the one sweep of the
+decompositions, and gamma is a bijective Hopf morphism; only otherwise
+does it run the Hopf axiom suite of reconstruct_hopf (see _roundtrip).
 """
 
 from __future__ import annotations
@@ -72,10 +77,10 @@ from itertools import product
 
 from .errors import DecompositionGap, NonRigid, RoundTripFailure, ShapeError, SkeletalizationFailure
 from .fusion import FiberData, FusionRules, FusionSkeleton, _copy_offset, pairing_matrix, tree_maps, verify_category
-from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra_sweep, check_antipode, check_bialgebra, check_hopf_morphism
-from .matrices import Matrix, _intertwiner_constraint, _joint_kernel, _kron_sum, mat_inverse, mat_rsolve
+from .hopf import AlgebraPresentation, HopfPresentation, _bialgebra_sweep, check_antipode, check_hopf_morphism
+from .matrices import Matrix, _intertwiner_constraint, _is_product, _joint_kernel, _kron_sum, mat_inverse, mat_rsolve
 from .reports import CheckReport
-from .scalars import ONE
+from .scalars import ONE, is_one
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ def _tensor_actions(h: HopfPresentation, v: ModuleRep, w: ModuleRep, rows) -> li
     d, planes = v.dim * w.dim, h.comult.planes
     out = []
     for terms in (planes[i] for i in rows):
-        if len(terms) == 1 and terms[0][2] == 1:
+        if len(terms) == 1 and is_one(terms[0][2]):
             out.append(v.action[terms[0][0]].kron(w.action[terms[0][1]]))
         else:
             out.append(_kron_sum(d, d, [(c, v.action[j], w.action[k]) for j, k, c in terms]))
@@ -257,12 +262,12 @@ def _gamma(modules: list, n: int) -> Matrix:
 def _module_structure(rep: CheckReport, alg: AlgebraPresentation, idx: int, v: ModuleRep, rows) -> CheckReport:
     """act(e_i) act(e_j) = act(e_i e_j) for i in rows and every j, each
     right side summed over the stored nonzeros of e_i e_j."""
+    act = v.action
     for i in rows:
         for j, terms in enumerate(alg.mult.rows(i)):
-            lhs = v.action[i] * v.action[j]
             rhs = _act(v, terms)
-            if lhs != rhs:
-                rep.add("module-structure", (idx, i, j), lhs, rhs)
+            if not _is_product(act[i], act[j], rhs):
+                rep.add("module-structure", (idx, i, j), act[i] * act[j], rhs)
     return rep
 
 
@@ -271,17 +276,14 @@ def decompose(v: ModuleRep, irreps: list) -> Decomposition:
     read off the canonical hom_space bases.  Raises DecompositionGap when
     the family does not exhaust v."""
     bases = [hom_space(w, v) for w in irreps]
-    cols = []
-    for basis in bases:
-        for t in basis:
-            for j in range(t.cols):
-                cols.append([t.at(i, j) for i in range(t.rows)])
-    total = len(cols)
+    maps = [t for basis in bases for t in basis]
+    total = sum(t.cols for t in maps)
     if total != v.dim:
         raise DecompositionGap(
             f"module {v.name} has dim {v.dim} but the family accounts for {total}"
         )
-    stack = Matrix.from_rows(cols).transpose()  # columns embed the sum into v
+    # the columns of every basis map, in order, embed the sum into v
+    stack = Matrix._of(v.dim, total, [t.at(i, j) for i in range(v.dim) for t in maps for j in range(t.cols)])
     try:
         return Decomposition(tuple(len(b) for b in bases), mat_inverse(stack))
     except ValueError:
@@ -519,9 +521,12 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
 
     Transport.  The rebuilt presentation H' is assembled unchecked, and
     with verify on it is certified by transport of structure when
-      (a) the source H passes check_algebra (its `_gens` is not None, a
-          verdict that verify_irreps has cached), check_bialgebra and
-          check_antipode;
+      (a) the source H passes check_algebra with generators,
+          check_bialgebra and check_antipode.  The first two are premises
+          (a) and (b) of _skeletalize, which _decompositions decides by one
+          generator sweep; that verdict is False while both checks pass
+          only on a 1-dim algebra, whose generators are none, and there the
+          rebuilt side runs the axiom suite instead, to the same verdict;
       (b) gamma is multiplicative, unital, comultiplicative, counital and
           has S' gamma = gamma S, the five laws of check_hopf_morphism.
           The first four hold by construction once the gate has passed.
@@ -548,7 +553,8 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
                 all n actions.  So the law holds on every path that
                 reaches gamma.
           The antipode law is the one left open.  It is decided as the
-          exact identity S' gamma == gamma S, and only on a miss does the
+          exact identity S' gamma == gamma S, by `matrices._is_product`
+          against the one product gamma S, and only on a miss does the
           full check_hopf_morphism run, to list every failing tuple;
       (c) gamma is bijective: the gate passes only when the squared dims
           sum to n and rank(gamma) = n (The gate), so the report flags it
@@ -577,16 +583,10 @@ def _roundtrip(h: HopfPresentation, modules: list, verify: bool = True):
     recon = _assemble(rules, fiber)
     gamma = _gamma(modules, h.dim)
 
-    if recon.hopf.antipode * gamma == gamma * h.antipode:
+    if _is_product(recon.hopf.antipode, gamma, gamma * h.antipode):
         rep = CheckReport("hopf-morphism", flags={"bijective": True})
     else:
         rep = check_hopf_morphism(h, recon.hopf, gamma)
-    if verify and not (
-        rep.passed
-        and rep.flags["bijective"]
-        and h.alg._gens is not None
-        and check_bialgebra(h).passed
-        and check_antipode(h).passed
-    ):
+    if verify and not (rep.passed and rep.flags["bijective"] and premises and check_antipode(h).passed):
         _require_hopf(recon.hopf)
     return rep, gamma, recon

@@ -258,6 +258,13 @@ def vanishes(x, M: int) -> bool:
     return not x % M if M else not x
 
 
+def is_one(x: Scalar) -> bool:
+    """x == 1, read off the representation without coercing 1: the
+    coefficients are (1, 0, ..., 0) at any conductor, as each residue mod
+    Phi_n has one representation."""
+    return x.coeffs[0] == 1 and not any(x.coeffs[1:])
+
+
 def same_sides(a, b, M: int, f: int = 1) -> bool:
     """f*a and b stand for the same vector: two sides of lowered values over
     the same cells, lists, or dicts that may keep cells that cancelled."""

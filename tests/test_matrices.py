@@ -13,6 +13,7 @@ from hopfrec.errors import ShapeError
 from hopfrec.matrices import (
     Matrix,
     _full_rank_mod_p,
+    _is_product,
     block_diag,
     mat_inverse,
     mat_kernel,
@@ -879,3 +880,63 @@ def test_a_denominator_p_gives_no_certificate():
         assert not _full_rank_mod_p(m)
         assert m.rank() == len(m._echelon()[1]) == rank
         assert_equals_ref(mat_kernel(m), ref_kernel_matrix(m), 2, 2 - rank)
+
+
+# -- one decision of A * B == C --------------------------------------------------
+#
+# `_is_product` decides a * b == c on the three lowerings, building no
+# product.  It must answer as that comparison does at conductors 1, 3 and 8
+# and across them, on every shape (0 rows and 0 columns included), on cells
+# whose terms cancel, and on a c of the wrong shape; an inner mismatch
+# raises ShapeError, as the product does.
+
+
+@st.composite
+def matrices_at(draw, rows: int, cols: int, n: int) -> Matrix:
+    """A rows x cols matrix of entries at conductor n, about half of them zero."""
+    coeffs = st.lists(fraction_entries, min_size=phi_degree(n), max_size=phi_degree(n))
+    entry = st.one_of(st.just(ZERO), coeffs.map(lambda c: Scalar(n, c)))
+    return Matrix(rows, cols, draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (3, 3), (8, 8), (1, 3), (3, 8), (8, 1)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_is_product_is_the_product_comparison(na, nb, data):
+    conductors = st.sampled_from((1, 3, 8))
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(matrices_at(rows, inner, na)), data.draw(matrices_at(inner, cols, nb))
+    if inner > 1 and data.draw(st.booleans()):
+        # column l of a repeats column k and row l of b negates row k, so
+        # the terms of k and l cancel in every cell
+        k, l = data.draw(st.permutations(range(inner)))[:2]
+        ar, br = a.to_rows(), b.to_rows()
+        for r in ar:
+            r[l] = r[k]
+        br[l] = [-x for x in br[k]]
+        a, b = Matrix(rows, inner, [x for r in ar for x in r]), Matrix(inner, cols, [x for r in br for x in r])
+    p = a * b
+    n = lcm(p._n, data.draw(conductors))
+    cases = [
+        (p, True),
+        (Matrix._of(rows, cols, p.entries), True),  # holding no lowering
+        (Matrix(rows, cols, [e.promote(n) for e in p.entries]), True),
+        (data.draw(matrices_at(rows, cols, data.draw(conductors))), None),
+        (Matrix.zeros(rows + 1, cols), False),
+        (Matrix.zeros(rows, cols + 1), False),
+        (Matrix.zeros(cols, rows), None if rows == cols else False),
+    ]
+    if p.entries:
+        i = data.draw(st.integers(0, len(p.entries) - 1))
+        bump = data.draw(matrices_at(1, 1, data.draw(conductors)).filter(lambda m: any(m.entries))).entries[0]
+        cells = list(p.entries)
+        cells[i] = cells[i] + bump
+        cases.append((Matrix._of(rows, cols, cells), False))
+    for c, want in cases:
+        assert _is_product(a, b, c) == (p == c)
+        if want is not None:
+            assert (p == c) is want
+    wide = data.draw(matrices_at(inner + 1, cols, nb))
+    for decide in (lambda: a * wide, lambda: _is_product(a, wide, p)):
+        with pytest.raises(ShapeError, match=f"cannot multiply {rows}x{inner} by {inner + 1}x{cols}"):
+            decide()

@@ -377,11 +377,12 @@ def _failing_report(name):
 
 # each case removes one condition of the certificate: the module and name
 # to patch and its stand-in, or None for the source's algebra verdict; the
-# morphism laws can fail only at the antipode, and bijectivity not at all
-# past the gate (test_a_rank_deficient_family_stops_at_the_gate)
+# bialgebra verdict is the one generator sweep of repcat._decompositions;
+# the morphism laws can fail only at the antipode, and bijectivity not at
+# all past the gate (test_a_rank_deficient_family_stops_at_the_gate)
 UNCERTIFIED = {
     "source-algebra": None,
-    "source-bialgebra": (hopfrec.repcat, "check_bialgebra", lambda h: _failing_report("bialgebra")),
+    "source-bialgebra": (hopfrec.repcat, "_bialgebra_sweep", lambda v, rows, stop: _failing_report("bialgebra")),
     "source-antipode": (hopfrec.repcat, "check_antipode", lambda h: _failing_report("antipode")),
     "morphism-law": (hopfrec.reconstruct, "HopfPresentation", bumped_antipode),
 }

@@ -4,11 +4,12 @@ decompositions, skeletalization, and the reconstruction round trip."""
 import dataclasses
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hopfrec import fusion
+from hopfrec import fusion, hopf, repcat
 from hopfrec.errors import DecompositionGap, ShapeError
 from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
@@ -18,6 +19,7 @@ from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import (
     ModuleRep,
     _act,
+    _roundtrip,
     decompose,
     dual_module,
     gamma_roundtrip,
@@ -566,3 +568,51 @@ def test_gamma_roundtrip_sweeps_no_category_data(monkeypatch):
     assert calls == list(checkers)
 
 
+
+
+def counted_products(monkeypatch) -> Counter:
+    """Matrix-by-Matrix products from here on, by the function that asks."""
+    calls = Counter()
+    real = Matrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Matrix):
+            calls[sys._getframe(1).f_code.co_name] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    return calls
+
+
+def test_a_passing_ks4_round_trip_builds_six_products(monkeypatch):
+    # every identity is decided by matrices._is_product: the gate's module
+    # laws, S' gamma = gamma S and the involutive flag build no product; the
+    # coevaluations of _rigidity and gamma S itself are the six
+    h, mods = EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()
+    calls = counted_products(monkeypatch)
+    rep, _, _ = _roundtrip(h, mods)
+    assert rep.passed
+    assert calls == {"_rigidity": 5, "_roundtrip": 1}
+
+
+@pytest.mark.parametrize("name", ["ks4", "ks3", "dz2"])
+def test_a_passing_round_trip_sweeps_the_bialgebra_once(monkeypatch, name):
+    # _decompositions decides the bialgebra on the generators, and transport
+    # reads that verdict instead of running check_bialgebra again
+    sweeps = []
+    real = hopf._bialgebra_sweep
+    for mod in (hopf, repcat):
+        monkeypatch.setattr(mod, "_bialgebra_sweep", lambda *a: sweeps.append(a[1]) or real(*a))
+    h, mods = EXAMPLES[name][1](), EXAMPLES[f"{name}-modules"][1]()
+    rep, _, _ = _roundtrip(h, mods)
+    assert rep.passed
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("name", ["ks3", "dz2", "kz2z2"])
+def test_verify_category_builds_no_product(monkeypatch, name):
+    # the tensorator and both zigzags are decided by matrices._is_product
+    skel, fiber = skeletalize(EXAMPLES[name][1](), EXAMPLES[f"{name}-modules"][1](), verify=False)
+    calls = counted_products(monkeypatch)
+    assert all(rep.passed for rep in verify_category(skel, fiber))
+    assert calls == {}
