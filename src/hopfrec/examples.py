@@ -127,11 +127,14 @@ def gen_pointed_category(g: GroupTable, omega=None) -> FusionSkeleton:
             raise NotACocycle("omega is not normalized", t)
     # decided in the ring of scalars.packing, as verify_pentagon does: the
     # left side has degree 2 and meets the right side of degree 3 once
-    # scaled by D, so each side is one product of three factors
+    # scaled by D, so each side is one product of three factors.  A
+    # normalized omega meets the identity at any 0 slot (its two sides
+    # then hold the same factors), so only the quadruples without one are
+    # decided, and the first failing one is the first over all n^4.
     D, M, low, _ = packing(list(w.values()), [(1, 3)] * 2)
     lw = {t: low(x) for t, x in w.items()}
     m = g.mul
-    for a, b, c, d in product(range(n), repeat=4):
+    for a, b, c, d in product(range(1, n), repeat=4):
         if not vanishes(lw[m(a, b), c, d] * lw[a, b, m(c, d)] * D - lw[a, b, c] * lw[a, m(b, c), d] * lw[b, c, d], M):
             raise NotACocycle("omega fails the cocycle identity", (a, b, c, d))
 

@@ -23,13 +23,15 @@ The pentagon check lowers the F blocks once, into the packed-int ring of
 conductor 1.  A path through k blocks holds D^k times its value, so the
 two-step side, scaled by D, meets the three-step side, as
 `scalars.same_sides` decides.  A cell of either side sums at most dim^2
-products of three factors, dim the largest block's.  The check walks only
-the (a, b, c, d, total) with a tree, read off the F keys and the nonzero
-N in lexicographic order.  A failing (a, b, c, d, total) is walked again
-and rendered from the same ints, as T5 x T1 matrices in lexicographic
-label order: the ring's `high` reads the two-step side back at D^2 and
-the three-step side at D^3, every cell at the ring's conductor, and each
-distinct int of a side once per failing tuple.
+products of three factors, dim the largest block's.  The check walks once,
+in lexicographic order, over the (a, b, c, d, total) with a tree and no
+unit among a, b, c and d: the strict units decide the others, by the
+proof in `verify_pentagon`.  The walk is grouped by F key (a, b, c), then
+by (d, total), read off the nonzero N.  A failing (a, b, c, d, total) is
+rendered from the images that decided it, as T5 x T1 matrices in
+lexicographic label order: the ring's `high` reads the two-step side back
+at D^2 and the three-step side at D^3, every cell at the ring's
+conductor, and each distinct int of a side once per failing tuple.
 
 The tensorator check reads the trees of each triple off the lowered rows
 of J (`tree_maps`, which builds no kron, identity or product) and decides
@@ -41,9 +43,11 @@ multiplied out as Scalar matrices, to render its report.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
+from types import MappingProxyType
 
 from .errors import NonInvertibleJ, NonRigid, ShapeError
 from .matrices import Matrix, _is_product, _reduced, _with_inverse, mat_inverse
@@ -132,12 +136,19 @@ class FusionRules:
 
 @dataclass(frozen=True)
 class FusionSkeleton(FusionRules):
-    """FusionRules with the associator F, an identity on the unit."""
+    """FusionRules with the associator F, an identity on the unit.
 
-    F: dict = field(kw_only=True)  # (a,b,c,d) -> Matrix, exactly the keys with positive tree dim
+    F is held read-only, as a mapping proxy over a copy of the mapping
+    given: verify_pentagon skips the quintuples with a unit slot by the
+    check below that every block with a unit among its first three slots
+    is an identity, so no block may change after it.  dict(skel.F) and
+    dataclasses.replace build a new, checked skeleton."""
+
+    F: Mapping = field(kw_only=True)  # (a,b,c,d) -> Matrix, exactly the keys with positive tree dim
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "F", MappingProxyType(dict(self.F)))
         r, N, u = self.rank, self.fusion, self.unit
         # in proportion to the payload: trees are walked over the nonzero N,
         # in key order up to the first key with a tree but no block
@@ -236,7 +247,8 @@ def validate_fiber(skel: FusionRules, fiber: FiberData) -> None:
 
 def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
     """Path independence of the five recoordinatizations of a quadruple
-    product, checked for every (a, b, c, d, total).
+    product, checked for every (a, b, c, d, total) with a tree and no unit
+    among a, b, c and d.
 
     Trees, with their basis labels:
       T1 ((ab)c)d : (x, m1, y, m2, m3)   x in ab, y in xc, total in yd
@@ -246,11 +258,33 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
       T5 a(b(cd)) : (z, rho, w, nu, sig) w in bz, total in aw
     The two-step path T1->T2->T5 must equal the three-step T1->T3->T4->T5.
     Each T1 basis vector is pushed through both paths on the lowered
-    blocks; a failing tuple reports both paths as T5 x T1 matrices, read
-    back from the same ints (see `_pentagon_render`).
+    blocks (`_pentagon_kernel`); a failing tuple reports both paths as
+    T5 x T1 matrices read back from those images (`_pentagon_render`).
+
+    The quintuples with a unit 1 among a, b, c and d hold by the strict
+    units (Mac Lane coherence; Etingof-Gelaki-Nikshych-Ostrik, Tensor
+    Categories, 2.2), case by case.  FusionSkeleton admits no F block with
+    a unit among its first three slots that is not an identity, and F is
+    read-only after that check.  Every multiplicity label of a fusion with
+    the unit is 0, so each tree of such a block carries one label that
+    may be nonzero, and the identity sends a left tree to the right tree
+    of the same label (at 1 in the first slot, (e, 0, k) to (f, k, 0)):
+    it respects the orders of f_left_basis and f_right_basis.
+      1 at a: x = b and w = tot; F[1,b,c,y], F[1,v,d,tot] and
+        F[1,b,z,tot] are identities, so both paths apply the one block
+        F[b,c,d,tot].
+      1 at b: x = a and v = c; F[a,1,z,tot], F[a,1,c,y] and F[1,c,d,w]
+        are identities, so both paths apply F[a,c,d,tot].
+      1 at c: y = x, z = d and v = b; F[x,1,d,tot], F[a,b,1,y] and
+        F[b,1,d,w] are identities, so both paths apply F[a,b,d,tot].
+      1 at d: y = tot, z = c and w = v; F[x,c,1,tot], F[a,v,1,tot] and
+        F[b,c,1,w] are identities, so both paths apply F[a,b,c,tot].
+    So the walk visits only the unit-free quintuples, each once, in
+    lexicographic order: grouped by F key (a, b, c), then by (d, tot),
+    read off the lists of the (d, tot) with N[y][d][tot] > 0 kept per y.
     """
     rep = CheckReport("pentagon")
-    N, r, F = skel.fusion, skel.rank, skel.F
+    N, r, F, u = skel.fusion, skel.rank, skel.F, skel.unit
 
     for key in sorted(F):
         if (k := F[key].rank()) != F[key].rows:
@@ -259,69 +293,86 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
     # a cell of either side sums at most dim^2 products of three factors
     dim = max((m.rows for m in F.values()), default=0)
     D, M, low, high = packing([x for m in F.values() for x in m.entries], [(dim * dim, 3)] * 2)
-    sides = _pentagon_kernel(skel, low)
+    images = _pentagon_kernel(skel, low)
 
-    # the (a, b, c, d, total) with a tree: a block (a, b, c, y) and N[y][d][total] > 0
-    nz = [[[t for t, x in enumerate(row) if x] for row in plane] for plane in N]
-    for key in sorted({(*t[:3], d, tot) for t in F for d in range(r) for tot in nz[t[3]][d]}):
-        if not all(same_sides(lhs, rhs, M, D) for _, lhs, rhs in sides(*key)):
-            rep.add("pentagon", key, *_pentagon_render(skel, sides, key, high, D))
+    # y -> the (d, tot) with d not the unit and N[y][d][tot] > 0, ascending
+    after = [[(d, t) for d in range(r) if d != u for t, n in enumerate(N[y][d]) if n] for y in range(r)]
+    firsts: dict = {}  # (a, b, c) without a unit -> the y of its F keys
+    for a, b, c, y in sorted(F):
+        if u != a and u != b and u != c:
+            firsts.setdefault((a, b, c), []).append(y)
+    for (a, b, c), ys in firsts.items():
+        # the (d, tot) of a quintuple with a tree; one y's list is in order
+        for d, tot in after[ys[0]] if len(ys) == 1 else sorted({p for y in ys for p in after[y]}):
+            imgs = images(a, b, c, d, tot)
+            for _, lhs, rhs in imgs:
+                if not same_sides(lhs, rhs, M, D):
+                    rep.add("pentagon", (a, b, c, d, tot), *_pentagon_render(skel, imgs, (a, b, c, d, tot), high, D))
+                    break
     return rep
 
 
 def _pentagon_kernel(skel, low):
-    """sides(a, b, c, d, tot): for each T1 basis vector of verify_pentagon,
+    """images(a, b, c, d, tot): for each T1 basis vector of verify_pentagon,
     its label and its images along the two-step and the three-step path,
-    as dicts over T5 labels.  Each F block is lowered by low once, to a
-    column map left tree -> [(right tree, int)] of its nonzero entries.
-    The three-step path sums in T4 first and goes on from the cells that
-    are not 0, as a matrix product would; cancelled cells of either image
-    are kept."""
+    as dicts over T5 labels, in a list.  Each F block is lowered by low
+    once, to a column map left tree -> [(right tree, int)] of its nonzero
+    entries, with the trees read off the nonzero N.  The three-step path
+    sums in T4 first and goes on from the cells that are not 0, as a
+    matrix product would; cancelled cells of either image are kept."""
     N, r, F = skel.fusion, skel.rank, skel.F
+    nz = [[[(z, n) for z, n in enumerate(row) if n] for row in plane] for plane in N]
     cols = {}
-    for key, m in F.items():
-        rb = f_right_basis(N, *key)
-        cols[key] = {
-            lt: [(rt, low(m.at(i, j))) for i, rt in enumerate(rb) if m.at(i, j)]
-            for j, lt in enumerate(f_left_basis(N, *key))
-        }
-
-    def acc(out, key, v):
-        out[key] = out.get(key, 0) + v
+    for (a, b, c, d), m in F.items():
+        lb = [(e, mu, nu) for e, n in nz[a][b] for mu in range(n) for nu in range(N[e][c][d])]
+        rb = [(f, rho, sig) for f, n in nz[b][c] for rho in range(n) for sig in range(N[a][f][d])]
+        col = cols[a, b, c, d] = {lt: [] for lt in lb}
+        for o, x in enumerate(m.entries):
+            if x:
+                i, j = divmod(o, m.cols)
+                col[lb[j]].append((rb[i], low(x)))
 
     # (y, N[y][d][tot]) over the y with N[y][d][tot] > 0, ascending
     ys = [[[(y, N[y][d][tot]) for y in range(r) if N[y][d][tot]] for tot in range(r)] for d in range(r)]
 
-    def sides(a, b, c, d, tot):
+    def images(a, b, c, d, tot):
+        out = []
         for y, k in ys[d][tot]:
+            if (first := cols.get((a, b, c, y))) is None:
+                continue
             for m3 in range(k):
                 # T1 basis vector (x, m1, y, m2, m3), and its image in T3
-                for (x, m1, m2), to_t3 in cols.get((a, b, c, y), {}).items():
+                for (x, m1, m2), to_t3 in first.items():
                     lhs, t4, rhs = {}, {}, {}
                     for (z, rho, tau), f in cols[x, c, d, tot][y, m2, m3]:
                         for (w, nu, sig), g in cols[a, b, z, tot][x, m1, tau]:
-                            acc(lhs, (z, rho, w, nu, sig), f * g)
+                            lab = (z, rho, w, nu, sig)
+                            lhs[lab] = lhs.get(lab, 0) + f * g
                     for (v, s, t), f in to_t3:
                         for (w, tp, up), g in cols[a, v, d, tot][y, t, m3]:
-                            acc(t4, (v, s, w, tp, up), f * g)
+                            lab = (v, s, w, tp, up)
+                            t4[lab] = t4.get(lab, 0) + f * g
                     for (v, s, w, tp, up), fg in t4.items():
                         if fg:
                             for (z, rho, nu), h in cols[b, c, d, w][v, s, tp]:
-                                acc(rhs, (z, rho, w, nu, up), fg * h)
-                    yield (x, m1, y, m2, m3), lhs, rhs
+                                lab = (z, rho, w, nu, up)
+                                rhs[lab] = rhs.get(lab, 0) + fg * h
+                    out.append(((x, m1, y, m2, m3), lhs, rhs))
+        return out
 
-    return sides
+    return images
 
 
-def _pentagon_render(skel, sides, key, high, D: int) -> list:
+def _pentagon_render(skel, images, key, high, D: int) -> list:
     """Both sides at key = (a, b, c, d, tot) as the module docstring
-    states: the kernel's sides walked again and read back by high, the
-    two-step side at D^2 and the three-step side at D^3.  Each distinct
-    int of a side, 0 for every absent cell included, is read back once."""
+    states, from the images of the kernel that decided key, read back by
+    high: the two-step side at D^2 and the three-step side at D^3.  Each
+    distinct int of a side, 0 for every absent cell included, is read back
+    once."""
     N, r = skel.fusion, skel.rank
     a, b, c, d, tot = key
     t5 = [(z, rho, *rt) for z in range(r) for rho in range(N[c][d][z]) for rt in f_right_basis(N, a, b, z, tot)]
-    images = sorted(sides(*key), key=operator.itemgetter(0))
+    images = sorted(images, key=operator.itemgetter(0))
     out = []
     for side, scale in ((1, D**2), (2, D**3)):
         ints = [img[side].get(lab, 0) for lab in t5 for img in images]

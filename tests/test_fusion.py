@@ -5,6 +5,8 @@ equation collapses to the 3-cocycle identity, which a brute-force scan can
 check independently of any matrix plumbing.
 """
 
+from itertools import product
+
 import pytest
 
 from hopfrec.errors import NonInvertibleJ, NonRigid, NotACocycle, ShapeError
@@ -98,32 +100,39 @@ def pointed_skeleton_unchecked(g, w):
     )
 
 
-def test_pentagon_failures_match_cocycle_scan():
-    z = Scalar.zeta(4)
-
-    def w(a, b, c):
-        return z ** (a * b * c * c)
-
-    skel = pointed_skeleton_unchecked(Z4, w)
-    rep = verify_pentagon(skel)
+def assert_failures_match_cocycle_scan(g, w):
+    """verify_pentagon's failing tuples on the pointed skeleton of w are
+    the (a, b, c, d) of a brute-force Scalar scan of the cocycle identity
+    over all order^4, unit slots included, each with total abcd."""
+    rep = verify_pentagon(pointed_skeleton_unchecked(g, w))
     assert not rep.passed
 
     # independent oracle: brute-force the cocycle identity
-    bad = set()
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    lhs = w(Z4.mul(a, b), c, d) * w(a, b, Z4.mul(c, d))
-                    rhs = w(a, b, c) * w(a, Z4.mul(b, c), d) * w(b, c, d)
-                    if lhs != rhs:
-                        bad.add((a, b, c, d))
+    m, bad = g.mul, set()
+    for a, b, c, d in product(range(g.order), repeat=4):
+        lhs = w(m(a, b), c, d) * w(a, b, m(c, d))
+        rhs = w(a, b, c) * w(a, m(b, c), d) * w(b, c, d)
+        if lhs != rhs:
+            bad.add((a, b, c, d))
     got = {f.index[:4] for f in rep.failures}
     assert got == bad
     # every reported tuple carries the forced target simple abcd
     for f in rep.failures:
         a, b, c, d, tot = f.index
-        assert tot == Z4.mul(Z4.mul(Z4.mul(a, b), c), d)
+        assert tot == m(m(m(a, b), c), d)
+
+
+def test_pentagon_failures_match_cocycle_scan():
+    z = Scalar.zeta(4)
+    assert_failures_match_cocycle_scan(Z4, lambda a, b, c: z ** (a * b * c * c))
+
+
+def test_pentagon_failures_match_cocycle_scan_on_z8_at_conductor_8():
+    """The workload's size and conductor: a normalized omega on Z/8 with
+    values in Q(zeta_8) that is not a cocycle, scanned over all 4,096
+    quadruples."""
+    z = Scalar.zeta(8)
+    assert_failures_match_cocycle_scan(cyclic_group(8), lambda a, b, c: z ** (a * b * c * c))
 
 
 def test_cyclotomic_cocycle_on_z4():

@@ -13,11 +13,14 @@ Vec_Z/8^omega block F(1, 1, 1, 3), a 1x1 block holding 1 among blocks of
 conductor 8, pins the rendered conductor of a side that no path term
 reaches: 8, the ring's, at which every side of a report is printed, as
 the three bump goldens show line by line.  verify_pentagon decides each
-quintuple on lowered blocks and renders only failing ones, by walking them
-again and reading their ints back, through `_pentagon_render`, so no
-unbumped family may reach it.  The quintuples the
-check walks are exactly those with a tree, in lexicographic order, against
-a test-local scan of all rank^5 of them.
+quintuple on lowered blocks and renders only failing ones, reading back
+the images that decided them through `_pentagon_render`, so no unbumped
+family may reach it.  The quintuples the check walks are exactly those
+with a tree and no unit among a, b, c and d, in lexicographic order,
+against a test-local scan of all rank^5 of them.  The quintuples it skips
+are pushed through the kernel's images on every family and every bump
+and meet on both sides, and F is read-only after the unit check that the
+skip rests on.
 
 Regenerate the golden file with `python tests/test_pentagon_bumps.py`.
 """
@@ -33,12 +36,13 @@ import pytest
 from test_tensorator_bumps import skeletalized
 
 from hopfrec import fusion
+from hopfrec.errors import ShapeError
 from hopfrec.examples import gen_group_algebra, gen_pointed_category
 from hopfrec.fusion import verify_pentagon
 from hopfrec.groups import cyclic_group
 from hopfrec.matrices import Matrix
 from hopfrec.repcat import ModuleRep, skeletalize
-from hopfrec.scalars import Scalar
+from hopfrec.scalars import Scalar, packing, same_sides
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "pentagon-bumps.txt"
 
@@ -153,8 +157,11 @@ def test_a_passing_skeleton_never_reaches_the_dense_rendering(name, monkeypatch)
     assert verify_pentagon(families()[name]).passed
 
 
-def keys_with_a_tree(skel):
-    """Every (a, b, c, d, total) with a tree (((ab)c)d) -> total, over all rank^5."""
+@lru_cache(maxsize=None)
+def keys_with_a_tree(name):
+    """Every (a, b, c, d, total) with a tree (((ab)c)d) -> total, over all
+    rank^5, for a family of families(); its bumps share its fusion rules."""
+    skel = families()[name]
     N, r = skel.fusion, skel.rank
     return [
         (a, b, c, d, t)
@@ -165,22 +172,87 @@ def keys_with_a_tree(skel):
 
 @pytest.mark.parametrize("name", ["ks3", "ks4", "fun-s3", "vec-z4", "vec-z8-omega"])
 def test_the_pentagon_walks_exactly_the_keys_with_a_tree_in_order(name, monkeypatch):
+    """The keys with a tree that the walk decides: those without a unit
+    among a, b, c and d, in lexicographic order, each once."""
     walked = []
     kernel = fusion._pentagon_kernel
 
     def recording(*args):
-        sides = kernel(*args)
+        images = kernel(*args)
 
         def at(*key):
             walked.append(key)
-            return sides(*key)
+            return images(*key)
 
         return at
 
     monkeypatch.setattr(fusion, "_pentagon_kernel", recording)
     skel = families()[name]
     assert verify_pentagon(skel).passed
-    assert walked == keys_with_a_tree(skel)
+    assert walked == [k for k in keys_with_a_tree(name) if skel.unit not in k[:4]]
+
+
+def test_a_failing_quintuple_renders_from_the_images_that_decided_it(monkeypatch):
+    """One kernel: on every bump, _pentagon_render gets the very list of
+    images that the walk decided the failing quintuple on, and no quintuple
+    is walked twice."""
+    decided, rendered = {}, []
+    kernel, render = fusion._pentagon_kernel, fusion._pentagon_render
+
+    def recording(*args):
+        images = kernel(*args)
+
+        def at(*key):
+            assert key not in decided, key
+            decided[key] = images(*key)
+            return decided[key]
+
+        return at
+
+    def checked(skel, images, key, high, D):
+        assert images is decided[key]
+        rendered.append(key)
+        return render(skel, images, key, high, D)
+
+    monkeypatch.setattr(fusion, "_pentagon_kernel", recording)
+    monkeypatch.setattr(fusion, "_pentagon_render", checked)
+    for label, skel in bumps():
+        decided.clear()
+        rendered.clear()
+        rep = verify_pentagon(skel)
+        assert rendered == [f.index for f in rep.failures if f.check == "pentagon"], label
+
+
+def test_every_skipped_quintuple_meets_on_both_sides():
+    """The quintuples with a unit slot, which verify_pentagon skips by the
+    strict units, pushed through the kernel's images in the ring that
+    verify_pentagon decides in: both paths agree on every family and every
+    bump, so the skip hides no failure."""
+    pushed = 0
+    for label, skel in [*families().items(), *bumps()]:
+        F = skel.F
+        dim = max(m.rows for m in F.values())
+        D, M, low, _ = packing([x for m in F.values() for x in m.entries], [(dim * dim, 3)] * 2)
+        images = fusion._pentagon_kernel(skel, low)
+        for key in keys_with_a_tree(label.split("/")[0]):
+            if skel.unit in key[:4]:
+                imgs = images(*key)
+                assert imgs and all(same_sides(lhs, rhs, M, D) for _, lhs, rhs in imgs), (label, key)
+                pushed += 1
+    assert pushed > 10_000
+
+
+def test_f_is_read_only_after_the_unit_check():
+    skel = families()["ks3"]
+    key = next(k for k in sorted(skel.F) if skel.unit in k[:3])
+    with pytest.raises(TypeError):
+        skel.F[key] = Matrix.identity(skel.F[key].rows)
+    rows = skel.F[key].to_rows()
+    rows[0][0] = rows[0][0] + 1
+    f = dict(skel.F)
+    f[key] = Matrix.from_rows(rows)
+    with pytest.raises(ShapeError, match="must be an identity"):
+        dataclasses.replace(skel, F=f)
 
 
 def test_pentagon_bumps_match_golden():

@@ -41,11 +41,11 @@ def reference_render(v, side, scale, n, arity):
     return " + ".join(terms) if terms else "0"
 
 
-def reference_pentagon_render(skel, sides, key, high, D):
+def reference_pentagon_render(skel, images, key, high, D):
     N, r = skel.fusion, skel.rank
     a, b, c, d, tot = key
     t5 = [(z, rho, *rt) for z in range(r) for rho in range(N[c][d][z]) for rt in f_right_basis(N, a, b, z, tot)]
-    images = sorted(sides(*key), key=operator.itemgetter(0))
+    images = sorted(images, key=operator.itemgetter(0))
     return [
         Matrix._of(len(t5), len(images), [high(img[side].get(lab, 0), scale) for lab in t5 for img in images])
         for side, scale in ((1, D**2), (2, D**3))
@@ -168,10 +168,10 @@ def test_pentagon_render_matches_the_one_line_formula(data):
     render = fusion._pentagon_render
     seen = []
 
-    def checked(skel, sides, key, high, D):
+    def checked(skel, images, key, high, D):
         calls, ref_calls = [], []
-        got = render(skel, sides, key, recording(high, calls), D)
-        want = reference_pentagon_render(skel, sides, key, recording(high, ref_calls), D)
+        got = render(skel, images, key, recording(high, calls), D)
+        want = reference_pentagon_render(skel, images, key, recording(high, ref_calls), D)
         assert [str(m) for m in got] == [str(m) for m in want]
         assert [m.entries for m in got] == [m.entries for m in want]
         # the reference reads every cell of the two-step side, then of the
