@@ -265,11 +265,12 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
     units (Mac Lane coherence; Etingof-Gelaki-Nikshych-Ostrik, Tensor
     Categories, 2.2), case by case.  FusionSkeleton admits no F block with
     a unit among its first three slots that is not an identity, and F is
-    read-only after that check.  Every multiplicity label of a fusion with
-    the unit is 0, so each tree of such a block carries one label that
-    may be nonzero, and the identity sends a left tree to the right tree
-    of the same label (at 1 in the first slot, (e, 0, k) to (f, k, 0)):
-    it respects the orders of f_left_basis and f_right_basis.
+    read-only after that check; the rank of an identity is its size, so
+    only the other blocks are ranked.  Every multiplicity label of a
+    fusion with the unit is 0, so each tree of such a block carries one
+    label that may be nonzero, and the identity sends a left tree to the
+    right tree of the same label (at 1 in the first slot, (e, 0, k) to
+    (f, k, 0)): it respects the orders of f_left_basis and f_right_basis.
       1 at a: x = b and w = tot; F[1,b,c,y], F[1,v,d,tot] and
         F[1,b,z,tot] are identities, so both paths apply the one block
         F[b,c,d,tot].
@@ -287,7 +288,7 @@ def verify_pentagon(skel: FusionSkeleton) -> CheckReport:
     N, r, F, u = skel.fusion, skel.rank, skel.F, skel.unit
 
     for key in sorted(F):
-        if (k := F[key].rank()) != F[key].rows:
+        if u not in key[:3] and (k := F[key].rank()) != F[key].rows:
             rep.add("recoordinatization-invertible", key, f"rank {k}", f"rank {F[key].rows}")
 
     # a cell of either side sums at most dim^2 products of three factors

@@ -1,12 +1,12 @@
 """Exact dense matrices over the cyclotomic scalars.
 
 Entries are stored row-major and promoted to one common conductor at
-construction.  Kernel, solve and inverse each run one reduced row echelon
-elimination over the field, so answers are canonical: the kernel basis is
-the unique reduced echelon basis of the kernel space (pivot entries 1,
-pivot positions increasing left to right), read off one rref of the
-matrix with its columns reversed; underdetermined solves set the free
-variables to zero.  Every solve is one right solve X A = B (`mat_rsolve`):
+construction.  Answers are canonical: the kernel basis is the unique
+reduced echelon basis of the kernel space (pivot entries 1, pivot
+positions increasing left to right), the rref of any spanning set of it,
+cut by `_joint_kernel`; a solve or an inverse runs one reduced row
+echelon elimination over the field, and underdetermined solves set the
+free variables to zero.  Every solve is one right solve X A = B (`mat_rsolve`):
 A X = B is that of the transposes, and an inverse that against the
 identity, where a singular matrix shows as an inconsistent solve.
 mat_inverse keeps each inverse on its matrix, and the matrix (as a copy
@@ -40,29 +40,27 @@ runs on the Scalars of the lowering.  Outside this module only
 off the rows of the J blocks and hands each flat matrix its lowering
 through `_reduced`.  Elimination (`_eliminate`) on conductor 1 is
 fraction-free on the int rows D*x of the lowering; rank reads the pivots,
-and rref, mat_kernel and mat_rsolve divide only the cells they read by
-their row's pivot and hand their results that lowering; mat_rsolve
-builds its transposed system off its operands' lowerings.  Other conductors, and det, eliminate
-by the Scalar Gauss-Jordan, whose products run on int residues and which
-inverts each pivot by its Galois norm.  Two answers need no elimination
-at any conductor: the rank of a single row or column, and the kernel of
-a single column, are read off whether any entry is nonzero (an empty
-kernel, or the 1x1 identity, handed its lowering).
+and rref, `_joint_kernel` and mat_rsolve divide only the cells they read
+by their row's pivot and hand their results that lowering; mat_kernel is
+`_joint_kernel` on the rows of its matrix's lowering, and mat_rsolve
+builds its transposed system off its operands' lowerings.  Other
+conductors, and det, eliminate by the Scalar Gauss-Jordan, whose
+products run on int residues and which inverts each pivot by its Galois
+norm.  The rank of a single row or column needs no elimination at any
+conductor: it is read off whether any entry is nonzero.
 
-Split-prime certificate.  Off conductor 1 a rank, and mat_kernel of a
-matrix with at least as many rows as columns, first rank the image of
-the matrix in F_p, (p, r) = `scalars.split_prime(n)`: an entry x = sum
-c_i zeta^i goes to x(r) = sum c_i r^i mod p, each c_i as num * den^-1 mod
-p.  When that rank is min(rows, cols), it is the rank, and a kernel is
-empty; when it is less, or p divides a denominator, the Scalar
-Gauss-Jordan decides.  Proof: r is a root of Phi_n mod p, so with D the
-lcm of the denominators and p not dividing D, x -> x(r) is a ring map
+Split-prime certificate.  Off conductor 1 a rank first ranks the image
+of the matrix in F_p, (p, r) = `scalars.split_prime(n)`: an entry x =
+sum c_i zeta^i goes to x(r) = sum c_i r^i mod p, each c_i as num *
+den^-1 mod p.  When that rank is min(rows, cols), it is the rank; when
+it is less, or p divides a denominator, the Scalar Gauss-Jordan
+decides.  Proof: r is a root of Phi_n mod p, so with D the lcm of the
+denominators and p not dividing D, x -> x(r) is a ring map
 Z[zeta_n][1/D] -> F_p.  It sends each minor of m to the same minor of
 the image, so a minor that is nonzero mod p is nonzero: rank m is at
-least the modular rank, and at most min(rows, cols).  A full modular
-rank thus is the rank, and full column rank leaves only 0 in the kernel.
-p depends on n alone and is found once per conductor; no answer changes,
-only the route to it.
+least the modular rank, and at most min(rows, cols), so a full modular
+rank is the rank.  p depends on n alone and is found once per
+conductor; no answer changes, only the route to it.
 """
 
 from __future__ import annotations
@@ -139,18 +137,6 @@ class Matrix:
                 nz = [[(j, low(e)) for j, e in row] for row in nz]
             object.__setattr__(self, "_low", (d, nz))
         return self._low
-
-    def _rows(self) -> list:
-        """Mutable rows for `_echelon`: on conductor 1 the ints D*x of
-        `_lowered`, above it the entries, whose zero Scalars keep a result at
-        the matrix's conductor."""
-        if self._n != 1:
-            return self.to_rows()
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for row, pairs in zip(out, self._lowered()[1]):
-            for j, x in pairs:
-                row[j] = x
-        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -262,10 +248,13 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------
 
-    def _echelon(self, m=None) -> tuple[list, list, list]:
-        """`_eliminate` on mutable rows m of this shape and conductor, by
-        default `_rows`."""
-        return _eliminate(self._rows() if m is None else m, self.cols, self._n == 1)
+    def _echelon(self) -> tuple[list, list, list]:
+        """`_eliminate` on mutable rows of this matrix: on conductor 1 the
+        ints D*x of `_lowered`, above it the entries, whose zero Scalars
+        keep a result at the matrix's conductor."""
+        if self._n != 1:
+            return _eliminate(self.to_rows(), self.cols, False)
+        return _eliminate([_combine(pairs, self.cols, None) for pairs in self._lowered()[1]], self.cols, True)
 
     def rref(self) -> tuple["Matrix", list[int]]:
         m, pivots, ps = self._echelon()
@@ -374,7 +363,7 @@ def _eliminate(m: list, cols: int, ints: bool) -> tuple[list, list, list]:
 
 def _reduced(cols: int, out: list) -> Matrix:
     """The matrix with x / p at (i, j) for each (j, x) in r, out[i] = (p, r)
-    with p an int, read off `_echelon` rows or `fusion._trees`, handed to
+    with p an int, read off `_eliminate` rows or `fusion._trees`, handed to
     `Matrix._from_low` at D the lcm of the p, so D > 0 also when some p is
     negative; an int x that is 0 places no cell."""
     d = lcm(*(p for p, _ in out))
@@ -442,9 +431,10 @@ def _intertwiner_constraint(av: Matrix, aw: Matrix) -> tuple:
 
 
 def _joint_kernel(constraints, dim: int) -> Matrix:
-    """The canonical basis of the joint kernel of the (D, n, rows) of
-    `_intertwiner_constraint` in constraints, as the rows of a Matrix with
-    dim columns: the rref of any basis of the kernel.
+    """The canonical basis of the joint kernel of the (D, n, rows) in
+    constraints, as from `_intertwiner_constraint` or mat_kernel, as the
+    rows of a Matrix with dim columns: the rref of any basis of the
+    kernel.
 
     The kernel so far is held as the columns of K, an integer spanning
     set, from the first constraint C that cuts (C K is not zero; K is I
@@ -457,10 +447,11 @@ def _joint_kernel(constraints, dim: int) -> Matrix:
     is handed to `_reduced`.  Above conductor 1 the same code runs on the
     Scalars of the lowering, promoted to the conductor of C K, the lcm of
     those of C and K, with `_eliminate(ints=False)`: its ps are 1, and no
-    gcd is taken.  The conductors follow those of the Matrix chain K
-    mat_kernel(C K), which a cut leaves at that of C K.  A cut that
-    leaves no column stops before the next constraint is built; no cut at
-    all leaves the identity."""
+    gcd is taken.  K starts at conductor 1, each cut puts it at the
+    conductor of C K, also when the new kernel's entries are rational, and
+    the basis is handed over at K's conductor; a constraint that does not
+    cut leaves it.  A cut that leaves no column stops before the next
+    constraint is built; no cut at all leaves the identity."""
     kn, vecs = 1, None  # K's conductor and columns; None while K = I
     for _, cn, rows in constraints:
         n, width = lcm(cn, kn), dim if vecs is None else len(vecs)
@@ -540,26 +531,18 @@ def mat_kernel(m: Matrix) -> Matrix:
     leading entries 1, leading positions strictly increasing, and each
     leading position zeroed out in every other basis vector.
 
-    One rref of m with its columns reversed gives that basis directly.  In
-    reversed coordinates the vector of a free column f is 1 at f, 0 at the
-    other free columns, and minus the reduced column f at the pivots, which
-    is nonzero only at pivots before f; reversed back, it leads at its free
-    column, where every other vector is 0.
+    It is `_joint_kernel` with the lowered rows of m as its one
+    constraint: the rows of that rref, handed over as columns with the
+    transposed lowering.
     """
-    c = m.cols
-    if c == 1:  # read off the entries (see the module docstring)
-        k = 0 if any(m.entries) else 1
-        return Matrix._from_low(1, k, 1, [[(0, 1)] * k])
-    if m._n != 1 and m.rows >= c and _full_rank_mod_p(m):
-        return Matrix._from_low(c, 0, 1, [[] for _ in range(c)])
-    rev, pivots, ps = m._echelon([row[::-1] for row in m._rows()])
-    free = [f for f in range(c - 1, -1, -1) if f not in pivots]  # leading positions ascending
-    out = [(1, ())] * c
-    for j, f in enumerate(free):
-        out[c - 1 - f] = (1, [(j, 1)])
-    for row, p, s in zip(rev, pivots, ps):
-        out[c - 1 - p] = (s, [(j, -row[f]) for j, f in enumerate(free)])
-    return _reduced(len(free), out)
+    d, rows = m._lowered()
+    k = _joint_kernel([(d, m._n, rows)], m.cols)
+    d, low = k._lowered()
+    cols: list = [[] for _ in range(m.cols)]
+    for i, row in enumerate(low):
+        for j, x in row:
+            cols[j].append((i, x))
+    return Matrix._from_low(m.cols, k.rows, d, cols)
 
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:

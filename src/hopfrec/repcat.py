@@ -136,7 +136,11 @@ def trivial_module(h: HopfPresentation) -> ModuleRep:
 
 
 def tensor_module(h: HopfPresentation, v: ModuleRep, w: ModuleRep) -> ModuleRep:
-    """Action through the comultiplication on the row-major tensor basis."""
+    """Action through the comultiplication on the row-major tensor basis.
+    A module with other than one action per basis element raises
+    ShapeError."""
+    _require_actions(v, h.dim, v.name)
+    _require_actions(w, h.dim, w.name)
     return ModuleRep(v.dim * w.dim, _tensor_actions(h, v, w, range(h.dim)), _tensor_name(v, w))
 
 
@@ -164,10 +168,16 @@ def dual_module(h: HopfPresentation, v: ModuleRep) -> ModuleRep:
     """Contragredient action: transpose of the action of the antipode.  A
     module with other than one action per basis element raises ShapeError."""
     n = h.dim
-    if len(v.action) != n:
-        raise ShapeError(f"module {v.name} has {len(v.action)} action matrices for dim {n}")
+    _require_actions(v, n, v.name)
     action = tuple(_act(v, enumerate(h.antipode.entries[i::n])).transpose() for i in range(n))
     return ModuleRep(v.dim, action, f"{v.name}*")
+
+
+def _require_actions(v: ModuleRep, n: int, label) -> None:
+    """v lists one action per basis element of an algebra of dim n, or
+    ShapeError names it by label."""
+    if len(v.action) != n:
+        raise ShapeError(f"module {label} has {len(v.action)} action matrices for dim {n}")
 
 
 def _act(v: ModuleRep, terms) -> Matrix:
@@ -226,8 +236,7 @@ def verify_irreps(alg: AlgebraPresentation, modules: list) -> CheckReport:
     n = alg.dim
     gens = alg._gens
     for idx, v in enumerate(modules):
-        if len(v.action) != n:
-            raise ShapeError(f"module {idx} has {len(v.action)} action matrices for dim {n}")
+        _require_actions(v, n, idx)
         uni = _act(v, enumerate(alg.unit))
         if uni != Matrix.identity(v.dim):
             rep.add("module-unit", (idx,), uni, Matrix.identity(v.dim))

@@ -20,7 +20,7 @@ with a tree and no unit among a, b, c and d, in lexicographic order,
 against a test-local scan of all rank^5 of them.  The quintuples it skips
 are pushed through the kernel's images on every family and every bump
 and meet on both sides, and F is read-only after the unit check that the
-skip rests on.
+skip rests on; by that check only the unit-free blocks are ranked.
 
 Regenerate the golden file with `python tests/test_pentagon_bumps.py`.
 """
@@ -253,6 +253,18 @@ def test_f_is_read_only_after_the_unit_check():
     f[key] = Matrix.from_rows(rows)
     with pytest.raises(ShapeError, match="must be an identity"):
         dataclasses.replace(skel, F=f)
+
+
+@pytest.mark.parametrize("name", ["ks3", "vec-z8-omega"])
+def test_only_the_unit_free_blocks_are_ranked(name, monkeypatch):
+    # a block with a unit among its first three slots is an identity by the
+    # unit check, so its rank is its size and is not taken
+    skel, ranked, real = families()[name], [], Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or real(self))
+    assert verify_pentagon(skel).passed
+    want = [m for key, m in sorted(skel.F.items()) if skel.unit not in key[:3]]
+    assert len(ranked) == len(want) < len(skel.F)
+    assert all(a is b for a, b in zip(ranked, want))
 
 
 def test_pentagon_bumps_match_golden():

@@ -14,7 +14,7 @@ from hopfrec.errors import DecompositionGap, ShapeError
 from hopfrec.examples import EXAMPLES, gen_function_algebra, gen_group_algebra
 from hopfrec.fusion import verify_category
 from hopfrec.groups import cyclic_group, direct_product, symmetric_group
-from hopfrec.matrices import Matrix, _intertwiner_constraint, _kron_sum, block_diag, mat_inverse, mat_kernel
+from hopfrec.matrices import Matrix, _intertwiner_constraint, _kron_sum, block_diag, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf, zeta_modules
 from hopfrec.repcat import (
     ModuleRep,
@@ -31,6 +31,7 @@ from hopfrec.repcat import (
 )
 from hopfrec.scalars import ONE, ZERO, Scalar, sc
 from test_hopf_bumps import promoted
+from test_matrices import two_rref_kernel
 from test_generators import base
 from test_skeletal_coherence import FAMILIES, cyclic_characters
 from test_tensorator_bumps import alternating_group_4, modules_a4
@@ -234,11 +235,12 @@ def _promoted(v: ModuleRep) -> ModuleRep:
 
 
 def chain_hom_space(v: ModuleRep, w: ModuleRep) -> list:
-    """hom_space as a chain of public Matrix operations: the entrywise
-    constraint C of each action, in index order, cuts the kernel K so far
-    to K mat_kernel(C K) unless C K is zero, a K with no column ends it,
-    and the basis is the rows of the rref of K^T; no cut leaves the matrix
-    units."""
+    """hom_space as a chain of Matrix operations: the entrywise constraint
+    C of each action, in index order, cuts the kernel K so far to K k(C K)
+    unless C K is zero, k the two-rref kernel of test_matrices, which
+    shares no code with the kernel cuts of hom_space; a K with no column
+    ends it, and the basis is the rows of the rref of K^T; no cut leaves
+    the matrix units."""
     n = w.dim * v.dim
     ker = None
     for av, aw in zip(v.action, w.action):
@@ -247,7 +249,7 @@ def chain_hom_space(v: ModuleRep, w: ModuleRep) -> list:
             hit = hit * ker
         if hit.is_zero():
             continue
-        ker = mat_kernel(hit) if ker is None else ker * mat_kernel(hit)
+        ker = two_rref_kernel(hit) if ker is None else ker * two_rref_kernel(hit)
         if not ker.cols:
             return []
     if ker is None:
@@ -422,11 +424,12 @@ def test_a_kron_that_places_no_cell_still_lifts_the_conductor():
 
 def constraint_route(v: ModuleRep, w: ModuleRep) -> list:
     """hom_space of two 1-dim modules as a kernel: each action's 1x1
-    constraint aw - av, in index order, cuts a kernel of the identity."""
+    constraint aw - av, in index order, cuts a kernel of the identity by
+    the two-rref kernel of test_matrices."""
     ker = Matrix.identity(1)
     for av, aw in zip(v.action, w.action):
         if ker.cols and not (hit := constraint_matrix(av, aw) * ker).is_zero():
-            ker = ker * mat_kernel(hit)
+            ker = ker * two_rref_kernel(hit)
     return [Matrix(1, 1, [ker.at(0, j)]) for j in range(ker.cols)]
 
 
@@ -475,6 +478,15 @@ def test_dual_module_needs_one_action_per_basis_element():
     triv, sgn, std = s3_modules()
     with pytest.raises(ShapeError, match="has 5 action matrices for dim 6"):
         dual_module(KS3, dataclasses.replace(std, action=std.action[:5]))
+
+
+def test_tensor_module_needs_one_action_per_basis_element():
+    # a module listed on the generators alone, as the first or second factor
+    h, std = EXAMPLES["ks3"][1](), EXAMPLES["ks3-modules"][1]()[2]
+    v = ModuleRep(2, [std.action[i] for i in h.alg._gens], "std|gens")
+    for a, b in ((v, std), (std, v)):
+        with pytest.raises(ShapeError, match=r"^module std\|gens has 2 action matrices for dim 6$"):
+            tensor_module(h, a, b)
 
 
 def test_decompose_std_squared():

@@ -70,8 +70,9 @@ def test_round_trip_calls_the_wrapped_hom_and_decompose(monkeypatch):
 def test_cyclic_round_trip_inverts_nothing_above_conductor_1(monkeypatch):
     """The traced `scalars.inverse.calls` counts `Scalar.inverse`.  A K[Z/8]
     round trip on its characters ranks gamma and solves its Hom spaces off
-    conductor 1; the split-prime certificate and the one-column kernel
-    answer each of them without inverting a field element there."""
+    conductor 1; the split-prime certificate answers the rank, and
+    hom_space compares the entries of two 1-dim modules, neither inverting
+    a field element there."""
     from hopfrec.examples import gen_group_algebra
     from hopfrec.groups import cyclic_group
     from hopfrec.repcat import gamma_roundtrip
