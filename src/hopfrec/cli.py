@@ -76,14 +76,14 @@ def _failure_report(name: str, message: str) -> CheckReport:
     return rep
 
 
-def _save_both(payloads: dict) -> None:
-    """serialize.save of each payload to its path, all or none: when a save
-    fails, each file is put back as it was, or removed if it was not there,
-    and the OSError propagates."""
+def _save_all(payloads: dict, **extras) -> None:
+    """serialize.save of each payload to its path, with extras, all or
+    none: when a save fails, each file is put back as it was, or removed if
+    it was not there, and the OSError propagates."""
     before = {path: Path(path).read_bytes() if os.path.isfile(path) else None for path in payloads}
     try:
         for path, obj in payloads.items():
-            serialize.save(path, obj)
+            serialize.save(path, obj, **extras)
     except OSError:
         for path, old in before.items():
             if old is None and os.path.isfile(path):
@@ -128,7 +128,7 @@ def _cmd_reconstruct(args):
     reports.extend(run_hopf_checks(recon.hopf))
     if not all(r.passed for r in reports):
         return reports, {"dim": recon.hopf.dim}
-    serialize.save(args.out, recon.hopf, basis=recon.basis)
+    _save_all({args.out: recon.hopf}, basis=recon.basis)
     return reports, {"dim": recon.hopf.dim, "written": args.out}
 
 
@@ -145,7 +145,7 @@ def _cmd_repcat(args):
     except HopfrecError as e:
         return [rep, _failure_report(type(e).__name__, str(e))], {}
     fiber_path = _fiber_out_path(args.out)
-    _save_both({args.out: skel, fiber_path: fiber})
+    _save_all({args.out: skel, fiber_path: fiber})
     reports = [rep] + [CheckReport(name) for name in ("pentagon", "tensor-structure", "duality")]
     return reports, {"written": args.out, "written_fiber": fiber_path}
 
@@ -187,7 +187,7 @@ def _cmd_roundtrip(args):
 
 def _cmd_example(args):
     kind, builder = EXAMPLES[args.name]
-    serialize.save(args.out, builder())
+    _save_all({args.out: builder()})
     return [], {"written": args.out, "payload_kind": kind}
 
 

@@ -397,6 +397,31 @@ def test_repcat_puts_back_a_fiber_file_whose_write_fails(tmp_path, capsys, monke
     assert (out_f.read_bytes(), fiber_f.read_bytes()) == (b"old skeleton", b"old fiber")
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "example"])
+def test_a_write_that_fails_puts_back_the_existing_output(tmp_path, capsys, monkeypatch, command):
+    # the output file opens, so empties, and its write fails: the file
+    # that was there is put back byte for byte
+    argv = [command]
+    if command == "example":
+        argv.append("ks3")
+    else:
+        for name in ("vec-z2", "vec-z2-fiber"):
+            serialize.save(tmp_path / f"{name}.json", EXAMPLES[name][1]())
+            argv.append(str(tmp_path / f"{name}.json"))
+    out_f = tmp_path / "out.json"
+    out_f.write_bytes(b"old output")
+
+    def save(path, obj, **extras):
+        open(path, "w").close()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(serialize, "save", save)
+    code = main([*argv, "-o", str(out_f)])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == "" and cap.err == "error: [Errno 28] No space left on device\n"
+    assert out_f.read_bytes() == b"old output"
+
+
 def test_repcat_verifies_the_family_once(tmp_path, capsys, monkeypatch):
     h = tmp_path / "ks3.json"
     mods = tmp_path / "mods.json"

@@ -400,11 +400,13 @@ def test_rebuilt_ks4_irreps_decide_on_generators(sweeps):
 
 
 def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
-    """A K[S4] round trip builds 327 intertwiner constraints, all in the
+    """A K[S4] round trip builds 141 intertwiner constraints, all in the
     decompositions in _skeletalize, at most one per generator in each
     hom_space; verify_irreps, which decides by the rank of gamma, builds
-    none.  A hom_space between two 1-dim modules compares their actions
-    entrywise and builds none; 8 of the calls here meet two characters."""
+    none.  The isotypic bound leaves 53 hom_space calls of the 125 that
+    one per irreducible per tensor module would make (327 constraints).
+    A hom_space between two 1-dim modules compares their actions
+    entrywise and builds none; 6 of the calls here meet two characters."""
     h, mods = EXAMPLES["ks4"][1](), EXAMPLES["ks4-modules"][1]()
     calls, per_hom, phase = [], [], ["decompositions"]
     real_constraint, real_hom, real_irreps = repcat._intertwiner_constraint, repcat.hom_space, repcat.verify_irreps
@@ -427,10 +429,10 @@ def test_ks4_decompositions_refine_on_generators_only(monkeypatch):
     monkeypatch.setattr(repcat, "verify_irreps", irreps)
     assert gamma_roundtrip(h, mods)[0].passed
     decs = [k for p, k in per_hom if p == "decompositions"]
-    assert len(decs) == len(mods) ** 3  # one hom_space per irrep per tensor module
+    assert len(decs) == 53  # of len(mods) ** 3 = 125 without the bound
     assert max(decs) <= len(h.alg._gens) == 3
-    assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (0, 327)
-    assert len(calls) == 327
+    assert (sum(k for p, k in per_hom if p == "irreps"), sum(decs)) == (0, 141)
+    assert len(calls) == 141
 
 
 def test_ks4_round_trip_runs_hom_space_and_the_comult_on_ints(monkeypatch):

@@ -516,6 +516,23 @@ def test_decompose_rejects_degenerate_isotypic_images():
     assert str(err.value) == "isotypic images of V are degenerate"
 
 
+def test_decompose_solves_every_member_of_an_ungated_family(monkeypatch):
+    # decompose takes no isotypic bound: it solves one Hom per member, and
+    # on [std, std] the total counts both copies, which a bound that stops
+    # at dim std would have read as one copy and an invertible stack
+    triv, sgn, std = s3_modules()
+    calls = []
+    real = repcat.hom_space
+    monkeypatch.setattr(repcat, "hom_space", lambda v, w: calls.append(v) or real(v, w))
+    t = tensor_module(KS3, std, std)
+    assert decompose(t, [std, sgn, triv]).mult == (1, 1, 1)
+    assert calls == [std, sgn, triv]
+    with pytest.raises(DecompositionGap) as err:
+        decompose(std, [std, std])
+    assert str(err.value) == "module std has dim 2 but the family accounts for 4"
+    assert calls[3:] == [std, std]
+
+
 def test_skeletalize_kz2_is_trivial_pointed():
     h = gen_group_algebra(cyclic_group(2))
     mods = EXAMPLES["kz2-modules"][1]()

@@ -16,6 +16,12 @@ tensor_module, built on every action, in every case here.  A presentation
 that fails either check builds every action and ends as the full path
 does: the same raise, or the same data.
 
+`_decompositions` solves Hom(V_c, M) under the isotypic bound (the proof
+is in its docstring): a spy shows that every Hom it skips is 0 on every
+case here, on random changes of basis of them, and it raises what the
+full sweep of decompose raises on comult bumps whose family still
+passes the gate.
+
 `_skeletalize` solves F on every row of every tree.  The round trip reads
 no F, and solves none where H passes check_bialgebra (the existence
 argument in `_skeletalize`): its output equals that of reconstruct_hopf
@@ -34,11 +40,14 @@ reconstruction of every case here.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfrec import fusion, reconstruct, repcat, serialize
 from hopfrec.errors import DecompositionGap, HopfrecError, SkeletalizationFailure
@@ -49,10 +58,21 @@ from hopfrec.hopf import check_bialgebra, check_hopf_morphism
 from hopfrec.matrices import Matrix, mat_inverse
 from hopfrec.reconstruct import reconstruct_hopf
 from hopfrec.reports import CheckReport
-from hopfrec.repcat import _roundtrip, _skeletalize, decompose, gamma_roundtrip, skeletalize, tensor_module
+from hopfrec.repcat import (
+    ModuleRep,
+    _decompositions,
+    _roundtrip,
+    _skeletalize,
+    decompose,
+    gamma_roundtrip,
+    hom_space,
+    skeletalize,
+    tensor_module,
+    verify_irreps,
+)
 from hopfrec.scalars import Scalar
 from test_acceptance import J_BUMP_GAUGES, gauge_transform
-from test_generators import base, bump, cyclic_characters
+from test_generators import base, bump, change_basis, cyclic_characters, unitriangular
 from test_reconstruct import bumped_antipode
 from test_tensorator_bumps import alternating_group_4, modules_a4
 
@@ -152,20 +172,127 @@ def cells(m: Matrix) -> list:
     return [(x.conductor, x.coeffs) for x in m.entries]
 
 
-def assert_full_decompositions(h, mods, skel, fiber):
+def assert_full_decompositions(h, mods, N, J):
     """N and J are what decompose reads off every tensor_module."""
     for (a, v), (b, w) in product(enumerate(mods), repeat=2):
         dec = decompose(tensor_module(h, v, w), mods)
-        assert skel.fusion[a][b] == dec.mult
-        assert cells(fiber.J[(a, b)]) == cells(dec.tau)
+        assert N[a][b] == dec.mult
+        assert cells(J[(a, b)]) == cells(dec.tau)
+
+
+def spy_bound(mp) -> list:
+    """Per decomposition read off by `repcat._isotypic_sum`: (tensor
+    module M, the family members whose Hom into M was solved, the bases)."""
+    solved, seen = [], []
+    real_hom, real_sum = repcat.hom_space, repcat._isotypic_sum
+
+    def hom(v, w):
+        solved.append(v)
+        return real_hom(v, w)
+
+    def isotypic(v, bases):
+        seen.append((v, solved[:], bases))
+        solved.clear()
+        return real_sum(v, bases)
+
+    mp.setattr(repcat, "hom_space", hom)
+    mp.setattr(repcat, "_isotypic_sum", isotypic)
+    return seen
+
+
+@pytest.fixture
+def bound(monkeypatch):
+    return spy_bound(monkeypatch)
+
+
+def assert_skips_are_zero(h, mods, seen) -> None:
+    """The family passes the gate, and every irreducible that the bound
+    skipped has hom_space(V_c, M) == [] on the actions M lists; the bound
+    skips at least one."""
+    assert verify_irreps(h.alg, mods).passed
+    gens, skips = h.alg._gens, 0
+    assert len(seen) == len(mods) ** 2
+    for m, solved, bases in seen:
+        rows = gens if gens and len(m.action) == len(gens) else range(h.dim)
+        for v, basis in zip(mods, bases):
+            vc = ModuleRep(v.dim, [v.action[i] for i in rows], v.name)
+            if vc not in solved:
+                assert basis == [] and hom_space(vc, m) == []
+                skips += 1
+    assert skips
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_generator_decompositions_equal_the_full_ones(name, action_rows):
+def test_generator_decompositions_equal_the_full_ones(name, action_rows, bound):
     h, mods = case(name)
     skel, fiber = _skeletalize(h, mods)
     assert action_rows == [h.alg._gens] * len(mods) ** 2
-    assert_full_decompositions(h, mods, skel, fiber)
+    assert_skips_are_zero(h, mods, bound)
+    assert_full_decompositions(h, mods, skel.fusion, fiber.J)
+
+
+@given(st.data())
+@settings(max_examples=8, deadline=None)
+def test_the_bound_skips_only_zero_homs_on_random_bases(data):
+    """The bound skips only zero Hom spaces, and N and J are the full ones,
+    on every case but K[S4], whose change of basis alone takes minutes,
+    moved to the basis of a random rational unitriangular P."""
+    h, mods = case(data.draw(st.sampled_from([name for name in CASES if name != "ks4"])))
+    above = [(a, i) for i in range(h.dim) for a in range(i)]
+    entries = data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=len(above), max_size=len(above)))
+    chosen = dict(zip(above, entries))
+    h, mods = change_basis(h, mods, unitriangular(h.dim, lambda a, i: chosen[a, i]))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_bound(mp)
+        _, N, J, _ = _decompositions(h, mods)
+    assert_skips_are_zero(h, mods, seen)
+    assert_full_decompositions(h, mods, N, J)
+
+
+def comult_bumps(name: str, count: int) -> list:
+    """count seeded bumps of the comult of case(name), each by a nonzero
+    c = p/q added to some Delta(e_i), as (cell, c) lists for `bump`: on odd
+    m, c e_j (x) e_k, which mostly stops the decompositions at 1 (x) 1;
+    on even m, c (e_j - e_j') (x) (e_k - e_k'), which leaves 1 (x) V and
+    V (x) 1 as they were wherever the counit takes one value on e_j and
+    e_j' and one on e_k and e_k', so that a later tensor module decides."""
+    h, _ = case(name)
+    n, rng = h.dim, random.Random(name)
+    out = []
+    for m in range(count):
+        i, (j, j2), (k, k2) = rng.randrange(n), rng.sample(range(n), 2), rng.sample(range(n), 2)
+        by = Scalar.rational(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+        terms = [((j, k), 1)] if m % 2 else [((j, k), 1), ((j, k2), -1), ((j2, k), -1), ((j2, k2), 1)]
+        out.append(pytest.param(name, [((i, x, y), by * sign) for (x, y), sign in terms], id=f"{name}-{m}"))
+    return out
+
+
+def decomposed(run):
+    """(N, the cells of every J) that run returns, or the DecompositionGap
+    it raises, as (type, message)."""
+    try:
+        N, J = run()
+    except DecompositionGap as e:
+        return type(e), str(e)
+    return N, {key: cells(tau) for key, tau in J.items()}
+
+
+def full_sweep(h, mods):
+    decs = {(a, b): decompose(tensor_module(h, v, w), mods) for (a, v), (b, w) in product(enumerate(mods), repeat=2)}
+    r = len(mods)
+    return tuple(tuple(decs[a, b].mult for b in range(r)) for a in range(r)), {k: d.tau for k, d in decs.items()}
+
+
+@pytest.mark.parametrize("name,bumps", [p for name in ("ks3", "dz2", "ks4") for p in comult_bumps(name, 24)])
+def test_a_comult_bump_raises_what_the_full_sweep_raises(name, bumps):
+    """The family of a comult-bumped presentation still passes the gate,
+    and check_bialgebra fails: _decompositions takes every action, under
+    the bound, and ends as decompose on every tensor_module does."""
+    h, mods = case(name)
+    for cell, by in bumps:
+        h, mods = bump(h, mods, "comult", cell, by)
+    assert verify_irreps(h.alg, mods).passed and not check_bialgebra(h).passed
+    assert decomposed(lambda: _decompositions(h, mods)[1:3]) == decomposed(lambda: full_sweep(h, mods))
 
 
 # 1 (x) 1 + 1/2 (g1 - 1) (x) (g2 - 1): its legs are counital, so T Delta T^-1
@@ -204,7 +331,7 @@ def test_a_failed_premise_builds_every_action(name, action_rows):
         out = e
     assert action_rows and all(rows == list(range(h.dim)) for rows in action_rows)
     if FAILED_PREMISES[name] is None:
-        assert_full_decompositions(h, mods, *out)
+        assert_full_decompositions(h, mods, out[0].fusion, out[1].J)
     else:
         assert (type(out), str(out)) == FAILED_PREMISES[name]
 

@@ -45,9 +45,12 @@ def test_every_wrapped_name_exists_in_the_package():
 def test_round_trip_calls_the_wrapped_hom_and_decompose(monkeypatch):
     """The tracer replaces module attributes, so the repcat.decompose and
     repcat.hom_space spans see exactly the calls made through them.  A
-    K[S3] round trip (r = 3 irreducibles) makes r^2 decompositions, one per
-    tensor module, and r^3 hom_space calls, r per decomposition; the gate
-    decides by the rank of gamma and makes none."""
+    K[S3] round trip decomposes its r^2 = 9 tensor modules in
+    _decompositions, not through decompose, in 13 hom_space calls: the
+    isotypic bound skips 14 of the r^3 = 27 that one per irreducible would
+    make, and the gate decides by the rank of gamma and makes none.  A
+    call of decompose on the r irreducibles makes one decompose and r
+    hom_space calls."""
     from hopfrec.examples import EXAMPLES
     from hopfrec.repcat import gamma_roundtrip
 
@@ -62,9 +65,13 @@ def test_round_trip_calls_the_wrapped_hom_and_decompose(monkeypatch):
                 return real(*args)
 
             monkeypatch.setattr(mod, attr, counted)
-    rep, _ = gamma_roundtrip(EXAMPLES["ks3"][1](), EXAMPLES["ks3-modules"][1]())
+    h, mods = EXAMPLES["ks3"][1](), EXAMPLES["ks3-modules"][1]()
+    rep, _ = gamma_roundtrip(h, mods)
     assert rep.passed
-    assert counts == {"repcat.decompose": 9, "repcat.hom_space": 27}
+    assert counts == {"repcat.hom_space": 13}  # and no repcat.decompose
+    repcat = package_module("repcat")
+    repcat.decompose(repcat.tensor_module(h, mods[2], mods[2]), mods)
+    assert counts == {"repcat.decompose": 1, "repcat.hom_space": 16}
 
 
 def test_cyclic_round_trip_inverts_nothing_above_conductor_1(monkeypatch):
